@@ -20,7 +20,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ["inject-small", "stored-test", "serve-sliced", "isolate-test", "dist-test"]
+WORKLOADS = ["stored-test", "serve-sliced", "isolate-test", "dist-test"]
 RUN_DEADLINE_S = 170
 REAP_GRACE_S = 5
 
@@ -77,17 +77,6 @@ def main():
     if build.returncode != 0:
         print(f"run.py: building the benchmark failed (exit {build.returncode})", file=sys.stderr)
         return 1
-
-    # Fixed glibc malloc settings, so resident memory follows what the code
-    # allocates rather than the allocator's history. By default the mmap
-    # threshold rises to the largest buffer freed so far, so after a rare
-    # trial whose corrupted size allocates a large zeroed buffer, later ones
-    # come from an arena, are memset and stay resident; buffers of 1 MiB and
-    # more now stay mmapped, and free heap above 1 MiB is returned. Capping
-    # arenas at one per core stops short-lived threads (campaign workers,
-    # daemon connections) from spreading retained memory over up to 16
-    # arenas.
-    env.update(MALLOC_MMAP_THRESHOLD_="1048576", MALLOC_TRIM_THRESHOLD_="1048576", MALLOC_ARENA_MAX="2")
 
     scratch = os.path.join(target, "perfbench-run", f"{args.workload}-{os.getpid()}")
     shutil.rmtree(scratch, ignore_errors=True)

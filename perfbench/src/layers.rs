@@ -7,7 +7,7 @@
 //! how many rounds fitted into the run. `obs` histograms use log2 buckets:
 //! every p50 and p99 here is accurate to a factor of two only.
 
-use crate::workloads::{Round, WORKERS};
+use crate::workloads::Round;
 use obs::{HistData, MetricsSnapshot};
 
 /// End-to-end metrics: name and unit. Every workload reports all of them.
@@ -88,6 +88,8 @@ const SPANS: [(&str, &str, &[&str]); 15] = [
 /// Everything the traced rounds measured.
 #[derive(Default)]
 pub struct Tally {
+    /// Threads that run trials, the base of every share.
+    workers: usize,
     rounds: u64,
     wall_s: f64,
     trials: u64,
@@ -105,6 +107,13 @@ pub struct Tally {
 }
 
 impl Tally {
+    pub fn new(workers: usize) -> Self {
+        Tally {
+            workers,
+            ..Tally::default()
+        }
+    }
+
     /// Books one traced round and the metrics it recorded.
     pub fn add(&mut self, r: &Round, delta: &MetricsSnapshot) {
         self.rounds += 1;
@@ -138,7 +147,7 @@ impl Tally {
     /// Share of the worker threads' wall time spent inside `spans`.
     fn share(&self, spans: &[&str]) -> f64 {
         let busy: u64 = spans.iter().map(|s| self.hist(s).sum_ns).sum();
-        ratio(busy as f64 / 1e9, self.wall_s * WORKERS as f64)
+        ratio(busy as f64 / 1e9, self.wall_s * self.workers as f64)
     }
 
     fn self_ns(&self, span: &str, children: &[&str]) -> u64 {
@@ -215,9 +224,9 @@ impl Tally {
     /// p50, p99 and share of the worker threads' wall time.
     pub fn table(&self) -> String {
         let mut out = format!(
-            "per-layer profile: {} traced rounds, {:.3} s wall, {} trials (per round; p50/p99 from log2 buckets, \
-             accurate to a factor of 2)\n",
-            self.rounds, self.wall_s, self.trials
+            "per-layer profile: {} traced rounds, {:.3} s wall, {} trials, {} workers (per round; p50/p99 from log2 \
+             buckets, accurate to a factor of 2)\n",
+            self.rounds, self.wall_s, self.trials, self.workers
         );
         out.push_str(&format!(
             "{:<11} {:<18} {:>10} {:>10} {:>10} {:>12} {:>12} {:>7}\n",

@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1> [--smoke]
+//!           [--memory-round <digests>]
 //! ```
 //!
 //! Runs one workload (see `specs.rs` and `README.md`) in the current
@@ -14,15 +15,25 @@
 //! also prints the profile table). Exits 1 if any operation failed, a
 //! digest did not match, or a child process or thread outlived the
 //! workload; 2 on usage errors. `--smoke` shrinks every campaign and the
-//! set-up repetitions, for the self-tests.
+//! set-up repetitions, for the self-tests. `--memory-round` is the memory
+//! child described below.
 //!
-//! Times are taken as the fastest of many repetitions: other work on the
+//! Round times are taken as the fastest of many rounds: other work on the
 //! host only ever adds time, so the minimum is the estimate of the code's
 //! own cost that moves least between runs (Chen & Revels, "Robust
 //! benchmarking in noisy environments", 2016). `trials_per_s` is the
-//! fastest round's rate, `setup_s` the fastest set-up repetition, and
-//! `campaign_s` the geometric mean over the campaigns of each one's fastest
-//! time.
+//! fastest round's rate and `campaign_s` the geometric mean over the
+//! campaigns of each one's fastest time. `setup_s` is the median of the
+//! set-up repetitions.
+//!
+//! Every round runs under glibc's default allocator, untouched.
+//! `peak_rss_mb` is the `VmHWM` of a fresh process that runs one round and
+//! exits, the median over three such processes: after the timed rounds an
+//! untraced run re-executes itself with `--memory-round` and the reference
+//! digests, and each child runs and verifies one round. In the long-lived
+//! process the peak would depend on the allocator's history: glibc raises
+//! its mmap threshold to the largest buffer freed so far, so peaks grew
+//! from round to round and varied twofold between seeds.
 
 mod layers;
 mod specs;
@@ -31,12 +42,17 @@ mod workloads;
 use layers::{ratio, Tally, END_TO_END, PER_LAYER};
 use specs::{Scale, Workload};
 use std::collections::BTreeMap;
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use workloads::Runner;
 
-/// Set-up repetitions per run; `setup_s` is the fastest.
+/// Set-up repetitions per run; `setup_s` is their median.
 const SETUP_REPS: usize = 25;
+
+/// Memory children per untraced run; `peak_rss_mb` is their median.
+const MEMORY_ROUNDS: usize = 3;
 
 /// How long a finished workload's threads and children get to exit.
 const TEARDOWN_GRACE: Duration = Duration::from_secs(5);
@@ -47,12 +63,15 @@ struct Args {
     seconds: f64,
     trace: bool,
     scale: Scale,
+    /// Run one round for its peak RSS, against these digests.
+    memory_round: Option<Vec<workloads::Expected>>,
 }
 
 fn usage(msg: &str) -> ! {
     eprintln!("perfbench: {msg}");
     eprintln!(
-        "usage: perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1> [--smoke]"
+        "usage: perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1> [--smoke] \
+         [--memory-round <digests>]"
     );
     std::process::exit(2);
 }
@@ -60,6 +79,7 @@ fn usage(msg: &str) -> ! {
 fn parse_args() -> Args {
     let (mut workload, mut seed, mut seconds, mut trace, mut scale) =
         (None, None, None, None, Scale::Full);
+    let mut memory_round = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut value = || {
@@ -91,6 +111,12 @@ fn parse_args() -> Args {
                 _ => usage("--trace: expected 0 or 1"),
             },
             "--smoke" => scale = Scale::Smoke,
+            "--memory-round" => {
+                memory_round = Some(
+                    workloads::decode_expected(&value())
+                        .unwrap_or_else(|| usage("--memory-round: expected crc:trials,...")),
+                )
+            }
             other => usage(&format!("unknown argument {other:?}")),
         }
     }
@@ -101,6 +127,7 @@ fn parse_args() -> Args {
             seconds,
             trace,
             scale,
+            memory_round,
         },
         _ => usage("--workload, --seed, --seconds and --trace are required"),
     }
@@ -119,26 +146,7 @@ fn median(mut v: Vec<f64>) -> f64 {
     }
 }
 
-extern "C" {
-    /// glibc: returns free heap memory of every arena to the kernel.
-    fn malloc_trim(pad: usize) -> i32;
-}
-
-/// Restarts the peak-RSS reading (`VmHWM`) from the memory in use now.
-fn reset_peak_rss() {
-    // Free memory the allocator kept from earlier work (reference runs,
-    // earlier rounds) would otherwise count towards the next round's peak.
-    // SAFETY: malloc_trim only releases unused pages; it has no
-    // preconditions.
-    unsafe { malloc_trim(0) };
-    // Writing 5 to clear_refs resets the high-water mark (Linux >= 4.0).
-    if let Err(e) = std::fs::write("/proc/self/clear_refs", "5") {
-        fatal("reset peak RSS", e);
-    }
-}
-
-/// Peak resident set of this process (`VmHWM`) since the last
-/// [`reset_peak_rss`], in MiB.
+/// Peak resident set of this process (`VmHWM`), in MiB.
 fn peak_rss_mb() -> f64 {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
     let kib = status
@@ -214,6 +222,58 @@ fn fatal(what: &str, e: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
+/// The memory child: one verified round, then its peak RSS as the last
+/// line of stdout. Exits 1 if the round failed.
+fn run_memory_round(args: &Args, expected: Vec<workloads::Expected>, scratch: PathBuf) -> ! {
+    let specs = specs::specs(args.workload, args.seed, args.scale);
+    let campaigns =
+        workloads::with_expected(specs, expected).unwrap_or_else(|e| fatal("memory round", e));
+    let runner = Runner::new(args.workload, campaigns, Vec::new(), scratch);
+    let round = runner
+        .round(false)
+        .unwrap_or_else(|e| fatal("memory round", e));
+    drop(runner);
+    for f in &round.failures {
+        eprintln!("perfbench: memory round FAILED: {f}");
+    }
+    println!("{}", peak_rss_mb());
+    std::process::exit(if round.failures.is_empty() { 0 } else { 1 });
+}
+
+/// Runs the memory child in a fresh subdirectory and waits for it.
+/// Returns its peak RSS in MiB.
+fn memory_child(args: &Args, runner: &Runner) -> Result<f64, String> {
+    let dir = PathBuf::from("memory");
+    std::fs::create_dir_all(&dir).map_err(|e| format!("memory round dir: {e}"))?;
+    let exe = std::env::current_exe().map_err(|e| format!("current exe: {e}"))?;
+    let mut cmd = Command::new(exe);
+    cmd.args(["--workload", args.workload.name(), "--trace", "0"])
+        .args(["--seed", &args.seed.to_string()])
+        .args(["--seconds", &args.seconds.to_string()])
+        .args([
+            "--memory-round",
+            &workloads::encode_expected(&runner.campaigns),
+        ])
+        .current_dir(&dir)
+        .stdout(Stdio::piped());
+    if args.scale == Scale::Smoke {
+        cmd.arg("--smoke");
+    }
+    let out = cmd
+        .spawn()
+        .and_then(|child| child.wait_with_output())
+        .map_err(|e| format!("memory round: {e}"))?;
+    let _ = std::fs::remove_dir_all(&dir);
+    if !out.status.success() {
+        return Err(format!("memory round exited with {}", out.status));
+    }
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .last()
+        .and_then(|l| l.trim().parse::<f64>().ok())
+        .ok_or_else(|| "memory round printed no peak RSS".to_string())
+}
+
 fn main() {
     // Isolated campaigns re-exec this binary as their warden workers.
     bench::maybe_run_worker();
@@ -235,10 +295,14 @@ fn main() {
             .unwrap_or(0)
     );
 
-    let specs = specs::specs(args.workload, args.seed, args.scale);
-    let campaigns = workloads::prepare(args.workload, specs, &scratch)
-        .unwrap_or_else(|e| fatal("reference runs", e));
-    let mut runner = Runner::new(args.workload, campaigns, scratch);
+    if let Some(expected) = args.memory_round.clone() {
+        run_memory_round(&args, expected, scratch);
+    }
+    let prepare =
+        |specs| workloads::prepare(specs, &scratch).unwrap_or_else(|e| fatal("reference runs", e));
+    let campaigns = prepare(specs::specs(args.workload, args.seed, args.scale));
+    let probes = prepare(specs::probe_specs(args.workload, args.seed, args.scale));
+    let runner = Runner::new(args.workload, campaigns, probes, scratch);
 
     let reps = if args.scale == Scale::Smoke {
         3
@@ -246,13 +310,12 @@ fn main() {
         SETUP_REPS
     };
     let mut setups = Vec::with_capacity(reps);
-    let setup_once =
-        |runner: &mut Runner| runner.setup_once().unwrap_or_else(|e| fatal("set-up", e));
+    let setup_once = |runner: &Runner| runner.setup_once().unwrap_or_else(|e| fatal("set-up", e));
 
     let recorder = Arc::new(obs::CounterRecorder::new());
-    let mut tally = Tally::default();
-    let (mut untraced, mut traced_rounds, mut campaign_s, mut peak_rss) =
-        (Vec::new(), Vec::new(), BTreeMap::new(), Vec::new());
+    let mut tally = Tally::new(runner.workers());
+    let (mut untraced, mut traced_rounds, mut campaign_s) =
+        (Vec::new(), Vec::new(), BTreeMap::new());
     let (mut attempted, mut failures) = (0u64, Vec::new());
     let min_rounds = if args.trace { 2 } else { 1 };
     let start = Instant::now();
@@ -262,21 +325,19 @@ fn main() {
         // one burst, so a slow stretch of the host cannot move them all.
         let due = (reps as f64 * start.elapsed().as_secs_f64() / args.seconds).ceil() as usize;
         while setups.len() < due.clamp(1, reps) {
-            setups.push(setup_once(&mut runner));
+            setups.push(setup_once(&runner));
         }
         let traced = args.trace && i % 2 == 1;
         if traced && !runner.owns_recorder() {
             obs::install(recorder.clone());
         }
         let before = traced.then(obs::merged_snapshot);
-        reset_peak_rss();
         let round = runner.round(traced).unwrap_or_else(|e| fatal("round", e));
         eprintln!(
-            "perfbench: round {i}{}: {} trials in {:.3} s, peak RSS {:.1} MiB",
+            "perfbench: round {i}{}: {} trials in {:.3} s",
             if traced { " (traced)" } else { "" },
             round.trials,
             round.wall_s,
-            peak_rss_mb()
         );
         if let Some(before) = before {
             tally.add(
@@ -292,7 +353,6 @@ fn main() {
             for &(k, t) in &round.campaign_s {
                 campaign_s.entry(k).or_insert_with(Vec::new).push(t);
             }
-            peak_rss.push(peak_rss_mb());
         }
         attempted += round.attempted;
         failures.extend(round.failures);
@@ -300,14 +360,23 @@ fn main() {
     }
     let rounds = i;
     while setups.len() < reps {
-        setups.push(setup_once(&mut runner));
+        setups.push(setup_once(&runner));
     }
+    let mut peaks = Vec::new();
+    for _ in 0..if args.trace { 0 } else { MEMORY_ROUNDS } {
+        attempted += 1;
+        match memory_child(&args, &runner) {
+            Ok(mb) => peaks.push(mb),
+            Err(e) => failures.push(e),
+        }
+    }
+    eprintln!("perfbench: peak RSS of the memory rounds (MiB): {peaks:?}");
     eprintln!("perfbench: set-up repetitions (s): {setups:?}");
     eprintln!(
         "perfbench: campaign times (s): {:?}",
         campaign_s.values().collect::<Vec<_>>()
     );
-    let setup_s = setups.iter().copied().fold(f64::INFINITY, f64::min);
+    let setup_s = median(setups);
     // Trials per second of the fastest round, excluding the workload's
     // set-up.
     let rate = |rounds: &[(u64, f64)]| {
@@ -357,7 +426,7 @@ fn main() {
                 rate(&untraced),
                 setup_s,
                 campaign_s,
-                median(peak_rss),
+                median(peaks),
                 verified,
             ],
         )

@@ -13,7 +13,6 @@ use sdc_analysis::CiMethod;
 /// The benchmark's workloads, in `BENCHMARK.json` order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
-    InjectSmall,
     StoredTest,
     ServeSliced,
     IsolateTest,
@@ -21,8 +20,7 @@ pub enum Workload {
 }
 
 impl Workload {
-    pub const ALL: [Workload; 5] = [
-        Workload::InjectSmall,
+    pub const ALL: [Workload; 4] = [
         Workload::StoredTest,
         Workload::ServeSliced,
         Workload::IsolateTest,
@@ -31,7 +29,6 @@ impl Workload {
 
     pub fn name(self) -> &'static str {
         match self {
-            Workload::InjectSmall => "inject-small",
             Workload::StoredTest => "stored-test",
             Workload::ServeSliced => "serve-sliced",
             Workload::IsolateTest => "isolate-test",
@@ -66,6 +63,9 @@ const SHARDS: usize = 8;
 
 /// Shards of the distributed campaign: one lease per shard.
 const DIST_SHARDS: usize = 4;
+
+/// Executors of the distributed campaign.
+pub const EXECUTORS: usize = 2;
 
 /// SplitMix64 finaliser: decorrelates the per-campaign seeds derived from
 /// one workload seed.
@@ -119,10 +119,6 @@ fn inject_and_beam(inject: usize, beam: usize, isolate: bool) -> Vec<CampaignSpe
 /// The campaigns one round of `w` runs. A pure function of its arguments.
 pub fn specs(w: Workload, seed: u64, scale: Scale) -> Vec<CampaignSpec> {
     let mut out = match w {
-        Workload::InjectSmall => Benchmark::ALL
-            .iter()
-            .map(|&b| spec(CampaignKind::Inject, b, scale.trials(96), "small", 1, false))
-            .collect(),
         Workload::StoredTest => inject_and_beam(scale.trials(512), scale.trials(2048), false),
         Workload::IsolateTest => inject_and_beam(scale.trials(192), scale.trials(384), true),
         Workload::ServeSliced => {
@@ -188,6 +184,23 @@ pub fn specs(w: Workload, seed: u64, scale: Scale) -> Vec<CampaignSpec> {
     out
 }
 
+/// The set-up probes of `w`: every campaign of [`specs`] cut to its
+/// smallest run, one trial (one per executor, each on its own shard, for
+/// the distributed campaign). Timing a probe through the same public call
+/// a round uses times the program's own set-up before its first trial.
+pub fn probe_specs(w: Workload, seed: u64, scale: Scale) -> Vec<CampaignSpec> {
+    let mut out = specs(w, seed, scale);
+    for s in &mut out {
+        if w == Workload::DistTest {
+            s.trials = EXECUTORS;
+            s.shards = EXECUTORS;
+        } else {
+            s.trials = 1;
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,6 +242,7 @@ mod tests {
             for s in specs(w, 3, Scale::Full)
                 .into_iter()
                 .chain(specs(w, 3, Scale::Smoke))
+                .chain(probe_specs(w, 3, Scale::Full))
             {
                 bench::validate_spec(s).unwrap();
             }

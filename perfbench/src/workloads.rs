@@ -1,4 +1,4 @@
-//! The five workloads: their set-up, their reference digests and one timed
+//! The four workloads: their set-up, their reference digests and one timed
 //! round each, driven only through the program's public entry points.
 //!
 //! A round runs every campaign of the workload once, from request to a
@@ -6,13 +6,14 @@
 //! Every campaign gets a fresh journal directory under the run's scratch
 //! directory, and the round removes it again after the clock stops.
 
-use crate::specs::Workload;
+use crate::specs::{Workload, EXECUTORS};
 use bench::{CampaignKind, ParsedSpec, SpecResult, SpecRun};
 use carolfi::record::TrialRecord;
-use carolfi::{ConnectTarget, CoordConfig, ExecutorConfig, IsolatedTrial, Warden};
+use carolfi::{ConnectTarget, CoordConfig, ExecutorConfig};
 use kernels::{build, golden};
 use serve::proto::{roundtrip, ClientRequest, ServerReply};
 use serve::{EventBus, ServeConfig, Server, SliceRun};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::io;
@@ -20,12 +21,6 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Worker threads of the in-memory campaigns (the host has two cores).
-pub const WORKERS: usize = 2;
-
-/// Distributed executors per campaign.
-const EXECUTORS: usize = 2;
 
 /// How long a client waits on a daemon `Result` before calling it failed.
 const RESULT_WAIT_MS: u64 = 120_000;
@@ -42,6 +37,28 @@ fn timed<T>(span: &'static str, f: impl FnOnce() -> T) -> T {
 pub struct Expected {
     pub crc: u32,
     pub trials: usize,
+}
+
+/// The digests of `campaigns` as one argument: `crc:trials`, comma
+/// separated, in campaign order. [`decode_expected`] reads it back.
+pub fn encode_expected(campaigns: &[Campaign]) -> String {
+    let digests: Vec<String> = campaigns
+        .iter()
+        .map(|c| format!("{:08x}:{}", c.expected.crc, c.expected.trials))
+        .collect();
+    digests.join(",")
+}
+
+pub fn decode_expected(s: &str) -> Option<Vec<Expected>> {
+    s.split(',')
+        .map(|d| {
+            let (crc, trials) = d.split_once(':')?;
+            Some(Expected {
+                crc: u32::from_str_radix(crc, 16).ok()?,
+                trials: trials.parse().ok()?,
+            })
+        })
+        .collect()
 }
 
 /// One campaign of a workload: its validated spec, its wire form and the
@@ -174,11 +191,7 @@ fn remove_dir(dir: &Path) -> io::Result<()> {
 
 /// The records of the same spec run in process: `run_campaign` /
 /// `run_beam_campaign`, or for an adaptive spec a direct `run_spec`.
-fn reference_records(
-    p: &ParsedSpec,
-    workers: usize,
-    scratch: &Path,
-) -> io::Result<Vec<TrialRecord>> {
+fn reference_records(p: &ParsedSpec, scratch: &Path) -> io::Result<Vec<TrialRecord>> {
     let (b, size, label) = (p.benchmark, p.size, p.benchmark.label());
     if p.spec.plan.is_some() {
         let dir = scratch.join("reference-adaptive");
@@ -195,47 +208,63 @@ fn reference_records(
     let g = golden(b, size);
     Ok(match p.spec.kind {
         CampaignKind::Inject => {
-            let mut cfg = p.campaign_config();
-            cfg.workers = workers;
-            carolfi::run_campaign(label, || build(b, size), &g, &cfg).records
+            carolfi::run_campaign(label, || build(b, size), &g, &p.campaign_config()).records
         }
         CampaignKind::Beam => {
-            let mut cfg = p.beam_config();
-            cfg.workers = workers;
-            beamsim::run_beam_campaign(label, || build(b, size), &g, &cfg).records
+            beamsim::run_beam_campaign(label, || build(b, size), &g, &p.beam_config()).records
         }
     })
 }
 
-/// Validates the workload's specs and computes every reference digest.
-/// Runs before the clock starts. The in-memory workload's reference uses
-/// one worker, so its digests also pin independence from scheduling.
-pub fn prepare(
-    w: Workload,
-    specs: Vec<bench::CampaignSpec>,
-    scratch: &Path,
-) -> io::Result<Vec<Campaign>> {
-    let workers = if w == Workload::InjectSmall { 1 } else { 0 };
+fn campaign(
+    spec: bench::CampaignSpec,
+    expected: impl FnOnce(&ParsedSpec) -> io::Result<Expected>,
+) -> io::Result<Campaign> {
+    let json = serde_json::to_string(&spec).map_err(|e| other(format!("serialize spec: {e}")))?;
+    let parsed = bench::validate_spec(spec).map_err(|e| other(format!("invalid spec: {e}")))?;
+    let expected = expected(&parsed)?;
+    Ok(Campaign {
+        parsed,
+        json,
+        expected,
+    })
+}
+
+/// Validates specs and computes every reference digest. Runs before the
+/// clock starts.
+pub fn prepare(specs: Vec<bench::CampaignSpec>, scratch: &Path) -> io::Result<Vec<Campaign>> {
     specs
         .into_iter()
         .map(|spec| {
-            let json =
-                serde_json::to_string(&spec).map_err(|e| other(format!("serialize spec: {e}")))?;
-            let parsed =
-                bench::validate_spec(spec).map_err(|e| other(format!("invalid spec: {e}")))?;
-            let records = reference_records(&parsed, workers, scratch)?;
-            let doc: SpecResult = serde_json::from_str(&result_doc(&parsed, &records))
-                .map_err(|e| other(format!("reference result document: {e}")))?;
-            let expected = Expected {
-                crc: doc.records_crc,
-                trials: doc.trials,
-            };
-            Ok(Campaign {
-                parsed,
-                json,
-                expected,
+            campaign(spec, |parsed| {
+                let records = reference_records(parsed, scratch)?;
+                let doc: SpecResult = serde_json::from_str(&result_doc(parsed, &records))
+                    .map_err(|e| other(format!("reference result document: {e}")))?;
+                Ok(Expected {
+                    crc: doc.records_crc,
+                    trials: doc.trials,
+                })
             })
         })
+        .collect()
+}
+
+/// Validates specs and pairs them with digests computed elsewhere.
+pub fn with_expected(
+    specs: Vec<bench::CampaignSpec>,
+    expected: Vec<Expected>,
+) -> io::Result<Vec<Campaign>> {
+    if specs.len() != expected.len() {
+        return Err(other(format!(
+            "{} digests for {} campaigns",
+            expected.len(),
+            specs.len()
+        )));
+    }
+    specs
+        .into_iter()
+        .zip(expected)
+        .map(|(spec, e)| campaign(spec, |_| Ok(e)))
         .collect()
 }
 
@@ -243,15 +272,22 @@ pub fn prepare(
 pub struct Runner {
     pub workload: Workload,
     pub campaigns: Vec<Campaign>,
+    /// The campaigns cut to one trial, whose rounds time the set-up.
+    probes: Vec<Campaign>,
     scratch: PathBuf,
     /// The daemon's recorder, installed for the whole run as `phi-serve`
     /// installs it.
     bus: Option<Arc<EventBus>>,
-    serial: usize,
+    serial: Cell<usize>,
 }
 
 impl Runner {
-    pub fn new(workload: Workload, campaigns: Vec<Campaign>, scratch: PathBuf) -> Self {
+    pub fn new(
+        workload: Workload,
+        campaigns: Vec<Campaign>,
+        probes: Vec<Campaign>,
+        scratch: PathBuf,
+    ) -> Self {
         let bus = (workload == Workload::ServeSliced).then(|| {
             let bus = Arc::new(EventBus::new());
             obs::install(bus.clone());
@@ -261,9 +297,19 @@ impl Runner {
         Runner {
             workload,
             campaigns,
+            probes,
             scratch,
             bus,
-            serial: 0,
+            serial: Cell::new(0),
+        }
+    }
+
+    /// Threads that run trials: the executors of the distributed campaign;
+    /// otherwise `run_spec`'s default of one worker per core.
+    pub fn workers(&self) -> usize {
+        match self.workload {
+            Workload::DistTest => EXECUTORS,
+            _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
@@ -273,130 +319,52 @@ impl Runner {
         self.bus.is_some()
     }
 
-    fn fresh_dir(&mut self, tag: &str) -> PathBuf {
-        self.serial += 1;
-        self.scratch.join(format!("{tag}-{}", self.serial))
+    fn fresh_dir(&self, tag: &str) -> PathBuf {
+        self.serial.set(self.serial.get() + 1);
+        self.scratch.join(format!("{tag}-{}", self.serial.get()))
     }
 
-    /// One set-up pass: the work each campaign of the workload does before
-    /// its first trial can run, summed over the campaigns. Returns seconds.
-    pub fn setup_once(&mut self) -> io::Result<f64> {
-        match self.workload {
-            Workload::InjectSmall => Ok(self
-                .campaigns
-                .iter()
-                .map(|c| golden_and_probe(&c.parsed))
-                .sum()),
-            Workload::StoredTest => {
-                let mut total = 0.0;
-                for i in 0..self.campaigns.len() {
-                    let dir = self.fresh_dir("setup");
-                    let p = &self.campaigns[i].parsed;
-                    let t = Instant::now();
-                    golden_and_probe(p);
-                    store::JournalWriter::create(&dir, journal_meta(p))?.close()?;
-                    total += t.elapsed().as_secs_f64();
-                    remove_dir(&dir)?;
-                }
-                Ok(total)
-            }
-            Workload::IsolateTest => {
-                let mut total = 0.0;
-                for i in 0..self.campaigns.len() {
-                    let dir = self.fresh_dir("setup");
-                    let p = &self.campaigns[i].parsed;
-                    let t = Instant::now();
-                    black_box(build(p.benchmark, p.size).total_steps());
-                    store::JournalWriter::create(&dir, journal_meta(p))?.close()?;
-                    // The first trial of a warden spawns its worker, which
-                    // computes its golden output before it says Hello.
-                    let mut warden = Warden::new(p.isolate_config()?)?;
-                    match warden.run_trial(0)? {
-                        IsolatedTrial::Completed(_) => {}
-                        IsolatedTrial::Quarantined { diagnostic, .. } => {
-                            return Err(other(format!("set-up trial quarantined: {diagnostic}")))
-                        }
-                    }
-                    total += t.elapsed().as_secs_f64();
-                    drop(warden);
-                    remove_dir(&dir)?;
-                }
-                Ok(total)
-            }
-            Workload::ServeSliced => {
-                let root = self.fresh_dir("setup");
-                let socket = PathBuf::from(format!("setup-{}.sock", self.serial));
-                let bus = self.bus.clone().expect("the served workload owns a bus");
-                let t = Instant::now();
-                let server = Server::start(
-                    ServeConfig::new(socket.clone(), root.clone()),
-                    Arc::new(bench::SpecRunner),
-                    bus,
-                )?;
-                let ready = roundtrip(&socket, &ClientRequest::List);
-                let mut total = t.elapsed().as_secs_f64();
-                server.stop();
-                if !matches!(ready?, ServerReply::List { .. }) {
-                    return Err(other("daemon answered List with another reply".into()));
-                }
-                for i in 0..self.campaigns.len() {
-                    let dir = root.join(format!("journal-{i}"));
-                    let p = &self.campaigns[i].parsed;
-                    let t = Instant::now();
-                    golden_and_probe(p);
-                    store::JournalWriter::create(&dir, journal_meta(p))?.close()?;
-                    total += t.elapsed().as_secs_f64();
-                }
-                remove_dir(&root)?;
-                Ok(total)
-            }
+    /// One set-up pass: the seconds before the workload's first trials can
+    /// run. That is a round over the one-trial probes, through the same
+    /// public calls as a timed round: for the daemon, daemon start plus
+    /// submit to `Result` of every probe. For the distributed campaign it
+    /// is a two-trial campaign, timed from coordinator bind to the first
+    /// executor's runner being built.
+    pub fn setup_once(&self) -> io::Result<f64> {
+        let mut r = Round::default();
+        let ready = match self.workload {
             Workload::DistTest => {
-                // A two-trial campaign over the same backend: bind, journal
-                // and ledger create, handshake, and the executor's runner
-                // build (golden run and probe) until the first trial can run.
                 let dir = self.fresh_dir("setup");
-                let mut spec = self.campaigns[0].parsed.spec.clone();
-                spec.trials = EXECUTORS;
-                spec.shards = EXECUTORS;
-                let parsed = bench::validate_spec(spec).map_err(other)?;
-                let mut round = Round::default();
-                let ready = run_dist(&parsed, &dir, &mut round)?;
+                let ready = run_dist(&self.probes[0].parsed, &dir, &mut r)?;
                 remove_dir(&dir)?;
-                if let Some(f) = round.failures.first() {
-                    return Err(other(f.clone()));
-                }
-                Ok(ready)
+                ready
             }
+            _ => {
+                r = self.run(&self.probes, false)?;
+                r.wall_s
+            }
+        };
+        match r.failures.first() {
+            Some(f) => Err(other(format!("set-up probe: {f}"))),
+            None => Ok(ready),
         }
     }
 
     /// One timed pass over every campaign of the workload. A traced round
     /// also times work the daemon does out of the benchmark's reach.
-    pub fn round(&mut self, traced: bool) -> io::Result<Round> {
+    pub fn round(&self, traced: bool) -> io::Result<Round> {
+        self.run(&self.campaigns, traced)
+    }
+
+    fn run(&self, campaigns: &[Campaign], traced: bool) -> io::Result<Round> {
         let mut r = Round::default();
         match self.workload {
-            Workload::InjectSmall => {
-                let start = Instant::now();
-                for (k, c) in self.campaigns.iter().enumerate() {
-                    let t = Instant::now();
-                    let p = &c.parsed;
-                    let (b, size, label) = (p.benchmark, p.size, p.benchmark.label());
-                    let g = timed("bench.golden", || golden(b, size));
-                    let mut cfg = p.campaign_config();
-                    cfg.workers = WORKERS;
-                    let campaign = carolfi::run_campaign(label, || build(b, size), &g, &cfg);
-                    let doc = result_doc(p, &campaign.records);
-                    r.attempted += 1;
-                    r.verify(k, c, &doc, t);
-                }
-                r.wall_s = start.elapsed().as_secs_f64();
-            }
             Workload::StoredTest | Workload::IsolateTest => {
-                let dirs: Vec<PathBuf> = (0..self.campaigns.len())
+                let dirs: Vec<PathBuf> = (0..campaigns.len())
                     .map(|_| self.fresh_dir("campaign"))
                     .collect();
                 let start = Instant::now();
-                for (k, (c, dir)) in self.campaigns.iter().zip(&dirs).enumerate() {
+                for (k, (c, dir)) in campaigns.iter().zip(&dirs).enumerate() {
                     let t = Instant::now();
                     r.attempted += 1;
                     let doc = match timed("bench.run_spec", || {
@@ -424,12 +392,12 @@ impl Runner {
                     remove_dir(dir)?;
                 }
             }
-            Workload::ServeSliced => self.serve_round(&mut r, traced)?,
+            Workload::ServeSliced => self.serve_round(campaigns, &mut r, traced)?,
             Workload::DistTest => {
                 let dir = self.fresh_dir("dist");
                 let start = Instant::now();
                 r.attempted += 1;
-                let c = &self.campaigns[0];
+                let c = &campaigns[0];
                 run_dist(&c.parsed, &dir, &mut r)?;
                 if r.failures.is_empty() {
                     match bench::spec::journal_records(&dir.join("coord")) {
@@ -447,9 +415,9 @@ impl Runner {
 
     /// A fresh daemon on a fresh registry: one client connection at a time
     /// submits every campaign, then waits on each `Result` in submit order.
-    fn serve_round(&mut self, r: &mut Round, traced: bool) -> io::Result<()> {
+    fn serve_round(&self, campaigns: &[Campaign], r: &mut Round, traced: bool) -> io::Result<()> {
         let root = self.fresh_dir("serve");
-        let socket = PathBuf::from(format!("serve-{}.sock", self.serial));
+        let socket = PathBuf::from(format!("serve-{}.sock", self.serial.get()));
         let bus = self.bus.clone().expect("the served workload owns a bus");
         let runner = Arc::new(TimedRunner::default());
         let start = Instant::now();
@@ -459,7 +427,7 @@ impl Runner {
             bus,
         )?;
         let mut waiting = Vec::new();
-        for (k, c) in self.campaigns.iter().enumerate() {
+        for (k, c) in campaigns.iter().enumerate() {
             r.attempted += 1;
             let t = Instant::now();
             runner
@@ -516,14 +484,6 @@ impl Runner {
         r.journal_bytes += dir_bytes(&root);
         remove_dir(&root)
     }
-}
-
-/// Golden run plus target probe: the set-up of every in-process campaign.
-fn golden_and_probe(p: &ParsedSpec) -> f64 {
-    let t = Instant::now();
-    black_box(golden(p.benchmark, p.size));
-    black_box(build(p.benchmark, p.size).total_steps());
-    t.elapsed().as_secs_f64()
 }
 
 /// `bench::SpecRunner` with the daemon's slices and queue waits timed from

@@ -68,7 +68,7 @@ fn run(workload: &str, trace: &str) -> String {
 #[test]
 fn every_workload_passes_a_scaled_down_run() {
     let workloads = names_in("workloads");
-    assert_eq!(workloads.len(), 5);
+    assert_eq!(workloads.len(), 4);
     for w in &workloads {
         for (trace, section) in [("0", "end_to_end"), ("1", "per_layer")] {
             let line = run(w, trace);

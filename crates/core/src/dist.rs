@@ -34,6 +34,9 @@
 //! every [`ExecutorMsg`] gets exactly one [`CoordMsg`] reply, which keeps
 //! both ends trivially restartable — any torn exchange is just a dropped
 //! connection, and reconnecting re-establishes all state from `Hello`.
+//! Both ends wait only for work: a `LeaseRequest` that cannot be granted
+//! yet is long-polled (its reply waits until a lease completes or expires
+//! or the campaign ends), and both sockets set `TCP_NODELAY`.
 
 use crate::monitor::{self, DistStatus};
 use crate::warden::{read_frame, write_frame};
@@ -41,11 +44,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use store::{
-    CampaignMeta, Importer, Journal, JournalEntry, JournalWriter, LeaseState, LedgerEntry, LedgerWriter, Offer, ShardCursor,
-    ShardPlan, ShardProgress,
+    BatchPolicy, CampaignMeta, Importer, Journal, JournalEntry, JournalWriter, LeaseState, LedgerEntry, LedgerWriter, Offer,
+    ShardCursor, ShardPlan, ShardProgress,
 };
 
 /// Executor → coordinator messages. One reply each.
@@ -55,7 +58,8 @@ pub enum ExecutorMsg {
     /// across reconnects: a `Hello` expires any lease still held under the
     /// same name, because the process that held it is gone.
     Hello { name: String, pid: u32 },
-    /// Ask for work. Answered with `Lease`, `Wait` or `Done`.
+    /// Ask for work. Answered with `Lease` or `Done`; while every unsealed
+    /// shard is leased the reply waits until one completes or expires.
     LeaseRequest,
     /// One trial result. `seq` is shard-local; `payload` is the
     /// pre-serialized trial record, opaque to the coordinator.
@@ -77,8 +81,6 @@ pub enum CoordMsg {
     /// The executor streams shard-local sequences `skip..(end-start)`; the
     /// merge already holds everything before `skip`.
     Lease { lease: u64, shard: usize, start: u64, end: u64, skip: u64, timeout_ms: u64 },
-    /// No shard is currently available; ask again after `backoff_ms`.
-    Wait { backoff_ms: u64 },
     /// Frame accepted.
     Ack,
     /// The named lease is no longer valid — abandon the range and request
@@ -110,16 +112,14 @@ pub struct CoordConfig {
     /// A lease with no traffic for this long is expired and its shard
     /// re-dispatched.
     pub lease_timeout: Duration,
-    /// Backoff told to executors when every unsealed shard is leased.
-    pub wait_ms: u64,
     /// Test hook: abandon the coordinator (no seal, no close, writers
     /// leaked exactly as a SIGKILL would leave them) once this many trials
     /// merged. `None` in production.
     pub stop_after_merged: Option<u64>,
-    /// After the last shard seals, keep answering so executors parked in a
-    /// `Wait` backoff hear [`CoordMsg::Done`] instead of a connection
-    /// reset. [`run_coordinator`] returns as soon as every connected
-    /// executor has disconnected, or after this bound — whichever is first.
+    /// After the last shard seals, keep answering so executors that ask for
+    /// work late hear [`CoordMsg::Done`] instead of a connection reset.
+    /// [`run_coordinator`] returns as soon as every connected executor has
+    /// disconnected, or after this bound — whichever is first.
     pub linger: Duration,
 }
 
@@ -131,7 +131,6 @@ impl CoordConfig {
             spec: spec.into(),
             resume: false,
             lease_timeout: Duration::from_millis(2000),
-            wait_ms: 50,
             stop_after_merged: None,
             linger: Duration::from_secs(10),
         }
@@ -172,7 +171,6 @@ struct CoordState {
     sealed: Vec<bool>,
     ever_leased: Vec<bool>,
     lease_timeout: Duration,
-    wait_ms: u64,
     stop_after_merged: Option<u64>,
     executors: u64,
     granted: u64,
@@ -180,6 +178,11 @@ struct CoordState {
     redispatched: u64,
     done: bool,
     abandoned: bool,
+    /// Signalled, with the state lock held, whenever a parked
+    /// `LeaseRequest` may have an answer (a lease completed or expired, the
+    /// campaign finished or was abandoned) and whenever a connection drops.
+    /// The accept loop waits on it too.
+    wake: Arc<Condvar>,
 }
 
 impl CoordState {
@@ -210,11 +213,14 @@ impl CoordState {
         self.ledger_mut()?.append(&LedgerEntry::Expired { lease })?;
         self.expired += 1;
         obs::incr("dist/leases_expired", 1);
+        self.wake.notify_all();
         Ok(())
     }
 
     /// Expires every lease with no traffic inside the timeout window.
-    /// Evaluated lazily at grant time — no background timer thread.
+    /// Evaluated lazily at grant time, which a parked request reaches when
+    /// its wait times out at [`CoordState::next_expiry`] — no background
+    /// timer thread.
     fn expire_stale(&mut self) -> std::io::Result<()> {
         let timeout = self.lease_timeout;
         let mut stale: Vec<u64> =
@@ -224,6 +230,11 @@ impl CoordState {
             self.expire(id)?;
         }
         Ok(())
+    }
+
+    /// When the oldest lease expires unless it sees traffic first.
+    fn next_expiry(&self) -> Option<Instant> {
+        self.leases.values().map(|info| info.last_seen + self.lease_timeout).min()
     }
 
     /// A reconnecting executor's previous leases belong to a dead process.
@@ -278,16 +289,19 @@ impl CoordState {
         if let Some(ledger) = self.ledger.take() {
             std::mem::forget(ledger);
         }
+        self.wake.notify_all();
     }
 
-    fn grant(&mut self, name: &str) -> std::io::Result<CoordMsg> {
+    /// A lease on the first free unsealed shard, `Done` once all are
+    /// sealed, or `None` while every unsealed shard is leased.
+    fn grant(&mut self, name: &str) -> std::io::Result<Option<CoordMsg>> {
         self.expire_stale()?;
         if self.sealed.iter().all(|&s| s) {
-            return Ok(CoordMsg::Done);
+            return Ok(Some(CoordMsg::Done));
         }
         let leased: Vec<usize> = self.leases.values().map(|info| info.shard).collect();
         let Some(shard) = (0..self.plan.shards).find(|s| !self.sealed[*s] && !leased.contains(s)) else {
-            return Ok(CoordMsg::Wait { backoff_ms: self.wait_ms });
+            return Ok(None);
         };
         let lease = self.next_lease;
         self.next_lease += 1;
@@ -303,38 +317,40 @@ impl CoordState {
         self.granted += 1;
         obs::incr("dist/leases_granted", 1);
         let range = self.plan.range(shard);
-        Ok(CoordMsg::Lease {
+        Ok(Some(CoordMsg::Lease {
             lease,
             shard,
             start: range.start as u64,
             end: range.end as u64,
             skip: self.importer.next_seq(shard),
             timeout_ms: self.lease_timeout.as_millis() as u64,
-        })
+        }))
     }
 
-    fn handle(&mut self, name: &str, msg: ExecutorMsg) -> std::io::Result<CoordMsg> {
-        match msg {
-            ExecutorMsg::Hello { .. } => Err(protocol("unexpected second Hello on an established connection")),
-            ExecutorMsg::LeaseRequest => self.grant(name),
+    /// The reply to `msg`, or `None` when it is a `LeaseRequest` that has
+    /// no answer yet and must wait for a state change.
+    fn handle(&mut self, name: &str, msg: &ExecutorMsg) -> std::io::Result<Option<CoordMsg>> {
+        let reply = match *msg {
+            ExecutorMsg::Hello { .. } => return Err(protocol("unexpected second Hello on an established connection")),
+            ExecutorMsg::LeaseRequest => return self.grant(name),
             ExecutorMsg::Heartbeat { lease } => match self.leases.get_mut(&lease) {
                 Some(info) if info.executor == name => {
                     info.last_seen = Instant::now();
-                    Ok(CoordMsg::Ack)
+                    CoordMsg::Ack
                 }
-                Some(info) => Err(protocol(format!("lease {lease} belongs to {}, not {name}", info.executor))),
-                None => Ok(CoordMsg::Expired),
+                Some(info) => return Err(protocol(format!("lease {lease} belongs to {}, not {name}", info.executor))),
+                None => CoordMsg::Expired,
             },
-            ExecutorMsg::Trial { lease, shard, seq, payload } => {
+            ExecutorMsg::Trial { lease, shard, seq, ref payload } => {
                 // Lease validation precedes the merge: a stale executor can
                 // never advance a cursor, so it can never create a gap.
-                let Some(info) = self.leases.get_mut(&lease) else { return Ok(CoordMsg::Expired) };
+                let Some(info) = self.leases.get_mut(&lease) else { return Ok(Some(CoordMsg::Expired)) };
                 if info.executor != name || info.shard != shard {
                     return Err(protocol(format!("trial for shard {shard} on foreign lease {lease}")));
                 }
                 info.last_seen = Instant::now();
                 let writer = self.writer.as_mut().ok_or_else(|| protocol("journal writer already retired"))?;
-                if self.importer.offer(writer, shard, seq, &payload)? == Offer::Accepted {
+                if self.importer.offer(writer, shard, seq, payload)? == Offer::Accepted {
                     monitor::tick(shard);
                 }
                 if let Some(cap) = self.stop_after_merged {
@@ -342,10 +358,10 @@ impl CoordState {
                         self.abandon();
                     }
                 }
-                Ok(CoordMsg::Ack)
+                CoordMsg::Ack
             }
             ExecutorMsg::RangeDone { lease } => {
-                let Some(info) = self.leases.get(&lease) else { return Ok(CoordMsg::Expired) };
+                let Some(info) = self.leases.get(&lease) else { return Ok(Some(CoordMsg::Expired)) };
                 if info.executor != name {
                     return Err(protocol(format!("RangeDone on foreign lease {lease}")));
                 }
@@ -366,9 +382,11 @@ impl CoordState {
                 if self.sealed.iter().all(|&s| s) {
                     self.finish()?;
                 }
-                Ok(CoordMsg::Ack)
+                self.wake.notify_all();
+                CoordMsg::Ack
             }
-        }
+        };
+        Ok(Some(reply))
     }
 }
 
@@ -410,7 +428,11 @@ fn open_coord_journal(dir: &Path, meta: &CampaignMeta, resume: bool) -> std::io:
 /// control address selection — the `phi-coord` binary binds `--listen` and
 /// writes the resolved address to `--addr-file` before calling this.
 pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Result<CoordSummary> {
-    let (writer, progress) = open_coord_journal(&cfg.dir, &cfg.meta, cfg.resume)?;
+    let (mut writer, progress) = open_coord_journal(&cfg.dir, &cfg.meta, cfg.resume)?;
+    // Write-through: a trial's line reaches the OS before its `Ack` is
+    // sent, so a SIGKILLed (or abandoned) coordinator never loses a trial
+    // it acknowledged. Seals still fsync.
+    writer.batch = BatchPolicy::unbatched();
     let (mut ledger, scan) = LedgerWriter::open(&cfg.dir)?;
 
     // Reconcile both crash windows. (1) Every Active lease in the ledger
@@ -448,6 +470,7 @@ pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Res
     }
     monitor::begin_campaign(&cfg.meta.benchmark, "dist", &plan, &progress);
 
+    let wake = Arc::new(Condvar::new());
     let mut state = CoordState {
         meta: cfg.meta.clone(),
         spec: cfg.spec.clone(),
@@ -460,7 +483,6 @@ pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Res
         sealed,
         ever_leased,
         lease_timeout: cfg.lease_timeout,
-        wait_ms: cfg.wait_ms,
         stop_after_merged: cfg.stop_after_merged,
         executors: 0,
         granted: 0,
@@ -468,6 +490,7 @@ pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Res
         redispatched: 0,
         done: false,
         abandoned: false,
+        wake: Arc::clone(&wake),
     };
 
     // Close the seal crash-window: a shard whose whole range is merged but
@@ -512,8 +535,10 @@ pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Res
                     break;
                 }
             }
+            // Poll for new connections every 5 ms; a dropped connection,
+            // the campaign's end or the crash hook wakes the loop at once.
+            let _woken = wake.wait_timeout(st, Duration::from_millis(5)).unwrap_or_else(|e| e.into_inner());
         }
-        std::thread::sleep(Duration::from_millis(5));
     }
     let state = lock_state(&shared);
     Ok(summary_of(&state))
@@ -538,11 +563,44 @@ impl Drop for ConnGuard<'_> {
         let mut st = lock_state(self.0);
         st.executors = st.executors.saturating_sub(1);
         st.publish();
+        st.wake.notify_all();
     }
+}
+
+/// Parks a `LeaseRequest` that has no answer yet until [`CoordState::wake`]
+/// fires, or at the latest until the oldest lease expires, so straggler
+/// re-dispatch happens on time with no traffic and no timer thread.
+fn park(st: MutexGuard<'_, CoordState>) -> MutexGuard<'_, CoordState> {
+    let wake = Arc::clone(&st.wake);
+    match st.next_expiry() {
+        Some(at) => {
+            wake.wait_timeout(st, at.saturating_duration_since(Instant::now())).unwrap_or_else(|e| e.into_inner()).0
+        }
+        None => wake.wait(st).unwrap_or_else(|e| e.into_inner()),
+    }
+}
+
+/// True once the executor behind a parked request has hung up. Under
+/// strict request/response a live executor sends nothing while it waits
+/// for its reply, so a readable end of stream means its process is gone
+/// and it must not be handed a lease.
+fn peer_gone(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return true;
+    }
+    let gone = match stream.peek(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted),
+    };
+    gone || stream.set_nonblocking(false).is_err()
 }
 
 fn serve_connection(shared: &Mutex<CoordState>, mut stream: TcpStream) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
+    // `write_frame` sends the length prefix and the body as two writes;
+    // under Nagle the body would wait for the executor's delayed ACK
+    // (~40 ms) on every reply.
+    stream.set_nodelay(true)?;
     let hello: ExecutorMsg = read_frame(&mut stream)?;
     let ExecutorMsg::Hello { name, .. } = hello else {
         return Err(protocol("first frame must be Hello"));
@@ -574,10 +632,18 @@ fn serve_connection(shared: &Mutex<CoordState>, mut stream: TcpStream) -> std::i
             Err(_) => return Ok(()), // disconnect; its leases expire on their own
         };
         let mut st = lock_state(shared);
-        if st.abandoned {
-            return Ok(());
-        }
-        let reply = st.handle(&name, msg)?;
+        let reply = loop {
+            if st.abandoned {
+                return Ok(());
+            }
+            if let Some(reply) = st.handle(&name, &msg)? {
+                break reply;
+            }
+            st = park(st);
+            if peer_gone(&stream) {
+                return Ok(());
+            }
+        };
         write_frame(&mut stream, &reply)?;
         st.publish();
     }
@@ -775,9 +841,6 @@ where
             };
             match reply {
                 CoordMsg::Done => return Ok(summary),
-                CoordMsg::Wait { backoff_ms } => {
-                    std::thread::sleep(Duration::from_millis(backoff_ms.clamp(1, 1000)));
-                }
                 CoordMsg::Lease { lease, shard, start, end, skip, .. } => {
                     summary.leases += 1;
                     match run_lease(cfg, meta_ref, runner_ref, &mut stream, lease, shard, start, end, skip, &mut summary)? {
@@ -989,5 +1052,165 @@ mod tests {
     fn roundtrip_raw(stream: &mut TcpStream, msg: &ExecutorMsg) -> CoordMsg {
         write_frame(stream, msg).unwrap();
         read_frame(stream).unwrap()
+    }
+
+    /// A raw-protocol executor past its `Hello`. Replies that never come
+    /// fail the read after 5 s instead of hanging the test.
+    fn hello_raw(addr: &str, name: &str) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let CoordMsg::Welcome { .. } = roundtrip_raw(&mut stream, &ExecutorMsg::Hello { name: name.into(), pid: 1 }) else {
+            panic!("expected Welcome")
+        };
+        stream
+    }
+
+    /// Sends a `LeaseRequest` that cannot be granted yet and checks that it
+    /// parks: no reply (in particular no retry-later answer) within 100 ms.
+    fn park_raw(stream: &mut TcpStream) {
+        write_frame(stream, &ExecutorMsg::LeaseRequest).unwrap();
+        stream.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+        let early = read_frame::<CoordMsg>(stream);
+        assert!(early.is_err(), "a LeaseRequest with nothing to grant must park, got {early:?}");
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    }
+
+    #[test]
+    fn parked_lease_request_hears_done_when_the_last_shard_seals() {
+        let root = tmp("park-done");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut cfg = CoordConfig::new(root.join("coord"), meta(2, 1), "");
+        cfg.lease_timeout = Duration::from_secs(60); // no expiry can wake the parked request
+        let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
+
+        let mut a = hello_raw(&addr, "a");
+        let CoordMsg::Lease { lease, shard: 0, .. } = roundtrip_raw(&mut a, &ExecutorMsg::LeaseRequest) else {
+            panic!("expected a lease on shard 0")
+        };
+        let mut b = hello_raw(&addr, "b");
+        park_raw(&mut b);
+        for seq in 0..2 {
+            let trial = ExecutorMsg::Trial { lease, shard: 0, seq, payload: payload_for(seq) };
+            assert_eq!(roundtrip_raw(&mut a, &trial), CoordMsg::Ack);
+        }
+        assert_eq!(roundtrip_raw(&mut a, &ExecutorMsg::RangeDone { lease }), CoordMsg::Ack);
+        let sealed = Instant::now();
+        assert_eq!(read_frame::<CoordMsg>(&mut b).unwrap(), CoordMsg::Done);
+        assert!(sealed.elapsed() < Duration::from_secs(1), "Done took {:?}", sealed.elapsed());
+        drop((a, b));
+
+        let coord = coord.join().unwrap();
+        assert_eq!(coord.merged, 2);
+        assert_eq!(coord.leases_granted, 1);
+        assert_eq!(scan_payloads(&root.join("coord"), 1), vec![payload_for(0), payload_for(1)]);
+    }
+
+    #[test]
+    fn parked_lease_request_takes_over_a_silent_stragglers_shard_at_expiry() {
+        let root = tmp("park-expiry");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut cfg = CoordConfig::new(root.join("coord"), meta(2, 1), "");
+        cfg.lease_timeout = Duration::from_millis(200);
+        let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
+
+        // The straggler takes the only shard and goes silent. After the
+        // next request nothing else reaches the coordinator: only the
+        // parked request's own timeout can notice the lease rot.
+        let mut slow = hello_raw(&addr, "slow");
+        let asked = Instant::now();
+        let CoordMsg::Lease { lease: stale, shard: 0, .. } = roundtrip_raw(&mut slow, &ExecutorMsg::LeaseRequest) else {
+            panic!("expected a lease on shard 0")
+        };
+        let mut b = hello_raw(&addr, "b");
+        let CoordMsg::Lease { lease, shard: 0, skip: 0, .. } = roundtrip_raw(&mut b, &ExecutorMsg::LeaseRequest) else {
+            panic!("expected the straggler's shard")
+        };
+        let waited = asked.elapsed();
+        assert!(waited >= Duration::from_millis(200), "granted before the lease expired: {waited:?}");
+        assert!(waited < Duration::from_secs(2), "re-dispatch lagged the expiry: {waited:?}");
+
+        for seq in 0..2 {
+            let trial = ExecutorMsg::Trial { lease, shard: 0, seq, payload: payload_for(seq) };
+            assert_eq!(roundtrip_raw(&mut b, &trial), CoordMsg::Ack);
+        }
+        assert_eq!(roundtrip_raw(&mut b, &ExecutorMsg::RangeDone { lease }), CoordMsg::Ack);
+        assert_eq!(roundtrip_raw(&mut b, &ExecutorMsg::LeaseRequest), CoordMsg::Done);
+        let late = ExecutorMsg::Trial { lease: stale, shard: 0, seq: 0, payload: payload_for(0) };
+        assert_eq!(roundtrip_raw(&mut slow, &late), CoordMsg::Expired);
+        drop((slow, b));
+
+        let coord = coord.join().unwrap();
+        assert_eq!((coord.merged, coord.duplicates), (2, 0));
+        assert_eq!((coord.leases_granted, coord.leases_expired, coord.redispatched), (2, 1, 1));
+    }
+
+    #[test]
+    fn parked_request_of_a_vanished_executor_is_never_granted() {
+        let root = tmp("park-vanished");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut cfg = CoordConfig::new(root.join("coord"), meta(2, 1), "");
+        cfg.lease_timeout = Duration::from_millis(300);
+        let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
+
+        let mut slow = hello_raw(&addr, "slow");
+        let CoordMsg::Lease { .. } = roundtrip_raw(&mut slow, &ExecutorMsg::LeaseRequest) else {
+            panic!("expected a lease")
+        };
+        // `gone` parks behind the straggler, then its process dies. Its
+        // request wakes when the straggler's lease rots and must drop the
+        // dead connection instead of leasing it the shard.
+        let mut gone = hello_raw(&addr, "gone");
+        park_raw(&mut gone);
+        drop(gone);
+        std::thread::sleep(Duration::from_millis(350)); // let the lease rot
+
+        let mut b = hello_raw(&addr, "b");
+        let started = Instant::now();
+        let CoordMsg::Lease { lease, shard: 0, .. } = roundtrip_raw(&mut b, &ExecutorMsg::LeaseRequest) else {
+            panic!("expected the straggler's shard")
+        };
+        assert!(started.elapsed() < Duration::from_millis(100), "the shard went to the vanished executor first");
+        for seq in 0..2 {
+            let trial = ExecutorMsg::Trial { lease, shard: 0, seq, payload: payload_for(seq) };
+            assert_eq!(roundtrip_raw(&mut b, &trial), CoordMsg::Ack);
+        }
+        assert_eq!(roundtrip_raw(&mut b, &ExecutorMsg::RangeDone { lease }), CoordMsg::Ack);
+        assert_eq!(roundtrip_raw(&mut b, &ExecutorMsg::LeaseRequest), CoordMsg::Done);
+        drop((slow, b));
+
+        let coord = coord.join().unwrap();
+        assert_eq!((coord.leases_granted, coord.leases_expired), (2, 1));
+    }
+
+    #[test]
+    fn crash_hook_abandon_drops_parked_requests() {
+        let root = tmp("park-abandon");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut cfg = CoordConfig::new(root.join("coord"), meta(4, 1), "");
+        cfg.lease_timeout = Duration::from_secs(60);
+        cfg.stop_after_merged = Some(1);
+        let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
+
+        let mut a = hello_raw(&addr, "a");
+        let CoordMsg::Lease { lease, shard: 0, .. } = roundtrip_raw(&mut a, &ExecutorMsg::LeaseRequest) else {
+            panic!("expected a lease on shard 0")
+        };
+        let mut b = hello_raw(&addr, "b");
+        park_raw(&mut b);
+        // This merge reaches the cap: the coordinator dies as a SIGKILL
+        // would, and the parked request goes down with it.
+        let trial = ExecutorMsg::Trial { lease, shard: 0, seq: 0, payload: payload_for(0) };
+        assert_eq!(roundtrip_raw(&mut a, &trial), CoordMsg::Ack);
+        let dropped = read_frame::<CoordMsg>(&mut b).expect_err("an abandoned coordinator answers nothing");
+        assert_eq!(dropped.kind(), std::io::ErrorKind::UnexpectedEof, "{dropped}");
+
+        let coord = coord.join().unwrap();
+        assert!(coord.abandoned);
+        assert_eq!(coord.merged, 1);
     }
 }

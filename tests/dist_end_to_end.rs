@@ -18,7 +18,7 @@ use phi_reliability::store::journal::FORMAT_VERSION;
 use phi_reliability::store::{CampaignMeta, Journal, ShardProgress};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const B: Benchmark = Benchmark::Hotspot;
 const TRIALS: usize = 48;
@@ -166,4 +166,43 @@ fn crashed_coordinator_and_dead_executor_resume_to_the_single_host_aggregate() {
     assert!(progress.all_done(), "every shard sealed after resume");
     let merged: Vec<String> = progress.shards.iter().flat_map(|s| s.payloads.clone()).collect();
     assert_eq!(merged, expected, "distributed aggregate diverged from the single-host run");
+}
+
+/// Round trips on an established connection cost only the network and the
+/// coordinator's work, never a TCP timer. Both ends set `TCP_NODELAY`;
+/// without it on the coordinator's side, Nagle holds every reply body
+/// (sent as a second write after its length prefix) until the executor's
+/// delayed ACK, about 40 ms per frame.
+#[test]
+fn coordinator_round_trips_do_not_stall_on_delayed_acks() {
+    const HEARTBEATS: usize = 200;
+    let root = tmp("heartbeat-stall");
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let meta = CampaignMeta { trials: 1, shards: 1, ..meta() };
+    let cfg = CoordConfig::new(root.join("coord"), meta, "");
+    let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
+
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream.set_nodelay(true).unwrap(); // as `run_executor` does
+    let CoordMsg::Welcome { .. } = roundtrip_raw(&mut stream, &ExecutorMsg::Hello { name: "raw".into(), pid: 1 }) else {
+        panic!("expected Welcome");
+    };
+    let CoordMsg::Lease { lease, shard, .. } = roundtrip_raw(&mut stream, &ExecutorMsg::LeaseRequest) else {
+        panic!("expected a lease");
+    };
+    let started = Instant::now();
+    for _ in 0..HEARTBEATS {
+        assert_eq!(roundtrip_raw(&mut stream, &ExecutorMsg::Heartbeat { lease }), CoordMsg::Ack);
+    }
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(2), "{HEARTBEATS} heartbeat round trips took {took:?}");
+
+    // The coordinator treats payloads as opaque, so any line completes it.
+    let trial = ExecutorMsg::Trial { lease, shard, seq: 0, payload: "{}".into() };
+    assert_eq!(roundtrip_raw(&mut stream, &trial), CoordMsg::Ack);
+    assert_eq!(roundtrip_raw(&mut stream, &ExecutorMsg::RangeDone { lease }), CoordMsg::Ack);
+    assert_eq!(roundtrip_raw(&mut stream, &ExecutorMsg::LeaseRequest), CoordMsg::Done);
+    drop(stream);
+    assert_eq!(coord.join().unwrap().merged, 1);
 }

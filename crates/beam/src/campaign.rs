@@ -18,12 +18,13 @@ use carolfi::output::Output;
 use carolfi::record::{DueKind, OutcomeRecord, TrialRecord};
 use carolfi::supervisor::{run_trial_mut, TrialConfig, TrialOutcome};
 use carolfi::target::FaultTarget;
-use carolfi::TargetPool;
+use carolfi::{TargetPool, TrialKind};
 use phidev::mca::{McaLog, McaSeverity};
 use phidev::strike::{ArchEffect, StrikeEngine};
+use rand::rngs::StdRng;
 use rand::Rng;
 use sdc_analysis::fit::FitEstimate;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use store::CampaignMeta;
 
 /// Calibrated total sensitive cross-section of the modelled 3120A, cm².
 ///
@@ -32,11 +33,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// details about the hardware"); chosen so the most SDC-sensitive benchmark
 /// lands near the paper's ≈193 FIT ceiling.
 pub const SIGMA_RAW_CM2: f64 = 9.0e-8;
-
-/// Per-strike result slot: the record, the MCA severity (if any), the
-/// outcome-counter key and whether the bitwise fast-path compare classified
-/// the strike, filled by whichever worker executed the strike.
-type StrikeSlot = Option<(TrialRecord, Option<McaSeverity>, &'static str, bool)>;
 
 /// Per-benchmark control-flow densities used to build the strike engine for
 /// the Fig. 2 reproduction. Derived from each benchmark's character (paper
@@ -199,146 +195,147 @@ impl BeamCampaign {
     }
 }
 
-/// Executes one strike of the campaign described by `cfg` and returns its
-/// record plus the MCA event (if any), the struck resource's label and
-/// whether the bitwise fast-path compare classified it.
+/// The beam [`TrialKind`]: the strike-executions of one campaign over `cfg`
+/// against `benchmark`, journaled under the `beam` kind tag.
 ///
-/// `strike` is the strike's campaign-global index, which fully determines
-/// its RNG stream (`carolfi::rng::fork(cfg.seed, strike)`) and therefore the
-/// struck resource, architectural effect and injection time — the property
-/// the sharded/resumable orchestrator relies on to merge partial runs into
-/// an aggregate bit-identical to the single-shot campaign. Benign strikes
-/// (dead state, ECC-corrected) never touch the target pool — the program
-/// under test is not executed at all.
-pub fn execute_strike<T, F>(
-    benchmark: &str,
-    pool: &TargetPool<T, F>,
-    golden: &Output,
-    cfg: &BeamConfig,
-    total_steps: usize,
-    strike: usize,
-) -> (TrialRecord, Option<McaSeverity>, &'static str, bool)
-where
-    T: FaultTarget,
-    F: Fn() -> T,
-{
-    execute_strike_attempt(benchmark, pool, golden, cfg, total_steps, strike, 0, true)
+/// A strike's campaign-global index fully determines its RNG stream
+/// (`carolfi::rng::fork(cfg.seed, strike)`) and therefore the struck
+/// resource, architectural effect and injection time. Benign strikes (dead
+/// state, ECC-corrected) never touch the target pool — the program under
+/// test is not executed at all.
+#[derive(Debug, Clone, Copy)]
+pub struct Strikes<'a> {
+    benchmark: &'a str,
+    cfg: &'a BeamConfig,
 }
 
-/// [`execute_strike`] with explicit retry-attempt telemetry tagging, used by
-/// isolated worker processes:
-///
-/// * `attempt > 0` marks a warden re-run of a strike whose earlier attempt
-///   died (kill, hang, torn reply); the record event is emitted as
-///   `strike_retry` carrying the attempt index, so log consumers can tell
-///   re-executions from first runs.
-/// * `count_outcomes: false` skips the outcome-class counter increment; the
-///   supervisor counts the winning record exactly once per strike index
-///   instead, so retries never double-count. Strike identity and the record
-///   are unaffected — the flags only shape telemetry.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_strike_attempt<T, F>(
-    benchmark: &str,
-    pool: &TargetPool<T, F>,
-    golden: &Output,
-    cfg: &BeamConfig,
-    total_steps: usize,
-    strike: usize,
-    attempt: u32,
-    count_outcomes: bool,
-) -> (TrialRecord, Option<McaSeverity>, &'static str, bool)
-where
-    T: FaultTarget,
-    F: Fn() -> T,
-{
-    let mut rng = carolfi::rng::fork(cfg.seed, strike as u64);
-    let (resource, effect) = cfg.engine.strike(&mut rng);
-    let inject_step = rng.gen_range(0..total_steps);
-    let mca_event = match effect {
-        ArchEffect::Corrected => Some(McaSeverity::Corrected),
-        ArchEffect::DetectedUncorrectable => Some(McaSeverity::Uncorrectable),
-        _ => None,
-    };
-
-    // Benign strikes don't need an execution.
-    let (outcome, injection, executed, fast) = if effect.is_benign() {
-        (OutcomeRecord::HardwareMasked, None, 0, false)
-    } else {
-        let mut applicator = BeamApplicator { effect, resource: resource.label() };
-        let mut target = pool.acquire();
-        let result = run_trial_mut(
-            &mut target,
-            golden,
-            &mut applicator,
-            TrialConfig { inject_step, watchdog_factor: cfg.watchdog_factor },
-            &mut rng,
-        );
-        let outcome = match result.outcome {
-            TrialOutcome::Masked => OutcomeRecord::Masked,
-            TrialOutcome::HardwareMasked => OutcomeRecord::HardwareMasked,
-            TrialOutcome::Sdc(s) => OutcomeRecord::Sdc(s),
-            TrialOutcome::Due(c) => OutcomeRecord::Due(c.into()),
-        };
-        pool.release(target, outcome.is_due());
-        (outcome, result.injection, result.executed_steps, result.fast_compare)
-    };
-
-    let record = TrialRecord {
-        trial: strike,
-        benchmark: benchmark.to_string(),
-        model: None,
-        mechanism: format!("beam:{}:{}", resource.label(), effect.label()),
-        inject_step,
-        total_steps,
-        window: carolfi::campaign::window_of(inject_step, total_steps, cfg.n_windows),
-        n_windows: cfg.n_windows,
-        injection,
-        outcome,
-        executed_steps: executed,
-    };
-    if count_outcomes {
-        obs::incr(outcome_key(&record.outcome), 1);
+impl<'a> Strikes<'a> {
+    pub fn new(benchmark: &'a str, cfg: &'a BeamConfig) -> Self {
+        Strikes { benchmark, cfg }
     }
-    if obs::enabled() {
-        if let Ok(json) = serde_json::to_string(&record) {
-            if attempt == 0 {
-                obs::event("strike", &json);
-            } else {
-                obs::event("strike_retry", &format!("{{\"attempt\":{attempt},\"record\":{json}}}"));
-            }
+
+    /// Strike `strike`'s record before it runs — every field its global
+    /// index fixes, including the `beam:<resource>:<effect>` mechanism label
+    /// MCA reconstruction reads, outcome still `HardwareMasked` with nothing
+    /// injected or executed — plus its RNG stream (positioned after the
+    /// injection-time draw), struck resource and architectural effect.
+    fn prepare(&self, total_steps: usize, strike: usize) -> (StdRng, &'static str, ArchEffect, TrialRecord) {
+        let mut rng = carolfi::rng::fork(self.cfg.seed, strike as u64);
+        let (resource, effect) = self.cfg.engine.strike(&mut rng);
+        let inject_step = rng.gen_range(0..total_steps);
+        let record = TrialRecord {
+            trial: strike,
+            benchmark: self.benchmark.to_string(),
+            model: None,
+            mechanism: format!("beam:{}:{}", resource.label(), effect.label()),
+            inject_step,
+            total_steps,
+            window: carolfi::campaign::window_of(inject_step, total_steps, self.cfg.n_windows),
+            n_windows: self.cfg.n_windows,
+            injection: None,
+            outcome: OutcomeRecord::HardwareMasked,
+            executed_steps: 0,
+        };
+        (rng, resource.label(), effect, record)
+    }
+}
+
+impl TrialKind for Strikes<'_> {
+    type Campaign = BeamCampaign;
+
+    fn meta(&self, shards: usize) -> CampaignMeta {
+        CampaignMeta {
+            kind: "beam".into(),
+            benchmark: self.benchmark.into(),
+            seed: self.cfg.seed,
+            trials: self.cfg.strikes,
+            shards,
+            n_windows: self.cfg.n_windows,
+            version: store::journal::FORMAT_VERSION,
         }
     }
-    (record, mca_event, resource.label(), fast)
-}
 
-/// Synthesises the record of a strike whose worker process died (abort,
-/// fatal signal, wall-clock kill) and was quarantined by the warden.
-///
-/// The strike's identity — struck resource, architectural effect, injection
-/// time, window — is fully determined by the global index, so everything
-/// except the outcome is reproduced exactly as [`execute_strike`] would
-/// have; the outcome becomes the DUE classified from the worker's death.
-/// The mechanism label keeps its `beam:<resource>:<effect>` form, so MCA
-/// reconstruction ([`mca_from_records`]) still sees the strike.
-pub fn synth_due_strike(benchmark: &str, cfg: &BeamConfig, total_steps: usize, strike: usize, kind: DueKind) -> TrialRecord {
-    let mut rng = carolfi::rng::fork(cfg.seed, strike as u64);
-    let (resource, effect) = cfg.engine.strike(&mut rng);
-    let inject_step = rng.gen_range(0..total_steps);
-    let record = TrialRecord {
-        trial: strike,
-        benchmark: benchmark.to_string(),
-        model: None,
-        mechanism: format!("beam:{}:{}", resource.label(), effect.label()),
-        inject_step,
-        total_steps,
-        window: carolfi::campaign::window_of(inject_step, total_steps, cfg.n_windows),
-        n_windows: cfg.n_windows,
-        injection: None,
-        outcome: OutcomeRecord::Due(kind),
-        executed_steps: 0,
-    };
-    obs::incr(outcome_key(&record.outcome), 1);
-    record
+    fn workers(&self) -> usize {
+        self.cfg.workers
+    }
+
+    fn run<T: FaultTarget, F: Fn() -> T>(
+        &self,
+        pool: &TargetPool<T, F>,
+        golden: &Output,
+        total_steps: usize,
+        strike: usize,
+        attempt: u32,
+        count_outcomes: bool,
+    ) -> (TrialRecord, bool) {
+        let (mut rng, resource, effect, mut record) = self.prepare(total_steps, strike);
+        let mut fast = false;
+        // Benign strikes don't need an execution.
+        if !effect.is_benign() {
+            let mut applicator = BeamApplicator { effect, resource };
+            let mut target = pool.acquire();
+            let result = run_trial_mut(
+                &mut target,
+                golden,
+                &mut applicator,
+                TrialConfig { inject_step: record.inject_step, watchdog_factor: self.cfg.watchdog_factor },
+                &mut rng,
+            );
+            record.outcome = match result.outcome {
+                TrialOutcome::Masked => OutcomeRecord::Masked,
+                TrialOutcome::HardwareMasked => OutcomeRecord::HardwareMasked,
+                TrialOutcome::Sdc(s) => OutcomeRecord::Sdc(s),
+                TrialOutcome::Due(c) => OutcomeRecord::Due(c.into()),
+            };
+            pool.release(target, record.outcome.is_due());
+            record.injection = result.injection;
+            record.executed_steps = result.executed_steps;
+            fast = result.fast_compare;
+        }
+        if count_outcomes {
+            obs::incr(outcome_key(&record.outcome), 1);
+        }
+        if obs::enabled() {
+            if let Ok(json) = serde_json::to_string(&record) {
+                if attempt == 0 {
+                    obs::event("strike", &json);
+                } else {
+                    obs::event("strike_retry", &format!("{{\"attempt\":{attempt},\"record\":{json}}}"));
+                }
+            }
+        }
+        (record, fast)
+    }
+
+    /// The mechanism label keeps its `beam:<resource>:<effect>` form, so MCA
+    /// reconstruction ([`mca_from_records`]) still sees a quarantined
+    /// strike.
+    fn synth_due(&self, total_steps: usize, strike: usize, kind: DueKind) -> TrialRecord {
+        let (_, _, _, record) = self.prepare(total_steps, strike);
+        TrialRecord { outcome: OutcomeRecord::Due(kind), ..record }
+    }
+
+    fn outcome_key(&self, record: &TrialRecord) -> Option<&'static str> {
+        Some(outcome_key(&record.outcome))
+    }
+
+    fn report(&self, records: &[TrialRecord], workers: usize, busy_ns: u64, wall_ns: u64) -> obs::CampaignReport {
+        report_for(self.benchmark, records, workers, busy_ns, wall_ns)
+    }
+
+    /// The MCA log is rebuilt from the records' mechanism labels, which
+    /// carry exactly what a live campaign logs — so in-memory, stored,
+    /// isolated and reloaded campaigns all report the same log.
+    fn finish(&self, records: Vec<TrialRecord>, report: obs::CampaignReport) -> BeamCampaign {
+        BeamCampaign {
+            benchmark: self.benchmark.to_string(),
+            mca: mca_from_records(&self.cfg.engine, &records),
+            records,
+            sigma_raw: self.cfg.sigma_raw,
+            environment: self.cfg.environment,
+            report,
+        }
+    }
 }
 
 /// Rebuilds the [`McaLog`] from journaled strike records: the mechanism
@@ -369,81 +366,14 @@ pub fn mca_from_records(engine: &StrikeEngine, records: &[TrialRecord]) -> McaLo
     mca
 }
 
-/// Runs a beam campaign against targets built by `factory`.
+/// Runs a beam campaign in memory against targets built by `factory` (see
+/// [`carolfi::run_in_memory`]).
 pub fn run_beam_campaign<T, F>(benchmark: &str, factory: F, golden: &Output, cfg: &BeamConfig) -> BeamCampaign
 where
     T: FaultTarget,
     F: Fn() -> T + Sync,
 {
-    let _quiet = carolfi::panic_guard::silence_panics();
-    let probe = factory();
-    let total_steps = probe.total_steps().max(1);
-    let pool = TargetPool::new(&factory);
-    pool.seed(probe);
-    let fast_compares = AtomicU64::new(0);
-    let wall = std::time::Instant::now();
-    let busy_ns = AtomicU64::new(0);
-    let next = AtomicUsize::new(0);
-    let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        cfg.workers
-    };
-    let workers = workers.min(cfg.strikes.max(1));
-    let slots: Vec<parking_lot::Mutex<StrikeSlot>> =
-        (0..cfg.strikes).map(|_| parking_lot::Mutex::new(None)).collect();
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| {
-                let mut local_busy = 0u64;
-                let mut local_fast = 0u64;
-                loop {
-                    let strike = next.fetch_add(1, Ordering::Relaxed);
-                    if strike >= cfg.strikes {
-                        break;
-                    }
-                    let t0 = std::time::Instant::now();
-                    let slot = execute_strike(benchmark, &pool, golden, cfg, total_steps, strike);
-                    local_busy += t0.elapsed().as_nanos() as u64;
-                    local_fast += slot.3 as u64;
-                    *slots[strike].lock() = Some(slot);
-                }
-                busy_ns.fetch_add(local_busy, Ordering::Relaxed);
-                fast_compares.fetch_add(local_fast, Ordering::Relaxed);
-            });
-        }
-    })
-    .expect("beam worker panicked outside a trial");
-
-    let mut records = Vec::with_capacity(cfg.strikes);
-    let mut mca = McaLog::new();
-    for (i, slot) in slots.into_iter().enumerate() {
-        let (record, mca_event, resource, _fast) = slot.into_inner().expect("strike record missing");
-        if let Some(sev) = mca_event {
-            let kind = cfg
-                .engine
-                .inventory
-                .specs()
-                .iter()
-                .find(|s| s.kind.label() == resource)
-                .map(|s| s.kind)
-                .unwrap_or(phidev::resources::ResourceKind::L2Cache);
-            mca.record(sev, kind, i as u64);
-        }
-        records.push(record);
-    }
-    let mut report = report_for(
-        benchmark,
-        &records,
-        workers,
-        busy_ns.into_inner(),
-        wall.elapsed().as_nanos() as u64,
-    );
-    report.pool_hits = pool.hits();
-    report.pool_rebuilds = pool.rebuilds();
-    report.fast_path_compares = fast_compares.into_inner();
-    BeamCampaign { benchmark: benchmark.to_string(), records, mca, sigma_raw: cfg.sigma_raw, environment: cfg.environment, report }
+    carolfi::run_in_memory(&Strikes::new(benchmark, cfg), factory, golden)
 }
 
 #[cfg(test)]

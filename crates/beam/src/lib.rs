@@ -17,7 +17,9 @@
 //!   protected storage; unprotected latch/logic/dispatch upsets corrupt
 //!   silently), run the victim to completion and classify against the
 //!   golden output, then estimate SDC/DUE **FIT rates** with Poisson
-//!   confidence intervals.
+//!   confidence intervals. [`Strikes`] is the beam trial kind of the
+//!   `carolfi` campaign engine, so beam campaigns run stored, sharded,
+//!   resumed and process-isolated exactly like injection campaigns.
 //!
 //! ## What is measured vs. what is calibrated
 //!
@@ -32,9 +34,7 @@
 pub mod campaign;
 pub mod effects;
 pub mod flux;
-pub mod orchestrator;
 
-pub use campaign::{run_beam_campaign, BeamCampaign, BeamConfig};
-pub use orchestrator::{run_beam_campaign_isolated, run_beam_campaign_stored};
+pub use campaign::{run_beam_campaign, BeamCampaign, BeamConfig, Strikes};
 pub use effects::BeamApplicator;
 pub use flux::{FluxEnvironment, LANSCE_FLUX_HIGH, LANSCE_FLUX_LOW, SEA_LEVEL_FLUX};

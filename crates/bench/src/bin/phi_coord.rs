@@ -40,8 +40,8 @@
 //! failures, 2 on usage errors.
 
 use bench::{positive_env, RunConfig};
-use carolfi::{run_coordinator, run_executor, ConnectTarget, CoordConfig, ExecutorConfig};
-use kernels::{build, golden, Benchmark};
+use carolfi::{run_coordinator, run_executor, ConnectTarget, CoordConfig, ExecutorConfig, Injection, TrialKind};
+use kernels::Benchmark;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -177,15 +177,7 @@ fn run_coordinator_mode(a: &Args) -> ! {
         spec.size = size.clone();
     }
     let parsed = bench::validate_spec(spec).unwrap_or_else(|reason| fatal(format!("invalid spec: {reason}")));
-    let meta = store::CampaignMeta {
-        kind: parsed.spec.kind.label().to_string(),
-        benchmark: parsed.spec.benchmark.clone(),
-        seed: parsed.spec.seed,
-        trials: parsed.spec.trials,
-        shards: parsed.spec.shards,
-        n_windows: parsed.benchmark.n_windows(),
-        version: store::journal::FORMAT_VERSION,
-    };
+    let meta = Injection::new(b.label(), &parsed.campaign_config()).meta(parsed.spec.shards);
     let spec_json =
         serde_json::to_string(&parsed.spec).unwrap_or_else(|e| fatal(format!("serialize spec: {e}")));
 
@@ -261,26 +253,11 @@ fn run_executor_mode(a: &Args) -> ! {
         if p.spec.benchmark != meta.benchmark || p.spec.seed != meta.seed || p.spec.trials != meta.trials {
             fatal("coordinator spec disagrees with its campaign meta".into());
         }
-        let (b, size, label) = (p.benchmark, p.size, p.benchmark.label());
-        let ccfg = p.campaign_config();
-        let g = golden(b, size);
-        // Same execution path as the single-host stored runner: pooled
-        // targets, `execute_trial` keyed by global index, records serialized
+        // The same trial runner a warden worker builds from the spec:
+        // pooled targets, trials keyed by global index, records serialized
         // with the identical serializer — the byte-identity contract.
-        let pool = carolfi::TargetPool::new(move || build(b, size));
-        let total_steps = {
-            let probe = pool.acquire();
-            let steps = probe.total_steps().max(1);
-            pool.release(probe, false);
-            steps
-        };
-        move |global: u64| {
-            let mut target = pool.acquire();
-            let (record, _) =
-                carolfi::campaign::execute_trial(label, &mut target, &g, &ccfg, total_steps, global as usize);
-            pool.release(target, record.outcome.is_due());
-            serde_json::to_string(&record).expect("trial records serialize")
-        }
+        let mut run = p.trial_runner(true);
+        move |global: u64| serde_json::to_string(&run(global as usize, 0)).expect("trial records serialize")
     })
     .unwrap_or_else(|e| fatal(format!("{e}")));
     eprintln!(

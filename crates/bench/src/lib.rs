@@ -19,13 +19,11 @@
 //! `--budget N`), which replace the plain cache with a crash-safe,
 //! resumable `phi-store` journal per campaign.
 
-use beamsim::{run_beam_campaign, BeamCampaign, BeamConfig};
+use beamsim::{run_beam_campaign, BeamCampaign, BeamConfig, Strikes};
 use carolfi::orchestrator::StoreConfig;
 use carolfi::record::{read_log, write_log, TrialRecord};
-use carolfi::target::FaultTarget;
-use carolfi::{run_campaign, CampaignConfig};
+use carolfi::{run_campaign, CampaignConfig, Output, TrialKind};
 use kernels::{build, golden, Benchmark, SizeClass};
-use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -164,100 +162,61 @@ fn cached<F: FnOnce() -> Vec<TrialRecord>>(key: String, use_cache: bool, run: F)
     records
 }
 
+/// The golden (fault-free) output of a benchmark, timed under the `golden`
+/// span — every campaign the figure binaries and `run_spec` run in process
+/// classifies against one of these.
+pub(crate) fn golden_output(b: Benchmark, size: SizeClass) -> Output {
+    let _span = obs::span!("golden");
+    golden(b, size)
+}
+
 /// Runs (or loads) the CAROL-FI injection campaign for one benchmark.
 pub fn injection_records(b: Benchmark, cfg: &RunConfig) -> Vec<TrialRecord> {
     let key = format!("inject-{}-{}-{}-{}", b.label(), cfg.trials, cfg.seed, cfg.size_tag());
     cached(key, cfg.use_cache, || {
-        let g = {
-            let _span = obs::span!("golden");
-            golden(b, cfg.size)
-        };
+        let g = golden_output(b, cfg.size);
         let ccfg = CampaignConfig { trials: cfg.trials, seed: cfg.seed, n_windows: b.n_windows(), ..Default::default() };
         run_campaign(b.label(), || build(b, cfg.size), &g, &ccfg).records
     })
 }
 
 /// Runs (or loads) the beam campaign for one benchmark, rebuilding the
-/// `BeamCampaign` wrapper around the (possibly cached) records. The rebuilt
-/// report carries outcome counts but no timing (cache loads have none).
+/// `BeamCampaign` around the (possibly cached) records through the beam
+/// kind's finish step, MCA log included. The rebuilt report carries outcome
+/// counts but no timing (cache loads have none).
 pub fn beam_records(b: Benchmark, cfg: &RunConfig) -> BeamCampaign {
     let key = format!("beam-{}-{}-{}-{}", b.label(), cfg.strikes, cfg.seed, cfg.size_tag());
+    let bcfg = BeamConfig {
+        strikes: cfg.strikes,
+        seed: cfg.seed,
+        n_windows: b.n_windows(),
+        engine: beamsim::campaign::engine_for(b.label()),
+        ..Default::default()
+    };
     let records = cached(key, cfg.use_cache, || {
-        let g = {
-            let _span = obs::span!("golden");
-            golden(b, cfg.size)
-        };
-        let bcfg = BeamConfig {
-            strikes: cfg.strikes,
-            seed: cfg.seed,
-            n_windows: b.n_windows(),
-            engine: beamsim::campaign::engine_for(b.label()),
-            ..Default::default()
-        };
+        let g = golden_output(b, cfg.size);
         run_beam_campaign(b.label(), || build(b, cfg.size), &g, &bcfg).records
     });
-    let report = beamsim::campaign::report_for(b.label(), &records, 0, 0, 0);
-    BeamCampaign {
-        benchmark: b.label().to_string(),
-        records,
-        mca: phidev::mca::McaLog::new(),
-        sigma_raw: beamsim::campaign::SIGMA_RAW_CM2,
-        environment: beamsim::FluxEnvironment::sea_level(),
-        report,
-    }
-}
-
-/// What a `--isolate` worker process needs to rebuild its campaign context:
-/// passed from the supervising figure binary to its re-exec'd self through
-/// the warden spec environment variable, as JSON.
-///
-/// `count` is the campaign's trial (or strike) total and `kind` selects the
-/// execution path; everything else the worker derives the same way the
-/// parent does (benchmark label → kernels registry, seed → RNG streams), so
-/// a worker's records are bit-identical to the in-process backend's.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkerSpec {
-    /// `"inject"` or `"beam"`.
-    pub kind: String,
-    /// Benchmark label (see [`Benchmark::from_label`]).
-    pub benchmark: String,
-    /// Size-class tag: `test`, `small` or `paper`.
-    pub size: String,
-    /// Trials (injection) or strikes (beam) in the campaign.
-    pub count: usize,
-    pub seed: u64,
+    let kind = Strikes::new(b.label(), &bcfg);
+    let report = kind.report(&records, 0, 0, 0);
+    kind.finish(records, report)
 }
 
 /// Worker-mode entry for `--isolate`: when this process was spawned by a
-/// warden ([`carolfi::warden::worker_active`]), serve trials over the
-/// supervision socket until shutdown and exit; otherwise return
-/// immediately. Figure binaries call this first thing in `main`, before any
-/// argument parsing or output.
+/// warden ([`carolfi::warden::worker_active`]), rebuild the campaign from
+/// the [`CampaignSpec`] the supervisor passed through the warden spec
+/// environment variable, serve its trials over the supervision socket
+/// until shutdown and exit; otherwise return immediately. Figure binaries
+/// call this first thing in `main`, before any argument parsing or output.
 pub fn maybe_run_worker() {
     if !carolfi::warden::worker_active() {
         return;
     }
     let raw = carolfi::warden::worker_spec().unwrap_or_default();
-    let spec: WorkerSpec = match serde_json::from_str(&raw) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: bad warden worker spec {raw:?}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let Some(b) = Benchmark::from_label(&spec.benchmark) else {
-        eprintln!("error: warden worker spec names unknown benchmark {:?}", spec.benchmark);
+    let spec = parse_spec(&raw).unwrap_or_else(|reason| {
+        eprintln!("error: bad warden worker spec {raw:?}: {reason}");
         std::process::exit(2);
-    };
-    let size = match spec.size.as_str() {
-        "test" => SizeClass::Test,
-        "small" => SizeClass::Small,
-        "paper" => SizeClass::Paper,
-        other => {
-            eprintln!("error: warden worker spec has unknown size class {other:?}");
-            std::process::exit(2);
-        }
-    };
+    });
     // Workers always record: their counters ride back to the supervisor as
     // metrics frames over the supervision socket, where they fold into the
     // cross-process hub — so `--isolate` no longer blinds `--telemetry` or
@@ -266,48 +225,7 @@ pub fn maybe_run_worker() {
     // once when it journals the winning record, so warden retries of a
     // killed attempt never double-count.
     obs::install(Arc::new(obs::CounterRecorder::new()));
-    let g = golden(b, size);
-    let factory = || build(b, size);
-    let probe = factory();
-    let total_steps = probe.total_steps().max(1);
-    let pool = carolfi::TargetPool::new(&factory);
-    pool.seed(probe);
-    let result = match spec.kind.as_str() {
-        "inject" => {
-            let ccfg = CampaignConfig { trials: spec.count, seed: spec.seed, n_windows: b.n_windows(), ..Default::default() };
-            carolfi::warden::serve(|trial, attempt| {
-                let mut target = pool.acquire();
-                let (record, _) = carolfi::campaign::execute_trial_attempt(
-                    b.label(),
-                    &mut target,
-                    &g,
-                    &ccfg,
-                    total_steps,
-                    trial,
-                    attempt,
-                    false,
-                );
-                pool.release(target, record.outcome.is_due());
-                record
-            })
-        }
-        "beam" => {
-            let bcfg = BeamConfig {
-                strikes: spec.count,
-                seed: spec.seed,
-                n_windows: b.n_windows(),
-                engine: beamsim::campaign::engine_for(b.label()),
-                ..Default::default()
-            };
-            carolfi::warden::serve(|strike, attempt| {
-                beamsim::campaign::execute_strike_attempt(b.label(), &pool, &g, &bcfg, total_steps, strike, attempt, false).0
-            })
-        }
-        other => {
-            eprintln!("error: warden worker spec has unknown kind {other:?}");
-            std::process::exit(2);
-        }
-    };
+    let result = carolfi::warden::serve(spec.trial_runner(false));
     std::process::exit(if result.is_ok() { 0 } else { 1 });
 }
 
@@ -714,34 +632,37 @@ mod tests {
     }
 
     #[test]
-    fn worker_spec_roundtrips_as_json() {
-        let spec = WorkerSpec {
-            kind: "beam".into(),
-            benchmark: "dgemm".into(),
-            size: "test".into(),
-            count: 512,
-            seed: 2017,
-        };
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: WorkerSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, spec);
-    }
-
-    #[test]
     fn isolate_config_carries_the_campaign_identity() {
         let cfg = RunConfig { trials: 18, strikes: 16, size: SizeClass::Test, seed: 91, use_cache: false };
         let sa = StoreArgs { dir: Some(PathBuf::from("/tmp/s")), shards: 3, isolate: true, ..Default::default() };
         let parsed = validate_spec(campaign_spec(CampaignKind::Beam, Benchmark::Dgemm, &cfg, &sa)).unwrap();
         let iso = parsed.isolate_config().unwrap();
-        let spec: WorkerSpec = serde_json::from_str(&iso.spec).unwrap();
-        assert_eq!(spec.kind, "beam");
+        let spec = parse_spec(&iso.spec).unwrap().spec;
+        assert_eq!(spec.kind, CampaignKind::Beam);
         assert_eq!(spec.benchmark, "dgemm");
         assert_eq!(spec.size, "test");
-        assert_eq!(spec.count, 16, "beam campaigns count strikes");
+        assert_eq!(spec.trials, 16, "beam campaigns count strikes");
         assert_eq!(spec.seed, 91);
         let parsed = validate_spec(campaign_spec(CampaignKind::Inject, Benchmark::Nw, &cfg, &sa)).unwrap();
-        let inj: WorkerSpec = serde_json::from_str(&parsed.isolate_config().unwrap().spec).unwrap();
-        assert_eq!(inj.count, 18, "injection campaigns count trials");
+        let inj = parse_spec(&parsed.isolate_config().unwrap().spec).unwrap().spec;
+        assert_eq!(inj.trials, 18, "injection campaigns count trials");
+    }
+
+    #[test]
+    fn beam_cache_path_keeps_the_mca_log() {
+        let cfg = RunConfig { trials: 16, strikes: 300, size: SizeClass::Test, seed: 5150, use_cache: false };
+        let b = Benchmark::Hotspot;
+        let bcfg = BeamConfig {
+            strikes: cfg.strikes,
+            seed: cfg.seed,
+            n_windows: b.n_windows(),
+            engine: beamsim::campaign::engine_for(b.label()),
+            ..Default::default()
+        };
+        let live = run_beam_campaign(b.label(), || build(b, cfg.size), &golden(b, cfg.size), &bcfg);
+        let cached = beam_records(b, &cfg);
+        assert!(live.mca.corrected_count() > 0, "the reference campaign must log MCA events");
+        assert_eq!(cached.mca.events(), live.mca.events());
     }
 
     #[test]

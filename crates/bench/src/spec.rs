@@ -26,12 +26,12 @@
 //! `phi-cli render <dir>` of a direct figure-binary run byte-compares
 //! against the daemon's `result.json`.
 
-use crate::{RunConfig, StoreArgs, WorkerSpec};
-use beamsim::{run_beam_campaign_isolated, run_beam_campaign_stored, BeamCampaign, BeamConfig};
+use crate::{golden_output, RunConfig, StoreArgs};
+use beamsim::{BeamCampaign, BeamConfig, Strikes};
 use carolfi::models::FaultModel;
 use carolfi::orchestrator::{StoreConfig, StoredRun};
 use carolfi::record::TrialRecord;
-use carolfi::{run_campaign_adaptive, run_campaign_isolated, run_campaign_stored, CampaignConfig, IsolateConfig};
+use carolfi::{run_campaign_adaptive, run_stored, CampaignConfig, Executor, Injection, IsolateConfig, TargetPool, TrialKind};
 use kernels::{build, golden, Benchmark, SizeClass};
 use sdc_analysis::planner::{CiMethod, WilsonPlanner, DEFAULT_BATCH};
 use sdc_analysis::pvf::{by_model, PvfKind};
@@ -345,9 +345,10 @@ pub fn validate_spec(spec: CampaignSpec) -> Result<ParsedSpec, String> {
             return Err("models: beam campaigns draw their own mechanisms; model subsets apply to inject only".into());
         }
         if spec.isolate {
-            // Isolated workers rebuild the default model rotation from the
-            // WorkerSpec, which does not carry a subset; refusing beats
-            // running a different campaign than the one submitted.
+            // Subsets have never been pinned bit-identical across the
+            // warden executor (the isolated byte-identity pins all run the
+            // default rotation); refusing beats running a campaign nobody
+            // has checked.
             return Err("models: subsets are not supported together with isolate".into());
         }
         spec.models
@@ -404,21 +405,57 @@ impl ParsedSpec {
     }
 
     /// Isolation settings: re-exec the current executable as a warden
-    /// worker carrying this spec's [`WorkerSpec`] identity.
+    /// worker carrying this spec, from which [`crate::maybe_run_worker`]
+    /// rebuilds the campaign.
     pub fn isolate_config(&self) -> io::Result<IsolateConfig> {
-        let ws = WorkerSpec {
-            kind: self.spec.kind.label().to_string(),
-            benchmark: self.spec.benchmark.clone(),
-            size: self.spec.size.clone(),
-            count: self.spec.trials,
-            seed: self.spec.seed,
-        };
-        let ws = serde_json::to_string(&ws).map_err(io::Error::other)?;
-        let exe = std::env::current_exe()?;
-        let mut iso = IsolateConfig::new(exe, Vec::new(), ws);
+        let spec = serde_json::to_string(&self.spec).map_err(io::Error::other)?;
+        let mut iso = IsolateConfig::new(std::env::current_exe()?, Vec::new(), spec);
         iso.trial_wall =
             std::time::Duration::from_millis(crate::positive_env("PHI_TRIAL_WALL_MS", 30_000) as u64);
         Ok(iso)
+    }
+
+    /// This campaign's trial runner: its kind over pooled targets and the
+    /// golden output, running a trial (and warden attempt) by global index —
+    /// what warden workers and `phi-coord` executors execute, bit-identical
+    /// to the engine's pool executor. `count_outcomes` as in
+    /// [`TrialKind::run`].
+    pub fn trial_runner(&self, count_outcomes: bool) -> Box<dyn FnMut(usize, u32) -> TrialRecord> {
+        let (b, size) = (self.benchmark, self.size);
+        let g = golden(b, size);
+        let pool = TargetPool::new(move || build(b, size));
+        let probe = build(b, size);
+        let total_steps = probe.total_steps().max(1);
+        pool.seed(probe);
+        match self.spec.kind {
+            CampaignKind::Inject => {
+                let cfg = self.campaign_config();
+                Box::new(move |trial, attempt| {
+                    Injection::new(b.label(), &cfg).run(&pool, &g, total_steps, trial, attempt, count_outcomes).0
+                })
+            }
+            CampaignKind::Beam => {
+                let cfg = self.beam_config();
+                Box::new(move |trial, attempt| {
+                    Strikes::new(b.label(), &cfg).run(&pool, &g, total_steps, trial, attempt, count_outcomes).0
+                })
+            }
+        }
+    }
+
+    /// Runs this campaign of `kind` through the engine, on the executor the
+    /// spec's `isolate` field picks.
+    fn run_engine<K: TrialKind>(&self, kind: &K, sc: &StoreConfig) -> io::Result<StoredRun<K::Campaign>> {
+        let (b, size) = (self.benchmark, self.size);
+        let (iso, golden);
+        let executor = if self.spec.isolate {
+            iso = self.isolate_config()?;
+            Executor::Warden(&iso)
+        } else {
+            golden = golden_output(b, size);
+            Executor::Pool(&golden)
+        };
+        run_stored(kind, || build(b, size), executor, sc)
     }
 }
 
@@ -430,78 +467,57 @@ pub enum SpecRun {
     Beam(BeamCampaign),
 }
 
-/// Executes a spec against `dir` — the one dispatch point over
-/// kind × isolation × planning every caller (figure binaries, daemon
-/// slices) shares.
+fn spec_run<C>(run: StoredRun<C>, complete: impl FnOnce(C) -> SpecRun) -> SpecRun {
+    match run {
+        StoredRun::Paused { completed, total } => SpecRun::Paused { completed, total },
+        StoredRun::Complete(c) => complete(c),
+    }
+}
+
+/// Executes a spec against `dir` — the one entry point every caller
+/// (figure binaries, daemon slices) shares: adaptive specs run under the
+/// planner, every other spec through the campaign engine.
 pub fn run_spec(p: &ParsedSpec, dir: &Path, resume: bool, budget: Option<usize>) -> io::Result<SpecRun> {
     let sc = p.store_config(dir, resume, budget);
-    let (b, size, label) = (p.benchmark, p.size, p.benchmark.label());
-    let paused = |completed, total| SpecRun::Paused { completed, total };
-    match p.spec.kind {
-        CampaignKind::Beam => {
-            let bcfg = p.beam_config();
-            let run = if p.spec.isolate {
-                let total_steps = build(b, size).total_steps().max(1);
-                run_beam_campaign_isolated(label, total_steps, &bcfg, &sc, &p.isolate_config()?)?
-            } else {
-                let g = {
-                    let _span = obs::span!("golden");
-                    golden(b, size)
-                };
-                run_beam_campaign_stored(label, || build(b, size), &g, &bcfg, &sc)?
-            };
-            Ok(match run {
-                StoredRun::Paused { completed, total } => paused(completed, total),
-                StoredRun::Complete(c) => SpecRun::Beam(c),
-            })
+    let label = p.benchmark.label();
+    Ok(match (&p.spec.plan, p.spec.kind) {
+        (Some(plan), _) => spec_run(run_adaptive(p, plan, &sc)?, |c| SpecRun::Inject(c.records)),
+        (None, CampaignKind::Inject) => {
+            spec_run(p.run_engine(&Injection::new(label, &p.campaign_config()), &sc)?, |c| SpecRun::Inject(c.records))
         }
-        CampaignKind::Inject => {
-            let ccfg = p.campaign_config();
-            let run = if let Some(plan) = &p.spec.plan {
-                let total_steps = build(b, size).total_steps().max(1);
-                let mut planner =
-                    WilsonPlanner::for_injection(&ccfg, total_steps, plan.ci, plan.batch).with_method(plan.method);
-                let g = {
-                    let _span = obs::span!("golden");
-                    golden(b, size)
-                };
-                let run = run_campaign_adaptive(label, || build(b, size), &g, &ccfg, &sc, &mut planner)?;
-                if let StoredRun::Complete(c) = &run {
-                    // One stderr line per completed adaptive campaign so
-                    // humans (and ./ci) can read the early-stopping verdict
-                    // without parsing the result document.
-                    let r = &c.report;
-                    if r.strata_open == 0 {
-                        eprintln!(
-                            "{label}: adaptive planner closed every stratum at ci <= {} after {} of {} trials",
-                            plan.ci,
-                            c.records.len(),
-                            p.spec.trials
-                        );
-                    } else {
-                        eprintln!(
-                            "{label}: adaptive planner exhausted its horizon with {}/{} strata open (widest ci {:.4})",
-                            r.strata_open, r.strata_total, r.widest_ci
-                        );
-                    }
-                }
-                run
-            } else if p.spec.isolate {
-                let total_steps = build(b, size).total_steps().max(1);
-                run_campaign_isolated(label, total_steps, &ccfg, &sc, &p.isolate_config()?)?
-            } else {
-                let g = {
-                    let _span = obs::span!("golden");
-                    golden(b, size)
-                };
-                run_campaign_stored(label, || build(b, size), &g, &ccfg, &sc)?
-            };
-            Ok(match run {
-                StoredRun::Paused { completed, total } => paused(completed, total),
-                StoredRun::Complete(c) => SpecRun::Inject(c.records),
-            })
+        (None, CampaignKind::Beam) => spec_run(p.run_engine(&Strikes::new(label, &p.beam_config()), &sc)?, SpecRun::Beam),
+    })
+}
+
+/// Runs an adaptive (version-2 `plan`) injection spec under the
+/// [`WilsonPlanner`].
+fn run_adaptive(p: &ParsedSpec, plan: &PlanSpec, sc: &StoreConfig) -> io::Result<StoredRun<carolfi::Campaign>> {
+    let (b, size, label) = (p.benchmark, p.size, p.benchmark.label());
+    let ccfg = p.campaign_config();
+    let total_steps = build(b, size).total_steps().max(1);
+    let mut planner = WilsonPlanner::for_injection(&ccfg, total_steps, plan.ci, plan.batch).with_method(plan.method);
+    let g = golden_output(b, size);
+    let run = run_campaign_adaptive(label, || build(b, size), &g, &ccfg, sc, &mut planner)?;
+    if let StoredRun::Complete(c) = &run {
+        // One stderr line per completed adaptive campaign so humans (and
+        // ./ci) can read the early-stopping verdict without parsing the
+        // result document.
+        let r = &c.report;
+        if r.strata_open == 0 {
+            eprintln!(
+                "{label}: adaptive planner closed every stratum at ci <= {} after {} of {} trials",
+                plan.ci,
+                c.records.len(),
+                p.spec.trials
+            );
+        } else {
+            eprintln!(
+                "{label}: adaptive planner exhausted its horizon with {}/{} strata open (widest ci {:.4})",
+                r.strata_open, r.strata_total, r.widest_ci
+            );
         }
     }
+    Ok(run)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 //! Adaptive (planner-driven) stored campaigns.
 //!
 //! [`run_campaign_adaptive`] is the confidence-interval-driven counterpart
-//! of [`crate::run_campaign_stored`]: instead of executing a fixed trial
+//! of the engine's [`crate::run_stored`]: instead of executing a fixed trial
 //! range, an [`AllocationPlanner`] picks which trials to run next — one
 //! *batch* at a time, each batch drawn from the stratum whose outcome
 //! estimate is least converged — and stops once every stratum's interval is
@@ -20,14 +20,13 @@
 //! replayed planner and cross-checks it against the journaled
 //! [`JournalEntry::Plan`] records before continuing.
 
-use crate::campaign::{execute_trial, report_for, Campaign, CampaignConfig};
+use crate::campaign::{Campaign, CampaignConfig, Injection};
 use crate::monitor::PlannerStatus;
-use crate::orchestrator::{panic_message, StoreConfig, StoredRun};
+use crate::orchestrator::{finish_campaign, panic_message, run_slots, worker_threads, StoreConfig, StoredRun, TrialKind};
 use crate::output::Output;
 use crate::record::TrialRecord;
 use crate::target::FaultTarget;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use store::{CampaignMeta, Journal, JournalEntry, JournalWriter, ShardCursor, ShardPlan, ShardProgress, ShardState};
+use store::{CampaignMeta, JournalEntry, ShardCursor, ShardPlan, ShardProgress};
 
 /// One allocation decision: the batch of trial indices the planner wants
 /// executed next, plus the gauges that justified the pick (journaled for
@@ -76,44 +75,15 @@ struct JournaledPlan {
     trials: Vec<usize>,
 }
 
-/// Opens (or creates) the version-2 journal for `meta`, replays it, and
-/// parses the surviving entries. Returns the writer, the journaled
-/// allocation decisions in order, the trial records in execution order and
-/// whether the campaign was already sealed.
-fn open_adaptive_journal(
-    store_cfg: &StoreConfig,
-    meta: CampaignMeta,
-) -> std::io::Result<(JournalWriter, Vec<JournaledPlan>, Vec<TrialRecord>, bool)> {
-    let dir = &store_cfg.dir;
-    let (mut writer, entries) = if Journal::exists(dir) {
-        if !store_cfg.resume {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::AlreadyExists,
-                format!("journal already exists at {} (pass --resume to continue it)", dir.display()),
-            ));
-        }
-        let (writer, scan) = JournalWriter::resume(dir)?;
-        match &scan.meta {
-            Some(m) if *m == meta => {}
-            Some(m) => {
-                return Err(invalid(format!(
-                    "journal at {} belongs to a different campaign (journal: {m:?}, requested: {meta:?})",
-                    dir.display()
-                )))
-            }
-            None => return Err(invalid(format!("journal at {} has no meta entry", dir.display()))),
-        }
-        (writer, scan.entries)
-    } else {
-        (JournalWriter::create(dir, meta.clone())?, Vec::new())
-    };
-    writer.batch = store_cfg.batch;
-    // The shard machinery validates the gapless execution sequence and
-    // checkpoint consistency; adaptive campaigns are always single-shard.
-    let progress = ShardProgress::replay(1, &entries)?;
-    let sealed = progress.all_done();
+/// Parses a version-2 journal's surviving entries: the allocation decisions
+/// in order and the trial records in execution order, checking that the
+/// k-th record carries the k-th index the decisions allocated.
+fn journaled_decisions(
+    entries: &[JournalEntry],
+    progress: &ShardProgress,
+) -> std::io::Result<(Vec<JournaledPlan>, Vec<TrialRecord>)> {
     let mut plans = Vec::new();
-    for entry in &entries {
+    for entry in entries {
         if let JournalEntry::Plan { batch, stratum, widest_ci, trials } = entry {
             plans.push(JournaledPlan {
                 batch: *batch,
@@ -145,7 +115,7 @@ fn open_adaptive_journal(
             None => return Err(invalid(format!("seq {seq}: trial record with no covering allocation decision"))),
         }
     }
-    Ok((writer, plans, records, sealed))
+    Ok((plans, records))
 }
 
 /// Replays the journaled decisions through `planner`, cross-checking each
@@ -195,7 +165,7 @@ fn replay_decisions(
     Ok(pending)
 }
 
-/// Planner-driven version of [`crate::run_campaign_stored`].
+/// Planner-driven counterpart of the engine's [`crate::run_stored`].
 ///
 /// Each loop turn asks `planner` for a batch, journals the decision as a
 /// [`JournalEntry::Plan`], executes the batch on the worker pool, journals
@@ -222,38 +192,28 @@ where
     T: FaultTarget,
     F: Fn() -> T + Sync,
 {
-    assert!(!cfg.models.is_empty(), "campaign needs at least one fault model");
+    let kind = Injection::new(benchmark, cfg);
     let _quiet = crate::panic_guard::silence_panics();
     let probe = factory();
     let total_steps = probe.total_steps().max(1);
     let pool = crate::pool::TargetPool::new(&factory);
     pool.seed(probe);
-    let fast_compares = AtomicU64::new(0);
+    let mut fast_compares = 0u64;
     let wall = std::time::Instant::now();
-    let busy_ns = AtomicU64::new(0);
+    let mut busy_ns = 0u64;
 
-    let meta = CampaignMeta {
-        kind: "inject".into(),
-        benchmark: benchmark.into(),
-        seed: cfg.seed,
-        trials: cfg.trials,
-        shards: 1,
-        n_windows: cfg.n_windows,
-        version: store::journal::ADAPTIVE_FORMAT_VERSION,
-    };
-    let (mut writer, plans, mut records, sealed) = open_adaptive_journal(store_cfg, meta)?;
-    let progress = ShardProgress {
-        shards: vec![ShardState { completed: records.len() as u64, done: sealed, payloads: Vec::new() }],
-    };
+    // Adaptive campaigns are always single-shard; the shard machinery still
+    // validates the gapless execution sequence and checkpoint consistency.
+    let meta = CampaignMeta { version: store::journal::ADAPTIVE_FORMAT_VERSION, ..kind.meta(1) };
+    let (mut writer, progress, entries) = store::open_campaign(&store_cfg.dir, &meta, store_cfg.resume)?;
+    writer.batch = store_cfg.batch;
+    let sealed = progress.all_done();
+    let (plans, mut records) = journaled_decisions(&entries, &progress)?;
     crate::monitor::begin_campaign(benchmark, "inject", &ShardPlan::new(cfg.trials, 1), &progress);
     let mut pending = replay_decisions(planner, &plans, &records)?;
     crate::monitor::planner_update(planner.gauges());
 
-    let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        cfg.workers
-    };
+    let workers = worker_threads(cfg.workers);
 
     let complete = if sealed {
         if pending.is_some() {
@@ -304,81 +264,47 @@ where
 
             // Execute the batch's remaining trials in parallel. Results land
             // in per-trial slots so the journal below sees decision order,
-            // whatever the worker interleaving was.
+            // whatever the worker interleaving was. Same harness-panic
+            // containment as the sharded driver: a poisoned trial must not
+            // take down the batch before its predecessors are journaled.
             let todo = &decision.trials[done_in_batch..];
-            let slots: Vec<parking_lot::Mutex<Option<Result<TrialRecord, String>>>> =
-                todo.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            let batch_workers = workers.min(todo.len().max(1));
-            crossbeam::thread::scope(|scope| {
-                for _ in 0..batch_workers {
-                    scope.spawn(|_| {
-                        let mut local_busy = 0u64;
-                        let mut local_fast = 0u64;
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= todo.len() {
-                                break;
-                            }
-                            let trial = todo[i];
-                            let t0 = std::time::Instant::now();
-                            // Same harness-panic containment as the sharded
-                            // driver: a poisoned trial must not take down the
-                            // batch before its predecessors are journaled.
-                            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                let mut target = pool.acquire();
-                                let (record, fast) =
-                                    execute_trial(benchmark, &mut target, golden, cfg, total_steps, trial);
-                                pool.release(target, record.outcome.is_due());
-                                (record, fast)
-                            }));
-                            local_busy += t0.elapsed().as_nanos() as u64;
-                            match out {
-                                Ok((record, fast)) => {
-                                    local_fast += fast as u64;
-                                    *slots[i].lock() = Some(Ok(record));
-                                }
-                                Err(payload) => {
-                                    obs::incr("shard/panicked", 1);
-                                    *slots[i].lock() = Some(Err(panic_message(payload.as_ref())));
-                                }
-                            }
-                        }
-                        busy_ns.fetch_add(local_busy, Ordering::Relaxed);
-                        fast_compares.fetch_add(local_fast, Ordering::Relaxed);
-                    });
-                }
-            })
-            .expect("adaptive batch worker panicked outside a trial");
+            let (slots, batch_busy) = run_slots(todo.len(), workers, |i| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    kind.run(&pool, golden, total_steps, todo[i], 0, true)
+                }))
+                .map_err(|payload| {
+                    obs::incr("shard/panicked", 1);
+                    panic_message(payload.as_ref())
+                })
+            });
+            busy_ns += batch_busy;
 
             // Journal in decision order, stopping at the first panicked
             // trial: the durable prefix stays a valid campaign prefix and a
             // resume re-runs the batch tail.
-            let mut failure: Option<String> = None;
             for (k, slot) in slots.into_iter().enumerate() {
-                match slot.into_inner().expect("batch slot missing") {
-                    Ok(record) => {
-                        let payload = serde_json::to_string(&record)
-                            .map_err(|e| std::io::Error::other(format!("trial {}: serialize failed: {e}", record.trial)))?;
-                        obs::incr("store/trials", 1);
-                        store::retry_transient(|| {
-                            writer.append(&JournalEntry::Trial { shard: 0, seq: executed as u64, payload: payload.clone() })
-                        })?;
-                        crate::monitor::tick(0);
-                        planner.observe(&record);
-                        records.push(record);
-                        executed += 1;
-                        spent += 1;
-                    }
+                let (record, fast) = match slot {
+                    Ok(out) => out,
                     Err(msg) => {
-                        failure = Some(format!("trial {}: {msg}", todo[k]));
-                        break;
+                        store::retry_transient(|| writer.sync())?;
+                        return Err(std::io::Error::other(format!(
+                            "harness panic: trial {}: {msg} (journal is resumable)",
+                            todo[k]
+                        )));
                     }
-                }
-            }
-            if let Some(msg) = failure {
-                store::retry_transient(|| writer.sync())?;
-                return Err(std::io::Error::other(format!("harness panic: {msg} (journal is resumable)")));
+                };
+                fast_compares += fast as u64;
+                let payload = serde_json::to_string(&record)
+                    .map_err(|e| std::io::Error::other(format!("trial {}: serialize failed: {e}", record.trial)))?;
+                obs::incr("store/trials", 1);
+                store::retry_transient(|| {
+                    writer.append(&JournalEntry::Trial { shard: 0, seq: executed as u64, payload: payload.clone() })
+                })?;
+                crate::monitor::tick(0);
+                planner.observe(&record);
+                records.push(record);
+                executed += 1;
+                spent += 1;
             }
 
             let cursor = ShardCursor { shard: 0, completed: executed as u64, next_stream: executed as u64 };
@@ -405,12 +331,9 @@ where
     writer.close()?;
     crate::monitor::complete_campaign();
     let gauges = planner.gauges();
-    let mut report = report_for(benchmark, &records, workers, busy_ns.into_inner(), wall.elapsed().as_nanos() as u64);
-    report.pool_hits = pool.hits();
-    report.pool_rebuilds = pool.rebuilds();
-    report.fast_path_compares = fast_compares.into_inner();
-    report.strata_total = gauges.strata_total as usize;
-    report.strata_open = gauges.strata_open as usize;
-    report.widest_ci = gauges.widest_ci;
-    Ok(StoredRun::Complete(Campaign { benchmark: benchmark.to_string(), records, report }))
+    let mut campaign = finish_campaign(&kind, records, workers, busy_ns, wall, &pool, fast_compares);
+    campaign.report.strata_total = gauges.strata_total as usize;
+    campaign.report.strata_open = gauges.strata_open as usize;
+    campaign.report.widest_ci = gauges.widest_ci;
+    Ok(StoredRun::Complete(campaign))
 }

@@ -10,14 +10,16 @@
 //! scheduling.
 
 use crate::models::{CarolFiApplicator, FaultModel};
+use crate::orchestrator::{run_in_memory, TrialKind};
 use crate::output::Output;
 use crate::pool::TargetPool;
 use crate::record::{DueKind, OutcomeRecord, TrialRecord};
 use crate::select::VariableSelector;
 use crate::supervisor::{run_trial_mut, TrialConfig, TrialOutcome};
 use crate::target::FaultTarget;
+use rand::rngs::StdRng;
 use rand::Rng;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use store::CampaignMeta;
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -155,6 +157,30 @@ pub fn window_of(step: usize, total_steps: usize, n_windows: usize) -> usize {
     ((step * n_windows) / total_steps).min(n_windows - 1)
 }
 
+/// Trial `trial`'s record before it runs — every field its campaign-global
+/// index fixes (fault model, injection step, time window), outcome still
+/// `Masked` with nothing injected or executed — plus its fault model and
+/// its RNG stream, positioned after the injection-time draw.
+fn prepare(benchmark: &str, cfg: &CampaignConfig, total_steps: usize, trial: usize) -> (StdRng, FaultModel, TrialRecord) {
+    let mut rng = crate::rng::fork(cfg.seed, trial as u64);
+    let model = cfg.models[trial % cfg.models.len()];
+    let inject_step = rng.gen_range(0..total_steps);
+    let record = TrialRecord {
+        trial,
+        benchmark: benchmark.to_string(),
+        model: Some(model),
+        mechanism: model.label().to_string(),
+        inject_step,
+        total_steps,
+        window: window_of(inject_step, total_steps, cfg.n_windows),
+        n_windows: cfg.n_windows,
+        injection: None,
+        outcome: OutcomeRecord::Masked,
+        executed_steps: 0,
+    };
+    (rng, model, record)
+}
+
 /// The (fault-model index, time-window) stratum of a trial, derived from
 /// its campaign-global index *without executing it*: the same
 /// `rng::fork(cfg.seed, trial)` fork, `trial % models.len()` model pick and
@@ -176,7 +202,7 @@ pub fn trial_stratum(cfg: &CampaignConfig, total_steps: usize, trial: usize) -> 
 /// `trial` is the trial's campaign-global index, which fully determines its
 /// RNG stream (`rng::fork(cfg.seed, trial)`), its fault model
 /// (`trial % models.len()`) and its injection time — the property the
-/// sharded/resumable orchestrator relies on to merge partial runs into an
+/// sharded/resumable engine relies on to merge partial runs into an
 /// aggregate bit-identical to the single-shot campaign. The target is
 /// borrowed (not consumed) so pooled runners can `reset()` and reuse it; a
 /// fresh `factory()` instance per call produces the same record bits.
@@ -217,36 +243,23 @@ pub fn execute_trial_attempt<T: FaultTarget>(
     attempt: u32,
     count_outcomes: bool,
 ) -> (TrialRecord, bool) {
-    let mut rng = crate::rng::fork(cfg.seed, trial as u64);
-    let model = cfg.models[trial % cfg.models.len()];
-    let inject_step = rng.gen_range(0..total_steps);
+    let (mut rng, model, mut record) = prepare(benchmark, cfg, total_steps, trial);
     let mut applicator = CarolFiApplicator { model, selector: cfg.selector.clone() };
     let result = run_trial_mut(
         target,
         golden,
         &mut applicator,
-        TrialConfig { inject_step, watchdog_factor: cfg.watchdog_factor },
+        TrialConfig { inject_step: record.inject_step, watchdog_factor: cfg.watchdog_factor },
         &mut rng,
     );
-    let outcome = match result.outcome {
+    record.outcome = match result.outcome {
         TrialOutcome::Masked => OutcomeRecord::Masked,
         TrialOutcome::HardwareMasked => OutcomeRecord::HardwareMasked,
         TrialOutcome::Sdc(s) => OutcomeRecord::Sdc(s),
         TrialOutcome::Due(c) => OutcomeRecord::Due(c.into()),
     };
-    let record = TrialRecord {
-        trial,
-        benchmark: benchmark.to_string(),
-        model: Some(model),
-        mechanism: model.label().to_string(),
-        inject_step,
-        total_steps,
-        window: window_of(inject_step, total_steps, cfg.n_windows),
-        n_windows: cfg.n_windows,
-        injection: result.injection,
-        outcome,
-        executed_steps: result.executed_steps,
-    };
+    record.injection = result.injection;
+    record.executed_steps = result.executed_steps;
     if count_outcomes {
         obs::incr(outcome_key(model, &record.outcome), 1);
     }
@@ -264,113 +277,82 @@ pub fn execute_trial_attempt<T: FaultTarget>(
     (record, result.fast_compare)
 }
 
-/// Builds the DUE record for a trial whose worker process died
-/// (quarantined by the warden): the trial's identity fields — fault model,
-/// injection step, time window — replay the exact derivation
-/// [`execute_trial`] performs from the campaign-global index, so the record
-/// slots into the journal indistinguishably from an in-process DUE; only
-/// `injection` (the victim never reported what was corrupted) and
-/// `executed_steps` are unknowable and left empty.
-pub fn synth_due_record(
-    benchmark: &str,
-    cfg: &CampaignConfig,
-    total_steps: usize,
-    trial: usize,
-    kind: DueKind,
-) -> TrialRecord {
-    let mut rng = crate::rng::fork(cfg.seed, trial as u64);
-    let model = cfg.models[trial % cfg.models.len()];
-    let inject_step = rng.gen_range(0..total_steps);
-    let record = TrialRecord {
-        trial,
-        benchmark: benchmark.to_string(),
-        model: Some(model),
-        mechanism: model.label().to_string(),
-        inject_step,
-        total_steps,
-        window: window_of(inject_step, total_steps, cfg.n_windows),
-        n_windows: cfg.n_windows,
-        injection: None,
-        outcome: OutcomeRecord::Due(kind),
-        executed_steps: 0,
-    };
-    obs::incr(outcome_key(model, &record.outcome), 1);
-    record
+/// The injection [`TrialKind`]: the trials of one CAROL-FI campaign over
+/// `cfg` against `benchmark`, journaled under the `inject` kind tag.
+#[derive(Debug, Clone, Copy)]
+pub struct Injection<'a> {
+    benchmark: &'a str,
+    cfg: &'a CampaignConfig,
 }
 
-/// Runs an injection campaign against targets built by `factory`.
-///
-/// `golden` must be the output of a fault-free run of `factory()`.
-/// Deterministic for a given `(factory, cfg.seed)` pair regardless of
-/// `cfg.workers`. Targets are pooled: each worker reuses an instance via
-/// [`FaultTarget::reset`] instead of calling `factory()` per trial, with a
-/// factory rebuild after every DUE — the records stay bit-identical to the
-/// factory-per-trial path either way.
+impl<'a> Injection<'a> {
+    pub fn new(benchmark: &'a str, cfg: &'a CampaignConfig) -> Self {
+        assert!(!cfg.models.is_empty(), "campaign needs at least one fault model");
+        Injection { benchmark, cfg }
+    }
+}
+
+impl TrialKind for Injection<'_> {
+    type Campaign = Campaign;
+
+    fn meta(&self, shards: usize) -> CampaignMeta {
+        CampaignMeta {
+            kind: "inject".into(),
+            benchmark: self.benchmark.into(),
+            seed: self.cfg.seed,
+            trials: self.cfg.trials,
+            shards,
+            n_windows: self.cfg.n_windows,
+            version: store::journal::FORMAT_VERSION,
+        }
+    }
+
+    fn workers(&self) -> usize {
+        self.cfg.workers
+    }
+
+    fn run<T: FaultTarget, F: Fn() -> T>(
+        &self,
+        pool: &TargetPool<T, F>,
+        golden: &Output,
+        total_steps: usize,
+        trial: usize,
+        attempt: u32,
+        count_outcomes: bool,
+    ) -> (TrialRecord, bool) {
+        let mut target = pool.acquire();
+        let out = execute_trial_attempt(self.benchmark, &mut target, golden, self.cfg, total_steps, trial, attempt, count_outcomes);
+        pool.release(target, out.0.outcome.is_due());
+        out
+    }
+
+    fn synth_due(&self, total_steps: usize, trial: usize, kind: DueKind) -> TrialRecord {
+        let (_, _, record) = prepare(self.benchmark, self.cfg, total_steps, trial);
+        TrialRecord { outcome: OutcomeRecord::Due(kind), ..record }
+    }
+
+    fn outcome_key(&self, record: &TrialRecord) -> Option<&'static str> {
+        record.model.map(|m| outcome_key(m, &record.outcome))
+    }
+
+    fn report(&self, records: &[TrialRecord], workers: usize, busy_ns: u64, wall_ns: u64) -> obs::CampaignReport {
+        report_for(self.benchmark, records, workers, busy_ns, wall_ns)
+    }
+
+    fn finish(&self, records: Vec<TrialRecord>, report: obs::CampaignReport) -> Campaign {
+        Campaign { benchmark: self.benchmark.to_string(), records, report }
+    }
+}
+
+/// Runs an injection campaign in memory against targets built by `factory`
+/// (see [`run_in_memory`]). `golden` must be the output of a fault-free run
+/// of `factory()`.
 pub fn run_campaign<T, F>(benchmark: &str, factory: F, golden: &Output, cfg: &CampaignConfig) -> Campaign
 where
     T: FaultTarget,
     F: Fn() -> T + Sync,
 {
-    assert!(!cfg.models.is_empty(), "campaign needs at least one fault model");
-    let _quiet = crate::panic_guard::silence_panics();
-    let probe = factory();
-    let total_steps = probe.total_steps().max(1);
-    let pool = TargetPool::new(&factory);
-    pool.seed(probe);
-    let fast_compares = AtomicU64::new(0);
-
-    let wall = std::time::Instant::now();
-    let busy_ns = AtomicU64::new(0);
-    let next = AtomicUsize::new(0);
-    let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        cfg.workers
-    };
-    let workers = workers.min(cfg.trials.max(1));
-
-    let records: Vec<parking_lot::Mutex<Option<TrialRecord>>> = (0..cfg.trials).map(|_| parking_lot::Mutex::new(None)).collect();
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| {
-                let mut local_busy = 0u64;
-                let mut local_fast = 0u64;
-                loop {
-                    let trial = next.fetch_add(1, Ordering::Relaxed);
-                    if trial >= cfg.trials {
-                        break;
-                    }
-                    let t0 = std::time::Instant::now();
-                    let mut target = pool.acquire();
-                    let (record, fast) = execute_trial(benchmark, &mut target, golden, cfg, total_steps, trial);
-                    pool.release(target, record.outcome.is_due());
-                    local_busy += t0.elapsed().as_nanos() as u64;
-                    local_fast += fast as u64;
-                    *records[trial].lock() = Some(record);
-                }
-                busy_ns.fetch_add(local_busy, Ordering::Relaxed);
-                fast_compares.fetch_add(local_fast, Ordering::Relaxed);
-            });
-        }
-    })
-    .expect("campaign worker panicked outside a trial");
-
-    let records: Vec<TrialRecord> = records
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("trial record missing"))
-        .collect();
-    let mut report = report_for(
-        benchmark,
-        &records,
-        workers,
-        busy_ns.into_inner(),
-        wall.elapsed().as_nanos() as u64,
-    );
-    report.pool_hits = pool.hits();
-    report.pool_rebuilds = pool.rebuilds();
-    report.fast_path_compares = fast_compares.into_inner();
-    Campaign { benchmark: benchmark.to_string(), records, report }
+    run_in_memory(&Injection::new(benchmark, cfg), factory, golden)
 }
 
 #[cfg(test)]

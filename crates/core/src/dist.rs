@@ -43,12 +43,12 @@ use crate::warden::{read_frame, write_frame};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use store::{
-    BatchPolicy, CampaignMeta, Importer, Journal, JournalEntry, JournalWriter, LeaseState, LedgerEntry, LedgerWriter, Offer,
-    ShardCursor, ShardPlan, ShardProgress,
+    BatchPolicy, CampaignMeta, Importer, JournalEntry, JournalWriter, LeaseState, LedgerEntry, LedgerWriter, Offer,
+    ShardCursor, ShardPlan,
 };
 
 /// Executor → coordinator messages. One reply each.
@@ -390,45 +390,14 @@ impl CoordState {
     }
 }
 
-/// Opens (create or resume) the coordinator's campaign journal, checking
-/// campaign identity. Unlike `orchestrator::open_journal` this does not
-/// parse trial payloads — the coordinator treats them as opaque bytes.
-fn open_coord_journal(dir: &Path, meta: &CampaignMeta, resume: bool) -> std::io::Result<(JournalWriter, ShardProgress)> {
-    if Journal::exists(dir) {
-        if !resume {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::AlreadyExists,
-                format!("journal already exists at {} (pass resume to continue it)", dir.display()),
-            ));
-        }
-        let (writer, scan) = JournalWriter::resume(dir)?;
-        match &scan.meta {
-            Some(m) if m == meta => {}
-            Some(m) => {
-                return Err(protocol(format!(
-                    "journal at {} holds a different campaign ({}/{} seed {}), refusing to merge into it",
-                    dir.display(),
-                    m.kind,
-                    m.benchmark,
-                    m.seed
-                )))
-            }
-            None => return Err(protocol(format!("journal at {} has no campaign meta", dir.display()))),
-        }
-        let progress = ShardProgress::replay(meta.shards, &scan.entries)?;
-        Ok((writer, progress))
-    } else {
-        let writer = JournalWriter::create(dir, meta.clone())?;
-        Ok((writer, ShardProgress::replay(meta.shards, &[])?))
-    }
-}
-
 /// Runs the coordinator until every shard is sealed (or the
 /// `stop_after_merged` crash hook fires). Takes a bound listener so callers
 /// control address selection — the `phi-coord` binary binds `--listen` and
 /// writes the resolved address to `--addr-file` before calling this.
 pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Result<CoordSummary> {
-    let (mut writer, progress) = open_coord_journal(&cfg.dir, &cfg.meta, cfg.resume)?;
+    // The coordinator never parses trial payloads: it merges them as
+    // opaque bytes.
+    let (mut writer, progress, _) = store::open_campaign(&cfg.dir, &cfg.meta, cfg.resume)?;
     // Write-through: a trial's line reaches the OS before its `Ack` is
     // sent, so a SIGKILLed (or abandoned) coordinator never loses a trial
     // it acknowledged. Seals still fsync.
@@ -728,30 +697,6 @@ fn connect_backoff(failures: u32, cap: Duration) -> Duration {
     Duration::from_millis(ms).min(cap)
 }
 
-/// Opens (create or resume) this executor's local journal for one shard.
-/// Returns the writer, the shard's already-computed payloads, and whether
-/// the shard was locally sealed.
-fn open_local_journal(dir: &Path, meta: &CampaignMeta, shard: usize) -> std::io::Result<(JournalWriter, Vec<String>, bool)> {
-    if Journal::exists(dir) {
-        let (writer, scan) = JournalWriter::resume(dir)?;
-        match &scan.meta {
-            Some(m) if m == meta => {}
-            _ => {
-                return Err(protocol(format!(
-                    "local journal at {} belongs to a different campaign",
-                    dir.display()
-                )))
-            }
-        }
-        let progress = ShardProgress::replay(meta.shards, &scan.entries)?;
-        let st = &progress.shards[shard];
-        Ok((writer, st.payloads.clone(), st.done))
-    } else {
-        let writer = JournalWriter::create(dir, meta.clone())?;
-        Ok((writer, Vec::new(), false))
-    }
-}
-
 enum LeaseEnd {
     /// Range streamed and acknowledged (or the coordinator told us the
     /// lease expired — either way, request a new lease on this connection).
@@ -871,7 +816,10 @@ fn run_lease<R: FnMut(u64) -> String>(
     summary: &mut ExecutorSummary,
 ) -> std::io::Result<LeaseEnd> {
     let sdir = cfg.dir.join(format!("shard-{shard:02}"));
-    let (mut writer, local, locally_done) = open_local_journal(&sdir, meta, shard)?;
+    // The local journal always resumes: it is this executor's own
+    // crash-resume state.
+    let (mut writer, progress, _) = store::open_campaign(&sdir, meta, true)?;
+    let local = &progress.shards[shard];
     let len = end - start;
 
     // Refresh the lease after the grant round-trip and any local replay.
@@ -889,10 +837,10 @@ fn run_lease<R: FnMut(u64) -> String>(
     }
 
     for seq in 0..len {
-        let payload = if (seq as usize) < local.len() {
+        let payload = if (seq as usize) < local.payloads.len() {
             summary.served_local += 1;
             obs::incr("dist/local_served", 1);
-            local[seq as usize].clone()
+            local.payloads[seq as usize].clone()
         } else {
             // Compute-then-journal: the local journal is this executor's
             // crash-resume state, independent of the coordinator's.
@@ -924,7 +872,7 @@ fn run_lease<R: FnMut(u64) -> String>(
         }
     }
 
-    if !locally_done {
+    if !local.done {
         // Seal the local shard journal so the next resume replays payloads
         // instead of recomputing them.
         writer.append(&JournalEntry::Checkpoint(ShardCursor { shard, completed: len, next_stream: end }))?;
@@ -942,6 +890,8 @@ fn run_lease<R: FnMut(u64) -> String>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
+    use store::{Journal, ShardProgress};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/test-dist").join(name);

@@ -27,8 +27,10 @@
 //!   parallel, deterministically per seed, and produces serialisable
 //!   [`record::TrialRecord`] logs comparable to the paper's public log
 //!   repository.
-//! * The [`orchestrator`] module is the durable form of the same campaign:
-//!   trials shard deterministically over a `phi-store` journal so campaigns
+//! * The [`orchestrator`] module is the campaign engine: one runner for
+//!   every [`TrialKind`] (injection here, beam strikes in `beamsim`) and
+//!   [`Executor`] (pooled targets or supervised worker processes), in
+//!   memory or durably sharded over a `phi-store` journal so campaigns
 //!   survive crashes and resume across invocations bit-identically.
 //!
 //! The injector is deliberately generic over the fault *applicator*
@@ -55,9 +57,9 @@ pub mod target;
 pub mod warden;
 
 pub use adaptive::{run_campaign_adaptive, AllocationPlanner, PlanDecision};
-pub use campaign::{run_campaign, Campaign, CampaignConfig};
+pub use campaign::{run_campaign, Campaign, CampaignConfig, Injection};
 pub use dist::{run_coordinator, run_executor, ConnectTarget, CoordConfig, CoordSummary, ExecutorConfig, ExecutorSummary};
-pub use orchestrator::{run_campaign_isolated, run_campaign_stored, StoreConfig, StoredRun};
+pub use orchestrator::{run_in_memory, run_stored, Executor, StoreConfig, StoredRun, TrialKind};
 pub use warden::{IsolateConfig, IsolatedTrial, Warden};
 pub use fuel::Fuel;
 pub use models::{FaultApplicator, FaultModel, InjectionDetail};

@@ -1,29 +1,38 @@
-//! Durable, sharded, resumable injection campaigns.
+//! The campaign engine: every fixed-count campaign, in memory or durable,
+//! of any trial kind, on any executor.
 //!
-//! [`run_campaign_stored`] is the journal-backed counterpart of
-//! [`crate::run_campaign`]: the campaign's trial range splits into
-//! contiguous shards (`store::ShardPlan`), a work-queue scheduler fans the
-//! shards out to worker threads, and every completed trial is appended to a
-//! checksummed journal (`store::JournalWriter`) before the next one starts.
-//! A crash, OOM or kill loses at most the in-flight record; re-running with
-//! `resume = true` scans the journal, skips completed shards, continues
-//! partial shards from their cursors, and — because a trial's global index
-//! fully determines its RNG stream, fault model and injection time — the
-//! merged aggregate is bit-identical to an uninterrupted single-shot run,
-//! with no trial re-executed or double-counted (the journal's per-shard
-//! sequence numbers are validated gapless on every open).
+//! Two axes span the runner matrix. A [`TrialKind`] says what one trial is
+//! — injection ([`crate::campaign::Injection`]) or a beam strike
+//! (`beamsim::campaign::Strikes`) — and how finished records become a
+//! campaign. An [`Executor`] says where trials run: on pooled targets in
+//! this process, or in supervised warden worker processes.
+//!
+//! [`run_stored`] is the durable form: the campaign's trial range splits
+//! into contiguous shards (`store::ShardPlan`), a work-queue scheduler fans
+//! the shards out to worker threads, and every completed trial is appended
+//! to a checksummed journal (`store::JournalWriter`) before the next one
+//! starts. A crash, OOM or kill loses at most the in-flight record;
+//! re-running with `resume = true` scans the journal, skips completed
+//! shards, continues partial shards from their cursors, and — because a
+//! trial's global index fully determines its RNG stream, fault model and
+//! injection time — the merged aggregate is bit-identical to an
+//! uninterrupted single-shot run ([`run_in_memory`]), with no trial
+//! re-executed or double-counted (the journal's per-shard sequence numbers
+//! are validated gapless on every open). Both executors write the same
+//! journal, so a campaign started in-process can resume isolated and vice
+//! versa.
 
-use crate::campaign::{execute_trial, outcome_key, report_for, Campaign, CampaignConfig};
 use crate::output::Output;
+use crate::pool::TargetPool;
 use crate::record::{DueKind, TrialRecord};
 use crate::target::FaultTarget;
 use crate::warden::{IsolateConfig, IsolatedTrial, Warden};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use store::{CampaignMeta, Journal, JournalEntry, JournalWriter, ShardCursor, ShardPlan, ShardProgress, StopFlag};
+use std::time::Instant;
+use store::{CampaignMeta, JournalEntry, JournalWriter, ShardCursor, ShardPlan, ShardProgress, StopFlag};
 
-/// Durability/orchestration knobs, shared by the injection and beam stored
-/// campaign runners.
+/// Durability/orchestration knobs of a stored campaign.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Journal directory for this campaign.
@@ -82,42 +91,163 @@ impl<C> StoredRun<C> {
     }
 }
 
+/// One kind of campaign trial: everything the engine needs to know about
+/// it. Every method must be a pure function of the trial's global index
+/// (and the kind's own configuration) — the determinism invariant that
+/// makes any shard count, executor or interruption pattern merge into the
+/// single-shot aggregate.
+pub trait TrialKind: Sync {
+    /// What a finished campaign of this kind is.
+    type Campaign;
+    /// The journal identity of this campaign split into `shards`; its
+    /// `kind` tag names the trial kind.
+    fn meta(&self, shards: usize) -> CampaignMeta;
+    /// Worker threads requested (0 ⇒ one per core).
+    fn workers(&self) -> usize;
+    /// Runs trial `trial` on a target from `pool`, classifying against
+    /// `golden`. Returns the record and whether the bitwise fast-path
+    /// compare alone classified it. `attempt` and `count_outcomes` only
+    /// shape telemetry: retries (attempt > 0) emit `*_retry` events, and
+    /// warden workers pass `count_outcomes: false` because the supervisor
+    /// counts each journaled record exactly once instead.
+    #[allow(clippy::too_many_arguments)]
+    fn run<T: FaultTarget, F: Fn() -> T>(
+        &self,
+        pool: &TargetPool<T, F>,
+        golden: &Output,
+        total_steps: usize,
+        trial: usize,
+        attempt: u32,
+        count_outcomes: bool,
+    ) -> (TrialRecord, bool);
+    /// The record of a trial whose worker process died and was quarantined
+    /// by the warden: every field the global index fixes, exactly as
+    /// [`TrialKind::run`] would have produced it, with the outcome a DUE of
+    /// `kind` (what was corrupted and how far it ran are unknowable).
+    fn synth_due(&self, total_steps: usize, trial: usize, kind: DueKind) -> TrialRecord;
+    /// The outcome-class counter of a finished record (`None` for records
+    /// without a static class).
+    fn outcome_key(&self, record: &TrialRecord) -> Option<&'static str>;
+    /// The campaign report over finished records.
+    fn report(&self, records: &[TrialRecord], workers: usize, busy_ns: u64, wall_ns: u64) -> obs::CampaignReport;
+    /// Wraps finished records, in trial order, into the campaign.
+    fn finish(&self, records: Vec<TrialRecord>, report: obs::CampaignReport) -> Self::Campaign;
+}
+
+/// Where a campaign's trials run.
+#[derive(Debug, Clone, Copy)]
+pub enum Executor<'a> {
+    /// In this process, on pooled targets (reset in place, rebuilt after a
+    /// DUE), classified against the golden output.
+    Pool(&'a Output),
+    /// In child worker processes supervised by one pooled [`Warden`] per
+    /// engine thread. The calling binary must re-exec itself in worker mode
+    /// (see [`crate::warden::worker_active`] / [`crate::warden::serve`])
+    /// and run trials by global index. Victim deaths (abort, fatal signal,
+    /// wall-clock hang) are classified and — past the warden's crash-loop
+    /// threshold — journaled as [`TrialKind::synth_due`] records, so the
+    /// campaign still completes; warden infrastructure failures fail only
+    /// their shard, and the run stays resumable.
+    Warden(&'a IsolateConfig),
+}
+
+pub(crate) fn worker_threads(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    } else {
+        requested
+    }
+}
+
+/// Runs `run(i)` for every `i` in `0..n` on `workers` scoped threads pulling
+/// indices from a shared cursor, and returns the results in index order
+/// (whatever the interleaving was) plus the summed time spent inside `run`.
+pub(crate) fn run_slots<R: Send>(n: usize, workers: usize, run: impl Fn(usize) -> R + Sync) -> (Vec<R>, u64) {
+    let slots: Vec<parking_lot::Mutex<Option<R>>> = (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let busy_ns = AtomicU64::new(0);
+    crossbeam::thread::scope(|scope| {
+        for _ in 0..workers.min(n.max(1)) {
+            scope.spawn(|_| {
+                let mut local_busy = 0u64;
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let t0 = Instant::now();
+                    let out = run(i);
+                    local_busy += t0.elapsed().as_nanos() as u64;
+                    *slots[i].lock() = Some(out);
+                }
+                busy_ns.fetch_add(local_busy, Ordering::Relaxed);
+            });
+        }
+    })
+    .expect("campaign worker panicked outside a trial");
+    let results = slots.into_iter().map(|slot| slot.into_inner().expect("trial slot missing")).collect();
+    (results, busy_ns.into_inner())
+}
+
+/// The finish step every runner shares: the kind's report plus the pool
+/// and fast-path gauges, wrapped into the campaign.
+pub(crate) fn finish_campaign<K: TrialKind, T: FaultTarget, F: Fn() -> T>(
+    kind: &K,
+    records: Vec<TrialRecord>,
+    workers: usize,
+    busy_ns: u64,
+    wall: Instant,
+    pool: &TargetPool<T, F>,
+    fast_compares: u64,
+) -> K::Campaign {
+    let mut report = kind.report(&records, workers, busy_ns, wall.elapsed().as_nanos() as u64);
+    report.pool_hits = pool.hits();
+    report.pool_rebuilds = pool.rebuilds();
+    report.fast_path_compares = fast_compares;
+    kind.finish(records, report)
+}
+
+/// Runs a whole campaign in memory on pooled targets built by `factory`.
+///
+/// `golden` must be the output of a fault-free run of `factory()`.
+/// Deterministic for a given `(factory, seed)` pair regardless of the
+/// worker count: each worker reuses a target via [`FaultTarget::reset`]
+/// instead of calling `factory()` per trial, with a factory rebuild after
+/// every DUE — the records stay bit-identical to the factory-per-trial
+/// path either way.
+pub fn run_in_memory<K, T, F>(kind: &K, factory: F, golden: &Output) -> K::Campaign
+where
+    K: TrialKind,
+    T: FaultTarget,
+    F: Fn() -> T + Sync,
+{
+    let _quiet = crate::panic_guard::silence_panics();
+    let probe = factory();
+    let total_steps = probe.total_steps().max(1);
+    let pool = TargetPool::new(&factory);
+    pool.seed(probe);
+    let wall = Instant::now();
+    let trials = kind.meta(1).trials;
+    let workers = worker_threads(kind.workers()).min(trials.max(1));
+    let (slots, busy_ns) = run_slots(trials, workers, |trial| kind.run(&pool, golden, total_steps, trial, 0, true));
+    let fast = slots.iter().filter(|(_, fast)| *fast).count() as u64;
+    let records = slots.into_iter().map(|(record, _)| record).collect();
+    finish_campaign(kind, records, workers, busy_ns, wall, &pool, fast)
+}
+
 fn invalid(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
 /// Opens (or creates) the journal for `meta`, replays shard progress and
-/// parses the surviving trial payloads. Orchestration plumbing shared with
-/// `beamsim`'s stored campaign runner.
+/// parses the surviving trial payloads, checking each one sits at its
+/// shard's range position.
 pub fn open_journal(
     store_cfg: &StoreConfig,
     meta: CampaignMeta,
 ) -> std::io::Result<(JournalWriter, ShardProgress, Vec<Vec<TrialRecord>>)> {
-    let dir = &store_cfg.dir;
-    let (mut writer, entries) = if Journal::exists(dir) {
-        if !store_cfg.resume {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::AlreadyExists,
-                format!("journal already exists at {} (pass --resume to continue it)", dir.display()),
-            ));
-        }
-        let (writer, scan) = JournalWriter::resume(dir)?;
-        match &scan.meta {
-            Some(m) if *m == meta => {}
-            Some(m) => {
-                return Err(invalid(format!(
-                    "journal at {} belongs to a different campaign (journal: {m:?}, requested: {meta:?})",
-                    dir.display()
-                )))
-            }
-            None => return Err(invalid(format!("journal at {} has no meta entry", dir.display()))),
-        }
-        (writer, scan.entries)
-    } else {
-        (JournalWriter::create(dir, meta.clone())?, Vec::new())
-    };
+    let (mut writer, progress, _) = store::open_campaign(&store_cfg.dir, &meta, store_cfg.resume)?;
     writer.batch = store_cfg.batch;
-    let progress = ShardProgress::replay(meta.shards, &entries)?;
     let plan = ShardPlan::new(meta.trials, meta.shards);
     let mut prior: Vec<Vec<TrialRecord>> = Vec::with_capacity(meta.shards);
     for (shard, state) in progress.shards.iter().enumerate() {
@@ -160,8 +290,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// I/O error any worker hit.
 ///
 /// `run_one(global_trial_index) -> TrialRecord` must be pure in the trial
-/// index (this is what the determinism invariant rests on). Orchestration
-/// plumbing shared with `beamsim`'s stored campaign runner.
+/// index (this is what the determinism invariant rests on).
 ///
 /// Failure containment: a **panic** out of `run_one` (harness bug, warden
 /// infrastructure giving out) fails only its own shard — the shard
@@ -337,193 +466,89 @@ pub fn drive_shards(
     Ok(StoredRun::Complete(records))
 }
 
-/// Journal-backed, sharded, resumable version of [`crate::run_campaign`].
+/// Runs a durable, sharded, resumable campaign of `kind` on `executor`,
+/// journaled under `store_cfg`.
 ///
-/// For a fixed `cfg.seed`, the completed aggregate is bit-identical to
-/// `run_campaign` with the same config, for any shard count, worker count,
-/// interruption pattern or number of resume invocations. Targets are pooled
-/// across trials (reset-in-place, factory rebuild after a DUE) exactly like
-/// the in-memory runner.
-pub fn run_campaign_stored<T, F>(
-    benchmark: &str,
+/// For a fixed seed the completed aggregate is bit-identical to
+/// [`run_in_memory`] with the same configuration, for any shard count,
+/// worker count, executor, interruption pattern or number of resume
+/// invocations. `factory` builds the victim: the pool executor runs on
+/// pooled instances of it; the warden executor builds one only to read the
+/// step count.
+///
+/// Outcome-class counters count each trial exactly once. Pooled trials
+/// count themselves; under the warden executor workers run with outcome
+/// counting off and the supervisor counts the winning record of each trial
+/// index where it journals it, so a trial retried after a kill or torn
+/// reply never double-counts.
+pub fn run_stored<K, T, F>(
+    kind: &K,
     factory: F,
-    golden: &Output,
-    cfg: &CampaignConfig,
+    executor: Executor<'_>,
     store_cfg: &StoreConfig,
-) -> std::io::Result<StoredRun<Campaign>>
+) -> std::io::Result<StoredRun<K::Campaign>>
 where
+    K: TrialKind,
     T: FaultTarget,
     F: Fn() -> T + Sync,
 {
-    assert!(!cfg.models.is_empty(), "campaign needs at least one fault model");
-    let _quiet = crate::panic_guard::silence_panics();
+    let _quiet = matches!(executor, Executor::Pool(_)).then(crate::panic_guard::silence_panics);
     let probe = factory();
     let total_steps = probe.total_steps().max(1);
-    let pool = crate::pool::TargetPool::new(&factory);
-    pool.seed(probe);
+    let pool = TargetPool::new(&factory);
+    match executor {
+        Executor::Pool(_) => pool.seed(probe),
+        Executor::Warden(_) => drop(probe),
+    }
     let fast_compares = AtomicU64::new(0);
-    let wall = std::time::Instant::now();
+    let wall = Instant::now();
     let busy_ns = AtomicU64::new(0);
 
-    let meta = CampaignMeta {
-        kind: "inject".into(),
-        benchmark: benchmark.into(),
-        seed: cfg.seed,
-        trials: cfg.trials,
-        shards: store_cfg.shards,
-        n_windows: cfg.n_windows,
-        version: store::journal::FORMAT_VERSION,
-    };
-    let (writer, progress, prior) = open_journal(store_cfg, meta)?;
-    let plan = ShardPlan::new(cfg.trials, store_cfg.shards);
-    crate::monitor::begin_campaign(benchmark, "inject", &plan, &progress);
-    let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        cfg.workers
-    };
+    let meta = kind.meta(store_cfg.shards);
+    let (writer, progress, prior) = open_journal(store_cfg, meta.clone())?;
+    let plan = ShardPlan::new(meta.trials, meta.shards);
+    crate::monitor::begin_campaign(&meta.benchmark, &meta.kind, &plan, &progress);
+    let workers = worker_threads(kind.workers());
 
-    let run = drive_shards(plan, &progress, prior, writer, store_cfg, workers, &busy_ns, |trial| {
-        let mut target = pool.acquire();
-        let (record, fast) = execute_trial(benchmark, &mut target, golden, cfg, total_steps, trial);
-        pool.release(target, record.outcome.is_due());
-        if fast {
-            fast_compares.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        record
-    })?;
-    Ok(match run {
-        StoredRun::Paused { completed, total } => StoredRun::Paused { completed, total },
-        StoredRun::Complete(records) => {
-            crate::monitor::complete_campaign();
-            let mut report = report_for(benchmark, &records, workers, busy_ns.into_inner(), wall.elapsed().as_nanos() as u64);
-            report.pool_hits = pool.hits();
-            report.pool_rebuilds = pool.rebuilds();
-            report.fast_path_compares = fast_compares.into_inner();
-            StoredRun::Complete(Campaign { benchmark: benchmark.to_string(), records, report })
-        }
-    })
-}
-
-/// [`drive_shards`] with process isolation: every trial executes in a child
-/// worker process supervised by a [`Warden`]. Victim deaths (abort, fatal
-/// signal, wall-clock hang) are classified and — after the warden's
-/// crash-loop quarantine threshold — recorded as synthetic DUE records via
-/// `synth(trial, kind)`, so a pathological trial costs bounded wall clock
-/// and the campaign still completes. Warden infrastructure failures
-/// (exhausted spawn retries, socket breakage) panic out of the trial closure
-/// and are contained by [`drive_shards`]' per-shard panic isolation: only
-/// that shard fails, and the run stays resumable.
-///
-/// Wardens are pooled per orchestrator call: a worker process is reused
-/// across trials (and across shards) until it dies.
-///
-/// `key` maps a completed record to its outcome-class counter, which the
-/// *supervisor* increments exactly once per trial index. Workers execute
-/// with outcome counting disabled (`execute_trial_attempt(..,
-/// count_outcomes: false)`), so a trial retried after a kill or torn reply
-/// never double-counts, and a worker that died mid-trial never leaks a
-/// half-counted attempt — the count happens only where the winning record
-/// is journaled. Return `None` to skip counting (record types without a
-/// static class).
-#[allow(clippy::too_many_arguments)]
-pub fn drive_isolated(
-    plan: ShardPlan,
-    progress: &ShardProgress,
-    prior: Vec<Vec<TrialRecord>>,
-    writer: JournalWriter,
-    store_cfg: &StoreConfig,
-    workers: usize,
-    busy_ns: &AtomicU64,
-    iso: &IsolateConfig,
-    synth: impl Fn(usize, DueKind) -> TrialRecord + Sync,
-    key: impl Fn(&TrialRecord) -> Option<&'static str> + Sync,
-) -> std::io::Result<StoredRun<Vec<TrialRecord>>> {
-    let wardens: parking_lot::Mutex<Vec<Warden>> = parking_lot::Mutex::new(Vec::new());
-    drive_shards(plan, progress, prior, writer, store_cfg, workers, busy_ns, |trial| {
-        let mut warden = match wardens.lock().pop().map(Ok).unwrap_or_else(|| Warden::new(iso.clone())) {
-            Ok(w) => w,
-            Err(e) => panic!("trial {trial}: warden setup failed: {e}"),
-        };
-        match warden.run_trial(trial) {
-            Ok(IsolatedTrial::Completed(record)) => {
+    let run = {
+        // Wardens are pooled per call: a worker process is reused across
+        // trials (and shards) until it dies, and all of them shut down —
+        // draining their final metrics frames — before the campaign ends.
+        let wardens: parking_lot::Mutex<Vec<Warden>> = parking_lot::Mutex::new(Vec::new());
+        drive_shards(plan, &progress, prior, writer, store_cfg, workers, &busy_ns, |trial| match executor {
+            Executor::Pool(golden) => {
+                let (record, fast) = kind.run(&pool, golden, total_steps, trial, 0, true);
+                fast_compares.fetch_add(fast as u64, Ordering::Relaxed);
+                record
+            }
+            Executor::Warden(iso) => {
+                let mut warden = match wardens.lock().pop().map(Ok).unwrap_or_else(|| Warden::new(iso.clone())) {
+                    Ok(w) => w,
+                    Err(e) => panic!("trial {trial}: warden setup failed: {e}"),
+                };
+                let record = match warden.run_trial(trial) {
+                    Ok(IsolatedTrial::Completed(record)) => *record,
+                    // The warden already emitted the diagnostic through
+                    // telemetry (`warden/quarantined`, `warden_quarantine`
+                    // event); here the death folds into the campaign as a
+                    // deterministic DUE record.
+                    Ok(IsolatedTrial::Quarantined { kind: due, .. }) => kind.synth_due(total_steps, trial, due),
+                    Err(e) => panic!("trial {trial}: warden infrastructure failed: {e}"),
+                };
                 wardens.lock().push(warden);
-                if let Some(k) = key(&record) {
-                    obs::incr(k, 1);
+                if let Some(key) = kind.outcome_key(&record) {
+                    obs::incr(key, 1);
                 }
-                *record
+                record
             }
-            Ok(IsolatedTrial::Quarantined { kind, .. }) => {
-                // The warden already emitted the diagnostic through telemetry
-                // (`warden/quarantined`, `warden_quarantine` event); here the
-                // death folds into the campaign as a deterministic DUE record.
-                wardens.lock().push(warden);
-                synth(trial, kind)
-            }
-            Err(e) => panic!("trial {trial}: warden infrastructure failed: {e}"),
-        }
-    })
-}
-
-/// Process-isolated version of [`run_campaign_stored`]: the opt-in
-/// `--isolate` backend. The calling binary must re-exec itself in worker
-/// mode (see [`crate::warden::worker_active`] / [`crate::warden::serve`])
-/// and execute trials by global index; this function supervises those
-/// workers and journals the results.
-///
-/// The journal metadata is identical to [`run_campaign_stored`]'s, so a
-/// campaign can be started in-process and resumed isolated (or vice versa),
-/// and for a fixed seed the non-DUE aggregate is bit-identical to the
-/// in-process run. `total_steps` is the victim's step count (the parent
-/// never builds a target, so it cannot probe it).
-pub fn run_campaign_isolated(
-    benchmark: &str,
-    total_steps: usize,
-    cfg: &CampaignConfig,
-    store_cfg: &StoreConfig,
-    iso: &IsolateConfig,
-) -> std::io::Result<StoredRun<Campaign>> {
-    assert!(!cfg.models.is_empty(), "campaign needs at least one fault model");
-    let total_steps = total_steps.max(1);
-    let wall = std::time::Instant::now();
-    let busy_ns = AtomicU64::new(0);
-
-    let meta = CampaignMeta {
-        kind: "inject".into(),
-        benchmark: benchmark.into(),
-        seed: cfg.seed,
-        trials: cfg.trials,
-        shards: store_cfg.shards,
-        n_windows: cfg.n_windows,
-        version: store::journal::FORMAT_VERSION,
+        })?
     };
-    let (writer, progress, prior) = open_journal(store_cfg, meta)?;
-    let plan = ShardPlan::new(cfg.trials, store_cfg.shards);
-    crate::monitor::begin_campaign(benchmark, "inject", &plan, &progress);
-    let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        cfg.workers
-    };
-
-    let run = drive_isolated(
-        plan,
-        &progress,
-        prior,
-        writer,
-        store_cfg,
-        workers,
-        &busy_ns,
-        iso,
-        |trial, kind| crate::campaign::synth_due_record(benchmark, cfg, total_steps, trial, kind),
-        |record| record.model.map(|m| outcome_key(m, &record.outcome)),
-    )?;
     Ok(match run {
         StoredRun::Paused { completed, total } => StoredRun::Paused { completed, total },
         StoredRun::Complete(records) => {
             crate::monitor::complete_campaign();
-            let report = report_for(benchmark, &records, workers, busy_ns.into_inner(), wall.elapsed().as_nanos() as u64);
-            StoredRun::Complete(Campaign { benchmark: benchmark.to_string(), records, report })
+            let fast = fast_compares.into_inner();
+            StoredRun::Complete(finish_campaign(kind, records, workers, busy_ns.into_inner(), wall, &pool, fast))
         }
     })
 }
@@ -531,7 +556,7 @@ pub fn run_campaign_isolated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::{execute_trial, run_campaign, CampaignConfig, Injection};
     use crate::target::{StepOutcome, VarClass, VarInfo, Variable};
 
     /// Tiny deterministic victim (mirror of the campaign-test victim).
@@ -618,7 +643,7 @@ mod tests {
         for shards in [1usize, 3, 7] {
             let mut sc = StoreConfig::new(tmp(&format!("shards-{shards}")));
             sc.shards = shards;
-            let stored = run_campaign_stored("victim", Victim::new, &g, &cfg, &sc).unwrap().expect_complete();
+            let stored = run_stored(&Injection::new("victim", &cfg), Victim::new, Executor::Pool(&g), &sc).unwrap().expect_complete();
             assert_same_records(&single.records, &stored.records);
             assert_eq!(single.report.outcomes, stored.report.outcomes);
         }
@@ -638,7 +663,7 @@ mod tests {
         let stored = loop {
             rounds += 1;
             assert!(rounds < 50, "campaign never completed");
-            match run_campaign_stored("victim", Victim::new, &g, &cfg, &sc).unwrap() {
+            match run_stored(&Injection::new("victim", &cfg), Victim::new, Executor::Pool(&g), &sc).unwrap() {
                 StoredRun::Complete(c) => break c,
                 StoredRun::Paused { completed, total } => {
                     assert!(completed < total as u64);
@@ -655,8 +680,8 @@ mod tests {
         let g = golden();
         let cfg = CampaignConfig { trials: 8, seed: 1, ..Default::default() };
         let sc = StoreConfig::new(tmp("refuse"));
-        run_campaign_stored("victim", Victim::new, &g, &cfg, &sc).unwrap().expect_complete();
-        let err = run_campaign_stored("victim", Victim::new, &g, &cfg, &sc).unwrap_err();
+        run_stored(&Injection::new("victim", &cfg), Victim::new, Executor::Pool(&g), &sc).unwrap().expect_complete();
+        let err = run_stored(&Injection::new("victim", &cfg), Victim::new, Executor::Pool(&g), &sc).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
         assert!(err.to_string().contains("--resume"), "{err}");
     }
@@ -666,10 +691,10 @@ mod tests {
         let g = golden();
         let cfg = CampaignConfig { trials: 8, seed: 1, ..Default::default() };
         let mut sc = StoreConfig::new(tmp("meta-mismatch"));
-        run_campaign_stored("victim", Victim::new, &g, &cfg, &sc).unwrap().expect_complete();
+        run_stored(&Injection::new("victim", &cfg), Victim::new, Executor::Pool(&g), &sc).unwrap().expect_complete();
         sc.resume = true;
         let other = CampaignConfig { trials: 8, seed: 2, ..Default::default() };
-        let err = run_campaign_stored("victim", Victim::new, &g, &other, &sc).unwrap_err();
+        let err = run_stored(&Injection::new("victim", &other), Victim::new, Executor::Pool(&g), &sc).unwrap_err();
         assert!(err.to_string().contains("different campaign"), "{err}");
     }
 
@@ -679,10 +704,10 @@ mod tests {
         let cfg = CampaignConfig { trials: 24, seed: 9, ..Default::default() };
         let mut sc = StoreConfig::new(tmp("noop-resume"));
         sc.shards = 3;
-        let first = run_campaign_stored("victim", Victim::new, &g, &cfg, &sc).unwrap().expect_complete();
+        let first = run_stored(&Injection::new("victim", &cfg), Victim::new, Executor::Pool(&g), &sc).unwrap().expect_complete();
         sc.resume = true;
         sc.budget = Some(0); // no execution allowed: everything must come from the journal
-        let second = run_campaign_stored("victim", Victim::new, &g, &cfg, &sc).unwrap().expect_complete();
+        let second = run_stored(&Injection::new("victim", &cfg), Victim::new, Executor::Pool(&g), &sc).unwrap().expect_complete();
         assert_same_records(&first.records, &second.records);
     }
 
@@ -805,7 +830,7 @@ mod tests {
         let reference = run_campaign("victim", Victim::new, &g, &cfg);
         let mut sc = StoreConfig::new(tmp("isolated-match"));
         sc.shards = 3;
-        let stored = run_campaign_isolated("victim", 8, &cfg, &sc, &iso_cfg("plain", &cfg)).unwrap().expect_complete();
+        let stored = run_stored(&Injection::new("victim", &cfg), Victim::new, Executor::Warden(&iso_cfg("plain", &cfg)), &sc).unwrap().expect_complete();
         assert_eq!(reference.records.len(), stored.records.len());
         for (a, b) in reference.records.iter().zip(&stored.records) {
             assert_eq!(
@@ -828,7 +853,7 @@ mod tests {
         sc.shards = 2;
         let mut iso = iso_cfg("abort-5+hang-9", &cfg);
         iso.trial_wall = std::time::Duration::from_millis(400);
-        let stored = run_campaign_isolated("victim", 8, &cfg, &sc, &iso).unwrap().expect_complete();
+        let stored = run_stored(&Injection::new("victim", &cfg), Victim::new, Executor::Warden(&iso), &sc).unwrap().expect_complete();
         assert_eq!(stored.records.len(), 12);
         assert_eq!(stored.records[5].outcome, OutcomeRecord::Due(DueKind::Signal { signo: 6 }), "SIGABRT victim");
         assert_eq!(stored.records[9].outcome, OutcomeRecord::Due(DueKind::Killed), "wall-clock-killed victim");

@@ -27,8 +27,8 @@
 //! a [`Runner`] the embedder provides (`bench::SpecRunner` in the real
 //! daemon), which keeps the scheduling/persistence layer testable with
 //! synthetic runners and keeps the byte-identity guarantee where it
-//! belongs: the runner reuses the exact `run_campaign_stored` /
-//! `drive_isolated` paths the figure binaries call, and slices are plain
+//! belongs: the runner reuses the exact campaign-engine path
+//! (`carolfi::run_stored`) the figure binaries call, and slices are plain
 //! store *budgets*, whose resume machinery is already pinned bit-identical
 //! for any interruption pattern.
 

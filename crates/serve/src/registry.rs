@@ -3,8 +3,9 @@
 //!
 //! On disk, each campaign owns `<root>/<id>/` with `spec.json` (the
 //! submitted spec, verbatim), `journal/` (the phi-store journal the runner
-//! appends to), `result.json` (the final result document, written
-//! atomically on completion) and a `cancelled` marker. Restarting the
+//! appends to), `result.json` (the final result document, written on
+//! completion) and a `cancelled` marker. The registry's own three files are
+//! written durably (tmp file, fsync, rename, directory fsync). Restarting the
 //! daemon on the same root rebuilds the registry from this layout:
 //! finished campaigns report their persisted results, cancelled ones stay
 //! cancelled, everything else re-queues and resumes from its journal — so
@@ -28,7 +29,7 @@
 use crate::proto::CampaignStatus;
 use crate::{Runner, SliceRun, SpecInfo};
 use std::collections::{BTreeMap, VecDeque};
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -77,6 +78,9 @@ struct RegState {
     queue: VecDeque<String>,
     /// The fair-share ring: campaigns taking scheduling turns.
     ring: VecDeque<String>,
+    /// Admitted campaigns whose spec is still being persisted; they count
+    /// against the queue cap.
+    admitting: usize,
 }
 
 /// One scheduling turn handed to the scheduler thread.
@@ -103,8 +107,13 @@ impl Registry {
     /// campaign rather than poisoning startup.
     pub fn open(root: &Path, max_active: usize, max_queue: usize, runner: &dyn Runner) -> io::Result<Registry> {
         std::fs::create_dir_all(root)?;
-        let mut state =
-            RegState { next_id: 1, entries: BTreeMap::new(), queue: VecDeque::new(), ring: VecDeque::new() };
+        let mut state = RegState {
+            next_id: 1,
+            entries: BTreeMap::new(),
+            queue: VecDeque::new(),
+            ring: VecDeque::new(),
+            admitting: 0,
+        };
         let mut ids: Vec<String> = std::fs::read_dir(root)?
             .filter_map(|e| e.ok())
             .filter(|e| e.path().join("spec.json").is_file())
@@ -186,15 +195,26 @@ impl Registry {
         if self.shutdown.load(Ordering::SeqCst) {
             return Err("daemon is shutting down".into());
         }
-        let mut st = self.lock();
-        if st.queue.len() >= self.max_queue {
-            return Err(format!("admission queue is full ({} campaigns waiting)", st.queue.len()));
-        }
-        let id = format!("c{:04}", st.next_id);
-        st.next_id += 1;
+        let id = {
+            let mut st = self.lock();
+            let waiting = st.queue.len() + st.admitting;
+            if waiting >= self.max_queue {
+                return Err(format!("admission queue is full ({waiting} campaigns waiting)"));
+            }
+            st.admitting += 1;
+            st.next_id += 1;
+            format!("c{:04}", st.next_id - 1)
+        };
+        // The spec is durable before its id is handed out, but its fsyncs
+        // run outside the state lock: the scheduler never waits on them.
         let dir = self.root.join(&id);
-        std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        std::fs::write(dir.join("spec.json"), &spec).map_err(|e| format!("persist spec for {id}: {e}"))?;
+        let persisted = match std::fs::create_dir_all(&dir) {
+            Err(e) => Err(format!("create {}: {e}", dir.display())),
+            Ok(()) => write_durable(&dir, "spec.json", spec.as_bytes()).map_err(|e| format!("persist spec for {id}: {e}")),
+        };
+        let mut st = self.lock();
+        st.admitting -= 1;
+        persisted?;
         st.entries.insert(
             id.clone(),
             Entry {
@@ -250,6 +270,16 @@ impl Registry {
     /// campaign to the back of the ring, retires a finished/failed one,
     /// honours a cancel requested mid-slice. Returns the resulting state.
     pub fn slice_done(&self, id: &str, outcome: io::Result<SliceRun>) -> CampaignState {
+        // Persist a result before exposing it — a client told "done" must be
+        // able to fetch it from a freshly restarted daemon — and outside the
+        // state lock, so no client or submit waits on its fsyncs.
+        let outcome = outcome.and_then(|run| match run {
+            SliceRun::Complete { result } => match self.persist_result(id, &result) {
+                Ok(()) => Ok(SliceRun::Complete { result }),
+                Err(err) => Err(io::Error::new(err.kind(), format!("persist result: {err}"))),
+            },
+            paused => Ok(paused),
+        });
         let mut guard = self.lock();
         let st = &mut *guard;
         let Some(e) = st.entries.get_mut(id) else { return CampaignState::Failed };
@@ -264,19 +294,9 @@ impl Registry {
                 e.state
             }
             Ok(SliceRun::Complete { result }) => {
-                // Persist before exposing: a client told "done" must be able
-                // to fetch the result from a freshly restarted daemon.
-                match self.persist_result(id, &result) {
-                    Ok(()) => {
-                        e.completed = e.info.total;
-                        e.result = Some(result);
-                        e.state = CampaignState::Done;
-                    }
-                    Err(err) => {
-                        e.error = format!("persist result: {err}");
-                        e.state = CampaignState::Failed;
-                    }
-                }
+                e.completed = e.info.total;
+                e.result = Some(result);
+                e.state = CampaignState::Done;
                 e.state
             }
             Err(err) => {
@@ -358,18 +378,33 @@ impl Registry {
     }
 
     /// Transitions an entry to `cancelled` and persists the marker. Caller
-    /// holds the state lock and has removed the id from queue/ring.
+    /// holds the state lock and has removed the id from queue/ring. A
+    /// marker that fails to persist leaves the cancel in force for this
+    /// daemon, but a restart would re-queue the campaign: the failure goes
+    /// into the campaign's `error` so `phi-cli status` shows it.
     fn finish_cancel(&self, e: &mut Entry, id: &str) {
         e.state = CampaignState::Cancelled;
-        let _ = std::fs::write(self.root.join(id).join("cancelled"), b"cancelled by client\n");
+        if let Err(err) = write_durable(&self.root.join(id), "cancelled", b"cancelled by client\n") {
+            e.error = format!("persist cancelled marker: {err}");
+        }
     }
 
     fn persist_result(&self, id: &str, result: &str) -> io::Result<()> {
-        let dir = self.root.join(id);
-        let tmp = dir.join("result.json.tmp");
-        std::fs::write(&tmp, result)?;
-        std::fs::rename(&tmp, dir.join("result.json"))
+        write_durable(&self.root.join(id), "result.json", result.as_bytes())
     }
+}
+
+/// Writes `dir/name` durably: `<name>.tmp`, fsync, rename over `name`, fsync
+/// `dir`. A crash leaves either the old file or the whole new one, and once
+/// this returns the file survives power loss.
+fn write_durable(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, dir.join(name))?;
+    std::fs::File::open(dir)?.sync_all()
 }
 
 fn status_of(id: &str, e: &Entry) -> CampaignStatus {

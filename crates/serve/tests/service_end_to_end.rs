@@ -178,6 +178,25 @@ fn cancel_of_a_queued_campaign_is_immediate_and_durable() {
     assert_eq!(reopened.status(&id).expect("status").state, "cancelled");
 }
 
+/// A cancel whose durable marker cannot be written still cancels, but says
+/// so in the campaign's status instead of failing silently: a restart would
+/// otherwise re-queue a campaign its client saw cancelled.
+#[test]
+fn a_failed_cancel_marker_write_shows_in_the_status() {
+    let dir = test_dir("registry-cancel-marker");
+    let root = dir.join("root");
+    let runner = TestRunner::default();
+    let reg = Registry::open(&root, 1, 64, &runner).expect("open");
+    let raw = spec("a", 10, 0);
+    let info = runner.validate(&raw).unwrap();
+    let id = reg.submit(raw, info).expect("submit");
+    // A directory where the marker file goes makes its rename fail.
+    std::fs::create_dir_all(root.join(&id).join("cancelled")).expect("block the marker path");
+    let status = reg.cancel(&id).expect("cancel");
+    assert_eq!(status.state, "cancelled");
+    assert!(status.error.contains("cancelled marker"), "status must name the failed marker write: {status:?}");
+}
+
 // ---------------------------------------------------------------- service
 
 /// The ISSUE's integration scenario: submit over the socket, disconnect

@@ -35,6 +35,7 @@
 //! counters.
 
 use crate::crc32;
+use crate::shard::ShardProgress;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, Write};
@@ -255,6 +256,44 @@ fn scan_segment(bytes: &[u8]) -> (Vec<JournalEntry>, usize) {
         }
     }
     (entries, valid_end)
+}
+
+/// Opens the journal of campaign `meta` in `dir` — the one way every
+/// campaign runner (engine, adaptive runner, distributed coordinator and
+/// executors) gets at its journal. A missing journal is created; an
+/// existing one is continued only with `resume`, and only when it holds the
+/// same campaign: merging two campaigns' records would be silent
+/// corruption. Returns the writer (under the default [`BatchPolicy`]), the
+/// shard progress replayed over `meta.shards`, and the surviving entries.
+pub fn open_campaign(
+    dir: &Path,
+    meta: &CampaignMeta,
+    resume: bool,
+) -> std::io::Result<(JournalWriter, ShardProgress, Vec<JournalEntry>)> {
+    let (writer, entries) = if Journal::exists(dir) {
+        if !resume {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::AlreadyExists,
+                format!("journal already exists at {} (pass --resume to continue it)", dir.display()),
+            ));
+        }
+        let (writer, scan) = JournalWriter::resume(dir)?;
+        match &scan.meta {
+            Some(m) if m == meta => {}
+            Some(m) => {
+                return Err(corrupt(format!(
+                    "journal at {} belongs to a different campaign (journal: {m:?}, requested: {meta:?})",
+                    dir.display()
+                )))
+            }
+            None => return Err(corrupt(format!("journal at {} has no meta entry", dir.display()))),
+        }
+        (writer, scan.entries)
+    } else {
+        (JournalWriter::create(dir, meta.clone())?, Vec::new())
+    };
+    let progress = ShardProgress::replay(meta.shards, &entries)?;
+    Ok((writer, progress, entries))
 }
 
 impl Journal {

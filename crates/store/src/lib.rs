@@ -17,8 +17,8 @@
 //!   bit-identical to the single-shot run (trials keep their global index,
 //!   which is also their RNG stream id).
 //! * [`queue`] — a work-queue scheduler (crossbeam channel over scoped worker
-//!   threads) with cooperative stop, used by the `carolfi`/`beamsim`
-//!   orchestrators to drain shard tasks.
+//!   threads) with cooperative stop, used by the `carolfi` campaign engine
+//!   to drain shard tasks.
 //!
 //! Layering: `phi-store` sits below the campaign crates. Trial payloads are
 //! opaque pre-serialized JSON strings — nothing in here knows what a trial
@@ -32,8 +32,9 @@ pub mod queue;
 pub mod shard;
 
 pub use journal::{
-    decode_record, encode_record, is_transient, retry_transient, transient_backoff, BatchPolicy, CampaignMeta, Journal,
-    JournalEntry, JournalScan, JournalWriter, ShardCursor, ADAPTIVE_FORMAT_VERSION, MAX_TRANSIENT_RETRIES,
+    decode_record, encode_record, is_transient, open_campaign, retry_transient, transient_backoff, BatchPolicy,
+    CampaignMeta, Journal, JournalEntry, JournalScan, JournalWriter, ShardCursor, ADAPTIVE_FORMAT_VERSION,
+    MAX_TRANSIENT_RETRIES,
 };
 pub use ledger::{LeaseState, LedgerEntry, LedgerScan, LedgerWriter, LEDGER_FILE};
 pub use merge::{Importer, Offer};

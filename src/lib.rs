@@ -15,8 +15,8 @@
 //! * [`mitigation`] — ABFT, residue checking, duplication-with-comparison,
 //!   parity and checkpointing cost models.
 //! * [`store`] — durable campaign store: crash-safe journal, deterministic
-//!   sharding and resumable orchestration (used via
-//!   `carolfi::run_campaign_stored` / `beamsim::run_beam_campaign_stored`).
+//!   sharding and resumable orchestration (used via the campaign engine,
+//!   `carolfi::run_stored`, for injection and beam campaigns alike).
 //! * [`obs`] — zero-dependency telemetry: counters, span histograms and the
 //!   cross-process metrics hub behind `--telemetry` / `--monitor`.
 

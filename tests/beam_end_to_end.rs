@@ -1,10 +1,15 @@
 //! End-to-end integration tests for the beam-experiment pipeline:
-//! device model → strike effects → kernels → FIT/spatial analysis.
+//! device model → strike effects → kernels → FIT/spatial analysis, and the
+//! beam kind on the campaign engine's stored, resumed and isolated
+//! backends.
 
-use phi_reliability::beamsim::{campaign::engine_for, run_beam_campaign, BeamCampaign, BeamConfig};
+use phi_reliability::beamsim::campaign::{engine_for, mca_from_records};
+use phi_reliability::beamsim::{run_beam_campaign, BeamCampaign, BeamConfig, Strikes};
+use phi_reliability::carolfi::{run_stored, Executor, FaultTarget, IsolateConfig, StoreConfig, StoredRun, TrialKind};
 use phi_reliability::kernels::{build, golden, Benchmark, SizeClass};
 use phi_reliability::sdc_analysis::spatial::{self, SpatialPattern};
 use phi_reliability::sdc_analysis::tolerance::{paper_tolerances, ToleranceCurve};
+use std::path::PathBuf;
 
 fn mini_beam(b: Benchmark, strikes: usize, seed: u64) -> BeamCampaign {
     let g = golden(b, SizeClass::Test);
@@ -110,4 +115,128 @@ fn ecc_off_ablation_raises_the_error_rate() {
         off.error_rate_per_strike(),
         on.error_rate_per_strike()
     );
+}
+
+fn tmp(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/test-beam-e2e").join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn sharded_beam_campaign_matches_single_shot_including_mca() {
+    let b = Benchmark::Dgemm;
+    let g = golden(b, SizeClass::Test);
+    let cfg = BeamConfig { strikes: 240, seed: 11, n_windows: b.n_windows(), ..Default::default() };
+    let single = run_beam_campaign(b.label(), || build(b, SizeClass::Test), &g, &cfg);
+
+    let mut sc = StoreConfig::new(tmp("shards-5"));
+    sc.shards = 5;
+    let stored = run_stored(&Strikes::new(b.label(), &cfg), || build(b, SizeClass::Test), Executor::Pool(&g), &sc)
+        .unwrap()
+        .expect_complete();
+    assert_eq!(single.records.len(), stored.records.len());
+    for (x, y) in single.records.iter().zip(&stored.records) {
+        assert_eq!(x.trial, y.trial);
+        assert_eq!(x.mechanism, y.mechanism);
+        assert_eq!(x.outcome, y.outcome);
+    }
+    assert_eq!(single.mca.events(), stored.mca.events(), "MCA log must survive the journal round-trip");
+    assert_eq!(single.report.outcomes, stored.report.outcomes);
+}
+
+#[test]
+fn interrupted_beam_campaign_resumes_bit_identically() {
+    let b = Benchmark::Nw;
+    let g = golden(b, SizeClass::Test);
+    let cfg = BeamConfig { strikes: 150, seed: 3, n_windows: b.n_windows(), ..Default::default() };
+    let uninterrupted = run_beam_campaign(b.label(), || build(b, SizeClass::Test), &g, &cfg);
+
+    let mut sc = StoreConfig::new(tmp("interrupt"));
+    sc.shards = 3;
+    sc.checkpoint_every = 10;
+    sc.budget = Some(40);
+    let mut rounds = 0;
+    let stored = loop {
+        rounds += 1;
+        assert!(rounds < 30, "campaign never completed");
+        match run_stored(&Strikes::new(b.label(), &cfg), || build(b, SizeClass::Test), Executor::Pool(&g), &sc).unwrap() {
+            StoredRun::Complete(c) => break c,
+            StoredRun::Paused { .. } => sc.resume = true,
+        }
+    };
+    assert!(rounds > 1, "budget of 40/150 should pause at least once");
+    assert_eq!(uninterrupted.records.len(), stored.records.len());
+    for (x, y) in uninterrupted.records.iter().zip(&stored.records) {
+        assert_eq!(x.mechanism, y.mechanism);
+        assert_eq!(x.inject_step, y.inject_step);
+        assert_eq!(x.outcome, y.outcome);
+    }
+    assert_eq!(uninterrupted.mca.events(), stored.mca.events());
+}
+
+/// Worker entry for the isolated beam test below: when spawned by a warden
+/// (socket env set) it serves real strike-executions by global index,
+/// aborting on the scripted strike; as an ordinary test run it is a no-op.
+/// Spec format: `<mode>,<seed>,<strikes>`.
+#[test]
+fn beam_isolated_worker_entry() {
+    let Some(spec) = phi_reliability::carolfi::warden::worker_spec() else { return };
+    let mut parts = spec.split(',');
+    let mode = parts.next().unwrap().to_string();
+    let seed: u64 = parts.next().unwrap().parse().unwrap();
+    let strikes: usize = parts.next().unwrap().parse().unwrap();
+    let b = Benchmark::Dgemm;
+    let cfg = BeamConfig { strikes, seed, n_windows: b.n_windows(), ..Default::default() };
+    let g = golden(b, SizeClass::Test);
+    let factory = || build(b, SizeClass::Test);
+    let probe = factory();
+    let total_steps = probe.total_steps().max(1);
+    let pool = phi_reliability::carolfi::TargetPool::new(&factory);
+    pool.seed(probe);
+    let abort_on: Option<usize> = mode.strip_prefix("abort-").map(|n| n.parse().unwrap());
+    let kind = Strikes::new(b.label(), &cfg);
+    let result = phi_reliability::carolfi::warden::serve(|strike, attempt| {
+        if abort_on == Some(strike) {
+            std::process::abort();
+        }
+        kind.run(&pool, &g, total_steps, strike, attempt, false).0
+    });
+    std::process::exit(if result.is_ok() { 0 } else { 1 });
+}
+
+#[test]
+fn isolated_beam_campaign_matches_in_process_and_quarantines_deaths() {
+    use phi_reliability::carolfi::record::{DueKind, OutcomeRecord};
+    let b = Benchmark::Dgemm;
+    let g = golden(b, SizeClass::Test);
+    let cfg = BeamConfig { strikes: 60, seed: 11, workers: 2, n_windows: b.n_windows(), ..Default::default() };
+    let reference = run_beam_campaign(b.label(), || build(b, SizeClass::Test), &g, &cfg);
+
+    let mut sc = StoreConfig::new(tmp("isolated"));
+    sc.shards = 2;
+    let mut iso = IsolateConfig::new(
+        std::env::current_exe().expect("test binary path"),
+        vec!["beam_isolated_worker_entry".into(), "--exact".into(), "--test-threads=1".into(), "--nocapture".into()],
+        format!("abort-7,{},{}", cfg.seed, cfg.strikes),
+    );
+    iso.backoff_base = std::time::Duration::from_millis(1);
+    iso.backoff_cap = std::time::Duration::from_millis(10);
+
+    let stored = run_stored(&Strikes::new(b.label(), &cfg), || build(b, SizeClass::Test), Executor::Warden(&iso), &sc)
+        .unwrap()
+        .expect_complete();
+    assert_eq!(stored.records.len(), cfg.strikes);
+    assert_eq!(stored.records[7].outcome, OutcomeRecord::Due(DueKind::Signal { signo: 6 }), "SIGABRT strike");
+    for (x, y) in reference.records.iter().zip(&stored.records) {
+        assert_eq!(x.trial, y.trial);
+        assert_eq!(x.mechanism, y.mechanism, "strike identity is deterministic even for quarantined strikes");
+        assert_eq!(x.inject_step, y.inject_step);
+        if x.trial != 7 {
+            assert_eq!(x.outcome, y.outcome, "strike {}", x.trial);
+        }
+    }
+    // MCA reconstruction rests only on mechanism labels, which survive
+    // quarantine, so it must match the in-process log.
+    assert_eq!(stored.mca.events(), mca_from_records(&cfg.engine, &reference.records).events());
 }

@@ -13,7 +13,8 @@
 
 use phi_reliability::carolfi::campaign::execute_trial;
 use phi_reliability::carolfi::{
-    run_campaign, run_campaign_isolated, CampaignConfig, FaultTarget, IsolateConfig, Output, StoreConfig, TrialRecord,
+    run_campaign, run_stored, CampaignConfig, Executor, FaultTarget, Injection, IsolateConfig, Output, StoreConfig,
+    TrialRecord,
 };
 use phi_reliability::kernels::{build, golden, Benchmark, SizeClass};
 use proptest::prelude::*;
@@ -100,8 +101,7 @@ fn isolated_campaigns_are_bit_identical_to_in_process() {
         );
         iso.backoff_base = std::time::Duration::from_millis(1);
         iso.backoff_cap = std::time::Duration::from_millis(10);
-        let total_steps = build(b, SizeClass::Test).total_steps().max(1);
-        let isolated = run_campaign_isolated(b.label(), total_steps, &cfg, &sc, &iso)
+        let isolated = run_stored(&Injection::new(b.label(), &cfg), || build(b, SizeClass::Test), Executor::Warden(&iso), &sc)
             .expect("isolated campaign runs")
             .expect_complete();
         assert_eq!(to_json(&in_process.records), to_json(&isolated.records), "{b}: process isolation changed the records");

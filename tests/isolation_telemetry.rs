@@ -13,7 +13,9 @@
 use phi_reliability::carolfi::campaign::{execute_trial_attempt, outcome_key};
 use phi_reliability::carolfi::monitor::{MonitorRequest, StatusSnapshot};
 use phi_reliability::carolfi::warden::{read_frame_blocking, write_frame};
-use phi_reliability::carolfi::{run_campaign, run_campaign_isolated, CampaignConfig, IsolateConfig, StoreConfig};
+use phi_reliability::carolfi::{
+    run_campaign, run_stored, CampaignConfig, Executor, Injection, IsolateConfig, StoreConfig, StoredRun,
+};
 use phi_reliability::kernels::{build, golden, Benchmark, SizeClass};
 use phi_reliability::obs;
 use std::collections::BTreeMap;
@@ -56,6 +58,12 @@ fn iso_cfg(mode: &str) -> IsolateConfig {
 fn fresh_metrics() {
     obs::install(Arc::new(obs::CounterRecorder::new()));
     obs::hub().clear();
+}
+
+/// Runs the reference campaign under the warden executor.
+fn isolated(sc: &StoreConfig, mode: &str) -> std::io::Result<StoredRun<phi_reliability::carolfi::Campaign>> {
+    let cfg = cfg();
+    run_stored(&Injection::new(BENCH.label(), &cfg), || build(BENCH, SizeClass::Test), Executor::Warden(&iso_cfg(mode)), sc)
 }
 
 /// The outcome-class counters (`*/masked|hw-masked|sdc|due`) of a snapshot.
@@ -112,8 +120,7 @@ fn isolated_workers_relay_metrics_into_the_supervisor_hub() {
     fresh_metrics();
     let mut sc = StoreConfig::new(tmp("relay").join("journal"));
     sc.shards = 3;
-    let total_steps = build(BENCH, SizeClass::Test).total_steps().max(1);
-    let stored = run_campaign_isolated(BENCH.label(), total_steps, &cfg(), &sc, &iso_cfg("plain"))
+    let stored = isolated(&sc, "plain")
         .expect("isolated campaign")
         .expect_complete();
     assert_eq!(stored.records.len(), TRIALS);
@@ -156,8 +163,7 @@ fn warden_retries_do_not_double_count_outcomes() {
     // winning record is counted exactly once where it is journaled.
     let mut sc = StoreConfig::new(tmp("retry").join("journal"));
     sc.shards = 2;
-    let total_steps = build(BENCH, SizeClass::Test).total_steps().max(1);
-    let stored = run_campaign_isolated(BENCH.label(), total_steps, &cfg(), &sc, &iso_cfg("abort-once-7"))
+    let stored = isolated(&sc, "abort-once-7")
         .expect("isolated campaign with scripted abort")
         .expect_complete();
     assert_eq!(stored.records.len(), TRIALS);
@@ -204,8 +210,7 @@ fn monitor_endpoint_and_heartbeat_report_live_progress() {
 
     let mut sc = StoreConfig::new(dir.join("journal"));
     sc.shards = 3;
-    let total_steps = build(BENCH, SizeClass::Test).total_steps().max(1);
-    let stored = run_campaign_isolated(BENCH.label(), total_steps, &cfg(), &sc, &iso_cfg("plain"))
+    let stored = isolated(&sc, "plain")
         .expect("isolated campaign")
         .expect_complete();
     assert_eq!(stored.records.len(), TRIALS);

@@ -5,8 +5,9 @@
 
 use phi_reliability::carolfi::campaign::execute_trial;
 use phi_reliability::carolfi::record::TrialRecord;
+use phi_reliability::carolfi::Output;
 use phi_reliability::carolfi::{
-    run_campaign, run_campaign_isolated, run_campaign_stored, CampaignConfig, FaultTarget, IsolateConfig, StoreConfig,
+    run_campaign, run_stored, Campaign, CampaignConfig, Executor, FaultTarget, Injection, IsolateConfig, StoreConfig,
     StoredRun,
 };
 use phi_reliability::kernels::{build, golden, Benchmark, SizeClass};
@@ -30,6 +31,11 @@ fn assert_same_records(a: &[TrialRecord], b: &[TrialRecord]) {
     }
 }
 
+/// Runs `cfg` on `b` through the engine's pool executor.
+fn stored(b: Benchmark, g: &Output, cfg: &CampaignConfig, sc: &StoreConfig) -> std::io::Result<StoredRun<Campaign>> {
+    run_stored(&Injection::new(b.label(), cfg), || build(b, SizeClass::Test), Executor::Pool(g), sc)
+}
+
 #[test]
 fn sharded_campaign_equals_single_shot_for_any_shard_count() {
     let b = Benchmark::Hotspot;
@@ -40,7 +46,7 @@ fn sharded_campaign_equals_single_shot_for_any_shard_count() {
     for shards in [1usize, 4, 7] {
         let mut sc = StoreConfig::new(tmp(&format!("shards-{shards}")));
         sc.shards = shards;
-        let stored = run_campaign_stored(b.label(), || build(b, SizeClass::Test), &g, &cfg, &sc)
+        let stored = stored(b, &g, &cfg, &sc)
             .unwrap()
             .expect_complete();
         assert_same_records(&single.records, &stored.records);
@@ -65,7 +71,7 @@ fn interrupted_campaign_resumes_to_the_uninterrupted_aggregate() {
     let stored = loop {
         rounds += 1;
         assert!(rounds < 20, "campaign never completed");
-        match run_campaign_stored(b.label(), || build(b, SizeClass::Test), &g, &cfg, &sc).unwrap() {
+        match stored(b, &g, &cfg, &sc).unwrap() {
             StoredRun::Complete(c) => break c,
             StoredRun::Paused { completed, total } => {
                 assert!(completed < total as u64);
@@ -86,7 +92,7 @@ fn resuming_a_complete_campaign_reruns_nothing() {
 
     let mut sc = StoreConfig::new(dir.clone());
     sc.shards = 5;
-    let first = run_campaign_stored(b.label(), || build(b, SizeClass::Test), &g, &cfg, &sc)
+    let first = stored(b, &g, &cfg, &sc)
         .unwrap()
         .expect_complete();
 
@@ -97,7 +103,7 @@ fn resuming_a_complete_campaign_reruns_nothing() {
     // A resume of a finished store must replay from the journal without
     // executing (or re-journaling) a single trial.
     sc.resume = true;
-    let second = run_campaign_stored(b.label(), || build(b, SizeClass::Test), &g, &cfg, &sc)
+    let second = stored(b, &g, &cfg, &sc)
         .unwrap()
         .expect_complete();
     assert_same_records(&first.records, &second.records);
@@ -139,6 +145,12 @@ fn kr_iso() -> IsolateConfig {
     iso
 }
 
+/// Runs the kill-resume campaign through the engine's warden executor.
+fn kr_isolated(sc: &StoreConfig) -> std::io::Result<StoredRun<Campaign>> {
+    let cfg = kr_cfg();
+    run_stored(&Injection::new(KR_BENCH.label(), &cfg), || build(KR_BENCH, SizeClass::Test), Executor::Warden(&kr_iso()), sc)
+}
+
 /// Warden worker: serves paced kernel trials (no-op in an ordinary run).
 #[test]
 fn kill_resume_worker_entry() {
@@ -165,8 +177,7 @@ fn kill_resume_child_entry() {
     let mut sc = StoreConfig::new(PathBuf::from(dir));
     sc.shards = 2;
     sc.checkpoint_every = 4;
-    let total_steps = build(KR_BENCH, SizeClass::Test).total_steps().max(1);
-    run_campaign_isolated(KR_BENCH.label(), total_steps, &kr_cfg(), &sc, &kr_iso()).expect("child campaign");
+    kr_isolated(&sc).expect("child campaign");
 }
 
 #[test]
@@ -212,8 +223,7 @@ fn sigkilled_isolated_campaign_resumes_bit_identically() {
     sc.shards = 2;
     sc.checkpoint_every = 4;
     sc.resume = true;
-    let total_steps = build(KR_BENCH, SizeClass::Test).total_steps().max(1);
-    let resumed = run_campaign_isolated(KR_BENCH.label(), total_steps, &kr_cfg(), &sc, &kr_iso())
+    let resumed = kr_isolated(&sc)
         .expect("resume after SIGKILL")
         .expect_complete();
     assert_eq!(uninterrupted.records.len(), resumed.records.len());
@@ -234,15 +244,15 @@ fn opening_an_existing_store_without_resume_is_refused() {
     let cfg = CampaignConfig { trials: 10, seed: 3, n_windows: b.n_windows(), ..Default::default() };
     let mut sc = StoreConfig::new(tmp("no-clobber"));
     sc.shards = 2;
-    run_campaign_stored(b.label(), || build(b, SizeClass::Test), &g, &cfg, &sc).unwrap().expect_complete();
+    stored(b, &g, &cfg, &sc).unwrap().expect_complete();
 
-    let err = run_campaign_stored(b.label(), || build(b, SizeClass::Test), &g, &cfg, &sc).unwrap_err();
+    let err = stored(b, &g, &cfg, &sc).unwrap_err();
     assert!(err.to_string().contains("--resume"), "error should point at --resume: {err}");
 
     // And a resume under a different campaign identity is refused too —
     // merging two campaigns' records would be silent corruption.
     sc.resume = true;
     let other = CampaignConfig { trials: 10, seed: 4, n_windows: b.n_windows(), ..Default::default() };
-    let err = run_campaign_stored(b.label(), || build(b, SizeClass::Test), &g, &other, &sc).unwrap_err();
+    let err = stored(b, &g, &other, &sc).unwrap_err();
     assert!(err.to_string().contains("different campaign"), "{err}");
 }

@@ -31,14 +31,19 @@ use beamsim::{BeamCampaign, BeamConfig, Strikes};
 use carolfi::models::FaultModel;
 use carolfi::orchestrator::{StoreConfig, StoredRun};
 use carolfi::record::TrialRecord;
-use carolfi::{run_campaign_adaptive, run_stored, CampaignConfig, Executor, Injection, IsolateConfig, TargetPool, TrialKind};
+use carolfi::{
+    open_adaptive, open_stored, AdaptiveCampaign, CampaignConfig, Executor, FaultTarget, Injection, IsolateConfig, Output,
+    StoredCampaign, TargetPool, TrialKind,
+};
 use kernels::{build, golden, Benchmark, SizeClass};
 use sdc_analysis::planner::{CiMethod, WilsonPlanner, DEFAULT_BATCH};
 use sdc_analysis::pvf::{by_model, PvfKind};
 use serde::__private::{as_map, field, field_content, to_content, Content, ContentError, FromContent};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
 /// The two campaign families a spec can describe. Serializes to the
 /// original wire strings (`"inject"` / `"beam"`), so the enum is invisible
@@ -394,8 +399,8 @@ impl ParsedSpec {
     }
 
     /// Store configuration rooted at `dir`. `resume`/`budget` vary per
-    /// invocation (a daemon slice is resume-if-journal-exists plus a slice
-    /// budget; a figure binary passes its `--resume`/`--budget` flags).
+    /// invocation (a daemon slice opens with resume-if-journal-exists; a
+    /// figure binary passes its `--resume`/`--budget` flags).
     pub fn store_config(&self, dir: &Path, resume: bool, budget: Option<usize>) -> StoreConfig {
         let mut sc = StoreConfig::new(dir.to_path_buf());
         sc.shards = self.spec.shards;
@@ -443,19 +448,14 @@ impl ParsedSpec {
         }
     }
 
-    /// Runs this campaign of `kind` through the engine, on the executor the
-    /// spec's `isolate` field picks.
-    fn run_engine<K: TrialKind>(&self, kind: &K, sc: &StoreConfig) -> io::Result<StoredRun<K::Campaign>> {
-        let (b, size) = (self.benchmark, self.size);
-        let (iso, golden);
-        let executor = if self.spec.isolate {
-            iso = self.isolate_config()?;
-            Executor::Warden(&iso)
+    /// The executor the spec's `isolate` field picks: warden workers, or
+    /// pooled targets classified against the golden output.
+    fn executor(&self) -> io::Result<OwnedExecutor> {
+        Ok(if self.spec.isolate {
+            OwnedExecutor::Warden(self.isolate_config()?)
         } else {
-            golden = golden_output(b, size);
-            Executor::Pool(&golden)
-        };
-        run_stored(kind, || build(b, size), executor, sc)
+            OwnedExecutor::Pool(golden_output(self.benchmark, self.size))
+        })
     }
 }
 
@@ -476,48 +476,127 @@ fn spec_run<C>(run: StoredRun<C>, complete: impl FnOnce(C) -> SpecRun) -> SpecRu
 
 /// Executes a spec against `dir` — the one entry point every caller
 /// (figure binaries, daemon slices) shares: adaptive specs run under the
-/// planner, every other spec through the campaign engine.
+/// planner, every other spec through the campaign engine. Opens the
+/// campaign (creating its journal, or with `resume` continuing it) and
+/// advances it once by `budget` trials.
 pub fn run_spec(p: &ParsedSpec, dir: &Path, resume: bool, budget: Option<usize>) -> io::Result<SpecRun> {
-    let sc = p.store_config(dir, resume, budget);
-    let label = p.benchmark.label();
-    Ok(match (&p.spec.plan, p.spec.kind) {
-        (Some(plan), _) => spec_run(run_adaptive(p, plan, &sc)?, |c| SpecRun::Inject(c.records)),
-        (None, CampaignKind::Inject) => {
-            spec_run(p.run_engine(&Injection::new(label, &p.campaign_config()), &sc)?, |c| SpecRun::Inject(c.records))
-        }
-        (None, CampaignKind::Beam) => spec_run(p.run_engine(&Strikes::new(label, &p.beam_config()), &sc)?, SpecRun::Beam),
-    })
+    OpenSpec::open(p, dir, resume)?.advance(budget)
 }
 
-/// Runs an adaptive (version-2 `plan`) injection spec under the
-/// [`WilsonPlanner`].
-fn run_adaptive(p: &ParsedSpec, plan: &PlanSpec, sc: &StoreConfig) -> io::Result<StoredRun<carolfi::Campaign>> {
-    let (b, size, label) = (p.benchmark, p.size, p.benchmark.label());
-    let ccfg = p.campaign_config();
-    let total_steps = build(b, size).total_steps().max(1);
-    let mut planner = WilsonPlanner::for_injection(&ccfg, total_steps, plan.ci, plan.batch).with_method(plan.method);
-    let g = golden_output(b, size);
-    let run = run_campaign_adaptive(label, || build(b, size), &g, &ccfg, sc, &mut planner)?;
-    if let StoredRun::Complete(c) = &run {
-        // One stderr line per completed adaptive campaign so humans (and
-        // ./ci) can read the early-stopping verdict without parsing the
-        // result document.
-        let r = &c.report;
-        if r.strata_open == 0 {
-            eprintln!(
-                "{label}: adaptive planner closed every stratum at ci <= {} after {} of {} trials",
-                plan.ci,
-                c.records.len(),
-                p.spec.trials
-            );
-        } else {
-            eprintln!(
-                "{label}: adaptive planner exhausted its horizon with {}/{} strata open (widest ci {:.4})",
-                r.strata_open, r.strata_total, r.widest_ci
-            );
+/// What [`OpenSpec`] holds for an executor: the golden output or the
+/// isolation settings an [`Executor`] borrows.
+enum OwnedExecutor {
+    Pool(Output),
+    Warden(IsolateConfig),
+}
+
+impl OwnedExecutor {
+    fn borrow(&self) -> Executor<'_> {
+        match self {
+            OwnedExecutor::Pool(golden) => Executor::Pool(golden),
+            OwnedExecutor::Warden(iso) => Executor::Warden(iso),
         }
     }
-    Ok(run)
+}
+
+/// Victim factory of an open campaign: the target pool owns it, so it has
+/// to be nameable.
+type Factory = Box<dyn Fn() -> Box<dyn FaultTarget> + Send + Sync>;
+
+fn factory(b: Benchmark, size: SizeClass) -> Factory {
+    Box::new(move || build(b, size))
+}
+
+/// A spec's campaign, open against its journal directory: the engine's or
+/// the adaptive runner's open campaign plus everything its trial kind
+/// borrows. [`run_spec`] opens one and advances it once; the daemon keeps
+/// one open between the slices of a campaign.
+struct OpenSpec {
+    label: &'static str,
+    campaign: OpenCampaign,
+}
+
+enum OpenCampaign {
+    Inject { cfg: CampaignConfig, executor: OwnedExecutor, open: StoredCampaign<Box<dyn FaultTarget>, Factory> },
+    Beam { cfg: BeamConfig, executor: OwnedExecutor, open: StoredCampaign<Box<dyn FaultTarget>, Factory> },
+    Adaptive {
+        cfg: CampaignConfig,
+        ci: f64,
+        golden: Output,
+        planner: WilsonPlanner,
+        open: AdaptiveCampaign<Box<dyn FaultTarget>, Factory>,
+    },
+}
+
+impl OpenSpec {
+    fn open(p: &ParsedSpec, dir: &Path, resume: bool) -> io::Result<OpenSpec> {
+        let sc = p.store_config(dir, resume, None);
+        let (b, size, label) = (p.benchmark, p.size, p.benchmark.label());
+        let campaign = match (&p.spec.plan, p.spec.kind) {
+            (Some(plan), _) => {
+                let cfg = p.campaign_config();
+                let total_steps = build(b, size).total_steps().max(1);
+                let mut planner = WilsonPlanner::for_injection(&cfg, total_steps, plan.ci, plan.batch).with_method(plan.method);
+                let golden = golden_output(b, size);
+                let open = open_adaptive(&Injection::new(label, &cfg), factory(b, size), &sc, &mut planner)?;
+                OpenCampaign::Adaptive { cfg, ci: plan.ci, golden, planner, open }
+            }
+            (None, CampaignKind::Inject) => {
+                let (cfg, executor) = (p.campaign_config(), p.executor()?);
+                let open = open_stored(&Injection::new(label, &cfg), factory(b, size), executor.borrow(), &sc)?;
+                OpenCampaign::Inject { cfg, executor, open }
+            }
+            (None, CampaignKind::Beam) => {
+                let (cfg, executor) = (p.beam_config(), p.executor()?);
+                let open = open_stored(&Strikes::new(label, &cfg), factory(b, size), executor.borrow(), &sc)?;
+                OpenCampaign::Beam { cfg, executor, open }
+            }
+        };
+        Ok(OpenSpec { label, campaign })
+    }
+
+    /// True while the journal on disk is exactly what this campaign wrote.
+    fn is_current(&self) -> bool {
+        match &self.campaign {
+            OpenCampaign::Inject { open, .. } | OpenCampaign::Beam { open, .. } => open.is_current(),
+            OpenCampaign::Adaptive { open, .. } => open.is_current(),
+        }
+    }
+
+    /// Runs up to `budget` more trials (`None` = to completion).
+    fn advance(&mut self, budget: Option<usize>) -> io::Result<SpecRun> {
+        let label = self.label;
+        Ok(match &mut self.campaign {
+            OpenCampaign::Inject { cfg, executor, open } => {
+                spec_run(open.advance(&Injection::new(label, cfg), executor.borrow(), budget)?, |c| SpecRun::Inject(c.records))
+            }
+            OpenCampaign::Beam { cfg, executor, open } => {
+                spec_run(open.advance(&Strikes::new(label, cfg), executor.borrow(), budget)?, SpecRun::Beam)
+            }
+            OpenCampaign::Adaptive { cfg, ci, golden, planner, open } => {
+                let run = open.advance(&Injection::new(label, cfg), golden, planner, budget)?;
+                if let StoredRun::Complete(c) = &run {
+                    // One stderr line per completed adaptive campaign so
+                    // humans (and ./ci) can read the early-stopping verdict
+                    // without parsing the result document.
+                    let r = &c.report;
+                    if r.strata_open == 0 {
+                        eprintln!(
+                            "{label}: adaptive planner closed every stratum at ci <= {ci} after {} of {} trials",
+                            c.records.len(),
+                            cfg.trials
+                        );
+                    } else {
+                        eprintln!(
+                            "{label}: adaptive planner exhausted its horizon with {}/{} strata open (widest ci {:.4})",
+                            r.strata_open, r.strata_total, r.widest_ci
+                        );
+                    }
+                }
+                spec_run(run, |c| SpecRun::Inject(c.records))
+            }
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -707,9 +786,36 @@ pub fn render_result(dir: &Path, tolerance: f64) -> io::Result<String> {
 // ---------------------------------------------------------------------------
 // The daemon's runner.
 
+/// A campaign the daemon keeps open between its slices, with the spec text
+/// it was opened for.
+struct Session {
+    spec: String,
+    open: OpenSpec,
+}
+
+/// Open campaigns by journal directory. Process-global because the runner
+/// is a unit struct its embedders construct afresh for every call; the
+/// scheduler bounds it to the campaigns in its ring.
+static SESSIONS: Mutex<BTreeMap<PathBuf, Session>> = Mutex::new(BTreeMap::new());
+
+fn sessions() -> MutexGuard<'static, BTreeMap<PathBuf, Session>> {
+    SESSIONS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// [`serve::Runner`] over real campaigns: validates specs with
-/// [`parse_spec`] and executes slices through [`run_spec`] — the same
-/// code path as the figure binaries, which is the byte-identity guarantee.
+/// [`parse_spec`] and executes slices through the same open and advance
+/// steps as [`run_spec`] — the code path of the figure binaries, which is
+/// the byte-identity guarantee.
+///
+/// A campaign stays open between its slices, so a slice costs in
+/// proportion to its own trials: it continues from the open journal
+/// writer, records, golden output, warm target pool and planner instead of
+/// rescanning the journal. A slice continues a session only when the
+/// newest journal segment on disk is exactly what the session wrote; it
+/// reopens from disk otherwise (the first slice after a daemon start, or a
+/// journal changed underneath). A session ends when its campaign completes
+/// or a slice fails, and [`serve::Runner::retire`] ends it when the
+/// campaign leaves the ring unfinished.
 pub struct SpecRunner;
 
 impl serve::Runner for SpecRunner {
@@ -724,31 +830,27 @@ impl serve::Runner for SpecRunner {
 
     fn run_slice(&self, spec: &str, journal: &Path, budget: usize) -> io::Result<serve::SliceRun> {
         let p = parse_spec(spec).map_err(io::Error::other)?;
-        let resume = store::Journal::exists(journal);
+        let session = sessions().remove(journal);
+        let mut open = match session.filter(|s| s.spec == spec && s.open.is_current()) {
+            Some(session) => session.open,
+            None => OpenSpec::open(&p, journal, store::Journal::exists(journal))?,
+        };
         let version = p.result_version();
-        match run_spec(&p, journal, resume, Some(budget))? {
-            SpecRun::Paused { completed, .. } => Ok(serve::SliceRun::Paused { completed }),
-            SpecRun::Inject(records) => Ok(serve::SliceRun::Complete {
-                result: spec_result(
-                    CampaignKind::Inject,
-                    version,
-                    &p.spec.benchmark,
-                    p.spec.seed,
-                    p.spec.tolerance,
-                    &records,
-                ),
-            }),
-            SpecRun::Beam(campaign) => Ok(serve::SliceRun::Complete {
-                result: spec_result(
-                    CampaignKind::Beam,
-                    version,
-                    &p.spec.benchmark,
-                    p.spec.seed,
-                    p.spec.tolerance,
-                    &campaign.records,
-                ),
-            }),
-        }
+        let records = match open.advance(Some(budget))? {
+            SpecRun::Paused { completed, .. } => {
+                sessions().insert(journal.to_path_buf(), Session { spec: spec.to_string(), open });
+                return Ok(serve::SliceRun::Paused { completed });
+            }
+            SpecRun::Inject(records) => records,
+            SpecRun::Beam(campaign) => campaign.records,
+        };
+        Ok(serve::SliceRun::Complete {
+            result: spec_result(p.spec.kind, version, &p.spec.benchmark, p.spec.seed, p.spec.tolerance, &records),
+        })
+    }
+
+    fn retire(&self, journal: &Path) {
+        sessions().remove(journal);
     }
 }
 
@@ -889,6 +991,54 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("expected \"inject\" or \"beam\""), "{err}");
         assert!(err.contains("laser"), "{err}");
+    }
+
+    #[test]
+    fn campaigns_leaving_the_ring_unfinished_leave_no_session() {
+        use serve::Runner as _;
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/test-bench-sessions");
+        let _ = std::fs::remove_dir_all(&dir);
+        let has_session = |journal: &Path| sessions().contains_key(journal);
+        let mut spec = v1_spec();
+        spec.trials = 20_000;
+        let raw = serde_json::to_string(&spec).unwrap();
+
+        // A paused slice keeps its campaign open; retiring it ends that.
+        let journal = dir.join("direct");
+        assert_eq!(SpecRunner.run_slice(&raw, &journal, 4).unwrap(), serve::SliceRun::Paused { completed: 4 });
+        assert!(has_session(&journal));
+        SpecRunner.retire(&journal);
+        assert!(!has_session(&journal));
+
+        let mut cfg = serve::ServeConfig::new(dir.join("sock"), dir.join("root"));
+        cfg.max_active = 1;
+        cfg.slice = 8;
+        let server = serve::Server::start(cfg, std::sync::Arc::new(SpecRunner), std::sync::Arc::new(serve::EventBus::new()))
+            .unwrap();
+        let reg = server.registry();
+        let submit = || reg.submit(raw.clone(), SpecRunner.validate(&raw).unwrap()).unwrap();
+        let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+            while !cond() {
+                assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+        };
+
+        // Cancelled between slices.
+        let cancelled = submit();
+        wait_for("a first slice", &|| reg.status(&cancelled).unwrap().completed > 0);
+        reg.cancel(&cancelled);
+        wait_for("the cancel", &|| reg.status(&cancelled).unwrap().state == "cancelled");
+        assert!(reg.status(&cancelled).unwrap().completed < 20_000);
+        assert!(!has_session(&reg.journal_dir(&cancelled)));
+
+        // Left unfinished by a stop.
+        let stopped = submit();
+        wait_for("a first slice", &|| reg.status(&stopped).unwrap().completed > 0);
+        server.stop();
+        assert!(reg.status(&stopped).unwrap().completed < 20_000);
+        assert!(!has_session(&reg.journal_dir(&stopped)));
     }
 
     #[test]

@@ -9,7 +9,8 @@ use bench::{
     render_result, run_spec, spec_result, validate_spec, CampaignKind, CampaignSpec, PlanSpec, SpecRun, SpecRunner,
 };
 use serve::proto::{roundtrip, ClientRequest, ServerReply};
-use serve::{EventBus, ServeConfig, Server};
+use serve::{EventBus, Runner, ServeConfig, Server, SliceRun};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -118,6 +119,37 @@ fn daemon_campaign_is_byte_identical_to_a_direct_run() {
     let persisted = std::fs::read_to_string(server.root().join(&id).join("result.json")).expect("result.json");
     assert_eq!(persisted, daemon_result);
     server.stop();
+}
+
+/// The daemon keeps a campaign open between slices only while its journal
+/// is exactly what the open campaign wrote. A fragment appended to the
+/// newest segment behind its back makes the next slice reopen from disk,
+/// whose scan drops the torn tail; a session that trusted itself would
+/// append after the fragment, and the journal would no longer read as
+/// complete, so the journal is checked and not only the result document.
+#[test]
+fn a_journal_changed_under_an_open_campaign_is_reopened_from_disk() {
+    let dir = test_dir("stale-session");
+    let spec = spec(CampaignKind::Inject, "nw", 24, 91);
+    let direct_dir = dir.join("direct");
+    let direct_result = direct_run(&spec, &direct_dir);
+
+    let raw = serde_json::to_string(&spec).expect("serialize spec");
+    let journal = dir.join("daemon");
+    assert_eq!(SpecRunner.run_slice(&raw, &journal, 7).expect("first slice"), SliceRun::Paused { completed: 7 });
+    let mut newest = std::fs::OpenOptions::new().append(true).open(journal.join("seg-00000.jsonl")).expect("segment");
+    newest.write_all(b"0badc0de {\"Trial\":{\"shard\":0,").expect("append a torn line");
+    drop(newest);
+
+    let daemon_result = loop {
+        match SpecRunner.run_slice(&raw, &journal, 7).expect("slice") {
+            SliceRun::Paused { .. } => continue,
+            SliceRun::Complete { result } => break result,
+        }
+    };
+    assert_eq!(daemon_result, direct_result, "result document diverged from the direct run");
+    assert_eq!(render_result(&journal, 0.0).expect("render daemon journal"), direct_result);
+    assert_eq!(record_bytes(&journal), record_bytes(&direct_dir), "journal records diverged");
 }
 
 /// Two campaigns of different kinds submitted concurrently both complete,

@@ -19,14 +19,19 @@
 //! journal and result, because resume re-derives every decision from the
 //! replayed planner and cross-checks it against the journaled
 //! [`JournalEntry::Plan`] records before continuing.
+//!
+//! Like the engine's stored runner, an adaptive campaign is opened once
+//! ([`open_adaptive`]) and advanced by budgets
+//! ([`AdaptiveCampaign::advance`]); a caller that keeps it open between
+//! advances skips the journal rescan and the planner replay.
 
 use crate::campaign::{Campaign, CampaignConfig, Injection};
 use crate::monitor::PlannerStatus;
-use crate::orchestrator::{finish_campaign, panic_message, run_slots, worker_threads, StoreConfig, StoredRun, TrialKind};
+use crate::orchestrator::{panic_message, run_slots, worker_threads, StoreConfig, StoredRun, TrialKind, Victims};
 use crate::output::Output;
 use crate::record::TrialRecord;
 use crate::target::FaultTarget;
-use store::{CampaignMeta, JournalEntry, ShardCursor, ShardPlan, ShardProgress};
+use store::{CampaignMeta, JournalEntry, JournalWriter, ShardCursor, ShardPlan, ShardProgress, ShardState};
 
 /// One allocation decision: the batch of trial indices the planner wants
 /// executed next, plus the gauges that justified the pick (journaled for
@@ -165,21 +170,219 @@ fn replay_decisions(
     Ok(pending)
 }
 
-/// Planner-driven counterpart of the engine's [`crate::run_stored`].
-///
-/// Each loop turn asks `planner` for a batch, journals the decision as a
-/// [`JournalEntry::Plan`], executes the batch on the worker pool, journals
-/// the records *in decision order* (worker scheduling never leaks into the
-/// journal), feeds them back through [`AllocationPlanner::observe`], and
-/// checkpoints. The campaign completes when the planner returns `None` —
-/// usually well short of the `cfg.trials` horizon.
-///
-/// `store_cfg.budget` pauses at batch granularity: a batch that starts
-/// before the budget runs out finishes (bounded overshoot of one batch), so
-/// pauses always land on a checkpointed batch boundary. A resumed run
-/// replays the planner against the journal — validating every journaled
-/// decision — and then continues as if never interrupted: the completed
-/// journal and the result are byte-identical for any interruption pattern.
+/// An adaptive campaign between invocations: its journal writer, the
+/// records in execution order, a batch an interrupted run left in flight,
+/// and its victim side, with the warm target pool. [`open_adaptive`] is the
+/// open step and [`AdaptiveCampaign::advance`] the advance step;
+/// [`run_campaign_adaptive`] is one of each. The planner lives with the
+/// caller, which hands the same one to both steps.
+pub struct AdaptiveCampaign<T, F: Fn() -> T> {
+    /// `None` once the journal is closed: at completion, or after a failed
+    /// advance.
+    writer: Option<JournalWriter>,
+    records: Vec<TrialRecord>,
+    pending: Option<(PlanDecision, usize)>,
+    sealed: bool,
+    victims: Victims<T, F>,
+}
+
+/// Opens an adaptive campaign of `kind`, journaled under `store_cfg`:
+/// creates its version-2 journal, or with `store_cfg.resume` continues an
+/// existing one — parsing its records and replaying every journaled
+/// decision through `planner`, which must be freshly constructed.
+pub fn open_adaptive<T, F>(
+    kind: &Injection<'_>,
+    factory: F,
+    store_cfg: &StoreConfig,
+    planner: &mut dyn AllocationPlanner,
+) -> std::io::Result<AdaptiveCampaign<T, F>>
+where
+    T: FaultTarget,
+    F: Fn() -> T + Sync,
+{
+    let victims = Victims::new(factory, true, worker_threads(kind.workers()));
+    // Adaptive campaigns are always single-shard; the shard machinery still
+    // validates the gapless execution sequence and checkpoint consistency.
+    let meta = CampaignMeta { version: store::journal::ADAPTIVE_FORMAT_VERSION, ..kind.meta(1) };
+    let (mut writer, progress, entries) = store::open_campaign(&store_cfg.dir, &meta, store_cfg.resume)?;
+    writer.batch = store_cfg.batch;
+    let sealed = progress.all_done();
+    let (plans, records) = journaled_decisions(&entries, &progress)?;
+    let pending = replay_decisions(planner, &plans, &records)?;
+    if sealed && pending.is_some() {
+        return Err(invalid("sealed adaptive journal ends mid-batch".into()));
+    }
+    Ok(AdaptiveCampaign { writer: Some(writer), records, pending, sealed, victims })
+}
+
+impl<T: FaultTarget, F: Fn() -> T + Sync> AdaptiveCampaign<T, F> {
+    /// True while the journal on disk is exactly what this campaign wrote;
+    /// a caller holding it between invocations reopens from disk otherwise.
+    pub fn is_current(&self) -> bool {
+        self.writer.as_ref().is_some_and(JournalWriter::is_current)
+    }
+
+    /// Planner-driven counterpart of the engine's advance step.
+    ///
+    /// Each loop turn asks `planner` for a batch, journals the decision as a
+    /// [`JournalEntry::Plan`], executes the batch on the worker pool,
+    /// journals the records *in decision order* (worker scheduling never
+    /// leaks into the journal), feeds them back through
+    /// [`AllocationPlanner::observe`], and checkpoints. The campaign
+    /// completes when the planner returns `None` — usually well short of the
+    /// `cfg.trials` horizon.
+    ///
+    /// `budget` pauses at batch granularity: a batch that starts before the
+    /// budget runs out finishes (bounded overshoot of one batch), so pauses
+    /// always land on a checkpointed, fsynced batch boundary. The next
+    /// advance — on this campaign, or on one reopened from disk with a
+    /// freshly replayed planner — continues as if never interrupted: the
+    /// completed journal and the result are byte-identical for any
+    /// interruption pattern. After an error, or once complete, the campaign
+    /// is closed: reopen it from disk.
+    pub fn advance(
+        &mut self,
+        kind: &Injection<'_>,
+        golden: &Output,
+        planner: &mut dyn AllocationPlanner,
+        budget: Option<usize>,
+    ) -> std::io::Result<StoredRun<Campaign>> {
+        let _quiet = crate::panic_guard::silence_panics();
+        let mut writer = self.writer.take().ok_or_else(|| std::io::Error::other("journal is closed"))?;
+        let meta = kind.meta(1);
+        let progress = ShardProgress {
+            shards: vec![ShardState { completed: self.records.len() as u64, done: self.sealed, payloads: Vec::new() }],
+        };
+        crate::monitor::begin_campaign(&meta.benchmark, &meta.kind, &ShardPlan::new(meta.trials, 1), &progress);
+        crate::monitor::planner_update(planner.gauges());
+
+        let (pool, total_steps) = (&self.victims.pool, self.victims.total_steps);
+        let complete = self.sealed || {
+            let mut spent = 0usize;
+            loop {
+                let (decision, done_in_batch) = match self.pending.take() {
+                    // An in-flight journaled batch is finished unconditionally
+                    // (its Plan entry is already durable).
+                    Some(p) => p,
+                    None => {
+                        if budget.is_some_and(|b| spent >= b) {
+                            break false;
+                        }
+                        match planner.next_batch() {
+                            None => break true,
+                            Some(decision) => {
+                                let entry = JournalEntry::Plan {
+                                    batch: decision.batch,
+                                    stratum: decision.stratum.clone(),
+                                    widest_ci: decision.widest_ci,
+                                    trials: decision.trials.clone(),
+                                };
+                                store::retry_transient(|| writer.append(&entry))?;
+                                obs::incr("planner/batches", 1);
+                                if obs::enabled() {
+                                    obs::event(
+                                        "plan",
+                                        &format!(
+                                            "{{\"batch\":{},\"stratum\":{:?},\"widest_ci\":{},\"strata_open\":{},\"trials\":{}}}",
+                                            decision.batch,
+                                            decision.stratum,
+                                            decision.widest_ci,
+                                            decision.strata_open,
+                                            decision.trials.len()
+                                        ),
+                                    );
+                                }
+                                (decision, 0)
+                            }
+                        }
+                    }
+                };
+
+                // Execute the batch's remaining trials in parallel. Results
+                // land in per-trial slots so the journal below sees decision
+                // order, whatever the worker interleaving was. Same
+                // harness-panic containment as the sharded driver: a poisoned
+                // trial must not take down the batch before its predecessors
+                // are journaled.
+                let todo = &decision.trials[done_in_batch..];
+                let (slots, batch_busy) = run_slots(todo.len(), self.victims.workers, |i| {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        kind.run(pool, golden, total_steps, todo[i], 0, true)
+                    }))
+                    .map_err(|payload| {
+                        obs::incr("shard/panicked", 1);
+                        panic_message(payload.as_ref())
+                    })
+                });
+                self.victims.busy_ns += batch_busy;
+
+                // Journal in decision order, stopping at the first panicked
+                // trial: the durable prefix stays a valid campaign prefix and
+                // a resume re-runs the batch tail.
+                for (k, slot) in slots.into_iter().enumerate() {
+                    let (record, fast) = match slot {
+                        Ok(out) => out,
+                        Err(msg) => {
+                            store::retry_transient(|| writer.sync())?;
+                            return Err(std::io::Error::other(format!(
+                                "harness panic: trial {}: {msg} (journal is resumable)",
+                                todo[k]
+                            )));
+                        }
+                    };
+                    self.victims.fast_compares += fast as u64;
+                    let payload = serde_json::to_string(&record)
+                        .map_err(|e| std::io::Error::other(format!("trial {}: serialize failed: {e}", record.trial)))?;
+                    obs::incr("store/trials", 1);
+                    let seq = self.records.len() as u64;
+                    store::retry_transient(|| {
+                        writer.append(&JournalEntry::Trial { shard: 0, seq, payload: payload.clone() })
+                    })?;
+                    crate::monitor::tick(0);
+                    planner.observe(&record);
+                    self.records.push(record);
+                    spent += 1;
+                }
+
+                let executed = self.records.len() as u64;
+                let cursor = ShardCursor { shard: 0, completed: executed, next_stream: executed };
+                store::retry_transient(|| {
+                    writer.append(&JournalEntry::Checkpoint(cursor))?;
+                    writer.sync()
+                })?;
+                crate::monitor::planner_update(planner.gauges());
+            }
+        };
+
+        if !complete {
+            writer.sync()?;
+            self.writer = Some(writer);
+            return Ok(StoredRun::Paused { completed: self.records.len() as u64, total: meta.trials });
+        }
+        if !self.sealed {
+            store::retry_transient(|| {
+                writer.append(&JournalEntry::ShardDone { shard: 0 })?;
+                writer.sync()
+            })?;
+            obs::incr("shard/completed", 1);
+            crate::monitor::shard_sealed(0);
+        }
+        writer.close()?;
+        crate::monitor::complete_campaign();
+        let gauges = planner.gauges();
+        let mut campaign = self.victims.finish(kind, std::mem::take(&mut self.records));
+        campaign.report.strata_total = gauges.strata_total as usize;
+        campaign.report.strata_open = gauges.strata_open as usize;
+        campaign.report.widest_ci = gauges.widest_ci;
+        Ok(StoredRun::Complete(campaign))
+    }
+}
+
+/// Planner-driven counterpart of the engine's [`crate::run_stored`]:
+/// [`open_adaptive`] plus one [`AdaptiveCampaign::advance`] of
+/// `store_cfg.budget` trials. A resumed run replays the planner against the
+/// journal — validating every journaled decision — and then continues as
+/// if never interrupted.
 pub fn run_campaign_adaptive<T, F>(
     benchmark: &str,
     factory: F,
@@ -193,147 +396,5 @@ where
     F: Fn() -> T + Sync,
 {
     let kind = Injection::new(benchmark, cfg);
-    let _quiet = crate::panic_guard::silence_panics();
-    let probe = factory();
-    let total_steps = probe.total_steps().max(1);
-    let pool = crate::pool::TargetPool::new(&factory);
-    pool.seed(probe);
-    let mut fast_compares = 0u64;
-    let wall = std::time::Instant::now();
-    let mut busy_ns = 0u64;
-
-    // Adaptive campaigns are always single-shard; the shard machinery still
-    // validates the gapless execution sequence and checkpoint consistency.
-    let meta = CampaignMeta { version: store::journal::ADAPTIVE_FORMAT_VERSION, ..kind.meta(1) };
-    let (mut writer, progress, entries) = store::open_campaign(&store_cfg.dir, &meta, store_cfg.resume)?;
-    writer.batch = store_cfg.batch;
-    let sealed = progress.all_done();
-    let (plans, mut records) = journaled_decisions(&entries, &progress)?;
-    crate::monitor::begin_campaign(benchmark, "inject", &ShardPlan::new(cfg.trials, 1), &progress);
-    let mut pending = replay_decisions(planner, &plans, &records)?;
-    crate::monitor::planner_update(planner.gauges());
-
-    let workers = worker_threads(cfg.workers);
-
-    let complete = if sealed {
-        if pending.is_some() {
-            return Err(invalid("sealed adaptive journal ends mid-batch".into()));
-        }
-        true
-    } else {
-        let mut executed = records.len();
-        let mut spent = 0usize;
-        loop {
-            let (decision, done_in_batch) = match pending.take() {
-                // An in-flight journaled batch is finished unconditionally
-                // (its Plan entry is already durable).
-                Some(p) => p,
-                None => {
-                    if store_cfg.budget.is_some_and(|b| spent >= b) {
-                        break false;
-                    }
-                    match planner.next_batch() {
-                        None => break true,
-                        Some(decision) => {
-                            let entry = JournalEntry::Plan {
-                                batch: decision.batch,
-                                stratum: decision.stratum.clone(),
-                                widest_ci: decision.widest_ci,
-                                trials: decision.trials.clone(),
-                            };
-                            store::retry_transient(|| writer.append(&entry))?;
-                            obs::incr("planner/batches", 1);
-                            if obs::enabled() {
-                                obs::event(
-                                    "plan",
-                                    &format!(
-                                        "{{\"batch\":{},\"stratum\":{:?},\"widest_ci\":{},\"strata_open\":{},\"trials\":{}}}",
-                                        decision.batch,
-                                        decision.stratum,
-                                        decision.widest_ci,
-                                        decision.strata_open,
-                                        decision.trials.len()
-                                    ),
-                                );
-                            }
-                            (decision, 0)
-                        }
-                    }
-                }
-            };
-
-            // Execute the batch's remaining trials in parallel. Results land
-            // in per-trial slots so the journal below sees decision order,
-            // whatever the worker interleaving was. Same harness-panic
-            // containment as the sharded driver: a poisoned trial must not
-            // take down the batch before its predecessors are journaled.
-            let todo = &decision.trials[done_in_batch..];
-            let (slots, batch_busy) = run_slots(todo.len(), workers, |i| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    kind.run(&pool, golden, total_steps, todo[i], 0, true)
-                }))
-                .map_err(|payload| {
-                    obs::incr("shard/panicked", 1);
-                    panic_message(payload.as_ref())
-                })
-            });
-            busy_ns += batch_busy;
-
-            // Journal in decision order, stopping at the first panicked
-            // trial: the durable prefix stays a valid campaign prefix and a
-            // resume re-runs the batch tail.
-            for (k, slot) in slots.into_iter().enumerate() {
-                let (record, fast) = match slot {
-                    Ok(out) => out,
-                    Err(msg) => {
-                        store::retry_transient(|| writer.sync())?;
-                        return Err(std::io::Error::other(format!(
-                            "harness panic: trial {}: {msg} (journal is resumable)",
-                            todo[k]
-                        )));
-                    }
-                };
-                fast_compares += fast as u64;
-                let payload = serde_json::to_string(&record)
-                    .map_err(|e| std::io::Error::other(format!("trial {}: serialize failed: {e}", record.trial)))?;
-                obs::incr("store/trials", 1);
-                store::retry_transient(|| {
-                    writer.append(&JournalEntry::Trial { shard: 0, seq: executed as u64, payload: payload.clone() })
-                })?;
-                crate::monitor::tick(0);
-                planner.observe(&record);
-                records.push(record);
-                executed += 1;
-                spent += 1;
-            }
-
-            let cursor = ShardCursor { shard: 0, completed: executed as u64, next_stream: executed as u64 };
-            store::retry_transient(|| {
-                writer.append(&JournalEntry::Checkpoint(cursor))?;
-                writer.sync()
-            })?;
-            crate::monitor::planner_update(planner.gauges());
-        }
-    };
-
-    if !complete {
-        writer.close()?;
-        return Ok(StoredRun::Paused { completed: records.len() as u64, total: cfg.trials });
-    }
-    if !sealed {
-        store::retry_transient(|| {
-            writer.append(&JournalEntry::ShardDone { shard: 0 })?;
-            writer.sync()
-        })?;
-        obs::incr("shard/completed", 1);
-        crate::monitor::shard_sealed(0);
-    }
-    writer.close()?;
-    crate::monitor::complete_campaign();
-    let gauges = planner.gauges();
-    let mut campaign = finish_campaign(&kind, records, workers, busy_ns, wall, &pool, fast_compares);
-    campaign.report.strata_total = gauges.strata_total as usize;
-    campaign.report.strata_open = gauges.strata_open as usize;
-    campaign.report.widest_ci = gauges.widest_ci;
-    Ok(StoredRun::Complete(campaign))
+    open_adaptive(&kind, factory, store_cfg, planner)?.advance(&kind, golden, planner, store_cfg.budget)
 }

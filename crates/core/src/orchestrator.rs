@@ -21,6 +21,12 @@
 //! are validated gapless on every open). Both executors write the same
 //! journal, so a campaign started in-process can resume isolated and vice
 //! versa.
+//!
+//! A stored campaign is opened once ([`open_stored`]: create or resume the
+//! journal, parse its records) and advanced by budgets
+//! ([`StoredCampaign::advance`]); `run_stored` is one of each. A caller that
+//! keeps the campaign open between advances skips the journal rescan, and
+//! writes exactly the bytes a reopen before every advance would.
 
 use crate::output::Output;
 use crate::pool::TargetPool;
@@ -28,7 +34,7 @@ use crate::record::{DueKind, TrialRecord};
 use crate::target::FaultTarget;
 use crate::warden::{IsolateConfig, IsolatedTrial, Warden};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 use store::{CampaignMeta, JournalEntry, JournalWriter, ShardCursor, ShardPlan, ShardProgress, StopFlag};
 
@@ -189,22 +195,42 @@ pub(crate) fn run_slots<R: Send>(n: usize, workers: usize, run: impl Fn(usize) -
     (results, busy_ns.into_inner())
 }
 
-/// The finish step every runner shares: the kind's report plus the pool
-/// and fast-path gauges, wrapped into the campaign.
-pub(crate) fn finish_campaign<K: TrialKind, T: FaultTarget, F: Fn() -> T>(
-    kind: &K,
-    records: Vec<TrialRecord>,
-    workers: usize,
-    busy_ns: u64,
+/// The victim side every runner shares: the target pool, the victim's step
+/// count, and the tallies the campaign report needs.
+pub(crate) struct Victims<T, F: Fn() -> T> {
+    pub(crate) pool: TargetPool<T, F>,
+    pub(crate) total_steps: usize,
+    pub(crate) workers: usize,
+    /// Time spent inside trials, summed over workers.
+    pub(crate) busy_ns: u64,
+    /// Trials the bitwise fast-path compare alone classified.
+    pub(crate) fast_compares: u64,
     wall: Instant,
-    pool: &TargetPool<T, F>,
-    fast_compares: u64,
-) -> K::Campaign {
-    let mut report = kind.report(&records, workers, busy_ns, wall.elapsed().as_nanos() as u64);
-    report.pool_hits = pool.hits();
-    report.pool_rebuilds = pool.rebuilds();
-    report.fast_path_compares = fast_compares;
-    kind.finish(records, report)
+}
+
+impl<T: FaultTarget, F: Fn() -> T> Victims<T, F> {
+    /// Builds one victim to read the step count; with `pooled` it becomes
+    /// the pool's first idle target (the warden executor needs only the
+    /// count).
+    pub(crate) fn new(factory: F, pooled: bool, workers: usize) -> Self {
+        let probe = factory();
+        let total_steps = probe.total_steps().max(1);
+        let pool = TargetPool::new(factory);
+        if pooled {
+            pool.seed(probe);
+        }
+        Victims { pool, total_steps, workers, busy_ns: 0, fast_compares: 0, wall: Instant::now() }
+    }
+
+    /// The finish step every runner shares: the kind's report plus the pool
+    /// and fast-path gauges, wrapped into the campaign.
+    pub(crate) fn finish<K: TrialKind>(&self, kind: &K, records: Vec<TrialRecord>) -> K::Campaign {
+        let mut report = kind.report(&records, self.workers, self.busy_ns, self.wall.elapsed().as_nanos() as u64);
+        report.pool_hits = self.pool.hits();
+        report.pool_rebuilds = self.pool.rebuilds();
+        report.fast_path_compares = self.fast_compares;
+        kind.finish(records, report)
+    }
 }
 
 /// Runs a whole campaign in memory on pooled targets built by `factory`.
@@ -222,41 +248,51 @@ where
     F: Fn() -> T + Sync,
 {
     let _quiet = crate::panic_guard::silence_panics();
-    let probe = factory();
-    let total_steps = probe.total_steps().max(1);
-    let pool = TargetPool::new(&factory);
-    pool.seed(probe);
-    let wall = Instant::now();
     let trials = kind.meta(1).trials;
-    let workers = worker_threads(kind.workers()).min(trials.max(1));
-    let (slots, busy_ns) = run_slots(trials, workers, |trial| kind.run(&pool, golden, total_steps, trial, 0, true));
-    let fast = slots.iter().filter(|(_, fast)| *fast).count() as u64;
+    let mut victims = Victims::new(factory, true, worker_threads(kind.workers()).min(trials.max(1)));
+    let (pool, total_steps) = (&victims.pool, victims.total_steps);
+    let (slots, busy_ns) = run_slots(trials, victims.workers, |trial| kind.run(pool, golden, total_steps, trial, 0, true));
+    victims.busy_ns = busy_ns;
+    victims.fast_compares = slots.iter().filter(|(_, fast)| *fast).count() as u64;
     let records = slots.into_iter().map(|(record, _)| record).collect();
-    finish_campaign(kind, records, workers, busy_ns, wall, &pool, fast)
+    victims.finish(kind, records)
 }
 
 fn invalid(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
+/// A stored campaign's journal, open for appending: the writer positioned
+/// after the last durable record, the per-shard progress, and every shard's
+/// parsed records. [`open_journal`] builds it; [`drive_shards`] advances it,
+/// as many times as the campaign needs.
+pub(crate) struct OpenJournal {
+    meta: CampaignMeta,
+    plan: ShardPlan,
+    /// Shard cursors and seals; the raw payloads are dropped once parsed.
+    progress: ShardProgress,
+    records: Vec<Vec<TrialRecord>>,
+    /// `None` once the journal is closed: at completion, or after a failed
+    /// drive.
+    writer: Option<JournalWriter>,
+    checkpoint_every: u64,
+}
+
 /// Opens (or creates) the journal for `meta`, replays shard progress and
 /// parses the surviving trial payloads, checking each one sits at its
 /// shard's range position.
-pub fn open_journal(
-    store_cfg: &StoreConfig,
-    meta: CampaignMeta,
-) -> std::io::Result<(JournalWriter, ShardProgress, Vec<Vec<TrialRecord>>)> {
-    let (mut writer, progress, _) = store::open_campaign(&store_cfg.dir, &meta, store_cfg.resume)?;
+pub(crate) fn open_journal(store_cfg: &StoreConfig, meta: CampaignMeta) -> std::io::Result<OpenJournal> {
+    let (mut writer, mut progress, _) = store::open_campaign(&store_cfg.dir, &meta, store_cfg.resume)?;
     writer.batch = store_cfg.batch;
     let plan = ShardPlan::new(meta.trials, meta.shards);
-    let mut prior: Vec<Vec<TrialRecord>> = Vec::with_capacity(meta.shards);
-    for (shard, state) in progress.shards.iter().enumerate() {
+    let mut records: Vec<Vec<TrialRecord>> = Vec::with_capacity(meta.shards);
+    for (shard, state) in progress.shards.iter_mut().enumerate() {
         let range = plan.range(shard);
         if state.completed as usize > range.len() {
             return Err(invalid(format!("shard {shard}: journal has {} trials, plan allows {}", state.completed, range.len())));
         }
-        let mut records = Vec::with_capacity(state.payloads.len());
-        for (seq, payload) in state.payloads.iter().enumerate() {
+        let mut parsed = Vec::with_capacity(state.payloads.len());
+        for (seq, payload) in std::mem::take(&mut state.payloads).iter().enumerate() {
             let record: TrialRecord = serde_json::from_str(payload)
                 .map_err(|e| invalid(format!("shard {shard} seq {seq}: bad trial payload: {e}")))?;
             if record.trial != range.start + seq {
@@ -266,11 +302,11 @@ pub fn open_journal(
                     range.start + seq
                 )));
             }
-            records.push(record);
+            parsed.push(record);
         }
-        prior.push(records);
+        records.push(parsed);
     }
-    Ok((writer, progress, prior))
+    Ok(OpenJournal { meta, plan, progress, records, writer: Some(writer), checkpoint_every: store_cfg.checkpoint_every })
 }
 
 /// Extracts a displayable message from a caught panic payload.
@@ -284,10 +320,12 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Drives the shard queue for a stored campaign: pulls shard tasks, executes
-/// trials via `run_one`, journals each record, checkpoints periodically and
-/// on stop. Returns the per-shard record vectors (prior + new) or the first
-/// I/O error any worker hit.
+/// Drives the shard queue of an open journal for up to `budget` more trials
+/// (`None` = to completion): pulls shard tasks, executes trials via
+/// `run_one`, journals each record, checkpoints periodically and on stop. A
+/// pause leaves the journal checkpointed and fsynced and its writer open for
+/// the next drive; completion closes it and returns every record in trial
+/// order.
 ///
 /// `run_one(global_trial_index) -> TrialRecord` must be pure in the trial
 /// index (this is what the determinism invariant rests on).
@@ -298,24 +336,24 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// while sibling shards run to completion and seal. The run then returns an
 /// error naming the failed shards, and a later `resume` continues exactly
 /// from their cursors. **I/O errors** still stop every shard: they signal a
-/// problem with the journal itself, which all shards share.
-#[allow(clippy::too_many_arguments)]
-pub fn drive_shards(
-    plan: ShardPlan,
-    progress: &ShardProgress,
-    mut prior: Vec<Vec<TrialRecord>>,
-    writer: JournalWriter,
-    store_cfg: &StoreConfig,
+/// problem with the journal itself, which all shards share. Either way the
+/// journal is closed, and the campaign must be reopened from disk.
+pub(crate) fn drive_shards(
+    journal: &mut OpenJournal,
+    budget: Option<usize>,
     workers: usize,
     busy_ns: &AtomicU64,
     run_one: impl Fn(usize) -> TrialRecord + Sync,
 ) -> std::io::Result<StoredRun<Vec<TrialRecord>>> {
+    let writer = journal.writer.take().ok_or_else(|| std::io::Error::other("journal is closed"))?;
+    let (plan, progress, checkpoint_every) = (journal.plan, &journal.progress, journal.checkpoint_every);
     let stop = StopFlag::new();
     let spent = AtomicUsize::new(0);
-    let journal = parking_lot::Mutex::new(writer);
+    let writer = parking_lot::Mutex::new(writer);
     let io_error: parking_lot::Mutex<Option<std::io::Error>> = parking_lot::Mutex::new(None);
     let shard_panics: parking_lot::Mutex<Vec<String>> = parking_lot::Mutex::new(Vec::new());
     let new_records: Vec<parking_lot::Mutex<Vec<TrialRecord>>> = (0..plan.shards).map(|_| parking_lot::Mutex::new(Vec::new())).collect();
+    let sealed: Vec<AtomicBool> = (0..plan.shards).map(|_| AtomicBool::new(false)).collect();
 
     let tasks: Vec<usize> = (0..plan.shards)
         .filter(|&s| !progress.shards[s].done && (progress.shards[s].completed as usize) < plan.range(s).len())
@@ -340,7 +378,7 @@ pub fn drive_shards(
                 next_stream: (range.start + completed) as u64,
             };
             store::retry_transient(|| {
-                let mut j = journal.lock();
+                let mut j = writer.lock();
                 j.append(&JournalEntry::Checkpoint(cursor))?;
                 if sync {
                     j.sync()?;
@@ -350,7 +388,7 @@ pub fn drive_shards(
         };
         let mut completed = start;
         for (seq, trial) in range.clone().enumerate().skip(start) {
-            let out_of_budget = store_cfg.budget.is_some_and(|b| spent.fetch_add(1, Ordering::SeqCst) >= b);
+            let out_of_budget = budget.is_some_and(|b| spent.fetch_add(1, Ordering::SeqCst) >= b);
             if stop.should_stop() || out_of_budget {
                 stop.request_stop();
                 if completed > start {
@@ -391,7 +429,7 @@ pub fn drive_shards(
             };
             obs::incr("store/trials", 1);
             if let Err(e) = store::retry_transient(|| {
-                journal.lock().append(&JournalEntry::Trial { shard, seq: seq as u64, payload: payload.clone() })
+                writer.lock().append(&JournalEntry::Trial { shard, seq: seq as u64, payload: payload.clone() })
             }) {
                 fail(e);
                 return;
@@ -399,7 +437,7 @@ pub fn drive_shards(
             new_records[shard].lock().push(record);
             completed += 1;
             crate::monitor::tick(shard);
-            if ((completed - start) as u64).is_multiple_of(store_cfg.checkpoint_every) {
+            if ((completed - start) as u64).is_multiple_of(checkpoint_every) {
                 if let Err(e) = checkpoint(completed, true) {
                     fail(e);
                     return;
@@ -410,13 +448,14 @@ pub fn drive_shards(
         let seal = (|| -> std::io::Result<()> {
             checkpoint(completed, false)?;
             store::retry_transient(|| {
-                let mut j = journal.lock();
+                let mut j = writer.lock();
                 j.append(&JournalEntry::ShardDone { shard })?;
                 j.sync()
             })
         })();
         match seal {
             Ok(()) => {
+                sealed[shard].store(true, Ordering::Relaxed);
                 obs::incr("shard/completed", 1);
                 crate::monitor::shard_sealed(shard);
             }
@@ -424,10 +463,30 @@ pub fn drive_shards(
         }
     });
 
-    // Retire the writer explicitly so a failed final flush surfaces as an
-    // error here instead of being swallowed by `Drop`. Worker-observed
-    // errors still take precedence — they name the root cause.
-    let closed = journal.into_inner().close();
+    // Fold this drive's records into the shards; a shard short of its range
+    // means the run was paused (budget/stop) rather than finished.
+    let mut complete = true;
+    for (shard, fresh) in new_records.into_iter().enumerate() {
+        let fresh = fresh.into_inner();
+        let state = &mut journal.progress.shards[shard];
+        state.completed += fresh.len() as u64;
+        state.done |= sealed[shard].load(Ordering::Relaxed);
+        journal.records[shard].extend(fresh);
+        complete &= journal.records[shard].len() >= plan.range(shard).len();
+    }
+
+    // A paused writer stays open for the next drive once its checkpoints are
+    // durable. Any other is retired explicitly, so a failed final flush
+    // surfaces as an error here instead of being swallowed by `Drop`.
+    // Worker-observed errors still take precedence — they name the root
+    // cause.
+    let mut writer = writer.into_inner();
+    let failed = io_error.lock().is_some() || !shard_panics.lock().is_empty();
+    let closed = if complete || failed {
+        writer.close()
+    } else {
+        writer.sync().map(|()| journal.writer = Some(writer))
+    };
     if let Some(e) = io_error.lock().take() {
         return Err(e);
     }
@@ -440,23 +499,10 @@ pub fn drive_shards(
         )));
     }
     closed?;
-
-    // Merge prior + new per shard; any shard short of its range means the
-    // run was paused (budget/stop) rather than finished.
-    let mut total_completed = 0u64;
-    let mut complete = true;
-    for (shard, fresh) in new_records.into_iter().enumerate() {
-        let fresh = fresh.into_inner();
-        prior[shard].extend(fresh);
-        total_completed += prior[shard].len() as u64;
-        if prior[shard].len() < plan.range(shard).len() {
-            complete = false;
-        }
-    }
     if !complete {
-        return Ok(StoredRun::Paused { completed: total_completed, total: plan.trials });
+        return Ok(StoredRun::Paused { completed: journal.progress.completed(), total: plan.trials });
     }
-    let mut records: Vec<TrialRecord> = prior.into_iter().flatten().collect();
+    let mut records: Vec<TrialRecord> = std::mem::take(&mut journal.records).into_iter().flatten().collect();
     records.sort_by_key(|r| r.trial);
     for (i, r) in records.iter().enumerate() {
         if r.trial != i {
@@ -466,58 +512,73 @@ pub fn drive_shards(
     Ok(StoredRun::Complete(records))
 }
 
-/// Runs a durable, sharded, resumable campaign of `kind` on `executor`,
-/// journaled under `store_cfg`.
-///
-/// For a fixed seed the completed aggregate is bit-identical to
-/// [`run_in_memory`] with the same configuration, for any shard count,
-/// worker count, executor, interruption pattern or number of resume
-/// invocations. `factory` builds the victim: the pool executor runs on
-/// pooled instances of it; the warden executor builds one only to read the
-/// step count.
-///
-/// Outcome-class counters count each trial exactly once. Pooled trials
-/// count themselves; under the warden executor workers run with outcome
-/// counting off and the supervisor counts the winning record of each trial
-/// index where it journals it, so a trial retried after a kill or torn
-/// reply never double-counts.
-pub fn run_stored<K, T, F>(
+/// A stored campaign between invocations: its open journal and its victim
+/// side, with the warm target pool. [`open_stored`] is the open step,
+/// [`StoredCampaign::advance`] the advance step, and [`run_stored`] one of
+/// each; a caller that keeps the campaign open (the daemon, between slices)
+/// advances it again without rescanning the journal.
+pub struct StoredCampaign<T, F: Fn() -> T> {
+    journal: OpenJournal,
+    victims: Victims<T, F>,
+}
+
+/// Opens a durable campaign of `kind` for `executor`, journaled under
+/// `store_cfg`: creates its journal, or with `store_cfg.resume` continues
+/// an existing one after checking it holds this campaign. `factory` builds
+/// the victim: the pool executor runs on pooled instances of it; the warden
+/// executor builds one only to read the step count.
+pub fn open_stored<K, T, F>(
     kind: &K,
     factory: F,
     executor: Executor<'_>,
     store_cfg: &StoreConfig,
-) -> std::io::Result<StoredRun<K::Campaign>>
+) -> std::io::Result<StoredCampaign<T, F>>
 where
     K: TrialKind,
     T: FaultTarget,
     F: Fn() -> T + Sync,
 {
-    let _quiet = matches!(executor, Executor::Pool(_)).then(crate::panic_guard::silence_panics);
-    let probe = factory();
-    let total_steps = probe.total_steps().max(1);
-    let pool = TargetPool::new(&factory);
-    match executor {
-        Executor::Pool(_) => pool.seed(probe),
-        Executor::Warden(_) => drop(probe),
+    let victims = Victims::new(factory, matches!(executor, Executor::Pool(_)), worker_threads(kind.workers()));
+    let journal = open_journal(store_cfg, kind.meta(store_cfg.shards))?;
+    Ok(StoredCampaign { journal, victims })
+}
+
+impl<T: FaultTarget, F: Fn() -> T + Sync> StoredCampaign<T, F> {
+    /// True while the journal on disk is exactly what this campaign wrote;
+    /// a caller holding it between invocations reopens from disk otherwise.
+    pub fn is_current(&self) -> bool {
+        self.journal.writer.as_ref().is_some_and(JournalWriter::is_current)
     }
-    let fast_compares = AtomicU64::new(0);
-    let wall = Instant::now();
-    let busy_ns = AtomicU64::new(0);
 
-    let meta = kind.meta(store_cfg.shards);
-    let (writer, progress, prior) = open_journal(store_cfg, meta.clone())?;
-    let plan = ShardPlan::new(meta.trials, meta.shards);
-    crate::monitor::begin_campaign(&meta.benchmark, &meta.kind, &plan, &progress);
-    let workers = worker_threads(kind.workers());
-
-    let run = {
-        // Wardens are pooled per call: a worker process is reused across
+    /// Runs up to `budget` more trials (`None` = to completion) of `kind` —
+    /// the kind it was opened with — on `executor`. Pauses with the journal
+    /// checkpointed and fsynced, or completes with the campaign. After an
+    /// error, or once complete, the campaign is closed: reopen it from disk.
+    ///
+    /// Outcome-class counters count each trial exactly once. Pooled trials
+    /// count themselves; under the warden executor workers run with outcome
+    /// counting off and the supervisor counts the winning record of each
+    /// trial index where it journals it, so a trial retried after a kill or
+    /// torn reply never double-counts.
+    pub fn advance<K: TrialKind>(
+        &mut self,
+        kind: &K,
+        executor: Executor<'_>,
+        budget: Option<usize>,
+    ) -> std::io::Result<StoredRun<K::Campaign>> {
+        let _quiet = matches!(executor, Executor::Pool(_)).then(crate::panic_guard::silence_panics);
+        let journal = &mut self.journal;
+        crate::monitor::begin_campaign(&journal.meta.benchmark, &journal.meta.kind, &journal.plan, &journal.progress);
+        let (pool, total_steps) = (&self.victims.pool, self.victims.total_steps);
+        let fast_compares = AtomicU64::new(0);
+        let busy_ns = AtomicU64::new(0);
+        // Wardens are pooled per advance: a worker process is reused across
         // trials (and shards) until it dies, and all of them shut down —
-        // draining their final metrics frames — before the campaign ends.
+        // draining their final metrics frames — before the advance returns.
         let wardens: parking_lot::Mutex<Vec<Warden>> = parking_lot::Mutex::new(Vec::new());
-        drive_shards(plan, &progress, prior, writer, store_cfg, workers, &busy_ns, |trial| match executor {
+        let run = drive_shards(journal, budget, self.victims.workers, &busy_ns, |trial| match executor {
             Executor::Pool(golden) => {
-                let (record, fast) = kind.run(&pool, golden, total_steps, trial, 0, true);
+                let (record, fast) = kind.run(pool, golden, total_steps, trial, 0, true);
                 fast_compares.fetch_add(fast as u64, Ordering::Relaxed);
                 record
             }
@@ -541,16 +602,40 @@ where
                 }
                 record
             }
-        })?
-    };
-    Ok(match run {
-        StoredRun::Paused { completed, total } => StoredRun::Paused { completed, total },
-        StoredRun::Complete(records) => {
-            crate::monitor::complete_campaign();
-            let fast = fast_compares.into_inner();
-            StoredRun::Complete(finish_campaign(kind, records, workers, busy_ns.into_inner(), wall, &pool, fast))
-        }
-    })
+        });
+        drop(wardens);
+        self.victims.busy_ns += busy_ns.into_inner();
+        self.victims.fast_compares += fast_compares.into_inner();
+        Ok(match run? {
+            StoredRun::Paused { completed, total } => StoredRun::Paused { completed, total },
+            StoredRun::Complete(records) => {
+                crate::monitor::complete_campaign();
+                StoredRun::Complete(self.victims.finish(kind, records))
+            }
+        })
+    }
+}
+
+/// Runs a durable, sharded, resumable campaign of `kind` on `executor`,
+/// journaled under `store_cfg`: [`open_stored`] plus one
+/// [`StoredCampaign::advance`] of `store_cfg.budget` trials.
+///
+/// For a fixed seed the completed aggregate is bit-identical to
+/// [`run_in_memory`] with the same configuration, for any shard count,
+/// worker count, executor, interruption pattern or number of resume
+/// invocations.
+pub fn run_stored<K, T, F>(
+    kind: &K,
+    factory: F,
+    executor: Executor<'_>,
+    store_cfg: &StoreConfig,
+) -> std::io::Result<StoredRun<K::Campaign>>
+where
+    K: TrialKind,
+    T: FaultTarget,
+    F: Fn() -> T + Sync,
+{
+    open_stored(kind, factory, executor, store_cfg)?.advance(kind, executor, store_cfg.budget)
 }
 
 #[cfg(test)]
@@ -737,8 +822,8 @@ mod tests {
         };
 
         // First pass: trial 12 (shard 1) hits a harness bug.
-        let (writer, progress, prior) = open_journal(&sc, meta.clone()).unwrap();
-        let err = drive_shards(ShardPlan::new(cfg.trials, sc.shards), &progress, prior, writer, &sc, 3, &busy, |trial| {
+        let mut journal = open_journal(&sc, meta.clone()).unwrap();
+        let err = drive_shards(&mut journal, None, 3, &busy, |trial| {
             if trial == 12 {
                 panic!("injected harness bug at trial {trial}");
             }
@@ -751,7 +836,8 @@ mod tests {
         // Sibling shards sealed despite the panic; the panicking shard kept
         // its checkpointed progress and nothing else.
         sc.resume = true;
-        let (writer, progress, prior) = open_journal(&sc, meta).unwrap();
+        let mut journal = open_journal(&sc, meta).unwrap();
+        let progress = &journal.progress;
         assert!(progress.shards[0].done, "shard 0 must seal despite shard 1's panic");
         assert!(progress.shards[2].done, "shard 2 must seal despite shard 1's panic");
         assert!(!progress.shards[1].done);
@@ -759,9 +845,7 @@ mod tests {
 
         // Resume finishes the failed shard and the aggregate matches the
         // uninterrupted in-process run.
-        let records = drive_shards(ShardPlan::new(cfg.trials, sc.shards), &progress, prior, writer, &sc, 3, &busy, run_real)
-            .unwrap()
-            .expect_complete();
+        let records = drive_shards(&mut journal, None, 3, &busy, run_real).unwrap().expect_complete();
         assert_same_records(&reference.records, &records);
     }
 

@@ -45,7 +45,8 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::os::unix::process::ExitStatusExt;
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -683,17 +684,17 @@ pub fn serve(mut run_one: impl FnMut(usize, u32) -> TrialRecord) -> std::io::Res
 
     // Heartbeat thread: ticks while a trial is in flight (u64::MAX = idle),
     // refreshing the parent's view of our metrics every few ticks so even a
-    // long-running single trial reports live counters.
+    // long-running single trial reports live counters. It waits out each
+    // tick on `done`, which the main loop drops on exit, so shutdown wakes
+    // it at once instead of after the current tick.
     let current = Arc::new(AtomicU64::new(u64::MAX));
-    let done = Arc::new(AtomicBool::new(false));
+    let (done_tx, done) = mpsc::channel::<()>();
     let hb = {
         let writer = writer.clone();
         let current = current.clone();
-        let done = done.clone();
         std::thread::spawn(move || {
             let mut ticks = 0u32;
-            while !done.load(Ordering::Relaxed) {
-                std::thread::sleep(HEARTBEAT_EVERY);
+            while let Err(RecvTimeoutError::Timeout) = done.recv_timeout(HEARTBEAT_EVERY) {
                 let trial = current.load(Ordering::Relaxed);
                 if trial == u64::MAX {
                     continue;
@@ -741,7 +742,7 @@ pub fn serve(mut run_one: impl FnMut(usize, u32) -> TrialRecord) -> std::io::Res
             }
         }
     };
-    done.store(true, Ordering::Relaxed);
+    drop(done_tx);
     // Parting cumulative snapshot: the shutdown drain on the parent side
     // folds it so nothing recorded since the last refresh is lost.
     let _ = send_metrics(&mut writer.lock());
@@ -901,6 +902,21 @@ mod tests {
             }
         }
         w.shutdown();
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_out_a_heartbeat_tick() {
+        let mut took: Vec<Duration> = (0..5)
+            .map(|_| {
+                let mut w = Warden::new(iso("ok")).unwrap();
+                assert!(matches!(w.run_trial(0).unwrap(), IsolatedTrial::Completed(_)));
+                let t0 = Instant::now();
+                w.shutdown();
+                t0.elapsed()
+            })
+            .collect();
+        took.sort();
+        assert!(took[2] < HEARTBEAT_EVERY / 2, "median shutdown took {:?} (all: {took:?})", took[2]);
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! synthetic runners and keeps the byte-identity guarantee where it
 //! belongs: the runner reuses the exact campaign-engine path
 //! (`carolfi::run_stored`) the figure binaries call, and slices are plain
-//! store *budgets*, whose resume machinery is already pinned bit-identical
-//! for any interruption pattern.
+//! store *budgets* advancing one open campaign, whose pause/resume
+//! machinery is already pinned bit-identical for any interruption pattern.
 
 pub mod bus;
 pub mod proto;
@@ -72,11 +72,14 @@ pub enum SliceRun {
 /// Executes campaign specs on behalf of the service.
 ///
 /// Contract for [`run_slice`](Runner::run_slice): create the journal under
-/// `journal` on the first call, resume it on every later call, run at most
-/// `budget` further trials, and report [`SliceRun::Paused`] or
+/// `journal` on the first call, continue it on every later call, run at
+/// most `budget` further trials, and report [`SliceRun::Paused`] or
 /// [`SliceRun::Complete`]. The same spec sliced any way must yield the
 /// same journal records and the same final `result` — the store's
 /// budget/resume determinism provides exactly this for the real runner.
+/// A runner may keep a campaign open between its slices; the scheduler
+/// calls [`retire`](Runner::retire) once a campaign leaves the ring
+/// unfinished, and never while one of its slices runs.
 pub trait Runner: Send + Sync + 'static {
     /// Checks a spec without running anything; `Err` is the
     /// admission-rejection reason shown to the client.
@@ -85,4 +88,11 @@ pub trait Runner: Send + Sync + 'static {
     /// Runs one slice of at most `budget` trials against the journal
     /// directory.
     fn run_slice(&self, spec: &str, journal: &Path, budget: usize) -> std::io::Result<SliceRun>;
+
+    /// Releases whatever the runner keeps open for the campaign journaled
+    /// under `journal`: it was cancelled, or the daemon is stopping with it
+    /// unfinished. A later slice, if any, starts from the journal on disk.
+    /// A cancel calls this under the registry's state lock, so it must be
+    /// quick and must not call back into the service.
+    fn retire(&self, _journal: &Path) {}
 }

@@ -234,8 +234,9 @@ impl Registry {
 
     /// Blocks until a campaign is due a scheduling turn (or `None` on
     /// shutdown). Promotes queued campaigns into the ring up to
-    /// `max_active`, then rotates the ring.
-    pub fn next_job(&self) -> Option<Job> {
+    /// `max_active`, then rotates the ring. A campaign whose cancel arrived
+    /// while it waited in the ring leaves it here, and `runner` retires it.
+    pub fn next_job(&self, runner: &dyn Runner) -> Option<Job> {
         let mut guard = self.lock();
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
@@ -256,7 +257,7 @@ impl Registry {
             if let Some(id) = st.ring.pop_front() {
                 let e = st.entries.get_mut(&id).expect("ring ids are registered");
                 if e.cancel_requested {
-                    self.finish_cancel(e, &id);
+                    self.leave_ring_cancelled(runner, e, &id);
                     self.cv.notify_all();
                     continue;
                 }
@@ -268,8 +269,9 @@ impl Registry {
 
     /// Records the outcome of one scheduling turn: rotates a paused
     /// campaign to the back of the ring, retires a finished/failed one,
-    /// honours a cancel requested mid-slice. Returns the resulting state.
-    pub fn slice_done(&self, id: &str, outcome: io::Result<SliceRun>) -> CampaignState {
+    /// honours a cancel requested mid-slice (which `runner` retires).
+    /// Returns the resulting state.
+    pub fn slice_done(&self, id: &str, outcome: io::Result<SliceRun>, runner: &dyn Runner) -> CampaignState {
         // Persist a result before exposing it — a client told "done" must be
         // able to fetch it from a freshly restarted daemon — and outside the
         // state lock, so no client or submit waits on its fsyncs.
@@ -287,7 +289,7 @@ impl Registry {
             Ok(SliceRun::Paused { completed }) => {
                 e.completed = completed;
                 if e.cancel_requested {
-                    self.finish_cancel(e, id);
+                    self.leave_ring_cancelled(runner, e, id);
                 } else {
                     st.ring.push_back(id.to_string());
                 }
@@ -339,6 +341,12 @@ impl Registry {
         st.entries.iter().map(|(id, e)| status_of(id, e)).collect()
     }
 
+    /// Ids of every campaign not yet in a terminal state.
+    pub fn unfinished(&self) -> Vec<String> {
+        let st = self.lock();
+        st.entries.iter().filter(|(_, e)| !e.state.is_terminal()).map(|(id, _)| id.clone()).collect()
+    }
+
     /// Blocks until the campaign is terminal or `wait` elapses. `Ok` holds
     /// the terminal status plus the result document for `done` campaigns;
     /// `Err` is a reason (unknown id / timeout / shutdown).
@@ -375,6 +383,14 @@ impl Registry {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, RegState> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Cancels a campaign leaving the ring. The runner releases what it
+    /// holds for the campaign first, so no client sees it `cancelled` while
+    /// runner state for it lives on.
+    fn leave_ring_cancelled(&self, runner: &dyn Runner, e: &mut Entry, id: &str) {
+        runner.retire(&self.journal_dir(id));
+        self.finish_cancel(e, id);
     }
 
     /// Transitions an entry to `cancelled` and persists the marker. Caller

@@ -116,17 +116,22 @@ impl Server {
 }
 
 fn scheduler_loop(reg: &Registry, runner: &dyn Runner, bus: &EventBus, slice: usize) {
-    while let Some(job) = reg.next_job() {
+    while let Some(job) = reg.next_job(runner) {
         bus.publish(&job.id, "slice_start", &format!("{{\"id\":{:?},\"budget\":{slice}}}", job.id));
         // The one-slice-at-a-time invariant is what makes this attribution
         // sound: every obs event until set_current(None) is this campaign's.
         bus.set_current(Some(&job.id));
         let outcome = runner.run_slice(&job.spec, &reg.journal_dir(&job.id), slice);
         bus.set_current(None);
-        let state = reg.slice_done(&job.id, outcome);
+        let state = reg.slice_done(&job.id, outcome, runner);
         let status = reg.status(&job.id);
         let payload = serde_json::to_string(&status).unwrap_or_else(|_| "null".into());
         bus.publish(&job.id, if state.is_terminal() { "campaign_terminal" } else { "slice_end" }, &payload);
+    }
+    // Stopped: no slice runs any more, and nothing the runner holds for an
+    // unfinished campaign may outlive the ring.
+    for id in reg.unfinished() {
+        runner.retire(&reg.journal_dir(&id));
     }
 }
 

@@ -27,11 +27,13 @@ fn spec(tag: &str, total: u64, delay_ms: u64) -> String {
 /// Synthetic runner: progress is a `done` counter file inside the journal
 /// directory (durable, so daemon restarts resume), each slice sleeps
 /// `delay_ms` to model trial work, and every slice is logged as
-/// `(tag, done_before)` for interleaving assertions.
+/// `(tag, done_before)` for interleaving assertions. Retired journals are
+/// logged too.
 #[derive(Default)]
 struct TestRunner {
     log: Mutex<Vec<(String, u64)>>,
     units: AtomicU64,
+    retired: Mutex<Vec<PathBuf>>,
 }
 
 impl TestRunner {
@@ -66,6 +68,10 @@ impl Runner for TestRunner {
         } else {
             Ok(SliceRun::Paused { completed: now })
         }
+    }
+
+    fn retire(&self, journal: &Path) {
+        self.retired.lock().unwrap().push(journal.to_path_buf());
     }
 }
 
@@ -116,25 +122,87 @@ fn registry_ring_is_round_robin_and_promotes_on_completion() {
     let mut turns = Vec::new();
     // Drive the scheduler loop by hand: a & b alternate while c waits.
     for completed in [10u64, 10, 20, 20] {
-        let job = reg.next_job().expect("job");
+        let job = reg.next_job(&runner).expect("job");
         turns.push(job.id.clone());
-        reg.slice_done(&job.id, Ok(SliceRun::Paused { completed }));
+        reg.slice_done(&job.id, Ok(SliceRun::Paused { completed }), &runner);
     }
     assert_eq!(turns, ["c0001", "c0002", "c0001", "c0002"]);
 
     // a completes; c is promoted into the freed slot and alternates with b.
-    let job = reg.next_job().expect("job");
+    let job = reg.next_job(&runner).expect("job");
     assert_eq!(job.id, "c0001");
-    reg.slice_done(&job.id, Ok(SliceRun::Complete { result: "{}".into() }));
+    reg.slice_done(&job.id, Ok(SliceRun::Complete { result: "{}".into() }), &runner);
     let mut tail = Vec::new();
     for _ in 0..4 {
-        let job = reg.next_job().expect("job");
+        let job = reg.next_job(&runner).expect("job");
         tail.push(job.id.clone());
-        reg.slice_done(&job.id, Ok(SliceRun::Paused { completed: 1 }));
+        reg.slice_done(&job.id, Ok(SliceRun::Paused { completed: 1 }), &runner);
     }
     assert_eq!(tail, ["c0002", "c0003", "c0002", "c0003"]);
     let done = reg.status("c0001").expect("status");
     assert_eq!((done.state.as_str(), done.completed), ("done", 30));
+}
+
+/// A campaign cancelled at a slice boundary, or while waiting in the ring,
+/// is retired before any client can see it `cancelled`; a finished one is
+/// not.
+#[test]
+fn campaigns_cancelled_in_the_ring_are_retired_before_they_read_cancelled() {
+    let dir = test_dir("registry-retire");
+    let runner = TestRunner::default();
+    let reg = Registry::open(&dir.join("root"), 2, 64, &runner).expect("open");
+    for tag in ["a", "b", "c"] {
+        let raw = spec(tag, 30, 0);
+        let info = runner.validate(&raw).unwrap();
+        reg.submit(raw, info).expect("submit");
+    }
+    let retired = || runner.retired.lock().unwrap().clone();
+
+    // a is cancelled while its slice runs: retired at the slice boundary.
+    let job = reg.next_job(&runner).expect("job");
+    assert_eq!(job.id, "c0001");
+    reg.cancel("c0001");
+    assert_eq!(reg.status("c0001").unwrap().state, "running");
+    assert!(retired().is_empty());
+    assert_eq!(reg.slice_done(&job.id, Ok(SliceRun::Paused { completed: 10 }), &runner).label(), "cancelled");
+    assert_eq!(retired(), [reg.journal_dir("c0001")]);
+
+    // b is cancelled while it waits in the ring behind c: retired when its
+    // turn comes round, which passes to the next campaign, d.
+    let job = reg.next_job(&runner).expect("job");
+    assert_eq!(job.id, "c0002");
+    reg.slice_done(&job.id, Ok(SliceRun::Paused { completed: 10 }), &runner);
+    let job = reg.next_job(&runner).expect("job");
+    assert_eq!(job.id, "c0003");
+    reg.cancel("c0002");
+    reg.slice_done(&job.id, Ok(SliceRun::Complete { result: "{}".into() }), &runner);
+    assert_eq!(reg.status("c0002").unwrap().state, "running");
+    assert_eq!(retired(), [reg.journal_dir("c0001")], "nothing is retired on completion");
+    let raw = spec("d", 30, 0);
+    let info = runner.validate(&raw).unwrap();
+    reg.submit(raw, info).expect("submit");
+    assert_eq!(reg.next_job(&runner).expect("job").id, "c0004");
+    assert_eq!(reg.status("c0002").unwrap().state, "cancelled");
+    assert_eq!(retired(), [reg.journal_dir("c0001"), reg.journal_dir("c0002")]);
+    assert_eq!(reg.unfinished(), ["c0004"]);
+}
+
+/// A daemon stopping with unfinished campaigns retires every one of them
+/// once its scheduler loop has exited.
+#[test]
+fn stop_retires_every_unfinished_campaign() {
+    let dir = test_dir("service-stop-retire");
+    let runner = Arc::new(TestRunner::default());
+    let server = start_server(&dir, runner.clone(), 1, 10);
+    let running = submit(&server, spec("long", 10_000, 20));
+    let queued = submit(&server, spec("queued", 10, 0));
+    wait_for("campaign to start", || runner.units.load(Ordering::SeqCst) > 0);
+    assert!(runner.retired.lock().unwrap().is_empty());
+    server.stop();
+    let mut retired = runner.retired.lock().unwrap().clone();
+    retired.sort();
+    let journal = |id: &str| server.registry().journal_dir(id);
+    assert_eq!(retired, [journal(&running), journal(&queued)]);
 }
 
 /// Admission control: the waiting queue rejects beyond `max_queue` with a

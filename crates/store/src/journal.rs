@@ -565,6 +565,25 @@ impl JournalWriter {
         self.closed = true;
         res
     }
+
+    /// True when the journal on disk is exactly what this writer left
+    /// there: no newer segment exists, and the newest one is this writer's
+    /// file holding exactly the bytes it committed. A writer kept open
+    /// between invocations checks this before appending again; on `false`
+    /// (a fragment appended by someone else, a truncation, a replaced
+    /// directory) the journal must be reopened, which rescans it.
+    pub fn is_current(&self) -> bool {
+        use std::os::unix::fs::MetadataExt;
+        if segment_path(&self.dir, self.segment_index + 1).exists() {
+            return false;
+        }
+        let (Ok(on_disk), Ok(ours)) = (std::fs::metadata(segment_path(&self.dir, self.segment_index)), self.file.metadata())
+        else {
+            return false;
+        };
+        let committed = self.segment_bytes - self.buf.len() as u64;
+        on_disk.dev() == ours.dev() && on_disk.ino() == ours.ino() && on_disk.len() == committed
+    }
 }
 
 impl Drop for JournalWriter {
@@ -695,6 +714,28 @@ mod tests {
         let scan = Journal::scan(&dir).unwrap();
         assert_eq!(scan.entries.len(), 2);
         assert!(scan.torn_bytes > 0);
+    }
+
+    #[test]
+    fn is_current_spots_bytes_the_writer_did_not_write() {
+        let dir = tmp("is-current");
+        let mut w = JournalWriter::create(&dir, meta()).unwrap();
+        w.append(&trial(0, 0)).unwrap();
+        w.sync().unwrap();
+        assert!(w.is_current());
+        let mut f = OpenOptions::new().append(true).open(segment_path(&dir, 0)).unwrap();
+        f.write_all(b"0badc0de {\"torn\":").unwrap();
+        assert!(!w.is_current(), "a fragment appended behind the writer's back");
+        drop(f);
+
+        let (mut w, _) = JournalWriter::resume(&dir).unwrap();
+        assert!(w.is_current(), "resume truncated the fragment");
+        w.rotate_at = 0;
+        w.append(&trial(0, 1)).unwrap();
+        w.sync().unwrap();
+        assert!(w.is_current(), "the writer's own rotation");
+        std::fs::File::create(segment_path(&dir, 2)).unwrap();
+        assert!(!w.is_current(), "a newer segment the writer never opened");
     }
 
     #[test]

@@ -3,16 +3,19 @@
 //! bit-identically to the plain single-shot run, no matter how many shards
 //! it uses or how often it is killed and resumed along the way.
 
+use phi_reliability::beamsim::campaign::engine_for;
+use phi_reliability::beamsim::{run_beam_campaign, BeamConfig, Strikes};
 use phi_reliability::carolfi::campaign::execute_trial;
 use phi_reliability::carolfi::record::TrialRecord;
 use phi_reliability::carolfi::Output;
 use phi_reliability::carolfi::{
-    run_campaign, run_stored, Campaign, CampaignConfig, Executor, FaultTarget, Injection, IsolateConfig, StoreConfig,
-    StoredRun,
+    open_adaptive, open_stored, run_campaign, run_campaign_adaptive, run_stored, Campaign, CampaignConfig, Executor,
+    FaultTarget, Injection, IsolateConfig, StoreConfig, StoredRun, TrialKind,
 };
 use phi_reliability::kernels::{build, golden, Benchmark, SizeClass};
+use phi_reliability::sdc_analysis::planner::WilsonPlanner;
 use phi_reliability::store::{Journal, JournalEntry};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/test-store-e2e").join(name);
@@ -109,6 +112,119 @@ fn resuming_a_complete_campaign_reruns_nothing() {
     assert_same_records(&first.records, &second.records);
     let rescan = Journal::scan(&dir).unwrap();
     assert_eq!(rescan.entries.len(), scan.entries.len(), "no new entries on a no-op resume");
+}
+
+// --- Open once, advance many times -----------------------------------------
+
+/// Every file of a journal directory with its bytes, in name order.
+fn segments(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()).collect();
+    paths.sort();
+    paths.into_iter().map(|p| (p.file_name().unwrap().to_string_lossy().into_owned(), std::fs::read(&p).unwrap())).collect()
+}
+
+fn record_lines(records: &[TrialRecord]) -> Vec<String> {
+    records.iter().map(|r| serde_json::to_string(r).unwrap()).collect()
+}
+
+/// Budgets of the five advance steps; the last one finishes the campaign.
+const STEPS: [usize; 5] = [7, 13, 1, 9, 64];
+
+/// Advances one open campaign of `kind` on `b` in [`STEPS`], and runs the
+/// same budgets with a reopen from disk before every step, checking after
+/// each step that both journals hold the same bytes. Returns the records
+/// of both completed campaigns.
+fn advance_both_ways<K: TrialKind>(
+    kind: &K,
+    b: Benchmark,
+    g: &Output,
+    name: &str,
+    records: impl Fn(K::Campaign) -> Vec<TrialRecord>,
+) -> (Vec<TrialRecord>, Vec<TrialRecord>) {
+    let config = |dir: &str| {
+        let mut sc = StoreConfig::new(tmp(&format!("{name}-{dir}")));
+        sc.shards = 3;
+        sc.checkpoint_every = 4;
+        sc
+    };
+    let (kept_cfg, mut reopened_cfg) = (config("kept"), config("reopened"));
+    let factory = || build(b, SizeClass::Test);
+    let mut kept = open_stored(kind, factory, Executor::Pool(g), &kept_cfg).unwrap();
+    let (mut kept_done, mut reopened_done) = (None, None);
+    for (step, budget) in STEPS.into_iter().enumerate() {
+        let last = step + 1 == STEPS.len();
+        match kept.advance(kind, Executor::Pool(g), Some(budget)).unwrap() {
+            StoredRun::Complete(c) if last => kept_done = Some(records(c)),
+            StoredRun::Paused { .. } if !last => {}
+            _ => panic!("{name}: step {step} of the open campaign ended out of turn"),
+        }
+        reopened_cfg.resume = step > 0;
+        reopened_cfg.budget = Some(budget);
+        match run_stored(kind, factory, Executor::Pool(g), &reopened_cfg).unwrap() {
+            StoredRun::Complete(c) if last => reopened_done = Some(records(c)),
+            StoredRun::Paused { .. } if !last => {}
+            _ => panic!("{name}: step {step} of the reopened campaign ended out of turn"),
+        }
+        assert!(
+            segments(&kept_cfg.dir) == segments(&reopened_cfg.dir),
+            "{name}: journals differ after step {step}"
+        );
+    }
+    (kept_done.unwrap(), reopened_done.unwrap())
+}
+
+#[test]
+fn an_open_inject_campaign_advances_exactly_like_reopened_ones() {
+    let b = Benchmark::Hotspot;
+    let g = golden(b, SizeClass::Test);
+    let cfg = CampaignConfig { trials: 40, seed: 31, workers: 1, n_windows: b.n_windows(), ..Default::default() };
+    let (kept, reopened) = advance_both_ways(&Injection::new(b.label(), &cfg), b, &g, "advance-inject", |c| c.records);
+    let reference = record_lines(&run_campaign(b.label(), || build(b, SizeClass::Test), &g, &cfg).records);
+    assert_eq!(record_lines(&kept), reference);
+    assert_eq!(record_lines(&reopened), reference);
+}
+
+#[test]
+fn an_open_beam_campaign_advances_exactly_like_reopened_ones() {
+    let b = Benchmark::Dgemm;
+    let g = golden(b, SizeClass::Test);
+    let cfg = BeamConfig { strikes: 40, seed: 31, workers: 1, n_windows: b.n_windows(), engine: engine_for(b.label()), ..Default::default() };
+    let (kept, reopened) = advance_both_ways(&Strikes::new(b.label(), &cfg), b, &g, "advance-beam", |c| c.records);
+    let reference = record_lines(&run_beam_campaign(b.label(), || build(b, SizeClass::Test), &g, &cfg).records);
+    assert_eq!(record_lines(&kept), reference);
+    assert_eq!(record_lines(&reopened), reference);
+}
+
+#[test]
+fn an_adaptive_campaign_advanced_in_slices_writes_its_one_shot_journal() {
+    let b = Benchmark::Nw;
+    let g = golden(b, SizeClass::Test);
+    let cfg = CampaignConfig { trials: 400, seed: 91, n_windows: b.n_windows(), ..Default::default() };
+    let total_steps = build(b, SizeClass::Test).total_steps().max(1);
+    let planner = || WilsonPlanner::for_injection(&cfg, total_steps, 0.5, 8);
+    let factory = || build(b, SizeClass::Test);
+
+    let one_shot = StoreConfig::new(tmp("adaptive-one-shot"));
+    let reference =
+        run_campaign_adaptive(b.label(), factory, &g, &cfg, &one_shot, &mut planner()).unwrap().expect_complete();
+
+    // A slice budget below the batch size: every slice pauses right after
+    // the batch it started.
+    let sliced = StoreConfig::new(tmp("adaptive-sliced"));
+    let kind = Injection::new(b.label(), &cfg);
+    let mut p = planner();
+    let mut open = open_adaptive(&kind, factory, &sliced, &mut p).unwrap();
+    let mut slices = 0;
+    let campaign = loop {
+        slices += 1;
+        match open.advance(&kind, &g, &mut p, Some(5)).unwrap() {
+            StoredRun::Complete(c) => break c,
+            StoredRun::Paused { .. } => assert!(slices < 400, "adaptive campaign never completed"),
+        }
+    };
+    assert!(slices > 2, "expected several slices, took {slices}");
+    assert_eq!(record_lines(&campaign.records), record_lines(&reference.records));
+    assert!(segments(&sliced.dir) == segments(&one_shot.dir), "sliced adaptive journal differs from the one-shot run");
 }
 
 // --- SIGKILL + resume round trip for the process-isolated backend ----------

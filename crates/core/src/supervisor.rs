@@ -164,7 +164,10 @@ pub fn run_trial_mut<T: FaultTarget>(
         // as faults injected at the very end; we apply the fault to the
         // final state so the output comparison still sees it (matches
         // injecting into a result buffer).
-        target.run_until(inject_step, &mut pre_fuel);
+        {
+            let _span = obs::span!("pre_phase");
+            target.run_until(inject_step, &mut pre_fuel);
+        }
 
         // Phase 2: the Flip-script.
         let mut vars = target.variables();
@@ -180,6 +183,7 @@ pub fn run_trial_mut<T: FaultTarget>(
         // (`Fuel::burn` zeroes itself before raising the timeout, so a DUE
         // reports exactly `max_steps` executed — identical to the old
         // check-then-step loop).
+        let _span = obs::span!("post_phase");
         if target.steps_executed() >= inject_step {
             let spent_pre = u64::MAX - pre_fuel.remaining();
             post_budget = max_steps.saturating_sub(spent_pre);

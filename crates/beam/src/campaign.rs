@@ -273,9 +273,10 @@ impl TrialKind for Strikes<'_> {
         // Benign strikes don't need an execution.
         if !effect.is_benign() {
             let mut applicator = BeamApplicator { effect, resource };
-            let mut target = pool.acquire();
+            let (mut target, ladder) = pool.take();
             let result = run_trial_mut(
                 &mut target,
+                ladder,
                 golden,
                 &mut applicator,
                 TrialConfig { inject_step: record.inject_step, watchdog_factor: self.cfg.watchdog_factor },

@@ -1,19 +1,26 @@
-//! Trial hot path — pins the two per-trial optimisations this repo makes
+//! Trial hot path — pins the three per-trial optimisations this repo makes
 //! over a naive CAROL-FI reproduction:
 //!
 //! * **Pooled targets**: `TargetPool::acquire` serves a recycled instance
-//!   via an in-place `FaultTarget::reset` (a handful of `memcpy`s) instead
-//!   of a full `factory()` reconstruction (allocations + RNG input
-//!   regeneration). The `provisioning/*` pair isolates that ratio; the
-//!   `full_trial/*` pair shows what it buys end to end.
+//!   via an in-place `FaultTarget::restore` of the pristine snapshot (a
+//!   handful of `memcpy`s) instead of a full `factory()` reconstruction
+//!   (allocations + RNG input regeneration). The `provisioning/*` pair
+//!   isolates that ratio; the `full_trial/{factory_per_trial,pooled}` pair
+//!   shows what it buys end to end.
+//! * **Golden snapshot ladder**: a laddered trial restores the pool's
+//!   highest golden rung at or below its injection step instead of
+//!   replaying the fault-free prefix from step 0. The
+//!   `full_trial/{laddered,replayed}` pair injects late (HotSpot at Test,
+//!   step 19 of 20), where the prefix is nearly the whole run.
 //! * **Bitwise fast-path compare**: `Output::bits_equal` classifies the
 //!   (overwhelmingly common) masked outcome with a chunked `u64` word scan,
 //!   only falling back to the elementwise `mismatches()` walk — which
 //!   allocates coordinates and computes relative errors — on inequality.
 //!
 //! With `TRIAL_HOT_PATH_JSON=<path>`, a machine-readable baseline
-//! (`pooled`/`factory` trials-per-second and the compare timings) is written
-//! after the criterion run — `./ci` uses this to track the speedup.
+//! (`pooled`/`factory`/`laddered` trials-per-second and the compare
+//! timings) is written after the criterion run — `./ci` uses this to track
+//! the speedup.
 
 use carolfi::supervisor::{run_trial, run_trial_mut, TrialConfig};
 use carolfi::target::{FaultTarget, Variable};
@@ -70,9 +77,31 @@ fn bench_provisioning(c: &mut Criterion) {
 fn run_one_pooled<F: Fn() -> Box<dyn FaultTarget>>(pool: &TargetPool<Box<dyn FaultTarget>, F>, gold: &carolfi::Output) -> usize {
     let mut rng = carolfi::rng::fork(1, 0);
     let mut target = pool.acquire();
-    let r = run_trial_mut(&mut target, gold, &mut NullFault, TrialConfig { inject_step: 2, ..Default::default() }, &mut rng);
+    let r = run_trial_mut(&mut target, None, gold, &mut NullFault, TrialConfig { inject_step: 2, ..Default::default() }, &mut rng);
     pool.release(target, false);
     r.executed_steps
+}
+
+/// The late-injection pair's benchmark and injection step: HotSpot at Test
+/// runs 20 steps, so a fault at step 19 follows a 19-step fault-free prefix.
+const LATE: Benchmark = Benchmark::Hotspot;
+const LATE_STEP: usize = 19;
+
+/// One late-injection trial on a pooled target, from the pool's golden
+/// ladder or replaying the prefix from step 0.
+fn run_one_late<F: Fn() -> Box<dyn FaultTarget>>(pool: &TargetPool<Box<dyn FaultTarget>, F>, gold: &carolfi::Output, laddered: bool) -> usize {
+    let mut rng = carolfi::rng::fork(1, 0);
+    let cfg = TrialConfig { inject_step: LATE_STEP, ..Default::default() };
+    let (mut target, ladder) = if laddered { pool.take() } else { (pool.acquire(), None) };
+    let r = run_trial_mut(&mut target, ladder, gold, &mut NullFault, cfg, &mut rng);
+    pool.release(target, false);
+    r.executed_steps
+}
+
+fn late_pool() -> TargetPool<Box<dyn FaultTarget>, impl Fn() -> Box<dyn FaultTarget>> {
+    let pool = TargetPool::new(|| build(LATE, SizeClass::Test));
+    pool.seed(build(LATE, SizeClass::Test));
+    pool
 }
 
 fn run_one_factory(gold: &carolfi::Output) -> usize {
@@ -95,6 +124,14 @@ fn bench_full_trial(c: &mut Criterion) {
         pool.seed(build(BENCH, SizeClass::Test));
         bench.iter(|| black_box(run_one_pooled(&pool, &gold)));
     });
+
+    let late_gold = golden(LATE, SizeClass::Test);
+    for (name, laddered) in [("laddered", true), ("replayed", false)] {
+        group.bench_function(name, |bench| {
+            let pool = late_pool();
+            bench.iter(|| black_box(run_one_late(&pool, &late_gold, laddered)));
+        });
+    }
     group.finish();
 }
 
@@ -133,6 +170,17 @@ fn measure_trials_per_sec(n: usize, pooled: bool) -> f64 {
     n as f64 / start.elapsed().as_secs_f64()
 }
 
+/// Wall-clock late-injection trials/sec over `n` laddered trials.
+fn measure_laddered_trials_per_sec(n: usize) -> f64 {
+    let gold = golden(LATE, SizeClass::Test);
+    let pool = late_pool();
+    let start = Instant::now();
+    for _ in 0..n {
+        black_box(run_one_late(&pool, &gold, true));
+    }
+    n as f64 / start.elapsed().as_secs_f64()
+}
+
 fn time_ns<F: FnMut() -> bool>(n: usize, mut f: F) -> f64 {
     let start = Instant::now();
     for _ in 0..n {
@@ -145,6 +193,7 @@ fn emit_json(path: &str) {
     let trials = 200;
     let factory_tps = measure_trials_per_sec(trials, false);
     let pooled_tps = measure_trials_per_sec(trials, true);
+    let laddered_tps = measure_laddered_trials_per_sec(trials);
 
     // Provisioning in isolation: what a trial pays before its first step.
     // Full-trial speedup is Amdahl-bounded by the provisioning fraction
@@ -179,7 +228,8 @@ fn emit_json(path: &str) {
          \"pooled_speedup\": {:.3},\n  \"factory_build_ns\": {:.1},\n  \
          \"pooled_reset_ns\": {:.1},\n  \"provisioning_speedup\": {:.3},\n  \
          \"fast_path_compare_ns\": {:.1},\n  \
-         \"elementwise_scan_ns\": {:.1},\n  \"compare_speedup\": {:.3}\n}}\n",
+         \"elementwise_scan_ns\": {:.1},\n  \"compare_speedup\": {:.3},\n  \
+         \"laddered_trials_per_sec\": {:.3}\n}}\n",
         BENCH.label(),
         trials,
         factory_tps,
@@ -191,6 +241,7 @@ fn emit_json(path: &str) {
         fast_ns,
         scan_ns,
         scan_ns / fast_ns,
+        laddered_tps,
     );
     std::fs::write(path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("trial_hot_path baseline written to {path}");

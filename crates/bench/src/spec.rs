@@ -35,7 +35,7 @@ use carolfi::{
     open_adaptive, open_stored, AdaptiveCampaign, CampaignConfig, Executor, FaultTarget, Injection, IsolateConfig, Output,
     StoredCampaign, TargetPool, TrialKind,
 };
-use kernels::{build, golden, Benchmark, SizeClass};
+use kernels::{build, Benchmark, SizeClass};
 use sdc_analysis::planner::{CiMethod, WilsonPlanner, DEFAULT_BATCH};
 use sdc_analysis::pvf::{by_model, PvfKind};
 use serde::__private::{as_map, field, field_content, to_content, Content, ContentError, FromContent};
@@ -184,7 +184,7 @@ pub struct CampaignSpec {
     /// Run every trial in a supervised child process.
     pub isolate: bool,
     /// Fault-model subset by label (`single`/`double`/`random`/`zero`);
-    /// empty = all four. Injection only, incompatible with `isolate`.
+    /// empty = all four. Injection only.
     pub models: Vec<String>,
     /// SDC relative-error tolerance for the result document's
     /// `sdc_beyond_tolerance` count (0 = every SDC counts).
@@ -349,13 +349,6 @@ pub fn validate_spec(spec: CampaignSpec) -> Result<ParsedSpec, String> {
         if spec.kind == CampaignKind::Beam {
             return Err("models: beam campaigns draw their own mechanisms; model subsets apply to inject only".into());
         }
-        if spec.isolate {
-            // Subsets have never been pinned bit-identical across the
-            // warden executor (the isolated byte-identity pins all run the
-            // default rotation); refusing beats running a campaign nobody
-            // has checked.
-            return Err("models: subsets are not supported together with isolate".into());
-        }
         spec.models
             .iter()
             .map(|l| model_from_label(l).ok_or_else(|| format!("models: unknown fault model {l:?}")))
@@ -427,7 +420,7 @@ impl ParsedSpec {
     /// [`TrialKind::run`].
     pub fn trial_runner(&self, count_outcomes: bool) -> Box<dyn FnMut(usize, u32) -> TrialRecord> {
         let (b, size) = (self.benchmark, self.size);
-        let g = golden(b, size);
+        let g = golden_output(b, size);
         let pool = TargetPool::new(move || build(b, size));
         let probe = build(b, size);
         let total_steps = probe.total_steps().max(1);

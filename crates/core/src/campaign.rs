@@ -12,7 +12,7 @@
 use crate::models::{CarolFiApplicator, FaultModel};
 use crate::orchestrator::{run_in_memory, TrialKind};
 use crate::output::Output;
-use crate::pool::TargetPool;
+use crate::pool::{Ladder, TargetPool};
 use crate::record::{DueKind, OutcomeRecord, TrialRecord};
 use crate::select::VariableSelector;
 use crate::supervisor::{run_trial_mut, TrialConfig, TrialOutcome};
@@ -203,9 +203,10 @@ pub fn trial_stratum(cfg: &CampaignConfig, total_steps: usize, trial: usize) -> 
 /// RNG stream (`rng::fork(cfg.seed, trial)`), its fault model
 /// (`trial % models.len()`) and its injection time — the property the
 /// sharded/resumable engine relies on to merge partial runs into an
-/// aggregate bit-identical to the single-shot campaign. The target is
-/// borrowed (not consumed) so pooled runners can `reset()` and reuse it; a
-/// fresh `factory()` instance per call produces the same record bits.
+/// aggregate bit-identical to the single-shot campaign. The target must
+/// stand at step 0 and replays the fault-free prefix; pooled runners start
+/// from the golden ladder instead ([`TrialKind::run`]), with the same record
+/// bits.
 pub fn execute_trial<T: FaultTarget>(
     benchmark: &str,
     target: &mut T,
@@ -243,38 +244,7 @@ pub fn execute_trial_attempt<T: FaultTarget>(
     attempt: u32,
     count_outcomes: bool,
 ) -> (TrialRecord, bool) {
-    let (mut rng, model, mut record) = prepare(benchmark, cfg, total_steps, trial);
-    let mut applicator = CarolFiApplicator { model, selector: cfg.selector.clone() };
-    let result = run_trial_mut(
-        target,
-        golden,
-        &mut applicator,
-        TrialConfig { inject_step: record.inject_step, watchdog_factor: cfg.watchdog_factor },
-        &mut rng,
-    );
-    record.outcome = match result.outcome {
-        TrialOutcome::Masked => OutcomeRecord::Masked,
-        TrialOutcome::HardwareMasked => OutcomeRecord::HardwareMasked,
-        TrialOutcome::Sdc(s) => OutcomeRecord::Sdc(s),
-        TrialOutcome::Due(c) => OutcomeRecord::Due(c.into()),
-    };
-    record.injection = result.injection;
-    record.executed_steps = result.executed_steps;
-    if count_outcomes {
-        obs::incr(outcome_key(model, &record.outcome), 1);
-    }
-    // Serializing the record is only worth it when someone is listening;
-    // `enabled()` guards the allocation.
-    if obs::enabled() {
-        if let Ok(json) = serde_json::to_string(&record) {
-            if attempt == 0 {
-                obs::event("trial", &json);
-            } else {
-                obs::event("trial_retry", &format!("{{\"attempt\":{attempt},\"record\":{json}}}"));
-            }
-        }
-    }
-    (record, result.fast_compare)
+    Injection::new(benchmark, cfg).execute(target, None, golden, total_steps, trial, attempt, count_outcomes)
 }
 
 /// The injection [`TrialKind`]: the trials of one CAROL-FI campaign over
@@ -289,6 +259,55 @@ impl<'a> Injection<'a> {
     pub fn new(benchmark: &'a str, cfg: &'a CampaignConfig) -> Self {
         assert!(!cfg.models.is_empty(), "campaign needs at least one fault model");
         Injection { benchmark, cfg }
+    }
+
+    /// Runs trial `trial` on `target`, from the nearest rung of `ladder`
+    /// (see [`run_trial_mut`]); the body of [`execute_trial_attempt`].
+    #[allow(clippy::too_many_arguments)]
+    fn execute<T: FaultTarget>(
+        &self,
+        target: &mut T,
+        ladder: Option<&Ladder>,
+        golden: &Output,
+        total_steps: usize,
+        trial: usize,
+        attempt: u32,
+        count_outcomes: bool,
+    ) -> (TrialRecord, bool) {
+        let (benchmark, cfg) = (self.benchmark, self.cfg);
+        let (mut rng, model, mut record) = prepare(benchmark, cfg, total_steps, trial);
+        let mut applicator = CarolFiApplicator { model, selector: cfg.selector.clone() };
+        let result = run_trial_mut(
+            target,
+            ladder,
+            golden,
+            &mut applicator,
+            TrialConfig { inject_step: record.inject_step, watchdog_factor: cfg.watchdog_factor },
+            &mut rng,
+        );
+        record.outcome = match result.outcome {
+            TrialOutcome::Masked => OutcomeRecord::Masked,
+            TrialOutcome::HardwareMasked => OutcomeRecord::HardwareMasked,
+            TrialOutcome::Sdc(s) => OutcomeRecord::Sdc(s),
+            TrialOutcome::Due(c) => OutcomeRecord::Due(c.into()),
+        };
+        record.injection = result.injection;
+        record.executed_steps = result.executed_steps;
+        if count_outcomes {
+            obs::incr(outcome_key(model, &record.outcome), 1);
+        }
+        // Serializing the record is only worth it when someone is listening;
+        // `enabled()` guards the allocation.
+        if obs::enabled() {
+            if let Ok(json) = serde_json::to_string(&record) {
+                if attempt == 0 {
+                    obs::event("trial", &json);
+                } else {
+                    obs::event("trial_retry", &format!("{{\"attempt\":{attempt},\"record\":{json}}}"));
+                }
+            }
+        }
+        (record, result.fast_compare)
     }
 }
 
@@ -320,8 +339,8 @@ impl TrialKind for Injection<'_> {
         attempt: u32,
         count_outcomes: bool,
     ) -> (TrialRecord, bool) {
-        let mut target = pool.acquire();
-        let out = execute_trial_attempt(self.benchmark, &mut target, golden, self.cfg, total_steps, trial, attempt, count_outcomes);
+        let (mut target, ladder) = pool.take();
+        let out = self.execute(&mut target, ladder, golden, total_steps, trial, attempt, count_outcomes);
         pool.release(target, out.0.outcome.is_due());
         out
     }
@@ -358,9 +377,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::target::{StepOutcome, VarClass, VarInfo, Variable};
+    use crate::target::{Snapshot, StepOutcome, VarClass, VarInfo, Variable};
 
     /// Tiny deterministic victim for campaign-level tests.
+    #[derive(Clone)]
     struct Victim {
         data: Vec<u32>,
         ctrl: u64,
@@ -403,12 +423,12 @@ mod tests {
         fn output(&self) -> Output {
             Output::I32Grid { dims: [8, 8, 1], data: self.data.iter().map(|&x| x as i32).collect() }
         }
-        fn reset(&mut self) -> bool {
-            for (i, x) in self.data.iter_mut().enumerate() {
-                *x = i as u32;
-            }
-            self.ctrl = 0;
-            self.done = 0;
+        fn snapshot(&self) -> Option<Snapshot> {
+            Some(Snapshot::new(self.clone()))
+        }
+        fn restore(&mut self, snapshot: &Snapshot) -> bool {
+            let Some(s) = snapshot.get::<Victim>() else { return false };
+            self.clone_from(s);
             true
         }
     }
@@ -505,7 +525,7 @@ mod tests {
         let c = run_campaign("victim", Victim::new, &g, &cfg);
         // Every trial acquires exactly one target.
         assert_eq!(c.report.pool_hits + c.report.pool_rebuilds, 120);
-        assert!(c.report.pool_hits > 0, "resettable targets must be reused");
+        assert!(c.report.pool_hits > 0, "snapshotting targets must be reused");
         // Every DUE drops its (possibly torn) instance, so the pool must
         // have rebuilt at least once per DUE, up to the instances still idle
         // at the end (bounded by the worker count plus the seeded probe).

@@ -64,8 +64,8 @@ pub use warden::{IsolateConfig, IsolatedTrial, Warden};
 pub use fuel::Fuel;
 pub use models::{FaultApplicator, FaultModel, InjectionDetail};
 pub use output::{Mismatch, Output};
-pub use pool::TargetPool;
+pub use pool::{Ladder, TargetPool};
 pub use record::{OutcomeRecord, TrialRecord, VarDesc};
 pub use select::VariableSelector;
 pub use supervisor::{run_trial, run_trial_mut, DueCause, TrialConfig, TrialOutcome};
-pub use target::{FaultTarget, FrameId, StepOutcome, VarClass, VarInfo, Variable};
+pub use target::{FaultTarget, FrameId, Snapshot, StepOutcome, VarClass, VarInfo, Variable};

@@ -110,8 +110,8 @@ pub trait TrialKind: Sync {
     fn meta(&self, shards: usize) -> CampaignMeta;
     /// Worker threads requested (0 ⇒ one per core).
     fn workers(&self) -> usize;
-    /// Runs trial `trial` on a target from `pool`, classifying against
-    /// `golden`. Returns the record and whether the bitwise fast-path
+    /// Runs trial `trial` on a target from `pool`, started from the pool's
+    /// golden ladder, classifying against `golden`. Returns the record and whether the bitwise fast-path
     /// compare alone classified it. `attempt` and `count_outcomes` only
     /// shape telemetry: retries (attempt > 0) emit `*_retry` events, and
     /// warden workers pass `count_outcomes: false` because the supervisor
@@ -143,8 +143,9 @@ pub trait TrialKind: Sync {
 /// Where a campaign's trials run.
 #[derive(Debug, Clone, Copy)]
 pub enum Executor<'a> {
-    /// In this process, on pooled targets (reset in place, rebuilt after a
-    /// DUE), classified against the golden output.
+    /// In this process, on pooled targets (started from the campaign's
+    /// golden ladder, rebuilt after a DUE), classified against the golden
+    /// output.
     Pool(&'a Output),
     /// In child worker processes supervised by one pooled [`Warden`] per
     /// engine thread. The calling binary must re-exec itself in worker mode
@@ -237,10 +238,10 @@ impl<T: FaultTarget, F: Fn() -> T> Victims<T, F> {
 ///
 /// `golden` must be the output of a fault-free run of `factory()`.
 /// Deterministic for a given `(factory, seed)` pair regardless of the
-/// worker count: each worker reuses a target via [`FaultTarget::reset`]
-/// instead of calling `factory()` per trial, with a factory rebuild after
-/// every DUE — the records stay bit-identical to the factory-per-trial
-/// path either way.
+/// worker count: each worker reuses a target restored from the pool's
+/// golden ladder instead of calling `factory()` per trial, with a factory
+/// rebuild after every DUE — the records stay bit-identical to the
+/// factory-per-trial path either way.
 pub fn run_in_memory<K, T, F>(kind: &K, factory: F, golden: &Output) -> K::Campaign
 where
     K: TrialKind,
@@ -642,9 +643,10 @@ where
 mod tests {
     use super::*;
     use crate::campaign::{execute_trial, run_campaign, CampaignConfig, Injection};
-    use crate::target::{StepOutcome, VarClass, VarInfo, Variable};
+    use crate::target::{Snapshot, StepOutcome, VarClass, VarInfo, Variable};
 
     /// Tiny deterministic victim (mirror of the campaign-test victim).
+    #[derive(Clone)]
     struct Victim {
         data: Vec<u32>,
         ctrl: u64,
@@ -687,12 +689,12 @@ mod tests {
         fn output(&self) -> Output {
             Output::I32Grid { dims: [8, 8, 1], data: self.data.iter().map(|&x| x as i32).collect() }
         }
-        fn reset(&mut self) -> bool {
-            for (i, v) in self.data.iter_mut().enumerate() {
-                *v = i as u32;
-            }
-            self.ctrl = 0;
-            self.done = 0;
+        fn snapshot(&self) -> Option<Snapshot> {
+            Some(Snapshot::new(self.clone()))
+        }
+        fn restore(&mut self, snapshot: &Snapshot) -> bool {
+            let Some(s) = snapshot.get::<Victim>() else { return false };
+            self.clone_from(s);
             true
         }
     }

@@ -18,8 +18,9 @@
 use crate::fuel::{is_timeout, watchdog_budget, Fuel};
 use crate::models::{FaultApplicator, InjectionDetail};
 use crate::output::Output;
+use crate::pool::Ladder;
 use crate::record::{DiffSummary, DueKind};
-use crate::target::FaultTarget;
+use crate::target::{FaultTarget, StepOutcome};
 use rand::rngs::StdRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -114,9 +115,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> DueCause {
 /// Runs one faulted execution of `target` and classifies it against `golden`.
 ///
 /// The target is constructed by the caller (so beam trials can pre-configure
-/// device state); `run_trial` consumes it. Pooled campaign runners use
-/// [`run_trial_mut`] instead, which borrows the target so it can be
-/// `reset()` and reused.
+/// device state) and replays its fault-free prefix from step 0; `run_trial`
+/// consumes it. Pooled campaign runners use [`run_trial_mut`] instead, which
+/// borrows the target so it can be restored and reused.
 pub fn run_trial<T: FaultTarget>(
     mut target: T,
     golden: &Output,
@@ -124,16 +125,26 @@ pub fn run_trial<T: FaultTarget>(
     cfg: TrialConfig,
     rng: &mut StdRng,
 ) -> TrialResult {
-    run_trial_mut(&mut target, golden, applicator, cfg, rng)
+    run_trial_mut(&mut target, None, golden, applicator, cfg, rng)
 }
 
-/// [`run_trial`] over a borrowed target.
+/// [`run_trial`] over a borrowed target, started from the golden `ladder`
+/// when one is given.
 ///
-/// The caller keeps ownership, so a pooled target can be `reset()` and
-/// reused for the next trial — unless the outcome was a DUE, after which the
-/// state may be torn mid-`step` and the pool must rebuild via its factory.
+/// With a ladder, the target may hold any state a previous trial of the
+/// campaign left (short of a DUE): the trial restores the highest captured
+/// rung at or below the injection step and runs only the rest of the
+/// fault-free prefix, capturing every missing rung it passes. The restored
+/// steps count as executed, in `executed_steps` and against the watchdog
+/// budget, so the result is bit-identical to replaying from step 0. Without
+/// one, the target must stand at step 0 and replays the whole prefix.
+///
+/// The caller keeps ownership, so a pooled target can be reused for the
+/// next trial — unless the outcome was a DUE, after which the state may be
+/// torn mid-`step` and the pool must rebuild via its factory.
 pub fn run_trial_mut<T: FaultTarget>(
     target: &mut T,
+    ladder: Option<&Ladder>,
     golden: &Output,
     applicator: &mut dyn FaultApplicator,
     cfg: TrialConfig,
@@ -157,17 +168,36 @@ pub fn run_trial_mut<T: FaultTarget>(
     let mut post_budget = 0u64;
     let mut post_fuel = Fuel::new(0);
 
+    // Start from the nearest golden rung. The restored steps are charged to
+    // the prefix exactly as if they had run. A restore failing is a harness
+    // bug, not a victim fault, so it stays outside the unwind boundary.
+    let pre_span = obs::span!("pre_phase");
+    let restored = ladder.map_or(0, |ladder| ladder.restore(target, inject_step));
+    pre_fuel.burn(restored as u64);
+    obs::incr("ladder/skipped_steps", restored as u64);
+
     let run = catch_unwind(AssertUnwindSafe(|| {
         // Phase 1: full speed until the interrupt — one fuel
-        // decrement-and-branch per step, no supervisor bookkeeping. If the
+        // decrement-and-branch per step, no supervisor bookkeeping —
+        // stopping to capture any rung of the ladder still missing. If the
         // program finishes before the interrupt fires, CAROL-FI logs these
         // as faults injected at the very end; we apply the fault to the
         // final state so the output comparison still sees it (matches
         // injecting into a result buffer).
-        {
-            let _span = obs::span!("pre_phase");
+        let mut prefix = StepOutcome::Continue;
+        if let Some(ladder) = ladder {
+            for (rung, at) in ladder.missing(restored, inject_step) {
+                prefix = target.run_until(at, &mut pre_fuel);
+                if prefix == StepOutcome::Done {
+                    break;
+                }
+                ladder.capture(rung, target);
+            }
+        }
+        if prefix == StepOutcome::Continue {
             target.run_until(inject_step, &mut pre_fuel);
         }
+        drop(pre_span);
 
         // Phase 2: the Flip-script.
         let mut vars = target.variables();

@@ -232,23 +232,61 @@ pub trait FaultTarget: Send {
         (self.steps_executed() as f64 / total as f64).min(1.0)
     }
 
-    /// Restores the target to its pristine pre-run state in place, returning
-    /// `true` on success.
+    /// Captures the target's complete state at a step boundary, or `None`
+    /// when the target does not support snapshots (the default).
     ///
-    /// The contract is strict bit-identity: after `reset()` returns `true`,
-    /// stepping the target to completion must produce exactly the output a
-    /// freshly constructed target (same parameters) would — including every
-    /// injectable byte enumerated by [`FaultTarget::variables`], since a
-    /// previous trial may have corrupted any of them. Campaign runners use
-    /// this to reuse one target per worker instead of reconstructing (and
-    /// reallocating) per trial; they fall back to the factory when `reset`
-    /// returns `false`, and always rebuild after a DUE because a panicked
-    /// trial may have left the state torn mid-`step`.
+    /// The snapshot is the campaign's record of a fault-free run at
+    /// `steps_executed()`: rung 0 is taken from a freshly built target, the
+    /// later rungs of the golden ladder ([`crate::pool::Ladder`]) from
+    /// fault-free prefixes. Capture with one copy of the state.
+    fn snapshot(&self) -> Option<Snapshot> {
+        None
+    }
+
+    /// Restores a state captured by [`FaultTarget::snapshot`] on a target
+    /// of the same type and parameters, in place, returning `true` on
+    /// success.
     ///
-    /// The default returns `false` (no in-place reinitialization available),
-    /// so existing targets keep working — they just don't pool.
-    fn reset(&mut self) -> bool {
+    /// The contract is strict bit-identity: after a restore, the target
+    /// must be indistinguishable from the one the snapshot was taken of —
+    /// every injectable byte enumerated by [`FaultTarget::variables`] (a
+    /// previous trial may have corrupted any of them), `steps_executed()`,
+    /// and whatever else steers later steps — so stepping on produces
+    /// exactly the output the snapshotted target would have. Campaign
+    /// pools use this to reuse one target per worker and to start a trial
+    /// from the nearest golden rung instead of step 0. They rebuild after a
+    /// DUE, because a panicked trial may have left the state torn
+    /// mid-`step`.
+    ///
+    /// The default returns `false`: targets without snapshots are rebuilt
+    /// by their factory for every trial and replay from step 0.
+    fn restore(&mut self, snapshot: &Snapshot) -> bool {
+        let _ = snapshot;
         false
+    }
+}
+
+/// A target's complete state at a step boundary, as captured by
+/// [`FaultTarget::snapshot`]: opaque to everyone but the target type that
+/// took it. `Sync`, because every worker of a campaign restores from the
+/// same snapshots.
+pub struct Snapshot(Box<dyn std::any::Any + Send + Sync>);
+
+impl Snapshot {
+    /// Wraps a target's copy of its own state.
+    pub fn new<S: std::any::Any + Send + Sync>(state: S) -> Self {
+        Snapshot(Box::new(state))
+    }
+
+    /// The wrapped state, if it has type `S`.
+    pub fn get<S: std::any::Any>(&self) -> Option<&S> {
+        self.0.downcast_ref()
+    }
+}
+
+impl std::fmt::Debug for Snapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Snapshot")
     }
 }
 
@@ -282,8 +320,11 @@ impl FaultTarget for Box<dyn FaultTarget> {
     fn progress(&self) -> f64 {
         self.as_ref().progress()
     }
-    fn reset(&mut self) -> bool {
-        self.as_mut().reset()
+    fn snapshot(&self) -> Option<Snapshot> {
+        self.as_ref().snapshot()
+    }
+    fn restore(&mut self, snapshot: &Snapshot) -> bool {
+        self.as_mut().restore(snapshot)
     }
 }
 

@@ -34,7 +34,7 @@ pub mod tree;
 use crate::par::{par_for_each, static_partition};
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
-use carolfi::target::{FaultTarget, StepOutcome, VarClass, VarInfo, Variable};
+use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
 
 /// Gravitational constant of the shallow-water system.
 const GRAVITY: f64 = 9.8;
@@ -127,10 +127,6 @@ pub struct Clamr {
     total: usize,
     /// Active cell count after each timestep (for the window analysis).
     cell_history: Vec<usize>,
-    /// Pristine snapshot taken at the end of `new()` — *after* the pre-run
-    /// refinement setup, so `reset()` restores the adapted starting mesh
-    /// (its own `pristine` is `None`).
-    pristine: Option<Box<Clamr>>,
 }
 
 impl Clamr {
@@ -197,7 +193,6 @@ impl Clamr {
             done: 0,
             total: p.timesteps * 4,
             cell_history: Vec::new(),
-            pristine: None,
         };
         // Pre-refine around the initial bump so the run starts on a
         // realistic adapted mesh (CLAMR does the same during setup).
@@ -207,7 +202,6 @@ impl Clamr {
             c.compute_gradients();
             c.phase_remesh();
         }
-        c.pristine = Some(Box::new(c.clone()));
         c
     }
 
@@ -622,35 +616,40 @@ impl FaultTarget for Clamr {
         Output::F64Grid { dims: [fine, fine, 1], data: grid }
     }
 
-    fn reset(&mut self) -> bool {
-        let Some(pristine) = self.pristine.take() else { return false };
+    /// Snapshots are taken after `new()`'s pre-run refinement, so rung 0
+    /// is the adapted starting mesh.
+    fn snapshot(&self) -> Option<Snapshot> {
+        Some(Snapshot::new(self.clone()))
+    }
+
+    fn restore(&mut self, snapshot: &Snapshot) -> bool {
+        let Some(s) = snapshot.get::<Clamr>() else { return false };
         // Mesh arrays change length as cells refine/coarsen; `clone_from`
         // truncates/extends in place, reusing each vector's allocation.
-        self.ci.clone_from(&pristine.ci);
-        self.cj.clone_from(&pristine.cj);
-        self.clevel.clone_from(&pristine.clevel);
-        self.h.clone_from(&pristine.h);
-        self.uvel.clone_from(&pristine.uvel);
-        self.vvel.clone_from(&pristine.vvel);
-        self.grad.clone_from(&pristine.grad);
-        self.ncells = pristine.ncells;
-        self.sort_keys.clone_from(&pristine.sort_keys);
-        self.sorted_idx.clone_from(&pristine.sorted_idx);
-        self.sort_scratch.clone_from(&pristine.sort_scratch);
-        self.tree_child.clone_from(&pristine.tree_child);
-        self.tree_cell.clone_from(&pristine.tree_cell);
-        self.dt = pristine.dt;
-        self.gravity = pristine.gravity;
-        self.damping = pristine.damping;
-        self.friction = pristine.friction;
-        self.refine_thresh = pristine.refine_thresh;
-        self.coarsen_thresh = pristine.coarsen_thresh;
-        self.ptr_state = 0;
-        self.raw = pristine.raw;
-        self.ctrl.copy_from_slice(&pristine.ctrl);
-        self.done = 0;
-        self.cell_history.clear();
-        self.pristine = Some(pristine);
+        self.ci.clone_from(&s.ci);
+        self.cj.clone_from(&s.cj);
+        self.clevel.clone_from(&s.clevel);
+        self.h.clone_from(&s.h);
+        self.uvel.clone_from(&s.uvel);
+        self.vvel.clone_from(&s.vvel);
+        self.grad.clone_from(&s.grad);
+        self.ncells = s.ncells;
+        self.sort_keys.clone_from(&s.sort_keys);
+        self.sorted_idx.clone_from(&s.sorted_idx);
+        self.sort_scratch.clone_from(&s.sort_scratch);
+        self.tree_child.clone_from(&s.tree_child);
+        self.tree_cell.clone_from(&s.tree_cell);
+        self.dt = s.dt;
+        self.gravity = s.gravity;
+        self.damping = s.damping;
+        self.friction = s.friction;
+        self.refine_thresh = s.refine_thresh;
+        self.coarsen_thresh = s.coarsen_thresh;
+        self.ptr_state = s.ptr_state;
+        self.raw = s.raw;
+        self.ctrl.copy_from_slice(&s.ctrl);
+        self.done = s.done;
+        self.cell_history.clone_from(&s.cell_history);
         true
     }
 }

@@ -18,7 +18,7 @@
 use crate::par::{par_for_each, static_partition};
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
-use carolfi::target::{FaultTarget, StepOutcome, VarClass, VarInfo, Variable};
+use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
 use rand::Rng;
 
 /// DGEMM sizing parameters.
@@ -92,12 +92,9 @@ pub struct Dgemm {
     ptr_a: u64,
     done: usize,
     total: usize,
-    /// Pristine pre-run snapshot taken at the end of `new()` (its own
-    /// `pristine` is `None`); `reset()` restores from it in place.
-    pristine: Option<Box<Dgemm>>,
     /// Transposed k-panel of `b`, rebuilt from `b` every fast-path step so
     /// injected corruption in `b` flows through identically. Harness
-    /// scratch: not injectable, not part of the pristine snapshot contract.
+    /// scratch: not injectable, not part of the snapshot contract.
     bt: Vec<f64>,
 }
 
@@ -126,9 +123,7 @@ impl Dgemm {
                 }
             })
             .collect();
-        let mut g = Dgemm { p, a, b, c: vec![0.0; p.n * p.n], ctrl, ptr_a: 0, done: 0, total: nb, pristine: None, bt: Vec::new() };
-        g.pristine = Some(Box::new(g.clone()));
-        g
+        Dgemm { p, a, b, c: vec![0.0; p.n * p.n], ctrl, ptr_a: 0, done: 0, total: nb, bt: Vec::new() }
     }
 
     /// True when every injectable byte that steers the panel loops still
@@ -362,15 +357,18 @@ impl FaultTarget for Dgemm {
         Output::F64Grid { dims: [self.p.n, self.p.n, 1], data: self.c.clone() }
     }
 
-    fn reset(&mut self) -> bool {
-        let Some(pristine) = self.pristine.take() else { return false };
-        self.a.copy_from_slice(&pristine.a);
-        self.b.copy_from_slice(&pristine.b);
-        self.c.copy_from_slice(&pristine.c);
-        self.ctrl.copy_from_slice(&pristine.ctrl);
-        self.ptr_a = 0;
-        self.done = 0;
-        self.pristine = Some(pristine);
+    fn snapshot(&self) -> Option<Snapshot> {
+        Some(Snapshot::new(self.clone()))
+    }
+
+    fn restore(&mut self, snapshot: &Snapshot) -> bool {
+        let Some(s) = snapshot.get::<Dgemm>() else { return false };
+        self.a.copy_from_slice(&s.a);
+        self.b.copy_from_slice(&s.b);
+        self.c.copy_from_slice(&s.c);
+        self.ctrl.copy_from_slice(&s.ctrl);
+        self.ptr_a = s.ptr_a;
+        self.done = s.done;
         true
     }
 }

@@ -20,7 +20,7 @@
 use crate::par::{par_for_each, static_partition};
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
-use carolfi::target::{FaultTarget, StepOutcome, VarClass, VarInfo, Variable};
+use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
 use rand::Rng;
 
 // Rodinia hotspot physical constants.
@@ -120,9 +120,6 @@ pub struct Hotspot {
     /// masked, the dominant fate of HotSpot's constant-class injections.
     raw: [f32; 6],
     done: usize,
-    /// Pristine pre-run snapshot taken at the end of `new()` (its own
-    /// `pristine` is `None`); `reset()` restores from it in place.
-    pristine: Option<Box<Hotspot>>,
 }
 
 impl Hotspot {
@@ -165,10 +162,7 @@ impl Hotspot {
                 }
             })
             .collect();
-        let mut h =
-            Hotspot { p, t_dst: t_src.clone(), t_src, power, consts, ctrl, ptr_temp: 0, raw: [rx, ry, rz, cap, step, max_slope], done: 0, pristine: None };
-        h.pristine = Some(Box::new(h.clone()));
-        h
+        Hotspot { p, t_dst: t_src.clone(), t_src, power, consts, ctrl, ptr_temp: 0, raw: [rx, ry, rz, cap, step, max_slope], done: 0 }
     }
 
     /// Sequential reference implementation (one full run) for tests.
@@ -350,17 +344,20 @@ impl FaultTarget for Hotspot {
         Output::F32Grid { dims: [self.p.rows, self.p.cols, 1], data }
     }
 
-    fn reset(&mut self) -> bool {
-        let Some(pristine) = self.pristine.take() else { return false };
-        self.t_src.copy_from_slice(&pristine.t_src);
-        self.t_dst.copy_from_slice(&pristine.t_dst);
-        self.power.copy_from_slice(&pristine.power);
-        self.consts = pristine.consts;
-        self.ctrl.copy_from_slice(&pristine.ctrl);
-        self.ptr_temp = 0;
-        self.raw = pristine.raw;
-        self.done = 0;
-        self.pristine = Some(pristine);
+    fn snapshot(&self) -> Option<Snapshot> {
+        Some(Snapshot::new(self.clone()))
+    }
+
+    fn restore(&mut self, snapshot: &Snapshot) -> bool {
+        let Some(s) = snapshot.get::<Hotspot>() else { return false };
+        self.t_src.copy_from_slice(&s.t_src);
+        self.t_dst.copy_from_slice(&s.t_dst);
+        self.power.copy_from_slice(&s.power);
+        self.consts = s.consts;
+        self.ctrl.copy_from_slice(&s.ctrl);
+        self.ptr_temp = s.ptr_temp;
+        self.raw = s.raw;
+        self.done = s.done;
         true
     }
 }

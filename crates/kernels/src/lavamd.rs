@@ -23,7 +23,7 @@
 use crate::par::par_for_each;
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
-use carolfi::target::{FaultTarget, StepOutcome, VarClass, VarInfo, Variable};
+use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
 use rand::Rng;
 
 /// LavaMD sizing parameters.
@@ -110,9 +110,6 @@ pub struct Lavamd {
     /// Raw setup parameters, dead after construction (masked targets).
     raw: [f32; 4],
     done: usize,
-    /// Pristine pre-run snapshot taken at the end of `new()` (its own
-    /// `pristine` is `None`); `reset()` restores from it in place.
-    pristine: Option<Box<Lavamd>>,
 }
 
 impl Lavamd {
@@ -155,9 +152,7 @@ impl Lavamd {
                 fz_copy: 0.0,
             })
             .collect();
-        let mut l = Lavamd { p, rv, qv, fv: vec![0.0; n * 4], a2: A2_DEFAULT, cut2: CUT2_DEFAULT, ctrl, ptr_rv: 0, raw: [A2_DEFAULT.sqrt(), CUT2_DEFAULT.sqrt(), p.nb as f32, p.par_per_box as f32], done: 0, pristine: None };
-        l.pristine = Some(Box::new(l.clone()));
-        l
+        Lavamd { p, rv, qv, fv: vec![0.0; n * 4], a2: A2_DEFAULT, cut2: CUT2_DEFAULT, ctrl, ptr_rv: 0, raw: [A2_DEFAULT.sqrt(), CUT2_DEFAULT.sqrt(), p.nb as f32, p.par_per_box as f32], done: 0 }
     }
 
     /// Sequential reference: potentials for every particle, brute force over
@@ -373,18 +368,21 @@ impl FaultTarget for Lavamd {
         Output::F32Grid { dims: [nb, nb, nb * self.p.par_per_box * 4], data }
     }
 
-    fn reset(&mut self) -> bool {
-        let Some(pristine) = self.pristine.take() else { return false };
-        self.rv.copy_from_slice(&pristine.rv);
-        self.qv.copy_from_slice(&pristine.qv);
-        self.fv.copy_from_slice(&pristine.fv);
-        self.a2 = pristine.a2;
-        self.cut2 = pristine.cut2;
-        self.ctrl.copy_from_slice(&pristine.ctrl);
-        self.ptr_rv = 0;
-        self.raw = pristine.raw;
-        self.done = 0;
-        self.pristine = Some(pristine);
+    fn snapshot(&self) -> Option<Snapshot> {
+        Some(Snapshot::new(self.clone()))
+    }
+
+    fn restore(&mut self, snapshot: &Snapshot) -> bool {
+        let Some(s) = snapshot.get::<Lavamd>() else { return false };
+        self.rv.copy_from_slice(&s.rv);
+        self.qv.copy_from_slice(&s.qv);
+        self.fv.copy_from_slice(&s.fv);
+        self.a2 = s.a2;
+        self.cut2 = s.cut2;
+        self.ctrl.copy_from_slice(&s.ctrl);
+        self.ptr_rv = s.ptr_rv;
+        self.raw = s.raw;
+        self.done = s.done;
         true
     }
 }

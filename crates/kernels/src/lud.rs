@@ -19,7 +19,7 @@
 use crate::par::{par_for_each, static_partition};
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
-use carolfi::target::{FaultTarget, StepOutcome, VarClass, VarInfo, Variable};
+use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
 use rand::Rng;
 
 /// LUD sizing parameters.
@@ -83,9 +83,6 @@ pub struct Lud {
     ctrl: Vec<Ctrl>,
     done: usize,
     total: usize,
-    /// Pristine pre-run snapshot taken at the end of `new()` (its own
-    /// `pristine` is `None`); `reset()` restores from it in place.
-    pristine: Option<Box<Lud>>,
 }
 
 impl Lud {
@@ -111,9 +108,7 @@ impl Lud {
                 col_scratch: 0,
             })
             .collect();
-        let mut l = Lud { p, a, d: 0, ptr_m: 0, ctrl, done: 0, total: 3 * nb, pristine: None };
-        l.pristine = Some(Box::new(l.clone()));
-        l
+        Lud { p, a, d: 0, ptr_m: 0, ctrl, done: 0, total: 3 * nb }
     }
 
     /// Input matrix of a fresh instance (for verification tests).
@@ -349,14 +344,17 @@ impl FaultTarget for Lud {
         Output::F32Grid { dims: [self.p.n, self.p.n, 1], data: self.a.clone() }
     }
 
-    fn reset(&mut self) -> bool {
-        let Some(pristine) = self.pristine.take() else { return false };
-        self.a.copy_from_slice(&pristine.a);
-        self.d = 0;
-        self.ptr_m = 0;
-        self.ctrl.copy_from_slice(&pristine.ctrl);
-        self.done = 0;
-        self.pristine = Some(pristine);
+    fn snapshot(&self) -> Option<Snapshot> {
+        Some(Snapshot::new(self.clone()))
+    }
+
+    fn restore(&mut self, snapshot: &Snapshot) -> bool {
+        let Some(s) = snapshot.get::<Lud>() else { return false };
+        self.a.copy_from_slice(&s.a);
+        self.d = s.d;
+        self.ptr_m = s.ptr_m;
+        self.ctrl.copy_from_slice(&s.ctrl);
+        self.done = s.done;
         true
     }
 }

@@ -21,7 +21,7 @@
 use crate::par::par_for_each;
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
-use carolfi::target::{FaultTarget, StepOutcome, VarClass, VarInfo, Variable};
+use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
 use rand::Rng;
 
 /// NW sizing parameters.
@@ -104,9 +104,6 @@ pub struct Nw {
     ctrl: Vec<Ctrl>,
     done: usize,
     total: usize,
-    /// Pristine pre-run snapshot taken at the end of `new()` (its own
-    /// `pristine` is `None`); `reset()` restores from it in place.
-    pristine: Option<Box<Nw>>,
 }
 
 /// Deterministic BLOSUM-like substitution matrix: positive diagonal,
@@ -159,9 +156,7 @@ impl Nw {
             })
             .collect();
         // 2·bb − 1 wavefront steps + 1 traceback step.
-        let mut nw = Nw { p, refm, score, penalty: PENALTY, seq1, seq2, path: vec![-1; (2 * p.n + 1) * 3], ptr_score: 0, ptr_ref: 0, ctrl, done: 0, total: 2 * bb - 1 + 1, pristine: None };
-        nw.pristine = Some(Box::new(nw.clone()));
-        nw
+        Nw { p, refm, score, penalty: PENALTY, seq1, seq2, path: vec![-1; (2 * p.n + 1) * 3], ptr_score: 0, ptr_ref: 0, ctrl, done: 0, total: 2 * bb - 1 + 1 }
     }
 
     /// Sequential reference DP fill for correctness tests.
@@ -409,19 +404,22 @@ impl FaultTarget for Nw {
         Output::I32Grid { dims: [self.path.len() / 3, 3, 1], data: self.path.clone() }
     }
 
-    fn reset(&mut self) -> bool {
-        let Some(pristine) = self.pristine.take() else { return false };
-        self.refm.copy_from_slice(&pristine.refm);
-        self.score.copy_from_slice(&pristine.score);
-        self.penalty = pristine.penalty;
-        self.seq1.copy_from_slice(&pristine.seq1);
-        self.seq2.copy_from_slice(&pristine.seq2);
-        self.path.copy_from_slice(&pristine.path);
-        self.ptr_score = 0;
-        self.ptr_ref = 0;
-        self.ctrl.copy_from_slice(&pristine.ctrl);
-        self.done = 0;
-        self.pristine = Some(pristine);
+    fn snapshot(&self) -> Option<Snapshot> {
+        Some(Snapshot::new(self.clone()))
+    }
+
+    fn restore(&mut self, snapshot: &Snapshot) -> bool {
+        let Some(s) = snapshot.get::<Nw>() else { return false };
+        self.refm.copy_from_slice(&s.refm);
+        self.score.copy_from_slice(&s.score);
+        self.penalty = s.penalty;
+        self.seq1.copy_from_slice(&s.seq1);
+        self.seq2.copy_from_slice(&s.seq2);
+        self.path.copy_from_slice(&s.path);
+        self.ptr_score = s.ptr_score;
+        self.ptr_ref = s.ptr_ref;
+        self.ctrl.copy_from_slice(&s.ctrl);
+        self.done = s.done;
         true
     }
 }

@@ -152,24 +152,25 @@ mod tests {
 
     #[test]
     fn reset_restores_every_kernel_to_a_bit_identical_rerun() {
-        // The pool/reset contract: after a full run — even one with injected
-        // corruption — `reset()` must return the target to the pristine
-        // pre-run state, so stepping to completion again reproduces the
-        // golden output bit for bit.
+        // The pool contract for rung 0: after a full run — even one with
+        // injected corruption — restoring the pristine snapshot must return
+        // the target to its pre-run state, so stepping to completion again
+        // reproduces the golden output bit for bit.
         for b in Benchmark::ALL {
             let g = golden(b, SizeClass::Test);
             let mut t = build(b, SizeClass::Test);
+            let rung0 = t.snapshot().unwrap_or_else(|| panic!("{b} must support snapshots"));
             while t.step() == StepOutcome::Continue {}
             // Corrupt injectable state the way a fault model would, to prove
-            // reset repairs inputs and controls, not just cursors.
+            // the restore repairs inputs and controls, not just cursors.
             for v in t.variables() {
                 if let Some(byte) = v.bytes.first_mut() {
                     *byte ^= 0x55;
                 }
             }
-            assert!(t.reset(), "{b} must support in-place reset");
+            assert!(t.restore(&rung0), "{b} must support in-place restore");
             while t.step() == StepOutcome::Continue {}
-            assert!(t.output().bits_equal(&g), "{b}: post-reset rerun must be bit-identical to the golden run");
+            assert!(t.output().bits_equal(&g), "{b}: post-restore rerun must be bit-identical to the golden run");
         }
     }
 

@@ -18,7 +18,7 @@
 //! masked fraction of non-control faults.
 
 use carolfi::output::Output;
-use carolfi::target::{FaultTarget, StepOutcome, VarClass, VarInfo, Variable};
+use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
 
 /// Panic payload raised when a control replica disagrees (recognisable in
 /// the DUE crash message).
@@ -139,10 +139,16 @@ impl<T: FaultTarget> FaultTarget for DwcControls<T> {
         self.inner.output()
     }
 
-    fn reset(&mut self) -> bool {
-        // Resettable exactly when the wrapped program is: restore the inner
+    /// The wrapped program's snapshot: at a step boundary of a fault-free
+    /// run the replicas equal the originals, so they need no copy.
+    fn snapshot(&self) -> Option<Snapshot> {
+        self.inner.snapshot()
+    }
+
+    fn restore(&mut self, snapshot: &Snapshot) -> bool {
+        // Restorable exactly when the wrapped program is: restore the inner
         // state, then rebuild the replicas from the restored originals.
-        if !self.inner.reset() {
+        if !self.inner.restore(snapshot) {
             return false;
         }
         self.refresh();
@@ -156,6 +162,7 @@ mod tests {
     use super::*;
 
     /// Toy victim with one critical control variable.
+    #[derive(Clone)]
     struct Toy {
         data: Vec<u64>,
         cursor: u64,
@@ -198,12 +205,12 @@ mod tests {
         fn output(&self) -> Output {
             Output::I32Grid { dims: [32, 1, 1], data: self.data.iter().map(|&x| x as i32).collect() }
         }
-        fn reset(&mut self) -> bool {
-            for (i, v) in self.data.iter_mut().enumerate() {
-                *v = i as u64;
-            }
-            self.cursor = 0;
-            self.done = 0;
+        fn snapshot(&self) -> Option<Snapshot> {
+            Some(Snapshot::new(self.clone()))
+        }
+        fn restore(&mut self, snapshot: &Snapshot) -> bool {
+            let Some(s) = snapshot.get::<Toy>() else { return false };
+            self.clone_from(s);
             true
         }
     }
@@ -261,9 +268,10 @@ mod tests {
         let golden = plain.output();
 
         let mut hardened = DwcControls::new(Toy::new());
+        let rung0 = hardened.snapshot().expect("wrapper snapshots when the inner target does");
         hardened.step();
         hardened.shadow[0].bytes[0] ^= 0xff; // corrupt the replica too
-        assert!(hardened.reset(), "wrapper must reset when the inner target does");
+        assert!(hardened.restore(&rung0), "wrapper must restore when the inner target does");
         while hardened.step() == StepOutcome::Continue {}
         assert!(hardened.output().bits_equal(&golden), "post-reset rerun must match the golden run");
         assert_eq!(hardened.detections(), 0);

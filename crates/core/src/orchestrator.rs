@@ -111,11 +111,12 @@ pub trait TrialKind: Sync {
     /// Worker threads requested (0 ⇒ one per core).
     fn workers(&self) -> usize;
     /// Runs trial `trial` on a target from `pool`, started from the pool's
-    /// golden ladder, classifying against `golden`. Returns the record and whether the bitwise fast-path
-    /// compare alone classified it. `attempt` and `count_outcomes` only
-    /// shape telemetry: retries (attempt > 0) emit `*_retry` events, and
-    /// warden workers pass `count_outcomes: false` because the supervisor
-    /// counts each journaled record exactly once instead.
+    /// golden ladder, classifying against `golden`. Returns the record and
+    /// whether the bitwise fast-path compare alone classified it.
+    /// `attempt` and `count_outcomes` only shape telemetry: retries
+    /// (attempt > 0) emit `*_retry` events, and warden workers pass
+    /// `count_outcomes: false` because the supervisor counts each
+    /// journaled record exactly once instead.
     #[allow(clippy::too_many_arguments)]
     fn run<T: FaultTarget, F: Fn() -> T>(
         &self,

@@ -260,8 +260,7 @@ pub trait FaultTarget: Send {
     ///
     /// The default returns `false`: targets without snapshots are rebuilt
     /// by their factory for every trial and replay from step 0.
-    fn restore(&mut self, snapshot: &Snapshot) -> bool {
-        let _ = snapshot;
+    fn restore(&mut self, _snapshot: &Snapshot) -> bool {
         false
     }
 }
@@ -281,12 +280,6 @@ impl Snapshot {
     /// The wrapped state, if it has type `S`.
     pub fn get<S: std::any::Any>(&self) -> Option<&S> {
         self.0.downcast_ref()
-    }
-}
-
-impl std::fmt::Debug for Snapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Snapshot")
     }
 }
 

@@ -273,7 +273,7 @@ mod tests {
         hardened.shadow[0].bytes[0] ^= 0xff; // corrupt the replica too
         assert!(hardened.restore(&rung0), "wrapper must restore when the inner target does");
         while hardened.step() == StepOutcome::Continue {}
-        assert!(hardened.output().bits_equal(&golden), "post-reset rerun must match the golden run");
+        assert!(hardened.output().bits_equal(&golden), "post-restore rerun must match the golden run");
         assert_eq!(hardened.detections(), 0);
     }
 

@@ -24,11 +24,12 @@ pub struct CampaignReport {
     pub busy_ns: u64,
     /// Watchdog-terminated trials (timeout DUEs).
     pub watchdog_fires: usize,
-    /// Target-pool trials served by an in-place `reset()` instead of a
-    /// fresh factory construction. Zero for cache-loaded reports.
+    /// Target-pool trials served by a pooled target restored in place
+    /// instead of a fresh factory construction. Zero for cache-loaded
+    /// reports.
     pub pool_hits: u64,
     /// Target-pool trials that built a fresh target (cold start, target
-    /// without reset support, or rebuild after a DUE left state torn).
+    /// without snapshot support, or rebuild after a DUE left state torn).
     pub pool_rebuilds: u64,
     /// Trials classified by the chunked bitwise compare alone, without an
     /// elementwise mismatch scan.
@@ -72,8 +73,9 @@ impl CampaignReport {
         self.outcomes.iter().find(|(k, _)| k == key).map_or(0, |&(_, n)| n)
     }
 
-    /// Fraction of pooled acquisitions served by `reset()` instead of a
-    /// factory rebuild, in `[0, 1]`; 0 when the run didn't pool.
+    /// Fraction of pooled acquisitions served by an in-place restore
+    /// instead of a factory rebuild, in `[0, 1]`; 0 when the run didn't
+    /// pool.
     pub fn pool_reuse(&self) -> f64 {
         let total = self.pool_hits + self.pool_rebuilds;
         if total == 0 {

@@ -1,12 +1,14 @@
 //! The determinism guard for the trial hot path.
 //!
-//! Target pooling (`FaultTarget::reset` instead of `factory()` per trial)
-//! and the bitwise fast-path compare are pure performance work: they must
-//! not change a single bit of any record. This suite pins that invariant:
+//! Target pooling (`FaultTarget::restore` instead of `factory()` per
+//! trial), the golden snapshot ladder (a trial starts from the nearest
+//! golden rung instead of step 0) and the bitwise fast-path compare are
+//! pure performance work: they must not change a single bit of any record.
+//! This suite pins that invariant:
 //!
-//! * a pooled campaign at `workers = 1` equals one at `workers = 8` equals a
-//!   hand-rolled factory-per-trial loop, bit for bit in serialized form, for
-//!   every benchmark;
+//! * a pooled, laddered campaign at `workers = 1` equals one at
+//!   `workers = 8` equals a hand-rolled factory-per-trial loop that replays
+//!   from step 0, bit for bit in serialized form, for every benchmark;
 //! * the fast path (`Output::bits_equal`) agrees with the elementwise
 //!   `mismatches()` scan on *equality* for arbitrary buffers, including NaN
 //!   payloads and signed zeros (proptest).
@@ -39,9 +41,9 @@ fn pooled_campaigns_are_bit_identical_for_any_worker_count() {
 
 #[test]
 fn pooled_records_match_a_factory_per_trial_loop() {
-    // The seed's semantics: a fresh `factory()` target per trial. Pooling
-    // must reproduce those records exactly — this is the contract
-    // `FaultTarget::reset` is held to.
+    // The seed's semantics: a fresh `factory()` target per trial, replaying
+    // its prefix from step 0. Pooled, laddered trials must reproduce those
+    // records exactly — the contract `FaultTarget::restore` is held to.
     for b in Benchmark::ALL {
         let g = golden(b, SizeClass::Test);
         let cfg = CampaignConfig { trials: 60, seed: 29, workers: 4, n_windows: b.n_windows(), ..Default::default() };

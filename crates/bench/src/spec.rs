@@ -713,6 +713,7 @@ pub fn journal_records(dir: &Path) -> io::Result<(store::CampaignMeta, Vec<Trial
         .clone()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, format!("{}: empty journal", dir.display())))?;
     let parse = |payload: &str| -> io::Result<TrialRecord> {
+        let _span = obs::span!("record.decode");
         serde_json::from_str(payload).map_err(|e| {
             io::Error::new(io::ErrorKind::InvalidData, format!("{}: bad trial payload: {e}", dir.display()))
         })

@@ -100,8 +100,11 @@ fn journaled_decisions(
     }
     let mut records = Vec::with_capacity(progress.shards[0].payloads.len());
     for (seq, payload) in progress.shards[0].payloads.iter().enumerate() {
-        let record: TrialRecord =
-            serde_json::from_str(payload).map_err(|e| invalid(format!("seq {seq}: bad trial payload: {e}")))?;
+        let record: TrialRecord = {
+            let _span = obs::span!("record.decode");
+            serde_json::from_str(payload)
+        }
+        .map_err(|e| invalid(format!("seq {seq}: bad trial payload: {e}")))?;
         records.push(record);
     }
     // Unlike the fixed-count journal, `seq` is execution order, not the
@@ -331,8 +334,11 @@ impl<T: FaultTarget, F: Fn() -> T + Sync> AdaptiveCampaign<T, F> {
                         }
                     };
                     self.victims.fast_compares += fast as u64;
-                    let payload = serde_json::to_string(&record)
-                        .map_err(|e| std::io::Error::other(format!("trial {}: serialize failed: {e}", record.trial)))?;
+                    let payload = {
+                        let _span = obs::span!("record.encode");
+                        serde_json::to_string(&record)
+                    }
+                    .map_err(|e| std::io::Error::other(format!("trial {}: serialize failed: {e}", record.trial)))?;
                     obs::incr("store/trials", 1);
                     let seq = self.records.len() as u64;
                     store::retry_transient(|| {

@@ -295,8 +295,11 @@ pub(crate) fn open_journal(store_cfg: &StoreConfig, meta: CampaignMeta) -> std::
         }
         let mut parsed = Vec::with_capacity(state.payloads.len());
         for (seq, payload) in std::mem::take(&mut state.payloads).iter().enumerate() {
-            let record: TrialRecord = serde_json::from_str(payload)
-                .map_err(|e| invalid(format!("shard {shard} seq {seq}: bad trial payload: {e}")))?;
+            let record: TrialRecord = {
+                let _span = obs::span!("record.decode");
+                serde_json::from_str(payload)
+            }
+            .map_err(|e| invalid(format!("shard {shard} seq {seq}: bad trial payload: {e}")))?;
             if record.trial != range.start + seq {
                 return Err(invalid(format!(
                     "shard {shard} seq {seq}: payload carries trial {}, expected {}",
@@ -422,7 +425,11 @@ pub(crate) fn drive_shards(
                 }
             };
             busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            let payload = match serde_json::to_string(&record) {
+            let encoded = {
+                let _span = obs::span!("record.encode");
+                serde_json::to_string(&record)
+            };
+            let payload = match encoded {
                 Ok(p) => p,
                 Err(e) => {
                     fail(std::io::Error::other(format!("trial {trial}: serialize failed: {e}")));

@@ -499,7 +499,11 @@ impl Warden {
                     if got != trial as u64 {
                         return Err(self.reap(format!("trial {trial}: worker answered trial {got}")));
                     }
-                    let record: TrialRecord = match serde_json::from_str(&payload) {
+                    let decoded = {
+                        let _span = obs::span!("record.decode");
+                        serde_json::from_str::<TrialRecord>(&payload)
+                    };
+                    let record = match decoded {
                         Ok(r) => r,
                         Err(e) => return Err(self.reap(format!("trial {trial}: unparseable record: {e}"))),
                     };
@@ -724,7 +728,11 @@ pub fn serve(mut run_one: impl FnMut(usize, u32) -> TrialRecord) -> std::io::Res
                 current.store(trial, Ordering::Relaxed);
                 let record = run_one(trial as usize, attempt);
                 current.store(u64::MAX, Ordering::Relaxed);
-                let payload = match serde_json::to_string(&record) {
+                let encoded = {
+                    let _span = obs::span!("record.encode");
+                    serde_json::to_string(&record)
+                };
+                let payload = match encoded {
                     Ok(p) => p,
                     Err(e) => break Err(other(format!("serialize record for trial {trial}: {e}"))),
                 };

@@ -16,15 +16,21 @@
 //!   (overwhelmingly common) masked outcome with a chunked `u64` word scan,
 //!   only falling back to the elementwise `mismatches()` walk — which
 //!   allocates coordinates and computes relative errors — on inequality.
+//! * **Direct record codec**: `serde_json::to_string` writes a record's
+//!   JSON straight to a buffer instead of lowering it to a content tree
+//!   and rendering that. The `record_codec/{direct,tree}` pair encodes a
+//!   fixed record mix both ways.
 //!
 //! With `TRIAL_HOT_PATH_JSON=<path>`, a machine-readable baseline
-//! (`pooled`/`factory`/`laddered` trials-per-second and the compare
-//! timings) is written after the criterion run — `./ci` uses this to track
-//! the speedup.
+//! (`pooled`/`factory`/`laddered` trials-per-second, the compare timings
+//! and the codec speedup) is written after the criterion run — `./ci` uses
+//! this to track the speedup.
 
+use beamsim::campaign::engine_for;
+use beamsim::{run_beam_campaign, BeamConfig};
 use carolfi::supervisor::{run_trial, run_trial_mut, TrialConfig};
 use carolfi::target::{FaultTarget, Variable};
-use carolfi::{InjectionDetail, TargetPool};
+use carolfi::{run_campaign, CampaignConfig, InjectionDetail, TargetPool, TrialRecord};
 use criterion::{criterion_group, Criterion};
 use kernels::{build, golden, Benchmark, SizeClass};
 use std::hint::black_box;
@@ -154,6 +160,51 @@ fn bench_compare(c: &mut Criterion) {
     group.finish();
 }
 
+/// The codec pair's record mix: a Test-size DGEMM injection campaign and a
+/// HotSpot beam campaign at a fixed seed.
+fn codec_records() -> Vec<TrialRecord> {
+    let (dgemm, hotspot) = (Benchmark::Dgemm, Benchmark::Hotspot);
+    let cfg = CampaignConfig { trials: 120, seed: 2017, workers: 1, n_windows: dgemm.n_windows(), ..Default::default() };
+    let mut records = run_campaign(dgemm.label(), || build(dgemm, SizeClass::Test), &golden(dgemm, SizeClass::Test), &cfg).records;
+    let beam = BeamConfig {
+        strikes: 200,
+        seed: 2017,
+        workers: 1,
+        n_windows: hotspot.n_windows(),
+        engine: engine_for(hotspot.label()),
+        ..Default::default()
+    };
+    records.extend(run_beam_campaign(hotspot.label(), || build(hotspot, SizeClass::Test), &golden(hotspot, SizeClass::Test), &beam).records);
+    records
+}
+
+/// Encodes every record directly (`serde_json::to_string`) or through the
+/// content-tree reference; returns the bytes written.
+fn encode_all(records: &[TrialRecord], direct: bool) -> usize {
+    records
+        .iter()
+        .map(|r| {
+            if direct {
+                serde_json::to_string(r).expect("records serialize").len()
+            } else {
+                let mut out = String::new();
+                serde::__private::write_content(&mut out, &serde::__private::to_content(r).expect("records lower"));
+                out.len()
+            }
+        })
+        .sum()
+}
+
+fn bench_record_codec(c: &mut Criterion) {
+    let records = codec_records();
+    let mut group = c.benchmark_group("record_codec");
+    group.sample_size(20);
+    for (name, direct) in [("direct", true), ("tree", false)] {
+        group.bench_function(name, |bench| bench.iter(|| black_box(encode_all(&records, direct))));
+    }
+    group.finish();
+}
+
 /// Wall-clock trials/sec over `n` trials for the JSON baseline.
 fn measure_trials_per_sec(n: usize, pooled: bool) -> f64 {
     let gold = golden(BENCH, SizeClass::Test);
@@ -222,6 +273,14 @@ fn emit_json(path: &str) {
     let same = golden(BENCH, SizeClass::Test);
     let fast_ns = time_ns(2000, || same.bits_equal(&gold));
     let scan_ns = time_ns(2000, || same.mismatches(&gold).is_empty());
+
+    // Both encodes of the same mix in the same run, so the ratio holds
+    // however fast the host happens to be.
+    let records = codec_records();
+    encode_all(&records, true);
+    encode_all(&records, false);
+    let direct_ns = time_ns(50, || encode_all(&records, true) > 0);
+    let tree_ns = time_ns(50, || encode_all(&records, false) > 0);
     let body = format!(
         "{{\n  \"benchmark\": \"{}\",\n  \"size\": \"test\",\n  \"trials\": {},\n  \
          \"factory_trials_per_sec\": {:.3},\n  \"pooled_trials_per_sec\": {:.3},\n  \
@@ -229,7 +288,7 @@ fn emit_json(path: &str) {
          \"pooled_reset_ns\": {:.1},\n  \"provisioning_speedup\": {:.3},\n  \
          \"fast_path_compare_ns\": {:.1},\n  \
          \"elementwise_scan_ns\": {:.1},\n  \"compare_speedup\": {:.3},\n  \
-         \"laddered_trials_per_sec\": {:.3}\n}}\n",
+         \"laddered_trials_per_sec\": {:.3},\n  \"codec_speedup\": {:.3}\n}}\n",
         BENCH.label(),
         trials,
         factory_tps,
@@ -242,12 +301,13 @@ fn emit_json(path: &str) {
         scan_ns,
         scan_ns / fast_ns,
         laddered_tps,
+        tree_ns / direct_ns,
     );
     std::fs::write(path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("trial_hot_path baseline written to {path}");
 }
 
-criterion_group!(benches, bench_provisioning, bench_full_trial, bench_compare);
+criterion_group!(benches, bench_provisioning, bench_full_trial, bench_compare, bench_record_codec);
 
 fn main() {
     benches();

@@ -656,7 +656,7 @@ pub fn spec_result(
     let mut sdc = 0u64;
     let mut due = 0u64;
     let mut beyond = 0u64;
-    let mut bytes = Vec::new();
+    let mut records_crc = 0u32;
     for r in records {
         match &r.outcome {
             carolfi::record::OutcomeRecord::Masked => masked += 1,
@@ -669,8 +669,8 @@ pub fn spec_result(
             }
             carolfi::record::OutcomeRecord::Due(_) => due += 1,
         }
-        bytes.extend_from_slice(serde_json::to_string(r).expect("trial records serialize").as_bytes());
-        bytes.push(b'\n');
+        let json = serde_json::to_string(r).expect("trial records serialize");
+        records_crc = store::crc32_update(store::crc32_update(records_crc, json.as_bytes()), b"\n");
     }
     let (sdc_pvf_row, due_pvf_row) = if kind == CampaignKind::Inject {
         (pvf_row(benchmark, records, PvfKind::Sdc), pvf_row(benchmark, records, PvfKind::Due))
@@ -692,7 +692,7 @@ pub fn spec_result(
         tolerance,
         sdc_beyond_tolerance: beyond,
         records: records.len() as u64,
-        records_crc: store::crc32(&bytes),
+        records_crc,
     };
     serde_json::to_string(&result).expect("spec results serialize")
 }

@@ -341,9 +341,8 @@ impl<T: FaultTarget, F: Fn() -> T + Sync> AdaptiveCampaign<T, F> {
                     .map_err(|e| std::io::Error::other(format!("trial {}: serialize failed: {e}", record.trial)))?;
                     obs::incr("store/trials", 1);
                     let seq = self.records.len() as u64;
-                    store::retry_transient(|| {
-                        writer.append(&JournalEntry::Trial { shard: 0, seq, payload: payload.clone() })
-                    })?;
+                    let entry = JournalEntry::Trial { shard: 0, seq, payload };
+                    store::retry_transient(|| writer.append(&entry))?;
                     crate::monitor::tick(0);
                     planner.observe(&record);
                     self.records.push(record);

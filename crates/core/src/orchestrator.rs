@@ -437,9 +437,8 @@ pub(crate) fn drive_shards(
                 }
             };
             obs::incr("store/trials", 1);
-            if let Err(e) = store::retry_transient(|| {
-                writer.lock().append(&JournalEntry::Trial { shard, seq: seq as u64, payload: payload.clone() })
-            }) {
+            let entry = JournalEntry::Trial { shard, seq: seq as u64, payload };
+            if let Err(e) = store::retry_transient(|| writer.lock().append(&entry)) {
                 fail(e);
                 return;
             }

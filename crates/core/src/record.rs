@@ -129,8 +129,9 @@ impl DiffSummary {
 
 /// Why a DUE was declared.
 ///
-/// Serde is written by hand (matching the derive's externally tagged shape)
-/// so journals can skew across harness versions in both directions:
+/// Serde is written by hand (matching the derive's externally tagged shape,
+/// with a direct JSON writer like the derive's) so journals can skew across
+/// harness versions in both directions:
 ///
 /// * **backward**: pre-PR-5 journals carry only `Crash`/`Timeout`, which
 ///   this reader still parses bit-identically;
@@ -173,6 +174,26 @@ impl Serialize for DueKind {
             DueKind::Unknown { raw } => Content::Str(raw.clone()),
         };
         s.serialize_content(content)
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), serde::__private::ContentError> {
+        use serde::__private::{write_i64, write_str};
+        match self {
+            DueKind::Crash { message } => {
+                out.push_str("{\"Crash\":{\"message\":");
+                write_str(out, message);
+                out.push_str("}}");
+            }
+            DueKind::Timeout => out.push_str("\"Timeout\""),
+            DueKind::Signal { signo } => {
+                out.push_str("{\"Signal\":{\"signo\":");
+                write_i64(out, *signo as i64);
+                out.push_str("}}");
+            }
+            DueKind::Killed => out.push_str("\"Killed\""),
+            DueKind::Unknown { raw } => write_str(out, raw),
+        }
+        Ok(())
     }
 }
 

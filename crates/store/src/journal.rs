@@ -202,12 +202,19 @@ fn corrupt(msg: String) -> std::io::Error {
 
 /// Encodes one serializable record as a checksummed journal-style line
 /// (`<crc32-hex8> <json>\n`). The codec shared by the campaign journal and
-/// the distributed coordinator's write-ahead ledger.
+/// the distributed coordinator's write-ahead ledger. The JSON is written
+/// into the line's own buffer after a placeholder checksum, which is then
+/// patched in.
 pub fn encode_record<T: Serialize>(record: &T) -> std::io::Result<Vec<u8>> {
-    let json = serde_json::to_string(record).map_err(std::io::Error::other)?;
-    let mut line = Vec::with_capacity(json.len() + 10);
-    line.extend_from_slice(format!("{:08x} ", crc32(json.as_bytes())).as_bytes());
-    line.extend_from_slice(json.as_bytes());
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut line = String::with_capacity(256);
+    line.push_str("00000000 ");
+    record.write_json(&mut line).map_err(|e| std::io::Error::other(e.to_string()))?;
+    let mut line = line.into_bytes();
+    let crc = crc32(&line[9..]);
+    for (i, digit) in line[..8].iter_mut().enumerate() {
+        *digit = HEX[(crc >> (28 - 4 * i)) as usize & 0xF];
+    }
     line.push(b'\n');
     Ok(line)
 }

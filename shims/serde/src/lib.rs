@@ -14,6 +14,14 @@
 //! The derive macros (see the sibling `serde_derive` shim) generate
 //! implementations of [`__private::FromContent`], the workhorse trait used
 //! to decode nested fields, plus bridging `Deserialize` impls.
+//!
+//! Serialization has two paths. [`Serialize::write_json`] appends a value's
+//! JSON text straight to a buffer: derived impls, primitives and std
+//! containers write themselves, and `serde_json::to_string` takes this path.
+//! [`Serialize::serialize`] lowers a value to its content tree; it remains
+//! for hand-written impls (which `write_json` renders through
+//! [`__private::JsonSerializer`]) and as the reference the direct writer is
+//! tested against.
 
 // Derive-generated code refers to `serde::...`; alias self so the derives
 // also work inside this crate's own tests.
@@ -38,6 +46,14 @@ pub mod de {
 /// A type that can be serialized.
 pub trait Serialize {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error>;
+
+    /// Appends this value's JSON text to `out` without building a content
+    /// tree. The default hands `serialize` a [`__private::JsonSerializer`],
+    /// which writes scalars directly and renders any tree it is given.
+    #[doc(hidden)]
+    fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
+        self.serialize(__private::JsonSerializer(out))
+    }
 }
 
 /// Data sink. Unlike upstream's 30-method protocol, the shim asks for the
@@ -74,6 +90,10 @@ macro_rules! impl_serialize_signed {
             fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
                 s.serialize_content(__private::Content::I64(*self as i64))
             }
+            fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
+                __private::write_i64(out, *self as i64);
+                Ok(())
+            }
         }
     )*};
 }
@@ -85,6 +105,10 @@ macro_rules! impl_serialize_unsigned {
             fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
                 s.serialize_content(__private::Content::U64(*self as u64))
             }
+            fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
+                __private::write_u64(out, *self as u64);
+                Ok(())
+            }
         }
     )*};
 }
@@ -94,11 +118,19 @@ impl Serialize for bool {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         s.serialize_content(__private::Content::Bool(*self))
     }
+    fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
+        out.push_str(if *self { "true" } else { "false" });
+        Ok(())
+    }
 }
 
 impl Serialize for f64 {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         s.serialize_f64(*self)
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
+        __private::write_f64(out, *self);
+        Ok(())
     }
 }
 
@@ -106,11 +138,19 @@ impl Serialize for f32 {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         s.serialize_f64(*self as f64)
     }
+    fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
+        __private::write_f64(out, *self as f64);
+        Ok(())
+    }
 }
 
 impl Serialize for str {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         s.serialize_str(self)
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
+        __private::write_str(out, self);
+        Ok(())
     }
 }
 
@@ -118,11 +158,18 @@ impl Serialize for String {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         s.serialize_str(self)
     }
+    fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
+        __private::write_str(out, self);
+        Ok(())
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         (**self).serialize(s)
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
+        (**self).write_json(out)
     }
 }
 
@@ -139,11 +186,25 @@ impl<T: Serialize> Serialize for [T] {
         let c = seq_content::<S, T>(self)?;
         s.serialize_content(c)
     }
+    fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out)?;
+        }
+        out.push(']');
+        Ok(())
+    }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         self.as_slice().serialize(s)
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
+        self.as_slice().write_json(out)
     }
 }
 
@@ -151,11 +212,17 @@ impl<T: Serialize> Serialize for Vec<T> {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         self.as_slice().serialize(s)
     }
+    fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
+        self.as_slice().write_json(out)
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         (**self).serialize(s)
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
+        (**self).write_json(out)
     }
 }
 
@@ -164,6 +231,15 @@ impl<T: Serialize> Serialize for Option<T> {
         match self {
             None => s.serialize_content(__private::Content::Null),
             Some(v) => v.serialize(s),
+        }
+    }
+    fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
+        match self {
+            None => {
+                out.push_str("null");
+                Ok(())
+            }
+            Some(v) => v.write_json(out),
         }
     }
 }
@@ -254,14 +330,159 @@ pub mod __private {
         v.serialize(ContentSerializer)
     }
 
-    /// Deserializer reading back out of a content tree.
+    // -- JSON text writers (the direct path) -------------------------------
+
+    /// Serializer that appends JSON text: scalars are written directly, a
+    /// pre-built content tree is rendered. Derived `write_json` impls hand
+    /// it to `#[serde(with = "...")]` codecs.
+    pub struct JsonSerializer<'a>(pub &'a mut String);
+
+    impl Serializer for JsonSerializer<'_> {
+        type Ok = ();
+        type Error = ContentError;
+
+        fn serialize_f64(self, v: f64) -> Result<(), ContentError> {
+            write_f64(self.0, v);
+            Ok(())
+        }
+
+        fn serialize_str(self, v: &str) -> Result<(), ContentError> {
+            write_str(self.0, v);
+            Ok(())
+        }
+
+        fn serialize_content(self, content: Content) -> Result<(), ContentError> {
+            write_content(self.0, &content);
+            Ok(())
+        }
+    }
+
+    /// Escape of each byte inside a JSON string: 0 copies the byte, `u`
+    /// writes `\u00XX`, anything else writes a backslash and that byte.
+    const ESCAPE: [u8; 256] = {
+        let mut t = [0u8; 256];
+        let mut b = 0;
+        while b < 0x20 {
+            t[b] = b'u';
+            b += 1;
+        }
+        t[b'\n' as usize] = b'n';
+        t[b'\r' as usize] = b'r';
+        t[b'\t' as usize] = b't';
+        t[b'"' as usize] = b'"';
+        t[b'\\' as usize] = b'\\';
+        t
+    };
+
+    /// Appends `s` as a JSON string literal. Each run of bytes that need no
+    /// escape is copied whole: `"`, `\` and control bytes never occur
+    /// inside a multi-byte UTF-8 scalar, so a run always ends on a char
+    /// boundary.
+    pub fn write_str(out: &mut String, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        out.push('"');
+        let mut run = 0;
+        for (i, &b) in s.as_bytes().iter().enumerate() {
+            let esc = ESCAPE[b as usize];
+            if esc == 0 {
+                continue;
+            }
+            out.push_str(&s[run..i]);
+            out.push('\\');
+            out.push(esc as char);
+            if esc == b'u' {
+                out.push_str("00");
+                out.push(HEX[(b >> 4) as usize] as char);
+                out.push(HEX[(b & 0xF) as usize] as char);
+            }
+            run = i + 1;
+        }
+        out.push_str(&s[run..]);
+        out.push('"');
+    }
+
+    /// Appends a float with Rust's shortest round-trip `{}` formatting,
+    /// suffixed `.0` when that reads as an integer, so it parses back as a
+    /// float. JSON has no NaN or Infinity; like upstream's `to_string` on a
+    /// non-finite f64 inside a container, they fall back to `null`.
+    pub fn write_f64(out: &mut String, v: f64) {
+        use std::fmt::Write as _;
+        if !v.is_finite() {
+            out.push_str("null");
+            return;
+        }
+        let start = out.len();
+        write!(out, "{v}").expect("writing to a String cannot fail");
+        if !out.as_bytes()[start..].iter().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+            out.push_str(".0");
+        }
+    }
+
+    /// Appends an unsigned integer in decimal.
+    pub fn write_u64(out: &mut String, mut v: u64) {
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
+    }
+
+    /// Appends a signed integer in decimal.
+    pub fn write_i64(out: &mut String, v: i64) {
+        if v < 0 {
+            out.push('-');
+        }
+        write_u64(out, v.unsigned_abs());
+    }
+
+    /// Renders a content tree as JSON text.
+    pub fn write_content(out: &mut String, c: &Content) {
+        match c {
+            Content::Null => out.push_str("null"),
+            Content::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Content::I64(v) => write_i64(out, *v),
+            Content::U64(v) => write_u64(out, *v),
+            Content::F64(v) => write_f64(out, *v),
+            Content::Str(s) => write_str(out, s),
+            Content::Seq(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_content(out, item);
+                }
+                out.push(']');
+            }
+            Content::Map(entries) => {
+                out.push('{');
+                for (i, (k, v)) in entries.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_str(out, k);
+                    out.push(':');
+                    write_content(out, v);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// Deserializer reading back out of a content tree it owns.
     pub struct ContentDeserializer {
         content: Content,
     }
 
     impl ContentDeserializer {
-        pub fn new(content: &Content) -> Self {
-            ContentDeserializer { content: content.clone() }
+        pub fn new(content: Content) -> Self {
+            ContentDeserializer { content }
         }
     }
 
@@ -445,7 +666,7 @@ pub mod __private {
 
 #[cfg(test)]
 mod tests {
-    use super::__private::{to_content, Content, ContentDeserializer, FromContent};
+    use super::__private::{to_content, write_content, write_str, Content, ContentDeserializer, FromContent};
     use super::{Deserialize, Serialize};
 
     #[derive(Debug, PartialEq, Serialize, Deserialize)]
@@ -466,7 +687,7 @@ mod tests {
     fn derived_struct_roundtrips_through_content() {
         let p = Point { x: -3, y: Some(7), tags: vec!["a".into(), "b".into()] };
         let c = to_content(&p).unwrap();
-        let back = Point::deserialize(ContentDeserializer::new(&c)).unwrap();
+        let back = Point::deserialize(ContentDeserializer::new(c)).unwrap();
         assert_eq!(back, p);
     }
 
@@ -474,7 +695,7 @@ mod tests {
     fn derived_enum_roundtrips_all_variant_shapes() {
         for v in [Shape::Dot, Shape::Circle { r: 2.5 }, Shape::Pair(9)] {
             let c = to_content(&v).unwrap();
-            let back = Shape::deserialize(ContentDeserializer::new(&c)).unwrap();
+            let back = Shape::deserialize(ContentDeserializer::new(c)).unwrap();
             assert_eq!(back, v);
         }
     }
@@ -490,12 +711,56 @@ mod tests {
         let c = to_content(&p).unwrap();
         let Content::Map(m) = &c else { panic!("expected map") };
         assert_eq!(m.iter().find(|(k, _)| k == "y").unwrap().1, Content::Null);
-        assert_eq!(Point::deserialize(ContentDeserializer::new(&c)).unwrap(), p);
+        assert_eq!(Point::deserialize(ContentDeserializer::new(c)).unwrap(), p);
     }
 
     #[test]
     fn integer_range_errors_are_reported() {
         let c = Content::U64(70_000);
         assert!(u16::from_content(&c).is_err());
+    }
+
+    #[derive(Serialize)]
+    struct Pair(i8, Option<bool>);
+
+    #[derive(Serialize)]
+    enum Wide {
+        Two(u8, String),
+        Empty {},
+    }
+
+    fn direct<T: Serialize>(v: &T) -> String {
+        let mut out = String::new();
+        v.write_json(&mut out).unwrap();
+        out
+    }
+
+    fn tree<T: Serialize>(v: &T) -> String {
+        let mut out = String::new();
+        write_content(&mut out, &to_content(v).unwrap());
+        out
+    }
+
+    #[test]
+    fn direct_writer_matches_the_tree_for_every_shape() {
+        let p = Point { x: i64::MIN, y: Some(u16::MAX), tags: vec!["q\"".into(), String::new()] };
+        assert_eq!(direct(&p), tree(&p));
+        assert_eq!(direct(&p), r#"{"x":-9223372036854775808,"y":65535,"tags":["q\"",""]}"#);
+        for v in [Shape::Dot, Shape::Circle { r: -0.0 }, Shape::Circle { r: 1e300 }, Shape::Pair(0)] {
+            assert_eq!(direct(&v), tree(&v));
+        }
+        assert_eq!(direct(&Pair(-1, None)), tree(&Pair(-1, None)));
+        assert_eq!(direct(&Pair(-1, None)), "[-1,null]");
+        for v in [Wide::Two(7, "t".into()), Wide::Empty {}] {
+            assert_eq!(direct(&v), tree(&v));
+        }
+        assert_eq!(direct(&Wide::Empty {}), r#"{"Empty":{}}"#);
+    }
+
+    #[test]
+    fn strings_escape_quotes_backslashes_and_control_bytes() {
+        let mut out = String::new();
+        write_str(&mut out, "a\"b\\c\nd\re\tf\u{1}g\u{1f}\u{8}é\u{7f}");
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001f\\u0008é\u{7f}\"");
     }
 }

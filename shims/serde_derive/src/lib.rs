@@ -5,8 +5,11 @@
 //! [`proc_macro::TokenStream`] and emits impls against the shim `serde`'s
 //! JSON-shaped `Content` data model:
 //!
-//! * `Serialize` — builds a `serde::__private::Content` tree and hands it to
-//!   the serializer's `serialize_content`;
+//! * `Serialize` — `write_json` appends the item's JSON text straight to a
+//!   buffer (the path `serde_json::to_string` takes), and `serialize`
+//!   builds a `serde::__private::Content` tree and hands it to the
+//!   serializer's `serialize_content` (the reference the direct writer is
+//!   tested against);
 //! * `Deserialize` — implements `serde::__private::FromContent` (the
 //!   workhorse used for nested fields) plus a bridging `Deserialize` impl.
 //!
@@ -324,6 +327,121 @@ fn named_fields_content(fields: &[Field], accessor: impl Fn(&str) -> String, map
     )
 }
 
+/// Builds the body of a derived `write_json`: literal JSON text is
+/// coalesced into one `push_str` per run, values write themselves.
+#[derive(Default)]
+struct JsonCode {
+    code: String,
+    text: String,
+}
+
+impl JsonCode {
+    fn text(&mut self, json: &str) {
+        self.text.push_str(json);
+    }
+
+    /// A JSON object key with its colon (field and variant names are Rust
+    /// identifiers, so they need no escaping).
+    fn key(&mut self, name: &str) {
+        self.text.push_str(&format!("\"{name}\":"));
+    }
+
+    fn flush(&mut self) {
+        if !self.text.is_empty() {
+            self.code.push_str(&format!("__out.push_str({:?});\n", self.text));
+            self.text.clear();
+        }
+    }
+
+    /// Writes the value of `expr` (a reference), through the field's
+    /// `with` codec when it has one.
+    fn value(&mut self, expr: &str, with: &Option<String>) {
+        self.flush();
+        self.code.push_str(&match with {
+            Some(path) => format!("{path}::serialize({expr}, serde::__private::JsonSerializer(__out))?;\n"),
+            None => format!("serde::Serialize::write_json({expr}, __out)?;\n"),
+        });
+    }
+
+    /// `{"a":…,"b":…}` over named fields; `accessor` maps a field name to
+    /// its value expression.
+    fn object(&mut self, fields: &[Field], accessor: impl Fn(&str) -> String) {
+        self.text("{");
+        for (i, f) in fields.iter().enumerate() {
+            if i > 0 {
+                self.text(",");
+            }
+            self.key(&f.name);
+            self.value(&accessor(&f.name), &f.with);
+        }
+        self.text("}");
+    }
+
+    /// `[…,…]` over value expressions.
+    fn array(&mut self, exprs: &[String]) {
+        self.text("[");
+        for (i, e) in exprs.iter().enumerate() {
+            if i > 0 {
+                self.text(",");
+            }
+            self.value(e, &None);
+        }
+        self.text("]");
+    }
+
+    fn finish(mut self) -> String {
+        self.flush();
+        self.code
+    }
+}
+
+/// Body of the derived `write_json`: the same JSON the content tree
+/// renders to, written without building the tree.
+fn write_json_body(input: &Input) -> String {
+    let mut w = JsonCode::default();
+    match &input.kind {
+        Kind::Struct(fields) => w.object(fields, |n| format!("&self.{n}")),
+        Kind::Tuple(1) => w.value("&self.0", &None),
+        Kind::Tuple(n) => w.array(&(0..*n).map(|i| format!("&self.{i}")).collect::<Vec<_>>()),
+        Kind::Enum(variants) => {
+            let mut arms = String::new();
+            for v in variants {
+                let (name, vname) = (&input.name, &v.name);
+                let mut arm = JsonCode::default();
+                let pattern = match &v.shape {
+                    Shape::Unit => {
+                        arm.text(&format!("\"{vname}\""));
+                        format!("{name}::{vname}")
+                    }
+                    Shape::Tuple(n) => {
+                        let binders: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
+                        arm.text("{");
+                        arm.key(vname);
+                        if *n == 1 {
+                            arm.value("__f0", &None);
+                        } else {
+                            arm.array(&binders);
+                        }
+                        arm.text("}");
+                        format!("{name}::{vname}({})", binders.join(", "))
+                    }
+                    Shape::Struct(fields) => {
+                        arm.text("{");
+                        arm.key(vname);
+                        arm.object(fields, |n| n.to_string());
+                        arm.text("}");
+                        let binders: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        format!("{name}::{vname} {{ {} }}", binders.join(", "))
+                    }
+                };
+                arms.push_str(&format!("{pattern} => {{\n{}}}\n", arm.finish()));
+            }
+            return format!("match self {{\n{arms}}}\n::core::result::Result::Ok(())");
+        }
+    }
+    format!("{}::core::result::Result::Ok(())", w.finish())
+}
+
 fn gen_serialize(input: &Input) -> Result<String, String> {
     if input.untagged {
         return Err("#[serde(untagged)] Serialize is not supported by the shim derive".into());
@@ -378,11 +496,15 @@ fn gen_serialize(input: &Input) -> Result<String, String> {
             format!("match self {{\n{arms}}}")
         }
     };
+    let write_json = write_json_body(input);
     Ok(format!(
         "#[automatically_derived]\n\
          impl {params} serde::Serialize for {target} {{\n\
              fn serialize<__S: serde::Serializer>(&self, __s: __S) -> ::core::result::Result<__S::Ok, __S::Error> {{\n\
                  {body}\n\
+             }}\n\
+             fn write_json(&self, __out: &mut ::std::string::String) -> ::core::result::Result<(), serde::__private::ContentError> {{\n\
+                 {write_json}\n\
              }}\n\
          }}\n"
     ))
@@ -392,7 +514,7 @@ fn gen_serialize(input: &Input) -> Result<String, String> {
 fn field_from_content(field: &Field) -> String {
     match &field.with {
         Some(path) => format!(
-            "{path}::deserialize(serde::__private::ContentDeserializer::new(serde::__private::field_content(__m, \"{}\")?))?",
+            "{path}::deserialize(serde::__private::ContentDeserializer::new(serde::__private::field_content(__m, \"{}\")?.clone()))?",
             field.name
         ),
         None => format!("serde::__private::field(__m, \"{}\")?", field.name),

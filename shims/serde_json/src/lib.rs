@@ -1,7 +1,9 @@
-//! Offline stand-in for `serde_json`: `to_string` / `from_str` over the shim
-//! serde's `Content` tree. Covers the JSON-lines log format this workspace
-//! reads and writes — objects, arrays, strings with escapes, integers kept
-//! exact (i64/u64), floats rendered with Rust's shortest-round-trip `{}`.
+//! Offline stand-in for `serde_json`: `to_string` / `from_str` for the shim
+//! serde. Covers the JSON-lines log format this workspace reads and writes —
+//! objects, arrays, strings with escapes, integers kept exact (i64/u64),
+//! floats rendered with Rust's shortest-round-trip `{}`. Values write their
+//! JSON text directly (`Serialize::write_json`); parsing builds the shim's
+//! `Content` tree and decodes from it.
 
 use serde::__private::{Content, ContentDeserializer};
 
@@ -33,72 +35,10 @@ impl serde::de::Error for Error {
 // ---------------------------------------------------------------------------
 // Serialization.
 
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn render_into(out: &mut String, c: &Content) {
-    match c {
-        Content::Null => out.push_str("null"),
-        Content::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Content::I64(v) => out.push_str(&v.to_string()),
-        Content::U64(v) => out.push_str(&v.to_string()),
-        // JSON has no NaN/Infinity; like upstream's to_string on a
-        // non-finite f64 inside a container, fall back to null.
-        Content::F64(v) if !v.is_finite() => out.push_str("null"),
-        Content::F64(v) => {
-            let s = v.to_string();
-            out.push_str(&s);
-            // Keep floats self-describing so they parse back as floats.
-            if !s.contains(['.', 'e', 'E']) {
-                out.push_str(".0");
-            }
-        }
-        Content::Str(s) => escape_into(out, s),
-        Content::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_into(out, item);
-            }
-            out.push(']');
-        }
-        Content::Map(entries) => {
-            out.push('{');
-            for (i, (k, v)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                escape_into(out, k);
-                out.push(':');
-                render_into(out, v);
-            }
-            out.push('}');
-        }
-    }
-}
-
 /// Serializes a value to a JSON string.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let content = serde::__private::to_content(value).map_err(|e| Error(e.to_string()))?;
     let mut out = String::new();
-    render_into(&mut out, &content);
+    value.write_json(&mut out).map_err(|e| Error(e.to_string()))?;
     Ok(out)
 }
 
@@ -106,6 +46,7 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Erro
 // Parsing.
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -161,6 +102,13 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // whole. None of them occurs inside a multi-byte UTF-8 scalar,
+            // so the run ends on a char boundary of the source.
+            let start = self.pos;
+            let run = self.bytes[start..].iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+            self.pos = run.map_or(self.bytes.len(), |n| start + n);
+            out.push_str(&self.src[start..self.pos]);
             match self.peek().ok_or_else(|| self.err("unterminated string"))? {
                 b'"' => {
                     self.pos += 1;
@@ -197,17 +145,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                c if c < 0x20 => return Err(self.err("raw control character in string")),
-                _ => {
-                    // Copy one UTF-8 scalar (input is a &str, so boundaries
-                    // are valid).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| self.err("invalid utf-8"))?);
-                }
+                _ => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -303,13 +241,13 @@ impl<'a> Parser<'a> {
 
 /// Parses a JSON string into a deserializable value.
 pub fn from_str<'a, T: serde::Deserialize<'a>>(s: &'a str) -> Result<T, Error> {
-    let mut parser = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut parser = Parser { src: s, bytes: s.as_bytes(), pos: 0 };
     let content = parser.parse_value()?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
         return Err(parser.err("trailing characters after JSON value"));
     }
-    T::deserialize(ContentDeserializer::new(&content)).map_err(|e| Error(e.to_string()))
+    T::deserialize(ContentDeserializer::new(content)).map_err(|e| Error(e.to_string()))
 }
 
 #[cfg(test)]
@@ -359,6 +297,27 @@ mod tests {
         assert!(super::from_str::<u64>("{").is_err());
         assert!(super::from_str::<Vec<u8>>("[1,2,").is_err());
         assert!(super::from_str::<String>("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn malformed_strings_keep_their_errors() {
+        for (input, msg) in [
+            ("\"a\u{1}b\"", "raw control character in string at byte 2"),
+            ("\"ab\ncd\"", "raw control character in string at byte 3"),
+            ("\"a\\qb\"", "unknown escape at byte 4"),
+            ("\"abc", "unterminated string at byte 4"),
+            ("\"ab\\", "unterminated escape at byte 4"),
+            ("\"\\u12\"", "truncated \\u escape at byte 3"),
+            ("\"\\u12zz\"", "bad \\u escape at byte 3"),
+            ("\"\\ud800x\"", "expected \\u at byte 7"),
+            ("\"\\ud800\\u0041\"", "invalid low surrogate at byte 13"),
+            ("{\"k\u{7}\":1}", "raw control character in string at byte 3"),
+        ] {
+            let err = super::from_str::<u64>(input).unwrap_err();
+            assert_eq!(err.to_string(), msg, "input {input:?}");
+        }
+        let ok: String = super::from_str("\"é\\u00e9\\n😀\\\"\"").unwrap();
+        assert_eq!(ok, "éé\n😀\"");
     }
 
     #[test]

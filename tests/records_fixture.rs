@@ -17,6 +17,16 @@
 //! landed (the commit whose trials replayed their fault-free prefix from
 //! step 0), and copying the printed table. They change only with a
 //! deliberate record-format or semantics change, which CHANGES.md records.
+//!
+//! The suite runs in both build profiles (`./ci` also runs it with
+//! `--release`), and both must print this one table: a corrupted victim's
+//! integer arithmetic wraps in every profile (the root manifest turns
+//! overflow checks off for the kernels). The table was first taken from a
+//! debug build that still checked overflow there, where some corrupted
+//! indices and cursors crashed as DUEs that release builds record as SDCs.
+//! Six injection rows (DGEMM, HotSpot, LavaMD, LUD and NW at Test, LUD at
+//! Small) therefore took the values the release build printed on the
+//! commit before wrapping was made uniform; no release record changed.
 
 use phi_reliability::beamsim::campaign::engine_for;
 use phi_reliability::beamsim::{run_beam_campaign, BeamConfig};
@@ -26,18 +36,18 @@ use phi_reliability::kernels::{build, golden, Benchmark, SizeClass};
 /// `(kind, benchmark, size, trials, records_crc)`.
 const EXPECTED: &[(&str, &str, &str, usize, u32)] = &[
     ("inject", "clamr", "test", 120, 3985654281),
-    ("inject", "dgemm", "test", 120, 2903998162),
-    ("inject", "hotspot", "test", 120, 635140718),
-    ("inject", "lavamd", "test", 120, 469350506),
-    ("inject", "lud", "test", 120, 2335653006),
-    ("inject", "nw", "test", 120, 2301454447),
+    ("inject", "dgemm", "test", 120, 77601420),
+    ("inject", "hotspot", "test", 120, 1704177998),
+    ("inject", "lavamd", "test", 120, 1789918576),
+    ("inject", "lud", "test", 120, 2776884312),
+    ("inject", "nw", "test", 120, 4140602897),
     ("beam", "clamr", "test", 200, 2463175430),
     ("beam", "dgemm", "test", 200, 2086494346),
     ("beam", "hotspot", "test", 200, 4281708698),
     ("beam", "lavamd", "test", 200, 2001286959),
     ("beam", "lud", "test", 200, 3399165111),
     ("inject", "hotspot", "small", 24, 1865086308),
-    ("inject", "lud", "small", 24, 241790930),
+    ("inject", "lud", "small", 24, 1480757281),
 ];
 
 const SEED: u64 = 2017;

@@ -49,7 +49,8 @@ pub trait Serialize {
 
     /// Appends this value's JSON text to `out` without building a content
     /// tree. The default hands `serialize` a [`__private::JsonSerializer`],
-    /// which writes scalars directly and renders any tree it is given.
+    /// which writes scalars directly (so floats and strings need no
+    /// override) and renders any tree it is given.
     #[doc(hidden)]
     fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
         self.serialize(__private::JsonSerializer(out))
@@ -128,19 +129,11 @@ impl Serialize for f64 {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         s.serialize_f64(*self)
     }
-    fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
-        __private::write_f64(out, *self);
-        Ok(())
-    }
 }
 
 impl Serialize for f32 {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         s.serialize_f64(*self as f64)
-    }
-    fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
-        __private::write_f64(out, *self as f64);
-        Ok(())
     }
 }
 
@@ -148,19 +141,11 @@ impl Serialize for str {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         s.serialize_str(self)
     }
-    fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
-        __private::write_str(out, self);
-        Ok(())
-    }
 }
 
 impl Serialize for String {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         s.serialize_str(self)
-    }
-    fn write_json(&self, out: &mut String) -> Result<(), __private::ContentError> {
-        __private::write_str(out, self);
-        Ok(())
     }
 }
 

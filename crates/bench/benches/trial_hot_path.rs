@@ -164,8 +164,10 @@ fn bench_compare(c: &mut Criterion) {
 /// HotSpot beam campaign at a fixed seed.
 fn codec_records() -> Vec<TrialRecord> {
     let (dgemm, hotspot) = (Benchmark::Dgemm, Benchmark::Hotspot);
-    let cfg = CampaignConfig { trials: 120, seed: 2017, workers: 1, n_windows: dgemm.n_windows(), ..Default::default() };
-    let mut records = run_campaign(dgemm.label(), || build(dgemm, SizeClass::Test), &golden(dgemm, SizeClass::Test), &cfg).records;
+    let inject =
+        CampaignConfig { trials: 120, seed: 2017, workers: 1, n_windows: dgemm.n_windows(), ..Default::default() };
+    let gold = golden(dgemm, SizeClass::Test);
+    let mut records = run_campaign(dgemm.label(), || build(dgemm, SizeClass::Test), &gold, &inject).records;
     let beam = BeamConfig {
         strikes: 200,
         seed: 2017,
@@ -174,7 +176,8 @@ fn codec_records() -> Vec<TrialRecord> {
         engine: engine_for(hotspot.label()),
         ..Default::default()
     };
-    records.extend(run_beam_campaign(hotspot.label(), || build(hotspot, SizeClass::Test), &golden(hotspot, SizeClass::Test), &beam).records);
+    let gold = golden(hotspot, SizeClass::Test);
+    records.extend(run_beam_campaign(hotspot.label(), || build(hotspot, SizeClass::Test), &gold, &beam).records);
     records
 }
 
@@ -274,13 +277,14 @@ fn emit_json(path: &str) {
     let fast_ns = time_ns(2000, || same.bits_equal(&gold));
     let scan_ns = time_ns(2000, || same.mismatches(&gold).is_empty());
 
-    // Both encodes of the same mix in the same run, so the ratio holds
-    // however fast the host happens to be.
+    // Both encodes of the same mix, alternated within one run, so the
+    // ratio holds however fast the host happens to be.
     let records = codec_records();
-    encode_all(&records, true);
-    encode_all(&records, false);
-    let direct_ns = time_ns(50, || encode_all(&records, true) > 0);
-    let tree_ns = time_ns(50, || encode_all(&records, false) > 0);
+    let (mut direct_ns, mut tree_ns) = (0.0, 0.0);
+    for _ in 0..50 {
+        direct_ns += time_ns(1, || encode_all(&records, true) > 0);
+        tree_ns += time_ns(1, || encode_all(&records, false) > 0);
+    }
     let body = format!(
         "{{\n  \"benchmark\": \"{}\",\n  \"size\": \"test\",\n  \"trials\": {},\n  \
          \"factory_trials_per_sec\": {:.3},\n  \"pooled_trials_per_sec\": {:.3},\n  \

@@ -10,7 +10,7 @@
 //!           [--monitor <socket>]
 //!
 //! # Executor: computes leased ranges, streams trial records back.
-//! phi-coord --executor --name <id> --store <local-journal-root>
+//! phi-coord --executor --name <id>
 //!           (--connect <addr> | --connect-file <path>) [--throttle-ms N]
 //! ```
 //!
@@ -25,9 +25,10 @@
 //! bring it back mid-campaign with every granted-but-unfinished shard
 //! immediately re-dispatchable.
 //!
-//! Executors are restartable the same way: each keeps a per-shard local
-//! journal under its `--store`, so a killed-and-relaunched executor (same
-//! `--name`) replays computed trials from disk instead of redoing them.
+//! Executors hold no durable state, so they take no `--store` (passing one
+//! is a usage error). The coordinator's journal is the only durable copy of
+//! a trial: a killed-and-relaunched executor (same `--name`) recomputes at
+//! most the one trial the coordinator had not yet acknowledged.
 //! `--connect-file` re-reads the address file on every reconnect attempt,
 //! which is how executors ride out a coordinator restart onto a new port.
 //!
@@ -48,7 +49,7 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!("usage: phi-coord --listen <addr> --store <dir> --benchmark <label> [flags]");
-    eprintln!("       phi-coord --executor --name <id> --store <dir> --connect <addr>|--connect-file <path> [flags]");
+    eprintln!("       phi-coord --executor --name <id> --connect <addr>|--connect-file <path> [flags]");
     eprintln!("see the module docs (cargo doc -p bench) for the full flag set");
     std::process::exit(2);
 }
@@ -230,10 +231,10 @@ fn run_executor_mode(a: &Args) -> ! {
         eprintln!("phi-coord: executor mode requires --name <id> (stable across restarts)");
         std::process::exit(2);
     };
-    let Some(dir) = &a.store else {
-        eprintln!("phi-coord: executor mode requires --store <local-journal-root>");
+    if a.store.is_some() {
+        eprintln!("phi-coord: --store is a coordinator flag; executors hold no durable state");
         std::process::exit(2);
-    };
+    }
     let target = match (&a.connect, &a.connect_file) {
         (Some(addr), None) => ConnectTarget::Addr(addr.clone()),
         (None, Some(path)) => ConnectTarget::File(path.clone()),
@@ -242,8 +243,7 @@ fn run_executor_mode(a: &Args) -> ! {
             std::process::exit(2);
         }
     };
-    let mut ecfg = ExecutorConfig::new(name.clone(), dir.clone(), target);
-    ecfg.throttle = Duration::from_millis(a.throttle_ms);
+    let ecfg = ExecutorConfig { name: name.clone(), target, throttle: Duration::from_millis(a.throttle_ms) };
 
     let summary = run_executor(&ecfg, |meta, spec| {
         let p = bench::parse_spec(spec).unwrap_or_else(|reason| fatal(format!("coordinator spec: {reason}")));
@@ -261,8 +261,8 @@ fn run_executor_mode(a: &Args) -> ! {
     })
     .unwrap_or_else(|e| fatal(format!("{e}")));
     eprintln!(
-        "phi-coord: executor {name} done: {} computed, {} served from local journal, {} streamed over {} leases",
-        summary.computed, summary.served_local, summary.streamed, summary.leases
+        "phi-coord: executor {name} done: {} computed, {} streamed over {} leases",
+        summary.computed, summary.streamed, summary.leases
     );
     std::process::exit(0);
 }

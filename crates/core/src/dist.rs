@@ -14,10 +14,12 @@
 //!   merges their trial streams through [`store::Importer`], which dedupes
 //!   by global trial index. Every copy of a trial is byte-identical, so
 //!   re-dispatch and replay can only waste work, never corrupt it.
-//! * **Executors** hold no campaign state the coordinator depends on. Each
-//!   keeps a private local journal per shard so a killed-and-restarted
-//!   executor resumes its own computation instead of redoing it, and a
-//!   re-leased range is served from disk instead of recomputed.
+//! * **Executors** hold no durable state. An executor is a trial server:
+//!   the spec arrives in `Welcome`, and each lease is answered by computing
+//!   and streaming global index → payload for the shard-local sequences
+//!   the merge still lacks. Under strict request/response and the
+//!   coordinator's write-through journal, a killed, relaunched or re-leased
+//!   executor recomputes at most the one trial not yet acknowledged.
 //! * Failure handling is lease-based. A lease with no traffic for
 //!   `lease_timeout` is expired and its shard re-dispatched to the next
 //!   executor that asks (straggler re-dispatch); a stale executor's frames
@@ -64,8 +66,6 @@ pub enum ExecutorMsg {
     /// One trial result. `seq` is shard-local; `payload` is the
     /// pre-serialized trial record, opaque to the coordinator.
     Trial { lease: u64, shard: usize, seq: u64, payload: String },
-    /// Liveness for a lease whose next trial is still computing.
-    Heartbeat { lease: u64 },
     /// The executor streamed its whole range.
     RangeDone { lease: u64 },
 }
@@ -98,6 +98,19 @@ fn lock_state(state: &Mutex<CoordState>) -> MutexGuard<'_, CoordState> {
     state.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// After the last shard seals, the coordinator keeps answering so executors
+/// that ask for work late hear [`CoordMsg::Done`] instead of a connection
+/// reset. [`run_coordinator`] returns as soon as every connected executor
+/// has disconnected, or after this bound — whichever is first.
+const LINGER: Duration = Duration::from_secs(10);
+
+/// Consecutive connect/roundtrip failures an executor tolerates before
+/// giving up. Sized to ride out a coordinator restart window.
+const MAX_FAILURES: u32 = 200;
+
+/// Cap on the executor's deterministic exponential reconnect backoff.
+const BACKOFF_CAP: Duration = Duration::from_millis(200);
+
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
 pub struct CoordConfig {
@@ -116,11 +129,6 @@ pub struct CoordConfig {
     /// leaked exactly as a SIGKILL would leave them) once this many trials
     /// merged. `None` in production.
     pub stop_after_merged: Option<u64>,
-    /// After the last shard seals, keep answering so executors that ask for
-    /// work late hear [`CoordMsg::Done`] instead of a connection reset.
-    /// [`run_coordinator`] returns as soon as every connected executor has
-    /// disconnected, or after this bound — whichever is first.
-    pub linger: Duration,
 }
 
 impl CoordConfig {
@@ -132,7 +140,6 @@ impl CoordConfig {
             resume: false,
             lease_timeout: Duration::from_millis(2000),
             stop_after_merged: None,
-            linger: Duration::from_secs(10),
         }
     }
 }
@@ -333,14 +340,6 @@ impl CoordState {
         let reply = match *msg {
             ExecutorMsg::Hello { .. } => return Err(protocol("unexpected second Hello on an established connection")),
             ExecutorMsg::LeaseRequest => return self.grant(name),
-            ExecutorMsg::Heartbeat { lease } => match self.leases.get_mut(&lease) {
-                Some(info) if info.executor == name => {
-                    info.last_seen = Instant::now();
-                    CoordMsg::Ack
-                }
-                Some(info) => return Err(protocol(format!("lease {lease} belongs to {}, not {name}", info.executor))),
-                None => CoordMsg::Expired,
-            },
             ExecutorMsg::Trial { lease, shard, seq, ref payload } => {
                 // Lease validation precedes the merge: a stale executor can
                 // never advance a cursor, so it can never create a gap.
@@ -500,7 +499,7 @@ pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Res
                 // and hung up (they exit on it), bounded so one wedged
                 // connection can't pin a finished coordinator forever.
                 let since = *done_since.get_or_insert_with(Instant::now);
-                if st.executors == 0 || since.elapsed() >= cfg.linger {
+                if st.executors == 0 || since.elapsed() >= LINGER {
                     break;
                 }
             }
@@ -652,39 +651,25 @@ impl ConnectTarget {
 pub struct ExecutorConfig {
     /// Stable identity across restarts of this executor.
     pub name: String,
-    /// Root of this executor's local journals (one subdirectory per shard).
-    pub dir: PathBuf,
     pub target: ConnectTarget,
     /// Artificial pacing per computed trial (CI uses this to open kill
     /// windows); zero in production.
     pub throttle: Duration,
-    /// Consecutive connect/roundtrip failures tolerated before giving up.
-    /// Sized to ride out a coordinator restart window.
-    pub max_failures: u32,
-    /// Cap on the deterministic exponential reconnect backoff.
-    pub backoff_cap: Duration,
 }
 
 impl ExecutorConfig {
-    pub fn new(name: impl Into<String>, dir: impl Into<PathBuf>, target: ConnectTarget) -> Self {
-        ExecutorConfig {
-            name: name.into(),
-            dir: dir.into(),
-            target,
-            throttle: Duration::ZERO,
-            max_failures: 200,
-            backoff_cap: Duration::from_millis(200),
-        }
+    /// `_dir` is ignored: executors hold no durable state. The parameter
+    /// stays so existing callers keep compiling.
+    pub fn new(name: impl Into<String>, _dir: impl Into<PathBuf>, target: ConnectTarget) -> Self {
+        ExecutorConfig { name: name.into(), target, throttle: Duration::ZERO }
     }
 }
 
 /// What one executor run did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecutorSummary {
-    /// Trials computed fresh (and journaled locally).
+    /// Trials computed.
     pub computed: u64,
-    /// Trials served from the local journal instead of recomputed.
-    pub served_local: u64,
     /// Trial frames the coordinator accepted.
     pub streamed: u64,
     pub leases: u64,
@@ -692,17 +677,9 @@ pub struct ExecutorSummary {
 
 /// Deterministic capped exponential backoff for reconnect attempts. No
 /// jitter: executors are few and the coordinator accept loop is cheap.
-fn connect_backoff(failures: u32, cap: Duration) -> Duration {
+fn connect_backoff(failures: u32) -> Duration {
     let ms = 10u64.saturating_mul(1u64 << failures.min(5));
-    Duration::from_millis(ms).min(cap)
-}
-
-enum LeaseEnd {
-    /// Range streamed and acknowledged (or the coordinator told us the
-    /// lease expired — either way, request a new lease on this connection).
-    Continue,
-    /// Socket died; reconnect.
-    Disconnected,
+    Duration::from_millis(ms).min(BACKOFF_CAP)
 }
 
 fn roundtrip(stream: &mut TcpStream, msg: &ExecutorMsg) -> std::io::Result<CoordMsg> {
@@ -734,13 +711,13 @@ where
     let fail = |failures: &mut u32, what: &str, e: std::io::Error| -> std::io::Result<()> {
         *failures += 1;
         obs::incr("dist/net_retries", 1);
-        if *failures > cfg.max_failures {
+        if *failures > MAX_FAILURES {
             return Err(std::io::Error::new(
                 e.kind(),
                 format!("executor {}: giving up after {} failures ({what}: {e})", cfg.name, *failures),
             ));
         }
-        std::thread::sleep(connect_backoff(*failures, cfg.backoff_cap));
+        std::thread::sleep(connect_backoff(*failures));
         Ok(())
     };
 
@@ -773,117 +750,46 @@ where
             Some(_) => return Err(protocol("coordinator switched campaigns between connections")),
         }
         failures = 0;
-        let meta_ref = meta.as_ref().expect("meta set on first Welcome");
         let runner_ref = runner.as_mut().expect("runner built on first Welcome");
 
-        loop {
-            let reply = match roundtrip(&mut stream, &ExecutorMsg::LeaseRequest) {
-                Ok(reply) => reply,
+        'request: loop {
+            let (lease, shard, start, end, skip) = match roundtrip(&mut stream, &ExecutorMsg::LeaseRequest) {
+                Ok(CoordMsg::Lease { lease, shard, start, end, skip, .. }) => (lease, shard, start, end, skip),
+                Ok(CoordMsg::Done) => return Ok(summary),
+                Ok(other) => return Err(protocol(format!("unexpected reply to LeaseRequest: {other:?}"))),
                 Err(e) => {
                     fail(&mut failures, "lease request", e)?;
                     continue 'reconnect;
                 }
             };
-            match reply {
-                CoordMsg::Done => return Ok(summary),
-                CoordMsg::Lease { lease, shard, start, end, skip, .. } => {
-                    summary.leases += 1;
-                    match run_lease(cfg, meta_ref, runner_ref, &mut stream, lease, shard, start, end, skip, &mut summary)? {
-                        LeaseEnd::Continue => {}
-                        LeaseEnd::Disconnected => {
-                            fail(&mut failures, "lease stream", std::io::Error::other("connection lost mid-lease"))?;
-                            continue 'reconnect;
-                        }
+            summary.leases += 1;
+            // The merge already holds every sequence before `skip`.
+            for seq in skip..end - start {
+                let payload = runner_ref(start + seq);
+                summary.computed += 1;
+                if !cfg.throttle.is_zero() {
+                    std::thread::sleep(cfg.throttle);
+                }
+                match roundtrip(&mut stream, &ExecutorMsg::Trial { lease, shard, seq, payload }) {
+                    Ok(CoordMsg::Ack) => summary.streamed += 1,
+                    // A straggler told to stand down asks for fresh work.
+                    Ok(CoordMsg::Expired) => continue 'request,
+                    Ok(other) => return Err(protocol(format!("unexpected reply to Trial: {other:?}"))),
+                    Err(e) => {
+                        fail(&mut failures, "trial", e)?;
+                        continue 'reconnect;
                     }
                 }
-                other => return Err(protocol(format!("unexpected reply to LeaseRequest: {other:?}"))),
+            }
+            match roundtrip(&mut stream, &ExecutorMsg::RangeDone { lease }) {
+                Ok(CoordMsg::Ack | CoordMsg::Expired) => {}
+                Ok(other) => return Err(protocol(format!("unexpected reply to RangeDone: {other:?}"))),
+                Err(e) => {
+                    fail(&mut failures, "range done", e)?;
+                    continue 'reconnect;
+                }
             }
         }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_lease<R: FnMut(u64) -> String>(
-    cfg: &ExecutorConfig,
-    meta: &CampaignMeta,
-    runner: &mut R,
-    stream: &mut TcpStream,
-    lease: u64,
-    shard: usize,
-    start: u64,
-    end: u64,
-    skip: u64,
-    summary: &mut ExecutorSummary,
-) -> std::io::Result<LeaseEnd> {
-    let sdir = cfg.dir.join(format!("shard-{shard:02}"));
-    // The local journal always resumes: it is this executor's own
-    // crash-resume state.
-    let (mut writer, progress, _) = store::open_campaign(&sdir, meta, true)?;
-    let local = &progress.shards[shard];
-    let len = end - start;
-
-    // Refresh the lease after the grant round-trip and any local replay.
-    match roundtrip(stream, &ExecutorMsg::Heartbeat { lease }) {
-        Ok(CoordMsg::Ack) => {}
-        Ok(CoordMsg::Expired) => {
-            writer.close()?;
-            return Ok(LeaseEnd::Continue);
-        }
-        Ok(other) => return Err(protocol(format!("unexpected reply to Heartbeat: {other:?}"))),
-        Err(_) => {
-            writer.close()?;
-            return Ok(LeaseEnd::Disconnected);
-        }
-    }
-
-    for seq in 0..len {
-        let payload = if (seq as usize) < local.payloads.len() {
-            summary.served_local += 1;
-            obs::incr("dist/local_served", 1);
-            local.payloads[seq as usize].clone()
-        } else {
-            // Compute-then-journal: the local journal is this executor's
-            // crash-resume state, independent of the coordinator's.
-            let payload = runner(start + seq);
-            writer.append(&JournalEntry::Trial { shard, seq, payload: payload.clone() })?;
-            writer.sync()?;
-            summary.computed += 1;
-            if !cfg.throttle.is_zero() {
-                std::thread::sleep(cfg.throttle);
-            }
-            payload
-        };
-        if seq < skip {
-            continue; // the merge already holds it
-        }
-        match roundtrip(stream, &ExecutorMsg::Trial { lease, shard, seq, payload }) {
-            Ok(CoordMsg::Ack) => summary.streamed += 1,
-            Ok(CoordMsg::Expired) => {
-                // Straggler told to stand down: keep the local journal (a
-                // later lease serves from it) and ask for fresh work.
-                writer.close()?;
-                return Ok(LeaseEnd::Continue);
-            }
-            Ok(other) => return Err(protocol(format!("unexpected reply to Trial: {other:?}"))),
-            Err(_) => {
-                writer.close()?;
-                return Ok(LeaseEnd::Disconnected);
-            }
-        }
-    }
-
-    if !local.done {
-        // Seal the local shard journal so the next resume replays payloads
-        // instead of recomputing them.
-        writer.append(&JournalEntry::Checkpoint(ShardCursor { shard, completed: len, next_stream: end }))?;
-        writer.append(&JournalEntry::ShardDone { shard })?;
-    }
-    writer.close()?;
-
-    match roundtrip(stream, &ExecutorMsg::RangeDone { lease }) {
-        Ok(CoordMsg::Ack) | Ok(CoordMsg::Expired) => Ok(LeaseEnd::Continue),
-        Ok(other) => Err(protocol(format!("unexpected reply to RangeDone: {other:?}"))),
-        Err(_) => Ok(LeaseEnd::Disconnected),
     }
 }
 
@@ -949,6 +855,7 @@ mod tests {
         assert_eq!(*seen_spec.lock().unwrap(), "spec-blob");
         let expected: Vec<String> = (0..10).map(payload_for).collect();
         assert_eq!(scan_payloads(&root.join("coord"), 3), expected);
+        assert!(!root.join("ex-a").exists(), "executors hold no durable state");
     }
 
     #[test]
@@ -989,12 +896,53 @@ mod tests {
         let coord = coord.join().unwrap();
         assert_eq!(coord.merged, 6);
         // The re-leased shard 0 came with skip=1, so the healthy executor
-        // recomputed the straggler's trial but never re-streamed it.
+        // neither recomputed nor re-streamed the straggler's trial.
         assert_eq!(coord.duplicates, 0);
-        assert_eq!(summary.computed, 6);
+        assert_eq!(summary.computed, 5);
         assert_eq!(summary.streamed, 5);
         assert!(coord.leases_expired >= 1);
         assert!(coord.redispatched >= 1);
+        let expected: Vec<String> = (0..6).map(payload_for).collect();
+        assert_eq!(scan_payloads(&root.join("coord"), 2), expected);
+    }
+
+    #[test]
+    fn relaunched_executor_computes_only_unmerged_trials() {
+        let root = tmp("relaunch");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut cfg = CoordConfig::new(root.join("coord"), meta(6, 2), "");
+        cfg.lease_timeout = Duration::from_secs(60); // only the relaunch's Hello expires the lease
+        let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
+
+        // Executor `x` gets two trials of shard 0 acknowledged, then dies.
+        let mut x = hello_raw(&addr, "x");
+        let CoordMsg::Lease { lease, shard: 0, start, .. } = roundtrip_raw(&mut x, &ExecutorMsg::LeaseRequest) else {
+            panic!("expected a lease on shard 0")
+        };
+        for seq in 0..2 {
+            let trial = ExecutorMsg::Trial { lease, shard: 0, seq, payload: payload_for(start + seq) };
+            assert_eq!(roundtrip_raw(&mut x, &trial), CoordMsg::Ack);
+        }
+        drop(x);
+
+        // Relaunched under the same name, it computes exactly what the
+        // merge lacks.
+        let computed = Arc::new(Mutex::new(Vec::new()));
+        let probe = Arc::clone(&computed);
+        let ecfg = ExecutorConfig::new("x", root.join("x"), ConnectTarget::Addr(addr));
+        let summary = run_executor(&ecfg, move |_, _| {
+            move |global| {
+                probe.lock().unwrap().push(global);
+                payload_for(global)
+            }
+        })
+        .unwrap();
+        let coord = coord.join().unwrap();
+
+        assert_eq!(*computed.lock().unwrap(), vec![2, 3, 4, 5]);
+        assert_eq!((summary.computed, summary.streamed), (4, 4));
+        assert_eq!((coord.merged, coord.duplicates), (6, 0));
         let expected: Vec<String> = (0..6).map(payload_for).collect();
         assert_eq!(scan_payloads(&root.join("coord"), 2), expected);
     }

@@ -236,19 +236,12 @@ pub fn read_frame_deadline<T: for<'de> Deserialize<'de>>(s: &mut UnixStream, dea
     parse_frame(&body)
 }
 
-/// Blocking frame read for the worker side (the parent owns all deadlines).
-/// Also the monitor endpoint's framing (`carolfi::monitor`, `phi-top`).
+/// [`read_frame`] with the socket's read timeout cleared: the worker side's
+/// read (the parent owns all deadlines). Also the monitor endpoint's
+/// framing (`carolfi::monitor`, `phi-top`).
 pub fn read_frame_blocking<T: for<'de> Deserialize<'de>>(s: &mut UnixStream) -> std::io::Result<T> {
     s.set_read_timeout(None)?;
-    let mut len = [0u8; 4];
-    read_exact_blocking(s, &mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(other(format!("frame length {len} exceeds the {MAX_FRAME}-byte cap")));
-    }
-    let mut body = vec![0u8; len];
-    read_exact_blocking(s, &mut body)?;
-    parse_frame(&body)
+    read_frame(s)
 }
 
 /// Blocking frame read over any byte stream — the TCP transport of
@@ -274,21 +267,6 @@ fn read_exact_stream(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<()> {
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) => return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "peer closed the stream")),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-fn read_exact_blocking(s: &mut UnixStream, buf: &mut [u8]) -> std::io::Result<()> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match s.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "parent closed the stream"))
-            }
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),

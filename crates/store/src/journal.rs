@@ -266,8 +266,8 @@ fn scan_segment(bytes: &[u8]) -> (Vec<JournalEntry>, usize) {
 }
 
 /// Opens the journal of campaign `meta` in `dir` — the one way every
-/// campaign runner (engine, adaptive runner, distributed coordinator and
-/// executors) gets at its journal. A missing journal is created; an
+/// campaign runner (engine, adaptive runner and distributed coordinator)
+/// gets at its journal. A missing journal is created; an
 /// existing one is continued only with `resume`, and only when it holds the
 /// same campaign: merging two campaigns' records would be silent
 /// corruption. Returns the writer (under the default [`BatchPolicy`]), the

@@ -2,11 +2,11 @@
 //!
 //! Distributed campaigns re-dispatch slow or dead executors' ranges, so the
 //! same `(shard, seq)` trial can arrive more than once — from a straggler
-//! that woke back up, from a re-leased executor replaying its local journal,
-//! or from a re-imported segment after a coordinator restart. Because a
-//! trial's global index fully determines its RNG stream, fault model and
-//! injection time, every copy is byte-identical, and merging reduces to a
-//! first-writer-wins rule per shard-local sequence number:
+//! that woke back up, or from a re-imported segment after a coordinator
+//! restart. Because a trial's global index fully determines its RNG stream,
+//! fault model and injection time, every copy is byte-identical, and
+//! merging reduces to a first-writer-wins rule per shard-local sequence
+//! number:
 //!
 //! * `seq == next` — fresh: journaled, the cursor advances
 //!   (`dist/merged_trials`);

@@ -122,7 +122,7 @@ pub struct BeamCampaign {
     pub sigma_raw: f64,
     pub environment: FluxEnvironment,
     /// Campaign-level gauges (throughput, utilization, outcome counts).
-    /// Rate gauges are zero when the records were loaded rather than run.
+    /// Rate gauges are zero when the report was rebuilt from records alone.
     pub report: obs::CampaignReport,
 }
 
@@ -139,7 +139,7 @@ pub fn outcome_key(outcome: &OutcomeRecord) -> &'static str {
 }
 
 /// Builds the campaign report from finished strike records (also used by
-/// callers reloading cached records, which carry no timing information).
+/// callers holding only the records; such reports carry no timing).
 pub fn report_for(benchmark: &str, records: &[TrialRecord], workers: usize, busy_ns: u64, wall_ns: u64) -> obs::CampaignReport {
     let mut builder = obs::ReportBuilder::new(benchmark, workers);
     for r in records {

@@ -1,11 +1,13 @@
 //! Calibration diagnostics: per-class and per-model PVFs per benchmark.
+//!
+//! Usage: `diagnose [trials]` (default 1000 per benchmark); a malformed or
+//! zero count exits 2.
 use carolfi::{run_campaign, CampaignConfig};
 use kernels::{build, golden, Benchmark, SizeClass};
 use sdc_analysis::pvf::{self, OutcomeBreakdown, PvfKind};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let trials: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1000);
+    let trials = bench::positive_or_exit(std::env::args().nth(1), "trials", 1000);
     let size = SizeClass::Small;
     for b in Benchmark::ALL {
         let g = golden(b, size);

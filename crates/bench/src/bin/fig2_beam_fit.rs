@@ -5,15 +5,15 @@
 //! patterns (cubic / square / line / single / random), plus the §4.2
 //! machine-scale extrapolations (Trinity and 10× exascale).
 
-use bench::{beam_records_stored, rule};
+use bench::{beam_campaign, rule};
 use kernels::Benchmark;
 use sdc_analysis::fit::MachineProjection;
 use sdc_analysis::spatial::{self, SpatialPattern};
 
 fn main() {
-    let bench::Figure { cfg, store, telemetry } = bench::figure_setup();
+    let fig = bench::figure_setup();
     println!("Figure 2 reproduction — SDC/DUE FIT and spatial distribution (sea level)");
-    println!("strikes/benchmark = {}, size = {:?}, seed = {}\n", cfg.strikes, cfg.size, cfg.seed);
+    println!("strikes/benchmark = {}, size = {:?}, seed = {}\n", fig.cfg.strikes, fig.cfg.size, fig.cfg.seed);
     println!(
         "{:9} {:>9} {:>9} {:>17} {:>8}   SDC split by pattern (FIT)",
         "bench", "SDC FIT", "DUE FIT", "SDC 95% CI", "multi%"
@@ -27,8 +27,8 @@ fn main() {
 
     let mut reports = Vec::new();
     for b in Benchmark::BEAM {
-        let c = beam_records_stored(b, &cfg, &store);
-        if telemetry.is_some() {
+        let c = beam_campaign(b, &fig);
+        if fig.telemetry.is_some() {
             reports.push(c.report.clone());
         }
         let sdc = c.fit_sdc();
@@ -79,5 +79,5 @@ fn main() {
             print!("{r}");
         }
     }
-    bench::print_telemetry(telemetry);
+    bench::print_telemetry(fig.telemetry);
 }

@@ -5,16 +5,20 @@
 //! paper's 0.1%–15% tolerance grid, plus the headline numbers the paper
 //! quotes (HotSpot −85% at 0.5%, ×20 MTBF at 2%; ≥25% drop for everyone at
 //! the smallest tolerance; CLAMR and DGEMM flattest).
+//!
+//! It runs the same beam campaigns as `fig2_beam_fit`; `--store R --resume`
+//! reads the journals `fig2_beam_fit --store R` finished instead of
+//! recomputing them.
 
-use bench::{beam_records, rule, RunConfig};
+use bench::{beam_campaign, rule};
 use kernels::Benchmark;
 use sdc_analysis::tolerance::{paper_tolerances, ToleranceCurve};
 
 fn main() {
-    let cfg = RunConfig::from_env();
+    let fig = bench::figure_setup();
     let tolerances = paper_tolerances();
     println!("Figure 3 reproduction — SDC FIT reduction vs tolerated relative error");
-    println!("strikes/benchmark = {}, size = {:?}, seed = {}\n", cfg.strikes, cfg.size, cfg.seed);
+    println!("strikes/benchmark = {}, size = {:?}, seed = {}\n", fig.cfg.strikes, fig.cfg.size, fig.cfg.seed);
     print!("{:9}", "bench");
     for t in &tolerances {
         print!(" {:>7}", format!("{:.1}%", t * 100.0));
@@ -24,7 +28,7 @@ fn main() {
 
     let mut curves = Vec::new();
     for b in Benchmark::BEAM {
-        let c = beam_records(b, &cfg);
+        let c = beam_campaign(b, &fig);
         let summaries = c.sdc_summaries();
         let curve = ToleranceCurve::from_summaries(b.label(), summaries.iter().copied(), &tolerances);
         print!("{:9}", b.label());
@@ -64,4 +68,5 @@ fn main() {
     }
     println!("\nPaper shape targets: every benchmark drops ≥25% already at small tolerances;");
     println!("HotSpot collapses fastest (stencil attenuation); CLAMR & DGEMM flattest; curves saturate.");
+    bench::print_telemetry(fig.telemetry);
 }

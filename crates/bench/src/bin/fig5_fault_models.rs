@@ -4,7 +4,7 @@
 //! Per benchmark and per fault model (Single, Double, Random, Zero), the SDC
 //! and DUE Program Vulnerability Factors of the injection campaign.
 
-use bench::{injection_records_stored, pvf_row, rule};
+use bench::{injection_records, pvf_row, rule};
 use carolfi::models::FaultModel;
 use carolfi::record::TrialRecord;
 use kernels::Benchmark;
@@ -32,26 +32,26 @@ fn print_table(kind: PvfKind, corpus: &[(Benchmark, Vec<TrialRecord>)]) {
 }
 
 fn main() {
-    let bench::Figure { cfg, store, telemetry } = bench::figure_setup();
+    let fig = bench::figure_setup();
     println!("Figures 5a/5b reproduction — fault-model PVFs");
-    println!("trials/benchmark = {}, size = {:?}, seed = {}\n", cfg.trials, cfg.size, cfg.seed);
+    println!("trials/benchmark = {}, size = {:?}, seed = {}\n", fig.cfg.trials, fig.cfg.size, fig.cfg.seed);
     // One campaign per benchmark, shared by both tables and the telemetry
     // footer (a journal-backed campaign can only be opened once per run).
     let corpus: Vec<(Benchmark, Vec<TrialRecord>)> =
-        Benchmark::ALL.into_iter().map(|b| (b, injection_records_stored(b, &cfg, &store))).collect();
+        Benchmark::ALL.into_iter().map(|b| (b, injection_records(b, &fig))).collect();
     print_table(PvfKind::Sdc, &corpus);
     print_table(PvfKind::Due, &corpus);
     println!("Paper shape targets: Zero model yields the lowest DUE everywhere (zeroed values are");
     println!("valid pointers/indices); DGEMM & LUD (algebraic class) show similar model profiles;");
     println!("NW: Zero ⇒ (almost) no SDCs, Single the highest SDC, Double/Random the highest DUE.");
 
-    if telemetry.is_some() {
+    if fig.telemetry.is_some() {
         println!();
         for (b, records) in &corpus {
-            // Cached records carry no timing; the report still gives the
-            // per-model outcome counts behind the PVF tables.
+            // A report rebuilt from the records alone has no timing; it
+            // still gives the per-model outcome counts behind the tables.
             print!("{}", carolfi::campaign::report_for(b.label(), records, 0, 0, 0));
         }
     }
-    bench::print_telemetry(telemetry);
+    bench::print_telemetry(fig.telemetry);
 }

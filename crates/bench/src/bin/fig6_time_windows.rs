@@ -5,7 +5,7 @@
 //! windows; DGEMM & HotSpot: 5; LUD & NW: 4 — paper §6). As the paper notes,
 //! these are per-window PVFs, not contributions, so rows can sum past 100%.
 
-use bench::{injection_records_stored, rule};
+use bench::{injection_records, rule};
 use carolfi::record::TrialRecord;
 use kernels::Benchmark;
 use sdc_analysis::pvf::{by_window, PvfKind};
@@ -33,17 +33,17 @@ fn print_table(kind: PvfKind, corpus: &[(Benchmark, Vec<TrialRecord>)]) {
 }
 
 fn main() {
-    let bench::Figure { cfg, store, telemetry } = bench::figure_setup();
+    let fig = bench::figure_setup();
     println!("Figures 6a/6b reproduction — time-window PVFs");
-    println!("trials/benchmark = {}, size = {:?}, seed = {}\n", cfg.trials, cfg.size, cfg.seed);
+    println!("trials/benchmark = {}, size = {:?}, seed = {}\n", fig.cfg.trials, fig.cfg.size, fig.cfg.seed);
     // One campaign per benchmark, shared by both tables (a journal-backed
     // campaign can only be opened once per run).
     let corpus: Vec<(Benchmark, Vec<TrialRecord>)> =
-        FIG6.into_iter().map(|b| (b, injection_records_stored(b, &cfg, &store))).collect();
+        FIG6.into_iter().map(|b| (b, injection_records(b, &fig))).collect();
     print_table(PvfKind::Sdc, &corpus);
     print_table(PvfKind::Due, &corpus);
     println!("Paper shape targets: DGEMM SDC flat across windows with DUE lower at the start;");
     println!("CLAMR most sensitive around window 3 (active-cell maximum); LUD most critical");
     println!("mid-run; NW DUE lower in the first window while the wavefront is still small.");
-    bench::print_telemetry(telemetry);
+    bench::print_telemetry(fig.telemetry);
 }

@@ -38,7 +38,7 @@ fn control_sdc_share(c: &Campaign) -> f64 {
 }
 
 fn main() {
-    let trials: usize = std::env::var("PHI_TRIALS").ok().and_then(|v| v.parse().ok()).unwrap_or(2500);
+    let trials = bench::positive_env("PHI_TRIALS", 2500);
     let size = SizeClass::Small;
     println!("Hardening validation — DWC on control variables (paper §6 recommendation, §7 future work)");
     println!("trials/benchmark = {trials}\n");

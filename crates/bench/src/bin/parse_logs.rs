@@ -7,8 +7,8 @@
 //! for SDC records, the spatial-pattern histogram and the tolerance curve.
 //!
 //! Three input shapes are understood:
-//! * **plain JSONL record logs** — one `TrialRecord` per line, as cached
-//!   under `target/campaign_cache/`;
+//! * **plain JSONL record logs** — one `TrialRecord` per line, as
+//!   `phi-cli records <journal-dir>` prints them;
 //! * **phi-obs event streams** — `{"seq":..,"kind":..,"data":{..}}`
 //!   envelopes from `obs::JsonlRecorder`; `trial`/`strike` events carry a
 //!   full record, other kinds are counted and skipped;
@@ -16,9 +16,15 @@
 //!   records are recovered from the checksummed segments and the per-shard
 //!   completion status is printed.
 //!
+//! Non-record lines in a JSONL file are counted and skipped. Every other
+//! failure makes the exit status 1, after the analyses of what could be
+//! read: a named input that is missing or unreadable, a journal without
+//! campaign metadata or failing its scan or shard replay, or a trial
+//! payload that does not decode.
+//!
 //! ```text
-//! cargo run --release -p bench --bin parse_logs -- target/campaign_cache/*.jsonl
 //! cargo run --release -p bench --bin parse_logs -- /tmp/phi-store/inject-nw
+//! cargo run --release -p bench --bin parse_logs -- /tmp/phi-store/inject-*
 //! ```
 
 use carolfi::record::{OutcomeRecord, TrialRecord};
@@ -26,6 +32,7 @@ use sdc_analysis::pvf::{by_class, by_model, by_window, OutcomeBreakdown, PvfKind
 use sdc_analysis::spatial;
 use sdc_analysis::tolerance::{paper_tolerances, ToleranceCurve};
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::path::Path;
 use store::{Journal, JournalEntry, ShardPlan, ShardProgress};
 
@@ -87,15 +94,20 @@ struct ObsEnvelope {
     data: TrialRecord,
 }
 
+/// Reports an input (or part of one) that could not be read and clears
+/// `ok`, which sets the exit status.
+fn unreadable(input: impl Display, what: impl Display, ok: &mut bool) -> Vec<TrialRecord> {
+    eprintln!("{input}: {what}");
+    *ok = false;
+    Vec::new()
+}
+
 /// Loads a flat JSONL file, accepting both plain record lines and phi-obs
 /// event envelopes; unrecognised lines are counted, not fatal.
-fn load_file(path: &str) -> Vec<TrialRecord> {
+fn load_file(path: &str, ok: &mut bool) -> Vec<TrialRecord> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return Vec::new();
-        }
+        Err(e) => return unreadable(path, e, ok),
     };
     let mut records = Vec::new();
     let mut skipped = 0usize;
@@ -120,24 +132,17 @@ fn load_file(path: &str) -> Vec<TrialRecord> {
 
 /// Loads a phi-store journal directory, printing the campaign header and
 /// per-shard completion status before handing the records to the analyses.
-fn load_journal(dir: &Path) -> Vec<TrialRecord> {
+fn load_journal(dir: &Path, ok: &mut bool) -> Vec<TrialRecord> {
     let scan = match Journal::scan(dir) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("{}: {e}", dir.display());
-            return Vec::new();
-        }
+        Err(e) => return unreadable(dir.display(), e, ok),
     };
     let Some(meta) = scan.meta else {
-        eprintln!("{}: journal holds no campaign metadata", dir.display());
-        return Vec::new();
+        return unreadable(dir.display(), "journal holds no campaign metadata", ok);
     };
     let progress = match ShardProgress::replay(meta.shards, &scan.entries) {
         Ok(p) => p,
-        Err(e) => {
-            eprintln!("{}: {e}", dir.display());
-            return Vec::new();
-        }
+        Err(e) => return unreadable(dir.display(), e, ok),
     };
     println!(
         "journal {} — {} campaign on {}, seed {}, {} trials over {} shards, {} segment(s)",
@@ -176,7 +181,9 @@ fn load_journal(dir: &Path) -> Vec<TrialRecord> {
         if let JournalEntry::Trial { payload, .. } = entry {
             match serde_json::from_str::<TrialRecord>(payload) {
                 Ok(r) => records.push(r),
-                Err(e) => eprintln!("{}: undecodable trial payload: {e}", dir.display()),
+                Err(e) => {
+                    unreadable(dir.display(), format_args!("undecodable trial payload: {e}"), ok);
+                }
             }
         }
     }
@@ -188,18 +195,24 @@ fn main() {
     let paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.is_empty() {
         eprintln!("usage: parse_logs <log.jsonl | journal-dir> [more ...]");
-        eprintln!("logs are produced by the campaign runners and cached under target/campaign_cache/;");
-        eprintln!("journal directories are the per-campaign sub-directories of a --store root");
+        eprintln!("journal directories are the per-campaign sub-directories of a --store root;");
+        eprintln!("JSONL logs hold one trial record per line (`phi-cli records <journal-dir>`)");
+        eprintln!("or phi-obs event envelopes; exits 1 if any input cannot be read");
         std::process::exit(2);
     }
+    let mut ok = true;
     let mut per_benchmark: BTreeMap<String, Vec<TrialRecord>> = BTreeMap::new();
     for path in &paths {
-        let records = if Path::new(path).is_dir() { load_journal(Path::new(path)) } else { load_file(path) };
+        let records =
+            if Path::new(path).is_dir() { load_journal(Path::new(path), &mut ok) } else { load_file(path, &mut ok) };
         for r in records {
             per_benchmark.entry(r.benchmark.clone()).or_default().push(r);
         }
     }
     for (benchmark, records) in &per_benchmark {
         analyse(benchmark, records);
+    }
+    if !ok {
+        std::process::exit(1);
     }
 }

@@ -10,19 +10,23 @@
 //! Pointer-typed variables (the C arrays' base pointers) are reported both
 //! separately and folded into their array's class, since at GDB level the
 //! paper's "matrices" include the pointer variables that name them.
+//!
+//! It runs the same injection campaigns as `fig4_outcomes`;
+//! `--store R --resume` reads the journals a finished
+//! `fig4_outcomes --store R` left instead of recomputing them.
 
-use bench::{injection_records, rule, RunConfig};
+use bench::{injection_records, rule};
 use carolfi::target::VarClass;
 use kernels::Benchmark;
 use sdc_analysis::pvf::{by_class, event_share_by_class, PvfKind};
 
 fn main() {
-    let cfg = RunConfig::from_env();
+    let fig = bench::figure_setup();
     println!("§6 per-variable-class criticality (conditional rates over injections into the class)");
-    println!("trials/benchmark = {}, size = {:?}, seed = {}\n", cfg.trials, cfg.size, cfg.seed);
+    println!("trials/benchmark = {}, size = {:?}, seed = {}\n", fig.cfg.trials, fig.cfg.size, fig.cfg.seed);
 
     for b in Benchmark::ALL {
-        let records = injection_records(b, &cfg);
+        let records = injection_records(b, &fig);
         let sdc = by_class(&records, PvfKind::Sdc);
         let due = by_class(&records, PvfKind::Due);
         let share_sdc = event_share_by_class(&records, PvfKind::Sdc);
@@ -50,4 +54,5 @@ fn main() {
     println!("Paper anchors: DGEMM matrices 43/19, control 38/38; CLAMR sort 39/43, tree 20/41,");
     println!("mesh-other 33/28; HotSpot control+constant ≈30/40; LavaMD charge/distance arrays");
     println!("carry 57% of SDCs and 11% of DUEs; LUD matrices 54/28, control 24/36.");
+    bench::print_telemetry(fig.telemetry);
 }

@@ -1,28 +1,28 @@
 //! Shared harness for the figure-regeneration binaries.
 //!
 //! Every evaluation figure of the paper is regenerated by a binary in
-//! `src/bin/` (see DESIGN.md's per-experiment index). Campaigns are
-//! expensive relative to the analysis, so completed campaigns are cached as
-//! JSON-lines record logs under `target/campaign_cache/` — the same format
-//! as the paper's public log repository — and re-used across binaries:
-//! `fig3_tolerance` reads the same beam corpus `fig2_beam_fit` produced.
+//! `src/bin/` (see DESIGN.md's per-experiment index). Each binary starts
+//! with [`figure_setup`] and runs its campaigns through [`injection_records`]
+//! or [`beam_campaign`], which build one [`CampaignSpec`] from the knobs and
+//! flags. Without `--store` the campaign runs in memory, so a figure always
+//! reflects the code that printed it; nothing is written to disk.
 //!
 //! Knobs (environment variables):
 //! * `PHI_TRIALS` — injections per benchmark (default 4000);
 //! * `PHI_STRIKES` — beam strikes per benchmark (default 8000);
 //! * `PHI_SIZE` — `test`, `small` (default) or `paper`;
-//! * `PHI_SEED` — master seed (default 2017);
-//! * `PHI_NO_CACHE` — set to recompute campaigns from scratch.
+//! * `PHI_SEED` — master seed (default 2017).
 //!
-//! The figure binaries additionally accept the durable-store flags parsed
-//! by [`StoreArgs`] (`--store <dir>`, `--shards N`, `--resume`,
-//! `--budget N`), which replace the plain cache with a crash-safe,
-//! resumable `phi-store` journal per campaign.
+//! The durable-store flags parsed by [`StoreArgs`] (`--store <dir>`,
+//! `--shards N`, `--resume`, `--budget N`, ...) run each campaign against a
+//! crash-safe, resumable `phi-store` journal instead. A finished store is
+//! the way to reuse a corpus: `fig3_tolerance --store R --resume` reads the
+//! beam journals `fig2_beam_fit --store R` wrote, and `table_varclass`
+//! reads `fig4_outcomes`' injection journals the same way.
 
-use beamsim::{run_beam_campaign, BeamCampaign, BeamConfig, Strikes};
-use carolfi::orchestrator::StoreConfig;
-use carolfi::record::{read_log, write_log, TrialRecord};
-use carolfi::{run_campaign, CampaignConfig, Output, TrialKind};
+use beamsim::{run_beam_campaign, BeamCampaign};
+use carolfi::record::TrialRecord;
+use carolfi::{run_campaign, Output};
 use kernels::{build, golden, Benchmark, SizeClass};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -45,7 +45,6 @@ pub struct RunConfig {
     pub strikes: usize,
     pub size: SizeClass,
     pub seed: u64,
-    pub use_cache: bool,
 }
 
 impl RunConfig {
@@ -86,7 +85,6 @@ impl RunConfig {
             strikes: positive("PHI_STRIKES", 8000)?,
             size,
             seed,
-            use_cache: get("PHI_NO_CACHE").is_none(),
         })
     }
 
@@ -115,7 +113,13 @@ fn parse_positive(raw: Option<String>, key: &str, default: usize) -> Result<usiz
 /// exiting with a diagnostic on malformed values — the same contract as
 /// [`RunConfig::from_env`], for binaries that don't use the full config.
 pub fn positive_env(key: &str, default: usize) -> usize {
-    parse_positive(std::env::var(key).ok(), key, default).unwrap_or_else(|msg| {
+    positive_or_exit(std::env::var(key).ok(), key, default)
+}
+
+/// [`positive_env`] for a value from elsewhere, such as a command-line
+/// argument: `None` takes the default, and the diagnostic names `key`.
+pub fn positive_or_exit(raw: Option<String>, key: &str, default: usize) -> usize {
+    parse_positive(raw, key, default).unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
         std::process::exit(2);
     })
@@ -129,77 +133,12 @@ pub fn io_fatal(what: &str, path: &Path, err: &std::io::Error) -> ! {
     std::process::exit(1);
 }
 
-fn cache_dir() -> PathBuf {
-    let p = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/campaign_cache");
-    if let Err(e) = std::fs::create_dir_all(&p) {
-        io_fatal("create campaign cache dir", &p, &e);
-    }
-    p
-}
-
-fn cached<F: FnOnce() -> Vec<TrialRecord>>(key: String, use_cache: bool, run: F) -> Vec<TrialRecord> {
-    let path = cache_dir().join(format!("{key}.jsonl"));
-    if use_cache {
-        if let Ok(f) = std::fs::File::open(&path) {
-            if let Ok(records) = read_log(std::io::BufReader::new(f)) {
-                if !records.is_empty() {
-                    return records;
-                }
-            }
-        }
-    }
-    let records = run();
-    // A cache that silently fails to persist turns every later binary into a
-    // full re-run; fail loudly instead.
-    match std::fs::File::create(&path) {
-        Err(e) => io_fatal("write campaign cache", &path, &e),
-        Ok(f) => {
-            if let Err(e) = write_log(std::io::BufWriter::new(f), &records) {
-                io_fatal("write campaign cache", &path, &e);
-            }
-        }
-    }
-    records
-}
-
 /// The golden (fault-free) output of a benchmark, timed under the `golden`
 /// span — every campaign the figure binaries and `run_spec` run in process
 /// classifies against one of these.
 pub(crate) fn golden_output(b: Benchmark, size: SizeClass) -> Output {
     let _span = obs::span!("golden");
     golden(b, size)
-}
-
-/// Runs (or loads) the CAROL-FI injection campaign for one benchmark.
-pub fn injection_records(b: Benchmark, cfg: &RunConfig) -> Vec<TrialRecord> {
-    let key = format!("inject-{}-{}-{}-{}", b.label(), cfg.trials, cfg.seed, cfg.size_tag());
-    cached(key, cfg.use_cache, || {
-        let g = golden_output(b, cfg.size);
-        let ccfg = CampaignConfig { trials: cfg.trials, seed: cfg.seed, n_windows: b.n_windows(), ..Default::default() };
-        run_campaign(b.label(), || build(b, cfg.size), &g, &ccfg).records
-    })
-}
-
-/// Runs (or loads) the beam campaign for one benchmark, rebuilding the
-/// `BeamCampaign` around the (possibly cached) records through the beam
-/// kind's finish step, MCA log included. The rebuilt report carries outcome
-/// counts but no timing (cache loads have none).
-pub fn beam_records(b: Benchmark, cfg: &RunConfig) -> BeamCampaign {
-    let key = format!("beam-{}-{}-{}-{}", b.label(), cfg.strikes, cfg.seed, cfg.size_tag());
-    let bcfg = BeamConfig {
-        strikes: cfg.strikes,
-        seed: cfg.seed,
-        n_windows: b.n_windows(),
-        engine: beamsim::campaign::engine_for(b.label()),
-        ..Default::default()
-    };
-    let records = cached(key, cfg.use_cache, || {
-        let g = golden_output(b, cfg.size);
-        run_beam_campaign(b.label(), || build(b, cfg.size), &g, &bcfg).records
-    });
-    let kind = Strikes::new(b.label(), &bcfg);
-    let report = kind.report(&records, 0, 0, 0);
-    kind.finish(records, report)
 }
 
 /// Worker-mode entry for `--isolate`: when this process was spawned by a
@@ -231,21 +170,19 @@ pub fn maybe_run_worker() {
 
 /// Command-line selection of the durable campaign store.
 ///
-/// `--store <dir>` switches a figure binary from the ephemeral
-/// `target/campaign_cache/` to a crash-safe `phi-store` journal under
-/// `<dir>`, one sub-journal per campaign. `--shards N` picks the shard
-/// count (the aggregate is bit-identical for any N), `--resume` continues
-/// an existing store, `--budget N` caps how many trials this invocation
-/// may execute before pausing (exit code [`EXIT_PAUSED`]), and
-/// `--isolate` runs every trial in a supervised child process (crashes,
-/// fatal signals and hangs of the victim become DUE records instead of
-/// taking the campaign down).
+/// `--store <dir>` switches a figure binary from the in-memory engine to a
+/// crash-safe `phi-store` journal under `<dir>`, one sub-journal per
+/// campaign. `--shards N` picks the shard count (the aggregate is
+/// bit-identical for any N), `--resume` continues an existing store,
+/// `--budget N` caps how many trials this invocation may execute before
+/// pausing (exit code [`EXIT_PAUSED`]), and `--isolate` runs every trial in
+/// a supervised child process (crashes, fatal signals and hangs of the
+/// victim become DUE records instead of taking the campaign down).
 ///
-/// `--monitor <socket>` (usable with or without `--store`) additionally
-/// serves live campaign status — per-shard progress, throughput, ETA,
-/// outcome mix, worker health — on a Unix socket that `phi-top` renders;
-/// with `--store` it also persists a periodic `heartbeat.json` in the store
-/// root for post-mortem inspection.
+/// `--monitor <socket>` (requires `--store`) additionally serves live
+/// campaign status — per-shard progress, throughput, ETA, outcome mix,
+/// worker health — on a Unix socket that `phi-top` renders, and persists a
+/// periodic `heartbeat.json` in the store root for post-mortem inspection.
 ///
 /// `--adaptive` (requires `--store`) switches injection campaigns to the
 /// adaptive stratified planner: `PHI_TRIALS` becomes the horizon, and each
@@ -328,8 +265,12 @@ impl StoreArgs {
                 _ => {}
             }
         }
-        if out.dir.is_none() && (out.resume || out.budget.is_some() || out.isolate || out.adaptive) {
-            return Err("--resume/--budget/--isolate/--adaptive: only meaningful together with --store <dir>".into());
+        if out.dir.is_none()
+            && (out.resume || out.budget.is_some() || out.isolate || out.adaptive || out.monitor.is_some())
+        {
+            return Err(
+                "--resume/--budget/--isolate/--adaptive/--monitor: only meaningful together with --store <dir>".into(),
+            );
         }
         if ci_given && !out.adaptive {
             return Err("--ci: only meaningful together with --adaptive".into());
@@ -340,37 +281,37 @@ impl StoreArgs {
         Ok(out)
     }
 
-    /// Store configuration for one named campaign, as a journal directory
-    /// under the store root. `None` when `--store` was not given.
-    fn config(&self, campaign: &str) -> Option<StoreConfig> {
-        self.dir.as_ref().map(|root| {
-            let mut sc = StoreConfig::new(root.join(campaign));
-            sc.shards = self.shards;
-            sc.resume = self.resume;
-            sc.budget = self.budget;
-            sc
-        })
+    /// The journal directory of one named campaign under the store root;
+    /// `None` when `--store` was not given.
+    fn journal_dir(&self, campaign: &str) -> Option<PathBuf> {
+        self.dir.as_ref().map(|root| root.join(campaign))
     }
 }
 
-/// Runs a spec through [`spec::run_spec`] with figure-binary exit
-/// semantics: paused runs report progress on stderr (stdout stays
-/// byte-identical to the cache-backed run) and exit with [`EXIT_PAUSED`];
-/// invalid specs and store errors exit non-zero with a diagnostic.
-fn spec_run_or_exit(
-    kind: spec::CampaignKind,
-    b: Benchmark,
-    cfg: &RunConfig,
-    store: &StoreArgs,
-    sc: &StoreConfig,
-) -> spec::SpecRun {
-    let parsed = validate_spec(campaign_spec(kind, b, cfg, store)).unwrap_or_else(|msg| {
+/// Runs one figure campaign from the spec the figure's knobs and flags
+/// describe: with `--store` through [`run_spec`] against the campaign's
+/// journal, otherwise with the in-memory engine on the same spec's config.
+/// Paused runs report progress on stderr (stdout stays byte-identical to
+/// the in-memory run) and exit with [`EXIT_PAUSED`]; invalid specs and
+/// store errors exit non-zero with a diagnostic.
+fn figure_campaign(kind: CampaignKind, b: Benchmark, fig: &Figure) -> SpecRun {
+    let p = validate_spec(campaign_spec(kind, b, &fig.cfg, &fig.store)).unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
         std::process::exit(2);
     });
-    match run_spec(&parsed, &sc.dir, store.resume, store.budget) {
-        Err(e) => io_fatal("campaign store", &sc.dir, &e),
-        Ok(spec::SpecRun::Paused { completed, total }) => {
+    let Some(dir) = fig.store.journal_dir(&format!("{}-{}", kind.label(), b.label())) else {
+        let golden = golden_output(b, p.size);
+        let factory = || build(b, p.size);
+        return match kind {
+            CampaignKind::Inject => {
+                SpecRun::Inject(run_campaign(b.label(), factory, &golden, &p.campaign_config()).records)
+            }
+            CampaignKind::Beam => SpecRun::Beam(run_beam_campaign(b.label(), factory, &golden, &p.beam_config())),
+        };
+    };
+    match run_spec(&p, &dir, fig.store.resume, fig.store.budget) {
+        Err(e) => io_fatal("campaign store", &dir, &e),
+        Ok(SpecRun::Paused { completed, total }) => {
             eprintln!(
                 "{}: paused at {completed}/{total} trials (budget exhausted); rerun with --resume to continue",
                 b.label()
@@ -381,30 +322,21 @@ fn spec_run_or_exit(
     }
 }
 
-/// [`injection_records`] with an optional durable store: with `--store` the
-/// campaign runs sharded against a crash-safe journal (resumable, and
-/// bit-identical to the cache-backed path); without it, falls through to
-/// the plain cache. The stored path goes through the shared
-/// [`spec`] machinery — the same code `phi-serve` slices run on.
-pub fn injection_records_stored(b: Benchmark, cfg: &RunConfig, store: &StoreArgs) -> Vec<TrialRecord> {
-    let Some(sc) = store.config(&format!("inject-{}", b.label())) else {
-        return injection_records(b, cfg);
-    };
-    match spec_run_or_exit(spec::CampaignKind::Inject, b, cfg, store, &sc) {
-        spec::SpecRun::Inject(records) => records,
+/// Runs the CAROL-FI injection campaign for one benchmark: against its
+/// journal under `--store`, in memory otherwise, from one spec.
+pub fn injection_records(b: Benchmark, fig: &Figure) -> Vec<TrialRecord> {
+    match figure_campaign(CampaignKind::Inject, b, fig) {
+        SpecRun::Inject(records) => records,
         _ => unreachable!("inject specs produce injection records"),
     }
 }
 
-/// [`beam_records`] with an optional durable store (see
-/// [`injection_records_stored`]). Unlike the cache path, a completed stored
-/// run carries a full MCA log, rebuilt from the journaled mechanisms.
-pub fn beam_records_stored(b: Benchmark, cfg: &RunConfig, store: &StoreArgs) -> BeamCampaign {
-    let Some(sc) = store.config(&format!("beam-{}", b.label())) else {
-        return beam_records(b, cfg);
-    };
-    match spec_run_or_exit(spec::CampaignKind::Beam, b, cfg, store, &sc) {
-        spec::SpecRun::Beam(campaign) => campaign,
+/// Runs the beam campaign for one benchmark, like [`injection_records`].
+/// The stored and in-memory paths both finish through the beam kind, so
+/// either carries the full MCA log.
+pub fn beam_campaign(b: Benchmark, fig: &Figure) -> BeamCampaign {
+    match figure_campaign(CampaignKind::Beam, b, fig) {
+        SpecRun::Beam(campaign) => campaign,
         _ => unreachable!("beam specs produce beam campaigns"),
     }
 }
@@ -429,27 +361,25 @@ pub fn telemetry_from_args() -> Option<Arc<obs::CounterRecorder>> {
     })
 }
 
-/// Starts the live-monitoring plane when `--monitor <socket>` was passed:
-/// serves status snapshots (and streaming subscriptions) for `phi-top` on
-/// the Unix socket, and — when the campaign is store-backed — persists a
-/// periodic `heartbeat.json` in the store root.
+/// Starts the live-monitoring plane when `--monitor <socket>` was passed
+/// (always together with `--store`): serves status snapshots (and streaming
+/// subscriptions) for `phi-top` on the Unix socket and persists a periodic
+/// `heartbeat.json` in the store root.
 ///
 /// Call after [`telemetry_from_args`]: monitoring needs a recorder, so one
 /// is installed here only if `--telemetry` didn't already provide it.
 pub fn monitor_from_args(store: &StoreArgs) {
-    let Some(socket) = &store.monitor else { return };
+    let (Some(socket), Some(dir)) = (&store.monitor, &store.dir) else { return };
     if obs::snapshot().is_none() {
         obs::install(Arc::new(obs::CounterRecorder::new()));
     }
     if let Err(e) = carolfi::monitor::serve_monitor(socket) {
         io_fatal("bind monitor socket", socket, &e);
     }
-    if let Some(dir) = &store.dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            io_fatal("create store root for heartbeat", dir, &e);
-        }
-        carolfi::monitor::start_heartbeat(dir.join("heartbeat.json"));
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        io_fatal("create store root for heartbeat", dir, &e);
     }
+    carolfi::monitor::start_heartbeat(dir.join("heartbeat.json"));
 }
 
 /// Everything a figure binary's preamble establishes, in one place.
@@ -508,7 +438,6 @@ mod tests {
         assert_eq!(cfg.strikes, 8000);
         assert_eq!(cfg.seed, 2017);
         assert!(matches!(cfg.size, SizeClass::Small));
-        assert!(cfg.use_cache);
     }
 
     #[test]
@@ -518,14 +447,12 @@ mod tests {
             ("PHI_STRIKES", " 20 "),
             ("PHI_SEED", "7"),
             ("PHI_SIZE", "paper"),
-            ("PHI_NO_CACHE", "1"),
         ]))
         .unwrap();
         assert_eq!(cfg.trials, 10);
         assert_eq!(cfg.strikes, 20);
         assert_eq!(cfg.seed, 7);
         assert!(matches!(cfg.size, SizeClass::Paper));
-        assert!(!cfg.use_cache);
     }
 
     #[test]
@@ -551,7 +478,7 @@ mod tests {
     fn store_args_default_to_disabled() {
         let sa = StoreArgs::parse(argv(&["--telemetry"])).unwrap();
         assert!(sa.dir.is_none() && !sa.resume && sa.budget.is_none());
-        assert!(sa.config("inject-nw").is_none());
+        assert!(sa.journal_dir("inject-nw").is_none());
     }
 
     #[test]
@@ -566,11 +493,7 @@ mod tests {
         assert!(sa.isolate);
         assert_eq!(sa.budget, Some(99));
         assert_eq!(sa.monitor.as_deref(), Some(Path::new("/tmp/s.sock")));
-        let sc = sa.config("beam-nw").unwrap();
-        assert_eq!(sc.dir, Path::new("/tmp/s/beam-nw"));
-        assert_eq!(sc.shards, 4);
-        assert!(sc.resume);
-        assert_eq!(sc.budget, Some(99));
+        assert_eq!(sa.journal_dir("beam-nw").as_deref(), Some(Path::new("/tmp/s/beam-nw")));
     }
 
     #[test]
@@ -584,6 +507,7 @@ mod tests {
             vec!["--budget", "10"],
             vec!["--isolate"],
             vec!["--monitor"],
+            vec!["--monitor", "/tmp/live.sock"],
             vec!["--adaptive"],
             vec!["--store", "/tmp/s", "--ci", "0.05"],
             vec!["--store", "/tmp/s", "--adaptive", "--ci", "0"],
@@ -609,7 +533,7 @@ mod tests {
 
     #[test]
     fn adaptive_flags_become_a_v2_plan_block() {
-        let cfg = RunConfig { trials: 100, strikes: 10, size: SizeClass::Test, seed: 1, use_cache: false };
+        let cfg = RunConfig { trials: 100, strikes: 10, size: SizeClass::Test, seed: 1 };
         let sa = StoreArgs { dir: Some(PathBuf::from("/tmp/s")), shards: 1, adaptive: true, ci: 0.05, ..Default::default() };
         let spec = campaign_spec(CampaignKind::Inject, Benchmark::Dgemm, &cfg, &sa);
         assert_eq!(spec.version, 2);
@@ -623,17 +547,8 @@ mod tests {
     }
 
     #[test]
-    fn monitor_flag_works_without_a_store() {
-        // Live monitoring is useful for cache-backed runs too; only the
-        // durable heartbeat requires a store root.
-        let sa = StoreArgs::parse(argv(&["--monitor", "/tmp/live.sock"])).unwrap();
-        assert!(sa.dir.is_none());
-        assert_eq!(sa.monitor.as_deref(), Some(Path::new("/tmp/live.sock")));
-    }
-
-    #[test]
     fn isolate_config_carries_the_campaign_identity() {
-        let cfg = RunConfig { trials: 18, strikes: 16, size: SizeClass::Test, seed: 91, use_cache: false };
+        let cfg = RunConfig { trials: 18, strikes: 16, size: SizeClass::Test, seed: 91 };
         let sa = StoreArgs { dir: Some(PathBuf::from("/tmp/s")), shards: 3, isolate: true, ..Default::default() };
         let parsed = validate_spec(campaign_spec(CampaignKind::Beam, Benchmark::Dgemm, &cfg, &sa)).unwrap();
         let iso = parsed.isolate_config().unwrap();
@@ -648,48 +563,53 @@ mod tests {
         assert_eq!(inj.trials, 18, "injection campaigns count trials");
     }
 
-    #[test]
-    fn beam_cache_path_keeps_the_mca_log() {
-        let cfg = RunConfig { trials: 16, strikes: 300, size: SizeClass::Test, seed: 5150, use_cache: false };
-        let b = Benchmark::Hotspot;
-        let bcfg = BeamConfig {
-            strikes: cfg.strikes,
-            seed: cfg.seed,
-            n_windows: b.n_windows(),
-            engine: beamsim::campaign::engine_for(b.label()),
-            ..Default::default()
-        };
-        let live = run_beam_campaign(b.label(), || build(b, cfg.size), &golden(b, cfg.size), &bcfg);
-        let cached = beam_records(b, &cfg);
-        assert!(live.mca.corrected_count() > 0, "the reference campaign must log MCA events");
-        assert_eq!(cached.mca.events(), live.mca.events());
+    fn figure(cfg: RunConfig, store: &[&str]) -> Figure {
+        Figure { cfg, store: StoreArgs::parse(argv(store)).unwrap(), telemetry: None }
+    }
+
+    fn lines(records: &[TrialRecord]) -> Vec<String> {
+        records.iter().map(|r| serde_json::to_string(r).unwrap()).collect()
     }
 
     #[test]
-    fn stored_helper_matches_cache_backed_run() {
-        let cfg = RunConfig { trials: 24, strikes: 16, size: SizeClass::Test, seed: 77, use_cache: false };
-        let plain = injection_records(Benchmark::Hotspot, &cfg);
+    fn storeless_and_stored_entries_yield_the_same_campaigns() {
+        let cfg = RunConfig { trials: 24, strikes: 300, size: SizeClass::Test, seed: 5150 };
+        let b = Benchmark::Hotspot;
         let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/test-bench-store");
         let _ = std::fs::remove_dir_all(&root);
-        let sa = StoreArgs { dir: Some(root), shards: 3, ..Default::default() };
-        let stored = injection_records_stored(Benchmark::Hotspot, &cfg, &sa);
-        assert_eq!(plain.len(), stored.len());
-        for (x, y) in plain.iter().zip(&stored) {
-            assert_eq!(x.trial, y.trial);
-            assert_eq!(x.outcome, y.outcome);
-            assert_eq!(x.mechanism, y.mechanism);
-        }
+        let (plain, stored) = (figure(cfg, &[]), figure(cfg, &["--store", root.to_str().unwrap(), "--shards", "3"]));
+        let records = injection_records(b, &plain);
+        assert_eq!(records.len(), cfg.trials);
+        assert_eq!(lines(&records), lines(&injection_records(b, &stored)));
+        let (live, journaled) = (beam_campaign(b, &plain), beam_campaign(b, &stored));
+        assert_eq!(live.records.len(), cfg.strikes);
+        assert_eq!(lines(&live.records), lines(&journaled.records));
+        assert!(live.mca.corrected_count() > 0, "the reference campaign must log MCA events");
+        assert_eq!(live.mca.events(), journaled.mca.events());
     }
 
     #[test]
-    fn cache_roundtrip() {
-        let cfg = RunConfig { trials: 16, strikes: 16, size: SizeClass::Test, seed: 424242, use_cache: true };
-        let a = injection_records(Benchmark::Nw, &cfg);
-        let b = injection_records(Benchmark::Nw, &cfg); // from cache
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.len(), 16);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.outcome.label(), y.outcome.label());
-        }
+    fn storeless_records_ignore_a_stale_file_at_the_old_cache_path() {
+        // Until the figure cache was deleted, a storeless run served this
+        // file, written by whatever build ran the campaign first.
+        let cfg = RunConfig { trials: 16, strikes: 16, size: SizeClass::Test, seed: 424242 };
+        let b = Benchmark::Nw;
+        let ccfg = carolfi::CampaignConfig { trials: cfg.trials, seed: cfg.seed, n_windows: b.n_windows(), ..Default::default() };
+        let fresh = run_campaign(b.label(), || build(b, cfg.size), &golden(b, cfg.size), &ccfg).records;
+        let mut stale = fresh.clone();
+        stale[0].outcome = if stale[0].outcome.is_masked() {
+            carolfi::record::OutcomeRecord::Due(carolfi::record::DueKind::Timeout)
+        } else {
+            carolfi::record::OutcomeRecord::Masked
+        };
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/campaign_cache");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("inject-{}-{}-{}-test.jsonl", b.label(), cfg.trials, cfg.seed));
+        std::fs::write(&path, lines(&stale).iter().map(|l| format!("{l}\n")).collect::<String>()).unwrap();
+        let records = injection_records(b, &figure(cfg, &[]));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(&dir);
+        assert_ne!(lines(&stale), lines(&fresh));
+        assert_eq!(lines(&records), lines(&fresh));
     }
 }

@@ -57,7 +57,7 @@ pub enum CampaignKind {
 }
 
 impl CampaignKind {
-    /// The wire/cache/journal tag of this kind.
+    /// The wire/journal tag of this kind.
     pub fn label(self) -> &'static str {
         match self {
             CampaignKind::Inject => "inject",
@@ -258,7 +258,8 @@ impl<'de> Deserialize<'de> for CampaignSpec {
 }
 
 /// Builds the spec a figure binary's env + flags describe — the shared
-/// constructor `phi-cli submit` and the stored-run helpers both use.
+/// constructor `phi-cli submit` and the figure campaign entries
+/// ([`crate::injection_records`], [`crate::beam_campaign`]) both use.
 /// `--adaptive`/`--ci` flags become a version-2 `plan` block; without them
 /// the spec is version 1, bit-identical to what earlier releases emitted.
 pub fn campaign_spec(kind: CampaignKind, b: Benchmark, cfg: &RunConfig, store: &StoreArgs) -> CampaignSpec {

@@ -60,7 +60,7 @@ pub struct Campaign {
     pub benchmark: String,
     pub records: Vec<TrialRecord>,
     /// Campaign-level gauges (throughput, utilization, outcome counts).
-    /// Rate gauges are zero when the records were loaded rather than run.
+    /// Rate gauges are zero when the report was rebuilt from records alone.
     pub report: obs::CampaignReport,
 }
 
@@ -91,8 +91,8 @@ pub fn outcome_key(model: FaultModel, outcome: &OutcomeRecord) -> &'static str {
 }
 
 /// Builds the campaign report from finished records (used both by
-/// [`run_campaign`] and by callers reloading cached records, which have no
-/// timing information).
+/// [`run_campaign`] and by callers holding only the records, such as
+/// `fig5_fault_models`' telemetry tables; such reports carry no timing).
 pub fn report_for(benchmark: &str, records: &[TrialRecord], workers: usize, busy_ns: u64, wall_ns: u64) -> obs::CampaignReport {
     let mut builder = obs::ReportBuilder::new(benchmark, workers);
     for r in records {

@@ -12,7 +12,6 @@
 use crate::models::{FaultModel, InjectionDetail};
 use crate::output::Mismatch;
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, Write};
 
 /// Serde codec for f64 fields that may be non-finite: JSON has no
 /// Infinity/NaN, so they are encoded as the strings "inf"/"-inf"/"nan".
@@ -310,29 +309,6 @@ impl TrialRecord {
     }
 }
 
-/// Writes records as JSON lines (the public-repository log format).
-pub fn write_log<W: Write>(mut w: W, records: &[TrialRecord]) -> std::io::Result<()> {
-    for r in records {
-        let line = serde_json::to_string(r).map_err(std::io::Error::other)?;
-        w.write_all(line.as_bytes())?;
-        w.write_all(b"\n")?;
-    }
-    Ok(())
-}
-
-/// Reads a JSON-lines log back.
-pub fn read_log<R: BufRead>(r: R) -> std::io::Result<Vec<TrialRecord>> {
-    let mut out = Vec::new();
-    for line in r.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(serde_json::from_str(&line).map_err(std::io::Error::other)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,6 +357,13 @@ mod tests {
         assert_eq!(s.wrong, 1000);
     }
 
+    /// Writes records as JSON lines (the public-repository log format), one
+    /// `serde_json::to_string` per line, and parses each line back.
+    fn log_roundtrip_of(records: &[TrialRecord]) -> Vec<TrialRecord> {
+        let log: String = records.iter().map(|r| serde_json::to_string(r).unwrap() + "\n").collect();
+        log.lines().map(|line| serde_json::from_str(line).unwrap()).collect()
+    }
+
     #[test]
     fn log_roundtrip() {
         let rec = TrialRecord {
@@ -405,9 +388,7 @@ mod tests {
             outcome: OutcomeRecord::Due(DueKind::Timeout),
             executed_steps: 160,
         };
-        let mut buf = Vec::new();
-        write_log(&mut buf, std::slice::from_ref(&rec)).unwrap();
-        let back = read_log(std::io::Cursor::new(buf)).unwrap();
+        let back = log_roundtrip_of(std::slice::from_ref(&rec));
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].trial, 3);
         assert_eq!(back[0].outcome, OutcomeRecord::Due(DueKind::Timeout));
@@ -547,9 +528,7 @@ mod tests {
             outcome: OutcomeRecord::Due(DueKind::Signal { signo: 6 }),
             executed_steps: 0,
         };
-        let mut buf = Vec::new();
-        write_log(&mut buf, std::slice::from_ref(&rec)).unwrap();
-        let back = read_log(std::io::Cursor::new(buf)).unwrap();
+        let back = log_roundtrip_of(std::slice::from_ref(&rec));
         assert_eq!(back[0].outcome, OutcomeRecord::Due(DueKind::Signal { signo: 6 }));
     }
 }

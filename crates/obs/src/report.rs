@@ -25,8 +25,8 @@ pub struct CampaignReport {
     /// Watchdog-terminated trials (timeout DUEs).
     pub watchdog_fires: usize,
     /// Target-pool trials served by a pooled target restored in place
-    /// instead of a fresh factory construction. Zero for cache-loaded
-    /// reports.
+    /// instead of a fresh factory construction. Zero for reports rebuilt
+    /// from records alone.
     pub pool_hits: u64,
     /// Target-pool trials that built a fresh target (cold start, target
     /// without snapshot support, or rebuild after a DUE left state torn).

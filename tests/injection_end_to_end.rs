@@ -1,7 +1,6 @@
 //! End-to-end integration tests for the CAROL-FI injection pipeline:
 //! kernels → injector → records → analysis, spanning every workspace crate.
 
-use phi_reliability::carolfi::record::{read_log, write_log};
 use phi_reliability::carolfi::{run_campaign, Campaign, CampaignConfig};
 use phi_reliability::kernels::{build, golden, Benchmark, SizeClass};
 use phi_reliability::sdc_analysis::pvf::{by_model, by_window, OutcomeBreakdown, PvfKind};
@@ -76,9 +75,10 @@ fn zero_model_suppresses_dues() {
 #[test]
 fn records_roundtrip_through_the_log_format() {
     let c = mini_campaign(Benchmark::Lavamd, 60, 41);
-    let mut buf = Vec::new();
-    write_log(&mut buf, &c.records).expect("write");
-    let back = read_log(std::io::Cursor::new(buf)).expect("read");
+    // One JSON line per record, the public-repository log format.
+    let log: String = c.records.iter().map(|r| serde_json::to_string(r).expect("write") + "\n").collect();
+    let back: Vec<phi_reliability::carolfi::record::TrialRecord> =
+        log.lines().map(|line| serde_json::from_str(line).expect("read")).collect();
     assert_eq!(back.len(), c.records.len());
     for (x, y) in c.records.iter().zip(&back) {
         // NaN-carrying mismatch samples break bitwise PartialEq; compare the

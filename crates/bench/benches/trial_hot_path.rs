@@ -12,6 +12,12 @@
 //!   replaying the fault-free prefix from step 0. The
 //!   `full_trial/{laddered,replayed}` pair injects late (HotSpot at Test,
 //!   step 19 of 20), where the prefix is nearly the whole run.
+//! * **Masked early exit**: a laddered trial whose state re-converges to a
+//!   golden rung after its fault ends there instead of running the golden
+//!   suffix. The `full_trial/{converged,run_to_end}` pair runs the same
+//!   early HotSpot trial (a fault that changes nothing, at step 2 of 20)
+//!   from the pool's ladder, on the kernel and on a wrapper that keeps the
+//!   default `converged` and so runs to the end.
 //! * **Bitwise fast-path compare**: `Output::bits_equal` classifies the
 //!   (overwhelmingly common) masked outcome with a chunked `u64` word scan,
 //!   only falling back to the elementwise `mismatches()` walk — which
@@ -22,15 +28,16 @@
 //!   fixed record mix both ways.
 //!
 //! With `TRIAL_HOT_PATH_JSON=<path>`, a machine-readable baseline
-//! (`pooled`/`factory`/`laddered` trials-per-second, the compare timings
-//! and the codec speedup) is written after the criterion run — `./ci` uses
-//! this to track the speedup.
+//! (`pooled`/`factory`/`laddered` trials-per-second, the compare timings,
+//! and the codec and early-exit speedups) is written after the criterion
+//! run — `./ci` uses this to track the speedup.
 
 use beamsim::campaign::engine_for;
 use beamsim::{run_beam_campaign, BeamConfig};
+use carolfi::fuel::Fuel;
 use carolfi::supervisor::{run_trial, run_trial_mut, TrialConfig};
-use carolfi::target::{FaultTarget, Variable};
-use carolfi::{run_campaign, CampaignConfig, InjectionDetail, TargetPool, TrialRecord};
+use carolfi::target::{FaultTarget, Snapshot, StepOutcome, Variable};
+use carolfi::{run_campaign, CampaignConfig, InjectionDetail, Output, TargetPool, TrialRecord};
 use criterion::{criterion_group, Criterion};
 use kernels::{build, golden, Benchmark, SizeClass};
 use std::hint::black_box;
@@ -110,6 +117,60 @@ fn late_pool() -> TargetPool<Box<dyn FaultTarget>, impl Fn() -> Box<dyn FaultTar
     pool
 }
 
+/// The early-exit pair's injection step: HotSpot at Test has a rung at
+/// step 2, so a fault there that changes nothing re-converges at once.
+const EARLY_STEP: usize = 2;
+
+/// A kernel with every method forwarded but `converged`, whose default
+/// runs each trial to the end: the early exit's reference.
+struct RunToEnd(Box<dyn FaultTarget>);
+
+impl FaultTarget for RunToEnd {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn total_steps(&self) -> usize {
+        self.0.total_steps()
+    }
+    fn steps_executed(&self) -> usize {
+        self.0.steps_executed()
+    }
+    fn step(&mut self) -> StepOutcome {
+        self.0.step()
+    }
+    fn run_until(&mut self, step_bound: usize, fuel: &mut Fuel) -> StepOutcome {
+        self.0.run_until(step_bound, fuel)
+    }
+    fn variables(&mut self) -> Vec<Variable<'_>> {
+        self.0.variables()
+    }
+    fn output(&self) -> Output {
+        self.0.output()
+    }
+    fn snapshot(&self) -> Option<Snapshot> {
+        self.0.snapshot()
+    }
+    fn restore(&mut self, snapshot: &Snapshot) -> bool {
+        self.0.restore(snapshot)
+    }
+}
+
+fn run_to_end_pool() -> TargetPool<RunToEnd, impl Fn() -> RunToEnd> {
+    let pool = TargetPool::new(|| RunToEnd(build(LATE, SizeClass::Test)));
+    pool.seed(RunToEnd(build(LATE, SizeClass::Test)));
+    pool
+}
+
+/// One early-injection trial from the pool's golden ladder.
+fn run_one_early<T: FaultTarget, F: Fn() -> T>(pool: &TargetPool<T, F>, gold: &Output) -> usize {
+    let mut rng = carolfi::rng::fork(1, 0);
+    let cfg = TrialConfig { inject_step: EARLY_STEP, ..Default::default() };
+    let (mut target, ladder) = pool.take();
+    let r = run_trial_mut(&mut target, ladder, gold, &mut NullFault, cfg, &mut rng);
+    pool.release(target, false);
+    r.executed_steps
+}
+
 fn run_one_factory(gold: &carolfi::Output) -> usize {
     let mut rng = carolfi::rng::fork(1, 0);
     let r = run_trial(build(BENCH, SizeClass::Test), gold, &mut NullFault, TrialConfig { inject_step: 2, ..Default::default() }, &mut rng);
@@ -138,6 +199,14 @@ fn bench_full_trial(c: &mut Criterion) {
             bench.iter(|| black_box(run_one_late(&pool, &late_gold, laddered)));
         });
     }
+    group.bench_function("converged", |bench| {
+        let pool = late_pool();
+        bench.iter(|| black_box(run_one_early(&pool, &late_gold)));
+    });
+    group.bench_function("run_to_end", |bench| {
+        let pool = run_to_end_pool();
+        bench.iter(|| black_box(run_one_early(&pool, &late_gold)));
+    });
     group.finish();
 }
 
@@ -285,6 +354,17 @@ fn emit_json(path: &str) {
         direct_ns += time_ns(1, || encode_all(&records, true) > 0);
         tree_ns += time_ns(1, || encode_all(&records, false) > 0);
     }
+    // The same early trial ending at its re-converged rung and running to
+    // the end, alternated within one run like the codec pair. A converged
+    // trial is about 1/50 of one run to the end, so it repeats more often
+    // per round to weigh about as much in the wall clock.
+    let late_gold = golden(LATE, SizeClass::Test);
+    let (early, to_end) = (late_pool(), run_to_end_pool());
+    let (mut converged_ns, mut run_to_end_ns) = (0.0, 0.0);
+    for _ in 0..100 {
+        converged_ns += time_ns(32, || run_one_early(&early, &late_gold) > 0);
+        run_to_end_ns += time_ns(2, || run_one_early(&to_end, &late_gold) > 0);
+    }
     let body = format!(
         "{{\n  \"benchmark\": \"{}\",\n  \"size\": \"test\",\n  \"trials\": {},\n  \
          \"factory_trials_per_sec\": {:.3},\n  \"pooled_trials_per_sec\": {:.3},\n  \
@@ -292,7 +372,8 @@ fn emit_json(path: &str) {
          \"pooled_reset_ns\": {:.1},\n  \"provisioning_speedup\": {:.3},\n  \
          \"fast_path_compare_ns\": {:.1},\n  \
          \"elementwise_scan_ns\": {:.1},\n  \"compare_speedup\": {:.3},\n  \
-         \"laddered_trials_per_sec\": {:.3},\n  \"codec_speedup\": {:.3}\n}}\n",
+         \"laddered_trials_per_sec\": {:.3},\n  \"codec_speedup\": {:.3},\n  \
+         \"early_exit_speedup\": {:.3}\n}}\n",
         BENCH.label(),
         trials,
         factory_tps,
@@ -306,6 +387,7 @@ fn emit_json(path: &str) {
         scan_ns / fast_ns,
         laddered_tps,
         tree_ns / direct_ns,
+        run_to_end_ns / converged_ns,
     );
     std::fs::write(path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("trial_hot_path baseline written to {path}");

@@ -1,17 +1,23 @@
 //! Calibration diagnostics: per-class and per-model PVFs per benchmark.
 //!
 //! Usage: `diagnose [trials]` (default 1000 per benchmark); a malformed or
-//! zero count exits 2.
+//! zero count exits 2. Size and seed are fixed: `PHI_SIZE` or `PHI_SEED`
+//! set exits 2.
 use carolfi::{run_campaign, CampaignConfig};
 use kernels::{build, golden, Benchmark, SizeClass};
 use sdc_analysis::pvf::{self, OutcomeBreakdown, PvfKind};
 
+/// The campaigns' fixed seed.
+const SEED: u64 = 42;
+
 fn main() {
+    bench::refuse_size_and_seed();
     let trials = bench::positive_or_exit(std::env::args().nth(1), "trials", 1000);
     let size = SizeClass::Small;
+    println!("trials/benchmark = {trials}, size = {size:?}, seed = {SEED}");
     for b in Benchmark::ALL {
         let g = golden(b, size);
-        let cfg = CampaignConfig { trials, seed: 42, n_windows: b.n_windows(), ..Default::default() };
+        let cfg = CampaignConfig { trials, seed: SEED, n_windows: b.n_windows(), ..Default::default() };
         let c = run_campaign(b.label(), || build(b, size), &g, &cfg);
         let bd = OutcomeBreakdown::of(&c.records);
         println!("=== {} masked={:.1}% sdc={:.1}% due={:.1}%", b, bd.masked_pct(), bd.sdc_pct(), bd.due_pct());

@@ -37,11 +37,15 @@ fn control_sdc_share(c: &Campaign) -> f64 {
     100.0 * ctrl_sdc as f64 / c.records.len() as f64
 }
 
+/// The campaigns' fixed seed: EXPERIMENTS.md quotes this run's output.
+const SEED: u64 = 77;
+
 fn main() {
+    bench::refuse_size_and_seed();
     let trials = bench::positive_env("PHI_TRIALS", 2500);
     let size = SizeClass::Small;
     println!("Hardening validation — DWC on control variables (paper §6 recommendation, §7 future work)");
-    println!("trials/benchmark = {trials}\n");
+    println!("trials/benchmark = {trials}, size = {size:?}, seed = {SEED}\n");
     println!(
         "{:9} {:>9} {:>7} {:>7} {:>7} {:>10} | {:>7} {:>7} {:>7} {:>10}",
         "bench", "variant", "masked", "SDC", "DUE", "detected", "masked", "SDC", "DUE", "detected"
@@ -49,7 +53,7 @@ fn main() {
     bench::rule(100);
     for b in [Benchmark::Dgemm, Benchmark::Lud, Benchmark::Hotspot] {
         let g = golden(b, size);
-        let cfg = CampaignConfig { trials, seed: 77, n_windows: b.n_windows(), ..Default::default() };
+        let cfg = CampaignConfig { trials, seed: SEED, n_windows: b.n_windows(), ..Default::default() };
         let plain = run_campaign(b.label(), || build(b, size), &g, &cfg);
         let hardened = run_campaign(b.label(), || DwcControls::new(build(b, size)), &g, &cfg);
         let (pm, ps, pd, pdet) = summarise(&plain);

@@ -116,6 +116,26 @@ pub fn positive_env(key: &str, default: usize) -> usize {
     positive_or_exit(std::env::var(key).ok(), key, default)
 }
 
+/// Exits 2 when `PHI_SIZE` or `PHI_SEED` is set, naming the variable: for
+/// the binaries that run at a fixed size and fixed seeds, whose default
+/// output EXPERIMENTS.md quotes, so a setting they would ignore is an
+/// error rather than a silent no-op.
+pub fn refuse_size_and_seed() {
+    if let Some(msg) = fixed_run_refusal(|key| std::env::var_os(key).is_some()) {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    }
+}
+
+/// Testable form of [`refuse_size_and_seed`]: the diagnostic for the first
+/// variable `is_set` reports.
+fn fixed_run_refusal(is_set: impl Fn(&str) -> bool) -> Option<String> {
+    ["PHI_SIZE", "PHI_SEED"]
+        .into_iter()
+        .find(|&key| is_set(key))
+        .map(|key| format!("{key}: this binary runs at a fixed size and seeds; unset it"))
+}
+
 /// [`positive_env`] for a value from elsewhere, such as a command-line
 /// argument: `None` takes the default, and the diagnostic names `key`.
 pub fn positive_or_exit(raw: Option<String>, key: &str, default: usize) -> usize {
@@ -208,8 +228,8 @@ pub struct StoreArgs {
 
 impl StoreArgs {
     /// Parses the store flags from the process arguments, exiting with a
-    /// diagnostic on malformed usage. Unrelated flags (`--telemetry`) are
-    /// ignored.
+    /// diagnostic on malformed usage, an unknown argument included.
+    /// `--telemetry` is accepted and left to [`telemetry_from_args`].
     pub fn from_args() -> Self {
         match Self::parse(std::env::args().skip(1)) {
             Ok(args) => args,
@@ -262,7 +282,11 @@ impl StoreArgs {
                         .ok_or_else(|| format!("--ci-method: expected wilson or clopper-pearson, got {raw:?}"))?;
                     ci_method_given = true;
                 }
-                _ => {}
+                // Read by `telemetry_from_args`.
+                "--telemetry" => {}
+                // A typo such as `--stroe` must not run the campaign without
+                // its journal.
+                _ => return Err(format!("{arg}: unknown argument")),
             }
         }
         if out.dir.is_none()
@@ -470,6 +494,16 @@ mod tests {
         }
     }
 
+    #[test]
+    fn fixed_runs_refuse_size_and_seed() {
+        assert_eq!(fixed_run_refusal(|_| false), None);
+        for key in ["PHI_SIZE", "PHI_SEED"] {
+            let msg = fixed_run_refusal(|k| k == key).expect("a set variable is refused");
+            assert!(msg.starts_with(key), "{msg}");
+        }
+        assert!(fixed_run_refusal(|k| k == "PHI_TRIALS").is_none(), "trial counts stay settable");
+    }
+
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
     }
@@ -513,6 +547,7 @@ mod tests {
             vec!["--store", "/tmp/s", "--adaptive", "--ci", "0"],
             vec!["--store", "/tmp/s", "--adaptive", "--ci", "1.5"],
             vec!["--store", "/tmp/s", "--adaptive", "--ci", "tight"],
+            vec!["--stroe", "/tmp/s"],
         ] {
             assert!(StoreArgs::parse(argv(&bad)).is_err(), "{bad:?} should be rejected");
         }

@@ -431,6 +431,48 @@ mod tests {
             self.clone_from(s);
             true
         }
+        fn converged(&self, snapshot: &Snapshot) -> bool {
+            let Some(Victim { data, ctrl, done }) = snapshot.get::<Victim>() else { return false };
+            (self.done, self.ctrl) == (*done, *ctrl) && self.data == *data
+        }
+    }
+
+    /// Trials that ended at a re-converged rung, counted by [`Counting`].
+    static CONVERGED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+    /// A [`Victim`] that counts its convergences into [`CONVERGED`]: a
+    /// trial ends at its first one.
+    struct Counting(Victim);
+    impl FaultTarget for Counting {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn total_steps(&self) -> usize {
+            self.0.total_steps()
+        }
+        fn steps_executed(&self) -> usize {
+            self.0.steps_executed()
+        }
+        fn step(&mut self) -> StepOutcome {
+            self.0.step()
+        }
+        fn variables(&mut self) -> Vec<Variable<'_>> {
+            self.0.variables()
+        }
+        fn output(&self) -> Output {
+            self.0.output()
+        }
+        fn snapshot(&self) -> Option<Snapshot> {
+            self.0.snapshot()
+        }
+        fn restore(&mut self, snapshot: &Snapshot) -> bool {
+            self.0.restore(snapshot)
+        }
+        fn converged(&self, snapshot: &Snapshot) -> bool {
+            let converged = self.0.converged(snapshot);
+            CONVERGED.fetch_add(converged as u64, std::sync::atomic::Ordering::Relaxed);
+            converged
+        }
     }
 
     fn golden() -> Output {
@@ -522,7 +564,7 @@ mod tests {
     fn pool_and_fastpath_gauges_account_for_every_trial() {
         let g = golden();
         let cfg = CampaignConfig { trials: 120, seed: 7, workers: 4, ..Default::default() };
-        let c = run_campaign("victim", Victim::new, &g, &cfg);
+        let c = run_campaign("victim", || Counting(Victim::new()), &g, &cfg);
         // Every trial acquires exactly one target.
         assert_eq!(c.report.pool_hits + c.report.pool_rebuilds, 120);
         assert!(c.report.pool_hits > 0, "snapshotting targets must be reused");
@@ -531,10 +573,13 @@ mod tests {
         // at the end (bounded by the worker count plus the seeded probe).
         let dues = c.records.iter().filter(|r| r.outcome.is_due()).count() as u64;
         assert!(c.report.pool_rebuilds + 1 + 4 >= dues, "rebuilds {} vs dues {dues}", c.report.pool_rebuilds);
-        // Every Masked outcome is proven by the bitwise fast path alone
-        // (HardwareMasked skips the compare entirely).
+        // Every Masked outcome either re-converged to a golden rung, which
+        // ends the trial before any compare, or is proven by the bitwise
+        // fast path alone (HardwareMasked skips the compare entirely).
         let masked = c.records.iter().filter(|r| matches!(r.outcome, OutcomeRecord::Masked)).count() as u64;
-        assert_eq!(c.report.fast_path_compares, masked);
+        let converged = CONVERGED.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(converged > 0, "the victim's masked trials re-converge");
+        assert_eq!(c.report.fast_path_compares + converged, masked);
         let shown = c.report.to_string();
         assert!(shown.contains("pool reuse"), "report display surfaces the pool gauges:\n{shown}");
     }

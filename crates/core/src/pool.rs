@@ -26,12 +26,16 @@
 //! the highest captured rung at or below its injection step and runs only
 //! the rest of the prefix. All workers share the ladder read-only, and it
 //! belongs to the pool rather than to a target, so it survives DUE rebuilds.
+//! After its fault, a laddered trial also compares its state with each
+//! captured rung it reaches ([`FaultTarget::converged`]); a bit-for-bit
+//! match means the rest of the run is the golden one, so the trial ends
+//! Masked there with the golden suffix charged as executed.
 //!
 //! Pooling and the ladder are invisible in the records: a restore
-//! reproduces every byte of the snapshotted state, and restored steps count
-//! as executed, so a pooled campaign is bit-identical to one that constructs
-//! a fresh target per trial and replays from step 0 (asserted by
-//! `tests/determinism_guard.rs` and pinned across commits by
+//! reproduces every byte of the snapshotted state, and restored and
+//! skipped steps count as executed, so a pooled campaign is bit-identical
+//! to one that constructs a fresh target per trial and replays from step 0
+//! (asserted by `tests/determinism_guard.rs` and pinned across commits by
 //! `tests/records_fixture.rs`).
 
 use crate::target::{FaultTarget, Snapshot};
@@ -82,6 +86,17 @@ impl Ladder {
             .enumerate()
             .filter(move |&(rung, &at)| at > from && at <= to && self.rungs[rung].get().is_none())
             .map(|(rung, &at)| (rung, at))
+    }
+
+    /// The rungs captured at or after step `from`, as `(step, snapshot)` in
+    /// ascending order. Each rung is read when the iterator reaches it, so
+    /// one another worker captures meanwhile still counts.
+    pub fn captured_from(&self, from: usize) -> impl Iterator<Item = (usize, &Snapshot)> + '_ {
+        self.steps
+            .iter()
+            .zip(&self.rungs)
+            .filter(move |(&at, _)| at >= from)
+            .filter_map(|(&at, rung)| rung.get().map(|snapshot| (at, snapshot)))
     }
 
     /// Captures rung `rung` from `target`, which must stand at that rung's
@@ -328,6 +343,8 @@ mod tests {
         assert_eq!(t.stepped, 10);
         assert_eq!(ladder.restore(&mut t, 39), 12);
         assert_eq!(ladder.restore(&mut t, 1), 0);
+        let from: Vec<usize> = ladder.captured_from(5).map(|(at, _)| at).collect();
+        assert_eq!(from, vec![5, 7, 10, 12], "captured rungs only, from the step on");
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!    Masked / SDC / DUE.
 //!
 //! Crashes (panics) and watchdog expiries become DUEs; any output bit
-//! mismatch becomes an SDC with a [`DiffSummary`].
+//! mismatch becomes an SDC with a [`DiffSummary`]. A laddered trial whose
+//! state re-converges to a golden rung after the fault ends Masked at that
+//! rung instead of running the golden suffix ([`run_trial_mut`]).
 
 use crate::fuel::{is_timeout, watchdog_budget, Fuel};
 use crate::models::{FaultApplicator, InjectionDetail};
@@ -93,9 +95,22 @@ pub struct TrialResult {
     /// Steps the run executed before finishing or dying.
     pub executed_steps: usize,
     /// True when the bitwise fast-path compare alone classified the trial
-    /// (output proven bit-identical without an elementwise scan). Telemetry
-    /// only — never serialized into a [`crate::record::TrialRecord`].
+    /// (output proven bit-identical without an elementwise scan); false for
+    /// a trial that ended at a re-converged rung, which compares no output.
+    /// Telemetry only — never serialized into a
+    /// [`crate::record::TrialRecord`].
     pub fast_compare: bool,
+}
+
+/// How a trial's run ended, short of a crash or timeout.
+enum RunEnd {
+    /// The applicator declined: the fault never reached architectural state.
+    HardwareMasked,
+    /// The state matched a golden rung bit for bit, so the rest of the run
+    /// is golden.
+    Converged,
+    /// The program finished with this output.
+    Finished(Output),
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> DueCause {
@@ -136,8 +151,13 @@ pub fn run_trial<T: FaultTarget>(
 /// rung at or below the injection step and runs only the rest of the
 /// fault-free prefix, capturing every missing rung it passes. The restored
 /// steps count as executed, in `executed_steps` and against the watchdog
-/// budget, so the result is bit-identical to replaying from step 0. Without
-/// one, the target must stand at step 0 and replays the whole prefix.
+/// budget, so the result is bit-identical to replaying from step 0. After
+/// the fault, the run goes rung by rung: at each captured rung at or after
+/// the injection step, a state equal to the rung's bit for bit
+/// ([`FaultTarget::converged`]) ends the trial Masked, with the golden
+/// suffix charged as executed, so again the result is what a run to the
+/// end gives. Without a ladder, the target must stand at step 0, replays
+/// the whole prefix and runs to the end.
 ///
 /// The caller keeps ownership, so a pooled target can be reused for the
 /// next trial — unless the outcome was a DUE, after which the state may be
@@ -206,7 +226,9 @@ pub fn run_trial_mut<T: FaultTarget>(
             injection = applicator.apply(&mut vars, rng);
         }
         drop(vars);
-        injection.as_ref()?; // masked in hardware — no need to resume
+        if injection.is_none() {
+            return RunEnd::HardwareMasked; // no need to resume
+        }
 
         // Phase 3: resume at full speed under the watchdog. The remaining
         // budget is the whole-run budget minus the fault-free prefix
@@ -218,9 +240,24 @@ pub fn run_trial_mut<T: FaultTarget>(
             let spent_pre = u64::MAX - pre_fuel.remaining();
             post_budget = max_steps.saturating_sub(spent_pre);
             post_fuel = Fuel::new(post_budget);
+            // With a ladder, go rung by rung. A state equal to a golden
+            // rung's finishes as the golden run does, so the trial ends
+            // Masked there, charged the `total - at` steps a run to the end
+            // would execute (a fault-free run is `Done` exactly at
+            // `total_steps`). A finished target is never stepped again.
+            for (at, rung) in ladder.into_iter().flat_map(|ladder| ladder.captured_from(inject_step)) {
+                if target.run_until(at, &mut post_fuel) == StepOutcome::Done {
+                    return RunEnd::Finished(target.output());
+                }
+                if target.converged(rung) {
+                    post_fuel.burn((total - at) as u64);
+                    obs::incr("ladder/converged", 1);
+                    return RunEnd::Converged;
+                }
+            }
             target.run_until(usize::MAX, &mut post_fuel);
         }
-        Some(target.output())
+        RunEnd::Finished(target.output())
     }));
     let executed = ((u64::MAX - pre_fuel.remaining()) + (post_budget - post_fuel.remaining())) as usize;
 
@@ -233,8 +270,9 @@ pub fn run_trial_mut<T: FaultTarget>(
             }
             TrialOutcome::Due(cause)
         }
-        Ok(None) => TrialOutcome::HardwareMasked,
-        Ok(Some(output)) => {
+        Ok(RunEnd::HardwareMasked) => TrialOutcome::HardwareMasked,
+        Ok(RunEnd::Converged) => TrialOutcome::Masked,
+        Ok(RunEnd::Finished(output)) => {
             let _span = obs::span!("compare");
             // Fast path: prove bit-identity word-at-a-time before paying for
             // an elementwise scan. `bits_equal` agrees with `mismatches` on

@@ -263,6 +263,24 @@ pub trait FaultTarget: Send {
     fn restore(&mut self, _snapshot: &Snapshot) -> bool {
         false
     }
+
+    /// True when this target's state equals `snapshot` bit for bit: the
+    /// read-only twin of [`FaultTarget::restore`], comparing every field a
+    /// restore would copy.
+    ///
+    /// A faulted trial whose state matches a golden rung re-converged: the
+    /// targets are deterministic, so the rest of its run is the golden
+    /// run's and it will end Masked. The supervisor then stops the trial
+    /// early ([`crate::supervisor::run_trial_mut`]). A `true` that is not
+    /// exact would turn an SDC or DUE into a false Masked, so floats are
+    /// compared by their bits (`-0.0 == 0.0` and `NaN != NaN` under `==`),
+    /// and a field may be skipped only when a restore skips it too.
+    ///
+    /// The default returns `false`: such targets run every trial to the
+    /// end.
+    fn converged(&self, _snapshot: &Snapshot) -> bool {
+        false
+    }
 }
 
 /// A target's complete state at a step boundary, as captured by
@@ -318,6 +336,9 @@ impl FaultTarget for Box<dyn FaultTarget> {
     }
     fn restore(&mut self, snapshot: &Snapshot) -> bool {
         self.as_mut().restore(snapshot)
+    }
+    fn converged(&self, snapshot: &Snapshot) -> bool {
+        self.as_ref().converged(snapshot)
     }
 }
 

@@ -32,6 +32,7 @@ pub mod sort;
 pub mod tree;
 
 use crate::par::{par_for_each, static_partition};
+use carolfi::bytesview::bits_eq;
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
 use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
@@ -88,6 +89,14 @@ struct Ctrl {
     hc_scratch: f64,
     div_scratch: f64,
     cell_scratch: u64,
+}
+
+impl Ctrl {
+    /// Every field's bits, for [`FaultTarget::converged`].
+    fn bits(&self) -> [u64; 6] {
+        let Ctrl { ncells_local, fine_local, tstep_local, hc_scratch, div_scratch, cell_scratch } = *self;
+        [ncells_local, fine_local, tstep_local, hc_scratch.to_bits(), div_scratch.to_bits(), cell_scratch]
+    }
 }
 
 /// The CLAMR fault target.
@@ -651,6 +660,36 @@ impl FaultTarget for Clamr {
         self.done = s.done;
         self.cell_history.clone_from(&s.cell_history);
         true
+    }
+
+    fn converged(&self, snapshot: &Snapshot) -> bool {
+        let Some(s) = snapshot.get::<Clamr>() else { return false };
+        // `p` and `total` are the fixed configuration, which `restore` does
+        // not copy.
+        let Clamr {
+            p: _, ci, cj, clevel, h, uvel, vvel, grad, ncells, sort_keys, sorted_idx, sort_scratch, tree_child, tree_cell, dt,
+            gravity, damping, friction, refine_thresh, coarsen_thresh, ptr_state, raw, ctrl, done, total: _, cell_history,
+        } = s;
+        let consts = [self.dt, self.gravity, self.damping, self.friction, self.refine_thresh, self.coarsen_thresh];
+        self.done == *done
+            && self.ncells == *ncells
+            && self.ptr_state == *ptr_state
+            && bits_eq(&consts, &[*dt, *gravity, *damping, *friction, *refine_thresh, *coarsen_thresh])
+            && bits_eq(&self.raw, raw)
+            && self.ctrl.iter().map(Ctrl::bits).eq(ctrl.iter().map(Ctrl::bits))
+            && bits_eq(&self.cell_history, cell_history)
+            && bits_eq(&self.h, h)
+            && bits_eq(&self.uvel, uvel)
+            && bits_eq(&self.vvel, vvel)
+            && bits_eq(&self.grad, grad)
+            && bits_eq(&self.ci, ci)
+            && bits_eq(&self.cj, cj)
+            && bits_eq(&self.clevel, clevel)
+            && bits_eq(&self.sort_keys, sort_keys)
+            && bits_eq(&self.sorted_idx, sorted_idx)
+            && bits_eq(&self.sort_scratch, sort_scratch)
+            && bits_eq(&self.tree_child, tree_child)
+            && bits_eq(&self.tree_cell, tree_cell)
     }
 }
 

@@ -16,6 +16,7 @@
 //! exhaust the fuel watchdog (timeout DUEs).
 
 use crate::par::{par_for_each, static_partition};
+use carolfi::bytesview::bits_eq;
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
 use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
@@ -77,6 +78,15 @@ struct Ctrl {
     /// Accumulator / index scratch, rewritten before every use.
     acc_scratch: f64,
     aidx_scratch: u64,
+}
+
+impl Ctrl {
+    /// Every field's bits, for [`FaultTarget::converged`].
+    fn bits(&self) -> [u64; 11] {
+        let Ctrl { kb, row_start, row_end, n_local, block_local, nb_local, i_cur, j_cur, k_cur, acc_scratch, aidx_scratch } =
+            *self;
+        [kb, row_start, row_end, n_local, block_local, nb_local, i_cur, j_cur, k_cur, acc_scratch.to_bits(), aidx_scratch]
+    }
 }
 
 /// The DGEMM fault target.
@@ -370,6 +380,20 @@ impl FaultTarget for Dgemm {
         self.ptr_a = s.ptr_a;
         self.done = s.done;
         true
+    }
+
+    fn converged(&self, snapshot: &Snapshot) -> bool {
+        let Some(s) = snapshot.get::<Dgemm>() else { return false };
+        // Neither `restore` copies nor this compares: `p` and `total`, the
+        // fixed configuration, and `bt`, scratch rebuilt from `b` before
+        // every read.
+        let Dgemm { p: _, a, b, c, ctrl, ptr_a, done, total: _, bt: _ } = s;
+        self.done == *done
+            && self.ptr_a == *ptr_a
+            && self.ctrl.iter().map(Ctrl::bits).eq(ctrl.iter().map(Ctrl::bits))
+            && bits_eq(&self.c, c)
+            && bits_eq(&self.a, a)
+            && bits_eq(&self.b, b)
     }
 }
 

@@ -18,6 +18,7 @@
 //! grid, rows statically partitioned over the logical threads.
 
 use crate::par::{par_for_each, static_partition};
+use carolfi::bytesview::bits_eq;
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
 use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
@@ -94,6 +95,18 @@ struct Ctrl {
     delta_scratch: f32,
 }
 
+impl Ctrl {
+    /// Every field's bits, for [`FaultTarget::converged`].
+    fn bits(&self) -> ([u64; 9], [u32; 4]) {
+        let Ctrl {
+            row_start, row_end, tid_local, nthreads_local, rows_local, cols_local, iter_local, idx_scratch, gr_scratch,
+            t_scratch, top_scratch, left_scratch, delta_scratch,
+        } = *self;
+        let ints = [row_start, row_end, tid_local, nthreads_local, rows_local, cols_local, iter_local, idx_scratch, gr_scratch];
+        (ints, [t_scratch, top_scratch, left_scratch, delta_scratch].map(f32::to_bits))
+    }
+}
+
 /// Live physical constants (injectable `Constant`-class scalars).
 #[derive(Debug, Clone, Copy)]
 struct Consts {
@@ -102,6 +115,14 @@ struct Consts {
     ry_1: f32,
     rz_1: f32,
     amb: f32,
+}
+
+impl Consts {
+    /// Every field, for [`FaultTarget::converged`].
+    fn as_array(&self) -> [f32; 5] {
+        let Consts { step_div_cap, rx_1, ry_1, rz_1, amb } = *self;
+        [step_div_cap, rx_1, ry_1, rz_1, amb]
+    }
 }
 
 /// The HotSpot fault target.
@@ -359,6 +380,20 @@ impl FaultTarget for Hotspot {
         self.raw = s.raw;
         self.done = s.done;
         true
+    }
+
+    fn converged(&self, snapshot: &Snapshot) -> bool {
+        let Some(s) = snapshot.get::<Hotspot>() else { return false };
+        // `p` is the fixed configuration, which `restore` does not copy.
+        let Hotspot { p: _, t_src, t_dst, power, consts, ctrl, ptr_temp, raw, done } = s;
+        self.done == *done
+            && self.ptr_temp == *ptr_temp
+            && bits_eq(&self.raw, raw)
+            && bits_eq(&self.consts.as_array(), &consts.as_array())
+            && self.ctrl.iter().map(Ctrl::bits).eq(ctrl.iter().map(Ctrl::bits))
+            && bits_eq(&self.t_src, t_src)
+            && bits_eq(&self.t_dst, t_dst)
+            && bits_eq(&self.power, power)
     }
 }
 

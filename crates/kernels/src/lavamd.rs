@@ -21,6 +21,7 @@
 //! spatial error pattern.
 
 use crate::par::par_for_each;
+use carolfi::bytesview::bits_eq;
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
 use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
@@ -88,6 +89,18 @@ struct Ctrl {
     fx_copy: f32,
     fy_copy: f32,
     fz_copy: f32,
+}
+
+impl Ctrl {
+    /// Every field's bits, for [`FaultTarget::converged`].
+    fn bits(&self) -> ([u64; 6], [u32; 10]) {
+        let Ctrl {
+            box_id, fire_step, par_local, nb_local, j_scratch, nbox_scratch, d2_scratch, w_scratch, dx_scratch, dy_scratch,
+            dz_scratch, qj_scratch, v_copy, fx_copy, fy_copy, fz_copy,
+        } = *self;
+        let floats = [d2_scratch, w_scratch, dx_scratch, dy_scratch, dz_scratch, qj_scratch, v_copy, fx_copy, fy_copy, fz_copy];
+        ([box_id, fire_step, par_local, nb_local, j_scratch, nbox_scratch], floats.map(f32::to_bits))
+    }
 }
 
 /// The LavaMD fault target.
@@ -384,6 +397,20 @@ impl FaultTarget for Lavamd {
         self.raw = s.raw;
         self.done = s.done;
         true
+    }
+
+    fn converged(&self, snapshot: &Snapshot) -> bool {
+        let Some(s) = snapshot.get::<Lavamd>() else { return false };
+        // `p` is the fixed configuration, which `restore` does not copy.
+        let Lavamd { p: _, rv, qv, fv, a2, cut2, ctrl, ptr_rv, raw, done } = s;
+        self.done == *done
+            && self.ptr_rv == *ptr_rv
+            && bits_eq(&[self.a2, self.cut2], &[*a2, *cut2])
+            && bits_eq(&self.raw, raw)
+            && self.ctrl.iter().map(Ctrl::bits).eq(ctrl.iter().map(Ctrl::bits))
+            && bits_eq(&self.fv, fv)
+            && bits_eq(&self.rv, rv)
+            && bits_eq(&self.qv, qv)
     }
 }
 

@@ -17,6 +17,7 @@
 //! (iterations left to spread it).
 
 use crate::par::{par_for_each, static_partition};
+use carolfi::bytesview::bits_eq;
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
 use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
@@ -61,6 +62,16 @@ struct Ctrl {
     u_scratch: f32,
     row_scratch: u64,
     col_scratch: u64,
+}
+
+impl Ctrl {
+    /// Every field's bits, for [`FaultTarget::converged`].
+    fn bits(&self) -> ([u64; 7], [u32; 3]) {
+        let Ctrl { d_local, n_local, b_local, nb_local, col_cur, acc_scratch, l_scratch, u_scratch, row_scratch, col_scratch } =
+            *self;
+        let ints = [d_local, n_local, b_local, nb_local, col_cur, row_scratch, col_scratch];
+        (ints, [acc_scratch, l_scratch, u_scratch].map(f32::to_bits))
+    }
 }
 
 /// Factorisation phases within one diagonal index.
@@ -356,6 +367,18 @@ impl FaultTarget for Lud {
         self.ctrl.copy_from_slice(&s.ctrl);
         self.done = s.done;
         true
+    }
+
+    fn converged(&self, snapshot: &Snapshot) -> bool {
+        let Some(s) = snapshot.get::<Lud>() else { return false };
+        // `p` and `total` are the fixed configuration, which `restore` does
+        // not copy.
+        let Lud { p: _, a, d, ptr_m, ctrl, done, total: _ } = s;
+        self.done == *done
+            && self.d == *d
+            && self.ptr_m == *ptr_m
+            && self.ctrl.iter().map(Ctrl::bits).eq(ctrl.iter().map(Ctrl::bits))
+            && bits_eq(&self.a, a)
     }
 }
 

@@ -19,6 +19,7 @@
 //! NW is the paper's only integer benchmark.
 
 use crate::par::par_for_each;
+use carolfi::bytesview::bits_eq;
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
 use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
@@ -74,6 +75,15 @@ struct Ctrl {
     diag_val: i64,
     up_val: i64,
     left_val: i64,
+}
+
+impl Ctrl {
+    /// Every field's bits, for [`FaultTarget::converged`].
+    fn bits(&self) -> ([u64; 7], [i64; 3]) {
+        let Ctrl { diag_cur, b_local, n_local, stride_local, ti_scratch, tj_scratch, gi_scratch, diag_val, up_val, left_val } =
+            *self;
+        ([diag_cur, b_local, n_local, stride_local, ti_scratch, tj_scratch, gi_scratch], [diag_val, up_val, left_val])
+    }
 }
 
 /// The NW fault target.
@@ -421,6 +431,23 @@ impl FaultTarget for Nw {
         self.ctrl.copy_from_slice(&s.ctrl);
         self.done = s.done;
         true
+    }
+
+    fn converged(&self, snapshot: &Snapshot) -> bool {
+        let Some(s) = snapshot.get::<Nw>() else { return false };
+        // `p` and `total` are the fixed configuration, which `restore` does
+        // not copy.
+        let Nw { p: _, refm, score, penalty, seq1, seq2, path, ptr_score, ptr_ref, ctrl, done, total: _ } = s;
+        self.done == *done
+            && self.penalty == *penalty
+            && self.ptr_score == *ptr_score
+            && self.ptr_ref == *ptr_ref
+            && self.ctrl.iter().map(Ctrl::bits).eq(ctrl.iter().map(Ctrl::bits))
+            && bits_eq(&self.path, path)
+            && bits_eq(&self.score, score)
+            && bits_eq(&self.refm, refm)
+            && bits_eq(&self.seq1, seq1)
+            && bits_eq(&self.seq2, seq2)
     }
 }
 

@@ -496,15 +496,17 @@ impl JournalWriter {
     /// Appends one entry. Under a batching policy the encoded line joins
     /// the write buffer and is committed when the batch fills or ages out;
     /// unbatched, it is written through immediately. Rotates to a new
-    /// segment first when the current one is past the threshold
-    /// (`segment_bytes` counts buffered lines too, so rotation points are
-    /// independent of the batch policy).
+    /// segment first when the current one is past the threshold, fsyncing
+    /// the one it closes (`segment_bytes` counts buffered lines too, so
+    /// rotation points are independent of the batch policy).
     pub fn append(&mut self, entry: &JournalEntry) -> std::io::Result<()> {
         let _span = obs::span!("store.append");
         if self.segment_bytes >= self.rotate_at {
-            // A segment's lines must land in that segment: commit the
-            // buffered tail before switching files.
-            self.flush_batch()?;
+            // A segment's lines must land in that segment, and on disk: a
+            // later `sync` fsyncs only the new file, so a checkpoint written
+            // after the switch would otherwise vouch for lines still
+            // unsynced here.
+            self.sync()?;
             self.segment_index += 1;
             let path = segment_path(&self.dir, self.segment_index);
             self.file = OpenOptions::new().create_new(true).append(true).open(&path)?;

@@ -2,28 +2,106 @@
 //!
 //! Target pooling (`FaultTarget::restore` instead of `factory()` per
 //! trial), the golden snapshot ladder (a trial starts from the nearest
-//! golden rung instead of step 0) and the bitwise fast-path compare are
-//! pure performance work: they must not change a single bit of any record.
-//! This suite pins that invariant:
+//! golden rung instead of step 0), the masked early exit (a trial whose
+//! state re-converges to a golden rung ends there) and the bitwise
+//! fast-path compare are pure performance work: they must not change a
+//! single bit of any record. This suite pins that invariant:
 //!
 //! * a pooled, laddered campaign at `workers = 1` equals one at
 //!   `workers = 8` equals a hand-rolled factory-per-trial loop that replays
-//!   from step 0, bit for bit in serialized form, for every benchmark;
+//!   from step 0 and runs every trial to the end, bit for bit in serialized
+//!   form, for every benchmark, injection and beam campaigns alike, with
+//!   every kernel ending some trials early;
 //! * the fast path (`Output::bits_equal`) agrees with the elementwise
 //!   `mismatches()` scan on *equality* for arbitrary buffers, including NaN
 //!   payloads and signed zeros (proptest).
 
+use phi_reliability::beamsim::campaign::engine_for;
+use phi_reliability::beamsim::{run_beam_campaign, BeamConfig, Strikes};
 use phi_reliability::carolfi::campaign::execute_trial;
+use phi_reliability::carolfi::fuel::Fuel;
 use phi_reliability::carolfi::{
-    run_campaign, run_stored, CampaignConfig, Executor, FaultTarget, Injection, IsolateConfig, Output, StoreConfig,
-    TrialRecord,
+    run_campaign, run_stored, CampaignConfig, Executor, FaultTarget, Injection, IsolateConfig, Output, Snapshot,
+    StepOutcome, StoreConfig, TargetPool, TrialKind, TrialRecord, Variable,
 };
 use phi_reliability::kernels::{build, golden, Benchmark, SizeClass};
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn to_json(records: &[TrialRecord]) -> Vec<String> {
     records.iter().map(|r| serde_json::to_string(r).expect("record serializes")).collect()
+}
+
+/// A kernel that counts, into `converged`, the trials that ended at a
+/// re-converged rung: a trial ends at its first convergence.
+struct Watched {
+    inner: Box<dyn FaultTarget>,
+    converged: Arc<AtomicUsize>,
+}
+
+impl FaultTarget for Watched {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn total_steps(&self) -> usize {
+        self.inner.total_steps()
+    }
+    fn steps_executed(&self) -> usize {
+        self.inner.steps_executed()
+    }
+    fn step(&mut self) -> StepOutcome {
+        self.inner.step()
+    }
+    fn run_until(&mut self, step_bound: usize, fuel: &mut Fuel) -> StepOutcome {
+        self.inner.run_until(step_bound, fuel)
+    }
+    fn variables(&mut self) -> Vec<Variable<'_>> {
+        self.inner.variables()
+    }
+    fn output(&self) -> Output {
+        self.inner.output()
+    }
+    fn snapshot(&self) -> Option<Snapshot> {
+        self.inner.snapshot()
+    }
+    fn restore(&mut self, snapshot: &Snapshot) -> bool {
+        self.inner.restore(snapshot)
+    }
+    fn converged(&self, snapshot: &Snapshot) -> bool {
+        let converged = self.inner.converged(snapshot);
+        self.converged.fetch_add(converged as usize, Ordering::Relaxed);
+        converged
+    }
+}
+
+/// A kernel without snapshots: a pool builds a fresh one for every trial,
+/// which replays its prefix from step 0 and runs to the end.
+struct Bare(Box<dyn FaultTarget>);
+
+impl FaultTarget for Bare {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn total_steps(&self) -> usize {
+        self.0.total_steps()
+    }
+    fn steps_executed(&self) -> usize {
+        self.0.steps_executed()
+    }
+    fn step(&mut self) -> StepOutcome {
+        self.0.step()
+    }
+    fn run_until(&mut self, step_bound: usize, fuel: &mut Fuel) -> StepOutcome {
+        self.0.run_until(step_bound, fuel)
+    }
+    fn variables(&mut self) -> Vec<Variable<'_>> {
+        self.0.variables()
+    }
+    fn output(&self) -> Output {
+        self.0.output()
+    }
 }
 
 #[test]
@@ -42,12 +120,16 @@ fn pooled_campaigns_are_bit_identical_for_any_worker_count() {
 #[test]
 fn pooled_records_match_a_factory_per_trial_loop() {
     // The seed's semantics: a fresh `factory()` target per trial, replaying
-    // its prefix from step 0. Pooled, laddered trials must reproduce those
-    // records exactly — the contract `FaultTarget::restore` is held to.
+    // its prefix from step 0 and running to the end. Pooled, laddered
+    // trials, some ending early at a re-converged rung, must reproduce
+    // those records exactly — the contract `FaultTarget::restore` and
+    // `FaultTarget::converged` are held to.
     for b in Benchmark::ALL {
         let g = golden(b, SizeClass::Test);
         let cfg = CampaignConfig { trials: 60, seed: 29, workers: 4, n_windows: b.n_windows(), ..Default::default() };
-        let pooled = run_campaign(b.label(), || build(b, SizeClass::Test), &g, &cfg);
+        let converged = Arc::new(AtomicUsize::new(0));
+        let watched = || Watched { inner: build(b, SizeClass::Test), converged: converged.clone() };
+        let pooled = run_campaign(b.label(), watched, &g, &cfg);
 
         let total_steps = build(b, SizeClass::Test).total_steps().max(1);
         let fresh: Vec<TrialRecord> = (0..cfg.trials)
@@ -57,6 +139,38 @@ fn pooled_records_match_a_factory_per_trial_loop() {
             })
             .collect();
         assert_eq!(to_json(&pooled.records), to_json(&fresh), "{b}: pooling changed the records");
+        assert!(converged.load(Ordering::Relaxed) > 0, "{b}: no trial ended early, so the pin shows nothing");
+    }
+}
+
+#[test]
+fn pooled_beam_records_match_a_factory_per_trial_loop() {
+    // The same pin for beam strikes: most are benign and never execute, so
+    // the campaigns are larger.
+    for b in Benchmark::BEAM {
+        let g = golden(b, SizeClass::Test);
+        let cfg = BeamConfig {
+            strikes: 400,
+            seed: 29,
+            workers: 4,
+            n_windows: b.n_windows(),
+            engine: engine_for(b.label()),
+            ..Default::default()
+        };
+        let converged = Arc::new(AtomicUsize::new(0));
+        let watched = || Watched { inner: build(b, SizeClass::Test), converged: converged.clone() };
+        let pooled = run_beam_campaign(b.label(), watched, &g, &cfg);
+
+        let total_steps = build(b, SizeClass::Test).total_steps().max(1);
+        let bare = TargetPool::new(|| Bare(build(b, SizeClass::Test)));
+        let kind = Strikes::new(b.label(), &cfg);
+        let fresh: Vec<TrialRecord> = {
+            let _quiet = phi_reliability::carolfi::panic_guard::silence_panics();
+            (0..cfg.strikes).map(|strike| kind.run(&bare, &g, total_steps, strike, 0, false).0).collect()
+        };
+        assert_eq!(bare.hits(), 0, "{b}: every reference strike ran on a fresh target");
+        assert_eq!(to_json(&pooled.records), to_json(&fresh), "{b}: pooling changed the beam records");
+        assert!(converged.load(Ordering::Relaxed) > 0, "{b}: no strike ended early, so the pin shows nothing");
     }
 }
 

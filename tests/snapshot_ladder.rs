@@ -14,7 +14,12 @@
 //!   produces exactly the result of the same trial on a fresh target that
 //!   replays from step 0, `executed_steps` included;
 //! * **persistence:** the ladder belongs to the pool, so a rung captured
-//!   before a DUE rebuild still serves the trials after it.
+//!   before a DUE rebuild still serves the trials after it;
+//! * **convergence:** for every kernel, `converged` holds exactly for a
+//!   state equal to the rung's — a fresh target stepped to the rung, but
+//!   not one with a bit flipped in any variable or one step past it — and
+//!   a trial that re-converges stops there with the golden suffix charged,
+//!   which rests on a fault-free run finishing exactly at `total_steps`.
 
 use phi_reliability::carolfi::campaign::execute_trial;
 use phi_reliability::carolfi::fuel::watchdog_budget;
@@ -72,6 +77,121 @@ fn restore_matches_a_fresh_run(b: Benchmark, size: SizeClass) {
         assert!(state_bytes(leftover.as_mut()) == state_bytes(reference.as_mut()), "{b} rung {k}: restored state differs");
         while leftover.step() == StepOutcome::Continue {}
         assert!(leftover.output().bits_equal(&g), "{b} rung {k}: the restored run must finish on the golden output");
+    }
+}
+
+/// `converged` is the exact twin of `restore`: a fresh target stepped to a
+/// rung converges with it; one flipped bit in any variable, or one more
+/// step, breaks that.
+fn converged_holds_exactly_at_the_rung(b: Benchmark, size: SizeClass) {
+    let mut reference = build(b, size);
+    let mut fresh = build(b, size);
+    let mut rng = fork(0xC0DE, b as u64);
+    for at in rung_steps(reference.total_steps()) {
+        while reference.steps_executed() < at {
+            reference.step();
+            fresh.step();
+        }
+        let rung = reference.snapshot().unwrap_or_else(|| panic!("{b} must support snapshots"));
+        assert!(fresh.converged(&rung), "{b} at step {at}: a fresh target converges with the rung");
+        let n = fresh.variables().len();
+        for i in 0..n {
+            let (name, byte, mask) = {
+                let mut vars = fresh.variables();
+                let v = &mut vars[i];
+                let byte = rng.gen_range(0..v.bytes.len());
+                let mask = 1u8 << rng.gen_range(0..8);
+                v.bytes[byte] ^= mask;
+                (v.info.name, byte, mask)
+            };
+            assert!(!fresh.converged(&rung), "{b} at step {at}: a flipped bit in variable {i} ({name}) went unseen");
+            fresh.variables()[i].bytes[byte] ^= mask;
+        }
+        assert!(fresh.converged(&rung), "{b} at step {at}: every flip was undone");
+        let mut past = build(b, size);
+        while past.steps_executed() <= at {
+            past.step();
+        }
+        assert!(!past.converged(&rung), "{b}: a target one step past step {at} converged with it");
+    }
+}
+
+#[test]
+fn every_kernel_converges_exactly_at_its_rungs() {
+    for size in [SizeClass::Test, SizeClass::Small] {
+        for b in Benchmark::ALL {
+            converged_holds_exactly_at_the_rung(b, size);
+        }
+    }
+}
+
+#[test]
+fn fault_free_runs_are_done_exactly_at_their_step_count() {
+    // The early exit charges `total_steps - rung` for the golden suffix:
+    // that is what a run to the end executes only if a fault-free run
+    // reports `Done` at exactly `total_steps`, never before or after.
+    let expected = [(SizeClass::Test, [32, 6, 20, 9, 18, 12]), (SizeClass::Small, [80, 8, 120, 16, 24, 16])];
+    for (size, steps) in expected {
+        for (b, total) in Benchmark::ALL.into_iter().zip(steps) {
+            let mut t = build(b, size);
+            assert_eq!(t.total_steps(), total, "{b} at {size:?}");
+            while t.step() == StepOutcome::Continue {}
+            assert_eq!(t.steps_executed(), total, "{b} at {size:?}: Done at the last step");
+        }
+    }
+}
+
+/// Applies a fault that changes nothing (flips a bit twice): the trial's
+/// state stays golden.
+struct Null;
+impl FaultApplicator for Null {
+    fn apply(&mut self, vars: &mut [Variable<'_>], _: &mut rand::rngs::StdRng) -> Option<InjectionDetail> {
+        vars[0].bytes[0] ^= 1;
+        vars[0].bytes[0] ^= 1;
+        Some(InjectionDetail {
+            var_name: vars[0].info.name.into(),
+            var_class: vars[0].info.class,
+            frame: vars[0].info.frame.label().into(),
+            thread: vars[0].info.thread,
+            decl: String::new(),
+            elem_index: 0,
+            bits: vec![],
+            mechanism: "null".into(),
+        })
+    }
+}
+
+#[test]
+fn a_reconverged_trial_stops_at_its_rung_and_charges_the_golden_suffix() {
+    for b in Benchmark::ALL {
+        let g = golden(b, SizeClass::Test);
+        let total = build(b, SizeClass::Test).total_steps();
+        let steps = Arc::new(AtomicUsize::new(0));
+        let counter = steps.clone();
+        // `Counted` keeps the default `converged`: it runs every trial to
+        // the end, from the same ladder.
+        let reference = TargetPool::new(move || Counted { inner: build(b, SizeClass::Test), steps: counter.clone() });
+        let pool = TargetPool::new(|| build(b, SizeClass::Test));
+        // A hardware-masked trial at the last step captures every rung.
+        let last = TrialConfig { inject_step: total - 1, ..Default::default() };
+        let (mut target, ladder) = pool.take();
+        run_trial_mut(&mut target, ladder, &g, &mut Decline, last, &mut fork(1, 0));
+
+        let inject_step = rung_steps(total)[1];
+        let cfg = TrialConfig { inject_step, ..Default::default() };
+        let early = run_trial_mut(&mut target, ladder, &g, &mut Null, cfg, &mut fork(1, 0));
+        assert_eq!(target.steps_executed(), inject_step, "{b}: the trial stopped at the rung it converged with");
+
+        let (mut counted, counted_ladder) = reference.take();
+        run_trial_mut(&mut counted, counted_ladder, &g, &mut Decline, last, &mut fork(1, 0));
+        let before = steps.load(Ordering::Relaxed);
+        let to_end = run_trial_mut(&mut counted, counted_ladder, &g, &mut Null, cfg, &mut fork(1, 0));
+        assert_eq!(steps.load(Ordering::Relaxed) - before, total - inject_step, "{b}: the reference ran to the end");
+        for r in [&early, &to_end] {
+            assert_eq!(r.outcome, TrialOutcome::Masked, "{b}");
+            assert_eq!(r.executed_steps, total, "{b}: the whole run is charged");
+        }
+        assert!(!early.fast_compare && to_end.fast_compare, "{b}: only the run to the end compares its output");
     }
 }
 
@@ -149,12 +269,19 @@ fn hardware_masked_laddered_trials_count_their_restored_prefix() {
     }
 }
 
-/// Runs until `limit` steps, nominally 16: a fault in `limit` spins it
-/// until the supervisor's watchdog fires.
+/// Runs until `limit` steps, nominally `total`: a fault in `limit` spins
+/// it until the supervisor's watchdog fires, or ends it early.
 #[derive(Clone)]
 struct Endless {
     limit: u64,
+    total: usize,
     done: usize,
+}
+
+impl Endless {
+    fn new(total: usize) -> Self {
+        Endless { limit: total as u64, total, done: 0 }
+    }
 }
 
 impl FaultTarget for Endless {
@@ -162,7 +289,7 @@ impl FaultTarget for Endless {
         "endless"
     }
     fn total_steps(&self) -> usize {
-        16
+        self.total
     }
     fn steps_executed(&self) -> usize {
         self.done
@@ -215,7 +342,7 @@ impl FaultApplicator for Unbound {
 #[test]
 fn watchdog_timeouts_charge_the_restored_prefix() {
     let g = Output::I32Grid { dims: [1, 1, 1], data: vec![0] };
-    let pool = TargetPool::new(|| Endless { limit: 16, done: 0 });
+    let pool = TargetPool::new(|| Endless::new(16));
     let max_steps = watchdog_budget(16, TrialConfig::default().watchdog_factor) as usize;
     let _quiet = silence_panics();
     for inject_step in [15, 14, 3, 15, 0, 9] {
@@ -223,13 +350,52 @@ fn watchdog_timeouts_charge_the_restored_prefix() {
         let (mut target, ladder) = pool.take();
         let laddered = run_trial_mut(&mut target, ladder, &g, &mut Unbound, cfg, &mut fork(1, 0));
         pool.release(target, true); // a DUE: the next trial rebuilds
-        let fresh = run_trial_mut(&mut Endless { limit: 16, done: 0 }, None, &g, &mut Unbound, cfg, &mut fork(1, 0));
+        let fresh = run_trial_mut(&mut Endless::new(16), None, &g, &mut Unbound, cfg, &mut fork(1, 0));
         for r in [&laddered, &fresh] {
             assert_eq!(r.outcome, TrialOutcome::Due(DueCause::Timeout), "inject at {inject_step}");
             assert_eq!(r.executed_steps, max_steps, "inject at {inject_step}: the whole run is charged");
         }
     }
     assert_eq!(pool.ladder().unwrap().captured(), 16, "every step of the short run is a rung");
+}
+
+/// Sets the loop limit to step 6.
+struct Shorten;
+impl FaultApplicator for Shorten {
+    fn apply(&mut self, vars: &mut [Variable<'_>], _: &mut rand::rngs::StdRng) -> Option<InjectionDetail> {
+        vars[0].bytes.copy_from_slice(&6u64.to_le_bytes());
+        Some(InjectionDetail {
+            var_name: "limit".into(),
+            var_class: vars[0].info.class,
+            frame: vars[0].info.frame.label().into(),
+            thread: vars[0].info.thread,
+            decl: String::new(),
+            elem_index: 0,
+            bits: vec![],
+            mechanism: "test".into(),
+        })
+    }
+}
+
+#[test]
+fn a_run_that_finishes_between_rungs_is_not_stepped_again() {
+    // Rungs stand every 4 of 64 steps. A fault at rung 4 ends the run at
+    // step 6, inside the segment towards rung 8: stepping the finished
+    // target again would charge a seventh step.
+    let g = Output::I32Grid { dims: [1, 1, 1], data: vec![0] };
+    let pool = TargetPool::new(|| Endless::new(64));
+    let (mut target, ladder) = pool.take();
+    let last = TrialConfig { inject_step: 63, ..Default::default() };
+    run_trial_mut(&mut target, ladder, &g, &mut Decline, last, &mut fork(1, 0));
+    assert_eq!(ladder.unwrap().captured(), 16, "a hardware-masked trial at the last step captured every rung");
+    let cfg = TrialConfig { inject_step: 4, ..Default::default() };
+    let laddered = run_trial_mut(&mut target, ladder, &g, &mut Shorten, cfg, &mut fork(1, 0));
+    let fresh = run_trial_mut(&mut Endless::new(64), None, &g, &mut Shorten, cfg, &mut fork(1, 0));
+    for r in [&laddered, &fresh] {
+        assert_eq!(r.outcome, TrialOutcome::Masked);
+        assert_eq!(r.executed_steps, 6);
+    }
+    assert_eq!(target.steps_executed(), 6);
 }
 
 /// A kernel that counts the steps it actually runs.

@@ -29,8 +29,8 @@
 //!
 //! With `TRIAL_HOT_PATH_JSON=<path>`, a machine-readable baseline
 //! (`pooled`/`factory`/`laddered` trials-per-second, the compare timings,
-//! and the codec and early-exit speedups) is written after the criterion
-//! run — `./ci` uses this to track the speedup.
+//! and the ladder, codec and early-exit speedups) is written after the
+//! criterion run — `./ci` uses this to track the speedup.
 
 use beamsim::campaign::engine_for;
 use beamsim::{run_beam_campaign, BeamConfig};
@@ -346,8 +346,19 @@ fn emit_json(path: &str) {
     let fast_ns = time_ns(2000, || same.bits_equal(&gold));
     let scan_ns = time_ns(2000, || same.mismatches(&gold).is_empty());
 
-    // Both encodes of the same mix, alternated within one run, so the
-    // ratio holds however fast the host happens to be.
+    // The late-injection trial from the pool's ladder and replayed from
+    // step 0, alternated within one run, so the ratio holds however fast
+    // the host happens to be. A laddered trial is about 1/4 of a replayed
+    // one, so it repeats more often per round to weigh about as much.
+    let late_gold = golden(LATE, SizeClass::Test);
+    let late = late_pool();
+    let (mut laddered_ns, mut replayed_ns) = (0.0, 0.0);
+    for _ in 0..100 {
+        laddered_ns += time_ns(4, || run_one_late(&late, &late_gold, true) > 0);
+        replayed_ns += time_ns(1, || run_one_late(&late, &late_gold, false) > 0);
+    }
+    // Both encodes of the same mix, alternated within one run like the
+    // ladder pair.
     let records = codec_records();
     let (mut direct_ns, mut tree_ns) = (0.0, 0.0);
     for _ in 0..50 {
@@ -358,7 +369,6 @@ fn emit_json(path: &str) {
     // the end, alternated within one run like the codec pair. A converged
     // trial is about 1/50 of one run to the end, so it repeats more often
     // per round to weigh about as much in the wall clock.
-    let late_gold = golden(LATE, SizeClass::Test);
     let (early, to_end) = (late_pool(), run_to_end_pool());
     let (mut converged_ns, mut run_to_end_ns) = (0.0, 0.0);
     for _ in 0..100 {
@@ -372,8 +382,8 @@ fn emit_json(path: &str) {
          \"pooled_reset_ns\": {:.1},\n  \"provisioning_speedup\": {:.3},\n  \
          \"fast_path_compare_ns\": {:.1},\n  \
          \"elementwise_scan_ns\": {:.1},\n  \"compare_speedup\": {:.3},\n  \
-         \"laddered_trials_per_sec\": {:.3},\n  \"codec_speedup\": {:.3},\n  \
-         \"early_exit_speedup\": {:.3}\n}}\n",
+         \"laddered_trials_per_sec\": {:.3},\n  \"ladder_speedup\": {:.3},\n  \
+         \"codec_speedup\": {:.3},\n  \"early_exit_speedup\": {:.3}\n}}\n",
         BENCH.label(),
         trials,
         factory_tps,
@@ -386,6 +396,7 @@ fn emit_json(path: &str) {
         scan_ns,
         scan_ns / fast_ns,
         laddered_tps,
+        replayed_ns / laddered_ns,
         tree_ns / direct_ns,
         run_to_end_ns / converged_ns,
     );

@@ -38,7 +38,7 @@ use carolfi::{
 use kernels::{build, Benchmark, SizeClass};
 use sdc_analysis::planner::{CiMethod, WilsonPlanner, DEFAULT_BATCH};
 use sdc_analysis::pvf::{by_model, PvfKind};
-use serde::__private::{as_map, field, field_content, to_content, Content, ContentError, FromContent};
+use serde::__private::{field, required, to_content, Content, ContentError, Reader};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io;
@@ -81,18 +81,11 @@ impl Serialize for CampaignKind {
     }
 }
 
-impl FromContent for CampaignKind {
-    fn from_content(c: &Content) -> Result<Self, ContentError> {
-        let label = String::from_content(c)?;
+impl<'de> Deserialize<'de> for CampaignKind {
+    fn deserialize(r: &mut Reader<'de>) -> Result<Self, ContentError> {
+        let label = r.string()?;
         CampaignKind::from_label(&label)
             .ok_or_else(|| ContentError::msg(&format!("kind: expected \"inject\" or \"beam\", got {label:?}")))
-    }
-}
-
-impl<'de> Deserialize<'de> for CampaignKind {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let c = d.content()?;
-        CampaignKind::from_content(&c).map_err(<D::Error as serde::de::Error>::custom)
     }
 }
 
@@ -129,30 +122,29 @@ impl Serialize for PlanSpec {
     }
 }
 
-impl FromContent for PlanSpec {
-    fn from_content(c: &Content) -> Result<Self, ContentError> {
-        let m = as_map(c).map_err(|e| ContentError::msg(&format!("plan: {e}")))?;
-        let ci: f64 = field(m, "ci").map_err(|e| ContentError::msg(&format!("plan: {e}")))?;
-        let batch = match field_content(m, "batch") {
-            Ok(v) => usize::from_content(v).map_err(|e| ContentError::msg(&format!("plan: field \"batch\": {e}")))?,
-            Err(_) => DEFAULT_BATCH,
-        };
-        let method = match field_content(m, "method") {
-            Ok(v) => {
-                let label = String::from_content(v).map_err(|e| ContentError::msg(&format!("plan: field \"method\": {e}")))?;
-                CiMethod::parse(&label)
-                    .ok_or_else(|| ContentError::msg(&format!("plan.method: expected wilson or clopper-pearson, got {label:?}")))?
-            }
-            Err(_) => CiMethod::Wilson,
-        };
-        Ok(PlanSpec { ci, batch, method })
-    }
-}
-
 impl<'de> Deserialize<'de> for PlanSpec {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let c = d.content()?;
-        PlanSpec::from_content(&c).map_err(<D::Error as serde::de::Error>::custom)
+    fn deserialize(r: &mut Reader<'de>) -> Result<Self, ContentError> {
+        // `batch` and `method` are optional; a repeated key keeps its first
+        // value, as in derived readers.
+        let (mut ci, mut batch, mut method) = (None, None, None::<String>);
+        let ci = r
+            .map(|r, key| {
+                match key {
+                    "ci" if ci.is_none() => ci = Some(field(r, key)?),
+                    "batch" if batch.is_none() => batch = Some(field(r, key)?),
+                    "method" if method.is_none() => method = Some(field(r, key)?),
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })
+            .and_then(|()| required(ci, "ci"))
+            .map_err(|e| ContentError::msg(&format!("plan: {e}")))?;
+        let method = match method {
+            Some(label) => CiMethod::parse(&label)
+                .ok_or_else(|| ContentError::msg(&format!("plan.method: expected wilson or clopper-pearson, got {label:?}")))?,
+            None => CiMethod::Wilson,
+        };
+        Ok(PlanSpec { ci, batch: batch.unwrap_or(DEFAULT_BATCH), method })
     }
 }
 
@@ -219,41 +211,45 @@ impl Serialize for CampaignSpec {
     }
 }
 
-impl FromContent for CampaignSpec {
-    fn from_content(c: &Content) -> Result<Self, ContentError> {
-        let m = as_map(c)?;
+impl<'de> Deserialize<'de> for CampaignSpec {
+    fn deserialize(r: &mut Reader<'de>) -> Result<Self, ContentError> {
         // `version` is carried through as-parsed; range-checking it is
         // validate_spec's job, so the rejection reason reaches clients
-        // verbatim instead of wrapped in a parse diagnostic.
-        let version = match field_content(m, "version") {
-            Ok(v) => u32::from_content(v).map_err(|e| ContentError::msg(&format!("field \"version\": {e}")))?,
-            Err(_) => 1,
-        };
-        let plan = match field_content(m, "plan") {
-            Ok(Content::Null) => None,
-            Ok(v) => Some(PlanSpec::from_content(v)?),
-            Err(_) => None,
-        };
+        // verbatim instead of wrapped in a parse diagnostic. A repeated key
+        // keeps its first value, as in derived readers.
+        let (mut kind, mut version, mut benchmark, mut trials, mut seed, mut size) = (None, None, None, None, None, None);
+        let (mut shards, mut isolate, mut models, mut tolerance, mut plan) = (None, None, None, None, None);
+        r.map(|r, key| {
+            match key {
+                "kind" if kind.is_none() => kind = Some(field(r, key)?),
+                "version" if version.is_none() => version = Some(field(r, key)?),
+                "benchmark" if benchmark.is_none() => benchmark = Some(field(r, key)?),
+                "trials" if trials.is_none() => trials = Some(field(r, key)?),
+                "seed" if seed.is_none() => seed = Some(field(r, key)?),
+                "size" if size.is_none() => size = Some(field(r, key)?),
+                "shards" if shards.is_none() => shards = Some(field(r, key)?),
+                "isolate" if isolate.is_none() => isolate = Some(field(r, key)?),
+                "models" if models.is_none() => models = Some(field(r, key)?),
+                "tolerance" if tolerance.is_none() => tolerance = Some(field(r, key)?),
+                // Absent or null: no plan. Its errors carry their own prefix.
+                "plan" if plan.is_none() => plan = Some(Option::<PlanSpec>::deserialize(r)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
         Ok(CampaignSpec {
-            kind: field(m, "kind")?,
-            version,
-            benchmark: field(m, "benchmark")?,
-            trials: field(m, "trials")?,
-            seed: field(m, "seed")?,
-            size: field(m, "size")?,
-            shards: field(m, "shards")?,
-            isolate: field(m, "isolate")?,
-            models: field(m, "models")?,
-            tolerance: field(m, "tolerance")?,
-            plan,
+            kind: required(kind, "kind")?,
+            version: version.unwrap_or(1),
+            benchmark: required(benchmark, "benchmark")?,
+            trials: required(trials, "trials")?,
+            seed: required(seed, "seed")?,
+            size: required(size, "size")?,
+            shards: required(shards, "shards")?,
+            isolate: required(isolate, "isolate")?,
+            models: required(models, "models")?,
+            tolerance: required(tolerance, "tolerance")?,
+            plan: plan.flatten(),
         })
-    }
-}
-
-impl<'de> Deserialize<'de> for CampaignSpec {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let c = d.content()?;
-        CampaignSpec::from_content(&c).map_err(<D::Error as serde::de::Error>::custom)
     }
 }
 
@@ -706,62 +702,34 @@ pub fn spec_result(
 /// index = range start + shard-local seq). Adaptive journals
 /// (`meta.version ≥ 2`) are single-sharded and decision-ordered: records
 /// come back in journal order, complete once the shard is sealed. Errors
-/// on incomplete journals.
+/// on incomplete journals, and on any journal a resume would refuse: the
+/// engine's own checks run, so every shard's sequence is gapless and within
+/// its range, checkpoints agree with it, and every record carries the trial
+/// its position (or the journaled decisions) implies.
 pub fn journal_records(dir: &Path) -> io::Result<(store::CampaignMeta, Vec<TrialRecord>)> {
     let scan = store::Journal::scan(dir)?;
-    let meta = scan
-        .meta
-        .clone()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, format!("{}: empty journal", dir.display())))?;
-    let parse = |payload: &str| -> io::Result<TrialRecord> {
-        let _span = obs::span!("record.decode");
-        serde_json::from_str(payload).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("{}: bad trial payload: {e}", dir.display()))
-        })
-    };
-    if meta.version >= store::ADAPTIVE_FORMAT_VERSION {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, format!("{}: {msg}", dir.display()));
+    let meta = scan.meta.clone().ok_or_else(|| invalid("empty journal".into()))?;
+    let reject = |e: io::Error| invalid(e.to_string());
+    let adaptive = meta.version >= store::ADAPTIVE_FORMAT_VERSION;
+    let mut progress = store::ShardProgress::replay(if adaptive { 1 } else { meta.shards }, &scan.entries).map_err(reject)?;
+    if adaptive {
         // Adaptive campaigns stop early, so the journal's own record
         // sequence — not the horizon in `meta.trials` — defines the
         // campaign; "complete" is the planner's seal, not a trial count.
-        let mut records = Vec::new();
-        let mut sealed = false;
-        for entry in &scan.entries {
-            match entry {
-                store::JournalEntry::Trial { payload, .. } => records.push(parse(payload)?),
-                store::JournalEntry::ShardDone { .. } => sealed = true,
-                _ => {}
-            }
-        }
-        if !sealed {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{}: adaptive journal incomplete ({} trials executed, not sealed)",
-                    dir.display(),
-                    records.len()
-                ),
-            ));
+        let (_, records) = carolfi::adaptive::journaled_decisions(&scan.entries, &progress).map_err(reject)?;
+        if !progress.all_done() {
+            return Err(invalid(format!("adaptive journal incomplete ({} trials executed, not sealed)", records.len())));
         }
         return Ok((meta, records));
     }
     let plan = store::ShardPlan { trials: meta.trials, shards: meta.shards };
-    let mut slots: Vec<Option<TrialRecord>> = vec![None; meta.trials];
-    for entry in &scan.entries {
-        if let store::JournalEntry::Trial { shard, seq, payload } = entry {
-            let global = plan.range(*shard).start + *seq as usize;
-            if global < slots.len() {
-                slots[global] = Some(parse(payload)?);
-            }
-        }
+    let records: Vec<TrialRecord> =
+        carolfi::orchestrator::decode_shards(plan, &mut progress).map_err(reject)?.into_iter().flatten().collect();
+    if records.len() < meta.trials {
+        return Err(invalid(format!("journal incomplete ({}/{} trials)", records.len(), meta.trials)));
     }
-    let done = slots.iter().filter(|s| s.is_some()).count();
-    if done < meta.trials {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{}: journal incomplete ({done}/{} trials)", dir.display(), meta.trials),
-        ));
-    }
-    Ok((meta, slots.into_iter().map(|s| s.expect("checked complete")).collect()))
+    Ok((meta, records))
 }
 
 /// Recomputes the result document from a journal directory — the offline
@@ -1034,6 +1002,74 @@ mod tests {
         server.stop();
         assert!(reg.status(&stopped).unwrap().completed < 20_000);
         assert!(!has_session(&reg.journal_dir(&stopped)));
+    }
+
+    /// A finished 4-trial, 2-shard journal of checksummed lines, one per
+    /// `(shard, seq, trial)`: the payload of each carries `trial`.
+    fn journal_of(name: &str, lines: &[(usize, u64, usize)]) -> PathBuf {
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/test-bench-journals").join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        let meta = store::CampaignMeta {
+            kind: "inject".into(),
+            benchmark: "dgemm".into(),
+            seed: 1,
+            trials: 4,
+            shards: 2,
+            n_windows: 4,
+            version: 1,
+        };
+        let mut writer = store::JournalWriter::create(&dir, meta).unwrap();
+        for &(shard, seq, trial) in lines {
+            let record = TrialRecord {
+                trial,
+                benchmark: "dgemm".into(),
+                model: None,
+                mechanism: "single".into(),
+                inject_step: 0,
+                total_steps: 4,
+                window: 0,
+                n_windows: 4,
+                injection: None,
+                outcome: carolfi::record::OutcomeRecord::Masked,
+                executed_steps: 4,
+            };
+            let payload = serde_json::to_string(&record).unwrap();
+            writer.append(&store::JournalEntry::Trial { shard, seq, payload }).unwrap();
+        }
+        writer.close().unwrap();
+        dir
+    }
+
+    fn refusal(name: &str, lines: &[(usize, u64, usize)]) -> String {
+        journal_records(&journal_of(name, lines)).unwrap_err().to_string()
+    }
+
+    const FULL: [(usize, u64, usize); 4] = [(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 3)];
+
+    #[test]
+    fn journal_records_refuses_a_record_at_the_wrong_position() {
+        let (_, records) = journal_records(&journal_of("good", &FULL)).unwrap();
+        assert_eq!(records.iter().map(|r| r.trial).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        let err = refusal("misplaced", &[(0, 0, 0), (0, 1, 3), (1, 0, 2), (1, 1, 3)]);
+        assert!(err.contains("shard 0 seq 1: payload carries trial 3, expected 1"), "{err}");
+    }
+
+    #[test]
+    fn journal_records_refuses_a_repeated_line() {
+        let err = refusal("repeated", &[(0, 0, 0), (0, 1, 1), (0, 1, 1), (1, 0, 2), (1, 1, 3)]);
+        assert!(err.contains("shard 0: trial sequence not gapless (expected seq 2, found 1)"), "{err}");
+    }
+
+    #[test]
+    fn journal_records_refuses_a_line_past_its_shard_range() {
+        let err = refusal("past-range", &[(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 2), (1, 1, 3)]);
+        assert!(err.contains("shard 0: journal has 3 trials, plan allows 2"), "{err}");
+    }
+
+    #[test]
+    fn journal_records_refuses_a_line_for_a_shard_the_plan_lacks() {
+        let err = refusal("foreign-shard", &[(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 3), (5, 0, 0)]);
+        assert!(err.contains("trial for shard 5, journal has 2 shards"), "{err}");
     }
 
     #[test]

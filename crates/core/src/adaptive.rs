@@ -73,7 +73,7 @@ fn invalid(msg: String) -> std::io::Error {
 }
 
 /// An allocation decision as replayed from the journal.
-struct JournaledPlan {
+pub struct JournaledPlan {
     batch: u64,
     stratum: String,
     widest_ci: f64,
@@ -83,7 +83,7 @@ struct JournaledPlan {
 /// Parses a version-2 journal's surviving entries: the allocation decisions
 /// in order and the trial records in execution order, checking that the
 /// k-th record carries the k-th index the decisions allocated.
-fn journaled_decisions(
+pub fn journaled_decisions(
     entries: &[JournalEntry],
     progress: &ShardProgress,
 ) -> std::io::Result<(Vec<JournaledPlan>, Vec<TrialRecord>)> {

@@ -281,13 +281,21 @@ pub(crate) struct OpenJournal {
 }
 
 /// Opens (or creates) the journal for `meta`, replays shard progress and
-/// parses the surviving trial payloads, checking each one sits at its
-/// shard's range position.
+/// parses the surviving trial payloads ([`decode_shards`]).
 pub(crate) fn open_journal(store_cfg: &StoreConfig, meta: CampaignMeta) -> std::io::Result<OpenJournal> {
     let (mut writer, mut progress, _) = store::open_campaign(&store_cfg.dir, &meta, store_cfg.resume)?;
     writer.batch = store_cfg.batch;
     let plan = ShardPlan::new(meta.trials, meta.shards);
-    let mut records: Vec<Vec<TrialRecord>> = Vec::with_capacity(meta.shards);
+    let records = decode_shards(plan, &mut progress)?;
+    Ok(OpenJournal { meta, plan, progress, records, writer: Some(writer), checkpoint_every: store_cfg.checkpoint_every })
+}
+
+/// Parses the trial payloads of a fixed-count journal's replayed
+/// `progress`, shard by shard, checking that no shard holds more trials than
+/// its range and that each record carries the trial its position implies.
+/// The raw payloads are dropped once parsed.
+pub fn decode_shards(plan: ShardPlan, progress: &mut ShardProgress) -> std::io::Result<Vec<Vec<TrialRecord>>> {
+    let mut records: Vec<Vec<TrialRecord>> = Vec::with_capacity(progress.shards.len());
     for (shard, state) in progress.shards.iter_mut().enumerate() {
         let range = plan.range(shard);
         if state.completed as usize > range.len() {
@@ -300,18 +308,15 @@ pub(crate) fn open_journal(store_cfg: &StoreConfig, meta: CampaignMeta) -> std::
                 serde_json::from_str(payload)
             }
             .map_err(|e| invalid(format!("shard {shard} seq {seq}: bad trial payload: {e}")))?;
-            if record.trial != range.start + seq {
-                return Err(invalid(format!(
-                    "shard {shard} seq {seq}: payload carries trial {}, expected {}",
-                    record.trial,
-                    range.start + seq
-                )));
+            let expected = range.start + seq;
+            if record.trial != expected {
+                return Err(invalid(format!("shard {shard} seq {seq}: payload carries trial {}, expected {expected}", record.trial)));
             }
             parsed.push(record);
         }
         records.push(parsed);
     }
-    Ok(OpenJournal { meta, plan, progress, records, writer: Some(writer), checkpoint_every: store_cfg.checkpoint_every })
+    Ok(records)
 }
 
 /// Extracts a displayable message from a caught panic payload.

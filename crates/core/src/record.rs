@@ -16,7 +16,8 @@ use serde::{Deserialize, Serialize};
 /// Serde codec for f64 fields that may be non-finite: JSON has no
 /// Infinity/NaN, so they are encoded as the strings "inf"/"-inf"/"nan".
 pub mod finite_or_tag {
-    use serde::{Deserialize, Deserializer, Serializer};
+    use serde::__private::{ContentError, Reader};
+    use serde::{Deserialize, Serializer};
 
     pub fn serialize<S: Serializer>(v: &f64, s: S) -> Result<S::Ok, S::Error> {
         if v.is_finite() {
@@ -30,22 +31,16 @@ pub mod finite_or_tag {
         }
     }
 
-    #[derive(Deserialize)]
-    #[serde(untagged)]
-    enum Raw {
-        Num(f64),
-        Tag(String),
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<f64, D::Error> {
-        match Raw::deserialize(d)? {
-            Raw::Num(v) => Ok(v),
-            Raw::Tag(t) => match t.as_str() {
-                "inf" => Ok(f64::INFINITY),
-                "-inf" => Ok(f64::NEG_INFINITY),
-                "nan" => Ok(f64::NAN),
-                other => Err(serde::de::Error::custom(format!("bad float tag {other:?}"))),
-            },
+    /// A number, or one of the three tags.
+    pub fn deserialize(r: &mut Reader<'_>) -> Result<f64, ContentError> {
+        if r.peek() != Some(b'"') {
+            return f64::deserialize(r);
+        }
+        match &*r.string()? {
+            "inf" => Ok(f64::INFINITY),
+            "-inf" => Ok(f64::NEG_INFINITY),
+            "nan" => Ok(f64::NAN),
+            other => Err(ContentError::msg(&format!("bad float tag {other:?}"))),
         }
     }
 }
@@ -196,30 +191,35 @@ impl Serialize for DueKind {
     }
 }
 
-impl serde::__private::FromContent for DueKind {
-    fn from_content(c: &serde::__private::Content) -> Result<Self, serde::__private::ContentError> {
-        use serde::__private::{as_map, enum_parts, field, variant_inner};
-        let (tag, inner) = enum_parts(c)?;
-        match tag {
-            "Crash" => {
-                let m = as_map(variant_inner(inner, "Crash")?)?;
-                Ok(DueKind::Crash { message: field(m, "message")? })
-            }
-            "Timeout" => Ok(DueKind::Timeout),
-            "Signal" => {
-                let m = as_map(variant_inner(inner, "Signal")?)?;
-                Ok(DueKind::Signal { signo: field(m, "signo")? })
-            }
-            "Killed" => Ok(DueKind::Killed),
-            other => Ok(DueKind::Unknown { raw: other.to_string() }),
-        }
-    }
+/// The payloads of `DueKind`'s struct variants.
+#[derive(Deserialize)]
+struct CrashPayload {
+    message: String,
+}
+
+#[derive(Deserialize)]
+struct SignalPayload {
+    signo: i32,
 }
 
 impl<'de> Deserialize<'de> for DueKind {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let c = d.content()?;
-        <DueKind as serde::__private::FromContent>::from_content(&c).map_err(<D::Error as serde::de::Error>::custom)
+    fn deserialize(r: &mut serde::__private::Reader<'de>) -> Result<Self, serde::__private::ContentError> {
+        use serde::__private::{payload, unit};
+        r.variant(|r, tag, has_payload| {
+            // Any other tag, a unit variant's, skips a payload it carries.
+            if matches!(tag, "Crash" | "Signal") {
+                payload(has_payload, tag)?;
+            } else {
+                unit(r, has_payload)?;
+            }
+            Ok(match tag {
+                "Crash" => DueKind::Crash { message: CrashPayload::deserialize(r)?.message },
+                "Signal" => DueKind::Signal { signo: SignalPayload::deserialize(r)?.signo },
+                "Timeout" => DueKind::Timeout,
+                "Killed" => DueKind::Killed,
+                other => DueKind::Unknown { raw: other.to_string() },
+            })
+        })
     }
 }
 

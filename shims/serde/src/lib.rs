@@ -1,27 +1,28 @@
 //! Offline stand-in for `serde`.
 //!
-//! The real serde drives serialization through a visitor protocol; this shim
-//! collapses that to a JSON-shaped [`__private::Content`] tree, which is all
-//! the workspace needs (every serialized type round-trips through JSON
-//! lines). The public surface mirrors the fragments of serde's API the
-//! workspace spells out by hand:
+//! The real serde drives both directions through a visitor protocol; this
+//! shim reads and writes JSON text directly, which is all the workspace needs
+//! (every serialized type round-trips through JSON lines). The public surface
+//! mirrors the fragments of serde's API the workspace spells out by hand:
 //!
 //! * `Serialize` / `Deserialize` traits plus the re-exported derives;
 //! * `Serializer` with `serialize_f64` / `serialize_str` (the `finite_or_tag`
-//!   codec) and `Deserializer` with a `Content`-producing entry point;
-//! * `ser::Error` / `de::Error` with `custom`.
-//!
-//! The derive macros (see the sibling `serde_derive` shim) generate
-//! implementations of [`__private::FromContent`], the workhorse trait used
-//! to decode nested fields, plus bridging `Deserialize` impls.
+//!   codec);
+//! * `ser::Error` with `custom`.
 //!
 //! Serialization has two paths. [`Serialize::write_json`] appends a value's
 //! JSON text straight to a buffer: derived impls, primitives and std
 //! containers write themselves, and `serde_json::to_string` takes this path.
-//! [`Serialize::serialize`] lowers a value to its content tree; it remains
-//! for hand-written impls (which `write_json` renders through
-//! [`__private::JsonSerializer`]) and as the reference the direct writer is
-//! tested against.
+//! [`Serialize::serialize`] lowers a value to its [`__private::Content`]
+//! tree; it remains for hand-written impls (which `write_json` renders
+//! through [`__private::JsonSerializer`]) and as the reference the direct
+//! writer is tested against.
+//!
+//! Deserialization has one path: [`Deserialize::deserialize`] pulls its
+//! value straight out of the JSON text through a [`__private::Reader`], in
+//! one pass and without an intermediate tree. Primitives and std containers
+//! read themselves, and the derive (see the sibling `serde_derive` shim)
+//! generates a reader for every struct and enum.
 
 // Derive-generated code refers to `serde::...`; alias self so the derives
 // also work inside this crate's own tests.
@@ -31,13 +32,6 @@ pub use serde_derive::{Deserialize, Serialize};
 
 pub mod ser {
     /// Error constraint for serializers (mirror of `serde::ser::Error`).
-    pub trait Error: Sized + std::fmt::Display {
-        fn custom<T: std::fmt::Display>(msg: T) -> Self;
-    }
-}
-
-pub mod de {
-    /// Error constraint for deserializers (mirror of `serde::de::Error`).
     pub trait Error: Sized + std::fmt::Display {
         fn custom<T: std::fmt::Display>(msg: T) -> Self;
     }
@@ -70,16 +64,10 @@ pub trait Serializer: Sized {
     fn serialize_content(self, content: __private::Content) -> Result<Self::Ok, Self::Error>;
 }
 
-/// A type that can be deserialized.
+/// A type that can be deserialized: it reads one JSON value from the
+/// reader's cursor, leading whitespace included.
 pub trait Deserialize<'de>: Sized {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error>;
-}
-
-/// Data source: yields the parsed content tree for `FromContent` decoding.
-pub trait Deserializer<'de>: Sized {
-    type Error: de::Error;
-
-    fn content(self) -> Result<__private::Content, Self::Error>;
+    fn deserialize(reader: &mut __private::Reader<'de>) -> Result<Self, __private::ContentError>;
 }
 
 // ---------------------------------------------------------------------------
@@ -234,7 +222,8 @@ impl<T: Serialize> Serialize for Option<T> {
 // `serde::__private`, and equally not a stable public API).
 
 pub mod __private {
-    use super::{de, ser, Deserialize, Deserializer, Serialize, Serializer};
+    use super::{ser, Deserialize, Serialize, Serializer};
+    use std::borrow::Cow;
 
     /// JSON-shaped data model every serialized value lowers to.
     #[derive(Debug, Clone, PartialEq)]
@@ -247,19 +236,6 @@ pub mod __private {
         Str(String),
         Seq(Vec<Content>),
         Map(Vec<(String, Content)>),
-    }
-
-    impl Content {
-        fn kind(&self) -> &'static str {
-            match self {
-                Content::Null => "null",
-                Content::Bool(_) => "bool",
-                Content::I64(_) | Content::U64(_) | Content::F64(_) => "number",
-                Content::Str(_) => "string",
-                Content::Seq(_) => "sequence",
-                Content::Map(_) => "map",
-            }
-        }
     }
 
     /// Error shared by content construction and decoding.
@@ -279,12 +255,6 @@ pub mod __private {
     }
 
     impl ser::Error for ContentError {
-        fn custom<T: std::fmt::Display>(msg: T) -> Self {
-            ContentError(msg.to_string())
-        }
-    }
-
-    impl de::Error for ContentError {
         fn custom<T: std::fmt::Display>(msg: T) -> Self {
             ContentError(msg.to_string())
         }
@@ -460,199 +430,449 @@ pub mod __private {
         }
     }
 
-    /// Deserializer reading back out of a content tree it owns.
-    pub struct ContentDeserializer {
-        content: Content,
+    // -- The JSON reader (the one decoding path) ---------------------------
+
+    /// A number as JSON text spells it: integers stay exact when they fit
+    /// an `i64` (negative) or `u64`, anything else is a float.
+    enum Number {
+        I64(i64),
+        U64(u64),
+        F64(f64),
     }
 
-    impl ContentDeserializer {
-        pub fn new(content: Content) -> Self {
-            ContentDeserializer { content }
+    /// Pull reader over JSON text: each `Deserialize` impl reads its value
+    /// at the cursor, in one pass and without building a tree. Values a
+    /// reader does not want are skipped, and skipping checks them as
+    /// strictly as reading does, so every byte of a document is checked.
+    ///
+    /// Syntax errors name their byte offset; type errors name what was
+    /// expected and what kind of value was found.
+    pub struct Reader<'de> {
+        src: &'de str,
+        bytes: &'de [u8],
+        pos: usize,
+    }
+
+    impl<'de> Reader<'de> {
+        pub fn new(src: &'de str) -> Self {
+            Reader { src, bytes: src.as_bytes(), pos: 0 }
         }
-    }
 
-    impl<'de> Deserializer<'de> for ContentDeserializer {
-        type Error = ContentError;
-
-        fn content(self) -> Result<Content, ContentError> {
-            Ok(self.content)
+        fn err(&self, msg: &str) -> ContentError {
+            ContentError(format!("{msg} at byte {}", self.pos))
         }
-    }
 
-    /// Decoding out of a content tree; derived `Deserialize` impls are thin
-    /// bridges over this (it is what nested-field decoding calls).
-    pub trait FromContent: Sized {
-        fn from_content(c: &Content) -> Result<Self, ContentError>;
+        fn skip_ws(&mut self) {
+            while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                self.pos += 1;
+            }
+        }
+
+        /// The first byte of the next value, past any whitespace.
+        pub fn peek(&mut self) -> Option<u8> {
+            self.skip_ws();
+            self.bytes.get(self.pos).copied()
+        }
+
+        /// The type error for the value at the cursor: "expected `what`,
+        /// found" its kind. A byte that starts no value is a syntax error.
+        fn mismatch(&self, what: &str) -> ContentError {
+            let kind = match self.bytes.get(self.pos) {
+                Some(b'n') => "null",
+                Some(b't' | b'f') => "bool",
+                Some(b'"') => "string",
+                Some(b'[') => "sequence",
+                Some(b'{') => "map",
+                Some(b'-' | b'0'..=b'9') => "number",
+                _ => return self.err("expected a JSON value"),
+            };
+            ContentError(format!("expected {what}, found {kind}"))
+        }
+
+        fn literal(&mut self, lit: &str) -> Result<(), ContentError> {
+            if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+                self.pos += lit.len();
+                Ok(())
+            } else {
+                Err(self.err(&format!("expected {lit}")))
+            }
+        }
+
+        /// Reads a string, borrowed from the source unless it holds an
+        /// escape.
+        pub fn string(&mut self) -> Result<Cow<'de, str>, ContentError> {
+            if self.peek() != Some(b'"') {
+                return Err(self.mismatch("string"));
+            }
+            self.pos += 1;
+            let src = self.src;
+            let mut owned: Option<String> = None;
+            loop {
+                // Take the run up to the next quote, backslash or control
+                // byte whole. None of them occurs inside a multi-byte UTF-8
+                // scalar, so the run ends on a char boundary of the source.
+                let start = self.pos;
+                let run = self.bytes[start..].iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+                self.pos = run.map_or(self.bytes.len(), |n| start + n);
+                let text = &src[start..self.pos];
+                match self.bytes.get(self.pos).copied().ok_or_else(|| self.err("unterminated string"))? {
+                    b'"' => {
+                        self.pos += 1;
+                        return Ok(match owned {
+                            None => Cow::Borrowed(text),
+                            Some(mut out) => {
+                                out.push_str(text);
+                                Cow::Owned(out)
+                            }
+                        });
+                    }
+                    b'\\' => {
+                        let out = owned.get_or_insert_with(String::new);
+                        out.push_str(text);
+                        self.pos += 1;
+                        let esc = self.bytes.get(self.pos).copied().ok_or_else(|| self.err("unterminated escape"))?;
+                        self.pos += 1;
+                        out.push(match esc {
+                            b'"' => '"',
+                            b'\\' => '\\',
+                            b'/' => '/',
+                            b'b' => '\u{8}',
+                            b'f' => '\u{c}',
+                            b'n' => '\n',
+                            b'r' => '\r',
+                            b't' => '\t',
+                            b'u' => self.unicode_escape()?,
+                            _ => return Err(self.err("unknown escape")),
+                        });
+                    }
+                    _ => return Err(self.err("raw control character in string")),
+                }
+            }
+        }
+
+        /// The scalar of a `\u` escape whose `\u` was just read, with the
+        /// low half of a surrogate pair.
+        fn unicode_escape(&mut self) -> Result<char, ContentError> {
+            let hi = self.hex4()?;
+            let cp = if (0xD800..0xDC00).contains(&hi) {
+                self.literal("\\u")?;
+                let lo = self.hex4()?;
+                if !(0xDC00..0xE000).contains(&lo) {
+                    return Err(self.err("invalid low surrogate"));
+                }
+                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+            } else {
+                hi
+            };
+            char::from_u32(cp).ok_or_else(|| self.err("invalid unicode escape"))
+        }
+
+        fn hex4(&mut self) -> Result<u32, ContentError> {
+            let end = self.pos + 4;
+            let digits = self.bytes.get(self.pos..end).ok_or_else(|| self.err("truncated \\u escape"))?;
+            let s = std::str::from_utf8(digits).map_err(|_| self.err("bad \\u escape"))?;
+            let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
+            self.pos = end;
+            Ok(v)
+        }
+
+        /// Reads a number; `what` names the expected value for the type
+        /// error when the next value is not one.
+        fn number(&mut self, what: &str) -> Result<Number, ContentError> {
+            if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+                return Err(self.mismatch(what));
+            }
+            let start = self.pos;
+            self.pos += 1;
+            let mut is_float = false;
+            while let Some(&c) = self.bytes.get(self.pos) {
+                match c {
+                    b'0'..=b'9' => self.pos += 1,
+                    b'.' | b'e' | b'E' | b'+' | b'-' => {
+                        is_float = true;
+                        self.pos += 1;
+                    }
+                    _ => break,
+                }
+            }
+            let text = &self.src[start..self.pos];
+            if !is_float {
+                if text.starts_with('-') {
+                    if let Ok(v) = text.parse::<i64>() {
+                        return Ok(Number::I64(v));
+                    }
+                } else if let Ok(v) = text.parse::<u64>() {
+                    return Ok(Number::U64(v));
+                }
+            }
+            text.parse::<f64>().map(Number::F64).map_err(|_| self.err("bad number"))
+        }
+
+        /// Reads a sequence, calling `item` at each element's start.
+        pub fn seq(&mut self, mut item: impl FnMut(&mut Self) -> Result<(), ContentError>) -> Result<(), ContentError> {
+            if self.peek() != Some(b'[') {
+                return Err(self.mismatch("sequence"));
+            }
+            self.pos += 1;
+            if self.peek() == Some(b']') {
+                self.pos += 1;
+                return Ok(());
+            }
+            loop {
+                item(self)?;
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => {
+                        self.pos += 1;
+                        return Ok(());
+                    }
+                    _ => return Err(self.err("expected , or ] in array")),
+                }
+            }
+        }
+
+        /// Reads a map, calling `entry` with each key in document order and
+        /// the cursor at its value, which `entry` reads or skips.
+        pub fn map(&mut self, mut entry: impl FnMut(&mut Self, &str) -> Result<(), ContentError>) -> Result<(), ContentError> {
+            if self.peek() != Some(b'{') {
+                return Err(self.mismatch("map"));
+            }
+            self.pos += 1;
+            if self.peek() == Some(b'}') {
+                self.pos += 1;
+                return Ok(());
+            }
+            loop {
+                let key = self.key()?;
+                entry(self, &key)?;
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => {
+                        self.pos += 1;
+                        return Ok(());
+                    }
+                    _ => return Err(self.err("expected , or } in object")),
+                }
+            }
+        }
+
+        /// A map key and its colon.
+        fn key(&mut self) -> Result<Cow<'de, str>, ContentError> {
+            if self.peek() != Some(b'"') {
+                return Err(self.err("expected '\"'"));
+            }
+            let key = self.string()?;
+            if self.peek() != Some(b':') {
+                return Err(self.err("expected ':'"));
+            }
+            self.pos += 1;
+            Ok(key)
+        }
+
+        /// Reads an externally tagged enum: a bare string is a tag alone, a
+        /// map of one entry a tag with its payload. `variant` gets the tag
+        /// and whether a payload follows, which it must read or skip.
+        pub fn variant<T>(
+            &mut self,
+            variant: impl FnOnce(&mut Self, &str, bool) -> Result<T, ContentError>,
+        ) -> Result<T, ContentError> {
+            const WHAT: &str = "enum (string or 1-entry map)";
+            let not_an_enum = || ContentError(format!("expected {WHAT}, found map"));
+            match self.peek() {
+                Some(b'"') => {
+                    let tag = self.string()?;
+                    variant(self, &tag, false)
+                }
+                Some(b'{') => {
+                    self.pos += 1;
+                    if self.peek() == Some(b'}') {
+                        return Err(not_an_enum());
+                    }
+                    let tag = self.key()?;
+                    let payload = self.pos;
+                    let value = variant(self, &tag, true);
+                    if value.is_err() {
+                        // A map of more entries is no enum, whatever its
+                        // first payload holds.
+                        self.pos = payload;
+                        self.skip()?;
+                    }
+                    match self.peek() {
+                        Some(b'}') => {
+                            self.pos += 1;
+                            value
+                        }
+                        Some(b',') => Err(not_an_enum()),
+                        _ => Err(self.err("expected , or } in object")),
+                    }
+                }
+                _ => Err(self.mismatch(WHAT)),
+            }
+        }
+
+        /// Skips the value at the cursor, checking it as strictly as
+        /// reading it would.
+        pub fn skip(&mut self) -> Result<(), ContentError> {
+            match self.peek() {
+                Some(b'n') => self.literal("null"),
+                Some(b't') => self.literal("true"),
+                Some(b'f') => self.literal("false"),
+                Some(b'"') => self.string().map(drop),
+                Some(b'[') => self.seq(Self::skip),
+                Some(b'{') => self.map(|r, _| r.skip()),
+                Some(b'-' | b'0'..=b'9') => self.number("number").map(drop),
+                _ => Err(self.err("expected a JSON value")),
+            }
+        }
+
+        /// Checks that nothing but whitespace follows the value read.
+        pub fn end(&mut self) -> Result<(), ContentError> {
+            self.skip_ws();
+            if self.pos != self.bytes.len() {
+                return Err(self.err("trailing characters after JSON value"));
+            }
+            Ok(())
+        }
     }
 
     // -- helpers the derive-generated code calls ---------------------------
 
-    pub fn as_map(c: &Content) -> Result<&[(String, Content)], ContentError> {
-        match c {
-            Content::Map(m) => Ok(m),
-            other => Err(ContentError(format!("expected map, found {}", other.kind()))),
+    /// Reads a struct field's value, naming the field in its error.
+    pub fn field<'de, T: Deserialize<'de>>(r: &mut Reader<'de>, name: &str) -> Result<T, ContentError> {
+        T::deserialize(r).map_err(|e| ContentError(format!("field {name:?}: {e}")))
+    }
+
+    /// A struct field's value once its map is read: missing is an error.
+    pub fn required<T>(value: Option<T>, name: &str) -> Result<T, ContentError> {
+        value.ok_or_else(|| ContentError(format!("missing field {name:?}")))
+    }
+
+    /// Checks that a variant which carries a payload has one.
+    pub fn payload(has_payload: bool, variant: &str) -> Result<(), ContentError> {
+        if has_payload {
+            Ok(())
+        } else {
+            Err(ContentError(format!("variant {variant} expects a payload")))
         }
     }
 
-    pub fn as_seq(c: &Content) -> Result<&[Content], ContentError> {
-        match c {
-            Content::Seq(s) => Ok(s),
-            other => Err(ContentError(format!("expected sequence, found {}", other.kind()))),
+    /// Skips the payload a unit variant may carry.
+    pub fn unit(r: &mut Reader<'_>, has_payload: bool) -> Result<(), ContentError> {
+        if has_payload {
+            r.skip()?;
         }
+        Ok(())
     }
 
-    pub fn idx(seq: &[Content], i: usize) -> Result<&Content, ContentError> {
-        seq.get(i).ok_or_else(|| ContentError(format!("sequence too short: no element {i}")))
-    }
+    // -- Deserialize impls for primitives and std containers ---------------
 
-    pub fn field_content<'a>(m: &'a [(String, Content)], name: &str) -> Result<&'a Content, ContentError> {
-        m.iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| ContentError(format!("missing field {name:?}")))
-    }
-
-    pub fn field<T: FromContent>(m: &[(String, Content)], name: &str) -> Result<T, ContentError> {
-        T::from_content(field_content(m, name)?).map_err(|e| ContentError(format!("field {name:?}: {e}")))
-    }
-
-    pub fn content_to<T: FromContent>(c: &Content) -> Result<T, ContentError> {
-        T::from_content(c)
-    }
-
-    /// Splits an externally tagged enum value into `(variant_name, payload)`.
-    /// A bare string is a unit variant; a one-entry map carries a payload.
-    pub fn enum_parts(c: &Content) -> Result<(&str, Option<&Content>), ContentError> {
-        match c {
-            Content::Str(s) => Ok((s, None)),
-            Content::Map(m) if m.len() == 1 => Ok((&m[0].0, Some(&m[0].1))),
-            other => Err(ContentError(format!("expected enum (string or 1-entry map), found {}", other.kind()))),
-        }
-    }
-
-    /// Payload of a non-unit variant (errors if the tag arrived bare).
-    pub fn variant_inner<'a>(inner: Option<&'a Content>, name: &str) -> Result<&'a Content, ContentError> {
-        inner.ok_or_else(|| ContentError(format!("variant {name} expects a payload")))
-    }
-
-    // -- FromContent impls for primitives and std containers ---------------
-
-    macro_rules! impl_from_content_int {
+    macro_rules! impl_deserialize_int {
         ($($t:ty),*) => {$(
-            impl FromContent for $t {
-                fn from_content(c: &Content) -> Result<Self, ContentError> {
-                    match c {
-                        Content::I64(v) => <$t>::try_from(*v)
-                            .map_err(|_| ContentError(format!("{v} out of range for {}", stringify!($t)))),
-                        Content::U64(v) => <$t>::try_from(*v)
-                            .map_err(|_| ContentError(format!("{v} out of range for {}", stringify!($t)))),
-                        other => Err(ContentError(format!(
-                            "expected integer for {}, found {}", stringify!($t), other.kind()
-                        ))),
+            impl<'de> Deserialize<'de> for $t {
+                fn deserialize(r: &mut Reader<'de>) -> Result<Self, ContentError> {
+                    let range = |v: &dyn std::fmt::Display| ContentError(format!("{v} out of range for {}", stringify!($t)));
+                    match r.number(concat!("integer for ", stringify!($t)))? {
+                        Number::I64(v) => <$t>::try_from(v).map_err(|_| range(&v)),
+                        Number::U64(v) => <$t>::try_from(v).map_err(|_| range(&v)),
+                        Number::F64(_) => Err(ContentError(format!("expected integer for {}, found number", stringify!($t)))),
                     }
                 }
             }
         )*};
     }
-    impl_from_content_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+    impl_deserialize_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
-    impl FromContent for bool {
-        fn from_content(c: &Content) -> Result<Self, ContentError> {
-            match c {
-                Content::Bool(b) => Ok(*b),
-                other => Err(ContentError(format!("expected bool, found {}", other.kind()))),
+    impl<'de> Deserialize<'de> for bool {
+        fn deserialize(r: &mut Reader<'de>) -> Result<Self, ContentError> {
+            match r.peek() {
+                Some(b't') => r.literal("true").map(|()| true),
+                Some(b'f') => r.literal("false").map(|()| false),
+                _ => Err(r.mismatch("bool")),
             }
         }
     }
 
-    impl FromContent for f64 {
-        fn from_content(c: &Content) -> Result<Self, ContentError> {
-            match c {
-                Content::F64(v) => Ok(*v),
-                Content::I64(v) => Ok(*v as f64),
-                Content::U64(v) => Ok(*v as f64),
-                other => Err(ContentError(format!("expected number, found {}", other.kind()))),
-            }
+    impl<'de> Deserialize<'de> for f64 {
+        fn deserialize(r: &mut Reader<'de>) -> Result<Self, ContentError> {
+            Ok(match r.number("number")? {
+                Number::I64(v) => v as f64,
+                Number::U64(v) => v as f64,
+                Number::F64(v) => v,
+            })
         }
     }
 
-    impl FromContent for f32 {
-        fn from_content(c: &Content) -> Result<Self, ContentError> {
-            f64::from_content(c).map(|v| v as f32)
+    impl<'de> Deserialize<'de> for f32 {
+        fn deserialize(r: &mut Reader<'de>) -> Result<Self, ContentError> {
+            f64::deserialize(r).map(|v| v as f32)
         }
     }
 
-    impl FromContent for String {
-        fn from_content(c: &Content) -> Result<Self, ContentError> {
-            match c {
-                Content::Str(s) => Ok(s.clone()),
-                other => Err(ContentError(format!("expected string, found {}", other.kind()))),
-            }
+    impl<'de> Deserialize<'de> for String {
+        fn deserialize(r: &mut Reader<'de>) -> Result<Self, ContentError> {
+            r.string().map(Cow::into_owned)
         }
     }
 
-    impl<T: FromContent> FromContent for Vec<T> {
-        fn from_content(c: &Content) -> Result<Self, ContentError> {
-            as_seq(c)?.iter().map(T::from_content).collect()
+    impl<'de, T: Deserialize<'de>> Deserialize<'de> for Vec<T> {
+        fn deserialize(r: &mut Reader<'de>) -> Result<Self, ContentError> {
+            let mut out = Vec::new();
+            r.seq(|r| {
+                out.push(T::deserialize(r)?);
+                Ok(())
+            })?;
+            Ok(out)
         }
     }
 
-    impl<T: FromContent, const N: usize> FromContent for [T; N] {
-        fn from_content(c: &Content) -> Result<Self, ContentError> {
-            let v: Vec<T> = Vec::from_content(c)?;
-            let n = v.len();
-            v.try_into().map_err(|_| ContentError(format!("expected array of length {N}, found {n}")))
-        }
-    }
-
-    impl<T: FromContent> FromContent for Box<T> {
-        fn from_content(c: &Content) -> Result<Self, ContentError> {
-            T::from_content(c).map(Box::new)
-        }
-    }
-
-    impl<T: FromContent> FromContent for Option<T> {
-        fn from_content(c: &Content) -> Result<Self, ContentError> {
-            match c {
-                Content::Null => Ok(None),
-                other => T::from_content(other).map(Some),
-            }
-        }
-    }
-
-    // Bridging Deserialize impls so hand-written codecs (e.g. the untagged
-    // `Raw` enum in finite_or_tag) can deserialize primitives directly.
-    macro_rules! impl_deserialize_via_content {
-        ($($t:ty),*) => {$(
-            impl<'de> Deserialize<'de> for $t {
-                fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                    let c = d.content()?;
-                    <$t as FromContent>::from_content(&c).map_err(<D::Error as de::Error>::custom)
+    impl<'de, T: Deserialize<'de>, const N: usize> Deserialize<'de> for [T; N] {
+        fn deserialize(r: &mut Reader<'de>) -> Result<Self, ContentError> {
+            // Every element is read before the length is checked.
+            let mut items: [Option<T>; N] = std::array::from_fn(|_| None);
+            let mut n = 0;
+            r.seq(|r| {
+                let item = T::deserialize(r)?;
+                if let Some(slot) = items.get_mut(n) {
+                    *slot = Some(item);
                 }
+                n += 1;
+                Ok(())
+            })?;
+            if n != N {
+                return Err(ContentError(format!("expected array of length {N}, found {n}")));
             }
-        )*};
-    }
-    impl_deserialize_via_content!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, bool, f32, f64, String);
-
-    impl<'de, T: FromContent> Deserialize<'de> for Vec<T> {
-        fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-            let c = d.content()?;
-            Vec::from_content(&c).map_err(<D::Error as de::Error>::custom)
+            Ok(items.map(|item| item.expect("every slot is read")))
         }
     }
 
-    impl<'de, T: FromContent> Deserialize<'de> for Option<T> {
-        fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-            let c = d.content()?;
-            Option::from_content(&c).map_err(<D::Error as de::Error>::custom)
+    impl<'de, T: Deserialize<'de>> Deserialize<'de> for Box<T> {
+        fn deserialize(r: &mut Reader<'de>) -> Result<Self, ContentError> {
+            T::deserialize(r).map(Box::new)
+        }
+    }
+
+    impl<'de, T: Deserialize<'de>> Deserialize<'de> for Option<T> {
+        fn deserialize(r: &mut Reader<'de>) -> Result<Self, ContentError> {
+            if r.peek() == Some(b'n') {
+                return r.literal("null").map(|()| None);
+            }
+            T::deserialize(r).map(Some)
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::__private::{to_content, write_content, write_str, Content, ContentDeserializer, FromContent};
+    use super::__private::{to_content, write_content, write_str, Content, ContentError, Reader};
     use super::{Deserialize, Serialize};
+
+    /// Reads a value back from its content tree, rendered as JSON text.
+    fn read<T: for<'de> Deserialize<'de>>(c: &Content) -> Result<T, ContentError> {
+        let mut text = String::new();
+        write_content(&mut text, c);
+        let mut reader = Reader::new(&text);
+        T::deserialize(&mut reader).and_then(|v| reader.end().map(|()| v))
+    }
 
     #[derive(Debug, PartialEq, Serialize, Deserialize)]
     struct Point {
@@ -672,7 +892,7 @@ mod tests {
     fn derived_struct_roundtrips_through_content() {
         let p = Point { x: -3, y: Some(7), tags: vec!["a".into(), "b".into()] };
         let c = to_content(&p).unwrap();
-        let back = Point::deserialize(ContentDeserializer::new(c)).unwrap();
+        let back: Point = read(&c).unwrap();
         assert_eq!(back, p);
     }
 
@@ -680,7 +900,7 @@ mod tests {
     fn derived_enum_roundtrips_all_variant_shapes() {
         for v in [Shape::Dot, Shape::Circle { r: 2.5 }, Shape::Pair(9)] {
             let c = to_content(&v).unwrap();
-            let back = Shape::deserialize(ContentDeserializer::new(c)).unwrap();
+            let back: Shape = read(&c).unwrap();
             assert_eq!(back, v);
         }
     }
@@ -696,13 +916,13 @@ mod tests {
         let c = to_content(&p).unwrap();
         let Content::Map(m) = &c else { panic!("expected map") };
         assert_eq!(m.iter().find(|(k, _)| k == "y").unwrap().1, Content::Null);
-        assert_eq!(Point::deserialize(ContentDeserializer::new(c)).unwrap(), p);
+        assert_eq!(read::<Point>(&c).unwrap(), p);
     }
 
     #[test]
     fn integer_range_errors_are_reported() {
         let c = Content::U64(70_000);
-        assert!(u16::from_content(&c).is_err());
+        assert!(read::<u16>(&c).is_err());
     }
 
     #[derive(Serialize)]

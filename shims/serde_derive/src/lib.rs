@@ -2,23 +2,25 @@
 //!
 //! The build container has no crates.io access (so no `syn`/`quote` either);
 //! this macro parses the item declaration directly from the
-//! [`proc_macro::TokenStream`] and emits impls against the shim `serde`'s
-//! JSON-shaped `Content` data model:
+//! [`proc_macro::TokenStream`] and emits impls against the shim `serde`:
 //!
 //! * `Serialize` — `write_json` appends the item's JSON text straight to a
 //!   buffer (the path `serde_json::to_string` takes), and `serialize`
 //!   builds a `serde::__private::Content` tree and hands it to the
 //!   serializer's `serialize_content` (the reference the direct writer is
 //!   tested against);
-//! * `Deserialize` — implements `serde::__private::FromContent` (the
-//!   workhorse used for nested fields) plus a bridging `Deserialize` impl.
+//! * `Deserialize` — reads the item straight from JSON text through a
+//!   `serde::__private::Reader`, in one pass: a struct's fields in any
+//!   order (unknown keys skipped, the first of a repeated key kept, a
+//!   missing one an error), an enum's tag and payload.
 //!
 //! Supported shapes are exactly what this workspace derives on: structs with
 //! named fields, newtype/tuple structs, unit/newtype/tuple/struct-variant
-//! enums (externally tagged), `#[serde(with = "path")]` on named fields, and
-//! `#[serde(untagged)]` on all-newtype enums (Deserialize only). Const
-//! generics are carried through; anything unsupported fails with a
-//! `compile_error!` naming the construct.
+//! enums (externally tagged) and `#[serde(with = "path")]` on named fields.
+//! `Deserialize` reads tuple structs and tuple variants of one field only.
+//! Const generics are carried through; anything unsupported, any other
+//! serde attribute included, fails with a `compile_error!` naming the
+//! construct.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -33,7 +35,6 @@ struct Input {
     /// Matching argument list, e.g. `M`.
     generic_args: String,
     kind: Kind,
-    untagged: bool,
 }
 
 enum Kind {
@@ -99,35 +100,47 @@ fn split_top_level_commas(tokens: &[TokenTree]) -> Vec<Vec<TokenTree>> {
     out
 }
 
-/// Extracts `with = "path"` / `untagged` from a `#[serde(...)]` attribute
-/// body; returns `(with, untagged)`.
-fn parse_serde_attr(group: &proc_macro::Group) -> (Option<String>, bool) {
+/// Whether an attribute body (the `[...]` after `#`) is `serde(...)`.
+fn is_serde_attr(group: &proc_macro::Group) -> bool {
+    group.stream().into_iter().next().and_then(|t| ident_of(&t)).as_deref() == Some("serde")
+}
+
+fn unsupported_attr(group: &proc_macro::Group) -> String {
+    format!("unsupported attribute #{group}: the shim derive supports only #[serde(with = \"path\")] on named fields")
+}
+
+/// The path of a field attribute `#[serde(with = "path")]`; `None` for an
+/// attribute that is not serde's (a doc comment). Any other serde attribute
+/// is an error rather than silently ignored.
+fn serde_with(group: &proc_macro::Group) -> Result<Option<String>, String> {
+    if !is_serde_attr(group) {
+        return Ok(None);
+    }
     let tokens: Vec<TokenTree> = group.stream().into_iter().collect();
-    if tokens.first().and_then(ident_of).as_deref() != Some("serde") {
-        return (None, false);
-    }
-    let Some(TokenTree::Group(inner)) = tokens.get(1) else {
-        return (None, false);
+    let inner: Vec<TokenTree> = match tokens.as_slice() {
+        [_, TokenTree::Group(inner)] => inner.stream().into_iter().collect(),
+        _ => return Err(unsupported_attr(group)),
     };
-    let inner: Vec<TokenTree> = inner.stream().into_iter().collect();
-    let mut with = None;
-    let mut untagged = false;
-    let mut i = 0;
-    while i < inner.len() {
-        match ident_of(&inner[i]).as_deref() {
-            Some("untagged") => untagged = true,
-            Some("with") if i + 2 < inner.len() && is_punct(&inner[i + 1], '=') => {
-                if let TokenTree::Literal(lit) = &inner[i + 2] {
-                    let s = lit.to_string();
-                    with = Some(s.trim_matches('"').to_string());
-                    i += 2;
-                }
-            }
-            _ => {}
+    match inner.as_slice() {
+        [key, eq, TokenTree::Literal(lit)] if ident_of(key).as_deref() == Some("with") && is_punct(eq, '=') => {
+            Ok(Some(lit.to_string().trim_matches('"').to_string()))
         }
-        i += 1;
+        _ => Err(unsupported_attr(group)),
     }
-    (with, untagged)
+}
+
+/// Skips the attributes at `segment[i..]`, refusing serde's; returns the
+/// index after them.
+fn skip_attrs(segment: &[TokenTree], mut i: usize) -> Result<usize, String> {
+    while i + 1 < segment.len() && is_punct(&segment[i], '#') {
+        if let TokenTree::Group(g) = &segment[i + 1] {
+            if is_serde_attr(g) {
+                return Err(unsupported_attr(g));
+            }
+        }
+        i += 2;
+    }
+    Ok(i)
 }
 
 /// Parses the fields of a named-fields brace group.
@@ -140,7 +153,7 @@ fn parse_named_fields(group: &proc_macro::Group) -> Result<Vec<Field>, String> {
         // Attributes.
         while i + 1 < segment.len() && is_punct(&segment[i], '#') {
             if let TokenTree::Group(g) = &segment[i + 1] {
-                if let (Some(w), _) = parse_serde_attr(g) {
+                if let Some(w) = serde_with(g)? {
                     with = Some(w);
                 }
             }
@@ -172,10 +185,7 @@ fn parse_variants(group: &proc_macro::Group) -> Result<Vec<Variant>, String> {
     let tokens: Vec<TokenTree> = group.stream().into_iter().collect();
     let mut variants = Vec::new();
     for segment in split_top_level_commas(&tokens) {
-        let mut i = 0;
-        while i + 1 < segment.len() && is_punct(&segment[i], '#') {
-            i += 2; // skip attributes (doc comments)
-        }
+        let mut i = skip_attrs(&segment, 0)?;
         let name = segment.get(i).and_then(ident_of).ok_or_else(|| "expected variant name".to_string())?;
         i += 1;
         let shape = match segment.get(i) {
@@ -234,18 +244,11 @@ fn parse_generics(tokens: &[TokenTree], start: usize) -> Result<(String, String,
 
 fn parse(input: TokenStream) -> Result<Input, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let mut untagged = false;
     let mut i = 0;
     let is_enum = loop {
         match tokens.get(i) {
             None => return Err("no struct or enum found".into()),
-            Some(t) if is_punct(t, '#') => {
-                if let Some(TokenTree::Group(g)) = tokens.get(i + 1) {
-                    let (_, u) = parse_serde_attr(g);
-                    untagged |= u;
-                }
-                i += 2;
-            }
+            Some(t) if is_punct(t, '#') => i = skip_attrs(&tokens, i)?,
             Some(t) => match ident_of(t).as_deref() {
                 Some("struct") => break false,
                 Some("enum") => break true,
@@ -278,7 +281,7 @@ fn parse(input: TokenStream) -> Result<Input, String> {
         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis && !is_enum => Kind::Tuple(tuple_arity(g)),
         other => return Err(format!("unsupported item body: {other:?}")),
     };
-    Ok(Input { name, generic_params, generic_args, kind, untagged })
+    Ok(Input { name, generic_params, generic_args, kind })
 }
 
 // ---------------------------------------------------------------------------
@@ -443,9 +446,6 @@ fn write_json_body(input: &Input) -> String {
 }
 
 fn gen_serialize(input: &Input) -> Result<String, String> {
-    if input.untagged {
-        return Err("#[serde(untagged)] Serialize is not supported by the shim derive".into());
-    }
     let (params, target) = input.impl_header("");
     let body = match &input.kind {
         Kind::Struct(fields) => {
@@ -510,111 +510,73 @@ fn gen_serialize(input: &Input) -> Result<String, String> {
     ))
 }
 
-/// Expression deserializing one named field out of `__m`.
-fn field_from_content(field: &Field) -> String {
-    match &field.with {
-        Some(path) => format!(
-            "{path}::deserialize(serde::__private::ContentDeserializer::new(serde::__private::field_content(__m, \"{}\")?.clone()))?",
-            field.name
-        ),
-        None => format!("serde::__private::field(__m, \"{}\")?", field.name),
+/// Reads a map's named fields into `__f0`, `__f1`, … (unknown keys are
+/// skipped, a repeated key keeps its first value) and builds
+/// `type_path { … }` from them. The locals take their types from that
+/// struct literal.
+fn read_named_fields(type_path: &str, fields: &[Field]) -> String {
+    let (mut locals, mut arms, mut inits) = (String::new(), String::new(), Vec::new());
+    for (i, f) in fields.iter().enumerate() {
+        let name = &f.name;
+        locals.push_str(&format!("let mut __f{i} = ::core::option::Option::None;\n"));
+        let read = match &f.with {
+            Some(path) => format!("{path}::deserialize(__r)?"),
+            None => format!("serde::__private::field(__r, \"{name}\")?"),
+        };
+        arms.push_str(&format!("\"{name}\" if __f{i}.is_none() => __f{i} = ::core::option::Option::Some({read}),\n"));
+        inits.push(format!("{name}: serde::__private::required(__f{i}, \"{name}\")?"));
     }
-}
-
-fn named_struct_expr(type_path: &str, fields: &[Field]) -> String {
-    let inits: Vec<String> = fields.iter().map(|f| format!("{}: {}", f.name, field_from_content(f))).collect();
-    format!("{type_path} {{ {} }}", inits.join(", "))
+    format!(
+        "{locals}__r.map(|__r, __k| {{\n\
+             match __k {{\n{arms}_ => __r.skip()?,\n}}\n\
+             ::core::result::Result::Ok(())\n\
+         }})?;\n\
+         ::core::result::Result::Ok({type_path} {{ {} }})",
+        inits.join(", ")
+    )
 }
 
 fn gen_deserialize(input: &Input) -> Result<String, String> {
     let name = &input.name;
-    let from_content_body = match &input.kind {
-        Kind::Struct(fields) => {
-            format!(
-                "let __m = serde::__private::as_map(__c)?;\n::core::result::Result::Ok({})",
-                named_struct_expr(name, fields)
-            )
-        }
-        Kind::Tuple(1) => format!("::core::result::Result::Ok({name}(serde::__private::content_to(__c)?))"),
-        Kind::Tuple(n) => {
-            let items: Vec<String> = (0..*n).map(|i| format!("serde::__private::content_to(serde::__private::idx(__seq, {i})?)?")).collect();
-            format!(
-                "let __seq = serde::__private::as_seq(__c)?;\n::core::result::Result::Ok({name}({}))",
-                items.join(", ")
-            )
-        }
-        Kind::Enum(variants) if input.untagged => {
-            let mut attempts = String::new();
-            for v in variants {
-                let vname = &v.name;
-                match v.shape {
-                    Shape::Tuple(1) => attempts.push_str(&format!(
-                        "if let ::core::result::Result::Ok(__v) = serde::__private::content_to(__c) {{\n\
-                             return ::core::result::Result::Ok({name}::{vname}(__v));\n\
-                         }}\n"
-                    )),
-                    _ => return Err(format!("untagged enums only support newtype variants (variant {vname})")),
-                }
-            }
-            format!(
-                "{attempts}::core::result::Result::Err(serde::__private::ContentError::msg(\
-                 \"data matched no variant of untagged enum {name}\"))"
-            )
-        }
+    let tuples = |n: usize, what: &str| format!("Deserialize for {what} of {n} fields is not supported by the shim derive");
+    let body = match &input.kind {
+        Kind::Struct(fields) => read_named_fields(name, fields),
+        Kind::Tuple(1) => format!("::core::result::Result::Ok({name}(serde::Deserialize::deserialize(__r)?))"),
+        Kind::Tuple(n) => return Err(tuples(*n, &format!("tuple struct {name}"))),
         Kind::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
                 let vname = &v.name;
-                let arm = match &v.shape {
-                    Shape::Unit => format!("\"{vname}\" => ::core::result::Result::Ok({name}::{vname}),\n"),
-                    Shape::Tuple(1) => format!(
-                        "\"{vname}\" => ::core::result::Result::Ok({name}::{vname}(\
-                         serde::__private::content_to(serde::__private::variant_inner(__inner, \"{vname}\")?)?)),\n"
-                    ),
-                    Shape::Tuple(n) => {
-                        let items: Vec<String> =
-                            (0..*n).map(|i| format!("serde::__private::content_to(serde::__private::idx(__seq, {i})?)?")).collect();
-                        format!(
-                            "\"{vname}\" => {{\n\
-                                 let __seq = serde::__private::as_seq(serde::__private::variant_inner(__inner, \"{vname}\")?)?;\n\
-                                 ::core::result::Result::Ok({name}::{vname}({}))\n\
-                             }}\n",
-                            items.join(", ")
-                        )
+                let read = match &v.shape {
+                    Shape::Unit => {
+                        format!("serde::__private::unit(__r, __payload)?;\n::core::result::Result::Ok({name}::{vname})")
                     }
+                    Shape::Tuple(1) => format!(
+                        "serde::__private::payload(__payload, \"{vname}\")?;\n\
+                         ::core::result::Result::Ok({name}::{vname}(serde::Deserialize::deserialize(__r)?))"
+                    ),
+                    Shape::Tuple(n) => return Err(tuples(*n, &format!("tuple variant {name}::{vname}"))),
                     Shape::Struct(fields) => format!(
-                        "\"{vname}\" => {{\n\
-                             let __m = serde::__private::as_map(serde::__private::variant_inner(__inner, \"{vname}\")?)?;\n\
-                             ::core::result::Result::Ok({})\n\
-                         }}\n",
-                        named_struct_expr(&format!("{name}::{vname}"), fields)
+                        "serde::__private::payload(__payload, \"{vname}\")?;\n{}",
+                        read_named_fields(&format!("{name}::{vname}"), fields)
                     ),
                 };
-                arms.push_str(&arm);
+                arms.push_str(&format!("\"{vname}\" => {{\n{read}\n}}\n"));
             }
             format!(
-                "let (__tag, __inner) = serde::__private::enum_parts(__c)?;\n\
-                 match __tag {{\n{arms}\
+                "__r.variant(|__r, __tag, __payload| match __tag {{\n{arms}\
                  __other => ::core::result::Result::Err(serde::__private::ContentError::msg(\
-                 &format!(\"unknown variant {{__other}} of enum {name}\"))),\n}}"
+                 &format!(\"unknown variant {{__other}} of enum {name}\"))),\n}})"
             )
         }
     };
-    let (params, target) = input.impl_header("");
-    let (de_params, _) = input.impl_header("'de");
+    let (de_params, target) = input.impl_header("'de");
     Ok(format!(
         "#[automatically_derived]\n\
-         impl {params} serde::__private::FromContent for {target} {{\n\
-             fn from_content(__c: &serde::__private::Content) -> ::core::result::Result<Self, serde::__private::ContentError> {{\n\
-                 {from_content_body}\n\
-             }}\n\
-         }}\n\
-         #[automatically_derived]\n\
          impl {de_params} serde::Deserialize<'de> for {target} {{\n\
-             fn deserialize<__D: serde::Deserializer<'de>>(__d: __D) -> ::core::result::Result<Self, __D::Error> {{\n\
-                 let __c = __d.content()?;\n\
-                 <Self as serde::__private::FromContent>::from_content(&__c)\
-                     .map_err(|e| <__D::Error as serde::de::Error>::custom(e))\n\
+             fn deserialize(__r: &mut serde::__private::Reader<'de>) \
+                 -> ::core::result::Result<Self, serde::__private::ContentError> {{\n\
+                 {body}\n\
              }}\n\
          }}\n"
     ))

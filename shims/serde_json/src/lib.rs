@@ -2,10 +2,10 @@
 //! serde. Covers the JSON-lines log format this workspace reads and writes —
 //! objects, arrays, strings with escapes, integers kept exact (i64/u64),
 //! floats rendered with Rust's shortest-round-trip `{}`. Values write their
-//! JSON text directly (`Serialize::write_json`); parsing builds the shim's
-//! `Content` tree and decodes from it.
+//! JSON text directly (`Serialize::write_json`) and read it back directly
+//! through the shim's `Reader` (`Deserialize::deserialize`).
 
-use serde::__private::{Content, ContentDeserializer};
+use serde::__private::Reader;
 
 /// Error type (`std::error::Error + Send + Sync`, as `io::Error::other`
 /// requires).
@@ -26,15 +26,6 @@ impl serde::ser::Error for Error {
     }
 }
 
-impl serde::de::Error for Error {
-    fn custom<T: std::fmt::Display>(msg: T) -> Self {
-        Error(msg.to_string())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serialization.
-
 /// Serializes a value to a JSON string.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
@@ -42,212 +33,16 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
-// ---------------------------------------------------------------------------
-// Parsing.
-
-struct Parser<'a> {
-    src: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> Error {
-        Error(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn expect_literal(&mut self, lit: &str) -> Result<(), Error> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {lit}")))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Content, Error> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') => self.expect_literal("null").map(|()| Content::Null),
-            Some(b't') => self.expect_literal("true").map(|()| Content::Bool(true)),
-            Some(b'f') => self.expect_literal("false").map(|()| Content::Bool(false)),
-            Some(b'"') => self.parse_string().map(Content::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Copy the run up to the next quote, backslash or control byte
-            // whole. None of them occurs inside a multi-byte UTF-8 scalar,
-            // so the run ends on a char boundary of the source.
-            let start = self.pos;
-            let run = self.bytes[start..].iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
-            self.pos = run.map_or(self.bytes.len(), |n| start + n);
-            out.push_str(&self.src[start..self.pos]);
-            match self.peek().ok_or_else(|| self.err("unterminated string"))? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.parse_hex4()?;
-                            let cp = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                self.expect_literal("\\u")?;
-                                let lo = self.parse_hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(char::from_u32(cp).ok_or_else(|| self.err("invalid unicode escape"))?);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => return Err(self.err("raw control character in string")),
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, Error> {
-        let end = self.pos + 4;
-        let digits = self.bytes.get(self.pos..end).ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(digits).map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn parse_number(&mut self) -> Result<Content, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| self.err("bad number"))?;
-        if !is_float {
-            // Keep integers exact when they fit.
-            if text.starts_with('-') {
-                if let Ok(v) = text.parse::<i64>() {
-                    return Ok(Content::I64(v));
-                }
-            } else if let Ok(v) = text.parse::<u64>() {
-                return Ok(Content::U64(v));
-            }
-        }
-        text.parse::<f64>().map(Content::F64).map_err(|_| self.err("bad number"))
-    }
-
-    fn parse_array(&mut self) -> Result<Content, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Content::Seq(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Content::Seq(items));
-                }
-                _ => return Err(self.err("expected , or ] in array")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Content, Error> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Content::Map(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Content::Map(entries));
-                }
-                _ => return Err(self.err("expected , or } in object")),
-            }
-        }
-    }
-}
-
-/// Parses a JSON string into a deserializable value.
+/// Parses a JSON string into a deserializable value. A syntax error
+/// anywhere in `s` outranks a type error: failing input is checked again
+/// as plain JSON, and its first syntax error, if any, is the one reported.
 pub fn from_str<'a, T: serde::Deserialize<'a>>(s: &'a str) -> Result<T, Error> {
-    let mut parser = Parser { src: s, bytes: s.as_bytes(), pos: 0 };
-    let content = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.err("trailing characters after JSON value"));
-    }
-    T::deserialize(ContentDeserializer::new(content)).map_err(|e| Error(e.to_string()))
+    let mut reader = Reader::new(s);
+    let value = T::deserialize(&mut reader).and_then(|v| reader.end().map(|()| v));
+    value.map_err(|e| {
+        let mut check = Reader::new(s);
+        Error(check.skip().and_then(|()| check.end()).err().unwrap_or(e).to_string())
+    })
 }
 
 #[cfg(test)]

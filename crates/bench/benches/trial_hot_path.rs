@@ -26,11 +26,18 @@
 //!   JSON straight to a buffer instead of lowering it to a content tree
 //!   and rendering that. The `record_codec/{direct,tree}` pair encodes a
 //!   fixed record mix both ways.
+//! * **HotSpot's pristine-control pass**: `run_until` sweeps the grid in
+//!   one pass while the control state is one a clean run could have. The
+//!   JSON's `stencil_speedup` times a fault-free HotSpot Test run by a
+//!   `step()` loop over the same run by `run_until`.
+//! * **Table-driven quantizer**: `sig6_f32` rounds to 6 significant digits
+//!   without libm calls. The JSON's `quantize_speedup` times the formula
+//!   (`sig_digits_f32(v, 6)`) over `sig6_f32` on one HotSpot Test output.
 //!
 //! With `TRIAL_HOT_PATH_JSON=<path>`, a machine-readable baseline
 //! (`pooled`/`factory`/`laddered` trials-per-second, the compare timings,
-//! and the ladder, codec and early-exit speedups) is written after the
-//! criterion run — `./ci` uses this to track the speedup.
+//! and the ladder, codec, early-exit, stencil and quantizer speedups) is
+//! written after the criterion run — `./ci` uses this to track the speedup.
 
 use beamsim::campaign::engine_for;
 use beamsim::{run_beam_campaign, BeamConfig};
@@ -39,6 +46,8 @@ use carolfi::supervisor::{run_trial, run_trial_mut, TrialConfig};
 use carolfi::target::{FaultTarget, Snapshot, StepOutcome, Variable};
 use carolfi::{run_campaign, CampaignConfig, InjectionDetail, Output, TargetPool, TrialRecord};
 use criterion::{criterion_group, Criterion};
+use kernels::hotspot::{Hotspot, HotspotParams};
+use kernels::quantize::{sig6_f32, sig_digits_f32};
 use kernels::{build, golden, Benchmark, SizeClass};
 use std::hint::black_box;
 use std::time::Instant;
@@ -304,6 +313,24 @@ fn measure_laddered_trials_per_sec(n: usize) -> f64 {
     n as f64 / start.elapsed().as_secs_f64()
 }
 
+/// Runs `h` from the pristine snapshot to the end, by `run_until` or by a
+/// `step()` loop.
+fn run_hotspot(h: &mut Hotspot, pristine: &Snapshot, run_until: bool) -> bool {
+    h.restore(pristine);
+    if run_until {
+        h.run_until(usize::MAX, &mut Fuel::new(u64::MAX)) == StepOutcome::Done
+    } else {
+        while h.step() == StepOutcome::Continue {}
+        true
+    }
+}
+
+/// Quantizes every value with `q`; the XOR of the results' bits keeps the
+/// work observable.
+fn quantize_all(values: &[f32], q: impl Fn(f32) -> f32) -> bool {
+    values.iter().fold(0u32, |acc, &v| acc ^ q(v).to_bits()) != 1
+}
+
 fn time_ns<F: FnMut() -> bool>(n: usize, mut f: F) -> f64 {
     let start = Instant::now();
     for _ in 0..n {
@@ -375,6 +402,25 @@ fn emit_json(path: &str) {
         converged_ns += time_ns(32, || run_one_early(&early, &late_gold) > 0);
         run_to_end_ns += time_ns(2, || run_one_early(&to_end, &late_gold) > 0);
     }
+    // A fault-free HotSpot Test run by a `step()` loop and by `run_until`,
+    // which takes the pristine-control pass on every step, alternated
+    // within one run. The pass is about 1/4 of the loop, so it repeats
+    // more often per round.
+    let mut hot = Hotspot::new(HotspotParams::test());
+    let start = hot.snapshot().expect("hotspot snapshots");
+    let (mut stepped_ns, mut run_until_ns) = (0.0, 0.0);
+    for _ in 0..200 {
+        stepped_ns += time_ns(1, || run_hotspot(&mut hot, &start, false));
+        run_until_ns += time_ns(4, || run_hotspot(&mut hot, &start, true));
+    }
+    // The formula and the table quantizer on one HotSpot Test output, its
+    // unquantized final grid, alternated like the stencil pair.
+    let grid = Hotspot::reference(HotspotParams::test());
+    let (mut formula_ns, mut table_ns) = (0.0, 0.0);
+    for _ in 0..200 {
+        formula_ns += time_ns(1, || quantize_all(&grid, |v| sig_digits_f32(v, 6)));
+        table_ns += time_ns(3, || quantize_all(&grid, sig6_f32));
+    }
     let body = format!(
         "{{\n  \"benchmark\": \"{}\",\n  \"size\": \"test\",\n  \"trials\": {},\n  \
          \"factory_trials_per_sec\": {:.3},\n  \"pooled_trials_per_sec\": {:.3},\n  \
@@ -383,7 +429,8 @@ fn emit_json(path: &str) {
          \"fast_path_compare_ns\": {:.1},\n  \
          \"elementwise_scan_ns\": {:.1},\n  \"compare_speedup\": {:.3},\n  \
          \"laddered_trials_per_sec\": {:.3},\n  \"ladder_speedup\": {:.3},\n  \
-         \"codec_speedup\": {:.3},\n  \"early_exit_speedup\": {:.3}\n}}\n",
+         \"codec_speedup\": {:.3},\n  \"early_exit_speedup\": {:.3},\n  \
+         \"stencil_speedup\": {:.3},\n  \"quantize_speedup\": {:.3}\n}}\n",
         BENCH.label(),
         trials,
         factory_tps,
@@ -399,6 +446,8 @@ fn emit_json(path: &str) {
         replayed_ns / laddered_ns,
         tree_ns / direct_ns,
         run_to_end_ns / converged_ns,
+        stepped_ns / run_until_ns,
+        formula_ns / table_ns,
     );
     std::fs::write(path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("trial_hot_path baseline written to {path}");

@@ -305,8 +305,8 @@ fn main() {
         }
         "records" => {
             let Some(dir) = &a.dir else { usage() };
-            let (_, records) =
-                bench::spec::journal_records(dir).unwrap_or_else(|e| fatal(format!("{}: {e}", dir.display())));
+            // Its errors name the journal directory already.
+            let (_, records) = bench::spec::journal_records(dir).unwrap_or_else(|e| fatal(e.to_string()));
             for r in &records {
                 match serde_json::to_string(r) {
                     Ok(json) => println!("{json}"),
@@ -316,8 +316,7 @@ fn main() {
         }
         "render" => {
             let Some(dir) = &a.dir else { usage() };
-            let result = bench::render_result(dir, a.tolerance)
-                .unwrap_or_else(|e| fatal(format!("{}: {e}", dir.display())));
+            let result = bench::render_result(dir, a.tolerance).unwrap_or_else(|e| fatal(e.to_string()));
             println!("{result}");
         }
         _ => usage(),

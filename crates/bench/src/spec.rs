@@ -705,9 +705,14 @@ pub fn spec_result(
 /// on incomplete journals, and on any journal a resume would refuse: the
 /// engine's own checks run, so every shard's sequence is gapless and within
 /// its range, checkpoints agree with it, and every record carries the trial
-/// its position (or the journaled decisions) implies.
+/// its position (or the journaled decisions) implies. Every error names
+/// `dir` once.
 pub fn journal_records(dir: &Path) -> io::Result<(store::CampaignMeta, Vec<TrialRecord>)> {
-    let scan = store::Journal::scan(dir)?;
+    let scan = store::Journal::scan(dir).map_err(|e| match e.kind() {
+        // The store's corruption reports name the segment or directory.
+        io::ErrorKind::InvalidData => e,
+        kind => io::Error::new(kind, format!("{}: {e}", dir.display())),
+    })?;
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, format!("{}: {msg}", dir.display()));
     let meta = scan.meta.clone().ok_or_else(|| invalid("empty journal".into()))?;
     let reject = |e: io::Error| invalid(e.to_string());
@@ -736,7 +741,7 @@ pub fn journal_records(dir: &Path) -> io::Result<(store::CampaignMeta, Vec<Trial
 /// counterpart of what the daemon persists, for byte-comparison. The
 /// rendered `spec_version` is derived from the journal format (adaptive
 /// v2 journals render as spec version 2), matching what the executing
-/// path stamped.
+/// path stamped. Every error names `dir` once, as [`journal_records`]'s do.
 pub fn render_result(dir: &Path, tolerance: f64) -> io::Result<String> {
     let (meta, records) = journal_records(dir)?;
     let kind = CampaignKind::from_label(&meta.kind).ok_or_else(|| {
@@ -1070,6 +1075,19 @@ mod tests {
     fn journal_records_refuses_a_line_for_a_shard_the_plan_lacks() {
         let err = refusal("foreign-shard", &[(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 3), (5, 0, 0)]);
         assert!(err.contains("trial for shard 5, journal has 2 shards"), "{err}");
+    }
+
+    #[test]
+    fn journal_errors_name_the_directory_once() {
+        let missing = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/test-bench-journals/no-such-journal");
+        let repeated = journal_of("named-once", &[(0, 0, 0), (0, 1, 1), (0, 1, 1), (1, 0, 2), (1, 1, 3)]);
+        assert_eq!(journal_records(&missing).unwrap_err().kind(), io::ErrorKind::NotFound);
+        for dir in [missing, repeated] {
+            let name = dir.display().to_string();
+            for err in [journal_records(&dir).unwrap_err(), render_result(&dir, 0.0).unwrap_err()] {
+                assert_eq!(err.to_string().matches(&name).count(), 1, "{err}");
+            }
+        }
     }
 
     #[test]

@@ -145,7 +145,7 @@ pub struct Hotspot {
 
 impl Hotspot {
     pub fn new(p: HotspotParams) -> Self {
-        assert!(p.rows > 2 && p.cols > 2 && p.iterations > 0);
+        assert!(p.rows > 2 && p.cols > 2 && p.iterations > 0 && p.logical_threads > 0);
         let mut rng = carolfi::rng::fork(p.seed, 0);
         let n = p.rows * p.cols;
         // Rodinia's input files hold temperatures ≈ 323–343 K and power
@@ -210,6 +210,89 @@ impl Hotspot {
         }
         h.t_src
     }
+
+    /// True when every control field a step reads holds the value it has
+    /// at every step boundary of a clean run, so [`Hotspot::fast_step`] is
+    /// observably identical to [`thread_rows`] on every thread: the
+    /// pointer base is zero and each thread's identity and geometry copies
+    /// are its own. The other fields are dead at a step boundary:
+    /// `row_start`/`row_end` are recomputed before use, the index and value
+    /// scratch is written before it is read, and `iter_local` is only
+    /// incremented. Grids, power and constants are data, which both paths
+    /// run the same arithmetic over, corrupted or not.
+    fn control_is_pristine(&self) -> bool {
+        let (n, rows, cols) = (self.p.logical_threads as u64, self.p.rows as u64, self.p.cols as u64);
+        self.ptr_temp == 0
+            && self.ctrl.iter().enumerate().all(|(t, c)| {
+                c.tid_local == t as u64 && c.nthreads_local == n && c.rows_local == rows && c.cols_local == cols
+            })
+    }
+
+    /// One clean-state step: a single sweep over the grid by rows, with the
+    /// boundary columns peeled off, and no per-cell fuel burn (the exact
+    /// path burns at most `stripe_rows·(cols+1)` of its
+    /// `4·(stripe_rows+1)·(cols+1)` units, so its watchdog cannot fire
+    /// here) and no per-cell scratch store. Afterwards each thread gets the
+    /// values the exact path leaves: its stripe bounds, the scratch of its
+    /// stripe's last cell (when the stripe has one) and one more
+    /// `iter_local`. Each cell goes through [`cell_delta`], so outputs are
+    /// bit-identical.
+    fn fast_step(&mut self) -> StepOutcome {
+        let (rows, cols) = (self.p.rows, self.p.cols);
+        let k = self.consts;
+        let src = &self.t_src;
+        for (r, (out, pw)) in self.t_dst.chunks_exact_mut(cols).zip(self.power.chunks_exact(cols)).enumerate() {
+            let row = &src[r * cols..][..cols];
+            let top = &src[r.saturating_sub(1) * cols..][..cols];
+            let bottom = &src[(r + 1).min(rows - 1) * cols..][..cols];
+            let last = cols - 1;
+            out[0] = row[0] + cell_delta(row[0], top[0], bottom[0], row[0], row[1], pw[0], &k);
+            let inner = out[1..last].iter_mut().zip(row.windows(3)).zip(top[1..last].iter().zip(&bottom[1..last])).zip(&pw[1..last]);
+            for (((o, w), (&tp, &bt)), &p) in inner {
+                *o = w[1] + cell_delta(w[1], tp, bt, w[0], w[2], p, &k);
+            }
+            out[last] = row[last] + cell_delta(row[last], top[last], bottom[last], row[last - 1], row[last], pw[last], &k);
+        }
+        for (t, ctl) in self.ctrl.iter_mut().enumerate() {
+            let (s, e) = static_partition(rows, self.p.logical_threads, t);
+            ctl.row_start = s as u64;
+            ctl.row_end = e as u64;
+            if e > s {
+                // The exact path's last cell: row e − 1, column cols − 1.
+                let idx = e * cols - 1;
+                let t_val = src[idx];
+                let top = src[if e > 1 { idx - cols } else { idx }];
+                let bottom = src[if e < rows { idx + cols } else { idx }];
+                let left = src[idx - 1];
+                ctl.idx_scratch = idx as u64;
+                ctl.gr_scratch = (e - 1) as u64;
+                ctl.t_scratch = t_val;
+                ctl.top_scratch = top;
+                ctl.left_scratch = left;
+                ctl.delta_scratch = cell_delta(t_val, top, bottom, left, t_val, self.power[idx], &k);
+            }
+            ctl.iter_local += 1;
+        }
+        self.finish_step()
+    }
+
+    /// Swaps the grids and counts the step, as every step ends.
+    fn finish_step(&mut self) -> StepOutcome {
+        std::mem::swap(&mut self.t_src, &mut self.t_dst);
+        self.done += 1;
+        if self.done >= self.p.iterations {
+            StepOutcome::Done
+        } else {
+            StepOutcome::Continue
+        }
+    }
+}
+
+/// One cell's temperature change, in the operation order both the exact
+/// path and the fast pass use, so the two round alike.
+#[inline(always)]
+fn cell_delta(t: f32, top: f32, bottom: f32, left: f32, right: f32, power: f32, k: &Consts) -> f32 {
+    k.step_div_cap * (power + (top + bottom - 2.0 * t) * k.ry_1 + (left + right - 2.0 * t) * k.rx_1 + (k.amb - t) * k.rz_1)
 }
 
 /// One logical thread's share of one stencil iteration.
@@ -246,8 +329,7 @@ fn thread_rows(ctl: &mut Ctrl, dst_stripe: &mut [f32], src: &[f32], power: &[f32
             let bottom = src[pt + if gr + 1 < rows_l { idx + cols_l } else { idx }];
             let left = src[pt + if c > 0 { idx - 1 } else { idx }];
             let right = src[pt + if c + 1 < cols_l { idx + 1 } else { idx }];
-            let delta = k.step_div_cap
-                * (power[pp + idx] + (top + bottom - 2.0 * t) * k.ry_1 + (left + right - 2.0 * t) * k.rx_1 + (k.amb - t) * k.rz_1);
+            let delta = cell_delta(t, top, bottom, left, right, power[pp + idx], k);
             ctl.t_scratch = t;
             ctl.top_scratch = top;
             ctl.left_scratch = left;
@@ -272,12 +354,14 @@ impl FaultTarget for Hotspot {
     }
 
     fn run_until(&mut self, step_bound: usize, fuel: &mut Fuel) -> StepOutcome {
-        // Monomorphic run-ahead loop (ZOFI-style full-speed phase): one
-        // decrement-and-branch plus a direct, inlinable step call per
-        // step — no virtual dispatch through `dyn FaultTarget`.
+        // Run-ahead specialization (ZOFI-style full-speed phase), as in
+        // DGEMM: while the control state is one a clean run could have,
+        // take the single-sweep pass; any other state takes the exact path
+        // for that step. One fuel unit per step, burned before the step.
         while self.done < step_bound {
             fuel.burn(1);
-            if let StepOutcome::Done = self.step() {
+            let out = if self.control_is_pristine() { self.fast_step() } else { self.step() };
+            if let StepOutcome::Done = out {
                 return StepOutcome::Done;
             }
         }
@@ -307,13 +391,7 @@ impl FaultTarget for Hotspot {
         par_for_each(&mut items, self.p.workers, |_, item| {
             thread_rows(item.ctl, item.stripe, src, power, &consts, ptrs);
         });
-        std::mem::swap(&mut self.t_src, &mut self.t_dst);
-        self.done += 1;
-        if self.done >= self.p.iterations {
-            StepOutcome::Done
-        } else {
-            StepOutcome::Continue
-        }
+        self.finish_step()
     }
 
     fn variables(&mut self) -> Vec<Variable<'_>> {
@@ -404,6 +482,202 @@ mod tests {
     fn run_to_done(mut h: Hotspot) -> Output {
         while h.step() == StepOutcome::Continue {}
         h.output()
+    }
+
+    /// Every bit of state: both grids, power, the constants, every control
+    /// field (scratch included), the pointer base, the raw parameters and
+    /// the step count. The fast pass must leave all of it as the exact path
+    /// does.
+    fn state_digest(h: &Hotspot) -> Vec<u64> {
+        let mut d: Vec<u64> = h.t_src.iter().chain(&h.t_dst).chain(&h.power).map(|v| u64::from(v.to_bits())).collect();
+        d.extend(h.consts.as_array().map(|v| u64::from(v.to_bits())));
+        for c in &h.ctrl {
+            let (ints, floats) = c.bits();
+            d.extend(ints);
+            d.extend(floats.map(u64::from));
+        }
+        d.extend(h.raw.map(|v| u64::from(v.to_bits())));
+        d.extend([h.ptr_temp, h.done as u64]);
+        d
+    }
+
+    /// How a run to the end came out: its final state, or the class of the
+    /// panic that ended it.
+    #[derive(Debug, PartialEq)]
+    enum End {
+        State(Vec<u64>),
+        Timeout,
+        Crash,
+    }
+
+    /// Runs `h` to the end with `run_until`, which takes the fast pass
+    /// whenever the control state allows, or with a `step()` loop.
+    fn finish(mut h: Hotspot, run_until: bool) -> End {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if run_until {
+                h.run_until(usize::MAX, &mut Fuel::new(u64::MAX));
+            } else {
+                while h.step() == StepOutcome::Continue {}
+            }
+            state_digest(&h)
+        }));
+        match run {
+            Ok(digest) => End::State(digest),
+            Err(p) if carolfi::fuel::is_timeout(p.as_ref()) => End::Timeout,
+            Err(_) => End::Crash,
+        }
+    }
+
+    /// The first digest word two ends differ in, for failure messages.
+    fn first_difference(a: &End, b: &End) -> Option<usize> {
+        match (a, b) {
+            (End::State(x), End::State(y)) => x.iter().zip(y).position(|(p, q)| p != q),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn run_until_fast_path_is_bit_identical_to_step() {
+        for p in [HotspotParams::test(), HotspotParams::small()] {
+            let mut slow = Hotspot::new(p);
+            let mut fast = Hotspot::new(p);
+            assert!(fast.control_is_pristine());
+            let mut fuel = Fuel::new(u64::MAX);
+            // A partial run to an interior step, then to the end: both the
+            // Continue and the Done exit of the pass.
+            let mid = p.iterations / 2;
+            assert_eq!(fast.run_until(mid, &mut fuel), StepOutcome::Continue);
+            for _ in 0..mid {
+                slow.step();
+            }
+            assert_eq!(state_digest(&slow), state_digest(&fast), "mid-run divergence");
+            assert_eq!(fast.run_until(usize::MAX, &mut fuel), StepOutcome::Done);
+            while slow.step() == StepOutcome::Continue {}
+            assert_eq!(state_digest(&slow), state_digest(&fast), "final state divergence");
+            assert!(fast.control_is_pristine());
+            assert_eq!(u64::MAX - fuel.remaining(), p.iterations as u64, "one fuel unit per step");
+        }
+    }
+
+    #[test]
+    fn corrupted_control_falls_back_to_the_exact_path() {
+        let _quiet = carolfi::panic_guard::silence_panics();
+        let p = HotspotParams::test();
+        // Each gate field of one thread, and the pointer base (which makes
+        // both paths crash reading past the grid).
+        type Corruption = (&'static str, fn(&mut Hotspot));
+        let corruptions: [Corruption; 5] = [
+            ("tid_local", |h| h.ctrl[3].tid_local = 4),
+            ("nthreads_local", |h| h.ctrl[3].nthreads_local = 17),
+            ("rows_local", |h| h.ctrl[3].rows_local = 47),
+            ("cols_local", |h| h.ctrl[3].cols_local = 47),
+            ("ptr_temp", |h| h.ptr_temp = 1),
+        ];
+        for (name, corrupt) in corruptions {
+            let mut h = Hotspot::new(p);
+            h.run_until(5, &mut Fuel::new(u64::MAX));
+            corrupt(&mut h);
+            assert!(!h.control_is_pristine(), "{name}");
+            let (fast, slow) = (finish(h.clone(), true), finish(h, false));
+            assert!(fast == slow, "{name}: first difference at {:?}", first_difference(&fast, &slow));
+        }
+    }
+
+    #[test]
+    fn dead_control_fields_stay_on_the_fast_pass() {
+        let p = HotspotParams::test();
+        let mut h = Hotspot::new(p);
+        h.run_until(5, &mut Fuel::new(u64::MAX));
+        let c = &mut h.ctrl[3];
+        (c.row_start, c.row_end, c.idx_scratch, c.gr_scratch) = (999, 0, u64::MAX, 7);
+        (c.t_scratch, c.top_scratch, c.left_scratch, c.delta_scratch) = (f32::NAN, -0.0, f32::INFINITY, 1e30);
+        // Only incremented, so it wraps alike on both paths.
+        c.iter_local = u64::MAX;
+        assert!(h.control_is_pristine());
+        let (fast, slow) = (finish(h.clone(), true), finish(h, false));
+        assert!(fast == slow, "first difference at {:?}", first_difference(&fast, &slow));
+    }
+
+    #[test]
+    fn special_values_stay_on_the_fast_pass_and_match() {
+        // Each case has one source of NaNs. Where two NaNs with different
+        // payloads meet in one operation, which payload survives is left open
+        // by the language, and the exact path's own debug and release builds
+        // already keep different ones; one fault makes one source, and no
+        // record field reads a payload.
+        let p = HotspotParams::test();
+        let nan = f32::from_bits(0x7fc0_1234);
+        let mut base = Hotspot::new(p);
+        base.run_until(3, &mut Fuel::new(u64::MAX));
+        // At corners, edges and inside: a NaN with a payload, −0.0 and
+        // subnormals; then both infinities side by side, whose sum is the
+        // default NaN.
+        let nan_cells = [(0, nan), (100, -0.0), (1000, f32::from_bits(1)), (2303, nan), (700, f32::from_bits(0x8000_0fff))];
+        let inf_cells = [(50, f32::INFINITY), (51, f32::NEG_INFINITY), (100, -0.0), (1000, f32::from_bits(1))];
+        let grids: [fn(&mut Hotspot, usize, f32); 3] =
+            [|h, i, v| h.t_src[i] = v, |h, i, v| h.t_dst[i] = v, |h, i, v| h.power[i] = v];
+        for (g, set) in grids.into_iter().enumerate() {
+            for cells in [&nan_cells[..], &inf_cells[..]] {
+                let mut h = base.clone();
+                for &(i, v) in cells {
+                    set(&mut h, i, v);
+                }
+                assert!(h.control_is_pristine());
+                let (fast, slow) = (finish(h.clone(), true), finish(h, false));
+                assert!(fast == slow, "grid {g}: first difference at {:?}", first_difference(&fast, &slow));
+            }
+        }
+        let consts: [fn(&mut Consts); 6] = [
+            |k| k.amb = -0.0,
+            |k| k.rz_1 = f32::from_bits(3),
+            |k| k.rx_1 = f32::INFINITY,
+            |k| k.ry_1 = f32::NEG_INFINITY,
+            |k| k.step_div_cap = f32::from_bits(0x7fc0_1234),
+            |k| k.amb = f32::from_bits(0xffc0_0042),
+        ];
+        for (i, set) in consts.into_iter().enumerate() {
+            let mut h = base.clone();
+            set(&mut h.consts);
+            assert!(h.control_is_pristine());
+            let (fast, slow) = (finish(h.clone(), true), finish(h, false));
+            assert!(fast == slow, "constant {i}: first difference at {:?}", first_difference(&fast, &slow));
+        }
+    }
+
+    proptest::proptest! {
+        /// One flipped bit of any variable, at any step boundary, under
+        /// thread layouts that divide the rows, do not, or outnumber them
+        /// (so some stripes are empty): `run_until` and a `step()` loop end
+        /// in the same state, or panic alike.
+        #[test]
+        fn fast_pass_matches_step_after_any_single_bit_flip(
+            threads in proptest::sample::select(vec![16usize, 7, 64]),
+            boundary in 0usize..20,
+            var: u64,
+            elem: u64,
+            bit: u64
+        ) {
+            let _quiet = carolfi::panic_guard::silence_panics();
+            let mut h = Hotspot::new(HotspotParams { logical_threads: threads, ..HotspotParams::test() });
+            for _ in 0..boundary {
+                h.step();
+            }
+            let flipped = {
+                let mut vars = h.variables();
+                let n = vars.len() as u64;
+                let v = &mut vars[(var % n) as usize];
+                let e = (elem % v.elem_count() as u64) as usize;
+                let b = (bit % (8 * v.elem_size) as u64) as usize;
+                v.bytes[e * v.elem_size + b / 8] ^= 1 << (b % 8);
+                format!("{}[{e}] bit {b}", v.info.name)
+            };
+            let (fast, slow) = (finish(h.clone(), true), finish(h, false));
+            proptest::prop_assert!(
+                fast == slow,
+                "{threads} threads, {flipped} at step {boundary}: first difference at {:?}",
+                first_difference(&fast, &slow)
+            );
+        }
     }
 
     #[test]

@@ -100,6 +100,12 @@ pub fn build(bench: Benchmark, size: SizeClass) -> Box<dyn FaultTarget> {
 }
 
 /// Runs a fault-free instance to completion and returns the golden output.
+///
+/// It steps with `step()`, the exact path, never `run_until`: kernels
+/// specialise `run_until` with fast passes taken while the control state is
+/// pristine (DGEMM's panel loop, HotSpot's single sweep), which every
+/// fault-free trial runs, so each such trial's output is checked against an
+/// independent run of the exact path.
 pub fn golden(bench: Benchmark, size: SizeClass) -> Output {
     let mut t = build(bench, size);
     while t.step() == StepOutcome::Continue {}

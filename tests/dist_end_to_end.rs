@@ -18,6 +18,7 @@ use phi_reliability::store::journal::FORMAT_VERSION;
 use phi_reliability::store::{CampaignMeta, Journal, ShardProgress};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 const B: Benchmark = Benchmark::Hotspot;
@@ -54,6 +55,25 @@ fn runner() -> impl FnMut(u64) -> String {
         let mut target = build(B, SizeClass::Test);
         let (record, _) = execute_trial(B.label(), &mut target, &g, &cfg, total_steps, global as usize);
         serde_json::to_string(&record).expect("trial records serialize")
+    }
+}
+
+/// Wraps `run` so that its first call waits until the first calls of both
+/// executors' runners have arrived (`started` counts them), or 10 s pass.
+fn held_until_both_start(
+    mut run: impl FnMut(u64) -> String,
+    started: Arc<(Mutex<usize>, Condvar)>,
+) -> impl FnMut(u64) -> String {
+    let mut first = true;
+    move |global| {
+        if std::mem::take(&mut first) {
+            let (count, arrived) = &*started;
+            let mut n = count.lock().unwrap();
+            *n += 1;
+            arrived.notify_all();
+            drop(arrived.wait_timeout_while(n, Duration::from_secs(10), |n| *n < 2).unwrap());
+        }
+        run(global)
     }
 }
 
@@ -121,12 +141,20 @@ fn crashed_coordinator_and_dead_executor_resume_to_the_single_host_aggregate() {
     }
 
     // Two healthy executors, found through the address file so they follow
-    // the coordinator across its restart.
+    // the coordinator across its restart. Each holds its first trial until
+    // the other has leased a shard too: a trial takes less time than an
+    // executor thread takes to start and connect, so without the hold one
+    // executor could stream the 15 trials to the crash before the other
+    // asked for work, and the second incarnation grants whoever reconnects
+    // first. The hold times out, so an executor the coordinator never
+    // serves still fails the lease check below.
+    let started = Arc::new((Mutex::new(0usize), Condvar::new()));
     let executors: Vec<_> = ["ex-a", "ex-b"]
         .into_iter()
         .map(|name| {
             let ecfg = ExecutorConfig::new(name, root.join(name), ConnectTarget::File(addr_file.clone()));
-            std::thread::spawn(move || run_executor(&ecfg, |_, _| runner()).unwrap())
+            let started = Arc::clone(&started);
+            std::thread::spawn(move || run_executor(&ecfg, |_, _| held_until_both_start(runner(), started)).unwrap())
         })
         .collect();
 

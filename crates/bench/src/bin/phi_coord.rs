@@ -3,13 +3,13 @@
 //! One binary, two roles (DESIGN.md §14):
 //!
 //! ```text
-//! # Coordinator: owns the campaign journal, leases shard ranges out.
+//! # Coordinator: owns the campaign journal, sends executors the trials.
 //! phi-coord --listen <addr> --store <journal-dir> --benchmark <label>
 //!           [--trials N] [--seed N] [--size test|small|paper] [--shards N]
 //!           [--resume] [--addr-file <path>] [--lease-timeout-ms N]
 //!           [--monitor <socket>]
 //!
-//! # Executor: computes leased ranges, streams trial records back.
+//! # Executor: computes each trial it is sent, answers with its record.
 //! phi-coord --executor --name <id>
 //!           (--connect <addr> | --connect-file <path>) [--throttle-ms N]
 //! ```
@@ -17,24 +17,26 @@
 //! The coordinator binds `--listen` (use port 0 for an ephemeral port),
 //! writes the resolved address to `--addr-file` (atomically, so executors
 //! polling the file never read a torn address), and runs until every shard
-//! of the campaign is merged and sealed. On completion it prints the
-//! deterministic result document ([`bench::render_result`]) on stdout —
-//! byte-identical to a single-host run of the same spec — and a merge
-//! summary on stderr. A SIGKILLed coordinator is restarted with `--resume`
-//! (and a fresh `--listen`): the checksummed lease ledger plus the journal
-//! bring it back mid-campaign with every granted-but-unfinished shard
-//! immediately re-dispatchable.
+//! of the campaign is journaled and sealed: one worker per shard binds an
+//! idle executor and sends it each trial the journal lacks. On completion
+//! it prints the deterministic result document ([`bench::render_result`])
+//! on stdout — byte-identical to a single-host run of the same spec — and a
+//! dispatch summary on stderr. A SIGKILLed coordinator is restarted with
+//! `--resume` (and a fresh `--listen`): like every stored campaign it
+//! resumes from the journal, and its bindings died with its connections.
 //!
 //! Executors hold no durable state, so they take no `--store` (passing one
 //! is a usage error). The coordinator's journal is the only durable copy of
-//! a trial: a killed-and-relaunched executor (same `--name`) recomputes at
-//! most the one trial the coordinator had not yet acknowledged.
+//! a trial: a killed-and-relaunched executor (same `--name`) ends its old
+//! connection at `Hello` and recomputes at most the one trial it had not
+//! yet answered.
 //! `--connect-file` re-reads the address file on every reconnect attempt,
 //! which is how executors ride out a coordinator restart onto a new port.
 //!
 //! Distributed mode covers plain fixed-count injection specs (the paper's
-//! 90k-trial campaigns): no `--isolate`, no adaptive plan — those modes
-//! schedule trials dynamically, which contradicts range leasing.
+//! 90k-trial campaigns): no `--isolate`, no adaptive plan — an executor
+//! runs trials in process, and the coordinator dispatches the fixed shard
+//! plan.
 //!
 //! `--throttle-ms` paces each computed trial; `./ci` uses it to hold kill
 //! windows open. Exits 0 on a completed campaign, 1 on I/O or protocol
@@ -206,14 +208,14 @@ fn run_coordinator_mode(a: &Args) -> ! {
     ccfg.resume = a.resume;
     ccfg.lease_timeout = Duration::from_millis(a.lease_timeout_ms);
     // Undocumented test hook for ./ci's crash drill: abandon (as a SIGKILL
-    // would) after merging this many trials.
+    // would) once this many trials are journaled.
     if std::env::var("PHI_COORD_STOP_AFTER").is_ok() {
         ccfg.stop_after_merged = Some(positive_env("PHI_COORD_STOP_AFTER", 1) as u64);
     }
 
     let summary = run_coordinator(listener, &ccfg).unwrap_or_else(|e| fatal(format!("coordinator: {e}")));
     eprintln!(
-        "phi-coord: merged {} trials ({} duplicates dropped), {} leases granted, {} expired, {} re-dispatched",
+        "phi-coord: merged {} trials ({} re-sent), {} leases granted, {} expired, {} re-dispatched",
         summary.merged, summary.duplicates, summary.leases_granted, summary.leases_expired, summary.redispatched
     );
     if summary.abandoned {
@@ -260,10 +262,7 @@ fn run_executor_mode(a: &Args) -> ! {
         move |global: u64| serde_json::to_string(&run(global as usize, 0)).expect("trial records serialize")
     })
     .unwrap_or_else(|e| fatal(format!("{e}")));
-    eprintln!(
-        "phi-coord: executor {name} done: {} computed, {} streamed over {} leases",
-        summary.computed, summary.streamed, summary.leases
-    );
+    eprintln!("phi-coord: executor {name} done: {} trials computed", summary.computed);
     std::process::exit(0);
 }
 

@@ -17,6 +17,6 @@ fn trial_runner_records_exactly_one_golden_span() {
         run(trial, 0);
     }
     obs::uninstall();
-    let goldens = rec.histograms().into_iter().find(|h| h.name == "golden").map_or(0, |h| h.count);
+    let goldens = rec.snapshot().hists.get("golden").map_or(0, |h| h.count);
     assert_eq!(goldens, 1, "one golden run per trial runner, timed under the golden span");
 }

@@ -207,8 +207,7 @@ where
     // Adaptive campaigns are always single-shard; the shard machinery still
     // validates the gapless execution sequence and checkpoint consistency.
     let meta = CampaignMeta { version: store::journal::ADAPTIVE_FORMAT_VERSION, ..kind.meta(1) };
-    let (mut writer, progress, entries) = store::open_campaign(&store_cfg.dir, &meta, store_cfg.resume)?;
-    writer.batch = store_cfg.batch;
+    let (writer, progress, entries) = store::open_campaign(&store_cfg.dir, &meta, store_cfg.resume)?;
     let sealed = progress.all_done();
     let (plans, records) = journaled_decisions(&entries, &progress)?;
     let pending = replay_decisions(planner, &plans, &records)?;

@@ -1,91 +1,76 @@
-//! Distributed campaigns: a TCP coordinator leasing shard ranges to
-//! executors, with straggler re-dispatch and crash recovery on both sides.
+//! Distributed campaigns: a TCP coordinator that runs the campaign engine's
+//! shard queue on remote executors, with straggler re-dispatch and crash
+//! recovery on both sides.
 //!
 //! The paper's campaigns (90 000+ injections) want more than one host, but a
 //! distributed run is only publishable if it is *the same experiment*: the
 //! aggregate must be bit-identical to the single-host run with the same
 //! seed. That falls out of the repo's standing invariant — a trial's global
 //! index is its RNG stream id, its fault-model selector and its position in
-//! the aggregate — so distribution reduces to *placement*, and placement
-//! can be sloppy as long as merging is strict:
+//! the aggregate — so distribution reduces to *placement*:
 //!
-//! * The **coordinator** owns the campaign journal. It leases whole
-//!   contiguous shard ranges ([`store::ShardPlan::range`]) to executors and
-//!   merges their trial streams through [`store::Importer`], which dedupes
-//!   by global trial index. Every copy of a trial is byte-identical, so
-//!   re-dispatch and replay can only waste work, never corrupt it.
+//! * The **coordinator** owns the campaign journal and drives it with the
+//!   engine's `open_journal` and `drive_shards`, one worker per shard, as a
+//!   single-host stored campaign does. A shard worker binds one idle
+//!   executor (the binding is the lease) and sends it `Run{trial}` for
+//!   every trial of the shard the journal lacks. Each returned record is
+//!   decoded, checked against the trial it answers, and journaled through
+//!   the engine's own append, checkpoint and seal. The coordinator chooses
+//!   every trial, so no second copy of one can reach the journal.
 //! * **Executors** hold no durable state. An executor is a trial server:
-//!   the spec arrives in `Welcome`, and each lease is answered by computing
-//!   and streaming global index → payload for the shard-local sequences
-//!   the merge still lacks. Under strict request/response and the
-//!   coordinator's write-through journal, a killed, relaunched or re-leased
-//!   executor recomputes at most the one trial not yet acknowledged.
-//! * Failure handling is lease-based. A lease with no traffic for
-//!   `lease_timeout` is expired and its shard re-dispatched to the next
-//!   executor that asks (straggler re-dispatch); a stale executor's frames
-//!   are answered with [`CoordMsg::Expired`] and can never write into the
-//!   journal. Lease decisions are write-ahead logged to a checksummed
-//!   [`store::LedgerWriter`] *before* the lease frame is sent, so a
-//!   SIGKILLed coordinator reopens the journal + ledger and resumes
-//!   mid-campaign with every granted-but-unfinished shard immediately
-//!   re-dispatchable.
+//!   the spec arrives in `Welcome`, and each `Run` is answered with the
+//!   record of that global index.
+//! * A binding lives only as long as its connection. A `Record` that has
+//!   not arrived `lease_timeout` after its `Run`, an I/O error or a
+//!   protocol fault drops the connection; the shard binds the next idle
+//!   executor and re-sends the same trial, so at most that one trial is
+//!   computed twice. A `Hello` under a name that still holds a connection
+//!   ends that connection at once, because the process behind it is gone.
+//!   A restarted coordinator resumes from the journal alone, like every
+//!   stored campaign.
 //!
 //! Transport is the warden's length-prefixed JSON framing ([`write_frame`]
 //! / [`read_frame`]) over `TcpStream`, with the same `MAX_FRAME` cap
-//! enforced on network reads. The protocol is strict request/response:
-//! every [`ExecutorMsg`] gets exactly one [`CoordMsg`] reply, which keeps
-//! both ends trivially restartable — any torn exchange is just a dropped
-//! connection, and reconnecting re-establishes all state from `Hello`.
-//! Both ends wait only for work: a `LeaseRequest` that cannot be granted
-//! yet is long-polled (its reply waits until a lease completes or expires
-//! or the campaign ends), and both sockets set `TCP_NODELAY`.
+//! enforced on network reads and `TCP_NODELAY` on both ends. Nothing waits
+//! on a timer: an idle executor blocks in its read until it hears `Run` or
+//! `Done`, the accept loop blocks in `accept`, and a returning coordinator
+//! wakes it with a connection of its own.
 
 use crate::monitor::{self, DistStatus};
+use crate::orchestrator::{drive_shards, open_journal, StoreConfig, StoredRun};
+use crate::record::TrialRecord;
 use crate::warden::{read_frame, write_frame};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream};
+use std::collections::{HashMap, VecDeque};
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
-use store::{
-    BatchPolicy, CampaignMeta, Importer, JournalEntry, JournalWriter, LeaseState, LedgerEntry, LedgerWriter, Offer,
-    ShardCursor, ShardPlan,
-};
+use store::CampaignMeta;
 
-/// Executor → coordinator messages. One reply each.
+/// Executor → coordinator messages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ExecutorMsg {
     /// First frame on every connection. `name` identifies the executor
-    /// across reconnects: a `Hello` expires any lease still held under the
-    /// same name, because the process that held it is gone.
+    /// across reconnects: a `Hello` ends any connection still held under
+    /// the same name, because the process that held it is gone.
     Hello { name: String, pid: u32 },
-    /// Ask for work. Answered with `Lease` or `Done`; while every unsealed
-    /// shard is leased the reply waits until one completes or expires.
-    LeaseRequest,
-    /// One trial result. `seq` is shard-local; `payload` is the
-    /// pre-serialized trial record, opaque to the coordinator.
-    Trial { lease: u64, shard: usize, seq: u64, payload: String },
-    /// The executor streamed its whole range.
-    RangeDone { lease: u64 },
+    /// The reply to `Run{trial}`: that trial's record, serialized.
+    Record { trial: u64, payload: String },
 }
 
-/// Coordinator → executor replies.
+/// Coordinator → executor messages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CoordMsg {
     /// Reply to `Hello`: campaign identity plus an opaque spec string the
     /// executor uses to build its trial runner (the bench layer puts a
     /// serialized `CampaignSpec` here; the core does not interpret it).
     Welcome { meta: CampaignMeta, spec: String },
-    /// A granted lease over shard `shard` = global trials `start..end`.
-    /// The executor streams shard-local sequences `skip..(end-start)`; the
-    /// merge already holds everything before `skip`.
-    Lease { lease: u64, shard: usize, start: u64, end: u64, skip: u64, timeout_ms: u64 },
-    /// Frame accepted.
-    Ack,
-    /// The named lease is no longer valid — abandon the range and request
-    /// a new lease. Sent to stragglers whose lease timed out.
-    Expired,
+    /// Compute global trial `trial` and answer with its `Record`.
+    Run { trial: u64 },
     /// Every shard is sealed; the campaign is complete.
     Done,
 }
@@ -94,14 +79,10 @@ fn protocol(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
 }
 
-fn lock_state(state: &Mutex<CoordState>) -> MutexGuard<'_, CoordState> {
-    state.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// After the last shard seals, the coordinator keeps answering so executors
-/// that ask for work late hear [`CoordMsg::Done`] instead of a connection
-/// reset. [`run_coordinator`] returns as soon as every connected executor
-/// has disconnected, or after this bound — whichever is first.
+/// that connect late hear [`CoordMsg::Done`] instead of a connection reset.
+/// [`run_coordinator`] returns as soon as every accepted connection has
+/// closed, or after this bound — whichever is first.
 const LINGER: Duration = Duration::from_secs(10);
 
 /// Consecutive connect/roundtrip failures an executor tolerates before
@@ -114,7 +95,7 @@ const BACKOFF_CAP: Duration = Duration::from_millis(200);
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
 pub struct CoordConfig {
-    /// Campaign journal directory (journal segments + `ledger.jsonl`).
+    /// Campaign journal directory.
     pub dir: PathBuf,
     /// Campaign identity, checked against the journal on resume.
     pub meta: CampaignMeta,
@@ -122,12 +103,12 @@ pub struct CoordConfig {
     pub spec: String,
     /// Continue an existing journal instead of demanding a fresh directory.
     pub resume: bool,
-    /// A lease with no traffic for this long is expired and its shard
-    /// re-dispatched.
+    /// A `Record` that has not arrived this long after its `Run` drops the
+    /// executor, and the trial goes to the next idle one.
     pub lease_timeout: Duration,
-    /// Test hook: abandon the coordinator (no seal, no close, writers
-    /// leaked exactly as a SIGKILL would leave them) once this many trials
-    /// merged. `None` in production.
+    /// Test hook: pause the engine once exactly this many trials are
+    /// journaled (checkpointed and synced) and drop every connection
+    /// without `Done`, as a killed coordinator would. `None` in production.
     pub stop_after_merged: Option<u64>,
 }
 
@@ -145,476 +126,374 @@ impl CoordConfig {
 }
 
 /// What a finished (or deliberately abandoned) coordinator did.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoordSummary {
-    /// Fresh trials merged into the journal this incarnation.
+    /// Trials journaled this incarnation.
     pub merged: u64,
-    /// Duplicate trials dropped by the dedupe-by-index merge.
+    /// Trials re-sent because the executor they were sent to was dropped.
     pub duplicates: u64,
+    /// Shard bindings made.
     pub leases_granted: u64,
+    /// Bindings that ended by a timeout, an I/O error, a protocol fault or
+    /// a same-name `Hello`.
     pub leases_expired: u64,
-    /// Shards granted more than once (straggler re-dispatch).
+    /// Bindings of a shard that was bound before in this incarnation, or
+    /// that held journaled trials at open.
     pub redispatched: u64,
     /// True only for the `stop_after_merged` crash-simulation hook.
     pub abandoned: bool,
 }
 
-#[derive(Debug)]
-struct LeaseInfo {
-    shard: usize,
-    executor: String,
-    last_seen: Instant,
+/// A welcomed executor's connection.
+struct Conn {
+    id: u64,
+    stream: TcpStream,
 }
 
-struct CoordState {
-    meta: CampaignMeta,
-    spec: String,
-    plan: ShardPlan,
-    importer: Importer,
-    writer: Option<JournalWriter>,
-    ledger: Option<LedgerWriter>,
-    leases: HashMap<u64, LeaseInfo>,
-    next_lease: u64,
-    sealed: Vec<bool>,
-    ever_leased: Vec<bool>,
-    lease_timeout: Duration,
-    stop_after_merged: Option<u64>,
-    executors: u64,
-    granted: u64,
-    expired: u64,
-    redispatched: u64,
-    done: bool,
-    abandoned: bool,
-    /// Signalled, with the state lock held, whenever a parked
-    /// `LeaseRequest` may have an answer (a lease completed or expired, the
-    /// campaign finished or was abandoned) and whenever a connection drops.
-    /// The accept loop waits on it too.
-    wake: Arc<Condvar>,
+struct State {
+    /// Every accepted connection not yet closed: the executor's name once
+    /// it is welcomed, and a handle that shuts the socket down.
+    open: HashMap<u64, (Option<String>, TcpStream)>,
+    /// Welcomed executors with no binding, oldest first.
+    idle: VecDeque<Conn>,
+    next_id: u64,
+    /// Per shard: bound before in this incarnation, or journaled trials at
+    /// open.
+    ever_bound: Vec<bool>,
+    bound: u64,
+    summary: CoordSummary,
+    /// Set at the last seal: until then, the end of the linger.
+    linger_until: Option<Instant>,
+    /// The coordinator is returning: connections are no longer served.
+    closing: bool,
 }
 
-impl CoordState {
-    fn dist_status(&self) -> DistStatus {
-        DistStatus {
-            executors: self.executors,
-            leases_active: self.leases.len() as u64,
-            leases_granted: self.granted,
-            leases_expired: self.expired,
-            dup_trials: self.importer.duplicates,
-            merged_trials: self.importer.accepted,
+impl State {
+    fn executors(&self) -> u64 {
+        self.open.values().filter(|(name, _)| name.is_some()).count() as u64
+    }
+}
+
+struct Coordinator<'a> {
+    cfg: &'a CoordConfig,
+    state: Mutex<State>,
+    /// Signalled when an executor turns idle and when a connection closes.
+    changed: Condvar,
+}
+
+impl Coordinator<'_> {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn publish(&self, st: &State) {
+        monitor::dist_update(DistStatus {
+            executors: st.executors(),
+            leases_active: st.bound,
+            leases_granted: st.summary.leases_granted,
+            leases_expired: st.summary.leases_expired,
+            dup_trials: st.summary.duplicates,
+            merged_trials: st.summary.merged,
+        });
+    }
+
+    /// Closes connection `id` if it is still open: shuts its socket down, so
+    /// a thread blocked reading it returns, and forgets it.
+    fn close(&self, st: &mut State, id: u64) {
+        if let Some((_, stream)) = st.open.remove(&id) {
+            let _ = stream.shutdown(Shutdown::Both);
+            st.idle.retain(|conn| conn.id != id);
+            self.changed.notify_all();
         }
     }
 
-    fn publish(&self) {
-        monitor::dist_update(self.dist_status());
-    }
-
-    fn ledger_mut(&mut self) -> std::io::Result<&mut LedgerWriter> {
-        self.ledger.as_mut().ok_or_else(|| protocol("coordinator ledger already retired"))
-    }
-
-    /// Expires one lease: removes it and write-ahead logs the decision.
-    fn expire(&mut self, lease: u64) -> std::io::Result<()> {
-        if self.leases.remove(&lease).is_none() {
-            return Ok(());
+    /// Accepts connections until the coordinator returns, each handshake on
+    /// a thread of its own.
+    fn accept<'s>(&'s self, scope: &'s Scope<'s, '_>, listener: &TcpListener) {
+        loop {
+            let accepted = listener.accept();
+            let mut st = self.lock();
+            if st.closing {
+                return;
+            }
+            let stream = match accepted {
+                Ok((stream, _)) => stream,
+                // A connection reset before it was accepted costs nothing;
+                // anything else (out of descriptors) pauses the next try.
+                Err(e) => {
+                    if !store::is_transient(&e) {
+                        drop(st);
+                        std::thread::sleep(BACKOFF_CAP);
+                    }
+                    continue;
+                }
+            };
+            let Ok(handle) = stream.try_clone() else { continue };
+            let id = st.next_id;
+            st.next_id += 1;
+            st.open.insert(id, (None, handle));
+            drop(st);
+            scope.spawn(move || self.welcome(id, stream));
         }
-        self.ledger_mut()?.append(&LedgerEntry::Expired { lease })?;
-        self.expired += 1;
-        obs::incr("dist/leases_expired", 1);
-        self.wake.notify_all();
-        Ok(())
     }
 
-    /// Expires every lease with no traffic inside the timeout window.
-    /// Evaluated lazily at grant time, which a parked request reaches when
-    /// its wait times out at [`CoordState::next_expiry`] — no background
-    /// timer thread.
-    fn expire_stale(&mut self) -> std::io::Result<()> {
-        let timeout = self.lease_timeout;
-        let mut stale: Vec<u64> =
-            self.leases.iter().filter(|(_, info)| info.last_seen.elapsed() > timeout).map(|(&id, _)| id).collect();
-        stale.sort_unstable();
-        for id in stale {
-            self.expire(id)?;
-        }
-        Ok(())
-    }
-
-    /// When the oldest lease expires unless it sees traffic first.
-    fn next_expiry(&self) -> Option<Instant> {
-        self.leases.values().map(|info| info.last_seen + self.lease_timeout).min()
-    }
-
-    /// A reconnecting executor's previous leases belong to a dead process.
-    fn expire_leases_of(&mut self, name: &str) -> std::io::Result<()> {
-        let mut held: Vec<u64> = self.leases.iter().filter(|(_, info)| info.executor == name).map(|(&id, _)| id).collect();
-        held.sort_unstable();
-        for id in held {
-            self.expire(id)?;
-        }
-        Ok(())
-    }
-
-    /// Seals `shard` in the central journal: checkpoint + `ShardDone` +
-    /// fsync. Always precedes the ledger's `Completed`, so a
-    /// ledger-completed shard is guaranteed journal-sealed.
-    fn seal_shard(&mut self, shard: usize) -> std::io::Result<()> {
-        let range = self.plan.range(shard);
-        let writer = self.writer.as_mut().ok_or_else(|| protocol("journal writer already retired"))?;
-        writer.append(&JournalEntry::Checkpoint(ShardCursor {
-            shard,
-            completed: range.len() as u64,
-            next_stream: range.end as u64,
-        }))?;
-        writer.append(&JournalEntry::ShardDone { shard })?;
-        writer.sync()?;
-        self.sealed[shard] = true;
-        obs::incr("shard/completed", 1);
-        monitor::shard_sealed(shard);
-        Ok(())
-    }
-
-    /// All shards sealed: retire the journal and declare the campaign done.
-    fn finish(&mut self) -> std::io::Result<()> {
-        if let Some(writer) = self.writer.take() {
-            writer.close()?;
-        }
-        if let Some(ledger) = self.ledger.as_mut() {
-            ledger.sync()?;
-        }
-        self.done = true;
-        monitor::complete_campaign();
-        Ok(())
-    }
-
-    /// The SIGKILL simulation: stop serving and leak the writers so no
-    /// destructor flushes or seals anything a real kill would have lost.
-    fn abandon(&mut self) {
-        self.abandoned = true;
-        if let Some(writer) = self.writer.take() {
-            std::mem::forget(writer);
-        }
-        if let Some(ledger) = self.ledger.take() {
-            std::mem::forget(ledger);
-        }
-        self.wake.notify_all();
-    }
-
-    /// A lease on the first free unsealed shard, `Done` once all are
-    /// sealed, or `None` while every unsealed shard is leased.
-    fn grant(&mut self, name: &str) -> std::io::Result<Option<CoordMsg>> {
-        self.expire_stale()?;
-        if self.sealed.iter().all(|&s| s) {
-            return Ok(Some(CoordMsg::Done));
-        }
-        let leased: Vec<usize> = self.leases.values().map(|info| info.shard).collect();
-        let Some(shard) = (0..self.plan.shards).find(|s| !self.sealed[*s] && !leased.contains(s)) else {
-            return Ok(None);
+    /// One connection's handshake. Its `Hello` is read with no lock held,
+    /// so a connection that never sends one delays nobody. The executor is
+    /// welcomed and joins the idle pool, or, after the last seal, hears
+    /// `Done` as well and is waited for until it hangs up.
+    fn welcome(&self, id: u64, mut stream: TcpStream) {
+        // `write_frame` sends the length prefix and the body as two writes;
+        // under Nagle the body would wait for the executor's delayed ACK
+        // (~40 ms) on every frame.
+        let hello = stream.set_nodelay(true).and_then(|()| read_frame::<ExecutorMsg>(&mut stream));
+        let mut st = self.lock();
+        let Ok(ExecutorMsg::Hello { name, .. }) = hello else {
+            self.close(&mut st, id);
+            return;
         };
-        let lease = self.next_lease;
-        self.next_lease += 1;
-        if self.ever_leased[shard] {
-            self.redispatched += 1;
+        if !st.open.contains_key(&id) {
+            return;
+        }
+        let held: Vec<u64> =
+            st.open.iter().filter(|(_, (held, _))| held.as_deref() == Some(name.as_str())).map(|(&old, _)| old).collect();
+        for old in held {
+            self.close(&mut st, old);
+        }
+        let welcome = CoordMsg::Welcome { meta: self.cfg.meta.clone(), spec: self.cfg.spec.clone() };
+        let timeout = self.cfg.lease_timeout.max(Duration::from_millis(1));
+        if write_frame(&mut stream, &welcome).and_then(|()| stream.set_read_timeout(Some(timeout))).is_err() {
+            self.close(&mut st, id);
+            return;
+        }
+        if let Some(entry) = st.open.get_mut(&id) {
+            entry.0 = Some(name);
+        }
+        obs::incr("dist/executors_connected", 1);
+        self.publish(&st);
+        match st.linger_until {
+            None => {
+                st.idle.push_back(Conn { id, stream });
+                self.changed.notify_all();
+            }
+            Some(deadline) => {
+                drop(st);
+                if write_frame(&mut stream, &CoordMsg::Done).is_ok() {
+                    await_hangup(&mut stream, deadline);
+                }
+                let mut st = self.lock();
+                self.close(&mut st, id);
+                self.publish(&st);
+            }
+        }
+    }
+
+    /// Binds the oldest idle executor to `shard`, waiting for one.
+    fn bind(&self, shard: usize) -> Conn {
+        let mut st = self.lock();
+        let conn = loop {
+            if let Some(conn) = st.idle.pop_front() {
+                break conn;
+            }
+            st = self.changed.wait(st).unwrap_or_else(|e| e.into_inner());
+        };
+        st.bound += 1;
+        st.summary.leases_granted += 1;
+        obs::incr("dist/leases_granted", 1);
+        if std::mem::replace(&mut st.ever_bound[shard], true) {
+            st.summary.redispatched += 1;
             obs::incr("dist/redispatched", 1);
         }
-        self.ever_leased[shard] = true;
-        // Write-ahead: the grant is durable before the lease frame exists.
-        self.ledger_mut()?.append(&LedgerEntry::Granted { lease, shard, executor: name.to_string() })?;
-        self.ledger_mut()?.sync()?;
-        self.leases.insert(lease, LeaseInfo { shard, executor: name.to_string(), last_seen: Instant::now() });
-        self.granted += 1;
-        obs::incr("dist/leases_granted", 1);
-        let range = self.plan.range(shard);
-        Ok(Some(CoordMsg::Lease {
-            lease,
-            shard,
-            start: range.start as u64,
-            end: range.end as u64,
-            skip: self.importer.next_seq(shard),
-            timeout_ms: self.lease_timeout.as_millis() as u64,
-        }))
+        self.publish(&st);
+        conn
     }
 
-    /// The reply to `msg`, or `None` when it is a `LeaseRequest` that has
-    /// no answer yet and must wait for a state change.
-    fn handle(&mut self, name: &str, msg: &ExecutorMsg) -> std::io::Result<Option<CoordMsg>> {
-        let reply = match *msg {
-            ExecutorMsg::Hello { .. } => return Err(protocol("unexpected second Hello on an established connection")),
-            ExecutorMsg::LeaseRequest => return self.grant(name),
-            ExecutorMsg::Trial { lease, shard, seq, ref payload } => {
-                // Lease validation precedes the merge: a stale executor can
-                // never advance a cursor, so it can never create a gap.
-                let Some(info) = self.leases.get_mut(&lease) else { return Ok(Some(CoordMsg::Expired)) };
-                if info.executor != name || info.shard != shard {
-                    return Err(protocol(format!("trial for shard {shard} on foreign lease {lease}")));
-                }
-                info.last_seen = Instant::now();
-                let writer = self.writer.as_mut().ok_or_else(|| protocol("journal writer already retired"))?;
-                if self.importer.offer(writer, shard, seq, payload)? == Offer::Accepted {
-                    monitor::tick(shard);
-                }
-                if let Some(cap) = self.stop_after_merged {
-                    if self.importer.accepted >= cap {
-                        self.abandon();
-                    }
-                }
-                CoordMsg::Ack
-            }
-            ExecutorMsg::RangeDone { lease } => {
-                let Some(info) = self.leases.get(&lease) else { return Ok(Some(CoordMsg::Expired)) };
-                if info.executor != name {
-                    return Err(protocol(format!("RangeDone on foreign lease {lease}")));
-                }
-                let shard = info.shard;
-                if !self.importer.range_complete(shard) {
-                    return Err(protocol(format!(
-                        "RangeDone for shard {shard} with only {} of {} trials merged",
-                        self.importer.next_seq(shard),
-                        self.plan.range(shard).len()
-                    )));
-                }
-                if !self.sealed[shard] {
-                    self.seal_shard(shard)?;
-                }
-                self.ledger_mut()?.append(&LedgerEntry::Completed { lease, shard })?;
-                self.ledger_mut()?.sync()?;
-                self.leases.remove(&lease);
-                if self.sealed.iter().all(|&s| s) {
-                    self.finish()?;
-                }
-                self.wake.notify_all();
-                CoordMsg::Ack
-            }
+    /// After the last seal: every idle executor hears `Done`, and the
+    /// coordinator lingers until every accepted connection has closed or
+    /// [`LINGER`] ends, answering late `Hello`s with `Welcome` and `Done`.
+    /// A connection whose `Hello` is still on its way counts: an executor
+    /// that connected in time is answered, not reset.
+    fn finish(&self) {
+        let deadline = Instant::now() + LINGER;
+        let mut idle = {
+            let mut st = self.lock();
+            st.linger_until = Some(deadline);
+            std::mem::take(&mut st.idle)
         };
-        Ok(Some(reply))
+        for conn in &mut idle {
+            let _ = write_frame(&mut conn.stream, &CoordMsg::Done);
+        }
+        for mut conn in idle {
+            await_hangup(&mut conn.stream, deadline);
+            let mut st = self.lock();
+            self.close(&mut st, conn.id);
+            self.publish(&st);
+        }
+        let mut st = self.lock();
+        while !st.open.is_empty() && Instant::now() < deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            st = self.changed.wait_timeout(st, left).unwrap_or_else(|e| e.into_inner()).0;
+        }
+    }
+}
+
+/// Reads until the peer hangs up or `deadline` passes.
+fn await_hangup(stream: &mut TcpStream, deadline: Instant) {
+    let mut sink = [0u8; 64];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        if matches!(stream.read(&mut sink), Ok(0) | Err(_)) {
+            return;
+        }
+    }
+}
+
+/// One shard's binding: the executor its trials go to, bound at the shard's
+/// first trial and again after each drop. Dropping it, when the shard's task
+/// ends, returns the executor to the idle pool.
+struct Binding<'c, 'a> {
+    coord: &'c Coordinator<'a>,
+    shard: usize,
+    conn: Option<Conn>,
+}
+
+impl Binding<'_, '_> {
+    fn run(&mut self, trial: usize) -> TrialRecord {
+        let (coord, shard) = (self.coord, self.shard);
+        loop {
+            let conn = self.conn.get_or_insert_with(|| coord.bind(shard));
+            let answer = round_trip(conn, trial);
+            let mut st = coord.lock();
+            match answer {
+                Ok(record) => {
+                    st.summary.merged += 1;
+                    obs::incr("dist/merged_trials", 1);
+                    coord.publish(&st);
+                    return record;
+                }
+                Err(_) => {
+                    let id = conn.id;
+                    self.conn = None;
+                    st.bound -= 1;
+                    st.summary.leases_expired += 1;
+                    st.summary.duplicates += 1;
+                    obs::incr("dist/leases_expired", 1);
+                    obs::incr("dist/dup_trials", 1);
+                    coord.close(&mut st, id);
+                    coord.publish(&st);
+                }
+            }
+        }
+    }
+}
+
+impl Drop for Binding<'_, '_> {
+    fn drop(&mut self) {
+        let Some(conn) = self.conn.take() else { return };
+        let mut st = self.coord.lock();
+        st.bound -= 1;
+        if st.open.contains_key(&conn.id) {
+            st.idle.push_back(conn);
+            self.coord.changed.notify_all();
+        }
+        self.coord.publish(&st);
+    }
+}
+
+/// Sends `Run{trial}` and reads its `Record` within the socket's read
+/// timeout, the lease timeout. The record must answer `trial`, decode, and
+/// carry `trial` itself.
+fn round_trip(conn: &mut Conn, trial: usize) -> std::io::Result<TrialRecord> {
+    write_frame(&mut conn.stream, &CoordMsg::Run { trial: trial as u64 })?;
+    let ExecutorMsg::Record { trial: answered, payload } = read_frame(&mut conn.stream)? else {
+        return Err(protocol(format!("expected the Record of trial {trial}")));
+    };
+    if answered != trial as u64 {
+        return Err(protocol(format!("Record of trial {answered} in reply to the Run of trial {trial}")));
+    }
+    let record: TrialRecord = {
+        let _span = obs::span!("record.decode");
+        serde_json::from_str(&payload)
+    }
+    .map_err(|e| protocol(format!("trial {trial}: bad record: {e}")))?;
+    if record.trial != trial {
+        return Err(protocol(format!("the record sent for trial {trial} carries trial {}", record.trial)));
+    }
+    Ok(record)
+}
+
+/// Ends every connection when [`run_coordinator`]'s drive is over, however
+/// it ends: no more connections are served, every socket still open is
+/// shut down (without `Done` unless [`Coordinator::finish`] sent it), and
+/// the accept loop is woken by a connection of its own so it can return.
+struct Teardown<'c, 'a>(&'c Coordinator<'a>, SocketAddr);
+
+impl Drop for Teardown<'_, '_> {
+    fn drop(&mut self) {
+        let Teardown(coord, mut addr) = *self;
+        let mut st = coord.lock();
+        st.closing = true;
+        let open: Vec<u64> = st.open.keys().copied().collect();
+        for id in open {
+            coord.close(&mut st, id);
+        }
+        coord.publish(&st);
+        drop(st);
+        if addr.ip().is_unspecified() {
+            addr.set_ip(if addr.is_ipv4() { [127, 0, 0, 1].into() } else { std::net::Ipv6Addr::LOCALHOST.into() });
+        }
+        let _ = TcpStream::connect(addr);
     }
 }
 
 /// Runs the coordinator until every shard is sealed (or the
 /// `stop_after_merged` crash hook fires). Takes a bound listener so callers
 /// control address selection — the `phi-coord` binary binds `--listen` and
-/// writes the resolved address to `--addr-file` before calling this.
+/// writes the resolved address to `--addr-file` before calling this. Every
+/// thread it starts has ended when it returns.
 pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Result<CoordSummary> {
-    // The coordinator never parses trial payloads: it merges them as
-    // opaque bytes.
-    let (mut writer, progress, _) = store::open_campaign(&cfg.dir, &cfg.meta, cfg.resume)?;
-    // Write-through: a trial's line reaches the OS before its `Ack` is
-    // sent, so a SIGKILLed (or abandoned) coordinator never loses a trial
-    // it acknowledged. Seals still fsync.
-    writer.batch = BatchPolicy::unbatched();
-    let (mut ledger, scan) = LedgerWriter::open(&cfg.dir)?;
-
-    // Reconcile both crash windows. (1) Every Active lease in the ledger
-    // belonged to a connection of a dead coordinator: expire it so the
-    // shard is immediately re-dispatchable. (2) A ledger-Completed shard
-    // must be journal-sealed (the seal is written first); the converse —
-    // sealed but never ledgered — needs no repair, the journal is
-    // authoritative for completion.
-    let mut carried: Vec<(u64, usize, LeaseState)> = scan.leases.iter().map(|(&id, &(shard, state))| (id, shard, state)).collect();
-    carried.sort_unstable_by_key(|&(id, _, _)| id);
-    let mut crash_expired = 0u64;
-    for (id, shard, state) in carried {
-        match state {
-            LeaseState::Active => {
-                ledger.append(&LedgerEntry::Expired { lease: id })?;
-                crash_expired += 1;
-                obs::incr("dist/leases_expired", 1);
-            }
-            LeaseState::Completed if !progress.shards[shard].done => {
-                return Err(protocol(format!(
-                    "ledger says lease {id} completed shard {shard} but the journal never sealed it"
-                )));
-            }
-            LeaseState::Completed | LeaseState::Expired => {}
-        }
-    }
-    ledger.sync()?;
-
-    let plan = ShardPlan::new(cfg.meta.trials, cfg.meta.shards);
-    let importer = Importer::new(&plan, &progress);
-    let sealed: Vec<bool> = progress.shards.iter().map(|s| s.done).collect();
-    let mut ever_leased: Vec<bool> = progress.shards.iter().map(|s| s.completed > 0 || s.done).collect();
-    for &(shard, _) in scan.leases.values() {
-        ever_leased[shard] = true;
-    }
-    monitor::begin_campaign(&cfg.meta.benchmark, "dist", &plan, &progress);
-
-    let wake = Arc::new(Condvar::new());
-    let mut state = CoordState {
-        meta: cfg.meta.clone(),
-        spec: cfg.spec.clone(),
-        plan,
-        importer,
-        writer: Some(writer),
-        ledger: Some(ledger),
-        leases: HashMap::new(),
-        next_lease: scan.next_lease,
-        sealed,
-        ever_leased,
-        lease_timeout: cfg.lease_timeout,
-        stop_after_merged: cfg.stop_after_merged,
-        executors: 0,
-        granted: 0,
-        expired: crash_expired,
-        redispatched: 0,
-        done: false,
-        abandoned: false,
-        wake: Arc::clone(&wake),
+    let store_cfg = StoreConfig {
+        shards: cfg.meta.shards,
+        resume: cfg.resume,
+        budget: cfg.stop_after_merged.map(|n| n as usize),
+        ..StoreConfig::new(&cfg.dir)
     };
-
-    // Close the seal crash-window: a shard whose whole range is merged but
-    // whose seal never hit the journal (killed between merge and seal).
-    for shard in 0..state.plan.shards {
-        if !state.sealed[shard] && state.importer.range_complete(shard) {
-            state.seal_shard(shard)?;
-        }
-    }
-    if state.sealed.iter().all(|&s| s) {
-        state.finish()?;
-        state.publish();
-        return Ok(summary_of(&state));
-    }
-    state.publish();
-
-    let shared = Arc::new(Mutex::new(state));
-    listener.set_nonblocking(true)?;
-    let mut done_since: Option<Instant> = None;
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    let _ = serve_connection(&shared, stream);
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock || store::is_transient(&e) => {}
-            Err(e) => return Err(e),
-        }
-        {
-            let st = lock_state(&shared);
-            if st.abandoned {
-                break;
-            }
-            if st.done {
-                // Linger until every connected executor has heard `Done`
-                // and hung up (they exit on it), bounded so one wedged
-                // connection can't pin a finished coordinator forever.
-                let since = *done_since.get_or_insert_with(Instant::now);
-                if st.executors == 0 || since.elapsed() >= LINGER {
-                    break;
-                }
-            }
-            // Poll for new connections every 5 ms; a dropped connection,
-            // the campaign's end or the crash hook wakes the loop at once.
-            let _woken = wake.wait_timeout(st, Duration::from_millis(5)).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-    let state = lock_state(&shared);
-    Ok(summary_of(&state))
-}
-
-fn summary_of(state: &CoordState) -> CoordSummary {
-    CoordSummary {
-        merged: state.importer.accepted,
-        duplicates: state.importer.duplicates,
-        leases_granted: state.granted,
-        leases_expired: state.expired,
-        redispatched: state.redispatched,
-        abandoned: state.abandoned,
-    }
-}
-
-/// Decrements the connected-executor gauge however the connection ends.
-struct ConnGuard<'a>(&'a Mutex<CoordState>);
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        let mut st = lock_state(self.0);
-        st.executors = st.executors.saturating_sub(1);
-        st.publish();
-        st.wake.notify_all();
-    }
-}
-
-/// Parks a `LeaseRequest` that has no answer yet until [`CoordState::wake`]
-/// fires, or at the latest until the oldest lease expires, so straggler
-/// re-dispatch happens on time with no traffic and no timer thread.
-fn park(st: MutexGuard<'_, CoordState>) -> MutexGuard<'_, CoordState> {
-    let wake = Arc::clone(&st.wake);
-    match st.next_expiry() {
-        Some(at) => {
-            wake.wait_timeout(st, at.saturating_duration_since(Instant::now())).unwrap_or_else(|e| e.into_inner()).0
-        }
-        None => wake.wait(st).unwrap_or_else(|e| e.into_inner()),
-    }
-}
-
-/// True once the executor behind a parked request has hung up. Under
-/// strict request/response a live executor sends nothing while it waits
-/// for its reply, so a readable end of stream means its process is gone
-/// and it must not be handed a lease.
-fn peer_gone(stream: &TcpStream) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return true;
-    }
-    let gone = match stream.peek(&mut [0u8; 1]) {
-        Ok(n) => n == 0,
-        Err(e) => !matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted),
+    let mut journal = open_journal(&store_cfg, cfg.meta.clone())?;
+    monitor::begin_campaign(&cfg.meta.benchmark, "dist", &journal.plan, &journal.progress);
+    let coord = Coordinator {
+        cfg,
+        state: Mutex::new(State {
+            open: HashMap::new(),
+            idle: VecDeque::new(),
+            next_id: 0,
+            ever_bound: journal.progress.shards.iter().map(|s| s.completed > 0 || s.done).collect(),
+            bound: 0,
+            summary: CoordSummary::default(),
+            linger_until: None,
+            closing: false,
+        }),
+        changed: Condvar::new(),
     };
-    gone || stream.set_nonblocking(false).is_err()
-}
-
-fn serve_connection(shared: &Mutex<CoordState>, mut stream: TcpStream) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
-    // `write_frame` sends the length prefix and the body as two writes;
-    // under Nagle the body would wait for the executor's delayed ACK
-    // (~40 ms) on every reply.
-    stream.set_nodelay(true)?;
-    let hello: ExecutorMsg = read_frame(&mut stream)?;
-    let ExecutorMsg::Hello { name, .. } = hello else {
-        return Err(protocol("first frame must be Hello"));
-    };
-    {
-        let mut st = lock_state(shared);
-        // An abandoned coordinator is "dead" — drop the connection cold,
-        // like the SIGKILL it simulates. A merely *done* coordinator keeps
-        // answering so late joiners hear `Done` instead of a reset.
-        if st.abandoned {
-            return Ok(());
+    coord.publish(&coord.lock());
+    let addr = listener.local_addr()?;
+    let run = std::thread::scope(|scope| {
+        let _teardown = Teardown(&coord, addr);
+        scope.spawn(|| coord.accept(scope, &listener));
+        let run = drive_shards(&mut journal, store_cfg.budget, cfg.meta.shards, &AtomicU64::new(0), |shard| {
+            let mut binding = Binding { coord: &coord, shard, conn: None };
+            move |trial| binding.run(trial)
+        });
+        if let Ok(StoredRun::Complete(_)) = run {
+            monitor::complete_campaign();
+            coord.finish();
         }
-        st.executors += 1;
-        obs::incr("dist/executors_connected", 1);
-    }
-    let _guard = ConnGuard(shared);
-    {
-        let mut st = lock_state(shared);
-        st.expire_leases_of(&name)?;
-        let welcome = CoordMsg::Welcome { meta: st.meta.clone(), spec: st.spec.clone() };
-        write_frame(&mut stream, &welcome)?;
-        st.publish();
-    }
-    loop {
-        // Blocking read with no lock held: a slow executor stalls only its
-        // own connection thread.
-        let msg: ExecutorMsg = match read_frame(&mut stream) {
-            Ok(msg) => msg,
-            Err(_) => return Ok(()), // disconnect; its leases expire on their own
-        };
-        let mut st = lock_state(shared);
-        let reply = loop {
-            if st.abandoned {
-                return Ok(());
-            }
-            if let Some(reply) = st.handle(&name, &msg)? {
-                break reply;
-            }
-            st = park(st);
-            if peer_gone(&stream) {
-                return Ok(());
-            }
-        };
-        write_frame(&mut stream, &reply)?;
-        st.publish();
-    }
+        run
+    });
+    let mut summary = coord.lock().summary.clone();
+    summary.abandoned = matches!(run?, StoredRun::Paused { .. });
+    Ok(summary)
 }
 
 /// How the executor finds the coordinator. `File` is re-read on every
@@ -668,11 +547,8 @@ impl ExecutorConfig {
 /// What one executor run did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecutorSummary {
-    /// Trials computed.
+    /// Trials computed, each in reply to one `Run`.
     pub computed: u64,
-    /// Trial frames the coordinator accepted.
-    pub streamed: u64,
-    pub leases: u64,
 }
 
 /// Deterministic capped exponential backoff for reconnect attempts. No
@@ -680,11 +556,6 @@ pub struct ExecutorSummary {
 fn connect_backoff(failures: u32) -> Duration {
     let ms = 10u64.saturating_mul(1u64 << failures.min(5));
     Duration::from_millis(ms).min(BACKOFF_CAP)
-}
-
-fn roundtrip(stream: &mut TcpStream, msg: &ExecutorMsg) -> std::io::Result<CoordMsg> {
-    write_frame(stream, msg)?;
-    read_frame(stream)
 }
 
 /// Runs one executor until the coordinator reports the campaign done.
@@ -730,7 +601,8 @@ where
             }
         };
         stream.set_nodelay(true).ok();
-        let welcome = match roundtrip(&mut stream, &ExecutorMsg::Hello { name: cfg.name.clone(), pid }) {
+        let hello = ExecutorMsg::Hello { name: cfg.name.clone(), pid };
+        let welcome = match write_frame(&mut stream, &hello).and_then(|()| read_frame(&mut stream)) {
             Ok(reply) => reply,
             Err(e) => {
                 fail(&mut failures, "hello", e)?;
@@ -752,42 +624,26 @@ where
         failures = 0;
         let runner_ref = runner.as_mut().expect("runner built on first Welcome");
 
-        'request: loop {
-            let (lease, shard, start, end, skip) = match roundtrip(&mut stream, &ExecutorMsg::LeaseRequest) {
-                Ok(CoordMsg::Lease { lease, shard, start, end, skip, .. }) => (lease, shard, start, end, skip),
+        // Idle until the coordinator binds this executor to a shard: the
+        // read blocks until the next `Run`, or `Done`.
+        loop {
+            let trial = match read_frame(&mut stream) {
+                Ok(CoordMsg::Run { trial }) => trial,
                 Ok(CoordMsg::Done) => return Ok(summary),
-                Ok(other) => return Err(protocol(format!("unexpected reply to LeaseRequest: {other:?}"))),
+                Ok(other) => return Err(protocol(format!("unexpected frame from the coordinator: {other:?}"))),
                 Err(e) => {
-                    fail(&mut failures, "lease request", e)?;
+                    fail(&mut failures, "run", e)?;
                     continue 'reconnect;
                 }
             };
-            summary.leases += 1;
-            // The merge already holds every sequence before `skip`.
-            for seq in skip..end - start {
-                let payload = runner_ref(start + seq);
-                summary.computed += 1;
-                if !cfg.throttle.is_zero() {
-                    std::thread::sleep(cfg.throttle);
-                }
-                match roundtrip(&mut stream, &ExecutorMsg::Trial { lease, shard, seq, payload }) {
-                    Ok(CoordMsg::Ack) => summary.streamed += 1,
-                    // A straggler told to stand down asks for fresh work.
-                    Ok(CoordMsg::Expired) => continue 'request,
-                    Ok(other) => return Err(protocol(format!("unexpected reply to Trial: {other:?}"))),
-                    Err(e) => {
-                        fail(&mut failures, "trial", e)?;
-                        continue 'reconnect;
-                    }
-                }
+            let payload = runner_ref(trial);
+            summary.computed += 1;
+            if !cfg.throttle.is_zero() {
+                std::thread::sleep(cfg.throttle);
             }
-            match roundtrip(&mut stream, &ExecutorMsg::RangeDone { lease }) {
-                Ok(CoordMsg::Ack | CoordMsg::Expired) => {}
-                Ok(other) => return Err(protocol(format!("unexpected reply to RangeDone: {other:?}"))),
-                Err(e) => {
-                    fail(&mut failures, "range done", e)?;
-                    continue 'reconnect;
-                }
+            if let Err(e) = write_frame(&mut stream, &ExecutorMsg::Record { trial, payload }) {
+                fail(&mut failures, "record", e)?;
+                continue 'reconnect;
             }
         }
     }
@@ -796,7 +652,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{CampaignConfig, Injection};
+    use crate::orchestrator::TrialKind;
+    use crate::record::DueKind;
     use std::path::Path;
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
     use store::{Journal, ShardProgress};
 
     fn tmp(name: &str) -> PathBuf {
@@ -817,27 +678,97 @@ mod tests {
         }
     }
 
-    fn payload_for(global: u64) -> String {
-        format!("{{\"trial\":{global},\"fingerprint\":{}}}", global.wrapping_mul(0x9e37_79b9))
+    /// The record of global trial `trial`: every field fixed by the index,
+    /// as a quarantined trial's record is.
+    fn payload_for(trial: u64) -> String {
+        let cfg = CampaignConfig { seed: 42, ..Default::default() };
+        let record = Injection::new("victim", &cfg).synth_due(8, trial as usize, DueKind::Killed);
+        serde_json::to_string(&record).unwrap()
     }
 
-    fn scan_payloads(dir: &Path, shards: usize) -> Vec<String> {
+    fn canonical(trials: u64) -> Vec<String> {
+        (0..trials).map(payload_for).collect()
+    }
+
+    /// The journal's records in trial order; every shard must be sealed.
+    fn journaled(dir: &Path, shards: usize) -> Vec<String> {
         let scan = Journal::scan(dir).unwrap();
         let progress = ShardProgress::replay(shards, &scan.entries).unwrap();
         assert!(progress.all_done(), "journal not fully sealed");
         progress.shards.iter().flat_map(|s| s.payloads.clone()).collect()
     }
 
-    #[test]
-    fn single_executor_drains_the_campaign() {
-        let root = tmp("single");
+    fn start(cfg: CoordConfig) -> (String, JoinHandle<CoordSummary>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let cfg = CoordConfig::new(root.join("coord"), meta(10, 3), "spec-blob");
-        let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
+        (addr, std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap()))
+    }
 
+    /// A scripted executor speaking raw frames. Reads that get no frame
+    /// fail after 5 s instead of hanging the test.
+    struct Raw(TcpStream);
+
+    impl Raw {
+        fn connect(addr: &str) -> Raw {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream.set_nodelay(true).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            Raw(stream)
+        }
+
+        fn hello(addr: &str, name: &str) -> Raw {
+            let mut raw = Raw::connect(addr);
+            raw.send(&ExecutorMsg::Hello { name: name.into(), pid: 1 });
+            let CoordMsg::Welcome { .. } = raw.next() else { panic!("expected Welcome") };
+            raw
+        }
+
+        fn send(&mut self, msg: &ExecutorMsg) {
+            write_frame(&mut self.0, msg).unwrap();
+        }
+
+        fn next(&mut self) -> CoordMsg {
+            read_frame(&mut self.0).unwrap()
+        }
+
+        fn run(&mut self) -> u64 {
+            match self.next() {
+                CoordMsg::Run { trial } => trial,
+                other => panic!("expected a Run, got {other:?}"),
+            }
+        }
+
+        fn answer(&mut self, trial: u64) {
+            self.send(&ExecutorMsg::Record { trial, payload: payload_for(trial) });
+        }
+
+        /// Answers every `Run` until `Done`.
+        fn serve(&mut self) -> Vec<u64> {
+            let mut served = Vec::new();
+            loop {
+                match self.next() {
+                    CoordMsg::Run { trial } => {
+                        self.answer(trial);
+                        served.push(trial);
+                    }
+                    CoordMsg::Done => return served,
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+
+        /// True once the coordinator has closed this connection.
+        fn dropped(&mut self) -> bool {
+            matches!(self.0.read(&mut [0u8; 1]), Ok(0) | Err(_))
+        }
+    }
+
+    #[test]
+    fn one_executor_drains_the_campaign() {
+        let root = tmp("single");
+        let (addr, coord) = start(CoordConfig::new(root.join("coord"), meta(10, 3), "spec-blob"));
         let ecfg = ExecutorConfig::new("ex-a", root.join("ex-a"), ConnectTarget::Addr(addr));
-        let seen_spec = std::sync::Arc::new(Mutex::new(String::new()));
+        let seen_spec = Arc::new(Mutex::new(String::new()));
         let spec_probe = seen_spec.clone();
         let summary = run_executor(&ecfg, move |m, spec| {
             assert_eq!(m.trials, 10);
@@ -848,267 +779,275 @@ mod tests {
         let coord = coord.join().unwrap();
 
         assert_eq!(summary.computed, 10);
-        assert_eq!(summary.streamed, 10);
-        assert_eq!(coord.merged, 10);
-        assert_eq!(coord.duplicates, 0);
+        assert_eq!((coord.merged, coord.duplicates, coord.leases_granted), (10, 0, 3));
         assert!(!coord.abandoned);
         assert_eq!(*seen_spec.lock().unwrap(), "spec-blob");
-        let expected: Vec<String> = (0..10).map(payload_for).collect();
-        assert_eq!(scan_payloads(&root.join("coord"), 3), expected);
+        assert_eq!(journaled(&root.join("coord"), 3), canonical(10));
         assert!(!root.join("ex-a").exists(), "executors hold no durable state");
     }
 
     #[test]
-    fn straggler_lease_expires_and_its_shard_is_redispatched() {
-        let root = tmp("straggler");
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let mut cfg = CoordConfig::new(root.join("coord"), meta(6, 2), "");
-        cfg.lease_timeout = Duration::from_millis(100);
-        let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
+    fn a_silent_executor_is_dropped_at_the_lease_timeout() {
+        let root = tmp("silent");
+        let mut cfg = CoordConfig::new(root.join("coord"), meta(4, 1), "");
+        cfg.lease_timeout = Duration::from_millis(200);
+        let (addr, coord) = start(cfg);
 
-        // A straggler takes shard 0, streams one trial, then goes silent.
-        let mut slow = TcpStream::connect(&addr).unwrap();
-        let CoordMsg::Welcome { .. } = roundtrip_raw(&mut slow, &ExecutorMsg::Hello { name: "slow".into(), pid: 1 }) else {
-            panic!("expected Welcome")
-        };
-        let CoordMsg::Lease { lease: slow_lease, shard: 0, .. } = roundtrip_raw(&mut slow, &ExecutorMsg::LeaseRequest) else {
-            panic!("expected a lease on shard 0")
-        };
-        let reply = roundtrip_raw(
-            &mut slow,
-            &ExecutorMsg::Trial { lease: slow_lease, shard: 0, seq: 0, payload: payload_for(0) },
-        );
-        assert_eq!(reply, CoordMsg::Ack);
-        std::thread::sleep(Duration::from_millis(250)); // let the lease rot
-
-        // A healthy executor now drains everything, including shard 0.
-        let ecfg = ExecutorConfig::new("fast", root.join("fast"), ConnectTarget::Addr(addr));
-        let summary = run_executor(&ecfg, |_, _| payload_for).unwrap();
-        // The straggler's lease is gone; its late frame bounces.
-        let reply = roundtrip_raw(
-            &mut slow,
-            &ExecutorMsg::Trial { lease: slow_lease, shard: 0, seq: 1, payload: payload_for(1) },
-        );
-        assert_eq!(reply, CoordMsg::Expired);
-        drop(slow);
+        let mut slow = Raw::hello(&addr, "slow");
+        assert_eq!(slow.run(), 0);
+        let answered = Instant::now(); // before the coordinator sends Run 1
+        slow.answer(0);
+        assert_eq!(slow.run(), 1); // read, never answered
+        let mut fast = Raw::hello(&addr, "fast");
+        assert_eq!(fast.run(), 1, "the shard continues from its first unjournaled trial");
+        let waited = answered.elapsed();
+        assert!(waited >= Duration::from_millis(200), "dropped before the lease timeout: {waited:?}");
+        assert!(waited < Duration::from_millis(2200), "re-dispatch lagged the timeout: {waited:?}");
+        fast.answer(1);
+        assert_eq!(fast.serve(), vec![2, 3]);
+        assert!(slow.dropped());
+        drop((slow, fast));
 
         let coord = coord.join().unwrap();
-        assert_eq!(coord.merged, 6);
-        // The re-leased shard 0 came with skip=1, so the healthy executor
-        // neither recomputed nor re-streamed the straggler's trial.
-        assert_eq!(coord.duplicates, 0);
-        assert_eq!(summary.computed, 5);
-        assert_eq!(summary.streamed, 5);
-        assert!(coord.leases_expired >= 1);
-        assert!(coord.redispatched >= 1);
-        let expected: Vec<String> = (0..6).map(payload_for).collect();
-        assert_eq!(scan_payloads(&root.join("coord"), 2), expected);
+        assert_eq!((coord.merged, coord.duplicates), (4, 1));
+        assert_eq!((coord.leases_granted, coord.leases_expired, coord.redispatched), (2, 1, 1));
+        assert_eq!(journaled(&root.join("coord"), 1), canonical(4));
     }
 
     #[test]
-    fn relaunched_executor_computes_only_unmerged_trials() {
+    fn a_dead_executor_is_dropped_at_its_next_round_trip() {
+        let root = tmp("dead");
+        let mut cfg = CoordConfig::new(root.join("coord"), meta(4, 1), "");
+        cfg.lease_timeout = Duration::from_secs(60); // only a failed round trip drops an executor
+        let (addr, coord) = start(cfg);
+
+        let mut bound = Raw::hello(&addr, "bound");
+        assert_eq!(bound.run(), 0);
+        // `idle` dies while it waits for a binding; `live` queues behind it.
+        drop(Raw::hello(&addr, "idle"));
+        let mut live = Raw::hello(&addr, "live");
+        bound.answer(0);
+        assert_eq!(bound.run(), 1);
+        let died = Instant::now();
+        drop(bound); // dies mid-shard, holding trial 1
+        assert_eq!(live.run(), 1);
+        assert!(died.elapsed() < Duration::from_secs(1), "waited {:?} for a dead executor", died.elapsed());
+        live.answer(1);
+        assert_eq!(live.serve(), vec![2, 3]);
+        drop(live);
+
+        let coord = coord.join().unwrap();
+        assert_eq!((coord.merged, coord.duplicates, coord.leases_expired), (4, 2, 2));
+        assert_eq!(journaled(&root.join("coord"), 1), canonical(4));
+    }
+
+    #[test]
+    fn a_relaunched_executor_ends_its_old_binding_and_computes_only_missing_trials() {
         let root = tmp("relaunch");
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
         let mut cfg = CoordConfig::new(root.join("coord"), meta(6, 2), "");
-        cfg.lease_timeout = Duration::from_secs(60); // only the relaunch's Hello expires the lease
-        let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
+        cfg.lease_timeout = Duration::from_secs(60); // only the relaunch's Hello ends the binding
+        let (addr, coord) = start(cfg);
 
-        // Executor `x` gets two trials of shard 0 acknowledged, then dies.
-        let mut x = hello_raw(&addr, "x");
-        let CoordMsg::Lease { lease, shard: 0, start, .. } = roundtrip_raw(&mut x, &ExecutorMsg::LeaseRequest) else {
-            panic!("expected a lease on shard 0")
-        };
-        for seq in 0..2 {
-            let trial = ExecutorMsg::Trial { lease, shard: 0, seq, payload: payload_for(start + seq) };
-            assert_eq!(roundtrip_raw(&mut x, &trial), CoordMsg::Ack);
-        }
-        drop(x);
+        // The first `x` journals two trials of its shard and hangs on the
+        // third with its socket still open, as a process killed without a
+        // FIN reaching the coordinator leaves it.
+        let mut old = Raw::hello(&addr, "x");
+        let first = old.run();
+        old.answer(first);
+        assert_eq!(old.run(), first + 1);
+        old.answer(first + 1);
+        assert_eq!(old.run(), first + 2);
 
-        // Relaunched under the same name, it computes exactly what the
-        // merge lacks.
+        let relaunched = Instant::now();
         let computed = Arc::new(Mutex::new(Vec::new()));
         let probe = Arc::clone(&computed);
         let ecfg = ExecutorConfig::new("x", root.join("x"), ConnectTarget::Addr(addr));
         let summary = run_executor(&ecfg, move |_, _| {
-            move |global| {
-                probe.lock().unwrap().push(global);
-                payload_for(global)
+            move |trial| {
+                probe.lock().unwrap().push(trial);
+                payload_for(trial)
             }
         })
         .unwrap();
+        assert!(relaunched.elapsed() < Duration::from_secs(5), "the relaunch waited {:?}", relaunched.elapsed());
+        assert!(old.dropped(), "the Hello must end the old connection");
         let coord = coord.join().unwrap();
 
-        assert_eq!(*computed.lock().unwrap(), vec![2, 3, 4, 5]);
-        assert_eq!((summary.computed, summary.streamed), (4, 4));
-        assert_eq!((coord.merged, coord.duplicates), (6, 0));
-        let expected: Vec<String> = (0..6).map(payload_for).collect();
-        assert_eq!(scan_payloads(&root.join("coord"), 2), expected);
-    }
-
-    fn roundtrip_raw(stream: &mut TcpStream, msg: &ExecutorMsg) -> CoordMsg {
-        write_frame(stream, msg).unwrap();
-        read_frame(stream).unwrap()
-    }
-
-    /// A raw-protocol executor past its `Hello`. Replies that never come
-    /// fail the read after 5 s instead of hanging the test.
-    fn hello_raw(addr: &str, name: &str) -> TcpStream {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let CoordMsg::Welcome { .. } = roundtrip_raw(&mut stream, &ExecutorMsg::Hello { name: name.into(), pid: 1 }) else {
-            panic!("expected Welcome")
-        };
-        stream
-    }
-
-    /// Sends a `LeaseRequest` that cannot be granted yet and checks that it
-    /// parks: no reply (in particular no retry-later answer) within 100 ms.
-    fn park_raw(stream: &mut TcpStream) {
-        write_frame(stream, &ExecutorMsg::LeaseRequest).unwrap();
-        stream.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
-        let early = read_frame::<CoordMsg>(stream);
-        assert!(early.is_err(), "a LeaseRequest with nothing to grant must park, got {early:?}");
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut computed = computed.lock().unwrap().clone();
+        computed.sort_unstable();
+        let missing: Vec<u64> = (0..6).filter(|t| *t != first && *t != first + 1).collect();
+        assert_eq!(computed, missing);
+        assert_eq!(summary.computed, 4);
+        assert_eq!((coord.merged, coord.leases_expired), (6, 1));
+        assert_eq!(journaled(&root.join("coord"), 2), canonical(6));
     }
 
     #[test]
-    fn parked_lease_request_hears_done_when_the_last_shard_seals() {
-        let root = tmp("park-done");
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
+    fn idle_executors_hear_done_at_the_last_seal_and_late_hellos_hear_welcome_then_done() {
+        let root = tmp("done");
         let mut cfg = CoordConfig::new(root.join("coord"), meta(2, 1), "");
-        cfg.lease_timeout = Duration::from_secs(60); // no expiry can wake the parked request
-        let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
+        cfg.lease_timeout = Duration::from_secs(60);
+        let (addr, coord) = start(cfg);
 
-        let mut a = hello_raw(&addr, "a");
-        let CoordMsg::Lease { lease, shard: 0, .. } = roundtrip_raw(&mut a, &ExecutorMsg::LeaseRequest) else {
-            panic!("expected a lease on shard 0")
-        };
-        let mut b = hello_raw(&addr, "b");
-        park_raw(&mut b);
-        for seq in 0..2 {
-            let trial = ExecutorMsg::Trial { lease, shard: 0, seq, payload: payload_for(seq) };
-            assert_eq!(roundtrip_raw(&mut a, &trial), CoordMsg::Ack);
-        }
-        assert_eq!(roundtrip_raw(&mut a, &ExecutorMsg::RangeDone { lease }), CoordMsg::Ack);
+        // Accepted before `a`, `late` says Hello only after the last seal
+        // and after every welcomed executor has hung up.
+        let mut late = Raw::connect(&addr);
+        let mut a = Raw::hello(&addr, "a");
+        assert_eq!(a.run(), 0);
+        let mut idle = Raw::hello(&addr, "idle");
+        a.answer(0);
+        assert_eq!(a.run(), 1);
+        a.answer(1);
         let sealed = Instant::now();
-        assert_eq!(read_frame::<CoordMsg>(&mut b).unwrap(), CoordMsg::Done);
+        assert_eq!(idle.next(), CoordMsg::Done);
         assert!(sealed.elapsed() < Duration::from_secs(1), "Done took {:?}", sealed.elapsed());
-        drop((a, b));
+        assert_eq!(a.next(), CoordMsg::Done);
+        drop((a, idle));
+        late.send(&ExecutorMsg::Hello { name: "late".into(), pid: 1 });
+        let CoordMsg::Welcome { .. } = late.next() else { panic!("expected Welcome") };
+        assert_eq!(late.next(), CoordMsg::Done);
+        drop(late);
 
         let coord = coord.join().unwrap();
-        assert_eq!(coord.merged, 2);
-        assert_eq!(coord.leases_granted, 1);
-        assert_eq!(scan_payloads(&root.join("coord"), 1), vec![payload_for(0), payload_for(1)]);
+        assert_eq!((coord.merged, coord.leases_granted), (2, 1));
+        assert_eq!(journaled(&root.join("coord"), 1), canonical(2));
     }
 
     #[test]
-    fn parked_lease_request_takes_over_a_silent_stragglers_shard_at_expiry() {
-        let root = tmp("park-expiry");
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let mut cfg = CoordConfig::new(root.join("coord"), meta(2, 1), "");
-        cfg.lease_timeout = Duration::from_millis(200);
-        let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
-
-        // The straggler takes the only shard and goes silent. After the
-        // next request nothing else reaches the coordinator: only the
-        // parked request's own timeout can notice the lease rot.
-        let mut slow = hello_raw(&addr, "slow");
-        let asked = Instant::now();
-        let CoordMsg::Lease { lease: stale, shard: 0, .. } = roundtrip_raw(&mut slow, &ExecutorMsg::LeaseRequest) else {
-            panic!("expected a lease on shard 0")
-        };
-        let mut b = hello_raw(&addr, "b");
-        let CoordMsg::Lease { lease, shard: 0, skip: 0, .. } = roundtrip_raw(&mut b, &ExecutorMsg::LeaseRequest) else {
-            panic!("expected the straggler's shard")
-        };
-        let waited = asked.elapsed();
-        assert!(waited >= Duration::from_millis(200), "granted before the lease expired: {waited:?}");
-        assert!(waited < Duration::from_secs(2), "re-dispatch lagged the expiry: {waited:?}");
-
-        for seq in 0..2 {
-            let trial = ExecutorMsg::Trial { lease, shard: 0, seq, payload: payload_for(seq) };
-            assert_eq!(roundtrip_raw(&mut b, &trial), CoordMsg::Ack);
-        }
-        assert_eq!(roundtrip_raw(&mut b, &ExecutorMsg::RangeDone { lease }), CoordMsg::Ack);
-        assert_eq!(roundtrip_raw(&mut b, &ExecutorMsg::LeaseRequest), CoordMsg::Done);
-        let late = ExecutorMsg::Trial { lease: stale, shard: 0, seq: 0, payload: payload_for(0) };
-        assert_eq!(roundtrip_raw(&mut slow, &late), CoordMsg::Expired);
-        drop((slow, b));
-
-        let coord = coord.join().unwrap();
-        assert_eq!((coord.merged, coord.duplicates), (2, 0));
-        assert_eq!((coord.leases_granted, coord.leases_expired, coord.redispatched), (2, 1, 1));
+    fn a_connection_without_hello_delays_no_other_executor() {
+        let root = tmp("no-hello");
+        let (addr, coord) = start(CoordConfig::new(root.join("coord"), meta(2, 1), ""));
+        let mute = Raw::connect(&addr);
+        let connected = Instant::now();
+        let mut a = Raw::hello(&addr, "a");
+        assert_eq!(a.run(), 0);
+        assert!(connected.elapsed() < Duration::from_secs(1), "first Run took {:?}", connected.elapsed());
+        a.answer(0);
+        assert_eq!(a.serve(), vec![1]);
+        drop((a, mute));
+        assert_eq!(coord.join().unwrap().merged, 2);
     }
 
     #[test]
-    fn parked_request_of_a_vanished_executor_is_never_granted() {
-        let root = tmp("park-vanished");
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let mut cfg = CoordConfig::new(root.join("coord"), meta(2, 1), "");
-        cfg.lease_timeout = Duration::from_millis(300);
-        let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
-
-        let mut slow = hello_raw(&addr, "slow");
-        let CoordMsg::Lease { .. } = roundtrip_raw(&mut slow, &ExecutorMsg::LeaseRequest) else {
-            panic!("expected a lease")
-        };
-        // `gone` parks behind the straggler, then its process dies. Its
-        // request wakes when the straggler's lease rots and must drop the
-        // dead connection instead of leasing it the shard.
-        let mut gone = hello_raw(&addr, "gone");
-        park_raw(&mut gone);
-        drop(gone);
-        std::thread::sleep(Duration::from_millis(350)); // let the lease rot
-
-        let mut b = hello_raw(&addr, "b");
-        let started = Instant::now();
-        let CoordMsg::Lease { lease, shard: 0, .. } = roundtrip_raw(&mut b, &ExecutorMsg::LeaseRequest) else {
-            panic!("expected the straggler's shard")
-        };
-        assert!(started.elapsed() < Duration::from_millis(100), "the shard went to the vanished executor first");
-        for seq in 0..2 {
-            let trial = ExecutorMsg::Trial { lease, shard: 0, seq, payload: payload_for(seq) };
-            assert_eq!(roundtrip_raw(&mut b, &trial), CoordMsg::Ack);
-        }
-        assert_eq!(roundtrip_raw(&mut b, &ExecutorMsg::RangeDone { lease }), CoordMsg::Ack);
-        assert_eq!(roundtrip_raw(&mut b, &ExecutorMsg::LeaseRequest), CoordMsg::Done);
-        drop((slow, b));
-
-        let coord = coord.join().unwrap();
-        assert_eq!((coord.leases_granted, coord.leases_expired), (2, 1));
-    }
-
-    #[test]
-    fn crash_hook_abandon_drops_parked_requests() {
-        let root = tmp("park-abandon");
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
+    fn a_wrong_or_undecodable_record_drops_its_executor() {
+        let root = tmp("protocol");
         let mut cfg = CoordConfig::new(root.join("coord"), meta(4, 1), "");
         cfg.lease_timeout = Duration::from_secs(60);
-        cfg.stop_after_merged = Some(1);
-        let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
+        let (addr, coord) = start(cfg);
 
-        let mut a = hello_raw(&addr, "a");
-        let CoordMsg::Lease { lease, shard: 0, .. } = roundtrip_raw(&mut a, &ExecutorMsg::LeaseRequest) else {
-            panic!("expected a lease on shard 0")
-        };
-        let mut b = hello_raw(&addr, "b");
-        park_raw(&mut b);
-        // This merge reaches the cap: the coordinator dies as a SIGKILL
-        // would, and the parked request goes down with it.
-        let trial = ExecutorMsg::Trial { lease, shard: 0, seq: 0, payload: payload_for(0) };
-        assert_eq!(roundtrip_raw(&mut a, &trial), CoordMsg::Ack);
-        let dropped = read_frame::<CoordMsg>(&mut b).expect_err("an abandoned coordinator answers nothing");
-        assert_eq!(dropped.kind(), std::io::ErrorKind::UnexpectedEof, "{dropped}");
+        let mut other_trial = Raw::hello(&addr, "other-trial");
+        assert_eq!(other_trial.run(), 0);
+        let mut other_record = Raw::hello(&addr, "other-record");
+        let mut garbage = Raw::hello(&addr, "garbage");
+        let mut good = Raw::hello(&addr, "good");
+        other_trial.answer(1);
+        assert!(other_trial.dropped());
+        assert_eq!(other_record.run(), 0);
+        other_record.send(&ExecutorMsg::Record { trial: 0, payload: payload_for(2) });
+        assert!(other_record.dropped());
+        assert_eq!(garbage.run(), 0);
+        garbage.send(&ExecutorMsg::Record { trial: 0, payload: "{\"trial\":0}".into() });
+        assert!(garbage.dropped());
+        assert_eq!(good.serve(), vec![0, 1, 2, 3]);
+        drop(good);
 
         let coord = coord.join().unwrap();
-        assert!(coord.abandoned);
-        assert_eq!(coord.merged, 1);
+        assert_eq!((coord.merged, coord.duplicates, coord.leases_expired), (4, 3, 3));
+        assert_eq!(journaled(&root.join("coord"), 1), canonical(4));
+    }
+
+    #[test]
+    fn the_crash_hook_stops_at_exactly_n_trials_and_a_resume_completes_the_campaign() {
+        let root = tmp("crash-hook");
+        let mut cfg = CoordConfig::new(root.join("coord"), meta(8, 2), "");
+        cfg.lease_timeout = Duration::from_secs(60);
+        cfg.stop_after_merged = Some(3);
+        let (addr, coord) = start(cfg);
+
+        // Both answer every Run until their connection ends, and must
+        // never hear Done.
+        let executors: Vec<_> = ["a", "b"]
+            .into_iter()
+            .map(|name| {
+                let mut raw = Raw::hello(&addr, name);
+                std::thread::spawn(move || loop {
+                    match read_frame::<CoordMsg>(&mut raw.0) {
+                        Ok(CoordMsg::Run { trial }) => raw.answer(trial),
+                        Ok(other) => panic!("an abandoned coordinator sent {other:?}"),
+                        Err(_) => return,
+                    }
+                })
+            })
+            .collect();
+        let first = coord.join().unwrap();
+        for executor in executors {
+            executor.join().unwrap();
+        }
+        assert!(first.abandoned);
+        assert_eq!(first.merged, 3);
+        let scan = Journal::scan(&root.join("coord")).unwrap();
+        assert_eq!(ShardProgress::replay(2, &scan.entries).unwrap().completed(), 3, "exactly n trials journaled");
+
+        let mut cfg = CoordConfig::new(root.join("coord"), meta(8, 2), "");
+        cfg.resume = true;
+        let (addr, coord) = start(cfg);
+        let ecfg = ExecutorConfig::new("a", root.join("a"), ConnectTarget::Addr(addr));
+        let summary = run_executor(&ecfg, |_, _| payload_for).unwrap();
+        let second = coord.join().unwrap();
+        assert_eq!((summary.computed, second.merged), (5, 5));
+        assert!(second.redispatched >= 1, "a shard with journaled trials was bound again: {second:?}");
+        assert_eq!(journaled(&root.join("coord"), 2), canonical(8));
+    }
+
+    /// A raw executor under `name` that drops its connection, unanswered,
+    /// at a seeded `Run` and reconnects under the same name, up to four
+    /// times; it ends at `Done` or once the coordinator has closed its port.
+    fn flaky(addr: String, name: String, mut rng: u64) -> JoinHandle<()> {
+        std::thread::spawn(move || {
+            let mut drops = 0;
+            loop {
+                let Ok(stream) = TcpStream::connect(&addr) else { return };
+                let mut raw = Raw(stream);
+                raw.0.set_nodelay(true).unwrap();
+                raw.0.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                raw.send(&ExecutorMsg::Hello { name: name.clone(), pid: 1 });
+                let Ok(CoordMsg::Welcome { .. }) = read_frame::<CoordMsg>(&mut raw.0) else { return };
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let mut budget = if drops < 4 { rng % 5 } else { u64::MAX };
+                loop {
+                    match read_frame::<CoordMsg>(&mut raw.0) {
+                        Ok(CoordMsg::Run { trial }) if budget > 0 => {
+                            raw.answer(trial);
+                            budget -= 1;
+                        }
+                        Ok(CoordMsg::Run { .. }) | Err(_) => break,
+                        Ok(CoordMsg::Done) => return,
+                        Ok(other) => panic!("unexpected {other:?}"),
+                    }
+                }
+                drops += 1;
+            }
+        })
+    }
+
+    #[test]
+    fn any_drop_schedule_journals_the_canonical_records() {
+        for seed in 1..=20u64 {
+            let root = tmp(&format!("schedule-{seed}"));
+            let mut cfg = CoordConfig::new(root.join("coord"), meta(24, 3), "");
+            cfg.lease_timeout = Duration::from_secs(60);
+            let (addr, coord) = start(cfg);
+            let executors: Vec<_> = (0..3u64)
+                .map(|k| flaky(addr.clone(), format!("e{k}"), seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (k + 1)))
+                .collect();
+            let summary = coord.join().unwrap();
+            for executor in executors {
+                executor.join().unwrap();
+            }
+            assert_eq!(summary.merged, 24, "seed {seed}: {summary:?}");
+            assert_eq!(journaled(&root.join("coord"), 3), canonical(24), "seed {seed}");
+        }
     }
 }

@@ -130,8 +130,7 @@ impl CampaignProgress {
         *self.planner.lock().unwrap_or_else(|e| e.into_inner()) = Some(status);
     }
 
-    /// Publishes the distributed coordinator's lease gauges (lease-event
-    /// cadence, not per trial).
+    /// Publishes the distributed coordinator's binding gauges.
     pub fn set_dist(&self, status: DistStatus) {
         *self.dist.lock().unwrap_or_else(|e| e.into_inner()) = Some(status);
     }
@@ -299,8 +298,9 @@ pub fn planner_update(status: PlannerStatus) {
     }
 }
 
-/// Publishes the distributed coordinator's lease gauges on the current
-/// campaign. Called by the coordinator on lease events and merge batches.
+/// Publishes the distributed coordinator's binding gauges on the current
+/// campaign. Called by the coordinator on every binding, drop and
+/// journaled trial.
 pub fn dist_update(status: DistStatus) {
     if !active() {
         return;
@@ -379,23 +379,25 @@ pub struct PlannerStatus {
     pub batches: u64,
 }
 
-/// Distributed-coordinator gauges: executor population and the lease state
-/// machine's live counts. Published on lease events by the coordinator;
-/// absent for single-host campaigns.
+/// Distributed-coordinator gauges: executor population and the live counts
+/// of its shard bindings (a lease is one shard bound to one executor's
+/// connection). Published by the coordinator on every binding, drop and
+/// journaled trial; absent for single-host campaigns. Every count covers
+/// the current coordinator incarnation.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DistStatus {
-    /// Executors currently connected.
+    /// Executors currently connected and welcomed.
     pub executors: u64,
-    /// Leases granted and not yet completed or expired.
+    /// Shards bound to an executor right now.
     pub leases_active: u64,
-    /// Leases granted over the campaign's lifetime (across coordinator
-    /// incarnations).
+    /// Shard bindings made.
     pub leases_granted: u64,
-    /// Leases expired (straggler or death) and re-dispatchable.
+    /// Bindings that ended by a timeout, an I/O error, a protocol fault or
+    /// a same-name `Hello`.
     pub leases_expired: u64,
-    /// Trials dropped as duplicates by the dedupe-by-index merge.
+    /// Trials re-sent because the executor they were sent to was dropped.
     pub dup_trials: u64,
-    /// Trials accepted into the central journal.
+    /// Trials journaled.
     pub merged_trials: u64,
 }
 

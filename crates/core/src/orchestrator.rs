@@ -54,22 +54,11 @@ pub struct StoreConfig {
     /// out the campaign checkpoints and returns [`StoredRun::Paused`].
     /// `None` = run to completion.
     pub budget: Option<usize>,
-    /// Journal group-commit policy. Defaults from the environment
-    /// (`PHI_BATCH_BYTES` / `PHI_BATCH_DELAY_MS`); segment bytes are
-    /// identical under every policy, only write boundaries change.
-    pub batch: store::BatchPolicy,
 }
 
 impl StoreConfig {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        StoreConfig {
-            dir: dir.into(),
-            shards: 8,
-            resume: false,
-            checkpoint_every: 64,
-            budget: None,
-            batch: store::BatchPolicy::from_env(),
-        }
+        StoreConfig { dir: dir.into(), shards: 8, resume: false, checkpoint_every: 64, budget: None }
     }
 }
 
@@ -270,9 +259,9 @@ fn invalid(msg: String) -> std::io::Error {
 /// as many times as the campaign needs.
 pub(crate) struct OpenJournal {
     meta: CampaignMeta,
-    plan: ShardPlan,
+    pub(crate) plan: ShardPlan,
     /// Shard cursors and seals; the raw payloads are dropped once parsed.
-    progress: ShardProgress,
+    pub(crate) progress: ShardProgress,
     records: Vec<Vec<TrialRecord>>,
     /// `None` once the journal is closed: at completion, or after a failed
     /// drive.
@@ -283,8 +272,7 @@ pub(crate) struct OpenJournal {
 /// Opens (or creates) the journal for `meta`, replays shard progress and
 /// parses the surviving trial payloads ([`decode_shards`]).
 pub(crate) fn open_journal(store_cfg: &StoreConfig, meta: CampaignMeta) -> std::io::Result<OpenJournal> {
-    let (mut writer, mut progress, _) = store::open_campaign(&store_cfg.dir, &meta, store_cfg.resume)?;
-    writer.batch = store_cfg.batch;
+    let (writer, mut progress, _) = store::open_campaign(&store_cfg.dir, &meta, store_cfg.resume)?;
     let plan = ShardPlan::new(meta.trials, meta.shards);
     let records = decode_shards(plan, &mut progress)?;
     Ok(OpenJournal { meta, plan, progress, records, writer: Some(writer), checkpoint_every: store_cfg.checkpoint_every })
@@ -331,16 +319,23 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Drives the shard queue of an open journal for up to `budget` more trials
-/// (`None` = to completion): pulls shard tasks, executes trials via
-/// `run_one`, journals each record, checkpoints periodically and on stop. A
-/// pause leaves the journal checkpointed and fsynced and its writer open for
-/// the next drive; completion closes it and returns every record in trial
-/// order.
+/// (`None` = to completion): pulls shard tasks, executes trials through the
+/// shard's runner, journals each record, checkpoints periodically and on
+/// stop. A pause leaves the journal checkpointed and fsynced and its writer
+/// open for the next drive; completion closes it and returns every record
+/// in trial order.
 ///
-/// `run_one(global_trial_index) -> TrialRecord` must be pure in the trial
-/// index (this is what the determinism invariant rests on).
+/// `open_shard(shard)` returns the trial runner of one shard task, called
+/// as `run(global_trial_index) -> TrialRecord`; it is dropped when the task
+/// ends, before the shard seals. A runner must be pure in the trial index
+/// (this is what the determinism invariant rests on).
 ///
-/// Failure containment: a **panic** out of `run_one` (harness bug, warden
+/// A shard whose every trial is journaled but whose seal is missing (a crash
+/// between its last append and its seal) gets no task: it is sealed first,
+/// exactly as a finishing shard seals. A shard with an empty range (fewer
+/// trials than shards) runs no task and is never sealed.
+///
+/// Failure containment: a **panic** out of a runner (harness bug, warden
 /// infrastructure giving out) fails only its own shard — the shard
 /// checkpoints what it has, records a diagnostic and stops pulling trials,
 /// while sibling shards run to completion and seal. The run then returns an
@@ -348,15 +343,15 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// from their cursors. **I/O errors** still stop every shard: they signal a
 /// problem with the journal itself, which all shards share. Either way the
 /// journal is closed, and the campaign must be reopened from disk.
-pub(crate) fn drive_shards(
+pub(crate) fn drive_shards<R: FnMut(usize) -> TrialRecord>(
     journal: &mut OpenJournal,
     budget: Option<usize>,
     workers: usize,
     busy_ns: &AtomicU64,
-    run_one: impl Fn(usize) -> TrialRecord + Sync,
+    open_shard: impl Fn(usize) -> R + Sync,
 ) -> std::io::Result<StoredRun<Vec<TrialRecord>>> {
     let writer = journal.writer.take().ok_or_else(|| std::io::Error::other("journal is closed"))?;
-    let (plan, progress, checkpoint_every) = (journal.plan, &journal.progress, journal.checkpoint_every);
+    let (plan, checkpoint_every) = (journal.plan, journal.checkpoint_every);
     let stop = StopFlag::new();
     let spent = AtomicUsize::new(0);
     let writer = parking_lot::Mutex::new(writer);
@@ -365,6 +360,37 @@ pub(crate) fn drive_shards(
     let new_records: Vec<parking_lot::Mutex<Vec<TrialRecord>>> = (0..plan.shards).map(|_| parking_lot::Mutex::new(Vec::new())).collect();
     let sealed: Vec<AtomicBool> = (0..plan.shards).map(|_| AtomicBool::new(false)).collect();
 
+    let checkpoint = |shard: usize, completed: usize, sync: bool| -> std::io::Result<()> {
+        let cursor = ShardCursor { shard, completed: completed as u64, next_stream: (plan.range(shard).start + completed) as u64 };
+        store::retry_transient(|| {
+            let mut j = writer.lock();
+            j.append(&JournalEntry::Checkpoint(cursor))?;
+            if sync {
+                j.sync()?;
+            }
+            Ok(())
+        })
+    };
+    let seal = |shard: usize| -> std::io::Result<()> {
+        checkpoint(shard, plan.range(shard).len(), false)?;
+        store::retry_transient(|| {
+            let mut j = writer.lock();
+            j.append(&JournalEntry::ShardDone { shard })?;
+            j.sync()
+        })?;
+        sealed[shard].store(true, Ordering::Relaxed);
+        obs::incr("shard/completed", 1);
+        crate::monitor::shard_sealed(shard);
+        Ok(())
+    };
+
+    let progress = &journal.progress;
+    for shard in 0..plan.shards {
+        let len = plan.range(shard).len();
+        if !progress.shards[shard].done && len > 0 && progress.shards[shard].completed as usize == len {
+            seal(shard)?;
+        }
+    }
     let tasks: Vec<usize> = (0..plan.shards)
         .filter(|&s| !progress.shards[s].done && (progress.shards[s].completed as usize) < plan.range(s).len())
         .collect();
@@ -381,28 +407,14 @@ pub(crate) fn drive_shards(
         let range = plan.range(shard);
         let start = progress.shards[shard].completed as usize;
         obs::incr(if start == 0 { "shard/started" } else { "shard/resumed" }, 1);
-        let checkpoint = |completed: usize, sync: bool| -> std::io::Result<()> {
-            let cursor = ShardCursor {
-                shard,
-                completed: completed as u64,
-                next_stream: (range.start + completed) as u64,
-            };
-            store::retry_transient(|| {
-                let mut j = writer.lock();
-                j.append(&JournalEntry::Checkpoint(cursor))?;
-                if sync {
-                    j.sync()?;
-                }
-                Ok(())
-            })
-        };
+        let mut run_one = open_shard(shard);
         let mut completed = start;
         for (seq, trial) in range.clone().enumerate().skip(start) {
             let out_of_budget = budget.is_some_and(|b| spent.fetch_add(1, Ordering::SeqCst) >= b);
             if stop.should_stop() || out_of_budget {
                 stop.request_stop();
                 if completed > start {
-                    if let Err(e) = checkpoint(completed, true) {
+                    if let Err(e) = checkpoint(shard, completed, true) {
                         fail(e);
                     }
                 }
@@ -419,7 +431,7 @@ pub(crate) fn drive_shards(
                 Err(payload) => {
                     obs::incr("shard/panicked", 1);
                     if completed > start {
-                        if let Err(e) = checkpoint(completed, true) {
+                        if let Err(e) = checkpoint(shard, completed, true) {
                             fail(e);
                         }
                     }
@@ -453,28 +465,16 @@ pub(crate) fn drive_shards(
             if ((completed - start) as u64).is_multiple_of(checkpoint_every) {
                 // On the shard's last trial the seal below fsyncs this line
                 // with its own, before any other trial of the shard runs.
-                if let Err(e) = checkpoint(completed, completed < range.len()) {
+                if let Err(e) = checkpoint(shard, completed, completed < range.len()) {
                     fail(e);
                     return;
                 }
             }
         }
-        // Shard range exhausted: seal it.
-        let seal = (|| -> std::io::Result<()> {
-            checkpoint(completed, false)?;
-            store::retry_transient(|| {
-                let mut j = writer.lock();
-                j.append(&JournalEntry::ShardDone { shard })?;
-                j.sync()
-            })
-        })();
-        match seal {
-            Ok(()) => {
-                sealed[shard].store(true, Ordering::Relaxed);
-                obs::incr("shard/completed", 1);
-                crate::monitor::shard_sealed(shard);
-            }
-            Err(e) => fail(e),
+        // Shard range exhausted: release its runner, then seal it.
+        drop(run_one);
+        if let Err(e) = seal(shard) {
+            fail(e);
         }
     });
 
@@ -591,7 +591,7 @@ impl<T: FaultTarget, F: Fn() -> T + Sync> StoredCampaign<T, F> {
         // trials (and shards) until it dies, and all of them shut down —
         // draining their final metrics frames — before the advance returns.
         let wardens: parking_lot::Mutex<Vec<Warden>> = parking_lot::Mutex::new(Vec::new());
-        let run = drive_shards(journal, budget, self.victims.workers, &busy_ns, |trial| match executor {
+        let run_one = |trial| match executor {
             Executor::Pool(golden) => {
                 let (record, fast) = kind.run(pool, golden, total_steps, trial, 0, true);
                 fast_compares.fetch_add(fast as u64, Ordering::Relaxed);
@@ -617,7 +617,8 @@ impl<T: FaultTarget, F: Fn() -> T + Sync> StoredCampaign<T, F> {
                 }
                 record
             }
-        });
+        };
+        let run = drive_shards(journal, budget, self.victims.workers, &busy_ns, |_shard| &run_one);
         drop(wardens);
         self.victims.busy_ns += busy_ns.into_inner();
         self.victims.fast_compares += fast_compares.into_inner();
@@ -813,6 +814,35 @@ mod tests {
     }
 
     #[test]
+    fn resume_seals_a_shard_whose_trials_are_all_journaled() {
+        let g = golden();
+        let cfg = CampaignConfig { trials: 8, seed: 3, ..Default::default() };
+        let mut sc = StoreConfig::new(tmp("unsealed-shard"));
+        sc.shards = 2;
+        let kind = Injection::new("victim", &cfg);
+        let first = run_stored(&kind, Victim::new, Executor::Pool(&g), &sc).unwrap().expect_complete();
+
+        // Cut the last seal, as a crash between a shard's last append and
+        // its seal leaves the journal.
+        let segment = sc.dir.join("seg-00000.jsonl");
+        let text = std::fs::read_to_string(&segment).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        let last_seal = lines.iter().rposition(|l| l.contains("ShardDone")).unwrap();
+        lines.remove(last_seal);
+        std::fs::write(&segment, lines.iter().map(|l| format!("{l}\n")).collect::<String>()).unwrap();
+        let seals = |dir: &std::path::Path| -> Vec<bool> {
+            let scan = store::Journal::scan(dir).unwrap();
+            ShardProgress::replay(2, &scan.entries).unwrap().shards.iter().map(|s| s.done).collect()
+        };
+        assert_eq!(seals(&sc.dir).iter().filter(|&&done| done).count(), 1);
+
+        sc.resume = true;
+        let resumed = run_stored(&kind, Victim::new, Executor::Pool(&g), &sc).unwrap().expect_complete();
+        assert_same_records(&first.records, &resumed.records);
+        assert_eq!(seals(&sc.dir), vec![true, true], "the resume must seal the shard it found complete");
+    }
+
+    #[test]
     fn harness_panic_fails_only_its_shard_and_the_run_stays_resumable() {
         let _quiet = crate::panic_guard::silence_panics();
         let g = golden();
@@ -839,11 +869,13 @@ mod tests {
 
         // First pass: trial 12 (shard 1) hits a harness bug.
         let mut journal = open_journal(&sc, meta.clone()).unwrap();
-        let err = drive_shards(&mut journal, None, 3, &busy, |trial| {
-            if trial == 12 {
-                panic!("injected harness bug at trial {trial}");
+        let err = drive_shards(&mut journal, None, 3, &busy, |_shard| {
+            |trial| {
+                if trial == 12 {
+                    panic!("injected harness bug at trial {trial}");
+                }
+                run_real(trial)
             }
-            run_real(trial)
         })
         .unwrap_err();
         assert!(err.to_string().contains("shard 1"), "{err}");
@@ -861,7 +893,7 @@ mod tests {
 
         // Resume finishes the failed shard and the aggregate matches the
         // uninterrupted in-process run.
-        let records = drive_shards(&mut journal, None, 3, &busy, run_real).unwrap().expect_complete();
+        let records = drive_shards(&mut journal, None, 3, &busy, |_shard| &run_real).unwrap().expect_complete();
         assert_same_records(&reference.records, &records);
     }
 

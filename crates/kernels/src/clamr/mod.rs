@@ -33,7 +33,6 @@ pub mod tree;
 
 use crate::par::{par_for_each, static_partition};
 use carolfi::bytesview::bits_eq;
-use carolfi::fuel::Fuel;
 use carolfi::output::Output;
 use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
 
@@ -533,19 +532,6 @@ impl FaultTarget for Clamr {
 
     fn steps_executed(&self) -> usize {
         self.done
-    }
-
-    fn run_until(&mut self, step_bound: usize, fuel: &mut Fuel) -> StepOutcome {
-        // Monomorphic run-ahead loop (ZOFI-style full-speed phase): one
-        // decrement-and-branch plus a direct, inlinable step call per
-        // step — no virtual dispatch through `dyn FaultTarget`.
-        while self.done < step_bound {
-            fuel.burn(1);
-            if let StepOutcome::Done = self.step() {
-                return StepOutcome::Done;
-            }
-        }
-        StepOutcome::Continue
     }
 
     fn step(&mut self) -> StepOutcome {

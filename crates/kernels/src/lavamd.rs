@@ -293,19 +293,6 @@ impl FaultTarget for Lavamd {
         self.done
     }
 
-    fn run_until(&mut self, step_bound: usize, fuel: &mut Fuel) -> StepOutcome {
-        // Monomorphic run-ahead loop (ZOFI-style full-speed phase): one
-        // decrement-and-branch plus a direct, inlinable step call per
-        // step — no virtual dispatch through `dyn FaultTarget`.
-        while self.done < step_bound {
-            fuel.burn(1);
-            if let StepOutcome::Done = self.step() {
-                return StepOutcome::Done;
-            }
-        }
-        StepOutcome::Continue
-    }
-
     fn step(&mut self) -> StepOutcome {
         struct Item<'a> {
             ctl: &'a mut Ctrl,

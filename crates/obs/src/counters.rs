@@ -126,79 +126,6 @@ pub struct CounterRecorder {
     hists: Vec<Hist>,
 }
 
-/// Point-in-time value of one counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    pub name: &'static str,
-    pub value: u64,
-}
-
-/// Point-in-time contents of one latency histogram.
-#[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
-    pub name: &'static str,
-    pub count: u64,
-    pub sum_ns: u64,
-    pub max_ns: u64,
-    /// `(upper_bound_ns, count)` for every non-empty bucket, ascending.
-    pub buckets: Vec<(u64, u64)>,
-}
-
-impl HistogramSnapshot {
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Upper bound (ns) of the bucket containing the q-quantile
-    /// observation. Resolution is one log₂ bucket, which is plenty for
-    /// order-of-magnitude phase profiles.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for &(upper, n) in &self.buckets {
-            seen += n;
-            if seen >= target {
-                return upper;
-            }
-        }
-        self.max_ns
-    }
-
-    /// Interpolated q-percentile estimate: walks the cumulative bucket
-    /// counts to the bucket containing the target rank, then interpolates
-    /// linearly within that bucket's `[lower, upper)` range. One log₂
-    /// bucket of true resolution, but without `quantile_ns`'s systematic
-    /// round-up to the bucket edge; capped at the exact observed max.
-    pub fn percentile(&self, q: f64) -> u64 {
-        percentile_from_buckets(self.count, self.max_ns, &self.buckets, q)
-    }
-}
-
-/// Shared percentile estimator over `(upper_bound_ns, count)` log₂ buckets
-/// (ascending, non-empty). Bucket 0 (upper 1) spans exactly `[0, 1)`; every
-/// other bucket spans `[upper/2, upper)`.
-pub(crate) fn percentile_from_buckets(count: u64, max_ns: u64, buckets: &[(u64, u64)], q: f64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let target = ((count as f64) * q.clamp(0.0, 1.0)).max(1.0).min(count as f64);
-    let mut seen = 0u64;
-    for &(upper, n) in buckets {
-        let below = seen;
-        seen += n;
-        if (seen as f64) >= target {
-            let lower = if upper <= 1 { 0 } else { upper / 2 };
-            let frac = (target - below as f64) / n as f64;
-            let est = lower as f64 + frac * (upper - lower) as f64;
-            return (est as u64).min(max_ns);
-        }
-    }
-    max_ns
-}
-
 impl CounterRecorder {
     #[allow(clippy::new_without_default)]
     pub fn new() -> Self {
@@ -210,62 +137,34 @@ impl CounterRecorder {
         }
     }
 
-    /// Counters with non-zero registration, sorted by name.
-    pub fn counters(&self) -> Vec<CounterSnapshot> {
-        let mut out: Vec<CounterSnapshot> = self
-            .counter_slots
-            .snapshot()
-            .into_iter()
-            .map(|(i, name)| CounterSnapshot { name, value: self.counter_values[i].load(Ordering::Relaxed) })
-            .collect();
-        out.sort_by_key(|c| c.name);
-        out
-    }
-
-    /// Histograms with at least one registration, sorted by name.
-    pub fn histograms(&self) -> Vec<HistogramSnapshot> {
-        let mut out: Vec<HistogramSnapshot> = self
-            .hist_slots
-            .snapshot()
-            .into_iter()
-            .map(|(i, name)| {
-                let h = &self.hists[i];
-                let buckets = (0..HIST_BUCKETS)
-                    .filter_map(|b| {
-                        let n = h.buckets[b].load(Ordering::Relaxed);
-                        (n > 0).then(|| (bucket_upper_ns(b), n))
-                    })
-                    .collect();
-                HistogramSnapshot {
-                    name,
-                    count: h.count.load(Ordering::Relaxed),
-                    sum_ns: h.sum_ns.load(Ordering::Relaxed),
-                    max_ns: h.max_ns.load(Ordering::Relaxed),
-                    buckets,
-                }
-            })
-            .collect();
-        out.sort_by_key(|h| h.name);
-        out
-    }
-
     /// Value of one counter (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters().iter().find(|c| c.name == name).map_or(0, |c| c.value)
+        let published = self.counter_slots.len.load(Ordering::Acquire);
+        self.counter_slots.find(name, published).map_or(0, |i| self.counter_values[i].load(Ordering::Relaxed))
     }
 
     /// Owned, portable snapshot of every counter and histogram — the value
     /// a worker ships to the supervisor's [`crate::MetricsHub`].
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        for c in self.counters() {
-            snap.counters.insert(c.name.to_string(), c.value);
+        for (i, name) in self.counter_slots.snapshot() {
+            snap.counters.insert(name.to_string(), self.counter_values[i].load(Ordering::Relaxed));
         }
-        for h in self.histograms() {
-            snap.hists.insert(
-                h.name.to_string(),
-                HistData { count: h.count, sum_ns: h.sum_ns, max_ns: h.max_ns, buckets: h.buckets },
-            );
+        for (i, name) in self.hist_slots.snapshot() {
+            let h = &self.hists[i];
+            let buckets = (0..HIST_BUCKETS)
+                .filter_map(|b| {
+                    let n = h.buckets[b].load(Ordering::Relaxed);
+                    (n > 0).then(|| (bucket_upper_ns(b), n))
+                })
+                .collect();
+            let data = HistData {
+                count: h.count.load(Ordering::Relaxed),
+                sum_ns: h.sum_ns.load(Ordering::Relaxed),
+                max_ns: h.max_ns.load(Ordering::Relaxed),
+                buckets,
+            };
+            snap.hists.insert(name.to_string(), data);
         }
         snap
     }
@@ -347,17 +246,14 @@ mod tests {
         for ns in [0u64, 1, 5, 5, 1000] {
             rec.observe_ns("h", ns);
         }
-        let h = &rec.histograms()[0];
+        let snap = rec.snapshot();
+        let h = &snap.hists["h"];
         assert_eq!(h.count, 5);
         assert_eq!(h.sum_ns, 1011);
         assert_eq!(h.max_ns, 1000);
         assert_eq!(h.mean_ns(), 202);
         // Buckets: 0ns → b0; 1 → b1; 5,5 → b3; 1000 → b10.
         assert_eq!(h.buckets, vec![(1, 1), (2, 1), (8, 2), (1024, 1)]);
-        // Quantiles walk the cumulative bucket counts.
-        assert_eq!(h.quantile_ns(0.0), 1);
-        assert_eq!(h.quantile_ns(0.5), 8);
-        assert_eq!(h.quantile_ns(1.0), 1024);
     }
 
     #[test]
@@ -384,7 +280,7 @@ mod tests {
         for t in 0..THREADS {
             assert_eq!(rec.counter(["t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"][t]), PER_THREAD);
         }
-        assert_eq!(rec.histograms()[0].count, THREADS as u64 * PER_THREAD);
+        assert_eq!(rec.snapshot().hists["span"].count, THREADS as u64 * PER_THREAD);
     }
 
     #[test]
@@ -413,7 +309,8 @@ mod tests {
         for ns in 0..1000u64 {
             rec.observe_ns("u", ns);
         }
-        let h = &rec.histograms()[0];
+        let snap = rec.snapshot();
+        let h = &snap.hists["u"];
         for (q, exact) in [(0.50, 500u64), (0.95, 950), (0.99, 990)] {
             let est = h.percentile(q);
             assert!(est <= h.max_ns, "q={q} est={est}");
@@ -430,7 +327,8 @@ mod tests {
         for _ in 0..100 {
             rec.observe_ns("c", 100);
         }
-        let h = &rec.histograms()[0];
+        let snap = rec.snapshot();
+        let h = &snap.hists["c"];
         for q in [0.01, 0.5, 0.99, 1.0] {
             let est = h.percentile(q);
             assert!((64..=100).contains(&est), "q={q} est={est}");
@@ -445,7 +343,8 @@ mod tests {
         for _ in 0..10 {
             rec.observe_ns("b", 1000);
         }
-        let h = &rec.histograms()[0];
+        let snap = rec.snapshot();
+        let h = &snap.hists["b"];
         assert!((8..16).contains(&h.percentile(0.5)), "p50={}", h.percentile(0.5));
         assert!((512..=1000).contains(&h.percentile(0.99)), "p99={}", h.percentile(0.99));
 
@@ -463,11 +362,11 @@ mod tests {
         let rec = CounterRecorder::new();
         rec.observe_ns("zeros", 0);
         rec.observe_ns("zeros", 0);
-        let h = &rec.histograms()[0];
+        let snap = rec.snapshot();
+        let h = &snap.hists["zeros"];
         assert_eq!(h.percentile(0.5), 0);
         assert_eq!(h.percentile(1.0), 0);
-        let empty = HistogramSnapshot { name: "e", count: 0, sum_ns: 0, max_ns: 0, buckets: vec![] };
-        assert_eq!(empty.percentile(0.5), 0);
+        assert_eq!(HistData::default().percentile(0.5), 0);
     }
 
     #[test]

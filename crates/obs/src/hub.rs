@@ -19,10 +19,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
 
-use crate::counters::{fmt_ns, percentile_from_buckets};
+use crate::counters::fmt_ns;
 
-/// Portable contents of one latency histogram (the owned, mergeable
-/// counterpart of [`crate::HistogramSnapshot`], keyed externally by name).
+/// Portable contents of one latency histogram, keyed externally by name:
+/// what [`crate::CounterRecorder::snapshot`] reads out of its atomic
+/// buckets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistData {
     pub count: u64,
@@ -37,10 +38,28 @@ impl HistData {
         self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Interpolated q-percentile, same estimator as
-    /// [`crate::HistogramSnapshot::percentile`].
+    /// Interpolated q-percentile estimate: walks the cumulative bucket
+    /// counts to the bucket containing the target rank, then interpolates
+    /// linearly within that bucket's range — `[0, 1)` for bucket 0 (upper
+    /// 1), `[upper/2, upper)` for every other. One log₂ bucket of true
+    /// resolution, capped at the exact observed max.
     pub fn percentile(&self, q: f64) -> u64 {
-        percentile_from_buckets(self.count, self.max_ns, &self.buckets, q)
+        if self.count == 0 {
+            return 0;
+        }
+        let target = ((self.count as f64) * q.clamp(0.0, 1.0)).max(1.0).min(self.count as f64);
+        let mut seen = 0u64;
+        for &(upper, n) in &self.buckets {
+            let below = seen;
+            seen += n;
+            if (seen as f64) >= target {
+                let lower = if upper <= 1 { 0 } else { upper / 2 };
+                let frac = (target - below as f64) / n as f64;
+                let est = lower as f64 + frac * (upper - lower) as f64;
+                return (est as u64).min(self.max_ns);
+            }
+        }
+        self.max_ns
     }
 
     /// Adds `other`'s observations to this histogram.

@@ -33,7 +33,7 @@ mod hub;
 mod jsonl;
 mod report;
 
-pub use counters::{CounterRecorder, CounterSnapshot, HistogramSnapshot, HIST_BUCKETS};
+pub use counters::{CounterRecorder, HIST_BUCKETS};
 pub use hub::{hub, merged_snapshot, HistData, MetricsHub, MetricsSnapshot};
 pub use jsonl::{JsonlRecorder, SharedBuf};
 pub use report::{CampaignReport, ReportBuilder};
@@ -217,11 +217,9 @@ mod tests {
         let back = uninstall().expect("recorder was installed");
         assert!(!enabled());
         drop(back);
-        let counters = rec.counters();
-        let c = counters.iter().find(|c| c.name == "unit.test.counter").unwrap();
-        assert_eq!(c.value, 5);
-        let hists = rec.histograms();
-        assert_eq!(hists.iter().find(|h| h.name == "unit.test.span").unwrap().count, 1);
+        let snap = rec.snapshot();
+        assert_eq!(snap.counter("unit.test.counter"), 5);
+        assert_eq!(snap.hists["unit.test.span"].count, 1);
     }
 
     #[test]
@@ -234,7 +232,7 @@ mod tests {
             panic!("boom");
         });
         uninstall();
-        assert_eq!(rec.histograms().iter().find(|h| h.name == "unit.unwind.span").unwrap().count, 1);
+        assert_eq!(rec.snapshot().hists["unit.unwind.span"].count, 1);
     }
 
     #[test]

@@ -200,11 +200,9 @@ fn corrupt(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
-/// Encodes one serializable record as a checksummed journal-style line
-/// (`<crc32-hex8> <json>\n`). The codec shared by the campaign journal and
-/// the distributed coordinator's write-ahead ledger. The JSON is written
-/// into the line's own buffer after a placeholder checksum, which is then
-/// patched in.
+/// Encodes one serializable record as a checksummed journal line
+/// (`<crc32-hex8> <json>\n`). The JSON is written into the line's own
+/// buffer after a placeholder checksum, which is then patched in.
 pub fn encode_record<T: Serialize>(record: &T) -> std::io::Result<Vec<u8>> {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut line = String::with_capacity(256);
@@ -377,21 +375,6 @@ impl BatchPolicy {
     pub fn is_unbatched(&self) -> bool {
         self.max_bytes == 0
     }
-
-    /// Policy from the environment: `PHI_BATCH_BYTES` (0 = unbatched) and
-    /// `PHI_BATCH_DELAY_MS` override the defaults. Unparseable values fall
-    /// back to the defaults rather than failing campaign startup.
-    pub fn from_env() -> Self {
-        let bytes = std::env::var("PHI_BATCH_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(Self::DEFAULT_BYTES);
-        let delay_ms = std::env::var("PHI_BATCH_DELAY_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(Self::DEFAULT_DELAY_MS);
-        BatchPolicy { max_bytes: bytes, max_delay: std::time::Duration::from_millis(delay_ms) }
-    }
 }
 
 impl Default for BatchPolicy {
@@ -416,7 +399,9 @@ pub struct JournalWriter {
     segment_bytes: u64,
     /// Rotation threshold (tests shrink it to force multi-segment journals).
     pub rotate_at: u64,
-    /// Group-commit policy for this writer.
+    /// Group-commit policy for this writer. Campaign writers keep the
+    /// default; tests set others to show that the segment bytes are the
+    /// same under every policy.
     pub batch: BatchPolicy,
     /// Encoded lines awaiting their batch write, strictly FIFO.
     buf: Vec<u8>,

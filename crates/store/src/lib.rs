@@ -26,8 +26,6 @@
 //! journals uniformly.
 
 pub mod journal;
-pub mod ledger;
-pub mod merge;
 pub mod queue;
 pub mod shard;
 
@@ -36,8 +34,6 @@ pub use journal::{
     CampaignMeta, Journal, JournalEntry, JournalScan, JournalWriter, ShardCursor, ADAPTIVE_FORMAT_VERSION,
     MAX_TRANSIENT_RETRIES,
 };
-pub use ledger::{LeaseState, LedgerEntry, LedgerScan, LedgerWriter, LEDGER_FILE};
-pub use merge::{Importer, Offer};
 pub use queue::{run_tasks, StopFlag};
 pub use shard::{ShardPlan, ShardProgress, ShardState};
 

@@ -1,17 +1,20 @@
 //! End-to-end crash drill for distributed campaigns: two executors and a
-//! raw-protocol straggler drive a real kernel injection campaign through a
-//! coordinator that is deliberately abandoned mid-run (the SIGKILL
-//! simulation hook — writers leaked, nothing sealed), then resumed on a
-//! fresh port from its write-ahead ledger. The merged aggregate must come
-//! out byte-identical to the plain single-host `run_campaign` with the
-//! same seed — distribution, straggler re-dispatch and coordinator crash
-//! recovery are pure placement, invisible in the science.
+//! raw-protocol executor that dies mid-shard drive a real kernel injection
+//! campaign through a coordinator that is deliberately abandoned mid-run
+//! (the crash hook: the engine pauses and every connection drops without
+//! `Done`), then resumed on a fresh port from its journal. The merged
+//! aggregate must come out byte-identical to the plain single-host
+//! `run_campaign` with the same seed — distribution, straggler re-dispatch
+//! and coordinator crash recovery are pure placement, invisible in the
+//! science.
 
 use phi_reliability::carolfi::campaign::execute_trial;
 use phi_reliability::carolfi::dist::{CoordMsg, ExecutorMsg};
+use phi_reliability::carolfi::record::DueKind;
 use phi_reliability::carolfi::warden::{read_frame, write_frame};
 use phi_reliability::carolfi::{
-    run_campaign, run_coordinator, run_executor, CampaignConfig, ConnectTarget, CoordConfig, ExecutorConfig,
+    run_campaign, run_coordinator, run_executor, CampaignConfig, ConnectTarget, CoordConfig, ExecutorConfig, Injection,
+    TrialKind,
 };
 use phi_reliability::kernels::{build, golden, Benchmark, SizeClass};
 use phi_reliability::store::journal::FORMAT_VERSION;
@@ -25,8 +28,8 @@ const B: Benchmark = Benchmark::Hotspot;
 const TRIALS: usize = 48;
 const SHARDS: usize = 3;
 const SEED: u64 = 2017;
-/// Trials merged before the first coordinator incarnation abandons —
-/// mid-campaign, with every healthy lease still open.
+/// Trials journaled before the first coordinator incarnation abandons —
+/// mid-campaign, with every healthy executor still bound.
 const CRASH_AFTER: u64 = 16;
 
 fn ccfg() -> CampaignConfig {
@@ -111,8 +114,9 @@ fn crashed_coordinator_and_dead_executor_resume_to_the_single_host_aggregate() {
     let coord_dir = root.join("coord");
     let addr_file = root.join("coord.addr");
 
-    // Coordinator incarnation 1: abandon (leaked writers, no seal — the
-    // in-process equivalent of kill -9) once CRASH_AFTER trials merged.
+    // Coordinator incarnation 1: abandon (no seal, every connection
+    // dropped without `Done` — the in-process stand-in for kill -9) once
+    // CRASH_AFTER trials are journaled.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     write_addr(&addr_file, &listener.local_addr().unwrap().to_string());
     let mut cfg1 = CoordConfig::new(&coord_dir, meta(), "");
@@ -120,10 +124,11 @@ fn crashed_coordinator_and_dead_executor_resume_to_the_single_host_aggregate() {
     cfg1.stop_after_merged = Some(CRASH_AFTER);
     let coord1 = std::thread::spawn(move || run_coordinator(listener, &cfg1).unwrap());
 
-    // A doomed executor leases a shard, streams exactly one trial, then its
-    // socket dies — an executor killed mid-range. Its lease either rots out
-    // (straggler expiry) or is carried Active into the crash ledger; both
-    // paths end in re-dispatch.
+    // A doomed executor answers exactly one trial, then its socket dies
+    // with the next Run unanswered — an executor killed mid-shard. The
+    // coordinator drops it at that round trip and re-sends the trial, so
+    // its shard is re-dispatched in this incarnation or, holding a
+    // journaled trial, in the next.
     let addr = std::fs::read_to_string(&addr_file).unwrap();
     {
         let mut doomed = TcpStream::connect(addr.trim()).unwrap();
@@ -131,23 +136,24 @@ fn crashed_coordinator_and_dead_executor_resume_to_the_single_host_aggregate() {
         else {
             panic!("expected Welcome");
         };
-        let CoordMsg::Lease { lease, shard, start, .. } = roundtrip_raw(&mut doomed, &ExecutorMsg::LeaseRequest) else {
-            panic!("expected a lease");
+        let CoordMsg::Run { trial } = read_frame(&mut doomed).unwrap() else {
+            panic!("expected a Run");
         };
-        let payload = runner()(start);
-        let reply = roundtrip_raw(&mut doomed, &ExecutorMsg::Trial { lease, shard, seq: 0, payload });
-        assert_eq!(reply, CoordMsg::Ack);
-        // dropped here: connection reset mid-range, lease left dangling
+        let payload = runner()(trial);
+        let CoordMsg::Run { .. } = roundtrip_raw(&mut doomed, &ExecutorMsg::Record { trial, payload }) else {
+            panic!("expected the next Run");
+        };
+        // dropped here: connection reset mid-shard, one Run unanswered
     }
 
     // Two healthy executors, found through the address file so they follow
     // the coordinator across its restart. Each holds its first trial until
-    // the other has leased a shard too: a trial takes less time than an
+    // the other has been sent one too: a trial takes less time than an
     // executor thread takes to start and connect, so without the hold one
-    // executor could stream the 15 trials to the crash before the other
-    // asked for work, and the second incarnation grants whoever reconnects
+    // executor could compute the 15 trials to the crash before the other
+    // connected, and the second incarnation binds whoever reconnects
     // first. The hold times out, so an executor the coordinator never
-    // serves still fails the lease check below.
+    // serves still fails the computed check below.
     let started = Arc::new((Mutex::new(0usize), Condvar::new()));
     let executors: Vec<_> = ["ex-a", "ex-b"]
         .into_iter()
@@ -160,10 +166,10 @@ fn crashed_coordinator_and_dead_executor_resume_to_the_single_host_aggregate() {
 
     let s1 = coord1.join().unwrap();
     assert!(s1.abandoned, "incarnation 1 must die by the crash hook");
-    assert_eq!(s1.merged, CRASH_AFTER, "the crash hook fires on the merge that reaches the cap");
+    assert_eq!(s1.merged, CRASH_AFTER, "the crash hook pauses the engine at exactly the cap");
 
     // Incarnation 2: fresh port (the kill left the old one behind), resume
-    // from journal + write-ahead ledger, rewrite the address file.
+    // from the journal, rewrite the address file.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     write_addr(&addr_file, &listener.local_addr().unwrap().to_string());
     let mut cfg2 = CoordConfig::new(&coord_dir, meta(), "");
@@ -173,10 +179,7 @@ fn crashed_coordinator_and_dead_executor_resume_to_the_single_host_aggregate() {
 
     assert!(!s2.abandoned);
     assert_eq!(s1.merged + s2.merged, TRIALS as u64, "every trial merged exactly once across incarnations");
-    assert!(
-        s1.leases_expired + s2.leases_expired >= 1,
-        "the dead executor's lease must expire (straggler timeout or crash reconcile): {s1:?} / {s2:?}"
-    );
+    assert!(s1.leases_expired >= 1, "the dead executor's binding must end at its failed round trip: {s1:?}");
     assert!(
         s1.redispatched + s2.redispatched >= 1,
         "the dead executor's shard must be re-dispatched: {s1:?} / {s2:?}"
@@ -184,7 +187,7 @@ fn crashed_coordinator_and_dead_executor_resume_to_the_single_host_aggregate() {
 
     for (name, handle) in ["ex-a", "ex-b"].iter().zip(executors) {
         let summary = handle.join().unwrap();
-        assert!(summary.leases >= 1, "{name} never got a lease");
+        assert!(summary.computed >= 1, "{name} never computed a trial");
     }
 
     // The decisive check: the merged central journal replays to exactly the
@@ -198,41 +201,42 @@ fn crashed_coordinator_and_dead_executor_resume_to_the_single_host_aggregate() {
 
 /// Round trips on an established connection cost only the network and the
 /// coordinator's work, never a TCP timer. Both ends set `TCP_NODELAY`;
-/// without it on the coordinator's side, Nagle holds every reply body
-/// (sent as a second write after its length prefix) until the executor's
-/// delayed ACK, about 40 ms per frame.
+/// without it on the coordinator's side, Nagle holds every `Run` body (sent
+/// as a second write after its length prefix) until the executor's delayed
+/// ACK, about 40 ms per frame.
 #[test]
 fn coordinator_round_trips_do_not_stall_on_delayed_acks() {
-    const DUPLICATES: usize = 200;
+    const ROUND_TRIPS: u64 = 200;
     let root = tmp("round-trip-stall");
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let meta = CampaignMeta { trials: 1, shards: 1, ..meta() };
+    let meta = CampaignMeta { trials: ROUND_TRIPS as usize, shards: 1, ..meta() };
     let cfg = CoordConfig::new(root.join("coord"), meta, "");
     let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
+    // Records fixed by the trial index alone cost nothing to build, so the
+    // loop below times the round trips.
+    let campaign = ccfg();
+    let kind = Injection::new(B.label(), &campaign);
+    let payloads: Vec<String> = (0..ROUND_TRIPS)
+        .map(|t| serde_json::to_string(&kind.synth_due(1, t as usize, DueKind::Killed)).unwrap())
+        .collect();
 
     let mut stream = TcpStream::connect(&addr).unwrap();
     stream.set_nodelay(true).unwrap(); // as `run_executor` does
     let CoordMsg::Welcome { .. } = roundtrip_raw(&mut stream, &ExecutorMsg::Hello { name: "raw".into(), pid: 1 }) else {
         panic!("expected Welcome");
     };
-    let CoordMsg::Lease { lease, shard, .. } = roundtrip_raw(&mut stream, &ExecutorMsg::LeaseRequest) else {
-        panic!("expected a lease");
-    };
-    // The coordinator treats payloads as opaque, so any line completes it.
-    let trial = ExecutorMsg::Trial { lease, shard, seq: 0, payload: "{}".into() };
-    assert_eq!(roundtrip_raw(&mut stream, &trial), CoordMsg::Ack);
-    // Re-sending the merged `seq 0` costs a round trip and no journal write.
     let started = Instant::now();
-    for _ in 0..DUPLICATES {
-        assert_eq!(roundtrip_raw(&mut stream, &trial), CoordMsg::Ack);
+    let mut reply = read_frame(&mut stream).unwrap();
+    for expected in 0..ROUND_TRIPS {
+        assert_eq!(reply, CoordMsg::Run { trial: expected });
+        let record = ExecutorMsg::Record { trial: expected, payload: payloads[expected as usize].clone() };
+        reply = roundtrip_raw(&mut stream, &record);
     }
     let took = started.elapsed();
-    assert!(took < Duration::from_secs(2), "{DUPLICATES} duplicate trial round trips took {took:?}");
-
-    assert_eq!(roundtrip_raw(&mut stream, &ExecutorMsg::RangeDone { lease }), CoordMsg::Ack);
-    assert_eq!(roundtrip_raw(&mut stream, &ExecutorMsg::LeaseRequest), CoordMsg::Done);
+    assert!(took < Duration::from_secs(2), "{ROUND_TRIPS} Run/Record round trips took {took:?}");
+    assert_eq!(reply, CoordMsg::Done);
     drop(stream);
     let summary = coord.join().unwrap();
-    assert_eq!((summary.merged, summary.duplicates), (1, DUPLICATES as u64));
+    assert_eq!((summary.merged, summary.duplicates), (ROUND_TRIPS, 0));
 }

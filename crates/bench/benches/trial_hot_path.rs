@@ -16,8 +16,13 @@
 //!   golden rung after its fault ends there instead of running the golden
 //!   suffix. The `full_trial/{converged,run_to_end}` pair runs the same
 //!   early HotSpot trial (a fault that changes nothing, at step 2 of 20)
-//!   from the pool's ladder, on the kernel and on a wrapper that keeps the
-//!   default `converged` and so runs to the end.
+//!   from the pool's ladder, on the kernel and on a wrapper whose
+//!   `converged` is always false and so runs to the end. The compare
+//!   checks the one-element fields before the arrays and stops at the first
+//!   difference: the JSON's `mismatch_compare_speedup` times `converged` on
+//!   a HotSpot Test target equal to a rung over the same call with one
+//!   control scalar flipped, the compare every SDC, DUE and not yet
+//!   re-converged trial pays at each later rung.
 //! * **Bitwise fast-path compare**: `Output::bits_equal` classifies the
 //!   (overwhelmingly common) masked outcome with a chunked `u64` word scan,
 //!   only falling back to the elementwise `mismatches()` walk — which
@@ -36,20 +41,22 @@
 //!
 //! With `TRIAL_HOT_PATH_JSON=<path>`, a machine-readable baseline
 //! (`pooled`/`factory`/`laddered` trials-per-second, the compare timings,
-//! and the ladder, codec, early-exit, stencil and quantizer speedups) is
-//! written after the criterion run — `./ci` uses this to track the speedup.
+//! and the ladder, codec, early-exit, mismatch-compare, stencil and
+//! quantizer speedups) is written after the criterion run — `./ci` uses
+//! this to track the speedup.
 
 use beamsim::campaign::engine_for;
 use beamsim::{run_beam_campaign, BeamConfig};
 use carolfi::fuel::Fuel;
 use carolfi::supervisor::{run_trial, run_trial_mut, TrialConfig};
-use carolfi::target::{FaultTarget, Snapshot, StepOutcome, Variable};
+use carolfi::target::{FaultTarget, Snapshot, StateVisitor, StepOutcome, Variable};
 use carolfi::{run_campaign, CampaignConfig, InjectionDetail, Output, TargetPool, TrialRecord};
 use criterion::{criterion_group, Criterion};
 use kernels::hotspot::{Hotspot, HotspotParams};
 use kernels::quantize::{sig6_f32, sig_digits_f32};
 use kernels::{build, golden, Benchmark, SizeClass};
 use std::hint::black_box;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// Applies a fault that changes nothing (flips a bit twice), so every trial
@@ -130,8 +137,8 @@ fn late_pool() -> TargetPool<Box<dyn FaultTarget>, impl Fn() -> Box<dyn FaultTar
 /// step 2, so a fault there that changes nothing re-converges at once.
 const EARLY_STEP: usize = 2;
 
-/// A kernel with every method forwarded but `converged`, whose default
-/// runs each trial to the end: the early exit's reference.
+/// A kernel with every method forwarded but `converged`, which is always
+/// false, so each trial runs to the end: the early exit's reference.
 struct RunToEnd(Box<dyn FaultTarget>);
 
 impl FaultTarget for RunToEnd {
@@ -150,17 +157,17 @@ impl FaultTarget for RunToEnd {
     fn run_until(&mut self, step_bound: usize, fuel: &mut Fuel) -> StepOutcome {
         self.0.run_until(step_bound, fuel)
     }
-    fn variables(&mut self) -> Vec<Variable<'_>> {
-        self.0.variables()
+    fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+        self.0.state(v)
     }
     fn output(&self) -> Output {
         self.0.output()
     }
-    fn snapshot(&self) -> Option<Snapshot> {
+    fn snapshot(&mut self) -> Option<Snapshot> {
         self.0.snapshot()
     }
-    fn restore(&mut self, snapshot: &Snapshot) -> bool {
-        self.0.restore(snapshot)
+    fn converged(&mut self, _: &Snapshot) -> bool {
+        false
     }
 }
 
@@ -402,6 +409,26 @@ fn emit_json(path: &str) {
         converged_ns += time_ns(32, || run_one_early(&early, &late_gold) > 0);
         run_to_end_ns += time_ns(2, || run_one_early(&to_end, &late_gold) > 0);
     }
+    // `converged` on a HotSpot Test target standing at its rung at step 10
+    // and on the same target with one bit of thread 0's `iter_local`
+    // flipped, alternated within one run. The mismatch stops at that
+    // control scalar, well before the arrays, so it repeats more often per
+    // round.
+    let mut rung_target = Hotspot::new(HotspotParams::test());
+    rung_target.run_until(10, &mut Fuel::new(u64::MAX));
+    let rung = rung_target.snapshot().expect("hotspot snapshots");
+    let iter_local = rung_target
+        .variables()
+        .iter()
+        .position(|v| v.info.name == "iter_local" && v.info.thread == Some(0))
+        .expect("thread 0 declares iter_local");
+    let (mut matching_ns, mut mismatching_ns) = (0.0, 0.0);
+    for _ in 0..200 {
+        matching_ns += time_ns(8, || rung_target.converged(&rung));
+        rung_target.variables()[iter_local].bytes[0] ^= 1;
+        mismatching_ns += time_ns(64, || !rung_target.converged(&rung));
+        rung_target.variables()[iter_local].bytes[0] ^= 1;
+    }
     // A fault-free HotSpot Test run by a `step()` loop and by `run_until`,
     // which takes the pristine-control pass on every step, alternated
     // within one run. The pass is about 1/4 of the loop, so it repeats
@@ -430,6 +457,7 @@ fn emit_json(path: &str) {
          \"elementwise_scan_ns\": {:.1},\n  \"compare_speedup\": {:.3},\n  \
          \"laddered_trials_per_sec\": {:.3},\n  \"ladder_speedup\": {:.3},\n  \
          \"codec_speedup\": {:.3},\n  \"early_exit_speedup\": {:.3},\n  \
+         \"mismatch_compare_speedup\": {:.3},\n  \
          \"stencil_speedup\": {:.3},\n  \"quantize_speedup\": {:.3}\n}}\n",
         BENCH.label(),
         trials,
@@ -446,6 +474,7 @@ fn emit_json(path: &str) {
         replayed_ns / laddered_ns,
         tree_ns / direct_ns,
         run_to_end_ns / converged_ns,
+        matching_ns / mismatching_ns,
         stepped_ns / run_until_ns,
         formula_ns / table_ns,
     );

@@ -56,13 +56,6 @@ pub fn as_bytes<T: PlainBits>(values: &[T]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), len) }
 }
 
-/// Bit-for-bit equality of two slices of plain numeric values. Unlike
-/// `==` on floats, `-0.0` differs from `0.0` and a NaN equals its own bit
-/// pattern.
-pub fn bits_eq<T: PlainBits>(a: &[T], b: &[T]) -> bool {
-    as_bytes(a) == as_bytes(b)
-}
-
 /// Byte view over a single plain numeric value.
 pub fn scalar_bytes_mut<T: PlainBits>(value: &mut T) -> &mut [u8] {
     as_bytes_mut(std::slice::from_mut(value))
@@ -100,14 +93,6 @@ mod tests {
         let mut x = 0u32;
         scalar_bytes_mut(&mut x)[1] = 0xff;
         assert_eq!(x, 0xff00);
-    }
-
-    #[test]
-    fn bits_eq_tells_signed_zeros_apart_and_matches_nan_payloads() {
-        assert!(!bits_eq(&[0.0f64], &[-0.0]));
-        let nan = f32::from_bits(0x7fc0_0001);
-        assert!(bits_eq(&[nan, 1.0], &[nan, 1.0]));
-        assert!(!bits_eq(&[1u32, 2], &[1, 2, 3]), "lengths differ");
     }
 
     #[test]

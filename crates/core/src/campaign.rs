@@ -377,10 +377,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::target::{Snapshot, StepOutcome, VarClass, VarInfo, Variable};
+    use crate::target::{Snapshot, StateVisitor, StepOutcome, VarClass, VarInfo};
+    use std::ops::ControlFlow;
 
     /// Tiny deterministic victim for campaign-level tests.
-    #[derive(Clone)]
     struct Victim {
         data: Vec<u32>,
         ctrl: u64,
@@ -414,26 +414,17 @@ mod tests {
                 StepOutcome::Continue
             }
         }
-        fn variables(&mut self) -> Vec<Variable<'_>> {
-            vec![
-                Variable::from_slice(VarInfo::global("data", VarClass::Matrix, file!(), line!()), &mut self.data),
-                Variable::from_scalar(VarInfo::local("ctrl", VarClass::ControlVariable, "loop", 0, file!(), line!()), &mut self.ctrl),
-            ]
+        fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+            let Victim { data, ctrl, done } = self;
+            v.scalar(None, done)?;
+            v.slice(VarInfo::global("data", VarClass::Matrix, file!(), line!()), data)?;
+            v.scalar(VarInfo::local("ctrl", VarClass::ControlVariable, "loop", 0, file!(), line!()), ctrl)
         }
         fn output(&self) -> Output {
             Output::I32Grid { dims: [8, 8, 1], data: self.data.iter().map(|&x| x as i32).collect() }
         }
-        fn snapshot(&self) -> Option<Snapshot> {
-            Some(Snapshot::new(self.clone()))
-        }
-        fn restore(&mut self, snapshot: &Snapshot) -> bool {
-            let Some(s) = snapshot.get::<Victim>() else { return false };
-            self.clone_from(s);
-            true
-        }
-        fn converged(&self, snapshot: &Snapshot) -> bool {
-            let Some(Victim { data, ctrl, done }) = snapshot.get::<Victim>() else { return false };
-            (self.done, self.ctrl) == (*done, *ctrl) && self.data == *data
+        fn snapshot(&mut self) -> Option<Snapshot> {
+            Some(Snapshot::capture(self))
         }
     }
 
@@ -456,19 +447,16 @@ mod tests {
         fn step(&mut self) -> StepOutcome {
             self.0.step()
         }
-        fn variables(&mut self) -> Vec<Variable<'_>> {
-            self.0.variables()
+        fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+            self.0.state(v)
         }
         fn output(&self) -> Output {
             self.0.output()
         }
-        fn snapshot(&self) -> Option<Snapshot> {
+        fn snapshot(&mut self) -> Option<Snapshot> {
             self.0.snapshot()
         }
-        fn restore(&mut self, snapshot: &Snapshot) -> bool {
-            self.0.restore(snapshot)
-        }
-        fn converged(&self, snapshot: &Snapshot) -> bool {
+        fn converged(&mut self, snapshot: &Snapshot) -> bool {
             let converged = self.0.converged(snapshot);
             CONVERGED.fetch_add(converged as u64, std::sync::atomic::Ordering::Relaxed);
             converged

@@ -14,10 +14,11 @@
 //! This crate keeps the same observable contract without a debugger:
 //!
 //! * Programs under test implement [`FaultTarget`]: they run cooperatively in
-//!   `step()` increments (full speed between steps) and expose their live
+//!   `step()` increments (full speed between steps) and declare their state
+//!   once, field by field, through [`FaultTarget::state`]. Their live
 //!   variables — including per-logical-thread control variables and global
-//!   arrays — through [`Variable`] views, the moral equivalent of DWARF debug
-//!   info.
+//!   arrays — come back from that declaration as [`Variable`] views, the
+//!   moral equivalent of DWARF debug info.
 //! * The [`supervisor`] pauses at a randomly sampled step, selects a
 //!   thread/frame/variable exactly like CAROL-FI's Flip-script, applies a
 //!   [`FaultModel`], resumes, and classifies the outcome. A watchdog converts

@@ -658,10 +658,10 @@ where
 mod tests {
     use super::*;
     use crate::campaign::{execute_trial, run_campaign, CampaignConfig, Injection};
-    use crate::target::{Snapshot, StepOutcome, VarClass, VarInfo, Variable};
+    use crate::target::{Snapshot, StateVisitor, StepOutcome, VarClass, VarInfo};
+    use std::ops::ControlFlow;
 
     /// Tiny deterministic victim (mirror of the campaign-test victim).
-    #[derive(Clone)]
     struct Victim {
         data: Vec<u32>,
         ctrl: u64,
@@ -695,22 +695,17 @@ mod tests {
                 StepOutcome::Continue
             }
         }
-        fn variables(&mut self) -> Vec<Variable<'_>> {
-            vec![
-                Variable::from_slice(VarInfo::global("data", VarClass::Matrix, file!(), line!()), &mut self.data),
-                Variable::from_scalar(VarInfo::local("ctrl", VarClass::ControlVariable, "loop", 0, file!(), line!()), &mut self.ctrl),
-            ]
+        fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+            let Victim { data, ctrl, done } = self;
+            v.scalar(None, done)?;
+            v.slice(VarInfo::global("data", VarClass::Matrix, file!(), line!()), data)?;
+            v.scalar(VarInfo::local("ctrl", VarClass::ControlVariable, "loop", 0, file!(), line!()), ctrl)
         }
         fn output(&self) -> Output {
             Output::I32Grid { dims: [8, 8, 1], data: self.data.iter().map(|&x| x as i32).collect() }
         }
-        fn snapshot(&self) -> Option<Snapshot> {
-            Some(Snapshot::new(self.clone()))
-        }
-        fn restore(&mut self, snapshot: &Snapshot) -> bool {
-            let Some(s) = snapshot.get::<Victim>() else { return false };
-            self.clone_from(s);
-            true
+        fn snapshot(&mut self) -> Option<Snapshot> {
+            Some(Snapshot::capture(self))
         }
     }
 

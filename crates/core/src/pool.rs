@@ -102,7 +102,7 @@ impl Ladder {
     /// Captures rung `rung` from `target`, which must stand at that rung's
     /// step of a fault-free run. A rung another worker captured first is
     /// kept.
-    pub fn capture<T: FaultTarget>(&self, rung: usize, target: &T) {
+    pub fn capture<T: FaultTarget>(&self, rung: usize, target: &mut T) {
         debug_assert_eq!(target.steps_executed(), self.steps[rung], "rungs are captured at their own step");
         if self.rungs[rung].get().is_some() {
             return;
@@ -158,7 +158,7 @@ where
 
     /// The ladder built from `pristine`, a target standing at step 0 of a
     /// fault-free run, unless the pool has one already.
-    fn ladder_from(&self, pristine: &T) -> Option<&Ladder> {
+    fn ladder_from(&self, pristine: &mut T) -> Option<&Ladder> {
         self.ladder
             .get_or_init(|| pristine.snapshot().map(|rung0| Ladder::new(pristine.total_steps(), rung0)))
             .as_ref()
@@ -173,8 +173,8 @@ where
     /// Seeds the idle list with an already-constructed pristine target (e.g.
     /// the instance built to read `total_steps`), so it is not wasted; its
     /// state becomes rung 0.
-    pub fn seed(&self, target: T) {
-        if self.ladder_from(&target).is_some() {
+    pub fn seed(&self, mut target: T) {
+        if self.ladder_from(&mut target).is_some() {
             self.idle.lock().push(target);
         }
     }
@@ -195,8 +195,8 @@ where
         }
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
         obs::incr("pool/rebuilds", 1);
-        let target = (self.factory)();
-        let ladder = self.ladder_from(&target);
+        let mut target = (self.factory)();
+        let ladder = self.ladder_from(&mut target);
         (target, ladder)
     }
 
@@ -236,7 +236,8 @@ where
 mod tests {
     use super::*;
     use crate::output::Output;
-    use crate::target::{StepOutcome, Variable};
+    use crate::target::{StateVisitor, StepOutcome};
+    use std::ops::ControlFlow;
 
     /// Counts steps; snapshots on demand.
     struct Probe {
@@ -262,19 +263,14 @@ mod tests {
                 StepOutcome::Continue
             }
         }
-        fn variables(&mut self) -> Vec<Variable<'_>> {
-            Vec::new()
+        fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+            v.scalar(None, &mut self.stepped)
         }
         fn output(&self) -> Output {
             Output::I32Grid { dims: [1, 1, 1], data: vec![0] }
         }
-        fn snapshot(&self) -> Option<Snapshot> {
-            self.snapshots.then(|| Snapshot::new(self.stepped))
-        }
-        fn restore(&mut self, snapshot: &Snapshot) -> bool {
-            let Some(&stepped) = snapshot.get::<usize>() else { return false };
-            self.stepped = stepped;
-            true
+        fn snapshot(&mut self) -> Option<Snapshot> {
+            self.snapshots.then(|| Snapshot::capture(self))
         }
     }
 
@@ -335,7 +331,7 @@ mod tests {
         let (mut t, _) = pool.take();
         for (rung, at) in missing {
             t.stepped = at;
-            ladder.capture(rung, &t);
+            ladder.capture(rung, &mut t);
         }
         assert_eq!(ladder.captured(), 6);
         assert_eq!(ladder.missing(0, 12).count(), 0);
@@ -349,7 +345,8 @@ mod tests {
 
     #[test]
     fn short_runs_get_one_rung_per_step() {
-        assert_eq!(Ladder::new(3, Snapshot::new(0usize)).steps, vec![0, 1, 2]);
-        assert_eq!(Ladder::new(1000, Snapshot::new(0usize)).steps.len(), MAX_RUNGS);
+        let rung0 = || Snapshot::capture(&mut probe());
+        assert_eq!(Ladder::new(3, rung0()).steps, vec![0, 1, 2]);
+        assert_eq!(Ladder::new(1000, rung0()).steps.len(), MAX_RUNGS);
     }
 }

@@ -301,7 +301,8 @@ mod tests {
     use super::*;
     use crate::models::{CarolFiApplicator, FaultModel};
     use crate::rng::fork;
-    use crate::target::{StepOutcome, VarClass, VarInfo, Variable};
+    use crate::target::{StateVisitor, StepOutcome, VarClass, VarInfo, Variable};
+    use std::ops::ControlFlow;
 
     /// A toy victim: sums a vector in `n` steps, output is the running sums.
     struct Summer {
@@ -344,14 +345,9 @@ mod tests {
                 StepOutcome::Continue
             }
         }
-        fn variables(&mut self) -> Vec<Variable<'_>> {
-            vec![
-                Variable::from_slice(VarInfo::global("data", VarClass::Matrix, file!(), line!()), &mut self.data),
-                Variable::from_scalar(
-                    VarInfo::local("cursor", VarClass::ControlVariable, "sum_loop", 0, file!(), line!()),
-                    &mut self.cursor,
-                ),
-            ]
+        fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+            v.slice(VarInfo::global("data", VarClass::Matrix, file!(), line!()), &mut self.data)?;
+            v.scalar(VarInfo::local("cursor", VarClass::ControlVariable, "sum_loop", 0, file!(), line!()), &mut self.cursor)
         }
         fn output(&self) -> Output {
             Output::F64Grid { dims: [self.acc.len(), 1, 1], data: self.acc.clone() }
@@ -512,8 +508,8 @@ mod tests {
                     StepOutcome::Continue
                 }
             }
-            fn variables(&mut self) -> Vec<Variable<'_>> {
-                self.0.variables()
+            fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+                self.0.state(v)
             }
             fn output(&self) -> Output {
                 self.0.output()
@@ -565,11 +561,8 @@ mod tests {
                     StepOutcome::Continue
                 }
             }
-            fn variables(&mut self) -> Vec<Variable<'_>> {
-                vec![Variable::from_scalar(
-                    VarInfo::local("limit", VarClass::ControlVariable, "loop", 0, file!(), line!()),
-                    &mut self.limit,
-                )]
+            fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+                v.scalar(VarInfo::local("limit", VarClass::ControlVariable, "loop", 0, file!(), line!()), &mut self.limit)
             }
             fn output(&self) -> Output {
                 Output::F64Grid { dims: [1, 1, 1], data: vec![0.0] }

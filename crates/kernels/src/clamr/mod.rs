@@ -32,9 +32,9 @@ pub mod sort;
 pub mod tree;
 
 use crate::par::{par_for_each, static_partition};
-use carolfi::bytesview::bits_eq;
 use carolfi::output::Output;
-use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
+use carolfi::target::{FaultTarget, Snapshot, StateVisitor, StepOutcome, VarClass, VarInfo};
+use std::ops::ControlFlow;
 
 /// Gravitational constant of the shallow-water system.
 const GRAVITY: f64 = 9.8;
@@ -90,16 +90,7 @@ struct Ctrl {
     cell_scratch: u64,
 }
 
-impl Ctrl {
-    /// Every field's bits, for [`FaultTarget::converged`].
-    fn bits(&self) -> [u64; 6] {
-        let Ctrl { ncells_local, fine_local, tstep_local, hc_scratch, div_scratch, cell_scratch } = *self;
-        [ncells_local, fine_local, tstep_local, hc_scratch.to_bits(), div_scratch.to_bits(), cell_scratch]
-    }
-}
-
 /// The CLAMR fault target.
-#[derive(Clone)]
 pub struct Clamr {
     p: ClamrParams,
     // --- mesh (the paper's "others" portion) ---
@@ -140,6 +131,7 @@ pub struct Clamr {
 impl Clamr {
     pub fn new(p: ClamrParams) -> Self {
         assert!(p.base.is_power_of_two(), "base grid must be a power of two");
+        assert!(p.logical_threads > 0, "CLAMR needs at least one logical thread");
         let fine = p.fine();
         let n0 = p.base * p.base;
         let mut ci = Vec::with_capacity(n0);
@@ -552,48 +544,54 @@ impl FaultTarget for Clamr {
         }
     }
 
-    fn variables(&mut self) -> Vec<Variable<'_>> {
-        let mut vars = Vec::with_capacity(20 + 3 * self.ctrl.len());
+    fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+        // `p` and `total` are the fixed configuration. The mesh arrays
+        // change length as cells refine and coarsen.
+        let Clamr {
+            p: _, ci, cj, clevel, h, uvel, vvel, grad, ncells, sort_keys, sorted_idx, sort_scratch, tree_child, tree_cell, dt,
+            gravity, damping, friction, refine_thresh, coarsen_thresh, ptr_state, raw, ctrl, done, total: _, cell_history,
+        } = self;
+        v.scalar(None, done)?;
         // Mesh "others".
-        vars.push(Variable::from_slice(VarInfo::global("cell_i", VarClass::MeshOther, file!(), 1), &mut self.ci));
-        vars.push(Variable::from_slice(VarInfo::global("cell_j", VarClass::MeshOther, file!(), 2), &mut self.cj));
-        vars.push(Variable::from_slice(VarInfo::global("cell_level", VarClass::MeshOther, file!(), 3), &mut self.clevel));
-        vars.push(Variable::from_slice(VarInfo::global("state_h", VarClass::MeshOther, file!(), 4), &mut self.h));
-        vars.push(Variable::from_slice(VarInfo::global("state_u", VarClass::MeshOther, file!(), 5), &mut self.uvel));
-        vars.push(Variable::from_slice(VarInfo::global("state_v", VarClass::MeshOther, file!(), 6), &mut self.vvel));
-        vars.push(Variable::from_slice(VarInfo::global("gradient", VarClass::MeshOther, file!(), 7), &mut self.grad));
-        vars.push(Variable::from_scalar(VarInfo::global("ncells", VarClass::ControlVariable, file!(), 8), &mut self.ncells));
+        v.vec(VarInfo::global("cell_i", VarClass::MeshOther, file!(), 1), ci)?;
+        v.vec(VarInfo::global("cell_j", VarClass::MeshOther, file!(), 2), cj)?;
+        v.vec(VarInfo::global("cell_level", VarClass::MeshOther, file!(), 3), clevel)?;
+        v.vec(VarInfo::global("state_h", VarClass::MeshOther, file!(), 4), h)?;
+        v.vec(VarInfo::global("state_u", VarClass::MeshOther, file!(), 5), uvel)?;
+        v.vec(VarInfo::global("state_v", VarClass::MeshOther, file!(), 6), vvel)?;
+        v.vec(VarInfo::global("gradient", VarClass::MeshOther, file!(), 7), grad)?;
+        v.scalar(VarInfo::global("ncells", VarClass::ControlVariable, file!(), 8), ncells)?;
         // Sort state.
-        vars.push(Variable::from_slice(VarInfo::global("sort_keys", VarClass::SortState, file!(), 10), &mut self.sort_keys));
-        vars.push(Variable::from_slice(VarInfo::global("sorted_idx", VarClass::SortState, file!(), 11), &mut self.sorted_idx));
-        vars.push(Variable::from_slice(VarInfo::global("sort_scratch", VarClass::SortState, file!(), 12), &mut self.sort_scratch));
+        v.vec(VarInfo::global("sort_keys", VarClass::SortState, file!(), 10), sort_keys)?;
+        v.vec(VarInfo::global("sorted_idx", VarClass::SortState, file!(), 11), sorted_idx)?;
+        v.vec(VarInfo::global("sort_scratch", VarClass::SortState, file!(), 12), sort_scratch)?;
         // Tree state.
-        vars.push(Variable::from_slice(VarInfo::global("tree_child", VarClass::TreeState, file!(), 14), &mut self.tree_child));
-        vars.push(Variable::from_slice(VarInfo::global("tree_cell", VarClass::TreeState, file!(), 15), &mut self.tree_cell));
+        v.vec(VarInfo::global("tree_child", VarClass::TreeState, file!(), 14), tree_child)?;
+        v.vec(VarInfo::global("tree_cell", VarClass::TreeState, file!(), 15), tree_cell)?;
         // Constants and pointer.
-        vars.push(Variable::from_scalar(VarInfo::global("dt", VarClass::Constant, file!(), 17), &mut self.dt));
-        vars.push(Variable::from_scalar(VarInfo::global("gravity", VarClass::Constant, file!(), 18), &mut self.gravity));
-        vars.push(Variable::from_scalar(VarInfo::global("refine_thresh", VarClass::Constant, file!(), 19), &mut self.refine_thresh));
-        vars.push(Variable::from_scalar(VarInfo::global("coarsen_thresh", VarClass::Constant, file!(), 20), &mut self.coarsen_thresh));
-        vars.push(Variable::from_scalar(VarInfo::global("state_ptr", VarClass::Pointer, file!(), 21), &mut self.ptr_state));
-        {
-            let [sigma, amp, wavespeed, cfl] = &mut self.raw;
-            vars.push(Variable::from_scalar(VarInfo::global("sigma", VarClass::Constant, file!(), 22), sigma));
-            vars.push(Variable::from_scalar(VarInfo::global("amplitude", VarClass::Constant, file!(), 23), amp));
-            vars.push(Variable::from_scalar(VarInfo::global("wave_speed", VarClass::Constant, file!(), 24), wavespeed));
-            vars.push(Variable::from_scalar(VarInfo::global("cfl", VarClass::Constant, file!(), 25), cfl));
+        v.scalar(VarInfo::global("dt", VarClass::Constant, file!(), 17), dt)?;
+        v.scalar(VarInfo::global("gravity", VarClass::Constant, file!(), 18), gravity)?;
+        v.scalar(VarInfo::global("refine_thresh", VarClass::Constant, file!(), 19), refine_thresh)?;
+        v.scalar(VarInfo::global("coarsen_thresh", VarClass::Constant, file!(), 20), coarsen_thresh)?;
+        v.scalar(VarInfo::global("state_ptr", VarClass::Pointer, file!(), 21), ptr_state)?;
+        v.scalar(None, damping)?;
+        v.scalar(None, friction)?;
+        let [sigma, amp, wavespeed, cfl] = raw;
+        v.scalar(VarInfo::global("sigma", VarClass::Constant, file!(), 22), sigma)?;
+        v.scalar(VarInfo::global("amplitude", VarClass::Constant, file!(), 23), amp)?;
+        v.scalar(VarInfo::global("wave_speed", VarClass::Constant, file!(), 24), wavespeed)?;
+        v.scalar(VarInfo::global("cfl", VarClass::Constant, file!(), 25), cfl)?;
+        for (t, ctl) in ctrl.iter_mut().enumerate() {
+            let Ctrl { ncells_local, fine_local, tstep_local, hc_scratch, div_scratch, cell_scratch } = ctl;
+            let (t, f, class) = (t as u16, "clamr_flux", VarClass::ControlVariable);
+            v.scalar(VarInfo::local("ncells_local", class, f, t, file!(), 30), ncells_local)?;
+            v.scalar(VarInfo::local("fine_local", class, f, t, file!(), 31), fine_local)?;
+            v.scalar(VarInfo::local("tstep_local", class, f, t, file!(), 32), tstep_local)?;
+            v.scalar(VarInfo::local("hc_val", VarClass::Buffer, f, t, file!(), 33), hc_scratch)?;
+            v.scalar(VarInfo::local("div_val", VarClass::Buffer, f, t, file!(), 34), div_scratch)?;
+            v.scalar(VarInfo::local("cell_idx", class, f, t, file!(), 35), cell_scratch)?;
         }
-        for (t, ctl) in self.ctrl.iter_mut().enumerate() {
-            let t16 = t as u16;
-            let f = "clamr_flux";
-            vars.push(Variable::from_scalar(VarInfo::local("ncells_local", VarClass::ControlVariable, f, t16, file!(), 30), &mut ctl.ncells_local));
-            vars.push(Variable::from_scalar(VarInfo::local("fine_local", VarClass::ControlVariable, f, t16, file!(), 31), &mut ctl.fine_local));
-            vars.push(Variable::from_scalar(VarInfo::local("tstep_local", VarClass::ControlVariable, f, t16, file!(), 32), &mut ctl.tstep_local));
-            vars.push(Variable::from_scalar(VarInfo::local("hc_val", VarClass::Buffer, f, t16, file!(), 33), &mut ctl.hc_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("div_val", VarClass::Buffer, f, t16, file!(), 34), &mut ctl.div_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("cell_idx", VarClass::ControlVariable, f, t16, file!(), 35), &mut ctl.cell_scratch));
-        }
-        vars
+        v.vec(None, cell_history)
     }
 
     fn output(&self) -> Output {
@@ -613,69 +611,8 @@ impl FaultTarget for Clamr {
 
     /// Snapshots are taken after `new()`'s pre-run refinement, so rung 0
     /// is the adapted starting mesh.
-    fn snapshot(&self) -> Option<Snapshot> {
-        Some(Snapshot::new(self.clone()))
-    }
-
-    fn restore(&mut self, snapshot: &Snapshot) -> bool {
-        let Some(s) = snapshot.get::<Clamr>() else { return false };
-        // Mesh arrays change length as cells refine/coarsen; `clone_from`
-        // truncates/extends in place, reusing each vector's allocation.
-        self.ci.clone_from(&s.ci);
-        self.cj.clone_from(&s.cj);
-        self.clevel.clone_from(&s.clevel);
-        self.h.clone_from(&s.h);
-        self.uvel.clone_from(&s.uvel);
-        self.vvel.clone_from(&s.vvel);
-        self.grad.clone_from(&s.grad);
-        self.ncells = s.ncells;
-        self.sort_keys.clone_from(&s.sort_keys);
-        self.sorted_idx.clone_from(&s.sorted_idx);
-        self.sort_scratch.clone_from(&s.sort_scratch);
-        self.tree_child.clone_from(&s.tree_child);
-        self.tree_cell.clone_from(&s.tree_cell);
-        self.dt = s.dt;
-        self.gravity = s.gravity;
-        self.damping = s.damping;
-        self.friction = s.friction;
-        self.refine_thresh = s.refine_thresh;
-        self.coarsen_thresh = s.coarsen_thresh;
-        self.ptr_state = s.ptr_state;
-        self.raw = s.raw;
-        self.ctrl.copy_from_slice(&s.ctrl);
-        self.done = s.done;
-        self.cell_history.clone_from(&s.cell_history);
-        true
-    }
-
-    fn converged(&self, snapshot: &Snapshot) -> bool {
-        let Some(s) = snapshot.get::<Clamr>() else { return false };
-        // `p` and `total` are the fixed configuration, which `restore` does
-        // not copy.
-        let Clamr {
-            p: _, ci, cj, clevel, h, uvel, vvel, grad, ncells, sort_keys, sorted_idx, sort_scratch, tree_child, tree_cell, dt,
-            gravity, damping, friction, refine_thresh, coarsen_thresh, ptr_state, raw, ctrl, done, total: _, cell_history,
-        } = s;
-        let consts = [self.dt, self.gravity, self.damping, self.friction, self.refine_thresh, self.coarsen_thresh];
-        self.done == *done
-            && self.ncells == *ncells
-            && self.ptr_state == *ptr_state
-            && bits_eq(&consts, &[*dt, *gravity, *damping, *friction, *refine_thresh, *coarsen_thresh])
-            && bits_eq(&self.raw, raw)
-            && self.ctrl.iter().map(Ctrl::bits).eq(ctrl.iter().map(Ctrl::bits))
-            && bits_eq(&self.cell_history, cell_history)
-            && bits_eq(&self.h, h)
-            && bits_eq(&self.uvel, uvel)
-            && bits_eq(&self.vvel, vvel)
-            && bits_eq(&self.grad, grad)
-            && bits_eq(&self.ci, ci)
-            && bits_eq(&self.cj, cj)
-            && bits_eq(&self.clevel, clevel)
-            && bits_eq(&self.sort_keys, sort_keys)
-            && bits_eq(&self.sorted_idx, sorted_idx)
-            && bits_eq(&self.sort_scratch, sort_scratch)
-            && bits_eq(&self.tree_child, tree_child)
-            && bits_eq(&self.tree_cell, tree_cell)
+    fn snapshot(&mut self) -> Option<Snapshot> {
+        Some(Snapshot::capture(self))
     }
 }
 
@@ -698,6 +635,12 @@ mod tests {
             assert_eq!(area, (p.fine() * p.fine()) as u64, "mesh must tile the domain at step {}", c.done);
             c.step();
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one logical thread")]
+    fn zero_logical_threads_are_refused() {
+        Clamr::new(ClamrParams { logical_threads: 0, ..ClamrParams::test() });
     }
 
     #[test]

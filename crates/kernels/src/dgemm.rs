@@ -16,11 +16,11 @@
 //! exhaust the fuel watchdog (timeout DUEs).
 
 use crate::par::{par_for_each, static_partition};
-use carolfi::bytesview::bits_eq;
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
-use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
+use carolfi::target::{FaultTarget, Snapshot, StateVisitor, StepOutcome, VarClass, VarInfo};
 use rand::Rng;
+use std::ops::ControlFlow;
 
 /// DGEMM sizing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -80,17 +80,7 @@ struct Ctrl {
     aidx_scratch: u64,
 }
 
-impl Ctrl {
-    /// Every field's bits, for [`FaultTarget::converged`].
-    fn bits(&self) -> [u64; 11] {
-        let Ctrl { kb, row_start, row_end, n_local, block_local, nb_local, i_cur, j_cur, k_cur, acc_scratch, aidx_scratch } =
-            *self;
-        [kb, row_start, row_end, n_local, block_local, nb_local, i_cur, j_cur, k_cur, acc_scratch.to_bits(), aidx_scratch]
-    }
-}
-
 /// The DGEMM fault target.
-#[derive(Clone)]
 pub struct Dgemm {
     p: DgemmParams,
     a: Vec<f64>,
@@ -339,61 +329,39 @@ impl FaultTarget for Dgemm {
         StepOutcome::Continue
     }
 
-    fn variables(&mut self) -> Vec<Variable<'_>> {
-        let mut vars = Vec::with_capacity(3 + 9 * self.ctrl.len());
-        vars.push(Variable::from_slice(VarInfo::global("matrix_a", VarClass::Matrix, file!(), 30), &mut self.a));
-        vars.push(Variable::from_slice(VarInfo::global("matrix_b", VarClass::Matrix, file!(), 31), &mut self.b));
-        vars.push(Variable::from_slice(VarInfo::global("matrix_c", VarClass::Matrix, file!(), 32), &mut self.c));
-        vars.push(Variable::from_scalar(VarInfo::global("matrix_ptr", VarClass::Pointer, file!(), 33), &mut self.ptr_a));
-        for (t, ctl) in self.ctrl.iter_mut().enumerate() {
-            let t16 = t as u16;
-            let f = "gemm_kernel";
-            vars.push(Variable::from_scalar(VarInfo::local("kb", VarClass::ControlVariable, f, t16, file!(), 60), &mut ctl.kb));
-            vars.push(Variable::from_scalar(VarInfo::local("row_start", VarClass::ControlVariable, f, t16, file!(), 61), &mut ctl.row_start));
-            vars.push(Variable::from_scalar(VarInfo::local("row_end", VarClass::ControlVariable, f, t16, file!(), 62), &mut ctl.row_end));
-            vars.push(Variable::from_scalar(VarInfo::local("n_local", VarClass::ControlVariable, f, t16, file!(), 63), &mut ctl.n_local));
-            vars.push(Variable::from_scalar(VarInfo::local("block_local", VarClass::ControlVariable, f, t16, file!(), 64), &mut ctl.block_local));
-            vars.push(Variable::from_scalar(VarInfo::local("nb_local", VarClass::ControlVariable, f, t16, file!(), 65), &mut ctl.nb_local));
-            vars.push(Variable::from_scalar(VarInfo::local("i_cur", VarClass::ControlVariable, f, t16, file!(), 66), &mut ctl.i_cur));
-            vars.push(Variable::from_scalar(VarInfo::local("j_cur", VarClass::ControlVariable, f, t16, file!(), 67), &mut ctl.j_cur));
-            vars.push(Variable::from_scalar(VarInfo::local("k_cur", VarClass::ControlVariable, f, t16, file!(), 68), &mut ctl.k_cur));
-            vars.push(Variable::from_scalar(VarInfo::local("acc", VarClass::Buffer, f, t16, file!(), 69), &mut ctl.acc_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("a_idx", VarClass::Buffer, f, t16, file!(), 70), &mut ctl.aidx_scratch));
+    fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+        // `p` and `total` are the fixed configuration; `bt` is scratch
+        // rebuilt from `b` before every read.
+        let Dgemm { p: _, a, b, c, ctrl, ptr_a, done, total: _, bt: _ } = self;
+        v.scalar(None, done)?;
+        v.slice(VarInfo::global("matrix_a", VarClass::Matrix, file!(), 30), a)?;
+        v.slice(VarInfo::global("matrix_b", VarClass::Matrix, file!(), 31), b)?;
+        v.slice(VarInfo::global("matrix_c", VarClass::Matrix, file!(), 32), c)?;
+        v.scalar(VarInfo::global("matrix_ptr", VarClass::Pointer, file!(), 33), ptr_a)?;
+        for (t, ctl) in ctrl.iter_mut().enumerate() {
+            let Ctrl { kb, row_start, row_end, n_local, block_local, nb_local, i_cur, j_cur, k_cur, acc_scratch, aidx_scratch } = ctl;
+            let (t, f, class) = (t as u16, "gemm_kernel", VarClass::ControlVariable);
+            v.scalar(VarInfo::local("kb", class, f, t, file!(), 60), kb)?;
+            v.scalar(VarInfo::local("row_start", class, f, t, file!(), 61), row_start)?;
+            v.scalar(VarInfo::local("row_end", class, f, t, file!(), 62), row_end)?;
+            v.scalar(VarInfo::local("n_local", class, f, t, file!(), 63), n_local)?;
+            v.scalar(VarInfo::local("block_local", class, f, t, file!(), 64), block_local)?;
+            v.scalar(VarInfo::local("nb_local", class, f, t, file!(), 65), nb_local)?;
+            v.scalar(VarInfo::local("i_cur", class, f, t, file!(), 66), i_cur)?;
+            v.scalar(VarInfo::local("j_cur", class, f, t, file!(), 67), j_cur)?;
+            v.scalar(VarInfo::local("k_cur", class, f, t, file!(), 68), k_cur)?;
+            v.scalar(VarInfo::local("acc", VarClass::Buffer, f, t, file!(), 69), acc_scratch)?;
+            v.scalar(VarInfo::local("a_idx", VarClass::Buffer, f, t, file!(), 70), aidx_scratch)?;
         }
-        vars
+        ControlFlow::Continue(())
     }
 
     fn output(&self) -> Output {
         Output::F64Grid { dims: [self.p.n, self.p.n, 1], data: self.c.clone() }
     }
 
-    fn snapshot(&self) -> Option<Snapshot> {
-        Some(Snapshot::new(self.clone()))
-    }
-
-    fn restore(&mut self, snapshot: &Snapshot) -> bool {
-        let Some(s) = snapshot.get::<Dgemm>() else { return false };
-        self.a.copy_from_slice(&s.a);
-        self.b.copy_from_slice(&s.b);
-        self.c.copy_from_slice(&s.c);
-        self.ctrl.copy_from_slice(&s.ctrl);
-        self.ptr_a = s.ptr_a;
-        self.done = s.done;
-        true
-    }
-
-    fn converged(&self, snapshot: &Snapshot) -> bool {
-        let Some(s) = snapshot.get::<Dgemm>() else { return false };
-        // Neither `restore` copies nor this compares: `p` and `total`, the
-        // fixed configuration, and `bt`, scratch rebuilt from `b` before
-        // every read.
-        let Dgemm { p: _, a, b, c, ctrl, ptr_a, done, total: _, bt: _ } = s;
-        self.done == *done
-            && self.ptr_a == *ptr_a
-            && self.ctrl.iter().map(Ctrl::bits).eq(ctrl.iter().map(Ctrl::bits))
-            && bits_eq(&self.c, c)
-            && bits_eq(&self.a, a)
-            && bits_eq(&self.b, b)
+    fn snapshot(&mut self) -> Option<Snapshot> {
+        Some(Snapshot::capture(self))
     }
 }
 
@@ -406,30 +374,7 @@ mod tests {
         g.output()
     }
 
-    /// Every injectable bit of state: C, the control population, the
-    /// pointer base, and the step counter. The fast path must leave all of
-    /// it bit-identical to the resumable path.
-    fn state_digest(g: &Dgemm) -> Vec<u64> {
-        let mut d: Vec<u64> = g.c.iter().map(|v| v.to_bits()).collect();
-        for c in &g.ctrl {
-            d.extend([
-                c.kb,
-                c.row_start,
-                c.row_end,
-                c.n_local,
-                c.block_local,
-                c.nb_local,
-                c.i_cur,
-                c.j_cur,
-                c.k_cur,
-                c.acc_scratch.to_bits(),
-                c.aidx_scratch,
-            ]);
-        }
-        d.push(g.ptr_a);
-        d.push(g.done as u64);
-        d
-    }
+    use crate::state_digest;
 
     #[test]
     fn run_until_fast_path_is_bit_identical_to_step() {
@@ -444,10 +389,10 @@ mod tests {
         for _ in 0..2 {
             slow.step();
         }
-        assert_eq!(state_digest(&slow), state_digest(&fast), "mid-run divergence");
+        assert_eq!(state_digest(&mut slow), state_digest(&mut fast), "mid-run divergence");
         assert_eq!(fast.run_until(usize::MAX, &mut fuel), StepOutcome::Done);
         while slow.step() == StepOutcome::Continue {}
-        assert_eq!(state_digest(&slow), state_digest(&fast), "final state divergence");
+        assert_eq!(state_digest(&mut slow), state_digest(&mut fast), "final state divergence");
         assert_eq!(u64::MAX - fuel.remaining(), slow.done as u64, "one fuel unit per step");
     }
 
@@ -467,7 +412,7 @@ mod tests {
         assert!(!fast.control_is_pristine());
         assert_eq!(fast.run_until(usize::MAX, &mut fuel), StepOutcome::Done);
         while slow.step() == StepOutcome::Continue {}
-        assert_eq!(state_digest(&slow), state_digest(&fast), "faulty-run divergence");
+        assert_eq!(state_digest(&mut slow), state_digest(&mut fast), "faulty-run divergence");
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //! grid, rows statically partitioned over the logical threads.
 
 use crate::par::{par_for_each, static_partition};
-use carolfi::bytesview::bits_eq;
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
-use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
+use carolfi::target::{FaultTarget, Snapshot, StateVisitor, StepOutcome, VarClass, VarInfo};
 use rand::Rng;
+use std::ops::ControlFlow;
 
 // Rodinia hotspot physical constants.
 const CHIP_HEIGHT: f32 = 0.016;
@@ -95,18 +95,6 @@ struct Ctrl {
     delta_scratch: f32,
 }
 
-impl Ctrl {
-    /// Every field's bits, for [`FaultTarget::converged`].
-    fn bits(&self) -> ([u64; 9], [u32; 4]) {
-        let Ctrl {
-            row_start, row_end, tid_local, nthreads_local, rows_local, cols_local, iter_local, idx_scratch, gr_scratch,
-            t_scratch, top_scratch, left_scratch, delta_scratch,
-        } = *self;
-        let ints = [row_start, row_end, tid_local, nthreads_local, rows_local, cols_local, iter_local, idx_scratch, gr_scratch];
-        (ints, [t_scratch, top_scratch, left_scratch, delta_scratch].map(f32::to_bits))
-    }
-}
-
 /// Live physical constants (injectable `Constant`-class scalars).
 #[derive(Debug, Clone, Copy)]
 struct Consts {
@@ -115,14 +103,6 @@ struct Consts {
     ry_1: f32,
     rz_1: f32,
     amb: f32,
-}
-
-impl Consts {
-    /// Every field, for [`FaultTarget::converged`].
-    fn as_array(&self) -> [f32; 5] {
-        let Consts { step_div_cap, rx_1, ry_1, rz_1, amb } = *self;
-        [step_div_cap, rx_1, ry_1, rz_1, amb]
-    }
 }
 
 /// The HotSpot fault target.
@@ -394,44 +374,48 @@ impl FaultTarget for Hotspot {
         self.finish_step()
     }
 
-    fn variables(&mut self) -> Vec<Variable<'_>> {
-        let mut vars = Vec::with_capacity(8 + 5 * self.ctrl.len());
-        vars.push(Variable::from_slice(VarInfo::global("temp", VarClass::Matrix, file!(), 1), &mut self.t_src));
-        vars.push(Variable::from_slice(VarInfo::global("temp_scratch", VarClass::Matrix, file!(), 2), &mut self.t_dst));
-        vars.push(Variable::from_slice(VarInfo::global("power", VarClass::InputArray, file!(), 3), &mut self.power));
-        vars.push(Variable::from_scalar(VarInfo::global("step_div_cap", VarClass::Constant, file!(), 4), &mut self.consts.step_div_cap));
-        vars.push(Variable::from_scalar(VarInfo::global("rx_1", VarClass::Constant, file!(), 5), &mut self.consts.rx_1));
-        vars.push(Variable::from_scalar(VarInfo::global("ry_1", VarClass::Constant, file!(), 6), &mut self.consts.ry_1));
-        vars.push(Variable::from_scalar(VarInfo::global("rz_1", VarClass::Constant, file!(), 7), &mut self.consts.rz_1));
-        vars.push(Variable::from_scalar(VarInfo::global("amb_temp", VarClass::Constant, file!(), 8), &mut self.consts.amb));
-        vars.push(Variable::from_scalar(VarInfo::global("temp_ptr", VarClass::Pointer, file!(), 9), &mut self.ptr_temp));
-        {
-            let [rx, ry, rz, cap, step, slope] = &mut self.raw;
-            vars.push(Variable::from_scalar(VarInfo::global("rx", VarClass::Constant, file!(), 9), rx));
-            vars.push(Variable::from_scalar(VarInfo::global("ry", VarClass::Constant, file!(), 9), ry));
-            vars.push(Variable::from_scalar(VarInfo::global("rz", VarClass::Constant, file!(), 9), rz));
-            vars.push(Variable::from_scalar(VarInfo::global("cap", VarClass::Constant, file!(), 9), cap));
-            vars.push(Variable::from_scalar(VarInfo::global("step", VarClass::Constant, file!(), 9), step));
-            vars.push(Variable::from_scalar(VarInfo::global("max_slope", VarClass::Constant, file!(), 9), slope));
+    fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+        // `p` is the fixed configuration.
+        let Hotspot { p: _, t_src, t_dst, power, consts, ctrl, ptr_temp, raw, done } = self;
+        v.scalar(None, done)?;
+        v.slice(VarInfo::global("temp", VarClass::Matrix, file!(), 1), t_src)?;
+        v.slice(VarInfo::global("temp_scratch", VarClass::Matrix, file!(), 2), t_dst)?;
+        v.slice(VarInfo::global("power", VarClass::InputArray, file!(), 3), power)?;
+        let Consts { step_div_cap, rx_1, ry_1, rz_1, amb } = consts;
+        v.scalar(VarInfo::global("step_div_cap", VarClass::Constant, file!(), 4), step_div_cap)?;
+        v.scalar(VarInfo::global("rx_1", VarClass::Constant, file!(), 5), rx_1)?;
+        v.scalar(VarInfo::global("ry_1", VarClass::Constant, file!(), 6), ry_1)?;
+        v.scalar(VarInfo::global("rz_1", VarClass::Constant, file!(), 7), rz_1)?;
+        v.scalar(VarInfo::global("amb_temp", VarClass::Constant, file!(), 8), amb)?;
+        v.scalar(VarInfo::global("temp_ptr", VarClass::Pointer, file!(), 9), ptr_temp)?;
+        let [rx, ry, rz, cap, step, slope] = raw;
+        v.scalar(VarInfo::global("rx", VarClass::Constant, file!(), 9), rx)?;
+        v.scalar(VarInfo::global("ry", VarClass::Constant, file!(), 9), ry)?;
+        v.scalar(VarInfo::global("rz", VarClass::Constant, file!(), 9), rz)?;
+        v.scalar(VarInfo::global("cap", VarClass::Constant, file!(), 9), cap)?;
+        v.scalar(VarInfo::global("step", VarClass::Constant, file!(), 9), step)?;
+        v.scalar(VarInfo::global("max_slope", VarClass::Constant, file!(), 9), slope)?;
+        for (t, ctl) in ctrl.iter_mut().enumerate() {
+            let Ctrl {
+                row_start, row_end, tid_local, nthreads_local, rows_local, cols_local, iter_local, idx_scratch, gr_scratch,
+                t_scratch, top_scratch, left_scratch, delta_scratch,
+            } = ctl;
+            let (t, f, class) = (t as u16, "hotspot_kernel", VarClass::ControlVariable);
+            v.scalar(VarInfo::local("row_start", class, f, t, file!(), 10), row_start)?;
+            v.scalar(VarInfo::local("row_end", class, f, t, file!(), 11), row_end)?;
+            v.scalar(VarInfo::local("tid_local", class, f, t, file!(), 11), tid_local)?;
+            v.scalar(VarInfo::local("nthreads_local", class, f, t, file!(), 11), nthreads_local)?;
+            v.scalar(VarInfo::local("rows_local", class, f, t, file!(), 12), rows_local)?;
+            v.scalar(VarInfo::local("cols_local", class, f, t, file!(), 13), cols_local)?;
+            v.scalar(VarInfo::local("iter_local", class, f, t, file!(), 14), iter_local)?;
+            v.scalar(VarInfo::local("idx", class, f, t, file!(), 15), idx_scratch)?;
+            v.scalar(VarInfo::local("gr", class, f, t, file!(), 16), gr_scratch)?;
+            v.scalar(VarInfo::local("t_val", VarClass::Buffer, f, t, file!(), 17), t_scratch)?;
+            v.scalar(VarInfo::local("top_val", VarClass::Buffer, f, t, file!(), 18), top_scratch)?;
+            v.scalar(VarInfo::local("left_val", VarClass::Buffer, f, t, file!(), 19), left_scratch)?;
+            v.scalar(VarInfo::local("delta", VarClass::Buffer, f, t, file!(), 20), delta_scratch)?;
         }
-        for (t, ctl) in self.ctrl.iter_mut().enumerate() {
-            let t16 = t as u16;
-            let f = "hotspot_kernel";
-            vars.push(Variable::from_scalar(VarInfo::local("row_start", VarClass::ControlVariable, f, t16, file!(), 10), &mut ctl.row_start));
-            vars.push(Variable::from_scalar(VarInfo::local("row_end", VarClass::ControlVariable, f, t16, file!(), 11), &mut ctl.row_end));
-            vars.push(Variable::from_scalar(VarInfo::local("tid_local", VarClass::ControlVariable, f, t16, file!(), 11), &mut ctl.tid_local));
-            vars.push(Variable::from_scalar(VarInfo::local("nthreads_local", VarClass::ControlVariable, f, t16, file!(), 11), &mut ctl.nthreads_local));
-            vars.push(Variable::from_scalar(VarInfo::local("rows_local", VarClass::ControlVariable, f, t16, file!(), 12), &mut ctl.rows_local));
-            vars.push(Variable::from_scalar(VarInfo::local("cols_local", VarClass::ControlVariable, f, t16, file!(), 13), &mut ctl.cols_local));
-            vars.push(Variable::from_scalar(VarInfo::local("iter_local", VarClass::ControlVariable, f, t16, file!(), 14), &mut ctl.iter_local));
-            vars.push(Variable::from_scalar(VarInfo::local("idx", VarClass::ControlVariable, f, t16, file!(), 15), &mut ctl.idx_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("gr", VarClass::ControlVariable, f, t16, file!(), 16), &mut ctl.gr_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("t_val", VarClass::Buffer, f, t16, file!(), 17), &mut ctl.t_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("top_val", VarClass::Buffer, f, t16, file!(), 18), &mut ctl.top_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("left_val", VarClass::Buffer, f, t16, file!(), 19), &mut ctl.left_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("delta", VarClass::Buffer, f, t16, file!(), 20), &mut ctl.delta_scratch));
-        }
-        vars
+        ControlFlow::Continue(())
     }
 
     fn output(&self) -> Output {
@@ -443,35 +427,8 @@ impl FaultTarget for Hotspot {
         Output::F32Grid { dims: [self.p.rows, self.p.cols, 1], data }
     }
 
-    fn snapshot(&self) -> Option<Snapshot> {
-        Some(Snapshot::new(self.clone()))
-    }
-
-    fn restore(&mut self, snapshot: &Snapshot) -> bool {
-        let Some(s) = snapshot.get::<Hotspot>() else { return false };
-        self.t_src.copy_from_slice(&s.t_src);
-        self.t_dst.copy_from_slice(&s.t_dst);
-        self.power.copy_from_slice(&s.power);
-        self.consts = s.consts;
-        self.ctrl.copy_from_slice(&s.ctrl);
-        self.ptr_temp = s.ptr_temp;
-        self.raw = s.raw;
-        self.done = s.done;
-        true
-    }
-
-    fn converged(&self, snapshot: &Snapshot) -> bool {
-        let Some(s) = snapshot.get::<Hotspot>() else { return false };
-        // `p` is the fixed configuration, which `restore` does not copy.
-        let Hotspot { p: _, t_src, t_dst, power, consts, ctrl, ptr_temp, raw, done } = s;
-        self.done == *done
-            && self.ptr_temp == *ptr_temp
-            && bits_eq(&self.raw, raw)
-            && bits_eq(&self.consts.as_array(), &consts.as_array())
-            && self.ctrl.iter().map(Ctrl::bits).eq(ctrl.iter().map(Ctrl::bits))
-            && bits_eq(&self.t_src, t_src)
-            && bits_eq(&self.t_dst, t_dst)
-            && bits_eq(&self.power, power)
+    fn snapshot(&mut self) -> Option<Snapshot> {
+        Some(Snapshot::capture(self))
     }
 }
 
@@ -484,28 +441,13 @@ mod tests {
         h.output()
     }
 
-    /// Every bit of state: both grids, power, the constants, every control
-    /// field (scratch included), the pointer base, the raw parameters and
-    /// the step count. The fast pass must leave all of it as the exact path
-    /// does.
-    fn state_digest(h: &Hotspot) -> Vec<u64> {
-        let mut d: Vec<u64> = h.t_src.iter().chain(&h.t_dst).chain(&h.power).map(|v| u64::from(v.to_bits())).collect();
-        d.extend(h.consts.as_array().map(|v| u64::from(v.to_bits())));
-        for c in &h.ctrl {
-            let (ints, floats) = c.bits();
-            d.extend(ints);
-            d.extend(floats.map(u64::from));
-        }
-        d.extend(h.raw.map(|v| u64::from(v.to_bits())));
-        d.extend([h.ptr_temp, h.done as u64]);
-        d
-    }
+    use crate::state_digest;
 
     /// How a run to the end came out: its final state, or the class of the
     /// panic that ended it.
     #[derive(Debug, PartialEq)]
     enum End {
-        State(Vec<u64>),
+        State(Vec<u8>),
         Timeout,
         Crash,
     }
@@ -519,7 +461,7 @@ mod tests {
             } else {
                 while h.step() == StepOutcome::Continue {}
             }
-            state_digest(&h)
+            state_digest(&mut h)
         }));
         match run {
             Ok(digest) => End::State(digest),
@@ -528,7 +470,7 @@ mod tests {
         }
     }
 
-    /// The first digest word two ends differ in, for failure messages.
+    /// The first digest byte two ends differ in, for failure messages.
     fn first_difference(a: &End, b: &End) -> Option<usize> {
         match (a, b) {
             (End::State(x), End::State(y)) => x.iter().zip(y).position(|(p, q)| p != q),
@@ -550,10 +492,10 @@ mod tests {
             for _ in 0..mid {
                 slow.step();
             }
-            assert_eq!(state_digest(&slow), state_digest(&fast), "mid-run divergence");
+            assert_eq!(state_digest(&mut slow), state_digest(&mut fast), "mid-run divergence");
             assert_eq!(fast.run_until(usize::MAX, &mut fuel), StepOutcome::Done);
             while slow.step() == StepOutcome::Continue {}
-            assert_eq!(state_digest(&slow), state_digest(&fast), "final state divergence");
+            assert_eq!(state_digest(&mut slow), state_digest(&mut fast), "final state divergence");
             assert!(fast.control_is_pristine());
             assert_eq!(u64::MAX - fuel.remaining(), p.iterations as u64, "one fuel unit per step");
         }

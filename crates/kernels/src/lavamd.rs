@@ -21,11 +21,11 @@
 //! spatial error pattern.
 
 use crate::par::par_for_each;
-use carolfi::bytesview::bits_eq;
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
-use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
+use carolfi::target::{FaultTarget, Snapshot, StateVisitor, StepOutcome, VarClass, VarInfo};
 use rand::Rng;
+use std::ops::ControlFlow;
 
 /// LavaMD sizing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -91,20 +91,7 @@ struct Ctrl {
     fz_copy: f32,
 }
 
-impl Ctrl {
-    /// Every field's bits, for [`FaultTarget::converged`].
-    fn bits(&self) -> ([u64; 6], [u32; 10]) {
-        let Ctrl {
-            box_id, fire_step, par_local, nb_local, j_scratch, nbox_scratch, d2_scratch, w_scratch, dx_scratch, dy_scratch,
-            dz_scratch, qj_scratch, v_copy, fx_copy, fy_copy, fz_copy,
-        } = *self;
-        let floats = [d2_scratch, w_scratch, dx_scratch, dy_scratch, dz_scratch, qj_scratch, v_copy, fx_copy, fy_copy, fz_copy];
-        ([box_id, fire_step, par_local, nb_local, j_scratch, nbox_scratch], floats.map(f32::to_bits))
-    }
-}
-
 /// The LavaMD fault target.
-#[derive(Clone)]
 pub struct Lavamd {
     p: LavamdParams,
     /// Particle positions: 4 floats per particle (x, y, z, pad).
@@ -321,42 +308,45 @@ impl FaultTarget for Lavamd {
         }
     }
 
-    fn variables(&mut self) -> Vec<Variable<'_>> {
-        let mut vars = Vec::with_capacity(5 + 4 * self.ctrl.len());
-        vars.push(Variable::from_slice(VarInfo::global("rv_distance", VarClass::InputArray, file!(), 1), &mut self.rv));
-        vars.push(Variable::from_slice(VarInfo::global("qv_charge", VarClass::InputArray, file!(), 2), &mut self.qv));
-        vars.push(Variable::from_slice(VarInfo::global("fv_forces", VarClass::Matrix, file!(), 3), &mut self.fv));
-        vars.push(Variable::from_scalar(VarInfo::global("alpha2", VarClass::Constant, file!(), 4), &mut self.a2));
-        vars.push(Variable::from_scalar(VarInfo::global("cutoff2", VarClass::Constant, file!(), 5), &mut self.cut2));
-        vars.push(Variable::from_scalar(VarInfo::global("rv_ptr", VarClass::Pointer, file!(), 6), &mut self.ptr_rv));
-        {
-            let [alpha, cutoff, boxes1d, par_raw] = &mut self.raw;
-            vars.push(Variable::from_scalar(VarInfo::global("alpha", VarClass::Constant, file!(), 7), alpha));
-            vars.push(Variable::from_scalar(VarInfo::global("cutoff", VarClass::Constant, file!(), 7), cutoff));
-            vars.push(Variable::from_scalar(VarInfo::global("boxes1d", VarClass::Constant, file!(), 7), boxes1d));
-            vars.push(Variable::from_scalar(VarInfo::global("par_raw", VarClass::Constant, file!(), 7), par_raw));
+    fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+        // `p` is the fixed configuration.
+        let Lavamd { p: _, rv, qv, fv, a2, cut2, ctrl, ptr_rv, raw, done } = self;
+        v.scalar(None, done)?;
+        v.slice(VarInfo::global("rv_distance", VarClass::InputArray, file!(), 1), rv)?;
+        v.slice(VarInfo::global("qv_charge", VarClass::InputArray, file!(), 2), qv)?;
+        v.slice(VarInfo::global("fv_forces", VarClass::Matrix, file!(), 3), fv)?;
+        v.scalar(VarInfo::global("alpha2", VarClass::Constant, file!(), 4), a2)?;
+        v.scalar(VarInfo::global("cutoff2", VarClass::Constant, file!(), 5), cut2)?;
+        v.scalar(VarInfo::global("rv_ptr", VarClass::Pointer, file!(), 6), ptr_rv)?;
+        let [alpha, cutoff, boxes1d, par_raw] = raw;
+        v.scalar(VarInfo::global("alpha", VarClass::Constant, file!(), 7), alpha)?;
+        v.scalar(VarInfo::global("cutoff", VarClass::Constant, file!(), 7), cutoff)?;
+        v.scalar(VarInfo::global("boxes1d", VarClass::Constant, file!(), 7), boxes1d)?;
+        v.scalar(VarInfo::global("par_raw", VarClass::Constant, file!(), 7), par_raw)?;
+        for (t, ctl) in ctrl.iter_mut().enumerate() {
+            let Ctrl {
+                box_id, fire_step, par_local, nb_local, j_scratch, nbox_scratch, d2_scratch, w_scratch, dx_scratch, dy_scratch,
+                dz_scratch, qj_scratch, v_copy, fx_copy, fy_copy, fz_copy,
+            } = ctl;
+            let (t, f, class) = (t as u16, "lavamd_kernel", VarClass::ControlVariable);
+            v.scalar(VarInfo::local("box_id", class, f, t, file!(), 10), box_id)?;
+            v.scalar(VarInfo::local("fire_step", class, f, t, file!(), 11), fire_step)?;
+            v.scalar(VarInfo::local("par_local", class, f, t, file!(), 12), par_local)?;
+            v.scalar(VarInfo::local("nb_local", class, f, t, file!(), 13), nb_local)?;
+            v.scalar(VarInfo::local("j", class, f, t, file!(), 14), j_scratch)?;
+            v.scalar(VarInfo::local("nbox", class, f, t, file!(), 15), nbox_scratch)?;
+            v.scalar(VarInfo::local("d2", VarClass::Buffer, f, t, file!(), 16), d2_scratch)?;
+            v.scalar(VarInfo::local("w", VarClass::Buffer, f, t, file!(), 17), w_scratch)?;
+            v.scalar(VarInfo::local("dx", VarClass::Buffer, f, t, file!(), 18), dx_scratch)?;
+            v.scalar(VarInfo::local("dy", VarClass::Buffer, f, t, file!(), 19), dy_scratch)?;
+            v.scalar(VarInfo::local("dz", VarClass::Buffer, f, t, file!(), 20), dz_scratch)?;
+            v.scalar(VarInfo::local("qj", VarClass::Buffer, f, t, file!(), 21), qj_scratch)?;
+            v.scalar(VarInfo::local("v_acc", VarClass::Buffer, f, t, file!(), 22), v_copy)?;
+            v.scalar(VarInfo::local("fx_acc", VarClass::Buffer, f, t, file!(), 23), fx_copy)?;
+            v.scalar(VarInfo::local("fy_acc", VarClass::Buffer, f, t, file!(), 24), fy_copy)?;
+            v.scalar(VarInfo::local("fz_acc", VarClass::Buffer, f, t, file!(), 25), fz_copy)?;
         }
-        for (t, ctl) in self.ctrl.iter_mut().enumerate() {
-            let t16 = t as u16;
-            let f = "lavamd_kernel";
-            vars.push(Variable::from_scalar(VarInfo::local("box_id", VarClass::ControlVariable, f, t16, file!(), 10), &mut ctl.box_id));
-            vars.push(Variable::from_scalar(VarInfo::local("fire_step", VarClass::ControlVariable, f, t16, file!(), 11), &mut ctl.fire_step));
-            vars.push(Variable::from_scalar(VarInfo::local("par_local", VarClass::ControlVariable, f, t16, file!(), 12), &mut ctl.par_local));
-            vars.push(Variable::from_scalar(VarInfo::local("nb_local", VarClass::ControlVariable, f, t16, file!(), 13), &mut ctl.nb_local));
-            vars.push(Variable::from_scalar(VarInfo::local("j", VarClass::ControlVariable, f, t16, file!(), 14), &mut ctl.j_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("nbox", VarClass::ControlVariable, f, t16, file!(), 15), &mut ctl.nbox_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("d2", VarClass::Buffer, f, t16, file!(), 16), &mut ctl.d2_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("w", VarClass::Buffer, f, t16, file!(), 17), &mut ctl.w_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("dx", VarClass::Buffer, f, t16, file!(), 18), &mut ctl.dx_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("dy", VarClass::Buffer, f, t16, file!(), 19), &mut ctl.dy_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("dz", VarClass::Buffer, f, t16, file!(), 20), &mut ctl.dz_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("qj", VarClass::Buffer, f, t16, file!(), 21), &mut ctl.qj_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("v_acc", VarClass::Buffer, f, t16, file!(), 22), &mut ctl.v_copy));
-            vars.push(Variable::from_scalar(VarInfo::local("fx_acc", VarClass::Buffer, f, t16, file!(), 23), &mut ctl.fx_copy));
-            vars.push(Variable::from_scalar(VarInfo::local("fy_acc", VarClass::Buffer, f, t16, file!(), 24), &mut ctl.fy_copy));
-            vars.push(Variable::from_scalar(VarInfo::local("fz_acc", VarClass::Buffer, f, t16, file!(), 25), &mut ctl.fz_copy));
-        }
-        vars
+        ControlFlow::Continue(())
     }
 
     fn output(&self) -> Output {
@@ -368,36 +358,8 @@ impl FaultTarget for Lavamd {
         Output::F32Grid { dims: [nb, nb, nb * self.p.par_per_box * 4], data }
     }
 
-    fn snapshot(&self) -> Option<Snapshot> {
-        Some(Snapshot::new(self.clone()))
-    }
-
-    fn restore(&mut self, snapshot: &Snapshot) -> bool {
-        let Some(s) = snapshot.get::<Lavamd>() else { return false };
-        self.rv.copy_from_slice(&s.rv);
-        self.qv.copy_from_slice(&s.qv);
-        self.fv.copy_from_slice(&s.fv);
-        self.a2 = s.a2;
-        self.cut2 = s.cut2;
-        self.ctrl.copy_from_slice(&s.ctrl);
-        self.ptr_rv = s.ptr_rv;
-        self.raw = s.raw;
-        self.done = s.done;
-        true
-    }
-
-    fn converged(&self, snapshot: &Snapshot) -> bool {
-        let Some(s) = snapshot.get::<Lavamd>() else { return false };
-        // `p` is the fixed configuration, which `restore` does not copy.
-        let Lavamd { p: _, rv, qv, fv, a2, cut2, ctrl, ptr_rv, raw, done } = s;
-        self.done == *done
-            && self.ptr_rv == *ptr_rv
-            && bits_eq(&[self.a2, self.cut2], &[*a2, *cut2])
-            && bits_eq(&self.raw, raw)
-            && self.ctrl.iter().map(Ctrl::bits).eq(ctrl.iter().map(Ctrl::bits))
-            && bits_eq(&self.fv, fv)
-            && bits_eq(&self.rv, rv)
-            && bits_eq(&self.qv, qv)
+    fn snapshot(&mut self) -> Option<Snapshot> {
+        Some(Snapshot::capture(self))
     }
 }
 

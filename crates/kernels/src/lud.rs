@@ -17,11 +17,11 @@
 //! (iterations left to spread it).
 
 use crate::par::{par_for_each, static_partition};
-use carolfi::bytesview::bits_eq;
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
-use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
+use carolfi::target::{FaultTarget, Snapshot, StateVisitor, StepOutcome, VarClass, VarInfo};
 use rand::Rng;
+use std::ops::ControlFlow;
 
 /// LUD sizing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -64,16 +64,6 @@ struct Ctrl {
     col_scratch: u64,
 }
 
-impl Ctrl {
-    /// Every field's bits, for [`FaultTarget::converged`].
-    fn bits(&self) -> ([u64; 7], [u32; 3]) {
-        let Ctrl { d_local, n_local, b_local, nb_local, col_cur, acc_scratch, l_scratch, u_scratch, row_scratch, col_scratch } =
-            *self;
-        let ints = [d_local, n_local, b_local, nb_local, col_cur, row_scratch, col_scratch];
-        (ints, [acc_scratch, l_scratch, u_scratch].map(f32::to_bits))
-    }
-}
-
 /// Factorisation phases within one diagonal index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -83,7 +73,6 @@ enum Phase {
 }
 
 /// The LUD fault target.
-#[derive(Clone)]
 pub struct Lud {
     p: LudParams,
     a: Vec<f32>,
@@ -99,6 +88,7 @@ pub struct Lud {
 impl Lud {
     pub fn new(p: LudParams) -> Self {
         assert!(p.n.is_multiple_of(p.block), "n must be a multiple of block");
+        assert!(p.logical_threads > 0, "LUD needs at least one logical thread");
         let nb = p.n / p.block;
         let mut rng = carolfi::rng::fork(p.seed, 0);
         let mut a: Vec<f32> = (0..p.n * p.n).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -316,56 +306,37 @@ impl FaultTarget for Lud {
         }
     }
 
-    fn variables(&mut self) -> Vec<Variable<'_>> {
-        let mut vars = Vec::with_capacity(2 + 5 * self.ctrl.len());
-        vars.push(Variable::from_slice(VarInfo::global("matrix", VarClass::Matrix, file!(), 1), &mut self.a));
-        vars.push(Variable::from_scalar(VarInfo::global("diag_cursor", VarClass::ControlVariable, file!(), 2), &mut self.d));
-        vars.push(Variable::from_scalar(VarInfo::global("matrix_ptr", VarClass::Pointer, file!(), 3), &mut self.ptr_m));
-        for (t, ctl) in self.ctrl.iter_mut().enumerate() {
-            let t16 = t as u16;
-            let f = "lud_internal";
-            vars.push(Variable::from_scalar(VarInfo::local("d_local", VarClass::ControlVariable, f, t16, file!(), 10), &mut ctl.d_local));
-            vars.push(Variable::from_scalar(VarInfo::local("n_local", VarClass::ControlVariable, f, t16, file!(), 11), &mut ctl.n_local));
-            vars.push(Variable::from_scalar(VarInfo::local("b_local", VarClass::ControlVariable, f, t16, file!(), 12), &mut ctl.b_local));
-            vars.push(Variable::from_scalar(VarInfo::local("nb_local", VarClass::ControlVariable, f, t16, file!(), 13), &mut ctl.nb_local));
-            vars.push(Variable::from_scalar(VarInfo::local("col_cur", VarClass::ControlVariable, f, t16, file!(), 14), &mut ctl.col_cur));
-            vars.push(Variable::from_scalar(VarInfo::local("acc", VarClass::Buffer, f, t16, file!(), 15), &mut ctl.acc_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("l_val", VarClass::Buffer, f, t16, file!(), 16), &mut ctl.l_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("u_val", VarClass::Buffer, f, t16, file!(), 17), &mut ctl.u_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("row", VarClass::ControlVariable, f, t16, file!(), 18), &mut ctl.row_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("col", VarClass::ControlVariable, f, t16, file!(), 19), &mut ctl.col_scratch));
+    fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+        // `p` and `total` are the fixed configuration.
+        let Lud { p: _, a, d, ptr_m, ctrl, done, total: _ } = self;
+        v.scalar(None, done)?;
+        v.slice(VarInfo::global("matrix", VarClass::Matrix, file!(), 1), a)?;
+        v.scalar(VarInfo::global("diag_cursor", VarClass::ControlVariable, file!(), 2), d)?;
+        v.scalar(VarInfo::global("matrix_ptr", VarClass::Pointer, file!(), 3), ptr_m)?;
+        for (t, ctl) in ctrl.iter_mut().enumerate() {
+            let Ctrl { d_local, n_local, b_local, nb_local, col_cur, acc_scratch, l_scratch, u_scratch, row_scratch, col_scratch } =
+                ctl;
+            let (t, f, class) = (t as u16, "lud_internal", VarClass::ControlVariable);
+            v.scalar(VarInfo::local("d_local", class, f, t, file!(), 10), d_local)?;
+            v.scalar(VarInfo::local("n_local", class, f, t, file!(), 11), n_local)?;
+            v.scalar(VarInfo::local("b_local", class, f, t, file!(), 12), b_local)?;
+            v.scalar(VarInfo::local("nb_local", class, f, t, file!(), 13), nb_local)?;
+            v.scalar(VarInfo::local("col_cur", class, f, t, file!(), 14), col_cur)?;
+            v.scalar(VarInfo::local("acc", VarClass::Buffer, f, t, file!(), 15), acc_scratch)?;
+            v.scalar(VarInfo::local("l_val", VarClass::Buffer, f, t, file!(), 16), l_scratch)?;
+            v.scalar(VarInfo::local("u_val", VarClass::Buffer, f, t, file!(), 17), u_scratch)?;
+            v.scalar(VarInfo::local("row", class, f, t, file!(), 18), row_scratch)?;
+            v.scalar(VarInfo::local("col", class, f, t, file!(), 19), col_scratch)?;
         }
-        vars
+        ControlFlow::Continue(())
     }
 
     fn output(&self) -> Output {
         Output::F32Grid { dims: [self.p.n, self.p.n, 1], data: self.a.clone() }
     }
 
-    fn snapshot(&self) -> Option<Snapshot> {
-        Some(Snapshot::new(self.clone()))
-    }
-
-    fn restore(&mut self, snapshot: &Snapshot) -> bool {
-        let Some(s) = snapshot.get::<Lud>() else { return false };
-        self.a.copy_from_slice(&s.a);
-        self.d = s.d;
-        self.ptr_m = s.ptr_m;
-        self.ctrl.copy_from_slice(&s.ctrl);
-        self.done = s.done;
-        true
-    }
-
-    fn converged(&self, snapshot: &Snapshot) -> bool {
-        let Some(s) = snapshot.get::<Lud>() else { return false };
-        // `p` and `total` are the fixed configuration, which `restore` does
-        // not copy.
-        let Lud { p: _, a, d, ptr_m, ctrl, done, total: _ } = s;
-        self.done == *done
-            && self.d == *d
-            && self.ptr_m == *ptr_m
-            && self.ctrl.iter().map(Ctrl::bits).eq(ctrl.iter().map(Ctrl::bits))
-            && bits_eq(&self.a, a)
+    fn snapshot(&mut self) -> Option<Snapshot> {
+        Some(Snapshot::capture(self))
     }
 }
 
@@ -416,6 +387,12 @@ mod tests {
         let a = run_to_done(Lud::new(p));
         let b = run_to_done(Lud::new(LudParams { workers: 3, ..p }));
         assert!(a.matches(&b));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one logical thread")]
+    fn zero_logical_threads_are_refused() {
+        Lud::new(LudParams { logical_threads: 0, ..LudParams::test() });
     }
 
     #[test]

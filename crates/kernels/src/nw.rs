@@ -19,11 +19,11 @@
 //! NW is the paper's only integer benchmark.
 
 use crate::par::par_for_each;
-use carolfi::bytesview::bits_eq;
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
-use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
+use carolfi::target::{FaultTarget, Snapshot, StateVisitor, StepOutcome, VarClass, VarInfo};
 use rand::Rng;
+use std::ops::ControlFlow;
 
 /// NW sizing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -77,17 +77,7 @@ struct Ctrl {
     left_val: i64,
 }
 
-impl Ctrl {
-    /// Every field's bits, for [`FaultTarget::converged`].
-    fn bits(&self) -> ([u64; 7], [i64; 3]) {
-        let Ctrl { diag_cur, b_local, n_local, stride_local, ti_scratch, tj_scratch, gi_scratch, diag_val, up_val, left_val } =
-            *self;
-        ([diag_cur, b_local, n_local, stride_local, ti_scratch, tj_scratch, gi_scratch], [diag_val, up_val, left_val])
-    }
-}
-
 /// The NW fault target.
-#[derive(Clone)]
 pub struct Nw {
     p: NwParams,
     /// Substitution scores for every DP cell (Rodinia's `reference`).
@@ -370,71 +360,42 @@ impl FaultTarget for Nw {
         }
     }
 
-    fn variables(&mut self) -> Vec<Variable<'_>> {
-        let mut vars = Vec::with_capacity(6 + 4 * self.ctrl.len());
-        vars.push(Variable::from_slice(VarInfo::global("itemsets", VarClass::Matrix, file!(), 1), &mut self.score));
-        vars.push(Variable::from_slice(VarInfo::global("alignment_path", VarClass::Matrix, file!(), 1), &mut self.path));
-        vars.push(Variable::from_slice(VarInfo::global("reference", VarClass::InputArray, file!(), 2), &mut self.refm));
-        vars.push(Variable::from_scalar(VarInfo::global("penalty", VarClass::Constant, file!(), 3), &mut self.penalty));
-        vars.push(Variable::from_slice(VarInfo::global("seq1", VarClass::InputArray, file!(), 4), &mut self.seq1));
-        vars.push(Variable::from_slice(VarInfo::global("seq2", VarClass::InputArray, file!(), 5), &mut self.seq2));
-        vars.push(Variable::from_scalar(VarInfo::global("itemsets_ptr", VarClass::Pointer, file!(), 6), &mut self.ptr_score));
-        vars.push(Variable::from_scalar(VarInfo::global("reference_ptr", VarClass::Pointer, file!(), 7), &mut self.ptr_ref));
-        for (t, ctl) in self.ctrl.iter_mut().enumerate() {
-            let t16 = t as u16;
-            let f = "nw_wavefront";
-            vars.push(Variable::from_scalar(VarInfo::local("diag_cur", VarClass::ControlVariable, f, t16, file!(), 10), &mut ctl.diag_cur));
-            vars.push(Variable::from_scalar(VarInfo::local("b_local", VarClass::ControlVariable, f, t16, file!(), 11), &mut ctl.b_local));
-            vars.push(Variable::from_scalar(VarInfo::local("n_local", VarClass::ControlVariable, f, t16, file!(), 12), &mut ctl.n_local));
-            vars.push(Variable::from_scalar(VarInfo::local("stride_local", VarClass::ControlVariable, f, t16, file!(), 13), &mut ctl.stride_local));
-            vars.push(Variable::from_scalar(VarInfo::local("ti", VarClass::ControlVariable, f, t16, file!(), 14), &mut ctl.ti_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("tj", VarClass::ControlVariable, f, t16, file!(), 15), &mut ctl.tj_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("gi", VarClass::ControlVariable, f, t16, file!(), 16), &mut ctl.gi_scratch));
-            vars.push(Variable::from_scalar(VarInfo::local("diag_val", VarClass::Buffer, f, t16, file!(), 17), &mut ctl.diag_val));
-            vars.push(Variable::from_scalar(VarInfo::local("up_val", VarClass::Buffer, f, t16, file!(), 18), &mut ctl.up_val));
-            vars.push(Variable::from_scalar(VarInfo::local("left_val", VarClass::Buffer, f, t16, file!(), 19), &mut ctl.left_val));
+    fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+        // `p` and `total` are the fixed configuration.
+        let Nw { p: _, refm, score, penalty, seq1, seq2, path, ptr_score, ptr_ref, ctrl, done, total: _ } = self;
+        v.scalar(None, done)?;
+        v.slice(VarInfo::global("itemsets", VarClass::Matrix, file!(), 1), score)?;
+        v.slice(VarInfo::global("alignment_path", VarClass::Matrix, file!(), 1), path)?;
+        v.slice(VarInfo::global("reference", VarClass::InputArray, file!(), 2), refm)?;
+        v.scalar(VarInfo::global("penalty", VarClass::Constant, file!(), 3), penalty)?;
+        v.slice(VarInfo::global("seq1", VarClass::InputArray, file!(), 4), seq1)?;
+        v.slice(VarInfo::global("seq2", VarClass::InputArray, file!(), 5), seq2)?;
+        v.scalar(VarInfo::global("itemsets_ptr", VarClass::Pointer, file!(), 6), ptr_score)?;
+        v.scalar(VarInfo::global("reference_ptr", VarClass::Pointer, file!(), 7), ptr_ref)?;
+        for (t, ctl) in ctrl.iter_mut().enumerate() {
+            let Ctrl { diag_cur, b_local, n_local, stride_local, ti_scratch, tj_scratch, gi_scratch, diag_val, up_val, left_val } =
+                ctl;
+            let (t, f, class) = (t as u16, "nw_wavefront", VarClass::ControlVariable);
+            v.scalar(VarInfo::local("diag_cur", class, f, t, file!(), 10), diag_cur)?;
+            v.scalar(VarInfo::local("b_local", class, f, t, file!(), 11), b_local)?;
+            v.scalar(VarInfo::local("n_local", class, f, t, file!(), 12), n_local)?;
+            v.scalar(VarInfo::local("stride_local", class, f, t, file!(), 13), stride_local)?;
+            v.scalar(VarInfo::local("ti", class, f, t, file!(), 14), ti_scratch)?;
+            v.scalar(VarInfo::local("tj", class, f, t, file!(), 15), tj_scratch)?;
+            v.scalar(VarInfo::local("gi", class, f, t, file!(), 16), gi_scratch)?;
+            v.scalar(VarInfo::local("diag_val", VarClass::Buffer, f, t, file!(), 17), diag_val)?;
+            v.scalar(VarInfo::local("up_val", VarClass::Buffer, f, t, file!(), 18), up_val)?;
+            v.scalar(VarInfo::local("left_val", VarClass::Buffer, f, t, file!(), 19), left_val)?;
         }
-        vars
+        ControlFlow::Continue(())
     }
 
     fn output(&self) -> Output {
         Output::I32Grid { dims: [self.path.len() / 3, 3, 1], data: self.path.clone() }
     }
 
-    fn snapshot(&self) -> Option<Snapshot> {
-        Some(Snapshot::new(self.clone()))
-    }
-
-    fn restore(&mut self, snapshot: &Snapshot) -> bool {
-        let Some(s) = snapshot.get::<Nw>() else { return false };
-        self.refm.copy_from_slice(&s.refm);
-        self.score.copy_from_slice(&s.score);
-        self.penalty = s.penalty;
-        self.seq1.copy_from_slice(&s.seq1);
-        self.seq2.copy_from_slice(&s.seq2);
-        self.path.copy_from_slice(&s.path);
-        self.ptr_score = s.ptr_score;
-        self.ptr_ref = s.ptr_ref;
-        self.ctrl.copy_from_slice(&s.ctrl);
-        self.done = s.done;
-        true
-    }
-
-    fn converged(&self, snapshot: &Snapshot) -> bool {
-        let Some(s) = snapshot.get::<Nw>() else { return false };
-        // `p` and `total` are the fixed configuration, which `restore` does
-        // not copy.
-        let Nw { p: _, refm, score, penalty, seq1, seq2, path, ptr_score, ptr_ref, ctrl, done, total: _ } = s;
-        self.done == *done
-            && self.penalty == *penalty
-            && self.ptr_score == *ptr_score
-            && self.ptr_ref == *ptr_ref
-            && self.ctrl.iter().map(Ctrl::bits).eq(ctrl.iter().map(Ctrl::bits))
-            && bits_eq(&self.path, path)
-            && bits_eq(&self.score, score)
-            && bits_eq(&self.refm, refm)
-            && bits_eq(&self.seq1, seq1)
-            && bits_eq(&self.seq2, seq2)
+    fn snapshot(&mut self) -> Option<Snapshot> {
+        Some(Snapshot::capture(self))
     }
 }
 

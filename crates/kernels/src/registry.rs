@@ -181,6 +181,19 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_of_another_kernel_or_size_is_refused() {
+        for b in Benchmark::ALL {
+            let rung0 = build(b, SizeClass::Test).snapshot().unwrap_or_else(|| panic!("{b} must support snapshots"));
+            for other in Benchmark::ALL.into_iter().filter(|&o| o != b) {
+                let mut t = build(other, SizeClass::Test);
+                assert!(!t.converged(&rung0) && !t.restore(&rung0), "{other} took a snapshot of {b}");
+            }
+            let mut small = build(b, SizeClass::Small);
+            assert!(!small.converged(&rung0) && !small.restore(&rung0), "{b} at Small took a snapshot taken at Test");
+        }
+    }
+
+    #[test]
     fn every_benchmark_exposes_control_and_bulk_state() {
         use carolfi::target::VarClass;
         for b in Benchmark::ALL {

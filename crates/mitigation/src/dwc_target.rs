@@ -18,7 +18,8 @@
 //! masked fraction of non-control faults.
 
 use carolfi::output::Output;
-use carolfi::target::{FaultTarget, Snapshot, StepOutcome, VarClass, VarInfo, Variable};
+use carolfi::target::{FaultTarget, FrameId, Snapshot, StateVisitor, StepOutcome, VarClass, VarInfo};
+use std::ops::ControlFlow;
 
 /// Panic payload raised when a control replica disagrees (recognisable in
 /// the DUE crash message).
@@ -113,47 +114,29 @@ impl<T: FaultTarget> FaultTarget for DwcControls<T> {
         r
     }
 
-    fn variables(&mut self) -> Vec<Variable<'_>> {
-        // Expose the original state AND the replicas: the protection
-        // storage is itself strike-able.
-        let mut vars = self.inner.variables();
-        for slot in &mut self.shadow {
+    fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+        // The original state AND the replicas: the protection storage is
+        // itself strike-able, and a restore brings it back with the rest.
+        let DwcControls { inner, shadow, detections } = self;
+        inner.state(v)?;
+        v.scalar(None, detections)?;
+        for slot in shadow {
             let elem_size = 8.min(slot.bytes.len().max(1));
-            vars.push(Variable {
-                info: VarInfo {
-                    name: slot.name,
-                    class: VarClass::Buffer,
-                    frame: carolfi::target::FrameId::Sub("dwc_shadow"),
-                    thread: slot.thread,
-                    file: file!(),
-                    line: line!(),
-                },
-                bytes: &mut slot.bytes,
-                elem_size,
-            });
+            let frame = FrameId::Sub("dwc_shadow");
+            let info = VarInfo { name: slot.name, class: VarClass::Buffer, frame, thread: slot.thread, file: file!(), line: line!() };
+            v.field(Some(&info), &mut slot.bytes, elem_size, false)?;
         }
-        vars
+        ControlFlow::Continue(())
     }
 
     fn output(&self) -> Output {
         self.inner.output()
     }
 
-    /// The wrapped program's snapshot: at a step boundary of a fault-free
-    /// run the replicas equal the originals, so they need no copy.
-    fn snapshot(&self) -> Option<Snapshot> {
-        self.inner.snapshot()
-    }
-
-    fn restore(&mut self, snapshot: &Snapshot) -> bool {
-        // Restorable exactly when the wrapped program is: restore the inner
-        // state, then rebuild the replicas from the restored originals.
-        if !self.inner.restore(snapshot) {
-            return false;
-        }
-        self.refresh();
-        self.detections = 0;
-        true
+    /// On the golden ladder exactly when the wrapped program is.
+    fn snapshot(&mut self) -> Option<Snapshot> {
+        self.inner.snapshot()?;
+        Some(Snapshot::capture(self))
     }
 }
 
@@ -162,7 +145,6 @@ mod tests {
     use super::*;
 
     /// Toy victim with one critical control variable.
-    #[derive(Clone)]
     struct Toy {
         data: Vec<u64>,
         cursor: u64,
@@ -196,22 +178,17 @@ mod tests {
                 StepOutcome::Continue
             }
         }
-        fn variables(&mut self) -> Vec<Variable<'_>> {
-            vec![
-                Variable::from_slice(VarInfo::global("data", VarClass::Matrix, file!(), 1), &mut self.data),
-                Variable::from_scalar(VarInfo::local("cursor", VarClass::ControlVariable, "loop", 0, file!(), 2), &mut self.cursor),
-            ]
+        fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+            let Toy { data, cursor, done } = self;
+            v.scalar(None, done)?;
+            v.slice(VarInfo::global("data", VarClass::Matrix, file!(), 1), data)?;
+            v.scalar(VarInfo::local("cursor", VarClass::ControlVariable, "loop", 0, file!(), 2), cursor)
         }
         fn output(&self) -> Output {
             Output::I32Grid { dims: [32, 1, 1], data: self.data.iter().map(|&x| x as i32).collect() }
         }
-        fn snapshot(&self) -> Option<Snapshot> {
-            Some(Snapshot::new(self.clone()))
-        }
-        fn restore(&mut self, snapshot: &Snapshot) -> bool {
-            let Some(s) = snapshot.get::<Toy>() else { return false };
-            self.clone_from(s);
-            true
+        fn snapshot(&mut self) -> Option<Snapshot> {
+            Some(Snapshot::capture(self))
         }
     }
 
@@ -281,7 +258,7 @@ mod tests {
     fn wrapper_exposes_replicas_as_injectable_state() {
         let mut hardened = DwcControls::new(Toy::new());
         let vars = hardened.variables();
-        let shadows = vars.iter().filter(|v| v.info.frame == carolfi::target::FrameId::Sub("dwc_shadow")).count();
+        let shadows = vars.iter().filter(|v| v.info.frame == FrameId::Sub("dwc_shadow")).count();
         assert_eq!(shadows, 1);
     }
 }

@@ -8,13 +8,24 @@
 //! The victim here is a small Jacobi solver for `A·x = b`. Its state surface
 //! exposes the matrix, the two iterate buffers and a per-sweep control
 //! block, exactly like the bundled Rodinia ports.
+//!
+//! [`FaultTarget::state`] is the one description of the target's state:
+//! every field a fault can strike, with its `VarInfo`. The injector reads
+//! its variables from it. Jacobi declares only those, so it does not take
+//! part in the golden ladder, and a campaign builds a fresh solver for
+//! every trial and replays it from step 0. A target joins the ladder by
+//! declaring its step state as well (here `done`, with `None` for its
+//! `VarInfo`) and returning `Some(Snapshot::capture(self))` from
+//! `snapshot()`: restores and the masked early exit then derive from the
+//! same declaration, as they do for the bundled kernels.
 
 use phi_reliability::carolfi::fuel::Fuel;
 use phi_reliability::carolfi::output::Output;
-use phi_reliability::carolfi::target::{FaultTarget, StepOutcome, VarClass, VarInfo, Variable};
+use phi_reliability::carolfi::target::{FaultTarget, StateVisitor, StepOutcome, VarClass, VarInfo};
 use phi_reliability::carolfi::{run_campaign, CampaignConfig};
 use phi_reliability::sdc_analysis::pvf::OutcomeBreakdown;
 use rand::Rng;
+use std::ops::ControlFlow;
 
 struct Jacobi {
     n: usize,
@@ -73,14 +84,16 @@ impl FaultTarget for Jacobi {
         }
     }
 
-    fn variables(&mut self) -> Vec<Variable<'_>> {
-        vec![
-            Variable::from_slice(VarInfo::global("matrix_a", VarClass::Matrix, file!(), 1), &mut self.a),
-            Variable::from_slice(VarInfo::global("rhs_b", VarClass::InputArray, file!(), 2), &mut self.b),
-            Variable::from_slice(VarInfo::global("x", VarClass::Matrix, file!(), 3), &mut self.x),
-            Variable::from_slice(VarInfo::global("x_scratch", VarClass::Buffer, file!(), 4), &mut self.x_next),
-            Variable::from_scalar(VarInfo::local("sweeps", VarClass::ControlVariable, "jacobi_sweep", 0, file!(), 5), &mut self.sweeps),
-        ]
+    fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+        // The injectable fields only: `done` is left out, so Jacobi stays
+        // off the golden ladder (see the module docs). `n` and `total` never
+        // change after construction.
+        let Jacobi { n: _, a, b, x, x_next, sweeps, done: _, total: _ } = self;
+        v.slice(VarInfo::global("matrix_a", VarClass::Matrix, file!(), 1), a)?;
+        v.slice(VarInfo::global("rhs_b", VarClass::InputArray, file!(), 2), b)?;
+        v.slice(VarInfo::global("x", VarClass::Matrix, file!(), 3), x)?;
+        v.slice(VarInfo::global("x_scratch", VarClass::Buffer, file!(), 4), x_next)?;
+        v.scalar(VarInfo::local("sweeps", VarClass::ControlVariable, "jacobi_sweep", 0, file!(), 5), sweeps)
     }
 
     fn output(&self) -> Output {

@@ -22,10 +22,12 @@ use phi_reliability::carolfi::campaign::execute_trial;
 use phi_reliability::carolfi::fuel::Fuel;
 use phi_reliability::carolfi::{
     run_campaign, run_stored, CampaignConfig, Executor, FaultTarget, Injection, IsolateConfig, Output, Snapshot,
-    StepOutcome, StoreConfig, TargetPool, TrialKind, TrialRecord, Variable,
+    StepOutcome, StoreConfig, TargetPool, TrialKind, TrialRecord,
 };
+use phi_reliability::carolfi::target::StateVisitor;
 use phi_reliability::kernels::{build, golden, Benchmark, SizeClass};
 use proptest::prelude::*;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -57,27 +59,24 @@ impl FaultTarget for Watched {
     fn run_until(&mut self, step_bound: usize, fuel: &mut Fuel) -> StepOutcome {
         self.inner.run_until(step_bound, fuel)
     }
-    fn variables(&mut self) -> Vec<Variable<'_>> {
-        self.inner.variables()
+    fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+        self.inner.state(v)
     }
     fn output(&self) -> Output {
         self.inner.output()
     }
-    fn snapshot(&self) -> Option<Snapshot> {
+    fn snapshot(&mut self) -> Option<Snapshot> {
         self.inner.snapshot()
     }
-    fn restore(&mut self, snapshot: &Snapshot) -> bool {
-        self.inner.restore(snapshot)
-    }
-    fn converged(&self, snapshot: &Snapshot) -> bool {
+    fn converged(&mut self, snapshot: &Snapshot) -> bool {
         let converged = self.inner.converged(snapshot);
         self.converged.fetch_add(converged as usize, Ordering::Relaxed);
         converged
     }
 }
 
-/// A kernel without snapshots: a pool builds a fresh one for every trial,
-/// which replays its prefix from step 0 and runs to the end.
+/// A kernel that does not opt into snapshots: a pool builds a fresh one for
+/// every trial, which replays its prefix from step 0 and runs to the end.
 struct Bare(Box<dyn FaultTarget>);
 
 impl FaultTarget for Bare {
@@ -96,8 +95,8 @@ impl FaultTarget for Bare {
     fn run_until(&mut self, step_bound: usize, fuel: &mut Fuel) -> StepOutcome {
         self.0.run_until(step_bound, fuel)
     }
-    fn variables(&mut self) -> Vec<Variable<'_>> {
-        self.0.variables()
+    fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+        self.0.state(v)
     }
     fn output(&self) -> Output {
         self.0.output()

@@ -6,10 +6,10 @@
 //! properties here:
 //!
 //! * **restore:** for every kernel, a snapshot taken at any rung and
-//!   restored into a target an earlier trial left corrupted is
-//!   indistinguishable from a fresh target stepped to that rung — the same
-//!   `variables()` bytes and `steps_executed()`, and the golden output once
-//!   run on;
+//!   restored into a target an earlier trial left corrupted in every
+//!   declared field is indistinguishable from a fresh target stepped to that
+//!   rung — the same bytes in every field `FaultTarget::state` declares,
+//!   step state included, and the golden output once run on;
 //! * **accounting twins:** for every outcome class a laddered trial
 //!   produces exactly the result of the same trial on a fresh target that
 //!   replays from step 0, `executed_steps` included;
@@ -17,7 +17,8 @@
 //!   before a DUE rebuild still serves the trials after it;
 //! * **convergence:** for every kernel, `converged` holds exactly for a
 //!   state equal to the rung's — a fresh target stepped to the rung, but
-//!   not one with a bit flipped in any variable or one step past it — and
+//!   not one with a bit flipped in any declared field, whether a fault can
+//!   reach it or not, or one step past it — and
 //!   a trial that re-converges stops there with the golden suffix charged,
 //!   which rests on a fault-free run finishing exactly at `total_steps`.
 
@@ -30,13 +31,34 @@ use phi_reliability::carolfi::{
     run_trial_mut, CampaignConfig, DueCause, FaultApplicator, FaultTarget, InjectionDetail, Injection, Output, Snapshot,
     StepOutcome, TargetPool, TrialConfig, TrialKind, TrialOutcome, TrialRecord, VarClass, VarInfo, Variable,
 };
+use phi_reliability::carolfi::target::StateVisitor;
 use phi_reliability::kernels::{build, golden, Benchmark, SizeClass};
 use rand::Rng;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+/// Every field `t` declares, in declaration order, with its `VarInfo` when
+/// a fault can reach it: the step state too, which `variables()` leaves out.
+fn fields(t: &mut dyn FaultTarget) -> Vec<(Option<VarInfo>, &mut [u8])> {
+    struct Fields<'a>(Vec<(Option<VarInfo>, &'a mut [u8])>);
+    impl<'a> StateVisitor<'a> for Fields<'a> {
+        fn field(&mut self, info: Option<&VarInfo>, bytes: &'a mut [u8], _: usize, _: bool) -> ControlFlow<()> {
+            self.0.push((info.copied(), bytes));
+            ControlFlow::Continue(())
+        }
+    }
+    let mut fields = Fields(Vec::new());
+    let _ = t.state(&mut fields);
+    fields.0
+}
+
+fn name(info: &Option<VarInfo>) -> &'static str {
+    info.map_or("<step state>", |info| info.name)
+}
+
 fn state_bytes(t: &mut dyn FaultTarget) -> Vec<(&'static str, Vec<u8>)> {
-    t.variables().into_iter().map(|v| (v.info.name, v.bytes.to_vec())).collect()
+    fields(t).into_iter().map(|(info, bytes)| (name(&info), bytes.to_vec())).collect()
 }
 
 /// The rung steps a campaign ladder uses: at most 16, evenly spaced.
@@ -55,20 +77,15 @@ fn restore_matches_a_fresh_run(b: Benchmark, size: SizeClass) {
         }
         let rung: Snapshot = reference.snapshot().unwrap_or_else(|| panic!("{b} must support snapshots"));
 
-        // What an earlier trial leaves behind: a finished run with random
-        // bytes of random variables corrupted.
+        // What an earlier trial leaves behind: a finished run with a random
+        // byte of every declared field corrupted, step state included.
         let mut leftover = build(b, size);
         while leftover.step() == StepOutcome::Continue {}
         let mut rng = fork(0x5EED, k as u64);
-        {
-            let mut vars = leftover.variables();
-            for _ in 0..8 {
-                let pick = rng.gen_range(0..vars.len());
-                let v = &mut vars[pick];
-                if !v.bytes.is_empty() {
-                    let i = rng.gen_range(0..v.bytes.len());
-                    v.bytes[i] ^= rng.gen_range(1..=255u8);
-                }
+        for (_, bytes) in fields(leftover.as_mut()) {
+            if !bytes.is_empty() {
+                let i = rng.gen_range(0..bytes.len());
+                bytes[i] ^= rng.gen_range(1..=255u8);
             }
         }
 
@@ -81,8 +98,8 @@ fn restore_matches_a_fresh_run(b: Benchmark, size: SizeClass) {
 }
 
 /// `converged` is the exact twin of `restore`: a fresh target stepped to a
-/// rung converges with it; one flipped bit in any variable, or one more
-/// step, breaks that.
+/// rung converges with it; one flipped bit in any non-empty declared field,
+/// or one more step, breaks that.
 fn converged_holds_exactly_at_the_rung(b: Benchmark, size: SizeClass) {
     let mut reference = build(b, size);
     let mut fresh = build(b, size);
@@ -94,18 +111,21 @@ fn converged_holds_exactly_at_the_rung(b: Benchmark, size: SizeClass) {
         }
         let rung = reference.snapshot().unwrap_or_else(|| panic!("{b} must support snapshots"));
         assert!(fresh.converged(&rung), "{b} at step {at}: a fresh target converges with the rung");
-        let n = fresh.variables().len();
+        let n = fields(fresh.as_mut()).len();
         for i in 0..n {
             let (name, byte, mask) = {
-                let mut vars = fresh.variables();
-                let v = &mut vars[i];
-                let byte = rng.gen_range(0..v.bytes.len());
+                let mut fields = fields(fresh.as_mut());
+                let (info, bytes) = &mut fields[i];
+                if bytes.is_empty() {
+                    continue;
+                }
+                let byte = rng.gen_range(0..bytes.len());
                 let mask = 1u8 << rng.gen_range(0..8);
-                v.bytes[byte] ^= mask;
-                (v.info.name, byte, mask)
+                bytes[byte] ^= mask;
+                (name(info), byte, mask)
             };
-            assert!(!fresh.converged(&rung), "{b} at step {at}: a flipped bit in variable {i} ({name}) went unseen");
-            fresh.variables()[i].bytes[byte] ^= mask;
+            assert!(!fresh.converged(&rung), "{b} at step {at}: a flipped bit in field {i} ({name}) went unseen");
+            fields(fresh.as_mut())[i].1[byte] ^= mask;
         }
         assert!(fresh.converged(&rung), "{b} at step {at}: every flip was undone");
         let mut past = build(b, size);
@@ -168,8 +188,8 @@ fn a_reconverged_trial_stops_at_its_rung_and_charges_the_golden_suffix() {
         let total = build(b, SizeClass::Test).total_steps();
         let steps = Arc::new(AtomicUsize::new(0));
         let counter = steps.clone();
-        // `Counted` keeps the default `converged`: it runs every trial to
-        // the end, from the same ladder.
+        // `Counted` never converges: it runs every trial to the end, from
+        // the same ladder.
         let reference = TargetPool::new(move || Counted { inner: build(b, SizeClass::Test), steps: counter.clone() });
         let pool = TargetPool::new(|| build(b, SizeClass::Test));
         // A hardware-masked trial at the last step captures every rung.
@@ -271,7 +291,6 @@ fn hardware_masked_laddered_trials_count_their_restored_prefix() {
 
 /// Runs until `limit` steps, nominally `total`: a fault in `limit` spins
 /// it until the supervisor's watchdog fires, or ends it early.
-#[derive(Clone)]
 struct Endless {
     limit: u64,
     total: usize,
@@ -302,22 +321,16 @@ impl FaultTarget for Endless {
             StepOutcome::Continue
         }
     }
-    fn variables(&mut self) -> Vec<Variable<'_>> {
-        vec![Variable::from_scalar(
-            VarInfo::local("limit", VarClass::ControlVariable, "loop", 0, file!(), line!()),
-            &mut self.limit,
-        )]
+    fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+        let Endless { limit, total: _, done } = self;
+        v.scalar(None, done)?;
+        v.scalar(VarInfo::local("limit", VarClass::ControlVariable, "loop", 0, file!(), line!()), limit)
     }
     fn output(&self) -> Output {
         Output::I32Grid { dims: [1, 1, 1], data: vec![0] }
     }
-    fn snapshot(&self) -> Option<Snapshot> {
-        Some(Snapshot::new(self.clone()))
-    }
-    fn restore(&mut self, snapshot: &Snapshot) -> bool {
-        let Some(s) = snapshot.get::<Endless>() else { return false };
-        *self = s.clone();
-        true
+    fn snapshot(&mut self) -> Option<Snapshot> {
+        Some(Snapshot::capture(self))
     }
 }
 
@@ -398,7 +411,8 @@ fn a_run_that_finishes_between_rungs_is_not_stepped_again() {
     assert_eq!(target.steps_executed(), 6);
 }
 
-/// A kernel that counts the steps it actually runs.
+/// A kernel that counts the steps it actually runs, and runs every trial
+/// to the end: the early exit's reference.
 struct Counted {
     inner: Box<dyn FaultTarget>,
     steps: Arc<AtomicUsize>,
@@ -418,17 +432,17 @@ impl FaultTarget for Counted {
         self.steps.fetch_add(1, Ordering::Relaxed);
         self.inner.step()
     }
-    fn variables(&mut self) -> Vec<Variable<'_>> {
-        self.inner.variables()
+    fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+        self.inner.state(v)
     }
     fn output(&self) -> Output {
         self.inner.output()
     }
-    fn snapshot(&self) -> Option<Snapshot> {
+    fn snapshot(&mut self) -> Option<Snapshot> {
         self.inner.snapshot()
     }
-    fn restore(&mut self, snapshot: &Snapshot) -> bool {
-        self.inner.restore(snapshot)
+    fn converged(&mut self, _: &Snapshot) -> bool {
+        false
     }
 }
 

@@ -352,28 +352,26 @@ fn emit_json(path: &str) {
     let pooled_tps = measure_trials_per_sec(trials, true);
     let laddered_tps = measure_laddered_trials_per_sec(trials);
 
-    // Provisioning in isolation: what a trial pays before its first step.
-    // Full-trial speedup is Amdahl-bounded by the provisioning fraction
-    // (build is 3–18% of a Test-size trial), so this is the ratio pooling
-    // is pinned on; the trials/sec pair above reports the end-to-end gain.
-    let build_ns = {
-        let start = Instant::now();
-        for _ in 0..200 {
-            black_box(build(BENCH, SizeClass::Test).total_steps());
-        }
-        start.elapsed().as_secs_f64() * 1e9 / 200.0
+    // Provisioning in isolation: what a trial pays before its first step, a
+    // factory build and a pooled reset alternated within one run like the
+    // ladder pair below. Full-trial speedup is Amdahl-bounded by the
+    // provisioning fraction (build is 3–18% of a Test-size trial), so this
+    // is the ratio pooling is pinned on; the trials/sec pair above reports
+    // the end-to-end gain. A reset is about 1/8 of a build, so it repeats
+    // more often per round to weigh about as much.
+    let pool = TargetPool::new(|| build(BENCH, SizeClass::Test));
+    pool.seed(build(BENCH, SizeClass::Test));
+    let reset = || {
+        let t = pool.acquire();
+        let steps = t.total_steps();
+        pool.release(t, false);
+        steps > 0
     };
-    let reset_ns = {
-        let pool = TargetPool::new(|| build(BENCH, SizeClass::Test));
-        pool.seed(build(BENCH, SizeClass::Test));
-        let start = Instant::now();
-        for _ in 0..200 {
-            let t = pool.acquire();
-            black_box(t.total_steps());
-            pool.release(t, false);
-        }
-        start.elapsed().as_secs_f64() * 1e9 / 200.0
-    };
+    let (mut build_ns, mut reset_ns) = (0.0, 0.0);
+    for _ in 0..200 {
+        build_ns += time_ns(1, || build(BENCH, SizeClass::Test).total_steps() > 0) / 200.0;
+        reset_ns += time_ns(8, &reset) / 200.0;
+    }
 
     let gold = golden(BENCH, SizeClass::Test);
     let same = golden(BENCH, SizeClass::Test);

@@ -32,8 +32,8 @@ use carolfi::models::FaultModel;
 use carolfi::orchestrator::{StoreConfig, StoredRun};
 use carolfi::record::TrialRecord;
 use carolfi::{
-    open_adaptive, open_stored, AdaptiveCampaign, CampaignConfig, Executor, FaultTarget, Injection, IsolateConfig, Output,
-    StoredCampaign, TargetPool, TrialKind,
+    open_planned, open_stored, CampaignConfig, Executor, FaultTarget, Injection, IsolateConfig, Output, StoredCampaign,
+    TargetPool, TrialKind,
 };
 use kernels::{build, Benchmark, SizeClass};
 use sdc_analysis::planner::{CiMethod, WilsonPlanner, DEFAULT_BATCH};
@@ -325,9 +325,6 @@ pub fn validate_spec(spec: CampaignSpec) -> Result<ParsedSpec, String> {
         if spec.kind == CampaignKind::Beam {
             return Err("plan: adaptive planning stratifies by fault model; it applies to inject only".into());
         }
-        if spec.isolate {
-            return Err("plan: adaptive planning is not supported together with isolate".into());
-        }
         if !spec.models.is_empty() {
             // The adaptive journal's offline reader re-derives strata from
             // the journal meta alone, which does not carry a model subset.
@@ -465,10 +462,10 @@ fn spec_run<C>(run: StoredRun<C>, complete: impl FnOnce(C) -> SpecRun) -> SpecRu
 }
 
 /// Executes a spec against `dir` — the one entry point every caller
-/// (figure binaries, daemon slices) shares: adaptive specs run under the
-/// planner, every other spec through the campaign engine. Opens the
-/// campaign (creating its journal, or with `resume` continuing it) and
-/// advances it once by `budget` trials.
+/// (figure binaries, daemon slices) shares: every spec runs through the
+/// campaign engine, an adaptive one with the planner as its trial source.
+/// Opens the campaign (creating its journal, or with `resume` continuing
+/// it) and advances it once by `budget` trials.
 pub fn run_spec(p: &ParsedSpec, dir: &Path, resume: bool, budget: Option<usize>) -> io::Result<SpecRun> {
     OpenSpec::open(p, dir, resume)?.advance(budget)
 }
@@ -497,93 +494,73 @@ fn factory(b: Benchmark, size: SizeClass) -> Factory {
     Box::new(move || build(b, size))
 }
 
-/// A spec's campaign, open against its journal directory: the engine's or
-/// the adaptive runner's open campaign plus everything its trial kind
-/// borrows. [`run_spec`] opens one and advances it once; the daemon keeps
-/// one open between the slices of a campaign.
+/// A spec's campaign, open against its journal directory: the engine's
+/// open campaign plus everything its trial kind and executor borrow.
+/// [`run_spec`] opens one and advances it once; the daemon keeps one open
+/// between the slices of a campaign.
 struct OpenSpec {
     label: &'static str,
-    campaign: OpenCampaign,
+    executor: OwnedExecutor,
+    kind: SpecKind,
+    campaign: StoredCampaign<Box<dyn FaultTarget>, Factory>,
 }
 
-enum OpenCampaign {
-    Inject { cfg: CampaignConfig, executor: OwnedExecutor, open: StoredCampaign<Box<dyn FaultTarget>, Factory> },
-    Beam { cfg: BeamConfig, executor: OwnedExecutor, open: StoredCampaign<Box<dyn FaultTarget>, Factory> },
-    Adaptive {
-        cfg: CampaignConfig,
-        ci: f64,
-        golden: Output,
-        planner: WilsonPlanner,
-        open: AdaptiveCampaign<Box<dyn FaultTarget>, Factory>,
-    },
+/// The trial kind's configuration; an injection campaign under a planner
+/// also keeps the plan's target width for its verdict line.
+enum SpecKind {
+    Inject { cfg: CampaignConfig, ci: Option<f64> },
+    Beam(BeamConfig),
 }
 
 impl OpenSpec {
     fn open(p: &ParsedSpec, dir: &Path, resume: bool) -> io::Result<OpenSpec> {
         let sc = p.store_config(dir, resume, None);
-        let (b, size, label) = (p.benchmark, p.size, p.benchmark.label());
-        let campaign = match (&p.spec.plan, p.spec.kind) {
-            (Some(plan), _) => {
-                let cfg = p.campaign_config();
-                let total_steps = build(b, size).total_steps().max(1);
-                let mut planner = WilsonPlanner::for_injection(&cfg, total_steps, plan.ci, plan.batch).with_method(plan.method);
-                let golden = golden_output(b, size);
-                let open = open_adaptive(&Injection::new(label, &cfg), factory(b, size), &sc, &mut planner)?;
-                OpenCampaign::Adaptive { cfg, ci: plan.ci, golden, planner, open }
+        let (b, size, label, executor) = (p.benchmark, p.size, p.benchmark.label(), p.executor()?);
+        let (kind, campaign) = match p.spec.kind {
+            CampaignKind::Inject => {
+                let (cfg, ci) = (p.campaign_config(), p.spec.plan.as_ref().map(|plan| plan.ci));
+                let (kind, factory) = (Injection::new(label, &cfg), factory(b, size));
+                let campaign = match &p.spec.plan {
+                    None => open_stored(&kind, factory, executor.borrow(), &sc)?,
+                    Some(plan) => {
+                        let total_steps = build(b, size).total_steps().max(1);
+                        let planner = WilsonPlanner::for_injection(&cfg, total_steps, plan.ci, plan.batch).with_method(plan.method);
+                        open_planned(&kind, factory, executor.borrow(), &sc, Box::new(planner))?
+                    }
+                };
+                (SpecKind::Inject { cfg, ci }, campaign)
             }
-            (None, CampaignKind::Inject) => {
-                let (cfg, executor) = (p.campaign_config(), p.executor()?);
-                let open = open_stored(&Injection::new(label, &cfg), factory(b, size), executor.borrow(), &sc)?;
-                OpenCampaign::Inject { cfg, executor, open }
-            }
-            (None, CampaignKind::Beam) => {
-                let (cfg, executor) = (p.beam_config(), p.executor()?);
-                let open = open_stored(&Strikes::new(label, &cfg), factory(b, size), executor.borrow(), &sc)?;
-                OpenCampaign::Beam { cfg, executor, open }
+            CampaignKind::Beam => {
+                let cfg = p.beam_config();
+                let campaign = open_stored(&Strikes::new(label, &cfg), factory(b, size), executor.borrow(), &sc)?;
+                (SpecKind::Beam(cfg), campaign)
             }
         };
-        Ok(OpenSpec { label, campaign })
-    }
-
-    /// True while the journal on disk is exactly what this campaign wrote.
-    fn is_current(&self) -> bool {
-        match &self.campaign {
-            OpenCampaign::Inject { open, .. } | OpenCampaign::Beam { open, .. } => open.is_current(),
-            OpenCampaign::Adaptive { open, .. } => open.is_current(),
-        }
+        Ok(OpenSpec { label, executor, kind, campaign })
     }
 
     /// Runs up to `budget` more trials (`None` = to completion).
     fn advance(&mut self, budget: Option<usize>) -> io::Result<SpecRun> {
-        let label = self.label;
-        Ok(match &mut self.campaign {
-            OpenCampaign::Inject { cfg, executor, open } => {
-                spec_run(open.advance(&Injection::new(label, cfg), executor.borrow(), budget)?, |c| SpecRun::Inject(c.records))
-            }
-            OpenCampaign::Beam { cfg, executor, open } => {
-                spec_run(open.advance(&Strikes::new(label, cfg), executor.borrow(), budget)?, SpecRun::Beam)
-            }
-            OpenCampaign::Adaptive { cfg, ci, golden, planner, open } => {
-                let run = open.advance(&Injection::new(label, cfg), golden, planner, budget)?;
-                if let StoredRun::Complete(c) = &run {
+        let (label, executor) = (self.label, self.executor.borrow());
+        Ok(match &self.kind {
+            SpecKind::Inject { cfg, ci } => {
+                let run = self.campaign.advance(&Injection::new(label, cfg), executor, budget)?;
+                if let (StoredRun::Complete(c), Some(ci)) = (&run, ci) {
                     // One stderr line per completed adaptive campaign so
                     // humans (and ./ci) can read the early-stopping verdict
                     // without parsing the result document.
-                    let r = &c.report;
+                    let (r, executed, horizon) = (&c.report, c.records.len(), cfg.trials);
                     if r.strata_open == 0 {
-                        eprintln!(
-                            "{label}: adaptive planner closed every stratum at ci <= {ci} after {} of {} trials",
-                            c.records.len(),
-                            cfg.trials
-                        );
+                        eprintln!("{label}: adaptive planner closed every stratum at ci <= {ci} after {executed} of {horizon} trials");
                     } else {
-                        eprintln!(
-                            "{label}: adaptive planner exhausted its horizon with {}/{} strata open (widest ci {:.4})",
-                            r.strata_open, r.strata_total, r.widest_ci
-                        );
+                        let (open, total, widest) = (r.strata_open, r.strata_total, r.widest_ci);
+                        eprintln!("{label}: adaptive planner exhausted its horizon with {open}/{total} strata open (widest ci {widest:.4})");
                     }
                 }
                 spec_run(run, |c| SpecRun::Inject(c.records))
+            }
+            SpecKind::Beam(cfg) => {
+                spec_run(self.campaign.advance(&Strikes::new(label, cfg), executor, budget)?, SpecRun::Beam)
             }
         })
     }
@@ -703,10 +680,10 @@ pub fn spec_result(
 /// (`meta.version ≥ 2`) are single-sharded and decision-ordered: records
 /// come back in journal order, complete once the shard is sealed. Errors
 /// on incomplete journals, and on any journal a resume would refuse: the
-/// engine's own checks run, so every shard's sequence is gapless and within
-/// its range, checkpoints agree with it, and every record carries the trial
-/// its position (or the journaled decisions) implies. Every error names
-/// `dir` once.
+/// engine's own reader ([`carolfi::orchestrator::read_journal`]) runs, so
+/// every shard's sequence is gapless and within its range, checkpoints
+/// agree with it, and every record carries the trial its position (or the
+/// journaled decisions) implies. Every error names `dir` once.
 pub fn journal_records(dir: &Path) -> io::Result<(store::CampaignMeta, Vec<TrialRecord>)> {
     let scan = store::Journal::scan(dir).map_err(|e| match e.kind() {
         // The store's corruption reports name the segment or directory.
@@ -715,26 +692,11 @@ pub fn journal_records(dir: &Path) -> io::Result<(store::CampaignMeta, Vec<Trial
     })?;
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, format!("{}: {msg}", dir.display()));
     let meta = scan.meta.clone().ok_or_else(|| invalid("empty journal".into()))?;
-    let reject = |e: io::Error| invalid(e.to_string());
-    let adaptive = meta.version >= store::ADAPTIVE_FORMAT_VERSION;
-    let mut progress = store::ShardProgress::replay(if adaptive { 1 } else { meta.shards }, &scan.entries).map_err(reject)?;
-    if adaptive {
-        // Adaptive campaigns stop early, so the journal's own record
-        // sequence — not the horizon in `meta.trials` — defines the
-        // campaign; "complete" is the planner's seal, not a trial count.
-        let (_, records) = carolfi::adaptive::journaled_decisions(&scan.entries, &progress).map_err(reject)?;
-        if !progress.all_done() {
-            return Err(invalid(format!("adaptive journal incomplete ({} trials executed, not sealed)", records.len())));
-        }
-        return Ok((meta, records));
+    let read = carolfi::orchestrator::read_journal(&meta, &scan.entries).map_err(|e| invalid(e.to_string()))?;
+    if let Some(unfinished) = read.unfinished {
+        return Err(invalid(unfinished));
     }
-    let plan = store::ShardPlan { trials: meta.trials, shards: meta.shards };
-    let records: Vec<TrialRecord> =
-        carolfi::orchestrator::decode_shards(plan, &mut progress).map_err(reject)?.into_iter().flatten().collect();
-    if records.len() < meta.trials {
-        return Err(invalid(format!("journal incomplete ({}/{} trials)", records.len(), meta.trials)));
-    }
-    Ok((meta, records))
+    Ok((meta, read.records.into_iter().flatten().collect()))
 }
 
 /// Recomputes the result document from a journal directory — the offline
@@ -799,7 +761,7 @@ impl serve::Runner for SpecRunner {
     fn run_slice(&self, spec: &str, journal: &Path, budget: usize) -> io::Result<serve::SliceRun> {
         let p = parse_spec(spec).map_err(io::Error::other)?;
         let session = sessions().remove(journal);
-        let mut open = match session.filter(|s| s.spec == spec && s.open.is_current()) {
+        let mut open = match session.filter(|s| s.spec == spec && s.open.campaign.is_current()) {
             Some(session) => session.open,
             None => OpenSpec::open(&p, journal, store::Journal::exists(journal))?,
         };
@@ -941,13 +903,17 @@ mod tests {
             spec.version = 2;
             spec.plan = Some(PlanSpec { ci: 0.05, batch: 32, method: CiMethod::Wilson });
             f(&mut spec);
-            validate_spec(spec).unwrap_err()
+            validate_spec(spec)
         };
-        assert!(adaptive(|s| s.kind = CampaignKind::Beam).contains("inject only"));
-        assert!(adaptive(|s| s.isolate = true).contains("isolate"));
-        assert!(adaptive(|s| s.models = vec!["single".into()]).contains("models subset"));
-        assert!(adaptive(|s| s.plan = Some(PlanSpec { ci: 1.5, batch: 32, method: CiMethod::Wilson })).contains("plan.ci"));
-        assert!(adaptive(|s| s.plan = Some(PlanSpec { ci: 0.05, batch: 0, method: CiMethod::Wilson })).contains("plan.batch"));
+        assert!(adaptive(|s| s.kind = CampaignKind::Beam).unwrap_err().contains("inject only"));
+        // The planner is a trial source of the engine, so it runs on the
+        // warden executor too.
+        assert!(adaptive(|s| s.isolate = true).is_ok());
+        assert!(adaptive(|s| s.models = vec!["single".into()]).unwrap_err().contains("models subset"));
+        let ci = adaptive(|s| s.plan = Some(PlanSpec { ci: 1.5, batch: 32, method: CiMethod::Wilson }));
+        assert!(ci.unwrap_err().contains("plan.ci"));
+        let batch = adaptive(|s| s.plan = Some(PlanSpec { ci: 0.05, batch: 0, method: CiMethod::Wilson }));
+        assert!(batch.unwrap_err().contains("plan.batch"));
     }
 
     #[test]
@@ -1025,24 +991,28 @@ mod tests {
         };
         let mut writer = store::JournalWriter::create(&dir, meta).unwrap();
         for &(shard, seq, trial) in lines {
-            let record = TrialRecord {
-                trial,
-                benchmark: "dgemm".into(),
-                model: None,
-                mechanism: "single".into(),
-                inject_step: 0,
-                total_steps: 4,
-                window: 0,
-                n_windows: 4,
-                injection: None,
-                outcome: carolfi::record::OutcomeRecord::Masked,
-                executed_steps: 4,
-            };
-            let payload = serde_json::to_string(&record).unwrap();
-            writer.append(&store::JournalEntry::Trial { shard, seq, payload }).unwrap();
+            writer.append(&store::JournalEntry::Trial { shard, seq, payload: masked_payload(trial) }).unwrap();
         }
         writer.close().unwrap();
         dir
+    }
+
+    /// The payload of a masked DGEMM record of `trial`.
+    fn masked_payload(trial: usize) -> String {
+        let record = TrialRecord {
+            trial,
+            benchmark: "dgemm".into(),
+            model: None,
+            mechanism: "single".into(),
+            inject_step: 0,
+            total_steps: 4,
+            window: 0,
+            n_windows: 4,
+            injection: None,
+            outcome: carolfi::record::OutcomeRecord::Masked,
+            executed_steps: 4,
+        };
+        serde_json::to_string(&record).unwrap()
     }
 
     fn refusal(name: &str, lines: &[(usize, u64, usize)]) -> String {
@@ -1075,6 +1045,32 @@ mod tests {
     fn journal_records_refuses_a_line_for_a_shard_the_plan_lacks() {
         let err = refusal("foreign-shard", &[(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 3), (5, 0, 0)]);
         assert!(err.contains("trial for shard 5, journal has 2 shards"), "{err}");
+    }
+
+    #[test]
+    fn journal_records_refuses_an_unsealed_planner_journal() {
+        // One two-trial decision with both records journaled, but no seal:
+        // only the planner's seal finishes a format-2 journal.
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/test-bench-journals/planner-unsealed");
+        let _ = std::fs::remove_dir_all(&dir);
+        let meta = store::CampaignMeta {
+            kind: "inject".into(),
+            benchmark: "dgemm".into(),
+            seed: 1,
+            trials: 4,
+            shards: 1,
+            n_windows: 4,
+            version: store::ADAPTIVE_FORMAT_VERSION,
+        };
+        let mut writer = store::JournalWriter::create(&dir, meta).unwrap();
+        let decision = store::JournalEntry::Plan { batch: 0, stratum: "single/w0".into(), widest_ci: 0.5, trials: vec![0, 1] };
+        writer.append(&decision).unwrap();
+        for trial in [0, 1] {
+            writer.append(&store::JournalEntry::Trial { shard: 0, seq: trial as u64, payload: masked_payload(trial) }).unwrap();
+        }
+        writer.close().unwrap();
+        let err = journal_records(&dir).unwrap_err().to_string();
+        assert!(err.contains("adaptive journal incomplete (2 trials executed, not sealed)"), "{err}");
     }
 
     #[test]

@@ -413,11 +413,7 @@ fn round_trip(conn: &mut Conn, trial: usize) -> std::io::Result<TrialRecord> {
     if answered != trial as u64 {
         return Err(protocol(format!("Record of trial {answered} in reply to the Run of trial {trial}")));
     }
-    let record: TrialRecord = {
-        let _span = obs::span!("record.decode");
-        serde_json::from_str(&payload)
-    }
-    .map_err(|e| protocol(format!("trial {trial}: bad record: {e}")))?;
+    let record = TrialRecord::decode(&payload).map_err(|e| protocol(format!("trial {trial}: bad record: {e}")))?;
     if record.trial != trial {
         return Err(protocol(format!("the record sent for trial {trial} carries trial {}", record.trial)));
     }
@@ -460,7 +456,7 @@ pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Res
         budget: cfg.stop_after_merged.map(|n| n as usize),
         ..StoreConfig::new(&cfg.dir)
     };
-    let mut journal = open_journal(&store_cfg, cfg.meta.clone())?;
+    let mut journal = open_journal(&store_cfg, cfg.meta.clone(), None)?;
     monitor::begin_campaign(&cfg.meta.benchmark, "dist", &journal.plan, &journal.progress);
     let coord = Coordinator {
         cfg,
@@ -482,8 +478,8 @@ pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Res
         let _teardown = Teardown(&coord, addr);
         scope.spawn(|| coord.accept(scope, &listener));
         let run = drive_shards(&mut journal, store_cfg.budget, cfg.meta.shards, &AtomicU64::new(0), |shard| {
-            let mut binding = Binding { coord: &coord, shard, conn: None };
-            move |trial| binding.run(trial)
+            let binding = parking_lot::Mutex::new(Binding { coord: &coord, shard, conn: None });
+            move |trial| binding.lock().run(trial)
         });
         if let Ok(StoredRun::Complete(_)) = run {
             monitor::complete_campaign();

@@ -57,10 +57,10 @@ pub mod supervisor;
 pub mod target;
 pub mod warden;
 
-pub use adaptive::{open_adaptive, run_campaign_adaptive, AdaptiveCampaign, AllocationPlanner, PlanDecision};
+pub use adaptive::{AllocationPlanner, PlanDecision};
 pub use campaign::{run_campaign, Campaign, CampaignConfig, Injection};
 pub use dist::{run_coordinator, run_executor, ConnectTarget, CoordConfig, CoordSummary, ExecutorConfig, ExecutorSummary};
-pub use orchestrator::{open_stored, run_in_memory, run_stored, Executor, StoreConfig, StoredCampaign, StoredRun, TrialKind};
+pub use orchestrator::{open_planned, open_stored, run_in_memory, run_stored, Executor, StoreConfig, StoredCampaign, StoredRun, TrialKind};
 pub use warden::{IsolateConfig, IsolatedTrial, Warden};
 pub use fuel::Fuel;
 pub use models::{FaultApplicator, FaultModel, InjectionDetail};

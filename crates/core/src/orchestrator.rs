@@ -1,33 +1,40 @@
-//! The campaign engine: every fixed-count campaign, in memory or durable,
-//! of any trial kind, on any executor.
+//! The campaign engine: every campaign, in memory or durable, of any trial
+//! kind, from any trial source, on any executor.
 //!
-//! Two axes span the runner matrix. A [`TrialKind`] says what one trial is
-//! — injection ([`crate::campaign::Injection`]) or a beam strike
+//! Three axes span the runner matrix. A [`TrialKind`] says what one trial
+//! is — injection ([`crate::campaign::Injection`]) or a beam strike
 //! (`beamsim::campaign::Strikes`) — and how finished records become a
-//! campaign. An [`Executor`] says where trials run: on pooled targets in
-//! this process, or in supervised warden worker processes.
+//! campaign. A trial source says which trials a durable campaign runs and
+//! what its journal holds around them: a fixed-count campaign runs every
+//! trial of its range ([`open_stored`]), a planner-driven one the batches
+//! an [`AllocationPlanner`] decides on ([`open_planned`]). An [`Executor`]
+//! says where trials run: on pooled targets in this process, or in
+//! supervised warden worker processes.
 //!
-//! [`run_stored`] is the durable form: the campaign's trial range splits
-//! into contiguous shards (`store::ShardPlan`), a work-queue scheduler fans
-//! the shards out to worker threads, and every completed trial is appended
-//! to a checksummed journal (`store::JournalWriter`) before the next one
-//! starts. A crash, OOM or kill loses at most the in-flight record;
-//! re-running with `resume = true` scans the journal, skips completed
-//! shards, continues partial shards from their cursors, and — because a
-//! trial's global index fully determines its RNG stream, fault model and
-//! injection time — the merged aggregate is bit-identical to an
+//! [`run_stored`] is the durable form of a fixed-count campaign: the trial
+//! range splits into contiguous shards (`store::ShardPlan`), a work-queue
+//! scheduler fans the shards out to worker threads, and every completed
+//! trial is appended to a checksummed journal (`store::JournalWriter`)
+//! before the shard's next one starts. A crash, OOM or kill loses at most
+//! the in-flight record; re-running with `resume = true` scans the journal,
+//! skips completed shards, continues partial shards from their cursors, and
+//! — because a trial's global index fully determines its RNG stream, fault
+//! model and injection time — the merged aggregate is bit-identical to an
 //! uninterrupted single-shot run ([`run_in_memory`]), with no trial
 //! re-executed or double-counted (the journal's per-shard sequence numbers
 //! are validated gapless on every open). Both executors write the same
 //! journal, so a campaign started in-process can resume isolated and vice
-//! versa.
+//! versa. A planner-driven campaign is one shard whose batches run on
+//! every worker, in a format-2 journal (`crate::adaptive`).
 //!
-//! A stored campaign is opened once ([`open_stored`]: create or resume the
-//! journal, parse its records) and advanced by budgets
+//! A stored campaign is opened once ([`open_stored`] or [`open_planned`]:
+//! create or resume the journal, parse its records) and advanced by budgets
 //! ([`StoredCampaign::advance`]); `run_stored` is one of each. A caller that
 //! keeps the campaign open between advances skips the journal rescan, and
 //! writes exactly the bytes a reopen before every advance would.
 
+use crate::adaptive::{journaled_decisions, replay_decisions, AllocationPlanner, JournaledPlan, PlanDecision};
+use crate::monitor::PlannerStatus;
 use crate::output::Output;
 use crate::pool::TargetPool;
 use crate::record::{DueKind, TrialRecord};
@@ -44,11 +51,14 @@ pub struct StoreConfig {
     /// Journal directory for this campaign.
     pub dir: PathBuf,
     /// Shard count recorded in the journal; a resumed run must use the same
-    /// value (checked against the journal meta).
+    /// value (checked against the journal meta). A planner-driven campaign
+    /// has one shard whatever this says.
     pub shards: usize,
     /// Continue an existing journal instead of demanding a fresh directory.
     pub resume: bool,
-    /// Trials between durable checkpoints (cursor entry + fsync) per shard.
+    /// Trials between durable checkpoints (cursor entry + fsync) per shard
+    /// of a fixed-count campaign; a planner-driven one checkpoints after
+    /// every batch.
     pub checkpoint_every: u64,
     /// Maximum trials to execute in this invocation; when the budget runs
     /// out the campaign checkpoints and returns [`StoredRun::Paused`].
@@ -156,34 +166,41 @@ pub(crate) fn worker_threads(requested: usize) -> usize {
     }
 }
 
-/// Runs `run(i)` for every `i` in `0..n` on `workers` scoped threads pulling
-/// indices from a shared cursor, and returns the results in index order
-/// (whatever the interleaving was) plus the summed time spent inside `run`.
-pub(crate) fn run_slots<R: Send>(n: usize, workers: usize, run: impl Fn(usize) -> R + Sync) -> (Vec<R>, u64) {
+/// Runs `run(i)` for every `i` in `0..n` and hands the results to `sink` in
+/// index order (whatever the interleaving was), stopping at the first
+/// `false`; returns the summed time spent inside `run`. With more than one
+/// worker and more than one index, `workers` scoped threads pull indices
+/// from a shared cursor and every result waits in its slot; otherwise `run`
+/// and `sink` alternate on the calling thread, which spawns and allocates
+/// nothing.
+pub(crate) fn run_slots<R: Send>(n: usize, workers: usize, run: impl Fn(usize) -> R + Sync, sink: impl FnMut(R) -> bool) -> u64 {
+    let busy_ns = AtomicU64::new(0);
+    let timed = |i| {
+        let t0 = Instant::now();
+        let out = run(i);
+        busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        out
+    };
+    if workers.min(n) <= 1 {
+        (0..n).map(timed).all(sink);
+        return busy_ns.into_inner();
+    }
     let slots: Vec<parking_lot::Mutex<Option<R>>> = (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let busy_ns = AtomicU64::new(0);
     crossbeam::thread::scope(|scope| {
-        for _ in 0..workers.min(n.max(1)) {
-            scope.spawn(|_| {
-                let mut local_busy = 0u64;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let out = run(i);
-                    local_busy += t0.elapsed().as_nanos() as u64;
-                    *slots[i].lock() = Some(out);
+        for _ in 0..workers.min(n) {
+            scope.spawn(|_| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
-                busy_ns.fetch_add(local_busy, Ordering::Relaxed);
+                *slots[i].lock() = Some(timed(i));
             });
         }
     })
     .expect("campaign worker panicked outside a trial");
-    let results = slots.into_iter().map(|slot| slot.into_inner().expect("trial slot missing")).collect();
-    (results, busy_ns.into_inner())
+    slots.into_iter().map(|slot| slot.into_inner().expect("trial slot missing")).all(sink);
+    busy_ns.into_inner()
 }
 
 /// The victim side every runner shares: the target pool, the victim's step
@@ -214,12 +231,18 @@ impl<T: FaultTarget, F: Fn() -> T> Victims<T, F> {
     }
 
     /// The finish step every runner shares: the kind's report plus the pool
-    /// and fast-path gauges, wrapped into the campaign.
-    pub(crate) fn finish<K: TrialKind>(&self, kind: &K, records: Vec<TrialRecord>) -> K::Campaign {
+    /// and fast-path gauges, and a planner's final gauges, wrapped into the
+    /// campaign.
+    pub(crate) fn finish<K: TrialKind>(&self, kind: &K, records: Vec<TrialRecord>, planner: Option<PlannerStatus>) -> K::Campaign {
         let mut report = kind.report(&records, self.workers, self.busy_ns, self.wall.elapsed().as_nanos() as u64);
         report.pool_hits = self.pool.hits();
         report.pool_rebuilds = self.pool.rebuilds();
         report.fast_path_compares = self.fast_compares;
+        if let Some(gauges) = planner {
+            report.strata_total = gauges.strata_total as usize;
+            report.strata_open = gauges.strata_open as usize;
+            report.widest_ci = gauges.widest_ci;
+        }
         kind.finish(records, report)
     }
 }
@@ -242,21 +265,154 @@ where
     let trials = kind.meta(1).trials;
     let mut victims = Victims::new(factory, true, worker_threads(kind.workers()).min(trials.max(1)));
     let (pool, total_steps) = (&victims.pool, victims.total_steps);
-    let (slots, busy_ns) = run_slots(trials, victims.workers, |trial| kind.run(pool, golden, total_steps, trial, 0, true));
-    victims.busy_ns = busy_ns;
+    let mut slots = Vec::with_capacity(trials);
+    victims.busy_ns = run_slots(trials, victims.workers, |trial| kind.run(pool, golden, total_steps, trial, 0, true), |out| {
+        slots.push(out);
+        true
+    });
     victims.fast_compares = slots.iter().filter(|(_, fast)| *fast).count() as u64;
-    let records = slots.into_iter().map(|(record, _)| record).collect();
-    victims.finish(kind, records)
+    victims.finish(kind, slots.into_iter().map(|(record, _)| record).collect(), None)
 }
 
 fn invalid(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
+/// Where a stored campaign's trials come from, and what its journal holds
+/// around them. [`drive_shards`] asks a shard's source for the next *unit*
+/// of trials, journals the entry the source puts before it, runs the unit
+/// on every worker, journals its records in order, feeds each back, and
+/// checkpoints where the source says. The two sources differ only in those
+/// answers: [`Fixed`] and [`Planned`].
+pub(crate) trait TrialSource: Send + Sync {
+    /// How many trials the next unit of `shard` holds, after the shard's
+    /// first `completed`, and the entry journaled before them; `None` when
+    /// the source has nothing more for the shard, which then seals. Asked
+    /// only while the shard's range has trials left and the budget allows
+    /// another unit.
+    fn next(&self, shard: usize, completed: usize) -> Option<(usize, Option<JournalEntry>)>;
+    /// The global index of the trial journaled `seq`-th on `shard`.
+    fn trial(&self, shard: usize, seq: usize) -> usize;
+    /// Takes a journaled record back.
+    fn observe(&self, _record: &TrialRecord) {}
+    /// The planner's gauges, published after every unit and put in the
+    /// finished campaign's report.
+    fn gauges(&self) -> Option<PlannerStatus> {
+        None
+    }
+    /// Where the journal checkpoints a shard: with `Some(every)`, after
+    /// every `every`-th unit of a shard task and again at each pause or
+    /// harness panic that ends the task and at the seal; with `None`, after
+    /// every unit and nowhere else.
+    fn cadence(&self) -> Option<u64>;
+}
+
+/// The fixed source: each shard runs its contiguous range one trial at a
+/// time, in a format-1 journal that checkpoints every `every` trials of a
+/// shard task and again at each pause, harness panic and seal.
+struct Fixed {
+    plan: ShardPlan,
+    every: u64,
+}
+
+impl TrialSource for Fixed {
+    fn next(&self, _shard: usize, _completed: usize) -> Option<(usize, Option<JournalEntry>)> {
+        Some((1, None))
+    }
+
+    fn trial(&self, shard: usize, seq: usize) -> usize {
+        self.plan.range(shard).start + seq
+    }
+
+    fn cadence(&self) -> Option<u64> {
+        Some(self.every)
+    }
+}
+
+/// The planner source: one shard whose trials come in batches from the
+/// planner's decisions, in a format-2 journal. Each batch journals its
+/// `Plan` entry, its records in decision order and one checkpoint; the seal
+/// adds only `ShardDone`. Holds the planner and the trials its decisions
+/// allocated, in journal order.
+struct Planned(parking_lot::Mutex<(Box<dyn AllocationPlanner>, Vec<usize>)>);
+
+impl TrialSource for Planned {
+    fn next(&self, _shard: usize, completed: usize) -> Option<(usize, Option<JournalEntry>)> {
+        let (planner, allocated) = &mut *self.0.lock();
+        // A batch an interrupted run left in flight is already journaled:
+        // it finishes before the planner decides again.
+        if completed < allocated.len() {
+            return Some((allocated.len() - completed, None));
+        }
+        let PlanDecision { batch, stratum, widest_ci, strata_open, trials } = planner.next_batch()?;
+        obs::incr("planner/batches", 1);
+        if obs::enabled() {
+            let n = trials.len();
+            let payload = format!("{{\"batch\":{batch},\"stratum\":{stratum:?},\"widest_ci\":{widest_ci},\"strata_open\":{strata_open},\"trials\":{n}}}");
+            obs::event("plan", &payload);
+        }
+        allocated.extend(&trials);
+        Some((trials.len(), Some(JournalEntry::Plan { batch, stratum, widest_ci, trials })))
+    }
+
+    fn trial(&self, _shard: usize, seq: usize) -> usize {
+        self.0.lock().1[seq]
+    }
+
+    fn observe(&self, record: &TrialRecord) {
+        self.0.lock().0.observe(record);
+    }
+
+    fn gauges(&self) -> Option<PlannerStatus> {
+        Some(self.0.lock().0.gauges())
+    }
+
+    fn cadence(&self) -> Option<u64> {
+        None
+    }
+}
+
+/// A journal read the way the engine's open reads it ([`read_journal`]).
+pub struct JournalContents {
+    /// Shard cursors and seals; the raw payloads are dropped once parsed.
+    pub progress: ShardProgress,
+    /// Each shard's records, in journal order.
+    pub records: Vec<Vec<TrialRecord>>,
+    /// A planner journal's allocation decisions; none in a fixed-count one.
+    pub(crate) plans: Vec<JournaledPlan>,
+    /// Why the journal is not a finished campaign, if it is not: a
+    /// fixed-count journal is finished once it holds every trial, a planner
+    /// journal once it is sealed.
+    pub unfinished: Option<String>,
+}
+
+/// Replays a journal's entries into shard progress and decodes every
+/// record, checking it against the trial its position implies: the shard
+/// range in a fixed-count (format 1) journal, the journaled decisions in a
+/// planner (format 2) journal. The one place that tells the two formats
+/// apart; the engine's open and `bench`'s offline reader both call it.
+pub fn read_journal(meta: &CampaignMeta, entries: &[JournalEntry]) -> std::io::Result<JournalContents> {
+    if meta.version >= store::ADAPTIVE_FORMAT_VERSION {
+        // Planner campaigns stop early, so the journal's own record
+        // sequence — not the horizon in `meta.trials` — defines the
+        // campaign; "finished" is the planner's seal, not a trial count.
+        let mut progress = ShardProgress::replay(1, entries)?;
+        let (plans, records) = journaled_decisions(entries, &mut progress)?;
+        let unfinished = (!progress.all_done())
+            .then(|| format!("adaptive journal incomplete ({} trials executed, not sealed)", records.len()));
+        return Ok(JournalContents { progress, records: vec![records], plans, unfinished });
+    }
+    let mut progress = ShardProgress::replay(meta.shards, entries)?;
+    let records = decode_shards(ShardPlan { trials: meta.trials, shards: meta.shards }, &mut progress)?;
+    let done = progress.completed();
+    let unfinished = (done < meta.trials as u64).then(|| format!("journal incomplete ({done}/{} trials)", meta.trials));
+    Ok(JournalContents { progress, records, plans: Vec::new(), unfinished })
+}
+
 /// A stored campaign's journal, open for appending: the writer positioned
-/// after the last durable record, the per-shard progress, and every shard's
-/// parsed records. [`open_journal`] builds it; [`drive_shards`] advances it,
-/// as many times as the campaign needs.
+/// after the last durable record, the per-shard progress, every shard's
+/// parsed records, and the campaign's trial source. [`open_journal`] builds
+/// it; [`drive_shards`] advances it, as many times as the campaign needs.
 pub(crate) struct OpenJournal {
     meta: CampaignMeta,
     pub(crate) plan: ShardPlan,
@@ -266,23 +422,36 @@ pub(crate) struct OpenJournal {
     /// `None` once the journal is closed: at completion, or after a failed
     /// drive.
     writer: Option<JournalWriter>,
-    checkpoint_every: u64,
+    source: Box<dyn TrialSource>,
 }
 
-/// Opens (or creates) the journal for `meta`, replays shard progress and
-/// parses the surviving trial payloads ([`decode_shards`]).
-pub(crate) fn open_journal(store_cfg: &StoreConfig, meta: CampaignMeta) -> std::io::Result<OpenJournal> {
-    let (writer, mut progress, _) = store::open_campaign(&store_cfg.dir, &meta, store_cfg.resume)?;
+/// Opens (or creates) the journal for `meta` and reads it
+/// ([`read_journal`]). Without a planner the campaign's source is the fixed
+/// one; with one it is the planner source, and a resumed journal's
+/// decisions are replayed through the planner, each checked against it.
+pub(crate) fn open_journal(
+    store_cfg: &StoreConfig,
+    meta: CampaignMeta,
+    planner: Option<Box<dyn AllocationPlanner>>,
+) -> std::io::Result<OpenJournal> {
+    let (writer, entries) = store::open_campaign(&store_cfg.dir, &meta, store_cfg.resume)?;
+    let JournalContents { progress, records, plans, .. } = read_journal(&meta, &entries)?;
     let plan = ShardPlan::new(meta.trials, meta.shards);
-    let records = decode_shards(plan, &mut progress)?;
-    Ok(OpenJournal { meta, plan, progress, records, writer: Some(writer), checkpoint_every: store_cfg.checkpoint_every })
+    let source: Box<dyn TrialSource> = match planner {
+        None => Box::new(Fixed { plan, every: store_cfg.checkpoint_every }),
+        Some(mut planner) => {
+            let allocated = replay_decisions(planner.as_mut(), &plans, &records[0], progress.all_done())?;
+            Box::new(Planned(parking_lot::Mutex::new((planner, allocated))))
+        }
+    };
+    Ok(OpenJournal { meta, plan, progress, records, writer: Some(writer), source })
 }
 
 /// Parses the trial payloads of a fixed-count journal's replayed
 /// `progress`, shard by shard, checking that no shard holds more trials than
 /// its range and that each record carries the trial its position implies.
 /// The raw payloads are dropped once parsed.
-pub fn decode_shards(plan: ShardPlan, progress: &mut ShardProgress) -> std::io::Result<Vec<Vec<TrialRecord>>> {
+fn decode_shards(plan: ShardPlan, progress: &mut ShardProgress) -> std::io::Result<Vec<Vec<TrialRecord>>> {
     let mut records: Vec<Vec<TrialRecord>> = Vec::with_capacity(progress.shards.len());
     for (shard, state) in progress.shards.iter_mut().enumerate() {
         let range = plan.range(shard);
@@ -291,11 +460,7 @@ pub fn decode_shards(plan: ShardPlan, progress: &mut ShardProgress) -> std::io::
         }
         let mut parsed = Vec::with_capacity(state.payloads.len());
         for (seq, payload) in std::mem::take(&mut state.payloads).iter().enumerate() {
-            let record: TrialRecord = {
-                let _span = obs::span!("record.decode");
-                serde_json::from_str(payload)
-            }
-            .map_err(|e| invalid(format!("shard {shard} seq {seq}: bad trial payload: {e}")))?;
+            let record = TrialRecord::decode(payload).map_err(|e| invalid(format!("shard {shard} seq {seq}: bad trial payload: {e}")))?;
             let expected = range.start + seq;
             if record.trial != expected {
                 return Err(invalid(format!("shard {shard} seq {seq}: payload carries trial {}, expected {expected}", record.trial)));
@@ -308,7 +473,7 @@ pub fn decode_shards(plan: ShardPlan, progress: &mut ShardProgress) -> std::io::
 }
 
 /// Extracts a displayable message from a caught panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -319,16 +484,21 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Drives the shard queue of an open journal for up to `budget` more trials
-/// (`None` = to completion): pulls shard tasks, executes trials through the
-/// shard's runner, journals each record, checkpoints periodically and on
-/// stop. A pause leaves the journal checkpointed and fsynced and its writer
-/// open for the next drive; completion closes it and returns every record
-/// in trial order.
+/// (`None` = to completion): pulls shard tasks, asks the journal's source
+/// for each task's units of trials, runs every unit through the shard's
+/// runner on up to `workers` threads, journals each record in the source's
+/// order, and checkpoints where the source says. The budget is checked
+/// before every unit: a unit starts while fewer trials than the budget ran
+/// in this drive, and then runs whole. A pause leaves the journal fsynced
+/// and its writer open for the next drive; completion closes it and returns
+/// every shard's records, in shard order and each shard's journal order
+/// (trial order for the fixed source).
 ///
 /// `open_shard(shard)` returns the trial runner of one shard task, called
 /// as `run(global_trial_index) -> TrialRecord`; it is dropped when the task
 /// ends, before the shard seals. A runner must be pure in the trial index
-/// (this is what the determinism invariant rests on).
+/// (this is what the determinism invariant rests on), and a record that
+/// answers another trial fails the drive.
 ///
 /// A shard whose every trial is journaled but whose seal is missing (a crash
 /// between its last append and its seal) gets no task: it is sealed first,
@@ -336,14 +506,15 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// trials than shards) runs no task and is never sealed.
 ///
 /// Failure containment: a **panic** out of a runner (harness bug, warden
-/// infrastructure giving out) fails only its own shard — the shard
-/// checkpoints what it has, records a diagnostic and stops pulling trials,
-/// while sibling shards run to completion and seal. The run then returns an
-/// error naming the failed shards, and a later `resume` continues exactly
-/// from their cursors. **I/O errors** still stop every shard: they signal a
-/// problem with the journal itself, which all shards share. Either way the
-/// journal is closed, and the campaign must be reopened from disk.
-pub(crate) fn drive_shards<R: FnMut(usize) -> TrialRecord>(
+/// infrastructure giving out) fails only its own shard — the shard journals
+/// the unit's records before the panicking trial, checkpoints if its source
+/// says so, records a diagnostic and stops pulling units, while sibling
+/// shards run to completion and seal. The run then returns an error naming
+/// the failed shards, and a later `resume` continues exactly from their
+/// cursors. **I/O errors** still stop every shard: they signal a problem
+/// with the journal itself, which all shards share. Either way the journal
+/// is closed, and the campaign must be reopened from disk.
+pub(crate) fn drive_shards<R: Fn(usize) -> TrialRecord + Sync>(
     journal: &mut OpenJournal,
     budget: Option<usize>,
     workers: usize,
@@ -351,7 +522,7 @@ pub(crate) fn drive_shards<R: FnMut(usize) -> TrialRecord>(
     open_shard: impl Fn(usize) -> R + Sync,
 ) -> std::io::Result<StoredRun<Vec<TrialRecord>>> {
     let writer = journal.writer.take().ok_or_else(|| std::io::Error::other("journal is closed"))?;
-    let (plan, checkpoint_every) = (journal.plan, journal.checkpoint_every);
+    let (plan, source) = (journal.plan, &*journal.source);
     let stop = StopFlag::new();
     let spent = AtomicUsize::new(0);
     let writer = parking_lot::Mutex::new(writer);
@@ -359,28 +530,45 @@ pub(crate) fn drive_shards<R: FnMut(usize) -> TrialRecord>(
     let shard_panics: parking_lot::Mutex<Vec<String>> = parking_lot::Mutex::new(Vec::new());
     let new_records: Vec<parking_lot::Mutex<Vec<TrialRecord>>> = (0..plan.shards).map(|_| parking_lot::Mutex::new(Vec::new())).collect();
     let sealed: Vec<AtomicBool> = (0..plan.shards).map(|_| AtomicBool::new(false)).collect();
+    let publish = || source.gauges().into_iter().for_each(crate::monitor::planner_update);
+    publish();
 
-    let checkpoint = |shard: usize, completed: usize, sync: bool| -> std::io::Result<()> {
-        let cursor = ShardCursor { shard, completed: completed as u64, next_stream: (plan.range(shard).start + completed) as u64 };
+    let append = |entry: &JournalEntry, sync: bool| -> std::io::Result<()> {
         store::retry_transient(|| {
             let mut j = writer.lock();
-            j.append(&JournalEntry::Checkpoint(cursor))?;
+            j.append(entry)?;
             if sync {
                 j.sync()?;
             }
             Ok(())
         })
     };
-    let seal = |shard: usize| -> std::io::Result<()> {
-        checkpoint(shard, plan.range(shard).len(), false)?;
-        store::retry_transient(|| {
-            let mut j = writer.lock();
-            j.append(&JournalEntry::ShardDone { shard })?;
-            j.sync()
-        })?;
+    let checkpoint = |shard: usize, completed: usize, sync: bool| {
+        let cursor = ShardCursor { shard, completed: completed as u64, next_stream: (plan.range(shard).start + completed) as u64 };
+        append(&JournalEntry::Checkpoint(cursor), sync)
+    };
+    let seal = |shard: usize, completed: usize| -> std::io::Result<()> {
+        if source.cadence().is_some() {
+            checkpoint(shard, completed, false)?;
+        }
+        append(&JournalEntry::ShardDone { shard }, true)?;
         sealed[shard].store(true, Ordering::Relaxed);
         obs::incr("shard/completed", 1);
         crate::monitor::shard_sealed(shard);
+        Ok(())
+    };
+    // The one per-trial path: journal the record of `trial` as `shard`'s
+    // `seq`-th and hand it back to the source.
+    let journal_one = |shard: usize, seq: usize, trial: usize, record: TrialRecord| -> std::io::Result<()> {
+        if record.trial != trial {
+            return Err(invalid(format!("shard {shard} seq {seq}: runner answered trial {trial} with trial {}", record.trial)));
+        }
+        let payload = record.encode().map_err(|e| std::io::Error::other(format!("trial {trial}: serialize failed: {e}")))?;
+        obs::incr("store/trials", 1);
+        append(&JournalEntry::Trial { shard, seq: seq as u64, payload }, false)?;
+        crate::monitor::tick(shard);
+        source.observe(&record);
+        new_records[shard].lock().push(record);
         Ok(())
     };
 
@@ -388,7 +576,7 @@ pub(crate) fn drive_shards<R: FnMut(usize) -> TrialRecord>(
     for shard in 0..plan.shards {
         let len = plan.range(shard).len();
         if !progress.shards[shard].done && len > 0 && progress.shards[shard].completed as usize == len {
-            seal(shard)?;
+            seal(shard, len)?;
         }
     }
     let tasks: Vec<usize> = (0..plan.shards)
@@ -404,90 +592,92 @@ pub(crate) fn drive_shards<R: FnMut(usize) -> TrialRecord>(
     };
 
     store::run_tasks(tasks, workers, &stop, |shard, stop| {
-        let range = plan.range(shard);
+        let len = plan.range(shard).len();
         let start = progress.shards[shard].completed as usize;
         obs::incr(if start == 0 { "shard/started" } else { "shard/resumed" }, 1);
-        let mut run_one = open_shard(shard);
-        let mut completed = start;
-        for (seq, trial) in range.clone().enumerate().skip(start) {
+        let run_one = open_shard(shard);
+        // A pause or a harness panic ends the task; the fixed source
+        // checkpoints what the task journaled.
+        let stopped = |completed: usize| {
+            if source.cadence().is_some() && completed > start {
+                if let Err(e) = checkpoint(shard, completed, true) {
+                    fail(e);
+                }
+            }
+        };
+        let (mut completed, mut units) = (start, 0u64);
+        while completed < len {
             let out_of_budget = budget.is_some_and(|b| spent.fetch_add(1, Ordering::SeqCst) >= b);
             if stop.should_stop() || out_of_budget {
                 stop.request_stop();
-                if completed > start {
-                    if let Err(e) = checkpoint(shard, completed, true) {
-                        fail(e);
-                    }
-                }
-                return;
+                return stopped(completed);
             }
-            let t0 = std::time::Instant::now();
+            let Some((n, before)) = source.next(shard, completed) else { break };
+            spent.fetch_add(n.saturating_sub(1), Ordering::SeqCst);
+            if let Some(entry) = before {
+                if let Err(e) = append(&entry, false) {
+                    return fail(e);
+                }
+            }
             // A harness panic (as opposed to a victim panic, which the
             // supervisor converts into a crash DUE long before here) must
             // not unwind across the scheduler and take sibling shards down:
-            // checkpoint this shard's progress, record the diagnostic, and
-            // let the others seal. The run stays resumable.
-            let record = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_one(trial))) {
-                Ok(record) => record,
-                Err(payload) => {
-                    obs::incr("shard/panicked", 1);
-                    if completed > start {
-                        if let Err(e) = checkpoint(shard, completed, true) {
-                            fail(e);
+            // the unit's records before it are journaled, the rest dropped.
+            let (first, mut failed, mut panicked) = (completed, None, None);
+            let busy = run_slots(
+                n,
+                workers,
+                |i| {
+                    let trial = source.trial(shard, first + i);
+                    (trial, std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_one(trial))))
+                },
+                |(trial, outcome)| {
+                    match outcome.map(|record| journal_one(shard, completed, trial, record)) {
+                        Ok(Ok(())) => completed += 1,
+                        Ok(Err(e)) => failed = Some(e),
+                        Err(payload) => {
+                            panicked = Some(format!("shard {shard}: trial {trial}: {}", panic_message(payload.as_ref())))
                         }
                     }
-                    shard_panics
-                        .lock()
-                        .push(format!("shard {shard}: trial {trial}: {}", panic_message(payload.as_ref())));
-                    return;
-                }
-            };
-            busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            let encoded = {
-                let _span = obs::span!("record.encode");
-                serde_json::to_string(&record)
-            };
-            let payload = match encoded {
-                Ok(p) => p,
-                Err(e) => {
-                    fail(std::io::Error::other(format!("trial {trial}: serialize failed: {e}")));
-                    return;
-                }
-            };
-            obs::incr("store/trials", 1);
-            let entry = JournalEntry::Trial { shard, seq: seq as u64, payload };
-            if let Err(e) = store::retry_transient(|| writer.lock().append(&entry)) {
-                fail(e);
-                return;
+                    failed.is_none() && panicked.is_none()
+                },
+            );
+            busy_ns.fetch_add(busy, Ordering::Relaxed);
+            if let Some(e) = failed {
+                return fail(e);
             }
-            new_records[shard].lock().push(record);
-            completed += 1;
-            crate::monitor::tick(shard);
-            if ((completed - start) as u64).is_multiple_of(checkpoint_every) {
-                // On the shard's last trial the seal below fsyncs this line
-                // with its own, before any other trial of the shard runs.
-                if let Err(e) = checkpoint(shard, completed, completed < range.len()) {
-                    fail(e);
-                    return;
+            if let Some(diagnostic) = panicked {
+                obs::incr("shard/panicked", 1);
+                stopped(completed);
+                return shard_panics.lock().push(diagnostic);
+            }
+            units += 1;
+            // On the shard's last trial the seal below fsyncs this line with
+            // its own, before any other trial of the shard runs.
+            if source.cadence().is_none_or(|every| units.is_multiple_of(every)) {
+                if let Err(e) = checkpoint(shard, completed, completed < len) {
+                    return fail(e);
                 }
             }
+            publish();
         }
-        // Shard range exhausted: release its runner, then seal it.
+        // Nothing left for the shard: release its runner, then seal it.
         drop(run_one);
-        if let Err(e) = seal(shard) {
+        if let Err(e) = seal(shard, completed) {
             fail(e);
         }
     });
 
-    // Fold this drive's records into the shards; a shard short of its range
-    // means the run was paused (budget/stop) rather than finished.
+    // Fold this drive's records into the shards; a shard neither sealed nor
+    // empty means the run was paused (budget/stop) rather than finished.
     let mut complete = true;
     for (shard, fresh) in new_records.into_iter().enumerate() {
         let fresh = fresh.into_inner();
         let state = &mut journal.progress.shards[shard];
         state.completed += fresh.len() as u64;
         state.done |= sealed[shard].load(Ordering::Relaxed);
+        complete &= state.done || plan.range(shard).is_empty();
         journal.records[shard].extend(fresh);
-        complete &= journal.records[shard].len() >= plan.range(shard).len();
     }
 
     // A paused writer stays open for the next drive once its checkpoints are
@@ -517,31 +707,25 @@ pub(crate) fn drive_shards<R: FnMut(usize) -> TrialRecord>(
     if !complete {
         return Ok(StoredRun::Paused { completed: journal.progress.completed(), total: plan.trials });
     }
-    let mut records: Vec<TrialRecord> = std::mem::take(&mut journal.records).into_iter().flatten().collect();
-    records.sort_by_key(|r| r.trial);
-    for (i, r) in records.iter().enumerate() {
-        if r.trial != i {
-            return Err(invalid(format!("aggregate is not gapless: position {i} holds trial {}", r.trial)));
-        }
-    }
-    Ok(StoredRun::Complete(records))
+    Ok(StoredRun::Complete(std::mem::take(&mut journal.records).into_iter().flatten().collect()))
 }
 
-/// A stored campaign between invocations: its open journal and its victim
-/// side, with the warm target pool. [`open_stored`] is the open step,
-/// [`StoredCampaign::advance`] the advance step, and [`run_stored`] one of
-/// each; a caller that keeps the campaign open (the daemon, between slices)
-/// advances it again without rescanning the journal.
+/// A stored campaign between invocations: its open journal with its trial
+/// source, and its victim side, with the warm target pool. [`open_stored`]
+/// and [`open_planned`] are the open step, [`StoredCampaign::advance`] the
+/// advance step, and [`run_stored`] one of each; a caller that keeps the
+/// campaign open (the daemon, between slices) advances it again without
+/// rescanning the journal or replaying its planner.
 pub struct StoredCampaign<T, F: Fn() -> T> {
     journal: OpenJournal,
     victims: Victims<T, F>,
 }
 
-/// Opens a durable campaign of `kind` for `executor`, journaled under
-/// `store_cfg`: creates its journal, or with `store_cfg.resume` continues
-/// an existing one after checking it holds this campaign. `factory` builds
-/// the victim: the pool executor runs on pooled instances of it; the warden
-/// executor builds one only to read the step count.
+/// Opens a durable fixed-count campaign of `kind` for `executor`, journaled
+/// under `store_cfg`: creates its journal, or with `store_cfg.resume`
+/// continues an existing one after checking it holds this campaign.
+/// `factory` builds the victim: the pool executor runs on pooled instances
+/// of it; the warden executor builds one only to read the step count.
 pub fn open_stored<K, T, F>(
     kind: &K,
     factory: F,
@@ -554,7 +738,32 @@ where
     F: Fn() -> T + Sync,
 {
     let victims = Victims::new(factory, matches!(executor, Executor::Pool(_)), worker_threads(kind.workers()));
-    let journal = open_journal(store_cfg, kind.meta(store_cfg.shards))?;
+    let journal = open_journal(store_cfg, kind.meta(store_cfg.shards), None)?;
+    Ok(StoredCampaign { journal, victims })
+}
+
+/// Opens a planner-driven campaign of `kind` for `executor`, as
+/// [`open_stored`] does a fixed-count one: its trials below the `kind`'s
+/// trial count (the horizon) come in batches from `planner`'s decisions,
+/// in a single-shard format-2 journal, and it completes when the planner
+/// has no more batches. `planner` must be freshly constructed: resuming a
+/// journal replays every journaled decision through it and checks each
+/// against it.
+pub fn open_planned<K, T, F>(
+    kind: &K,
+    factory: F,
+    executor: Executor<'_>,
+    store_cfg: &StoreConfig,
+    planner: Box<dyn AllocationPlanner>,
+) -> std::io::Result<StoredCampaign<T, F>>
+where
+    K: TrialKind,
+    T: FaultTarget,
+    F: Fn() -> T + Sync,
+{
+    let victims = Victims::new(factory, matches!(executor, Executor::Pool(_)), worker_threads(kind.workers()));
+    let meta = CampaignMeta { version: store::ADAPTIVE_FORMAT_VERSION, ..kind.meta(1) };
+    let journal = open_journal(store_cfg, meta, Some(planner))?;
     Ok(StoredCampaign { journal, victims })
 }
 
@@ -567,8 +776,8 @@ impl<T: FaultTarget, F: Fn() -> T + Sync> StoredCampaign<T, F> {
 
     /// Runs up to `budget` more trials (`None` = to completion) of `kind` —
     /// the kind it was opened with — on `executor`. Pauses with the journal
-    /// checkpointed and fsynced, or completes with the campaign. After an
-    /// error, or once complete, the campaign is closed: reopen it from disk.
+    /// fsynced, or completes with the campaign. After an error, or once
+    /// complete, the campaign is closed: reopen it from disk.
     ///
     /// Outcome-class counters count each trial exactly once. Pooled trials
     /// count themselves; under the warden executor workers run with outcome
@@ -626,7 +835,7 @@ impl<T: FaultTarget, F: Fn() -> T + Sync> StoredCampaign<T, F> {
             StoredRun::Paused { completed, total } => StoredRun::Paused { completed, total },
             StoredRun::Complete(records) => {
                 crate::monitor::complete_campaign();
-                StoredRun::Complete(self.victims.finish(kind, records))
+                StoredRun::Complete(self.victims.finish(kind, records, self.journal.source.gauges()))
             }
         })
     }
@@ -863,7 +1072,7 @@ mod tests {
         };
 
         // First pass: trial 12 (shard 1) hits a harness bug.
-        let mut journal = open_journal(&sc, meta.clone()).unwrap();
+        let mut journal = open_journal(&sc, meta.clone(), None).unwrap();
         let err = drive_shards(&mut journal, None, 3, &busy, |_shard| {
             |trial| {
                 if trial == 12 {
@@ -879,7 +1088,7 @@ mod tests {
         // Sibling shards sealed despite the panic; the panicking shard kept
         // its checkpointed progress and nothing else.
         sc.resume = true;
-        let mut journal = open_journal(&sc, meta).unwrap();
+        let mut journal = open_journal(&sc, meta, None).unwrap();
         let progress = &journal.progress;
         assert!(progress.shards[0].done, "shard 0 must seal despite shard 1's panic");
         assert!(progress.shards[2].done, "shard 2 must seal despite shard 1's panic");
@@ -890,6 +1099,190 @@ mod tests {
         // uninterrupted in-process run.
         let records = drive_shards(&mut journal, None, 3, &busy, |_shard| &run_real).unwrap().expect_complete();
         assert_same_records(&reference.records, &records);
+    }
+
+    // --- Planner journals (format 2) ----------------------------------------
+
+    /// A planner that hands out scripted decisions in order and ignores
+    /// what it observes.
+    struct Script(std::collections::VecDeque<PlanDecision>);
+
+    impl AllocationPlanner for Script {
+        fn observe(&mut self, _record: &TrialRecord) {}
+        fn next_batch(&mut self) -> Option<PlanDecision> {
+            self.0.pop_front()
+        }
+        fn gauges(&self) -> crate::monitor::PlannerStatus {
+            crate::monitor::PlannerStatus { strata_total: 1, strata_open: self.0.len() as u64, widest_ci: 0.0, batches: 0 }
+        }
+    }
+
+    /// Decisions `(stratum, widest_ci, trials)`, numbered from 0.
+    fn script(decisions: &[(&str, f64, &[usize])]) -> Script {
+        Script(
+            decisions
+                .iter()
+                .enumerate()
+                .map(|(batch, &(stratum, widest_ci, trials))| PlanDecision {
+                    batch: batch as u64,
+                    stratum: stratum.into(),
+                    widest_ci,
+                    strata_open: 1,
+                    trials: trials.to_vec(),
+                })
+                .collect(),
+        )
+    }
+
+    fn plan_entry(batch: u64, stratum: &str, widest_ci: f64, trials: &[usize]) -> JournalEntry {
+        JournalEntry::Plan { batch, stratum: stratum.into(), widest_ci, trials: trials.to_vec() }
+    }
+
+    /// The `seq`-th trial entry of a planner journal, carrying `trial`'s
+    /// real record.
+    fn trial_entry(seq: u64, trial: usize) -> JournalEntry {
+        let cfg = CampaignConfig { trials: 8, seed: 19, ..Default::default() };
+        let record = execute_trial("victim", &mut Victim::new(), &golden(), &cfg, 8, trial).0;
+        JournalEntry::Trial { shard: 0, seq, payload: serde_json::to_string(&record).unwrap() }
+    }
+
+    /// Writes `entries` as a planner journal of an 8-trial victim campaign
+    /// and opens it with `planner`, returning the refusal.
+    fn planner_refusal(name: &str, entries: &[JournalEntry], planner: Script) -> String {
+        let cfg = CampaignConfig { trials: 8, seed: 19, ..Default::default() };
+        let kind = Injection::new("victim", &cfg);
+        let mut sc = StoreConfig::new(tmp(name));
+        let meta = CampaignMeta { version: store::journal::ADAPTIVE_FORMAT_VERSION, ..kind.meta(1) };
+        let mut writer = JournalWriter::create(&sc.dir, meta).unwrap();
+        for entry in entries {
+            writer.append(entry).unwrap();
+        }
+        writer.close().unwrap();
+        sc.resume = true;
+        match open_planned(&kind, Victim::new, Executor::Pool(&golden()), &sc, Box::new(planner)) {
+            Ok(_) => panic!("{name}: the journal was accepted"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn a_planner_journal_refuses_a_record_of_another_trial() {
+        let err = planner_refusal(
+            "plan-other-trial",
+            &[plan_entry(0, "a", 0.5, &[0, 1]), trial_entry(0, 0), trial_entry(1, 5)],
+            script(&[("a", 0.5, &[0, 1])]),
+        );
+        assert!(err.contains("seq 1: payload carries trial 5, journaled decisions allocated 1"), "{err}");
+    }
+
+    #[test]
+    fn a_planner_journal_refuses_a_record_no_decision_covers() {
+        let err = planner_refusal(
+            "plan-uncovered",
+            &[plan_entry(0, "a", 0.5, &[0, 1]), trial_entry(0, 0), trial_entry(1, 1), trial_entry(2, 2)],
+            script(&[("a", 0.5, &[0, 1])]),
+        );
+        assert!(err.contains("seq 2: trial record with no covering allocation decision"), "{err}");
+    }
+
+    #[test]
+    fn a_planner_journal_refuses_a_decision_after_the_planner_converged() {
+        let err = planner_refusal(
+            "plan-after-converged",
+            &[plan_entry(0, "a", 0.5, &[0, 1]), trial_entry(0, 0), trial_entry(1, 1), plan_entry(1, "a", 0.5, &[2, 3])],
+            script(&[("a", 0.5, &[0, 1])]),
+        );
+        assert!(err.contains("journal holds decision #1 but the planner is already converged"), "{err}");
+    }
+
+    #[test]
+    fn a_planner_journal_refuses_a_decision_the_planner_does_not_replay() {
+        // The stratum, the trials, or only the last bit of the interval
+        // width differ from what the replayed planner decides.
+        let ci_up = f64::from_bits(0.5f64.to_bits() + 1);
+        let replayed: [(&str, f64, &[usize]); 3] = [("b", 0.5, &[0, 1]), ("a", 0.5, &[0, 2]), ("a", ci_up, &[0, 1])];
+        for (i, (stratum, ci, trials)) in replayed.into_iter().enumerate() {
+            let err = planner_refusal(
+                &format!("plan-mismatch-{i}"),
+                &[plan_entry(0, "a", 0.5, &[0, 1]), trial_entry(0, 0), trial_entry(1, 1)],
+                script(&[(stratum, ci, trials)]),
+            );
+            let expected = format!(
+                "journaled decision #0 (stratum a, 2 trials) does not match the replayed planner (stratum {stratum}, 2 trials)"
+            );
+            assert!(err.contains(&expected), "case {i}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_planner_journal_refuses_an_incomplete_decision_followed_by_another() {
+        let err = planner_refusal(
+            "plan-incomplete",
+            &[plan_entry(0, "a", 0.5, &[0, 1]), trial_entry(0, 0), plan_entry(1, "a", 0.5, &[2, 3])],
+            script(&[("a", 0.5, &[0, 1]), ("a", 0.5, &[2, 3])]),
+        );
+        assert!(err.contains("decision #0 is incomplete but later decisions follow it"), "{err}");
+    }
+
+    #[test]
+    fn a_planner_journal_refuses_a_seal_in_the_middle_of_a_batch() {
+        let err = planner_refusal(
+            "plan-sealed-mid-batch",
+            &[plan_entry(0, "a", 0.5, &[0, 1]), trial_entry(0, 0), JournalEntry::ShardDone { shard: 0 }],
+            script(&[("a", 0.5, &[0, 1])]),
+        );
+        assert!(err.contains("sealed adaptive journal ends mid-batch"), "{err}");
+    }
+
+    /// Every file of a journal directory with its bytes, in name order.
+    fn segments(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()).collect();
+        paths.sort();
+        paths.iter().map(|p| (p.file_name().unwrap().to_owned(), std::fs::read(p).unwrap())).collect()
+    }
+
+    #[test]
+    fn harness_panic_in_a_planner_batch_journals_nothing_more_and_the_run_resumes_to_the_one_shot_journal() {
+        let _quiet = crate::panic_guard::silence_panics();
+        let g = golden();
+        let cfg = CampaignConfig { trials: 8, seed: 19, ..Default::default() };
+        let meta = CampaignMeta { version: store::journal::ADAPTIVE_FORMAT_VERSION, ..Injection::new("victim", &cfg).meta(1) };
+        let decisions: [(&str, f64, &[usize]); 2] = [("a", 0.5, &[0, 1, 2, 3]), ("b", 0.25, &[4, 5, 6, 7])];
+        let planner = || -> Option<Box<dyn AllocationPlanner>> { Some(Box::new(script(&decisions))) };
+        let busy = AtomicU64::new(0);
+        let run_real = |trial: usize| {
+            let mut t = Victim::new();
+            execute_trial("victim", &mut t, &g, &cfg, 8, trial).0
+        };
+
+        let one_shot = StoreConfig::new(tmp("planner-one-shot"));
+        let mut journal = open_journal(&one_shot, meta.clone(), planner()).unwrap();
+        drive_shards(&mut journal, None, 2, &busy, |_shard| &run_real).unwrap().expect_complete();
+
+        // Trial 6, the third of the second batch, hits a harness bug while
+        // both workers run that batch.
+        let mut sc = StoreConfig::new(tmp("planner-panic"));
+        let mut journal = open_journal(&sc, meta.clone(), planner()).unwrap();
+        let err = drive_shards(&mut journal, None, 2, &busy, |_shard| {
+            |trial| {
+                if trial == 6 {
+                    panic!("injected harness bug at trial {trial}");
+                }
+                run_real(trial)
+            }
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("shard 0: trial 6: injected harness bug"), "{err}");
+        // The batch's records before the panic are journaled, and nothing
+        // after them: no checkpoint, no seal.
+        let scan = store::Journal::scan(&sc.dir).unwrap();
+        assert!(matches!(scan.entries.last(), Some(JournalEntry::Trial { seq: 5, .. })), "{:?}", scan.entries.last());
+
+        sc.resume = true;
+        let mut journal = open_journal(&sc, meta, planner()).unwrap();
+        let records = drive_shards(&mut journal, None, 2, &busy, |_shard| &run_real).unwrap().expect_complete();
+        assert_eq!(records.iter().map(|r| r.trial).collect::<Vec<_>>(), (0..8).collect::<Vec<_>>());
+        assert!(segments(&sc.dir) == segments(&one_shot.dir), "the resumed planner journal differs from the one-shot run");
     }
 
     /// Worker entry for the isolated-campaign self-exec tests below: when

@@ -307,6 +307,18 @@ impl TrialRecord {
             decl: d.decl.clone(),
         })
     }
+
+    /// The record's journal and wire payload, timed as `record.encode`.
+    pub fn encode(&self) -> Result<String, serde_json::Error> {
+        let _span = obs::span!("record.encode");
+        serde_json::to_string(self)
+    }
+
+    /// Reads a journal or wire payload back, timed as `record.decode`.
+    pub fn decode(payload: &str) -> Result<TrialRecord, serde_json::Error> {
+        let _span = obs::span!("record.decode");
+        serde_json::from_str(payload)
+    }
 }
 
 #[cfg(test)]

@@ -477,11 +477,7 @@ impl Warden {
                     if got != trial as u64 {
                         return Err(self.reap(format!("trial {trial}: worker answered trial {got}")));
                     }
-                    let decoded = {
-                        let _span = obs::span!("record.decode");
-                        serde_json::from_str::<TrialRecord>(&payload)
-                    };
-                    let record = match decoded {
+                    let record = match TrialRecord::decode(&payload) {
                         Ok(r) => r,
                         Err(e) => return Err(self.reap(format!("trial {trial}: unparseable record: {e}"))),
                     };
@@ -706,11 +702,7 @@ pub fn serve(mut run_one: impl FnMut(usize, u32) -> TrialRecord) -> std::io::Res
                 current.store(trial, Ordering::Relaxed);
                 let record = run_one(trial as usize, attempt);
                 current.store(u64::MAX, Ordering::Relaxed);
-                let encoded = {
-                    let _span = obs::span!("record.encode");
-                    serde_json::to_string(&record)
-                };
-                let payload = match encoded {
+                let payload = match record.encode() {
                     Ok(p) => p,
                     Err(e) => break Err(other(format!("serialize record for trial {trial}: {e}"))),
                 };

@@ -35,7 +35,6 @@
 //! counters.
 
 use crate::crc32;
-use crate::shard::ShardProgress;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, Write};
@@ -263,18 +262,14 @@ fn scan_segment(bytes: &[u8]) -> (Vec<JournalEntry>, usize) {
     (entries, valid_end)
 }
 
-/// Opens the journal of campaign `meta` in `dir` — the one way every
-/// campaign runner (engine, adaptive runner and distributed coordinator)
-/// gets at its journal. A missing journal is created; an
+/// Opens the journal of campaign `meta` in `dir` — the one way the
+/// campaign engine (and with it the distributed coordinator) gets at its
+/// journal. A missing journal is created; an
 /// existing one is continued only with `resume`, and only when it holds the
 /// same campaign: merging two campaigns' records would be silent
-/// corruption. Returns the writer (under the default [`BatchPolicy`]), the
-/// shard progress replayed over `meta.shards`, and the surviving entries.
-pub fn open_campaign(
-    dir: &Path,
-    meta: &CampaignMeta,
-    resume: bool,
-) -> std::io::Result<(JournalWriter, ShardProgress, Vec<JournalEntry>)> {
+/// corruption. Returns the writer (under the default [`BatchPolicy`]) and
+/// the surviving entries.
+pub fn open_campaign(dir: &Path, meta: &CampaignMeta, resume: bool) -> std::io::Result<(JournalWriter, Vec<JournalEntry>)> {
     let (writer, entries) = if Journal::exists(dir) {
         if !resume {
             return Err(std::io::Error::new(
@@ -297,8 +292,7 @@ pub fn open_campaign(
     } else {
         (JournalWriter::create(dir, meta.clone())?, Vec::new())
     };
-    let progress = ShardProgress::replay(meta.shards, &entries)?;
-    Ok((writer, progress, entries))
+    Ok((writer, entries))
 }
 
 impl Journal {

@@ -103,7 +103,7 @@ impl ShardProgress {
                     s.done = true;
                 }
                 // Allocation decisions carry planner state, not shard
-                // progress; the adaptive orchestrator validates them
+                // progress; the engine's planner source validates them
                 // separately against a replayed planner.
                 JournalEntry::Plan { .. } => {}
             }

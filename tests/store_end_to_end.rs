@@ -9,12 +9,13 @@ use phi_reliability::carolfi::campaign::execute_trial;
 use phi_reliability::carolfi::record::TrialRecord;
 use phi_reliability::carolfi::Output;
 use phi_reliability::carolfi::{
-    open_adaptive, open_stored, run_campaign, run_campaign_adaptive, run_stored, Campaign, CampaignConfig, Executor,
-    FaultTarget, Injection, IsolateConfig, StoreConfig, StoredRun, TrialKind,
+    open_planned, open_stored, run_campaign, run_stored, Campaign, CampaignConfig, Executor, FaultTarget, Injection,
+    IsolateConfig, StoreConfig, StoredRun, TrialKind,
 };
 use phi_reliability::kernels::{build, golden, Benchmark, SizeClass};
 use phi_reliability::sdc_analysis::planner::WilsonPlanner;
 use phi_reliability::store::{Journal, JournalEntry};
+use bench::{validate_spec, CampaignKind, CampaignSpec, ParsedSpec, PlanSpec};
 use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
@@ -205,19 +206,21 @@ fn an_adaptive_campaign_advanced_in_slices_writes_its_one_shot_journal() {
     let factory = || build(b, SizeClass::Test);
 
     let one_shot = StoreConfig::new(tmp("adaptive-one-shot"));
-    let reference =
-        run_campaign_adaptive(b.label(), factory, &g, &cfg, &one_shot, &mut planner()).unwrap().expect_complete();
+    let reference = open_planned(&Injection::new(b.label(), &cfg), factory, Executor::Pool(&g), &one_shot, Box::new(planner()))
+        .unwrap()
+        .advance(&Injection::new(b.label(), &cfg), Executor::Pool(&g), None)
+        .unwrap()
+        .expect_complete();
 
     // A slice budget below the batch size: every slice pauses right after
     // the batch it started.
     let sliced = StoreConfig::new(tmp("adaptive-sliced"));
     let kind = Injection::new(b.label(), &cfg);
-    let mut p = planner();
-    let mut open = open_adaptive(&kind, factory, &sliced, &mut p).unwrap();
+    let mut open = open_planned(&kind, factory, Executor::Pool(&g), &sliced, Box::new(planner())).unwrap();
     let mut slices = 0;
     let campaign = loop {
         slices += 1;
-        match open.advance(&kind, &g, &mut p, Some(5)).unwrap() {
+        match open.advance(&kind, Executor::Pool(&g), Some(5)).unwrap() {
             StoredRun::Complete(c) => break c,
             StoredRun::Paused { .. } => assert!(slices < 400, "adaptive campaign never completed"),
         }
@@ -225,6 +228,59 @@ fn an_adaptive_campaign_advanced_in_slices_writes_its_one_shot_journal() {
     assert!(slices > 2, "expected several slices, took {slices}");
     assert_eq!(record_lines(&campaign.records), record_lines(&reference.records));
     assert!(segments(&sliced.dir) == segments(&one_shot.dir), "sliced adaptive journal differs from the one-shot run");
+}
+
+// --- A planner campaign on the warden executor -----------------------------
+//
+// The warden re-execs this test binary as `planner_worker_entry`, which
+// serves trials through `bench`'s worker entry: the campaign that entry
+// rebuilds from the spec the warden hands it.
+
+/// The planner campaign of the warden pin, validated as a spec that asks
+/// for the planner and for isolation together.
+fn planner_spec() -> ParsedSpec {
+    let spec = CampaignSpec {
+        kind: CampaignKind::Inject,
+        version: 2,
+        benchmark: Benchmark::Nw.label().into(),
+        trials: 400,
+        seed: 91,
+        size: "test".into(),
+        shards: 1,
+        isolate: true,
+        models: Vec::new(),
+        tolerance: 0.0,
+        plan: Some(PlanSpec { ci: 0.5, batch: 8, method: Default::default() }),
+    };
+    validate_spec(spec).expect("a planner campaign runs isolated")
+}
+
+/// Warden worker: serves the planner campaign's trials (no-op in an
+/// ordinary run).
+#[test]
+fn planner_worker_entry() {
+    bench::maybe_run_worker();
+}
+
+#[test]
+fn a_planner_campaign_journals_the_same_bytes_on_the_warden_as_on_the_pool() {
+    let p = planner_spec();
+    let (b, cfg, plan) = (p.benchmark, p.campaign_config(), p.spec.plan.clone().unwrap());
+    let total_steps = build(b, p.size).total_steps().max(1);
+    let g = golden(b, p.size);
+    let mut iso = p.isolate_config().unwrap();
+    iso.args = vec!["planner_worker_entry".into(), "--exact".into(), "--test-threads=1".into(), "--nocapture".into()];
+    let kind = Injection::new(b.label(), &cfg);
+    let journal = |name: &str, executor: Executor<'_>| {
+        let sc = StoreConfig::new(tmp(name));
+        let planner = WilsonPlanner::for_injection(&cfg, total_steps, plan.ci, plan.batch);
+        let mut open = open_planned(&kind, || build(b, p.size), executor, &sc, Box::new(planner)).unwrap();
+        let campaign = open.advance(&kind, executor, None).unwrap().expect_complete();
+        assert!(campaign.records.len() < cfg.trials, "{name}: the planner should stop short of its horizon");
+        segments(&sc.dir)
+    };
+    let pooled = journal("planner-pool", Executor::Pool(&g));
+    assert!(pooled == journal("planner-warden", Executor::Warden(&iso)), "the warden journaled other bytes than the pool");
 }
 
 // --- SIGKILL + resume round trip for the process-isolated backend ----------

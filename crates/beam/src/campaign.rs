@@ -126,30 +126,6 @@ pub struct BeamCampaign {
     pub report: obs::CampaignReport,
 }
 
-/// Static outcome key per strike outcome, shared by the live telemetry
-/// counters and the [`obs::CampaignReport`]. Beam strikes have no fault
-/// model, so outcomes are keyed under a single `beam/` prefix.
-pub fn outcome_key(outcome: &OutcomeRecord) -> &'static str {
-    match outcome {
-        OutcomeRecord::Masked => "beam/masked",
-        OutcomeRecord::HardwareMasked => "beam/hw-masked",
-        OutcomeRecord::Sdc(_) => "beam/sdc",
-        OutcomeRecord::Due(_) => "beam/due",
-    }
-}
-
-/// Builds the campaign report from finished strike records (also used by
-/// callers holding only the records; such reports carry no timing).
-pub fn report_for(benchmark: &str, records: &[TrialRecord], workers: usize, busy_ns: u64, wall_ns: u64) -> obs::CampaignReport {
-    let mut builder = obs::ReportBuilder::new(benchmark, workers);
-    for r in records {
-        let timed_out = matches!(r.outcome, OutcomeRecord::Due(DueKind::Timeout));
-        builder.record_outcome(outcome_key(&r.outcome), timed_out);
-    }
-    builder.add_busy_ns(busy_ns);
-    builder.finish(wall_ns)
-}
-
 impl BeamCampaign {
     /// Equivalent fluence represented by the simulated strikes, n/cm².
     pub fn fluence(&self) -> f64 {
@@ -265,8 +241,6 @@ impl TrialKind for Strikes<'_> {
         golden: &Output,
         total_steps: usize,
         strike: usize,
-        attempt: u32,
-        count_outcomes: bool,
     ) -> (TrialRecord, bool) {
         let (mut rng, resource, effect, mut record) = self.prepare(total_steps, strike);
         let mut fast = false;
@@ -293,18 +267,6 @@ impl TrialKind for Strikes<'_> {
             record.executed_steps = result.executed_steps;
             fast = result.fast_compare;
         }
-        if count_outcomes {
-            obs::incr(outcome_key(&record.outcome), 1);
-        }
-        if obs::enabled() {
-            if let Ok(json) = serde_json::to_string(&record) {
-                if attempt == 0 {
-                    obs::event("strike", &json);
-                } else {
-                    obs::event("strike_retry", &format!("{{\"attempt\":{attempt},\"record\":{json}}}"));
-                }
-            }
-        }
         (record, fast)
     }
 
@@ -314,14 +276,6 @@ impl TrialKind for Strikes<'_> {
     fn synth_due(&self, total_steps: usize, strike: usize, kind: DueKind) -> TrialRecord {
         let (_, _, _, record) = self.prepare(total_steps, strike);
         TrialRecord { outcome: OutcomeRecord::Due(kind), ..record }
-    }
-
-    fn outcome_key(&self, record: &TrialRecord) -> Option<&'static str> {
-        Some(outcome_key(&record.outcome))
-    }
-
-    fn report(&self, records: &[TrialRecord], workers: usize, busy_ns: u64, wall_ns: u64) -> obs::CampaignReport {
-        report_for(self.benchmark, records, workers, busy_ns, wall_ns)
     }
 
     /// The MCA log is rebuilt from the records' mechanism labels, which

@@ -13,14 +13,15 @@
 //!   envelopes from `obs::JsonlRecorder`; `trial`/`strike` events carry a
 //!   full record, other kinds are counted and skipped;
 //! * **phi-store journal directories** (a `--store` campaign sub-dir):
-//!   records are recovered from the checksummed segments and the per-shard
-//!   completion status is printed.
+//!   records are recovered through the campaign engine's own journal reader
+//!   and the per-shard completion status is printed.
 //!
 //! Non-record lines in a JSONL file are counted and skipped. Every other
 //! failure makes the exit status 1, after the analyses of what could be
 //! read: a named input that is missing or unreadable, a journal without
-//! campaign metadata or failing its scan or shard replay, or a trial
-//! payload that does not decode.
+//! campaign metadata, or a journal a `--resume` would refuse (a failed scan
+//! or replay, an undecodable payload, a record at the wrong trial), named
+//! with the engine's message.
 //!
 //! ```text
 //! cargo run --release -p bench --bin parse_logs -- /tmp/phi-store/inject-nw
@@ -34,7 +35,7 @@ use sdc_analysis::tolerance::{paper_tolerances, ToleranceCurve};
 use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::path::Path;
-use store::{Journal, JournalEntry, ShardPlan, ShardProgress};
+use store::{Journal, ShardPlan};
 
 fn analyse(benchmark: &str, records: &[TrialRecord]) {
     println!("== {benchmark}: {} records", records.len());
@@ -130,18 +131,19 @@ fn load_file(path: &str, ok: &mut bool) -> Vec<TrialRecord> {
     records
 }
 
-/// Loads a phi-store journal directory, printing the campaign header and
-/// per-shard completion status before handing the records to the analyses.
+/// Loads a phi-store journal directory through the engine's reader,
+/// printing the campaign header and per-shard completion status before
+/// handing the records to the analyses.
 fn load_journal(dir: &Path, ok: &mut bool) -> Vec<TrialRecord> {
     let scan = match Journal::scan(dir) {
         Ok(s) => s,
         Err(e) => return unreadable(dir.display(), e, ok),
     };
-    let Some(meta) = scan.meta else {
+    let Some(meta) = &scan.meta else {
         return unreadable(dir.display(), "journal holds no campaign metadata", ok);
     };
-    let progress = match ShardProgress::replay(meta.shards, &scan.entries) {
-        Ok(p) => p,
+    let read = match carolfi::orchestrator::read_journal(meta, &scan.entries) {
+        Ok(read) => read,
         Err(e) => return unreadable(dir.display(), e, ok),
     };
     println!(
@@ -158,7 +160,7 @@ fn load_journal(dir: &Path, ok: &mut bool) -> Vec<TrialRecord> {
         println!("   recovered: dropped {}-byte torn tail from the newest segment", scan.torn_bytes);
     }
     let plan = ShardPlan::new(meta.trials, meta.shards);
-    for (shard, state) in progress.shards.iter().enumerate() {
+    for (shard, state) in read.progress.shards.iter().enumerate() {
         let range = plan.range(shard);
         let status = if state.done {
             "done".to_string()
@@ -167,26 +169,15 @@ fn load_journal(dir: &Path, ok: &mut bool) -> Vec<TrialRecord> {
         };
         println!("   shard {shard}: trials {}..{} — {status}", range.start, range.end);
     }
-    let total = progress.completed();
     println!(
         "   {} of {} trials journaled{}",
-        total,
+        read.progress.completed(),
         meta.trials,
-        if progress.all_done() { ", campaign complete" } else { " (resumable with --resume)" }
+        if read.progress.all_done() { ", campaign complete" } else { " (resumable with --resume)" }
     );
     println!();
 
-    let mut records = Vec::new();
-    for entry in &scan.entries {
-        if let JournalEntry::Trial { payload, .. } = entry {
-            match serde_json::from_str::<TrialRecord>(payload) {
-                Ok(r) => records.push(r),
-                Err(e) => {
-                    unreadable(dir.display(), format_args!("undecodable trial payload: {e}"), ok);
-                }
-            }
-        }
-    }
+    let mut records: Vec<TrialRecord> = read.records.into_iter().flatten().collect();
     records.sort_by_key(|r| r.trial);
     records
 }

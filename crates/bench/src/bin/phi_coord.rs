@@ -258,8 +258,8 @@ fn run_executor_mode(a: &Args) -> ! {
         // The same trial runner a warden worker builds from the spec:
         // pooled targets, trials keyed by global index, records serialized
         // with the identical serializer — the byte-identity contract.
-        let mut run = p.trial_runner(true);
-        move |global: u64| serde_json::to_string(&run(global as usize, 0)).expect("trial records serialize")
+        let mut run = p.trial_runner();
+        move |global: u64| serde_json::to_string(&run(global as usize)).expect("trial records serialize")
     })
     .unwrap_or_else(|e| fatal(format!("{e}")));
     eprintln!("phi-coord: executor {name} done: {} trials computed", summary.computed);

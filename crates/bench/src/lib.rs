@@ -179,12 +179,11 @@ pub fn maybe_run_worker() {
     // Workers always record: their counters ride back to the supervisor as
     // metrics frames over the supervision socket, where they fold into the
     // cross-process hub — so `--isolate` no longer blinds `--telemetry` or
-    // the live monitor. Outcome-class counting stays off in the worker
-    // (`count_outcomes: false`): the supervisor counts each trial exactly
-    // once when it journals the winning record, so warden retries of a
-    // killed attempt never double-count.
+    // the live monitor. Outcomes are not among them: the supervisor counts
+    // each trial once, where it journals the record, so a warden retry of a
+    // killed attempt never double-counts.
     obs::install(Arc::new(obs::CounterRecorder::new()));
-    let result = carolfi::warden::serve(spec.trial_runner(false));
+    let result = carolfi::warden::serve(spec.trial_runner());
     std::process::exit(if result.is_ok() { 0 } else { 1 });
 }
 

@@ -408,11 +408,10 @@ impl ParsedSpec {
     }
 
     /// This campaign's trial runner: its kind over pooled targets and the
-    /// golden output, running a trial (and warden attempt) by global index —
-    /// what warden workers and `phi-coord` executors execute, bit-identical
-    /// to the engine's pool executor. `count_outcomes` as in
-    /// [`TrialKind::run`].
-    pub fn trial_runner(&self, count_outcomes: bool) -> Box<dyn FnMut(usize, u32) -> TrialRecord> {
+    /// golden output, running a trial by global index — what warden workers
+    /// and `phi-coord` executors execute, bit-identical to the engine's pool
+    /// executor. Like [`TrialKind::run`], it counts and announces nothing.
+    pub fn trial_runner(&self) -> Box<dyn FnMut(usize) -> TrialRecord> {
         let (b, size) = (self.benchmark, self.size);
         let g = golden_output(b, size);
         let pool = TargetPool::new(move || build(b, size));
@@ -422,15 +421,11 @@ impl ParsedSpec {
         match self.spec.kind {
             CampaignKind::Inject => {
                 let cfg = self.campaign_config();
-                Box::new(move |trial, attempt| {
-                    Injection::new(b.label(), &cfg).run(&pool, &g, total_steps, trial, attempt, count_outcomes).0
-                })
+                Box::new(move |trial| Injection::new(b.label(), &cfg).run(&pool, &g, total_steps, trial).0)
             }
             CampaignKind::Beam => {
                 let cfg = self.beam_config();
-                Box::new(move |trial, attempt| {
-                    Strikes::new(b.label(), &cfg).run(&pool, &g, total_steps, trial, attempt, count_outcomes).0
-                })
+                Box::new(move |trial| Strikes::new(b.label(), &cfg).run(&pool, &g, total_steps, trial).0)
             }
         }
     }
@@ -522,11 +517,9 @@ impl OpenSpec {
                 let (kind, factory) = (Injection::new(label, &cfg), factory(b, size));
                 let campaign = match &p.spec.plan {
                     None => open_stored(&kind, factory, executor.borrow(), &sc)?,
-                    Some(plan) => {
-                        let total_steps = build(b, size).total_steps().max(1);
-                        let planner = WilsonPlanner::for_injection(&cfg, total_steps, plan.ci, plan.batch).with_method(plan.method);
-                        open_planned(&kind, factory, executor.borrow(), &sc, Box::new(planner))?
-                    }
+                    Some(plan) => open_planned(&kind, factory, executor.borrow(), &sc, |total_steps| {
+                        Box::new(WilsonPlanner::for_injection(&cfg, total_steps, plan.ci, plan.batch).with_method(plan.method))
+                    })?,
                 };
                 (SpecKind::Inject { cfg, ci }, campaign)
             }

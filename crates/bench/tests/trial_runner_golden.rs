@@ -12,9 +12,9 @@ fn trial_runner_records_exactly_one_golden_span() {
     let parsed = bench::parse_spec(spec).expect("valid spec");
     let rec = Arc::new(obs::CounterRecorder::new());
     obs::install(rec.clone());
-    let mut run = parsed.trial_runner(true);
+    let mut run = parsed.trial_runner();
     for trial in 0..4 {
-        run(trial, 0);
+        run(trial);
     }
     obs::uninstall();
     let goldens = rec.snapshot().hists.get("golden").map_or(0, |h| h.count);

@@ -64,46 +64,14 @@ pub struct Campaign {
     pub report: obs::CampaignReport,
 }
 
-/// Static outcome key per (fault model × outcome), shared by the live
-/// telemetry counters and the [`obs::CampaignReport`] so the `--telemetry`
-/// footer and the report agree by construction.
-pub fn outcome_key(model: FaultModel, outcome: &OutcomeRecord) -> &'static str {
-    use FaultModel::*;
-    use OutcomeRecord::*;
-    match (model, outcome) {
-        (Single, Masked) => "single/masked",
-        (Single, HardwareMasked) => "single/hw-masked",
-        (Single, Sdc(_)) => "single/sdc",
-        (Single, Due(_)) => "single/due",
-        (Double, Masked) => "double/masked",
-        (Double, HardwareMasked) => "double/hw-masked",
-        (Double, Sdc(_)) => "double/sdc",
-        (Double, Due(_)) => "double/due",
-        (Random, Masked) => "random/masked",
-        (Random, HardwareMasked) => "random/hw-masked",
-        (Random, Sdc(_)) => "random/sdc",
-        (Random, Due(_)) => "random/due",
-        (Zero, Masked) => "zero/masked",
-        (Zero, HardwareMasked) => "zero/hw-masked",
-        (Zero, Sdc(_)) => "zero/sdc",
-        (Zero, Due(_)) => "zero/due",
-    }
-}
-
-/// Builds the campaign report from finished records (used both by
-/// [`run_campaign`] and by callers holding only the records, such as
-/// `fig5_fault_models`' telemetry tables; such reports carry no timing).
+/// Builds the campaign report from finished records, each counted under
+/// [`TrialRecord::outcome_key`] (used by the engine and by callers holding
+/// only the records, such as `fig5_fault_models`' telemetry tables; such
+/// reports carry no timing).
 pub fn report_for(benchmark: &str, records: &[TrialRecord], workers: usize, busy_ns: u64, wall_ns: u64) -> obs::CampaignReport {
     let mut builder = obs::ReportBuilder::new(benchmark, workers);
     for r in records {
-        let timed_out = matches!(r.outcome, OutcomeRecord::Due(DueKind::Timeout));
-        match r.model {
-            Some(model) => builder.record_outcome(outcome_key(model, &r.outcome), timed_out),
-            // Model-less records (beam-shaped logs or hand-edited journals
-            // fed back through `parse_logs`) get a stable "unknown/" key
-            // instead of panicking the report over foreign data.
-            None => builder.record_outcome(format!("unknown/{}", r.outcome.label()), timed_out),
-        }
+        builder.record_outcome(r.outcome_key(), matches!(r.outcome, OutcomeRecord::Due(DueKind::Timeout)));
     }
     builder.add_busy_ns(busy_ns);
     builder.finish(wall_ns)
@@ -206,7 +174,8 @@ pub fn trial_stratum(cfg: &CampaignConfig, total_steps: usize, trial: usize) -> 
 /// aggregate bit-identical to the single-shot campaign. The target must
 /// stand at step 0 and replays the fault-free prefix; pooled runners start
 /// from the golden ladder instead ([`TrialKind::run`]), with the same record
-/// bits.
+/// bits. Like them it counts and announces nothing: the engine does, once,
+/// for each record it accepts.
 pub fn execute_trial<T: FaultTarget>(
     benchmark: &str,
     target: &mut T,
@@ -215,36 +184,7 @@ pub fn execute_trial<T: FaultTarget>(
     total_steps: usize,
     trial: usize,
 ) -> (TrialRecord, bool) {
-    execute_trial_attempt(benchmark, target, golden, cfg, total_steps, trial, 0, true)
-}
-
-/// [`execute_trial`] with explicit telemetry policy, for warden workers
-/// whose trials may run more than once:
-///
-/// * `attempt` tags the emitted event — attempt 0 keeps the stable `trial`
-///   kind (and payload schema), retries become `trial_retry` events wrapping
-///   the record with the attempt index, so log consumers never see the same
-///   trial index twice under `trial`.
-/// * `count_outcomes: false` skips the outcome-class counter increments;
-///   isolated workers pass `false` because the *supervisor* counts outcomes
-///   exactly once per trial index when it journals the winning record (a
-///   worker can die after reporting, forcing a re-run of an already-counted
-///   trial).
-///
-/// The returned record is bit-identical regardless of `attempt` /
-/// `count_outcomes` — they only shape telemetry.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_trial_attempt<T: FaultTarget>(
-    benchmark: &str,
-    target: &mut T,
-    golden: &Output,
-    cfg: &CampaignConfig,
-    total_steps: usize,
-    trial: usize,
-    attempt: u32,
-    count_outcomes: bool,
-) -> (TrialRecord, bool) {
-    Injection::new(benchmark, cfg).execute(target, None, golden, total_steps, trial, attempt, count_outcomes)
+    Injection::new(benchmark, cfg).execute(target, None, golden, total_steps, trial)
 }
 
 /// The injection [`TrialKind`]: the trials of one CAROL-FI campaign over
@@ -262,8 +202,7 @@ impl<'a> Injection<'a> {
     }
 
     /// Runs trial `trial` on `target`, from the nearest rung of `ladder`
-    /// (see [`run_trial_mut`]); the body of [`execute_trial_attempt`].
-    #[allow(clippy::too_many_arguments)]
+    /// (see [`run_trial_mut`]); the body of [`execute_trial`].
     fn execute<T: FaultTarget>(
         &self,
         target: &mut T,
@@ -271,8 +210,6 @@ impl<'a> Injection<'a> {
         golden: &Output,
         total_steps: usize,
         trial: usize,
-        attempt: u32,
-        count_outcomes: bool,
     ) -> (TrialRecord, bool) {
         let (benchmark, cfg) = (self.benchmark, self.cfg);
         let (mut rng, model, mut record) = prepare(benchmark, cfg, total_steps, trial);
@@ -293,20 +230,6 @@ impl<'a> Injection<'a> {
         };
         record.injection = result.injection;
         record.executed_steps = result.executed_steps;
-        if count_outcomes {
-            obs::incr(outcome_key(model, &record.outcome), 1);
-        }
-        // Serializing the record is only worth it when someone is listening;
-        // `enabled()` guards the allocation.
-        if obs::enabled() {
-            if let Ok(json) = serde_json::to_string(&record) {
-                if attempt == 0 {
-                    obs::event("trial", &json);
-                } else {
-                    obs::event("trial_retry", &format!("{{\"attempt\":{attempt},\"record\":{json}}}"));
-                }
-            }
-        }
         (record, result.fast_compare)
     }
 }
@@ -336,11 +259,9 @@ impl TrialKind for Injection<'_> {
         golden: &Output,
         total_steps: usize,
         trial: usize,
-        attempt: u32,
-        count_outcomes: bool,
     ) -> (TrialRecord, bool) {
         let (mut target, ladder) = pool.take();
-        let out = self.execute(&mut target, ladder, golden, total_steps, trial, attempt, count_outcomes);
+        let out = self.execute(&mut target, ladder, golden, total_steps, trial);
         pool.release(target, out.0.outcome.is_due());
         out
     }
@@ -348,14 +269,6 @@ impl TrialKind for Injection<'_> {
     fn synth_due(&self, total_steps: usize, trial: usize, kind: DueKind) -> TrialRecord {
         let (_, _, record) = prepare(self.benchmark, self.cfg, total_steps, trial);
         TrialRecord { outcome: OutcomeRecord::Due(kind), ..record }
-    }
-
-    fn outcome_key(&self, record: &TrialRecord) -> Option<&'static str> {
-        record.model.map(|m| outcome_key(m, &record.outcome))
-    }
-
-    fn report(&self, records: &[TrialRecord], workers: usize, busy_ns: u64, wall_ns: u64) -> obs::CampaignReport {
-        report_for(self.benchmark, records, workers, busy_ns, wall_ns)
     }
 
     fn finish(&self, records: Vec<TrialRecord>, report: obs::CampaignReport) -> Campaign {

@@ -32,6 +32,12 @@
 //! ([`StoredCampaign::advance`]); `run_stored` is one of each. A caller that
 //! keeps the campaign open between advances skips the journal rescan, and
 //! writes exactly the bytes a reopen before every advance would.
+//!
+//! The engine counts each trial once, where it accepts the record: its
+//! outcome-class counter and its `trial` or `strike` event, whose payload is
+//! the record's journal payload, in trial order in memory and in journal
+//! order when stored. Trial kinds, warden workers and remote executors count
+//! and announce nothing, so a trial computed twice is still counted once.
 
 use crate::adaptive::{journaled_decisions, replay_decisions, AllocationPlanner, JournaledPlan, PlanDecision};
 use crate::monitor::PlannerStatus;
@@ -111,32 +117,22 @@ pub trait TrialKind: Sync {
     fn workers(&self) -> usize;
     /// Runs trial `trial` on a target from `pool`, started from the pool's
     /// golden ladder, classifying against `golden`. Returns the record and
-    /// whether the bitwise fast-path compare alone classified it.
-    /// `attempt` and `count_outcomes` only shape telemetry: retries
-    /// (attempt > 0) emit `*_retry` events, and warden workers pass
-    /// `count_outcomes: false` because the supervisor counts each
-    /// journaled record exactly once instead.
-    #[allow(clippy::too_many_arguments)]
+    /// whether the bitwise fast-path compare alone classified it. It counts
+    /// and announces nothing: the engine does, for the records it accepts.
     fn run<T: FaultTarget, F: Fn() -> T>(
         &self,
         pool: &TargetPool<T, F>,
         golden: &Output,
         total_steps: usize,
         trial: usize,
-        attempt: u32,
-        count_outcomes: bool,
     ) -> (TrialRecord, bool);
     /// The record of a trial whose worker process died and was quarantined
     /// by the warden: every field the global index fixes, exactly as
     /// [`TrialKind::run`] would have produced it, with the outcome a DUE of
     /// `kind` (what was corrupted and how far it ran are unknowable).
     fn synth_due(&self, total_steps: usize, trial: usize, kind: DueKind) -> TrialRecord;
-    /// The outcome-class counter of a finished record (`None` for records
-    /// without a static class).
-    fn outcome_key(&self, record: &TrialRecord) -> Option<&'static str>;
-    /// The campaign report over finished records.
-    fn report(&self, records: &[TrialRecord], workers: usize, busy_ns: u64, wall_ns: u64) -> obs::CampaignReport;
-    /// Wraps finished records, in trial order, into the campaign.
+    /// Wraps finished records, in trial order, and the engine's report over
+    /// them into the campaign.
     fn finish(&self, records: Vec<TrialRecord>, report: obs::CampaignReport) -> Self::Campaign;
 }
 
@@ -230,11 +226,12 @@ impl<T: FaultTarget, F: Fn() -> T> Victims<T, F> {
         Victims { pool, total_steps, workers, busy_ns: 0, fast_compares: 0, wall: Instant::now() }
     }
 
-    /// The finish step every runner shares: the kind's report plus the pool
-    /// and fast-path gauges, and a planner's final gauges, wrapped into the
-    /// campaign.
+    /// The finish step every runner shares: the report over the records,
+    /// with the pool and fast-path gauges and a planner's final gauges,
+    /// wrapped into the campaign.
     pub(crate) fn finish<K: TrialKind>(&self, kind: &K, records: Vec<TrialRecord>, planner: Option<PlannerStatus>) -> K::Campaign {
-        let mut report = kind.report(&records, self.workers, self.busy_ns, self.wall.elapsed().as_nanos() as u64);
+        let wall_ns = self.wall.elapsed().as_nanos() as u64;
+        let mut report = crate::campaign::report_for(&kind.meta(1).benchmark, &records, self.workers, self.busy_ns, wall_ns);
         report.pool_hits = self.pool.hits();
         report.pool_rebuilds = self.pool.rebuilds();
         report.fast_path_compares = self.fast_compares;
@@ -244,6 +241,18 @@ impl<T: FaultTarget, F: Fn() -> T> Victims<T, F> {
             report.widest_ci = gauges.widest_ci;
         }
         kind.finish(records, report)
+    }
+}
+
+/// The engine's one counting point, reached once for every record it
+/// accepts, in journal order (trial order in memory), whichever executor
+/// produced the record: counts the record under its outcome key and
+/// announces it in a `strike` (beam) or `trial` event whose payload is the
+/// record's journal payload, when there is one.
+fn accept(record: &TrialRecord, payload: Option<&str>) {
+    obs::incr(record.outcome_key(), 1);
+    if let Some(payload) = payload {
+        obs::event(if record.is_strike() { "strike" } else { "trial" }, payload);
     }
 }
 
@@ -266,7 +275,10 @@ where
     let mut victims = Victims::new(factory, true, worker_threads(kind.workers()).min(trials.max(1)));
     let (pool, total_steps) = (&victims.pool, victims.total_steps);
     let mut slots = Vec::with_capacity(trials);
-    victims.busy_ns = run_slots(trials, victims.workers, |trial| kind.run(pool, golden, total_steps, trial, 0, true), |out| {
+    victims.busy_ns = run_slots(trials, victims.workers, |trial| kind.run(pool, golden, total_steps, trial), |out| {
+        // Serializing the record is only worth it when someone listens.
+        let payload = obs::enabled().then(|| serde_json::to_string(&out.0).ok()).flatten();
+        accept(&out.0, payload.as_deref());
         slots.push(out);
         true
     });
@@ -533,39 +545,48 @@ pub(crate) fn drive_shards<R: Fn(usize) -> TrialRecord + Sync>(
     let publish = || source.gauges().into_iter().for_each(crate::monitor::planner_update);
     publish();
 
-    let append = |entry: &JournalEntry, sync: bool| -> std::io::Result<()> {
+    // Appends `entry`, with `sync` an fsync after it, and hands the writer
+    // back still locked: what the caller does before dropping it keeps the
+    // journal's order.
+    let append = |entry: &JournalEntry, sync: bool| {
         store::retry_transient(|| {
             let mut j = writer.lock();
             j.append(entry)?;
             if sync {
                 j.sync()?;
             }
-            Ok(())
+            Ok(j)
         })
     };
-    let checkpoint = |shard: usize, completed: usize, sync: bool| {
+    let checkpoint = |shard: usize, completed: usize, sync: bool| -> std::io::Result<()> {
         let cursor = ShardCursor { shard, completed: completed as u64, next_stream: (plan.range(shard).start + completed) as u64 };
-        append(&JournalEntry::Checkpoint(cursor), sync)
+        append(&JournalEntry::Checkpoint(cursor), sync).map(drop)
     };
     let seal = |shard: usize, completed: usize| -> std::io::Result<()> {
         if source.cadence().is_some() {
             checkpoint(shard, completed, false)?;
         }
-        append(&JournalEntry::ShardDone { shard }, true)?;
+        append(&JournalEntry::ShardDone { shard }, true).map(drop)?;
         sealed[shard].store(true, Ordering::Relaxed);
         obs::incr("shard/completed", 1);
         crate::monitor::shard_sealed(shard);
         Ok(())
     };
     // The one per-trial path: journal the record of `trial` as `shard`'s
-    // `seq`-th and hand it back to the source.
+    // `seq`-th, accept it while the journal is held (so events follow the
+    // journal's order), and hand it back to the source.
     let journal_one = |shard: usize, seq: usize, trial: usize, record: TrialRecord| -> std::io::Result<()> {
         if record.trial != trial {
             return Err(invalid(format!("shard {shard} seq {seq}: runner answered trial {trial} with trial {}", record.trial)));
         }
         let payload = record.encode().map_err(|e| std::io::Error::other(format!("trial {trial}: serialize failed: {e}")))?;
         obs::incr("store/trials", 1);
-        append(&JournalEntry::Trial { shard, seq: seq as u64, payload }, false)?;
+        let entry = JournalEntry::Trial { shard, seq: seq as u64, payload };
+        let held = append(&entry, false)?;
+        if let JournalEntry::Trial { payload, .. } = &entry {
+            accept(&record, Some(payload));
+        }
+        drop(held);
         crate::monitor::tick(shard);
         source.observe(&record);
         new_records[shard].lock().push(record);
@@ -744,17 +765,17 @@ where
 
 /// Opens a planner-driven campaign of `kind` for `executor`, as
 /// [`open_stored`] does a fixed-count one: its trials below the `kind`'s
-/// trial count (the horizon) come in batches from `planner`'s decisions,
-/// in a single-shard format-2 journal, and it completes when the planner
-/// has no more batches. `planner` must be freshly constructed: resuming a
-/// journal replays every journaled decision through it and checks each
-/// against it.
+/// trial count (the horizon) come in batches from the decisions of the
+/// planner `planner(total_steps)` builds for the victim's step count, in a
+/// single-shard format-2 journal, and it completes when the planner has no
+/// more batches. Resuming a journal replays every journaled decision
+/// through the fresh planner and checks each against it.
 pub fn open_planned<K, T, F>(
     kind: &K,
     factory: F,
     executor: Executor<'_>,
     store_cfg: &StoreConfig,
-    planner: Box<dyn AllocationPlanner>,
+    planner: impl FnOnce(usize) -> Box<dyn AllocationPlanner>,
 ) -> std::io::Result<StoredCampaign<T, F>>
 where
     K: TrialKind,
@@ -763,7 +784,7 @@ where
 {
     let victims = Victims::new(factory, matches!(executor, Executor::Pool(_)), worker_threads(kind.workers()));
     let meta = CampaignMeta { version: store::ADAPTIVE_FORMAT_VERSION, ..kind.meta(1) };
-    let journal = open_journal(store_cfg, meta, Some(planner))?;
+    let journal = open_journal(store_cfg, meta, Some(planner(victims.total_steps)))?;
     Ok(StoredCampaign { journal, victims })
 }
 
@@ -778,12 +799,6 @@ impl<T: FaultTarget, F: Fn() -> T + Sync> StoredCampaign<T, F> {
     /// the kind it was opened with — on `executor`. Pauses with the journal
     /// fsynced, or completes with the campaign. After an error, or once
     /// complete, the campaign is closed: reopen it from disk.
-    ///
-    /// Outcome-class counters count each trial exactly once. Pooled trials
-    /// count themselves; under the warden executor workers run with outcome
-    /// counting off and the supervisor counts the winning record of each
-    /// trial index where it journals it, so a trial retried after a kill or
-    /// torn reply never double-counts.
     pub fn advance<K: TrialKind>(
         &mut self,
         kind: &K,
@@ -802,7 +817,7 @@ impl<T: FaultTarget, F: Fn() -> T + Sync> StoredCampaign<T, F> {
         let wardens: parking_lot::Mutex<Vec<Warden>> = parking_lot::Mutex::new(Vec::new());
         let run_one = |trial| match executor {
             Executor::Pool(golden) => {
-                let (record, fast) = kind.run(pool, golden, total_steps, trial, 0, true);
+                let (record, fast) = kind.run(pool, golden, total_steps, trial);
                 fast_compares.fetch_add(fast as u64, Ordering::Relaxed);
                 record
             }
@@ -821,9 +836,6 @@ impl<T: FaultTarget, F: Fn() -> T + Sync> StoredCampaign<T, F> {
                     Err(e) => panic!("trial {trial}: warden infrastructure failed: {e}"),
                 };
                 wardens.lock().push(warden);
-                if let Some(key) = kind.outcome_key(&record) {
-                    obs::incr(key, 1);
-                }
                 record
             }
         };
@@ -1159,7 +1171,7 @@ mod tests {
         }
         writer.close().unwrap();
         sc.resume = true;
-        match open_planned(&kind, Victim::new, Executor::Pool(&golden()), &sc, Box::new(planner)) {
+        match open_planned(&kind, Victim::new, Executor::Pool(&golden()), &sc, |_| Box::new(planner)) {
             Ok(_) => panic!("{name}: the journal was accepted"),
             Err(e) => e.to_string(),
         }
@@ -1310,7 +1322,7 @@ mod tests {
                 _ => {}
             }
         }
-        let result = crate::warden::serve(|trial, attempt| {
+        let result = crate::warden::serve(|trial| {
             if abort_on == Some(trial) {
                 std::process::abort();
             }
@@ -1320,7 +1332,7 @@ mod tests {
                 }
             }
             let mut target = Victim::new();
-            crate::campaign::execute_trial_attempt("victim", &mut target, &g, &cfg, 8, trial, attempt, false).0
+            execute_trial("victim", &mut target, &g, &cfg, 8, trial).0
         });
         std::process::exit(if result.is_ok() { 0 } else { 1 });
     }

@@ -319,6 +319,39 @@ impl TrialRecord {
         let _span = obs::span!("record.decode");
         serde_json::from_str(payload)
     }
+
+    /// Whether this is a beam strike's record: no fault model and a
+    /// `beam:<resource>:<effect>` mechanism.
+    pub(crate) fn is_strike(&self) -> bool {
+        self.model.is_none() && self.mechanism.starts_with("beam:")
+    }
+
+    /// The outcome-class counter this record counts under, in the live
+    /// telemetry and the campaign report alike: `<model>/<class>` for an
+    /// injection, `beam/<class>` for a beam strike, and `unknown/<class>`
+    /// for any other record without a model (a hand-edited log, say).
+    pub fn outcome_key(&self) -> &'static str {
+        const KEYS: [[&str; 4]; 6] = [
+            ["single/masked", "single/hw-masked", "single/sdc", "single/due"],
+            ["double/masked", "double/hw-masked", "double/sdc", "double/due"],
+            ["random/masked", "random/hw-masked", "random/sdc", "random/due"],
+            ["zero/masked", "zero/hw-masked", "zero/sdc", "zero/due"],
+            ["beam/masked", "beam/hw-masked", "beam/sdc", "beam/due"],
+            ["unknown/masked", "unknown/hw-masked", "unknown/sdc", "unknown/due"],
+        ];
+        let source = match self.model {
+            Some(model) => model as usize, // declaration order: single, double, random, zero
+            None if self.is_strike() => 4,
+            None => 5,
+        };
+        let class = match self.outcome {
+            OutcomeRecord::Masked => 0,
+            OutcomeRecord::HardwareMasked => 1,
+            OutcomeRecord::Sdc(_) => 2,
+            OutcomeRecord::Due(_) => 3,
+        };
+        KEYS[source][class]
+    }
 }
 
 #[cfg(test)]
@@ -405,6 +438,35 @@ mod tests {
         assert_eq!(back[0].trial, 3);
         assert_eq!(back[0].outcome, OutcomeRecord::Due(DueKind::Timeout));
         assert_eq!(back[0].var_desc().unwrap().name, "matrix_a");
+    }
+
+    #[test]
+    fn outcome_keys_name_the_model_or_source_and_the_class() {
+        let sdc = OutcomeRecord::Sdc(DiffSummary::from_mismatches(&[mm([0, 0, 0], 1.0)], [1, 1, 1]));
+        let outcomes = [OutcomeRecord::Masked, OutcomeRecord::HardwareMasked, sdc, OutcomeRecord::Due(DueKind::Killed)];
+        let record = |model, mechanism: &str, outcome: &OutcomeRecord| TrialRecord {
+            trial: 0,
+            benchmark: "dgemm".into(),
+            model,
+            mechanism: mechanism.into(),
+            inject_step: 0,
+            total_steps: 4,
+            window: 0,
+            n_windows: 4,
+            injection: None,
+            outcome: outcome.clone(),
+            executed_steps: 4,
+        };
+        for outcome in &outcomes {
+            let class = outcome.label();
+            for model in FaultModel::ALL {
+                assert_eq!(record(Some(model), model.label(), outcome).outcome_key(), format!("{}/{class}", model.label()));
+            }
+            assert_eq!(record(None, "beam:l2-cache:sdc", outcome).outcome_key(), format!("beam/{class}"));
+            assert_eq!(record(None, "single", outcome).outcome_key(), format!("unknown/{class}"));
+        }
+        assert!(record(None, "beam:l2-cache:sdc", &outcomes[0]).is_strike());
+        assert!(!record(Some(FaultModel::Zero), "beam:l2-cache:sdc", &outcomes[0]).is_strike());
     }
 
     #[test]

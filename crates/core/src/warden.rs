@@ -12,7 +12,7 @@
 //!   parent over a Unix socket, receives `Run { trial }` requests, executes
 //!   trials with the exact same `execute_trial` code path as the in-process
 //!   backend, and streams [`TrialRecord`]s back over a length-prefixed
-//!   frame protocol, with a heartbeat thread ticking while a trial runs.
+//!   frame protocol.
 //! * The parent-side [`Warden`] supervises one worker: it spawns it on
 //!   demand, imposes a **wall-clock** deadline per trial (complementing the
 //!   in-worker step-budget watchdog, which corrupted control flow can
@@ -45,7 +45,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::os::unix::process::ExitStatusExt;
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -63,8 +63,9 @@ pub const SPEC_ENV: &str = "PHI_WARDEN_SPEC";
 /// `phi-serve`).
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// Heartbeat period while a trial is executing.
-const HEARTBEAT_EVERY: Duration = Duration::from_millis(25);
+/// How often a worker ships its cumulative metrics while a trial runs, and
+/// at most how often after its records.
+const METRICS_EVERY: Duration = Duration::from_millis(200);
 
 /// How long a freshly spawned worker gets to connect back.
 const SPAWN_WAIT: Duration = Duration::from_secs(10);
@@ -77,10 +78,7 @@ const REAP_GRACE: Duration = Duration::from_secs(2);
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
     /// Execute one trial (campaign-global index) and reply with `Record`.
-    /// `attempt` is 0 for the first execution and grows with every warden
-    /// retry of the same trial, so workers can tag their telemetry events
-    /// and keep outcome counting once-per-trial.
-    Run { trial: u64, attempt: u32 },
+    Run { trial: u64 },
     /// Drain and exit cleanly.
     Shutdown,
 }
@@ -90,8 +88,6 @@ pub enum Request {
 pub enum Reply {
     /// First frame after connecting.
     Hello { pid: u32 },
-    /// Liveness tick while `trial` is executing.
-    Heartbeat { trial: u64 },
     /// One finished trial; `payload` is the serialized [`TrialRecord`]
     /// exactly as the worker's `execute_trial` produced it.
     Record { trial: u64, payload: String },
@@ -395,7 +391,7 @@ impl Warden {
         let mut infra = 0u32;
         let mut attempt = 0u32;
         loop {
-            match self.attempt_trial(trial, attempt) {
+            match self.attempt_trial(trial) {
                 Ok(record) => return Ok(IsolatedTrial::Completed(Box::new(record))),
                 Err(Death::Victim { kind, diag }) => {
                     deaths.push(diag);
@@ -455,19 +451,19 @@ impl Warden {
 
     /// One execution attempt: ensure a live worker, send `Run`, pump frames
     /// until a record arrives or the wall clock runs out.
-    fn attempt_trial(&mut self, trial: usize, attempt: u32) -> Result<TrialRecord, Death> {
+    fn attempt_trial(&mut self, trial: usize) -> Result<TrialRecord, Death> {
         if self.worker.is_none() {
             self.spawn_worker().map_err(|e| Death::Infra(format!("spawn worker: {e}")))?;
         }
         let deadline = Instant::now() + self.cfg.trial_wall;
         let w = self.worker.as_mut().expect("worker just ensured");
-        if let Err(e) = write_frame(&mut w.stream, &Request::Run { trial: trial as u64, attempt }) {
+        if let Err(e) = write_frame(&mut w.stream, &Request::Run { trial: trial as u64 }) {
             return Err(self.reap(format!("trial {trial}: sending Run failed: {e}")));
         }
         loop {
             let w = self.worker.as_mut().expect("worker alive while pumping frames");
             match read_frame_deadline::<Reply>(&mut w.stream, deadline) {
-                Ok(Reply::Heartbeat { .. }) | Ok(Reply::Hello { .. }) => continue,
+                Ok(Reply::Hello { .. }) => continue,
                 Ok(Reply::Metrics { metrics }) => {
                     let source = w.source.clone();
                     self.fold_metrics(&source, metrics);
@@ -630,23 +626,18 @@ pub fn worker_spec() -> Option<String> {
     worker_active().then(|| std::env::var(SPEC_ENV).unwrap_or_default())
 }
 
-/// How often a worker refreshes its cumulative metrics frame (heartbeat
-/// multiples; 8 ticks ≈ 200 ms).
-const METRICS_EVERY_TICKS: u32 = 8;
-
 /// Worker main loop: connect back to the parent, answer `Run` requests via
 /// `run_one` (the embedder rebuilds the campaign's trial closure from the
-/// spec; the second argument is the warden's attempt index for this trial),
-/// stream records, heartbeat while executing. Returns when the parent shuts
-/// the stream down. Victim panics are silenced exactly as in in-process
-/// campaigns; anything harder (abort, runaway loop) takes the worker down,
-/// which is the point — the parent classifies the corpse.
+/// spec) and stream records. Returns when the parent shuts the stream down.
+/// Victim panics are silenced exactly as in in-process campaigns; anything
+/// harder (abort, runaway loop) takes the worker down, which is the point —
+/// the parent classifies the corpse.
 ///
 /// If the worker process has a metrics-keeping recorder installed
 /// ([`obs::snapshot`] returns `Some`), its cumulative state is shipped to
-/// the parent alongside heartbeats (throttled), after every record, and as
-/// a parting frame on shutdown.
-pub fn serve(mut run_one: impl FnMut(usize, u32) -> TrialRecord) -> std::io::Result<()> {
+/// the parent every [`METRICS_EVERY`] while a trial runs, after records
+/// (throttled to the same period), and as a parting frame on shutdown.
+pub fn serve(mut run_one: impl FnMut(usize) -> TrialRecord) -> std::io::Result<()> {
     let path = std::env::var(SOCKET_ENV).map_err(|_| other(format!("{SOCKET_ENV} is not set")))?;
     let mut reader = UnixStream::connect(&path)?;
     let writer = Arc::new(parking_lot::Mutex::new(reader.try_clone()?));
@@ -660,30 +651,20 @@ pub fn serve(mut run_one: impl FnMut(usize, u32) -> TrialRecord) -> std::io::Res
         }
     };
 
-    // Heartbeat thread: ticks while a trial is in flight (u64::MAX = idle),
-    // refreshing the parent's view of our metrics every few ticks so even a
-    // long-running single trial reports live counters. It waits out each
-    // tick on `done`, which the main loop drops on exit, so shutdown wakes
-    // it at once instead of after the current tick.
-    let current = Arc::new(AtomicU64::new(u64::MAX));
+    // Ticker thread: while a trial is in flight, refreshes the parent's view
+    // of our metrics every tick, so even a long-running single trial reports
+    // live counters. It waits out each tick on `done`, which the main loop
+    // drops on exit, so shutdown wakes it at once instead of after the
+    // current tick.
+    let busy = Arc::new(AtomicBool::new(false));
     let (done_tx, done) = mpsc::channel::<()>();
-    let hb = {
+    let ticker = {
         let writer = writer.clone();
-        let current = current.clone();
+        let busy = busy.clone();
         std::thread::spawn(move || {
-            let mut ticks = 0u32;
-            while let Err(RecvTimeoutError::Timeout) = done.recv_timeout(HEARTBEAT_EVERY) {
-                let trial = current.load(Ordering::Relaxed);
-                if trial == u64::MAX {
-                    continue;
-                }
-                ticks += 1;
-                let mut w = writer.lock();
-                if write_frame(&mut *w, &Reply::Heartbeat { trial }).is_err() {
+            while let Err(RecvTimeoutError::Timeout) = done.recv_timeout(METRICS_EVERY) {
+                if busy.load(Ordering::Relaxed) && send_metrics(&mut writer.lock()).is_err() {
                     break; // parent is gone; the main loop will notice too
-                }
-                if ticks.is_multiple_of(METRICS_EVERY_TICKS) && send_metrics(&mut w).is_err() {
-                    break;
                 }
             }
         })
@@ -698,10 +679,10 @@ pub fn serve(mut run_one: impl FnMut(usize, u32) -> TrialRecord) -> std::io::Res
         };
         match request {
             Request::Shutdown => break Ok(()),
-            Request::Run { trial, attempt } => {
-                current.store(trial, Ordering::Relaxed);
-                let record = run_one(trial as usize, attempt);
-                current.store(u64::MAX, Ordering::Relaxed);
+            Request::Run { trial } => {
+                busy.store(true, Ordering::Relaxed);
+                let record = run_one(trial as usize);
+                busy.store(false, Ordering::Relaxed);
                 let payload = match record.encode() {
                     Ok(p) => p,
                     Err(e) => break Err(other(format!("serialize record for trial {trial}: {e}"))),
@@ -713,7 +694,7 @@ pub fn serve(mut run_one: impl FnMut(usize, u32) -> TrialRecord) -> std::io::Res
                 // Refresh the parent's metrics view, throttled so fast
                 // trials don't pay a snapshot+serialize each (best effort,
                 // the Record already landed).
-                if last_metrics.elapsed() >= HEARTBEAT_EVERY * METRICS_EVERY_TICKS {
+                if last_metrics.elapsed() >= METRICS_EVERY {
                     last_metrics = Instant::now();
                     let _ = send_metrics(&mut w);
                 }
@@ -724,7 +705,7 @@ pub fn serve(mut run_one: impl FnMut(usize, u32) -> TrialRecord) -> std::io::Res
     // Parting cumulative snapshot: the shutdown drain on the parent side
     // folds it so nothing recorded since the last refresh is lost.
     let _ = send_metrics(&mut writer.lock());
-    let _ = hb.join();
+    let _ = ticker.join();
     result
 }
 
@@ -757,7 +738,7 @@ mod tests {
     #[test]
     fn warden_worker_entry() {
         let Some(spec) = worker_spec() else { return };
-        let result = serve(|trial, _attempt| {
+        let result = serve(|trial| {
             match (spec.as_str(), trial) {
                 ("abort-on-5", 5) => std::process::abort(),
                 ("exit-on-4", 4) => std::process::exit(17),
@@ -798,9 +779,9 @@ mod tests {
         let back: Reply = read_frame_deadline(&mut b, deadline).unwrap();
         assert_eq!(back, msg);
         // Requests too.
-        write_frame(&mut b, &Request::Run { trial: 3, attempt: 2 }).unwrap();
+        write_frame(&mut b, &Request::Run { trial: 3 }).unwrap();
         let req: Request = read_frame_blocking(&mut a).unwrap();
-        assert_eq!(req, Request::Run { trial: 3, attempt: 2 });
+        assert_eq!(req, Request::Run { trial: 3 });
     }
 
     #[test]
@@ -883,7 +864,7 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_does_not_wait_out_a_heartbeat_tick() {
+    fn shutdown_does_not_wait_out_a_metrics_tick() {
         let mut took: Vec<Duration> = (0..5)
             .map(|_| {
                 let mut w = Warden::new(iso("ok")).unwrap();
@@ -894,7 +875,7 @@ mod tests {
             })
             .collect();
         took.sort();
-        assert!(took[2] < HEARTBEAT_EVERY / 2, "median shutdown took {:?} (all: {took:?})", took[2]);
+        assert!(took[2] < Duration::from_micros(12_500), "median shutdown took {:?} (all: {took:?})", took[2]);
     }
 
     #[test]

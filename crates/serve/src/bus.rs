@@ -4,9 +4,11 @@
 //! [`obs::Recorder`]. Counters and spans delegate to an inner
 //! [`obs::CounterRecorder`], so everything downstream of `obs::snapshot`
 //! (the monitor plane, `MetricsHub` merging, telemetry footers) keeps
-//! working unchanged; structured events (`trial`, `trial_retry`, …) are
+//! working unchanged; structured events (`trial`, `strike`, `plan`, …) are
 //! *additionally* fanned out to subscribers of the campaign whose slice is
-//! currently executing.
+//! currently executing. The engine emits a campaign's `trial` and `strike`
+//! events where it journals their records, so a subscriber receives them
+//! in journal order.
 //!
 //! Attribution relies on the scheduler invariant that the shared pool runs
 //! **one slice at a time**: [`EventBus::set_current`] brackets each

@@ -196,11 +196,11 @@ fn beam_isolated_worker_entry() {
     pool.seed(probe);
     let abort_on: Option<usize> = mode.strip_prefix("abort-").map(|n| n.parse().unwrap());
     let kind = Strikes::new(b.label(), &cfg);
-    let result = phi_reliability::carolfi::warden::serve(|strike, attempt| {
+    let result = phi_reliability::carolfi::warden::serve(|strike| {
         if abort_on == Some(strike) {
             std::process::abort();
         }
-        kind.run(&pool, &g, total_steps, strike, attempt, false).0
+        kind.run(&pool, &g, total_steps, strike).0
     });
     std::process::exit(if result.is_ok() { 0 } else { 1 });
 }

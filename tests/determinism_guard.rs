@@ -165,7 +165,7 @@ fn pooled_beam_records_match_a_factory_per_trial_loop() {
         let kind = Strikes::new(b.label(), &cfg);
         let fresh: Vec<TrialRecord> = {
             let _quiet = phi_reliability::carolfi::panic_guard::silence_panics();
-            (0..cfg.strikes).map(|strike| kind.run(&bare, &g, total_steps, strike, 0, false).0).collect()
+            (0..cfg.strikes).map(|strike| kind.run(&bare, &g, total_steps, strike).0).collect()
         };
         assert_eq!(bare.hits(), 0, "{b}: every reference strike ran on a fresh target");
         assert_eq!(to_json(&pooled.records), to_json(&fresh), "{b}: pooling changed the beam records");
@@ -188,7 +188,7 @@ fn isolated_worker_entry() {
     let cfg = CampaignConfig { trials, seed, n_windows: b.n_windows(), ..Default::default() };
     let g = golden(b, SizeClass::Test);
     let total_steps = build(b, SizeClass::Test).total_steps().max(1);
-    let result = phi_reliability::carolfi::warden::serve(|trial, _attempt| {
+    let result = phi_reliability::carolfi::warden::serve(|trial| {
         let mut target = build(b, SizeClass::Test);
         execute_trial(b.label(), &mut target, &g, &cfg, total_steps, trial).0
     });

@@ -10,7 +10,7 @@
 //! gate inside the carolfi test binary would race its orchestrator tests.
 //! Here the globals are ours alone, serialized by [`LOCK`].
 
-use phi_reliability::carolfi::campaign::{execute_trial_attempt, outcome_key};
+use phi_reliability::carolfi::campaign::execute_trial;
 use phi_reliability::carolfi::monitor::{MonitorRequest, StatusSnapshot};
 use phi_reliability::carolfi::warden::{read_frame_blocking, write_frame};
 use phi_reliability::carolfi::{
@@ -77,11 +77,17 @@ fn outcome_counters(snap: &obs::MetricsSnapshot) -> BTreeMap<String, u64> {
         .collect()
 }
 
+/// The marker the `abort-once` worker leaves when it aborts: the first
+/// worker to create it aborts, every later one runs the trial.
+fn abort_marker() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/test-isolation-telemetry/retry/aborted")
+}
+
 /// Warden worker entry, mirroring `bench::maybe_run_worker`: installs its
-/// own recorder (the metrics the supervisor folds back), executes trials
-/// attempt-aware with outcome counting off, and — in `abort-once-<K>` mode —
-/// aborts the first attempt of trial K to force a warden retry. No-op in an
-/// ordinary test run.
+/// own recorder (the metrics the supervisor folds back), executes trials,
+/// and — in `abort-once-<K>` mode — aborts the first execution of trial K,
+/// keyed on [`abort_marker`], to force a warden retry. No-op in an ordinary
+/// test run.
 #[test]
 fn monitor_worker_entry() {
     let Some(spec) = phi_reliability::carolfi::warden::worker_spec() else { return };
@@ -94,12 +100,12 @@ fn monitor_worker_entry() {
     let g = golden(BENCH, SizeClass::Test);
     let total_steps = build(BENCH, SizeClass::Test).total_steps().max(1);
     let abort_once: Option<usize> = mode.strip_prefix("abort-once-").map(|n| n.parse().expect("abort trial"));
-    let result = phi_reliability::carolfi::warden::serve(|trial, attempt| {
-        if attempt == 0 && abort_once == Some(trial) {
+    let result = phi_reliability::carolfi::warden::serve(|trial| {
+        if abort_once == Some(trial) && std::fs::OpenOptions::new().write(true).create_new(true).open(abort_marker()).is_ok() {
             std::process::abort();
         }
         let mut target = build(BENCH, SizeClass::Test);
-        execute_trial_attempt(BENCH.label(), &mut target, &g, &ccfg, total_steps, trial, attempt, false).0
+        execute_trial(BENCH.label(), &mut target, &g, &ccfg, total_steps, trial).0
     });
     std::process::exit(if result.is_ok() { 0 } else { 1 });
 }
@@ -126,9 +132,9 @@ fn isolated_workers_relay_metrics_into_the_supervisor_hub() {
     assert_eq!(stored.records.len(), TRIALS);
     let merged = obs::merged_snapshot();
 
-    // Satellite-1 contract: the supervisor counted each journaled record
-    // exactly once, so the outcome-class counters match the in-process run
-    // (the records themselves are bit-identical, so so must these be).
+    // The engine counted each journaled record exactly once, so the
+    // outcome-class counters match the in-process run (the records
+    // themselves are bit-identical, so so must these be).
     assert_eq!(outcome_counters(&merged), expected_outcomes, "isolate must not change the telemetry footer's outcome lines");
 
     // The relay itself: worker-side span histograms are visible here. Every
@@ -156,11 +162,9 @@ fn warden_retries_do_not_double_count_outcomes() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fresh_metrics();
 
-    // Trial 7's first attempt aborts the worker; the warden respawns and
-    // retries, and the second attempt succeeds. Before outcome counting
-    // moved to the supervisor, the campaign ended with trials+1 outcome
-    // increments (or trials-1 with the lost-attempt variant); now the
-    // winning record is counted exactly once where it is journaled.
+    // Trial 7's first execution aborts the worker; the warden respawns and
+    // retries, and the second execution succeeds. Workers count no
+    // outcomes: the engine counts the record once, where it journals it.
     let mut sc = StoreConfig::new(tmp("retry").join("journal"));
     sc.shards = 2;
     let stored = isolated(&sc, "abort-once-7")
@@ -186,8 +190,7 @@ fn warden_retries_do_not_double_count_outcomes() {
         serde_json::to_string(&stored.records[7]).unwrap(),
         "retried trial must produce the first-attempt record"
     );
-    let model = stored.records[7].model.expect("injection records carry a model");
-    let key = outcome_key(model, &stored.records[7].outcome);
+    let key = stored.records[7].outcome_key();
     assert!(outcomes.get(key).copied().unwrap_or(0) >= 1);
     obs::uninstall();
 }

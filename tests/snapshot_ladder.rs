@@ -240,7 +240,7 @@ fn laddered_trials_match_fresh_replays_in_every_outcome_class() {
         let _quiet = silence_panics();
         (0..cfg.trials)
             .map(|trial| {
-                let (laddered, _) = kind.run(&pool, &g, total, trial, 0, false);
+                let (laddered, _) = kind.run(&pool, &g, total, trial);
                 (laddered, execute_trial(b.label(), &mut build(b, SizeClass::Test), &g, &cfg, total, trial).0)
             })
             .collect()
@@ -469,7 +469,7 @@ fn rungs_outlive_due_rebuilds() {
     let _quiet = silence_panics();
     let run = |r: &TrialRecord| {
         let before = steps.load(Ordering::Relaxed);
-        let (record, _) = kind.run(&pool, &g, total, r.trial, 0, false);
+        let (record, _) = kind.run(&pool, &g, total, r.trial);
         assert_eq!(to_json(&record), to_json(r), "trial {}", r.trial);
         steps.load(Ordering::Relaxed) - before
     };

@@ -9,8 +9,8 @@ use phi_reliability::carolfi::campaign::execute_trial;
 use phi_reliability::carolfi::record::TrialRecord;
 use phi_reliability::carolfi::Output;
 use phi_reliability::carolfi::{
-    open_planned, open_stored, run_campaign, run_stored, Campaign, CampaignConfig, Executor, FaultTarget, Injection,
-    IsolateConfig, StoreConfig, StoredRun, TrialKind,
+    open_planned, open_stored, run_campaign, run_stored, AllocationPlanner, Campaign, CampaignConfig, Executor, FaultTarget,
+    Injection, IsolateConfig, StoreConfig, StoredRun, TrialKind,
 };
 use phi_reliability::kernels::{build, golden, Benchmark, SizeClass};
 use phi_reliability::sdc_analysis::planner::WilsonPlanner;
@@ -201,12 +201,11 @@ fn an_adaptive_campaign_advanced_in_slices_writes_its_one_shot_journal() {
     let b = Benchmark::Nw;
     let g = golden(b, SizeClass::Test);
     let cfg = CampaignConfig { trials: 400, seed: 91, n_windows: b.n_windows(), ..Default::default() };
-    let total_steps = build(b, SizeClass::Test).total_steps().max(1);
-    let planner = || WilsonPlanner::for_injection(&cfg, total_steps, 0.5, 8);
+    let planner = |total_steps| -> Box<dyn AllocationPlanner> { Box::new(WilsonPlanner::for_injection(&cfg, total_steps, 0.5, 8)) };
     let factory = || build(b, SizeClass::Test);
 
     let one_shot = StoreConfig::new(tmp("adaptive-one-shot"));
-    let reference = open_planned(&Injection::new(b.label(), &cfg), factory, Executor::Pool(&g), &one_shot, Box::new(planner()))
+    let reference = open_planned(&Injection::new(b.label(), &cfg), factory, Executor::Pool(&g), &one_shot, planner)
         .unwrap()
         .advance(&Injection::new(b.label(), &cfg), Executor::Pool(&g), None)
         .unwrap()
@@ -216,7 +215,7 @@ fn an_adaptive_campaign_advanced_in_slices_writes_its_one_shot_journal() {
     // the batch it started.
     let sliced = StoreConfig::new(tmp("adaptive-sliced"));
     let kind = Injection::new(b.label(), &cfg);
-    let mut open = open_planned(&kind, factory, Executor::Pool(&g), &sliced, Box::new(planner())).unwrap();
+    let mut open = open_planned(&kind, factory, Executor::Pool(&g), &sliced, planner).unwrap();
     let mut slices = 0;
     let campaign = loop {
         slices += 1;
@@ -266,15 +265,16 @@ fn planner_worker_entry() {
 fn a_planner_campaign_journals_the_same_bytes_on_the_warden_as_on_the_pool() {
     let p = planner_spec();
     let (b, cfg, plan) = (p.benchmark, p.campaign_config(), p.spec.plan.clone().unwrap());
-    let total_steps = build(b, p.size).total_steps().max(1);
     let g = golden(b, p.size);
     let mut iso = p.isolate_config().unwrap();
     iso.args = vec!["planner_worker_entry".into(), "--exact".into(), "--test-threads=1".into(), "--nocapture".into()];
     let kind = Injection::new(b.label(), &cfg);
     let journal = |name: &str, executor: Executor<'_>| {
         let sc = StoreConfig::new(tmp(name));
-        let planner = WilsonPlanner::for_injection(&cfg, total_steps, plan.ci, plan.batch);
-        let mut open = open_planned(&kind, || build(b, p.size), executor, &sc, Box::new(planner)).unwrap();
+        let planner = |total_steps| -> Box<dyn AllocationPlanner> {
+            Box::new(WilsonPlanner::for_injection(&cfg, total_steps, plan.ci, plan.batch))
+        };
+        let mut open = open_planned(&kind, || build(b, p.size), executor, &sc, planner).unwrap();
         let campaign = open.advance(&kind, executor, None).unwrap().expect_complete();
         assert!(campaign.records.len() < cfg.trials, "{name}: the planner should stop short of its horizon");
         segments(&sc.dir)
@@ -332,7 +332,7 @@ fn kill_resume_worker_entry() {
     let cfg = kr_cfg();
     let g = golden(KR_BENCH, SizeClass::Test);
     let total_steps = build(KR_BENCH, SizeClass::Test).total_steps().max(1);
-    let result = phi_reliability::carolfi::warden::serve(|trial, _attempt| {
+    let result = phi_reliability::carolfi::warden::serve(|trial| {
         // Pace the campaign so the outer test's SIGKILL lands mid-run.
         std::thread::sleep(std::time::Duration::from_millis(KR_SLEEP_MS));
         let mut target = build(KR_BENCH, SizeClass::Test);

@@ -21,15 +21,6 @@ impl Interval {
     pub fn half_width(&self) -> f64 {
         (self.hi - self.lo) / 2.0
     }
-
-    /// Relative half-width (half-width ÷ estimate).
-    pub fn relative_half_width(&self) -> f64 {
-        if self.estimate == 0.0 {
-            f64::INFINITY
-        } else {
-            self.half_width() / self.estimate
-        }
-    }
 }
 
 /// Wilson score interval for a binomial proportion at 95 % confidence.

@@ -242,9 +242,10 @@ impl Coordinator<'_> {
     /// welcomed and joins the idle pool, or, after the last seal, hears
     /// `Done` as well and is waited for until it hangs up.
     fn welcome(&self, id: u64, mut stream: TcpStream) {
-        // `write_frame` sends the length prefix and the body as two writes;
-        // under Nagle the body would wait for the executor's delayed ACK
-        // (~40 ms) on every frame.
+        // `write_frame` sends each frame in one write, but of two frames
+        // sent back to back (`Welcome`, then `Done` after the last seal)
+        // Nagle would hold the second for the executor's delayed ACK
+        // (~40 ms).
         let hello = stream.set_nodelay(true).and_then(|()| read_frame::<ExecutorMsg>(&mut stream));
         let mut st = self.lock();
         let Ok(ExecutorMsg::Hello { name, .. }) = hello else {

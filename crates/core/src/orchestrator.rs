@@ -822,10 +822,7 @@ impl<T: FaultTarget, F: Fn() -> T + Sync> StoredCampaign<T, F> {
                 record
             }
             Executor::Warden(iso) => {
-                let mut warden = match wardens.lock().pop().map(Ok).unwrap_or_else(|| Warden::new(iso.clone())) {
-                    Ok(w) => w,
-                    Err(e) => panic!("trial {trial}: warden setup failed: {e}"),
-                };
+                let mut warden = wardens.lock().pop().unwrap_or_else(|| Warden::new(iso.clone()));
                 let record = match warden.run_trial(trial) {
                     Ok(IsolatedTrial::Completed(record)) => *record,
                     // The warden already emitted the diagnostic through

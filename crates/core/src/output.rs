@@ -99,15 +99,6 @@ impl Output {
         self.len() == 0
     }
 
-    /// Element at flat index, widened to `f64` (bit-preserving for floats).
-    pub fn get_f64(&self, idx: usize) -> f64 {
-        match self {
-            Output::F64Grid { data, .. } => data[idx],
-            Output::F32Grid { data, .. } => data[idx] as f64,
-            Output::I32Grid { data, .. } => data[idx] as f64,
-        }
-    }
-
     /// Bit-exact mismatch list against a golden output.
     ///
     /// Panics if the two outputs have different shapes or element types —

@@ -8,11 +8,11 @@
 //!
 //! * The campaign binary re-execs **itself** in a worker mode (selected by
 //!   the [`SOCKET_ENV`] environment variable, conventionally alongside a
-//!   `--warden-worker` argv marker). The worker connects back to the
-//!   parent over a Unix socket, receives `Run { trial }` requests, executes
-//!   trials with the exact same `execute_trial` code path as the in-process
-//!   backend, and streams [`TrialRecord`]s back over a length-prefixed
-//!   frame protocol.
+//!   `--warden-worker` argv marker). The worker's stdin is its end of a
+//!   Unix socket pair the parent made for it; over it the worker receives
+//!   `Run { trial }` requests, executes trials with the exact same
+//!   `execute_trial` code path as the in-process backend, and streams
+//!   [`TrialRecord`]s back over a length-prefixed frame protocol.
 //! * The parent-side [`Warden`] supervises one worker: it spawns it on
 //!   demand, imposes a **wall-clock** deadline per trial (complementing the
 //!   in-worker step-budget watchdog, which corrupted control flow can
@@ -30,7 +30,9 @@
 //!   entropy) so a reproduced failure reproduces its recovery.
 //!
 //! Telemetry: `warden/spawned`, `warden/killed`, `warden/retries`,
-//! `warden/quarantined` counters and a `trial_wall` span per trial.
+//! `warden/quarantined` counters, a `trial_wall` span per trial, and the
+//! worker's lifecycle as `warden.spawn` (spawn to `Hello`) and
+//! `warden.shutdown` (`Shutdown` sent to worker reaped) spans.
 //!
 //! The worker's *own* telemetry is not lost either: workers that have a
 //! metrics-keeping recorder installed periodically (and on shutdown) ship a
@@ -41,7 +43,8 @@
 use crate::record::{DueKind, TrialRecord};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::fd::{AsFd, OwnedFd};
+use std::os::unix::net::UnixStream;
 use std::os::unix::process::ExitStatusExt;
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -50,8 +53,8 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Environment variable carrying the parent's socket path; its presence is
-/// what switches a re-exec'd binary into worker mode.
+/// Environment variable whose presence switches a re-exec'd binary into
+/// worker mode. Its value names no path: the worker's socket is its stdin.
 pub const SOCKET_ENV: &str = "PHI_WARDEN_SOCKET";
 
 /// Environment variable carrying the campaign spec (opaque to this module:
@@ -67,7 +70,7 @@ pub const MAX_FRAME: usize = 16 << 20;
 /// at most how often after its records.
 const METRICS_EVERY: Duration = Duration::from_millis(200);
 
-/// How long a freshly spawned worker gets to connect back.
+/// How long a freshly spawned worker gets to say `Hello`.
 const SPAWN_WAIT: Duration = Duration::from_secs(10);
 
 /// How long after a broken pipe we wait for the worker's exit status before
@@ -86,7 +89,7 @@ pub enum Request {
 /// Worker → parent protocol frames.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Reply {
-    /// First frame after connecting.
+    /// A worker's first frame.
     Hello { pid: u32 },
     /// One finished trial; `payload` is the serialized [`TrialRecord`]
     /// exactly as the worker's `execute_trial` produced it.
@@ -176,14 +179,17 @@ fn other(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::other(msg.into())
 }
 
-/// Writes one length-prefixed JSON frame (4-byte LE length, then bytes).
+/// Writes one length-prefixed JSON frame (4-byte LE length, then bytes) in
+/// one write, so the reader wakes once per frame.
 pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> std::io::Result<()> {
     let json = serde_json::to_string(msg).map_err(std::io::Error::other)?;
     if json.len() > MAX_FRAME {
         return Err(other(format!("frame of {} bytes exceeds the {MAX_FRAME}-byte cap", json.len())));
     }
-    w.write_all(&(json.len() as u32).to_le_bytes())?;
-    w.write_all(json.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + json.len());
+    frame.extend_from_slice(&(json.len() as u32).to_le_bytes());
+    frame.extend_from_slice(json.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -192,17 +198,17 @@ fn parse_frame<T: for<'de> Deserialize<'de>>(bytes: &[u8]) -> std::io::Result<T>
     serde_json::from_str(text).map_err(|e| other(format!("bad frame {text:?}: {e}")))
 }
 
-/// Reads exactly `buf.len()` bytes, polling with short read timeouts so the
-/// absolute `deadline` is honored even while bytes trickle in. EOF is
-/// `UnexpectedEof`; deadline expiry is `TimedOut`.
+/// Reads exactly `buf.len()` bytes, each read's timeout re-armed to the
+/// time left, so the absolute `deadline` is honored even while bytes
+/// trickle in. EOF is `UnexpectedEof`; deadline expiry is `TimedOut`.
 fn read_exact_deadline(s: &mut UnixStream, buf: &mut [u8], deadline: Instant) -> std::io::Result<()> {
     let mut filled = 0usize;
     while filled < buf.len() {
-        let now = Instant::now();
-        if now >= deadline {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
             return Err(std::io::Error::new(std::io::ErrorKind::TimedOut, "wall-clock deadline expired"));
         }
-        s.set_read_timeout(Some((deadline - now).min(Duration::from_millis(50))))?;
+        s.set_read_timeout(Some(left))?;
         match s.read(&mut buf[filled..]) {
             Ok(0) => {
                 return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "worker closed the stream"))
@@ -359,27 +365,19 @@ struct WorkerConn {
     source: String,
 }
 
-static SOCKET_SEQ: AtomicU64 = AtomicU64::new(0);
 static WORKER_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Supervises one worker process. One warden per orchestrator thread;
 /// workers are reused across trials and respawned on demand after a death.
 pub struct Warden {
     cfg: IsolateConfig,
-    listener: UnixListener,
-    socket_path: PathBuf,
     worker: Option<WorkerConn>,
 }
 
 impl Warden {
-    /// Binds the rendezvous socket; the first trial spawns the worker.
-    pub fn new(cfg: IsolateConfig) -> std::io::Result<Self> {
-        let seq = SOCKET_SEQ.fetch_add(1, Ordering::Relaxed);
-        let socket_path = std::env::temp_dir().join(format!("phi-warden-{}-{}.sock", std::process::id(), seq));
-        let _ = std::fs::remove_file(&socket_path);
-        let listener = UnixListener::bind(&socket_path)?;
-        listener.set_nonblocking(true)?; // accept() is polled under a deadline
-        Ok(Warden { cfg, listener, socket_path, worker: None })
+    /// A warden with no worker yet; the first trial spawns one.
+    pub fn new(cfg: IsolateConfig) -> Self {
+        Warden { cfg, worker: None }
     }
 
     /// Runs one trial to a final verdict, applying the full watchdog /
@@ -427,6 +425,7 @@ impl Warden {
     /// the warden kills whatever is left).
     pub fn shutdown(&mut self) {
         if let Some(mut w) = self.worker.take() {
+            let _span = obs::span!("warden.shutdown");
             let _ = write_frame(&mut w.stream, &Request::Shutdown);
             // Drain the worker's parting frames — it ships a final
             // cumulative Metrics before closing its end of the stream.
@@ -502,41 +501,30 @@ impl Warden {
         }
     }
 
-    /// Spawns a fresh worker and waits for it to connect and say Hello.
+    /// Spawns a fresh worker with one end of a socket pair as its stdin and
+    /// waits for its Hello. The spawn drops the parent's copy of that end,
+    /// so a worker that exits first reads as EOF at once.
     fn spawn_worker(&mut self) -> std::io::Result<()> {
+        let _span = obs::span!("warden.spawn");
+        let (mut stream, theirs) = UnixStream::pair()?;
         let mut child = Command::new(&self.cfg.program)
             .args(&self.cfg.args)
-            .env(SOCKET_ENV, &self.socket_path)
+            .env(SOCKET_ENV, "stdin")
             .env(SPEC_ENV, &self.cfg.spec)
-            .stdin(Stdio::null())
+            .stdin(OwnedFd::from(theirs))
             .stdout(Stdio::null()) // worker stdout must never pollute figure output
             .spawn()?;
-        let deadline = Instant::now() + SPAWN_WAIT;
-        let mut stream = loop {
-            match self.listener.accept() {
-                Ok((s, _)) => break s,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if let Ok(Some(status)) = child.try_wait() {
-                        return Err(other(format!("worker died before connecting: {status}")));
-                    }
-                    if Instant::now() >= deadline {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        return Err(other("worker did not connect within the spawn deadline"));
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Err(e);
-                }
-            }
-        };
-        stream.set_nonblocking(false)?;
-        match read_frame_deadline::<Reply>(&mut stream, deadline)? {
-            Reply::Hello { .. } => {}
-            otherwise => return Err(other(format!("worker's first frame was not Hello: {otherwise:?}"))),
+        let hello = read_frame_deadline::<Reply>(&mut stream, Instant::now() + SPAWN_WAIT);
+        if !matches!(hello, Ok(Reply::Hello { .. })) {
+            // A worker that has already exited keeps its exit status: the
+            // kill only reaches the living.
+            let _ = child.kill();
+            let status = child.wait()?;
+            let why = match hello {
+                Ok(frame) => format!("its first frame was {frame:?}"),
+                Err(e) => e.to_string(),
+            };
+            return Err(other(format!("no Hello from the worker ({why}); it ended with {status}")));
         }
         obs::incr("warden/spawned", 1);
         let source = format!("worker-{}-{}", child.id(), WORKER_SEQ.fetch_add(1, Ordering::Relaxed));
@@ -577,7 +565,6 @@ impl Warden {
 impl Drop for Warden {
     fn drop(&mut self) {
         self.shutdown();
-        let _ = std::fs::remove_file(&self.socket_path);
     }
 }
 
@@ -599,13 +586,19 @@ fn classify_exit(status: ExitStatus, context: String) -> Death {
     }
 }
 
-/// Polls `try_wait` until `grace` expires.
+/// Polls `try_wait` until `grace` expires, napping 10 µs at first and
+/// twice as long each time up to 1 ms: a worker whose stream just closed
+/// is usually reaped within microseconds.
 fn wait_with_grace(child: &mut Child, grace: Duration) -> Option<ExitStatus> {
     let deadline = Instant::now() + grace;
+    let mut nap = Duration::from_micros(10);
     loop {
         match child.try_wait() {
             Ok(Some(status)) => return Some(status),
-            Ok(None) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(2)),
+            Ok(None) if Instant::now() < deadline => {
+                std::thread::sleep(nap);
+                nap = (nap * 2).min(Duration::from_millis(1));
+            }
             _ => return None,
         }
     }
@@ -626,9 +619,11 @@ pub fn worker_spec() -> Option<String> {
     worker_active().then(|| std::env::var(SPEC_ENV).unwrap_or_default())
 }
 
-/// Worker main loop: connect back to the parent, answer `Run` requests via
-/// `run_one` (the embedder rebuilds the campaign's trial closure from the
-/// spec) and stream records. Returns when the parent shuts the stream down.
+/// Worker main loop: say Hello on the socket the parent handed over as
+/// stdin, answer `Run` requests via `run_one` (the embedder rebuilds the
+/// campaign's trial closure from the spec) and stream records. Returns
+/// when the parent shuts the stream down; refuses a stdin that is not a
+/// Unix socket.
 /// Victim panics are silenced exactly as in in-process campaigns; anything
 /// harder (abort, runaway loop) takes the worker down, which is the point —
 /// the parent classifies the corpse.
@@ -638,8 +633,9 @@ pub fn worker_spec() -> Option<String> {
 /// the parent every [`METRICS_EVERY`] while a trial runs, after records
 /// (throttled to the same period), and as a parting frame on shutdown.
 pub fn serve(mut run_one: impl FnMut(usize) -> TrialRecord) -> std::io::Result<()> {
-    let path = std::env::var(SOCKET_ENV).map_err(|_| other(format!("{SOCKET_ENV} is not set")))?;
-    let mut reader = UnixStream::connect(&path)?;
+    let mut reader = UnixStream::from(std::io::stdin().as_fd().try_clone_to_owned()?);
+    // Only a Unix socket has a Unix socket name.
+    reader.local_addr().map_err(|e| other(format!("the worker's stdin is not a Unix socket: {e}")))?;
     let writer = Arc::new(parking_lot::Mutex::new(reader.try_clone()?));
     let _quiet = crate::panic_guard::silence_panics();
     write_frame(&mut *writer.lock(), &Reply::Hello { pid: std::process::id() })?;
@@ -738,6 +734,9 @@ mod tests {
     #[test]
     fn warden_worker_entry() {
         let Some(spec) = worker_spec() else { return };
+        if spec == "exit-before-hello" {
+            std::process::exit(3);
+        }
         let result = serve(|trial| {
             match (spec.as_str(), trial) {
                 ("abort-on-5", 5) => std::process::abort(),
@@ -845,7 +844,7 @@ mod tests {
 
     #[test]
     fn records_roundtrip_through_a_worker_process() {
-        let mut w = Warden::new(iso("ok")).unwrap();
+        let mut w = Warden::new(iso("ok"));
         for trial in [0usize, 1, 9, 40] {
             match w.run_trial(trial).unwrap() {
                 IsolatedTrial::Completed(rec) => {
@@ -867,7 +866,7 @@ mod tests {
     fn shutdown_does_not_wait_out_a_metrics_tick() {
         let mut took: Vec<Duration> = (0..5)
             .map(|_| {
-                let mut w = Warden::new(iso("ok")).unwrap();
+                let mut w = Warden::new(iso("ok"));
                 assert!(matches!(w.run_trial(0).unwrap(), IsolatedTrial::Completed(_)));
                 let t0 = Instant::now();
                 w.shutdown();
@@ -879,8 +878,37 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_that_exits_before_hello_fails_fast_naming_its_exit_status() {
+        let mut w = Warden::new(iso("exit-before-hello"));
+        let t0 = Instant::now();
+        let err = w.run_trial(0).expect_err("no worker ever says Hello");
+        assert!(t0.elapsed() < Duration::from_secs(1), "giving up took {:?}", t0.elapsed());
+        assert!(err.to_string().contains("exit status: 3"), "{err}");
+    }
+
+    #[test]
+    fn a_worker_whose_stdin_is_not_a_socket_exits_non_zero() {
+        let cfg = iso("ok");
+        let mut child = Command::new(&cfg.program)
+            .args(&cfg.args)
+            .env(SOCKET_ENV, "stdin")
+            .env(SPEC_ENV, &cfg.spec)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        let Some(status) = wait_with_grace(&mut child, Duration::from_secs(1)) else {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("a worker on a null stdin was still running after 1 s");
+        };
+        assert!(!status.success(), "{status}");
+    }
+
+    #[test]
     fn aborting_victim_is_quarantined_as_a_signal_due() {
-        let mut w = Warden::new(iso("abort-on-5")).unwrap();
+        let mut w = Warden::new(iso("abort-on-5"));
         match w.run_trial(5).unwrap() {
             IsolatedTrial::Quarantined { kind, diagnostic } => {
                 assert_eq!(kind, DueKind::Signal { signo: 6 }, "SIGABRT is signal 6");
@@ -898,7 +926,7 @@ mod tests {
 
     #[test]
     fn exiting_victim_is_quarantined_as_a_crash_due() {
-        let mut w = Warden::new(iso("exit-on-4")).unwrap();
+        let mut w = Warden::new(iso("exit-on-4"));
         match w.run_trial(4).unwrap() {
             IsolatedTrial::Quarantined { kind, .. } => match kind {
                 DueKind::Crash { message } => assert!(message.contains("17"), "{message}"),
@@ -912,7 +940,7 @@ mod tests {
     fn hung_victim_is_wall_clock_killed() {
         let mut cfg = iso("hang-on-3");
         cfg.trial_wall = Duration::from_millis(400);
-        let mut w = Warden::new(cfg).unwrap();
+        let mut w = Warden::new(cfg);
         match w.run_trial(3).unwrap() {
             IsolatedTrial::Quarantined { kind, diagnostic } => {
                 assert_eq!(kind, DueKind::Killed);

@@ -24,7 +24,9 @@
 //! serialized records); [`render_result`] recomputes it offline from any
 //! journal directory — including adaptive decision-ordered journals — so
 //! `phi-cli render <dir>` of a direct figure-binary run byte-compares
-//! against the daemon's `result.json`.
+//! against the daemon's `result.json`. The daemon builds the same document
+//! from the digest the engine kept of the journaled payloads instead of
+//! serializing the records again.
 
 use crate::{golden_output, RunConfig, StoreArgs};
 use beamsim::{BeamCampaign, BeamConfig, Strikes};
@@ -609,7 +611,12 @@ pub struct SpecResult {
     pub records_crc: u32,
 }
 
-/// Renders the result document for a completed campaign.
+/// Renders the result document for a completed campaign from its records
+/// alone: the reference renderer, which serializes every record once more
+/// to digest it. The daemon's completion path builds the same document
+/// from the digest the engine kept of the journaled payloads
+/// ([`StoredCampaign::payload_crc`]); `phi-cli render` of a daemon journal
+/// therefore checks the two digest sources against each other.
 pub fn spec_result(
     kind: CampaignKind,
     spec_version: u32,
@@ -618,12 +625,33 @@ pub fn spec_result(
     tolerance: f64,
     records: &[TrialRecord],
 ) -> String {
+    let (mut line, mut records_crc) = (String::new(), 0u32);
+    for r in records {
+        line.clear();
+        Serialize::write_json(r, &mut line).expect("trial records serialize");
+        line.push('\n');
+        records_crc = store::crc32_update(records_crc, line.as_bytes());
+    }
+    result_document(kind, spec_version, benchmark, seed, tolerance, records, records_crc)
+}
+
+/// The result document of `records`, whose newline-terminated serialized
+/// form has the CRC-32 `records_crc`: the one builder behind both digest
+/// sources, so their documents are byte-identical.
+fn result_document(
+    kind: CampaignKind,
+    spec_version: u32,
+    benchmark: &str,
+    seed: u64,
+    tolerance: f64,
+    records: &[TrialRecord],
+    records_crc: u32,
+) -> String {
     let mut masked = 0u64;
     let mut hw_masked = 0u64;
     let mut sdc = 0u64;
     let mut due = 0u64;
     let mut beyond = 0u64;
-    let mut records_crc = 0u32;
     for r in records {
         match &r.outcome {
             carolfi::record::OutcomeRecord::Masked => masked += 1,
@@ -636,8 +664,6 @@ pub fn spec_result(
             }
             carolfi::record::OutcomeRecord::Due(_) => due += 1,
         }
-        let json = serde_json::to_string(r).expect("trial records serialize");
-        records_crc = store::crc32_update(store::crc32_update(records_crc, json.as_bytes()), b"\n");
     }
     let (sdc_pvf_row, due_pvf_row) = if kind == CampaignKind::Inject {
         (pvf_row(benchmark, records, PvfKind::Sdc), pvf_row(benchmark, records, PvfKind::Due))
@@ -739,6 +765,11 @@ fn sessions() -> MutexGuard<'static, BTreeMap<PathBuf, Session>> {
 /// journal changed underneath). A session ends when its campaign completes
 /// or a slice fails, and [`serve::Runner::retire`] ends it when the
 /// campaign leaves the ring unfinished.
+///
+/// The last slice takes its result document's `records_crc` from the
+/// engine's digest of the journaled payloads
+/// ([`StoredCampaign::payload_crc`]), so completing costs no second
+/// serialization of the records either.
 pub struct SpecRunner;
 
 impl serve::Runner for SpecRunner {
@@ -767,8 +798,9 @@ impl serve::Runner for SpecRunner {
             SpecRun::Inject(records) => records,
             SpecRun::Beam(campaign) => campaign.records,
         };
+        let crc = open.campaign.payload_crc().expect("a completed campaign has its payload digest");
         Ok(serve::SliceRun::Complete {
-            result: spec_result(p.spec.kind, version, &p.spec.benchmark, p.spec.seed, p.spec.tolerance, &records),
+            result: result_document(p.spec.kind, version, &p.spec.benchmark, p.spec.seed, p.spec.tolerance, &records, crc),
         })
     }
 

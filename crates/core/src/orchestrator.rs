@@ -290,6 +290,30 @@ fn invalid(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
+/// The CRC-32 and byte length of a run of journal payloads, each followed
+/// by `"\n"`: the bytes a result document's `records_crc` digests. An open
+/// journal keeps one per shard, fed from the payloads it journals and
+/// reads back, so a finished campaign's digest needs no second
+/// serialization of its records.
+#[derive(Debug, Clone, Copy, Default)]
+struct PayloadDigest {
+    crc: u32,
+    len: u64,
+}
+
+impl PayloadDigest {
+    /// Extends the digest over `payload` and its newline.
+    fn push(&mut self, payload: &str) {
+        self.crc = store::crc32_update(store::crc32_update(self.crc, payload.as_bytes()), b"\n");
+        self.len += payload.len() as u64 + 1;
+    }
+
+    /// The digest of `self`'s bytes followed by `next`'s.
+    fn then(self, next: PayloadDigest) -> PayloadDigest {
+        PayloadDigest { crc: store::crc32_combine(self.crc, next.crc, next.len), len: self.len + next.len }
+    }
+}
+
 /// Where a stored campaign's trials come from, and what its journal holds
 /// around them. [`drive_shards`] asks a shard's source for the next *unit*
 /// of trials, journals the entry the source puts before it, runs the unit
@@ -431,6 +455,9 @@ pub(crate) struct OpenJournal {
     /// Shard cursors and seals; the raw payloads are dropped once parsed.
     pub(crate) progress: ShardProgress,
     records: Vec<Vec<TrialRecord>>,
+    /// Each shard's digest of the payloads of its records, in journal
+    /// order.
+    digests: Vec<PayloadDigest>,
     /// `None` once the journal is closed: at completion, or after a failed
     /// drive.
     writer: Option<JournalWriter>,
@@ -448,6 +475,14 @@ pub(crate) fn open_journal(
 ) -> std::io::Result<OpenJournal> {
     let (writer, entries) = store::open_campaign(&store_cfg.dir, &meta, store_cfg.resume)?;
     let JournalContents { progress, records, plans, .. } = read_journal(&meta, &entries)?;
+    // Digested as read, not re-encoded: `read_journal` checked that each
+    // shard's trial entries come in sequence order.
+    let mut digests = vec![PayloadDigest::default(); progress.shards.len()];
+    for entry in &entries {
+        if let JournalEntry::Trial { shard, payload, .. } = entry {
+            digests[*shard].push(payload);
+        }
+    }
     let plan = ShardPlan::new(meta.trials, meta.shards);
     let source: Box<dyn TrialSource> = match planner {
         None => Box::new(Fixed { plan, every: store_cfg.checkpoint_every }),
@@ -456,7 +491,14 @@ pub(crate) fn open_journal(
             Box::new(Planned(parking_lot::Mutex::new((planner, allocated))))
         }
     };
-    Ok(OpenJournal { meta, plan, progress, records, writer: Some(writer), source })
+    Ok(OpenJournal { meta, plan, progress, records, digests, writer: Some(writer), source })
+}
+
+impl OpenJournal {
+    /// True once every shard with trials is sealed.
+    fn complete(&self) -> bool {
+        self.progress.shards.iter().enumerate().all(|(shard, state)| state.done || self.plan.range(shard).is_empty())
+    }
 }
 
 /// Parses the trial payloads of a fixed-count journal's replayed
@@ -540,7 +582,9 @@ pub(crate) fn drive_shards<R: Fn(usize) -> TrialRecord + Sync>(
     let writer = parking_lot::Mutex::new(writer);
     let io_error: parking_lot::Mutex<Option<std::io::Error>> = parking_lot::Mutex::new(None);
     let shard_panics: parking_lot::Mutex<Vec<String>> = parking_lot::Mutex::new(Vec::new());
-    let new_records: Vec<parking_lot::Mutex<Vec<TrialRecord>>> = (0..plan.shards).map(|_| parking_lot::Mutex::new(Vec::new())).collect();
+    // Each shard's records of this drive, with the digest of their payloads.
+    let new_records: Vec<parking_lot::Mutex<(Vec<TrialRecord>, PayloadDigest)>> =
+        (0..plan.shards).map(|_| parking_lot::Mutex::default()).collect();
     let sealed: Vec<AtomicBool> = (0..plan.shards).map(|_| AtomicBool::new(false)).collect();
     let publish = || source.gauges().into_iter().for_each(crate::monitor::planner_update);
     publish();
@@ -574,7 +618,7 @@ pub(crate) fn drive_shards<R: Fn(usize) -> TrialRecord + Sync>(
     };
     // The one per-trial path: journal the record of `trial` as `shard`'s
     // `seq`-th, accept it while the journal is held (so events follow the
-    // journal's order), and hand it back to the source.
+    // journal's order), hand it back to the source, and digest its payload.
     let journal_one = |shard: usize, seq: usize, trial: usize, record: TrialRecord| -> std::io::Result<()> {
         if record.trial != trial {
             return Err(invalid(format!("shard {shard} seq {seq}: runner answered trial {trial} with trial {}", record.trial)));
@@ -583,13 +627,14 @@ pub(crate) fn drive_shards<R: Fn(usize) -> TrialRecord + Sync>(
         obs::incr("store/trials", 1);
         let entry = JournalEntry::Trial { shard, seq: seq as u64, payload };
         let held = append(&entry, false)?;
-        if let JournalEntry::Trial { payload, .. } = &entry {
-            accept(&record, Some(payload));
-        }
+        let JournalEntry::Trial { payload, .. } = &entry else { unreachable!("a trial entry") };
+        accept(&record, Some(payload));
         drop(held);
         crate::monitor::tick(shard);
         source.observe(&record);
-        new_records[shard].lock().push(record);
+        let (records, digest) = &mut *new_records[shard].lock();
+        digest.push(payload);
+        records.push(record);
         Ok(())
     };
 
@@ -689,17 +734,18 @@ pub(crate) fn drive_shards<R: Fn(usize) -> TrialRecord + Sync>(
         }
     });
 
-    // Fold this drive's records into the shards; a shard neither sealed nor
-    // empty means the run was paused (budget/stop) rather than finished.
-    let mut complete = true;
+    // Fold this drive's records and digests into the shards; a shard
+    // neither sealed nor empty means the run was paused (budget/stop)
+    // rather than finished.
     for (shard, fresh) in new_records.into_iter().enumerate() {
-        let fresh = fresh.into_inner();
+        let (fresh, digest) = fresh.into_inner();
         let state = &mut journal.progress.shards[shard];
         state.completed += fresh.len() as u64;
         state.done |= sealed[shard].load(Ordering::Relaxed);
-        complete &= state.done || plan.range(shard).is_empty();
         journal.records[shard].extend(fresh);
+        journal.digests[shard] = journal.digests[shard].then(digest);
     }
+    let complete = journal.complete();
 
     // A paused writer stays open for the next drive once its checkpoints are
     // durable. Any other is retired explicitly, so a failed final flush
@@ -793,6 +839,17 @@ impl<T: FaultTarget, F: Fn() -> T + Sync> StoredCampaign<T, F> {
     /// a caller holding it between invocations reopens from disk otherwise.
     pub fn is_current(&self) -> bool {
         self.journal.writer.as_ref().is_some_and(JournalWriter::is_current)
+    }
+
+    /// The CRC-32 of the campaign's journal payloads, each followed by
+    /// `"\n"`, in the order its completed records come back: global trial
+    /// order (shard after shard), decision order for a planner campaign.
+    /// That is `records_crc` of the campaign's result document, taken from
+    /// the bytes the engine journaled and read back rather than from a
+    /// second serialization. `None` until the campaign is complete.
+    pub fn payload_crc(&self) -> Option<u32> {
+        let journal = &self.journal;
+        journal.complete().then(|| journal.digests.iter().fold(PayloadDigest::default(), |all, &shard| all.then(shard)).crc)
     }
 
     /// Runs up to `budget` more trials (`None` = to completion) of `kind` —

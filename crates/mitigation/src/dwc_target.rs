@@ -32,6 +32,9 @@ pub struct DwcControls<T: FaultTarget> {
     shadow: Vec<ShadowSlot>,
     /// Detections counted so far (before the panic unwinds, for tests).
     detections: usize,
+    /// Whether the wrapped target takes part in the golden ladder, once
+    /// the first rung asked it.
+    inner_snapshots: Option<bool>,
 }
 
 struct ShadowSlot {
@@ -52,7 +55,7 @@ impl<T: FaultTarget> DwcControls<T> {
             .filter(|v| is_protected(&v.info))
             .map(|v| ShadowSlot { name: v.info.name, thread: v.info.thread, bytes: v.bytes.to_vec() })
             .collect();
-        DwcControls { inner, shadow, detections: 0 }
+        DwcControls { inner, shadow, detections: 0, inner_snapshots: None }
     }
 
     /// Number of mismatches detected so far.
@@ -117,7 +120,7 @@ impl<T: FaultTarget> FaultTarget for DwcControls<T> {
     fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
         // The original state AND the replicas: the protection storage is
         // itself strike-able, and a restore brings it back with the rest.
-        let DwcControls { inner, shadow, detections } = self;
+        let DwcControls { inner, shadow, detections, .. } = self;
         inner.state(v)?;
         v.scalar(None, detections)?;
         for slot in shadow {
@@ -133,9 +136,14 @@ impl<T: FaultTarget> FaultTarget for DwcControls<T> {
         self.inner.output()
     }
 
-    /// On the golden ladder exactly when the wrapped program is.
+    /// On the golden ladder exactly when the wrapped program is. The
+    /// wrapped program is asked once; the wrapper's own capture already
+    /// holds its state.
     fn snapshot(&mut self) -> Option<Snapshot> {
-        self.inner.snapshot()?;
+        let inner = &mut self.inner;
+        if !*self.inner_snapshots.get_or_insert_with(|| inner.snapshot().is_some()) {
+            return None;
+        }
         Some(Snapshot::capture(self))
     }
 }
@@ -143,6 +151,8 @@ impl<T: FaultTarget> FaultTarget for DwcControls<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// Toy victim with one critical control variable.
     struct Toy {
@@ -252,6 +262,56 @@ mod tests {
         while hardened.step() == StepOutcome::Continue {}
         assert!(hardened.output().bits_equal(&golden), "post-restore rerun must match the golden run");
         assert_eq!(hardened.detections(), 0);
+    }
+
+    /// A [`Toy`] that counts its `snapshot()` calls and may decline the
+    /// ladder.
+    struct Counting {
+        toy: Toy,
+        ladders: bool,
+        snapshots: Arc<AtomicUsize>,
+    }
+    impl FaultTarget for Counting {
+        fn name(&self) -> &'static str {
+            self.toy.name()
+        }
+        fn total_steps(&self) -> usize {
+            self.toy.total_steps()
+        }
+        fn steps_executed(&self) -> usize {
+            self.toy.steps_executed()
+        }
+        fn step(&mut self) -> StepOutcome {
+            self.toy.step()
+        }
+        fn state<'a>(&'a mut self, v: &mut dyn StateVisitor<'a>) -> ControlFlow<()> {
+            self.toy.state(v)
+        }
+        fn output(&self) -> Output {
+            self.toy.output()
+        }
+        fn snapshot(&mut self) -> Option<Snapshot> {
+            self.snapshots.fetch_add(1, Ordering::Relaxed);
+            self.ladders.then(|| Snapshot::capture(self))
+        }
+    }
+
+    #[test]
+    fn the_wrapped_target_is_asked_for_one_snapshot_whatever_the_rung_count() {
+        for ladders in [true, false] {
+            let snapshots = Arc::new(AtomicUsize::new(0));
+            let mut hardened = DwcControls::new(Counting { toy: Toy::new(), ladders, snapshots: Arc::clone(&snapshots) });
+            let mut reference = DwcControls::new(Toy::new());
+            for rung in 0..4 {
+                let snapshot = hardened.snapshot();
+                assert_eq!(snapshot.is_some(), ladders, "rung {rung}");
+                // Every capture holds the wrapped state whole.
+                assert!(snapshot.is_none_or(|s| reference.converged(&s)), "rung {rung}");
+                hardened.step();
+                reference.step();
+            }
+            assert_eq!(snapshots.load(Ordering::Relaxed), 1, "ladders: {ladders}");
+        }
     }
 
     #[test]

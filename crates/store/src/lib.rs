@@ -37,6 +37,9 @@ pub use journal::{
 pub use queue::{run_tasks, StopFlag};
 pub use shard::{ShardPlan, ShardProgress, ShardState};
 
+/// The reflected CRC-32 polynomial.
+const POLY: u32 = 0xEDB8_8320;
+
 /// Slicing-by-8 lookup tables of CRC-32 (IEEE 802.3, reflected):
 /// `TABLES[0]` is the bytewise table, and `TABLES[k][b]` advances the CRC of
 /// byte `b` over `k` further zero bytes. Built at compile time.
@@ -47,7 +50,7 @@ const TABLES: [[u32; 256]; 8] = {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
         t[0][i] = c;
@@ -96,9 +99,66 @@ pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     !c
 }
 
+/// `a · b` modulo the CRC-32 polynomial, both as reflected polynomials
+/// (bit 31 holds x⁰).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let (mut m, mut p) = (1u32 << 31, 0);
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        m >>= 1;
+    }
+    p
+}
+
+/// `X2N[k]` is x^(2^k) modulo the CRC-32 polynomial. The powers repeat
+/// with period 32 (x^(2^32) is x again), so 32 entries serve every `k`.
+/// Built at compile time.
+const X2N: [u32; 32] = {
+    let mut t = [0u32; 32];
+    let mut p = 1u32 << 30; // x¹
+    t[0] = p;
+    let mut k = 1;
+    while k < 32 {
+        p = multmodp(p, p);
+        t[k] = p;
+        k += 1;
+    }
+    t
+};
+
+/// The CRC-32 of `a ++ b` from `crc1 = crc32(a)`, `crc2 = crc32(b)` and
+/// `len2 = b.len()` (zlib's `crc32_combine`): `crc1` times x^(8·len2)
+/// modulo the polynomial, xor `crc2`. The power is the product of one
+/// `X2N` entry per set bit of `8·len2`, so a join takes O(log `len2`)
+/// multiplications.
+pub fn crc32_combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
+    let (mut n, mut k, mut shift) = (len2, 3, 1u32 << 31); // 8·len2 bits; x⁰
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = multmodp(X2N[k & 31], shift);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    multmodp(shift, crc1) ^ crc2
+}
+
 #[cfg(test)]
 mod tests {
-    use super::crc32;
+    use super::{crc32, crc32_combine};
+
+    #[test]
+    fn crc32_combine_joins_long_halves() {
+        // Second halves of up to 2^17 + 4099 bytes multiply X2N[3..=20].
+        let data: Vec<u8> = (0..(1usize << 17) + 4099).map(|i| (i * 31 % 251) as u8).collect();
+        for cut in [0, 1, 8, 4099, 1 << 16, data.len() - 1, data.len()] {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(crc32_combine(crc32(a), crc32(b), b.len() as u64), crc32(&data), "cut {cut}");
+        }
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

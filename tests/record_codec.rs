@@ -4,7 +4,9 @@
 //! generated by the derive and written by hand for `DueKind`), and
 //! `store::crc32` steps eight bytes at a time. Neither may change a byte the
 //! journal, the result documents or any frame carries. These properties pin
-//! both against references that build nothing new:
+//! both, and `store::crc32_combine`, which joins the per-shard digests of a
+//! daemon campaign's `records_crc`, against references that build nothing
+//! new:
 //!
 //! * the content tree each value lowers to, rendered by the renderer
 //!   `serde_json::to_string` used before the direct writer (copied below);
@@ -13,7 +15,7 @@
 use bench::{spec_result, CampaignKind, SpecResult};
 use phi_reliability::carolfi::record::{DiffSummary, DueKind, OutcomeRecord, TrialRecord};
 use phi_reliability::carolfi::{FaultModel, InjectionDetail, Mismatch, VarClass};
-use phi_reliability::store::{crc32, crc32_update, encode_record, JournalEntry};
+use phi_reliability::store::{crc32, crc32_combine, crc32_update, encode_record, JournalEntry};
 use proptest::prelude::*;
 use proptest::TestRng;
 use serde::__private::{to_content, Content};
@@ -267,6 +269,13 @@ proptest! {
         let (a, b) = data.split_at(cut % (data.len() + 1));
         prop_assert_eq!(crc32_update(crc32(a), b), crc32(&data));
         prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
+    }
+
+    #[test]
+    fn crc32_combine_joins_any_split(data in prop::collection::vec(any::<u8>(), 0..300), cut: usize) {
+        // Empty halves included: the cut ranges over 0..=len.
+        let (a, b) = data.split_at(cut % (data.len() + 1));
+        prop_assert_eq!(crc32_combine(crc32(a), crc32(b), b.len() as u64), crc32_bytewise(&data));
     }
 
     #[test]

@@ -15,7 +15,9 @@ use phi_reliability::carolfi::{
 use phi_reliability::kernels::{build, golden, Benchmark, SizeClass};
 use phi_reliability::sdc_analysis::planner::WilsonPlanner;
 use phi_reliability::store::{Journal, JournalEntry};
-use bench::{validate_spec, CampaignKind, CampaignSpec, ParsedSpec, PlanSpec};
+use bench::spec::journal_records;
+use bench::{spec_result, validate_spec, CampaignKind, CampaignSpec, ParsedSpec, PlanSpec, SpecRunner};
+use serve::{Runner, SliceRun};
 use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
@@ -227,6 +229,66 @@ fn an_adaptive_campaign_advanced_in_slices_writes_its_one_shot_journal() {
     assert!(slices > 2, "expected several slices, took {slices}");
     assert_eq!(record_lines(&campaign.records), record_lines(&reference.records));
     assert!(segments(&sliced.dir) == segments(&one_shot.dir), "sliced adaptive journal differs from the one-shot run");
+}
+
+// --- The daemon's result documents -----------------------------------------
+//
+// A served campaign's last slice renders its result document from the
+// digest the engine kept of the payloads it journaled and read back;
+// `spec_result` renders it from the records alone, serializing them again.
+// The two must agree however the campaign was sliced, and whether or not a
+// slice reopened it from disk.
+
+/// Serves `spec` through the daemon's runner in slices of `slice` trials
+/// until it completes, ending its session after slice `retire_after` (when
+/// given) so that the next slice reopens the journal from disk. Returns the
+/// result document.
+fn serve_in_slices(spec: &CampaignSpec, journal: &Path, slice: usize, retire_after: Option<usize>) -> String {
+    let raw = serde_json::to_string(spec).unwrap();
+    for slices in 1..1000 {
+        match SpecRunner.run_slice(&raw, journal, slice).unwrap() {
+            SliceRun::Complete { result } => {
+                assert!(retire_after.is_none_or(|n| slices > n), "{}: completed before the retire", journal.display());
+                return result;
+            }
+            SliceRun::Paused { .. } if retire_after == Some(slices) => SpecRunner.retire(journal),
+            SliceRun::Paused { .. } => {}
+        }
+    }
+    panic!("{}: campaign never completed", journal.display())
+}
+
+#[test]
+fn served_result_documents_equal_the_reference_render_of_their_journals() {
+    let spec = |kind, b: Benchmark, trials, shards, plan: Option<PlanSpec>| CampaignSpec {
+        kind,
+        version: if plan.is_some() { 2 } else { 1 },
+        benchmark: b.label().into(),
+        trials,
+        seed: 37,
+        size: "test".into(),
+        shards,
+        isolate: false,
+        models: Vec::new(),
+        tolerance: 0.0,
+        plan,
+    };
+    let planner = PlanSpec { ci: 0.5, batch: 8, method: Default::default() };
+    let specs = [
+        ("inject", spec(CampaignKind::Inject, Benchmark::Dgemm, 90, 4, None)),
+        ("beam", spec(CampaignKind::Beam, Benchmark::Clamr, 150, 3, None)),
+        ("planner", spec(CampaignKind::Inject, Benchmark::Nw, 400, 1, Some(planner))),
+    ];
+    for (name, spec) in specs {
+        let p = validate_spec(spec.clone()).unwrap();
+        for retire in [false, true] {
+            let journal = tmp(&format!("served-{name}-{retire}"));
+            let result = serve_in_slices(&spec, &journal, 7, retire.then_some(3));
+            let (_, records) = journal_records(&journal).unwrap();
+            let reference = spec_result(spec.kind, p.result_version(), &spec.benchmark, spec.seed, spec.tolerance, &records);
+            assert_eq!(result, reference, "{name} campaign, retired mid-campaign: {retire}");
+        }
+    }
 }
 
 // --- A planner campaign on the warden executor -----------------------------

@@ -37,7 +37,7 @@
 //! wakes it with a connection of its own.
 
 use crate::monitor::{self, DistStatus};
-use crate::orchestrator::{drive_shards, open_journal, StoreConfig, StoredRun};
+use crate::orchestrator::{drive_shards, one_by_one, open_journal, StoreConfig, StoredRun};
 use crate::record::TrialRecord;
 use crate::warden::{read_frame, write_frame};
 use serde::{Deserialize, Serialize};
@@ -480,7 +480,7 @@ pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Res
         scope.spawn(|| coord.accept(scope, &listener));
         let run = drive_shards(&mut journal, store_cfg.budget, cfg.meta.shards, &AtomicU64::new(0), |shard| {
             let binding = parking_lot::Mutex::new(Binding { coord: &coord, shard, conn: None });
-            move |trial| binding.lock().run(trial)
+            one_by_one(move |trial| binding.lock().run(trial))
         });
         if let Ok(StoredRun::Complete(_)) = run {
             monitor::complete_campaign();

@@ -14,9 +14,10 @@
 //! [`run_stored`] is the durable form of a fixed-count campaign: the trial
 //! range splits into contiguous shards (`store::ShardPlan`), a work-queue
 //! scheduler fans the shards out to worker threads, and every completed
-//! trial is appended to a checksummed journal (`store::JournalWriter`)
-//! before the shard's next one starts. A crash, OOM or kill loses at most
-//! the in-flight record; re-running with `resume = true` scans the journal,
+//! trial is appended to a checksummed journal (`store::JournalWriter`) as
+//! its record arrives, in the shard's trial order. A crash, OOM or kill
+//! loses at most the records the journal had not yet made durable;
+//! re-running with `resume = true` scans the journal,
 //! skips completed shards, continues partial shards from their cursors, and
 //! — because a trial's global index fully determines its RNG stream, fault
 //! model and injection time — the merged aggregate is bit-identical to an
@@ -46,9 +47,11 @@ use crate::pool::TargetPool;
 use crate::record::{DueKind, TrialRecord};
 use crate::target::FaultTarget;
 use crate::warden::{IsolateConfig, IsolatedTrial, Warden};
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use store::{CampaignMeta, JournalEntry, JournalWriter, ShardCursor, ShardPlan, ShardProgress, StopFlag};
 
 /// Durability/orchestration knobs of a stored campaign.
@@ -316,16 +319,16 @@ impl PayloadDigest {
 
 /// Where a stored campaign's trials come from, and what its journal holds
 /// around them. [`drive_shards`] asks a shard's source for the next *unit*
-/// of trials, journals the entry the source puts before it, runs the unit
-/// on every worker, journals its records in order, feeds each back, and
-/// checkpoints where the source says. The two sources differ only in those
-/// answers: [`Fixed`] and [`Planned`].
+/// of trials, journals the entry the source puts before it, runs the unit,
+/// journals its records in order, feeds each back, and checkpoints where
+/// the source says. The two sources differ only in those answers: [`Fixed`]
+/// and [`Planned`].
 pub(crate) trait TrialSource: Send + Sync {
-    /// How many trials the next unit of `shard` holds, after the shard's
-    /// first `completed`, and the entry journaled before them; `None` when
-    /// the source has nothing more for the shard, which then seals. Asked
-    /// only while the shard's range has trials left and the budget allows
-    /// another unit.
+    /// How many trials the next unit of `shard` holds at most, after the
+    /// shard's first `completed`, and the entry journaled before them;
+    /// `None` when the source has nothing more for the shard, which then
+    /// seals. Asked only while the shard's range has trials left and the
+    /// budget allows another unit.
     fn next(&self, shard: usize, completed: usize) -> Option<(usize, Option<JournalEntry>)>;
     /// The global index of the trial journaled `seq`-th on `shard`.
     fn trial(&self, shard: usize, seq: usize) -> usize;
@@ -337,23 +340,30 @@ pub(crate) trait TrialSource: Send + Sync {
         None
     }
     /// Where the journal checkpoints a shard: with `Some(every)`, after
-    /// every `every`-th unit of a shard task and again at each pause or
+    /// every `every`-th trial of a shard task and again at each pause or
     /// harness panic that ends the task and at the seal; with `None`, after
     /// every unit and nowhere else.
     fn cadence(&self) -> Option<u64>;
+    /// Whether a unit fans out across the workers, one trial per request,
+    /// and runs whole once started (a planner batch). Otherwise a unit is a
+    /// run of consecutive trials that streams through the shard's runner on
+    /// the task's own thread, and stops at the task's next checkpoint.
+    fn fans_out(&self) -> bool {
+        false
+    }
 }
 
-/// The fixed source: each shard runs its contiguous range one trial at a
-/// time, in a format-1 journal that checkpoints every `every` trials of a
-/// shard task and again at each pause, harness panic and seal.
+/// The fixed source: each shard runs its contiguous range, in a format-1
+/// journal that checkpoints every `every` trials of a shard task and again
+/// at each pause, harness panic and seal.
 struct Fixed {
     plan: ShardPlan,
     every: u64,
 }
 
 impl TrialSource for Fixed {
-    fn next(&self, _shard: usize, _completed: usize) -> Option<(usize, Option<JournalEntry>)> {
-        Some((1, None))
+    fn next(&self, shard: usize, completed: usize) -> Option<(usize, Option<JournalEntry>)> {
+        Some((self.plan.range(shard).len() - completed, None))
     }
 
     fn trial(&self, shard: usize, seq: usize) -> usize {
@@ -405,6 +415,10 @@ impl TrialSource for Planned {
 
     fn cadence(&self) -> Option<u64> {
         None
+    }
+
+    fn fans_out(&self) -> bool {
+        true
     }
 }
 
@@ -537,19 +551,35 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The unit runner of an executor that computes one trial per call (pooled
+/// targets, a remote executor's round trip): runs the unit's trials through
+/// `run` one at a time, on the calling thread.
+pub(crate) fn one_by_one(
+    run: impl Fn(usize) -> TrialRecord + Sync,
+) -> impl Fn(Range<usize>, &mut dyn FnMut(TrialRecord) -> bool) + Sync {
+    move |trials: Range<usize>, sink: &mut dyn FnMut(TrialRecord) -> bool| {
+        trials.map(&run).all(sink);
+    }
+}
+
 /// Drives the shard queue of an open journal for up to `budget` more trials
 /// (`None` = to completion): pulls shard tasks, asks the journal's source
 /// for each task's units of trials, runs every unit through the shard's
-/// runner on up to `workers` threads, journals each record in the source's
-/// order, and checkpoints where the source says. The budget is checked
-/// before every unit: a unit starts while fewer trials than the budget ran
-/// in this drive, and then runs whole. A pause leaves the journal fsynced
-/// and its writer open for the next drive; completion closes it and returns
-/// every shard's records, in shard order and each shard's journal order
-/// (trial order for the fixed source).
+/// runner, journals each record in the source's order as it arrives, and
+/// checkpoints where the source says. A planner batch fans out on up to
+/// `workers` threads and runs whole once started, which it does while
+/// fewer trials than the budget ran in this drive. A fixed unit runs on the
+/// task's own thread, up to the task's next checkpoint, and takes at most a
+/// `workers`-th of the budget left, rounded up: the budget is an exact cap,
+/// and the tasks end it within a trial of each other. A pause leaves the
+/// journal fsynced and its writer open for the next drive; completion
+/// closes it and returns every shard's records, in shard order and each
+/// shard's journal order (trial order for the fixed source).
 ///
-/// `open_shard(shard)` returns the trial runner of one shard task, called
-/// as `run(global_trial_index) -> TrialRecord`; it is dropped when the task
+/// `open_shard(shard)` returns the unit runner of one shard task, called as
+/// `run(trials, sink)`: it runs `trials` in order and hands each record to
+/// `sink` as soon as it has it, stopping once `sink` returns `false` (a
+/// planner batch calls it once per trial). It is dropped when the task
 /// ends, before the shard seals. A runner must be pure in the trial index
 /// (this is what the determinism invariant rests on), and a record that
 /// answers another trial fails the drive.
@@ -559,16 +589,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// exactly as a finishing shard seals. A shard with an empty range (fewer
 /// trials than shards) runs no task and is never sealed.
 ///
-/// Failure containment: a **panic** out of a runner (harness bug, warden
-/// infrastructure giving out) fails only its own shard — the shard journals
-/// the unit's records before the panicking trial, checkpoints if its source
-/// says so, records a diagnostic and stops pulling units, while sibling
-/// shards run to completion and seal. The run then returns an error naming
-/// the failed shards, and a later `resume` continues exactly from their
-/// cursors. **I/O errors** still stop every shard: they signal a problem
-/// with the journal itself, which all shards share. Either way the journal
-/// is closed, and the campaign must be reopened from disk.
-pub(crate) fn drive_shards<R: Fn(usize) -> TrialRecord + Sync>(
+/// Failure containment: a **panic** out of a unit (harness bug, warden
+/// infrastructure giving out) fails only its own shard, and names the
+/// unit's first trial without a record — the shard keeps the unit's records
+/// journaled before it, checkpoints if its source says so, records a
+/// diagnostic and stops pulling units, while sibling shards run to
+/// completion and seal. The run then returns an error naming the failed
+/// shards, and a later `resume` continues exactly from their cursors.
+/// **I/O errors** still stop every shard: they signal a problem with the
+/// journal itself, which all shards share; a unit whose record fails to
+/// journal ends there. Either way the journal is closed, and the campaign
+/// must be reopened from disk.
+pub(crate) fn drive_shards<R: Fn(Range<usize>, &mut dyn FnMut(TrialRecord) -> bool) + Sync>(
     journal: &mut OpenJournal,
     budget: Option<usize>,
     workers: usize,
@@ -657,11 +689,33 @@ pub(crate) fn drive_shards<R: Fn(usize) -> TrialRecord + Sync>(
         stop.request_stop();
     };
 
+    // The size of a unit of at most `want` trials that starts `done` trials
+    // into its shard task, taken out of the budget. A fixed unit stops at
+    // the task's next checkpoint and takes at most a `workers`-th of the
+    // budget left, rounded up (nothing once another task took the rest); a
+    // planner batch is taken whole.
+    let claim = |want: usize, done: usize| -> usize {
+        let want = match source.cadence() {
+            Some(every) if every > 0 => want.min(every as usize - done % every as usize),
+            _ => want,
+        };
+        let Some(budget) = budget else { return want };
+        let share = |spent: usize| {
+            if source.fans_out() {
+                want
+            } else {
+                want.min(budget.saturating_sub(spent).div_ceil(workers.max(1)))
+            }
+        };
+        let (Ok(before) | Err(before)) = spent.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |s| Some(s + share(s)));
+        share(before)
+    };
+
     store::run_tasks(tasks, workers, &stop, |shard, stop| {
         let len = plan.range(shard).len();
         let start = progress.shards[shard].completed as usize;
         obs::incr(if start == 0 { "shard/started" } else { "shard/resumed" }, 1);
-        let run_one = open_shard(shard);
+        let run_unit = open_shard(shard);
         // A pause or a harness panic ends the task; the fixed source
         // checkpoints what the task journaled.
         let stopped = |completed: usize| {
@@ -671,15 +725,20 @@ pub(crate) fn drive_shards<R: Fn(usize) -> TrialRecord + Sync>(
                 }
             }
         };
-        let (mut completed, mut units) = (start, 0u64);
+        let mut completed = start;
         while completed < len {
-            let out_of_budget = budget.is_some_and(|b| spent.fetch_add(1, Ordering::SeqCst) >= b);
-            if stop.should_stop() || out_of_budget {
+            // Checked before the source is asked: a planner decides its next
+            // batch only while the budget lasts.
+            if stop.should_stop() || budget.is_some_and(|b| spent.load(Ordering::SeqCst) >= b) {
                 stop.request_stop();
                 return stopped(completed);
             }
-            let Some((n, before)) = source.next(shard, completed) else { break };
-            spent.fetch_add(n.saturating_sub(1), Ordering::SeqCst);
+            let Some((want, before)) = source.next(shard, completed) else { break };
+            let n = claim(want, completed - start);
+            if n == 0 {
+                stop.request_stop();
+                return stopped(completed);
+            }
             if let Some(entry) = before {
                 if let Err(e) = append(&entry, false) {
                     return fail(e);
@@ -690,24 +749,54 @@ pub(crate) fn drive_shards<R: Fn(usize) -> TrialRecord + Sync>(
             // not unwind across the scheduler and take sibling shards down:
             // the unit's records before it are journaled, the rest dropped.
             let (first, mut failed, mut panicked) = (completed, None, None);
-            let busy = run_slots(
-                n,
-                workers,
-                |i| {
-                    let trial = source.trial(shard, first + i);
-                    (trial, std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_one(trial))))
-                },
-                |(trial, outcome)| {
-                    match outcome.map(|record| journal_one(shard, completed, trial, record)) {
-                        Ok(Ok(())) => completed += 1,
-                        Ok(Err(e)) => failed = Some(e),
-                        Err(payload) => {
-                            panicked = Some(format!("shard {shard}: trial {trial}: {}", panic_message(payload.as_ref())))
-                        }
+            // Journals the outcome of the unit's next trial; `false` ends
+            // the unit.
+            let mut take = |trial: usize, outcome: std::thread::Result<TrialRecord>| {
+                match outcome.map(|record| journal_one(shard, completed, trial, record)) {
+                    Ok(Ok(())) => completed += 1,
+                    Ok(Err(e)) => failed = Some(e),
+                    Err(payload) => {
+                        panicked = Some(format!("shard {shard}: trial {trial}: {}", panic_message(payload.as_ref())))
                     }
-                    failed.is_none() && panicked.is_none()
-                },
-            );
+                }
+                failed.is_none() && panicked.is_none()
+            };
+            let busy = if source.fans_out() {
+                let run_one = |trial: usize| {
+                    let mut record = None;
+                    run_unit(trial..trial + 1, &mut |r| {
+                        record = Some(r);
+                        true
+                    });
+                    record.expect("the runner answers its trial")
+                };
+                run_slots(
+                    n,
+                    workers,
+                    |i| {
+                        let trial = source.trial(shard, first + i);
+                        (trial, catch_unwind(AssertUnwindSafe(|| run_one(trial))))
+                    },
+                    |(trial, outcome)| take(trial, outcome),
+                )
+            } else {
+                // Each record is journaled as it arrives, while the runner
+                // goes on with the unit: that time is not busy time.
+                let (mut next, mut journaling, t0) = (source.trial(shard, first), Duration::ZERO, Instant::now());
+                let trials = next..next + n;
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    run_unit(trials, &mut |record| {
+                        let t = Instant::now();
+                        let more = take(next, Ok(record));
+                        (next, journaling) = (next + 1, journaling + t.elapsed());
+                        more
+                    })
+                }));
+                if let Err(payload) = outcome {
+                    take(next, Err(payload));
+                }
+                t0.elapsed().saturating_sub(journaling).as_nanos() as u64
+            };
             busy_ns.fetch_add(busy, Ordering::Relaxed);
             if let Some(e) = failed {
                 return fail(e);
@@ -717,10 +806,9 @@ pub(crate) fn drive_shards<R: Fn(usize) -> TrialRecord + Sync>(
                 stopped(completed);
                 return shard_panics.lock().push(diagnostic);
             }
-            units += 1;
             // On the shard's last trial the seal below fsyncs this line with
             // its own, before any other trial of the shard runs.
-            if source.cadence().is_none_or(|every| units.is_multiple_of(every)) {
+            if source.cadence().is_none_or(|every| ((completed - start) as u64).is_multiple_of(every)) {
                 if let Err(e) = checkpoint(shard, completed, completed < len) {
                     return fail(e);
                 }
@@ -728,7 +816,7 @@ pub(crate) fn drive_shards<R: Fn(usize) -> TrialRecord + Sync>(
             publish();
         }
         // Nothing left for the shard: release its runner, then seal it.
-        drop(run_one);
+        drop(run_unit);
         if let Err(e) = seal(shard, completed) {
             fail(e);
         }
@@ -869,31 +957,36 @@ impl<T: FaultTarget, F: Fn() -> T + Sync> StoredCampaign<T, F> {
         let fast_compares = AtomicU64::new(0);
         let busy_ns = AtomicU64::new(0);
         // Wardens are pooled per advance: a worker process is reused across
-        // trials (and shards) until it dies, and all of them shut down —
+        // units (and shards) until it dies, and all of them shut down —
         // draining their final metrics frames — before the advance returns.
+        // A unit cut short retires its worker, so no warden comes back with
+        // replies outstanding.
         let wardens: parking_lot::Mutex<Vec<Warden>> = parking_lot::Mutex::new(Vec::new());
-        let run_one = |trial| match executor {
-            Executor::Pool(golden) => {
+        let run_unit = |trials: Range<usize>, sink: &mut dyn FnMut(TrialRecord) -> bool| match executor {
+            Executor::Pool(golden) => one_by_one(|trial| {
                 let (record, fast) = kind.run(pool, golden, total_steps, trial);
                 fast_compares.fetch_add(fast as u64, Ordering::Relaxed);
                 record
-            }
+            })(trials, sink),
             Executor::Warden(iso) => {
                 let mut warden = wardens.lock().pop().unwrap_or_else(|| Warden::new(iso.clone()));
-                let record = match warden.run_trial(trial) {
-                    Ok(IsolatedTrial::Completed(record)) => *record,
-                    // The warden already emitted the diagnostic through
-                    // telemetry (`warden/quarantined`, `warden_quarantine`
-                    // event); here the death folds into the campaign as a
-                    // deterministic DUE record.
-                    Ok(IsolatedTrial::Quarantined { kind: due, .. }) => kind.synth_due(total_steps, trial, due),
-                    Err(e) => panic!("trial {trial}: warden infrastructure failed: {e}"),
-                };
+                let verdicts = warden.run_unit(trials, |trial, verdict| {
+                    sink(match verdict {
+                        IsolatedTrial::Completed(record) => *record,
+                        // The warden already emitted the diagnostic through
+                        // telemetry (`warden/quarantined`, `warden_quarantine`
+                        // event); here the death folds into the campaign as a
+                        // deterministic DUE record.
+                        IsolatedTrial::Quarantined { kind: due, .. } => kind.synth_due(total_steps, trial, due),
+                    })
+                });
+                if let Err(e) = verdicts {
+                    panic!("warden infrastructure failed: {e}");
+                }
                 wardens.lock().push(warden);
-                record
             }
         };
-        let run = drive_shards(journal, budget, self.victims.workers, &busy_ns, |_shard| &run_one);
+        let run = drive_shards(journal, budget, self.victims.workers, &busy_ns, |_shard| &run_unit);
         drop(wardens);
         self.victims.busy_ns += busy_ns.into_inner();
         self.victims.fast_compares += fast_compares.into_inner();
@@ -1140,12 +1233,12 @@ mod tests {
         // First pass: trial 12 (shard 1) hits a harness bug.
         let mut journal = open_journal(&sc, meta.clone(), None).unwrap();
         let err = drive_shards(&mut journal, None, 3, &busy, |_shard| {
-            |trial| {
+            one_by_one(|trial| {
                 if trial == 12 {
                     panic!("injected harness bug at trial {trial}");
                 }
                 run_real(trial)
-            }
+            })
         })
         .unwrap_err();
         assert!(err.to_string().contains("shard 1"), "{err}");
@@ -1163,8 +1256,63 @@ mod tests {
 
         // Resume finishes the failed shard and the aggregate matches the
         // uninterrupted in-process run.
-        let records = drive_shards(&mut journal, None, 3, &busy, |_shard| &run_real).unwrap().expect_complete();
+        let records = drive_shards(&mut journal, None, 3, &busy, |_shard| one_by_one(&run_real)).unwrap().expect_complete();
         assert_same_records(&reference.records, &records);
+    }
+
+    #[test]
+    fn fixed_units_take_a_share_of_the_budget_and_stop_at_the_tasks_checkpoints() {
+        let g = golden();
+        let cfg = CampaignConfig { trials: 60, seed: 13, ..Default::default() };
+        let mut sc = StoreConfig::new(tmp("unit-sizes"));
+        sc.shards = 2;
+        sc.checkpoint_every = 8;
+        let busy = AtomicU64::new(0);
+        let run_real = |trial: usize| execute_trial("victim", &mut Victim::new(), &g, &cfg, 8, trial).0;
+        let units = parking_lot::Mutex::new(Vec::new());
+        let runner = |_shard| {
+            |trials: Range<usize>, sink: &mut dyn FnMut(TrialRecord) -> bool| {
+                units.lock().push(trials.clone());
+                one_by_one(&run_real)(trials, sink)
+            }
+        };
+        // The supervisor catches the victim's panics; keep them quiet.
+        let drive = |journal: &mut OpenJournal, budget: Option<usize>, workers: usize| {
+            let _quiet = crate::panic_guard::silence_panics();
+            drive_shards(journal, budget, workers, &busy, runner).unwrap()
+        };
+        let mut journal = open_journal(&sc, Injection::new("victim", &cfg).meta(2), None).unwrap();
+
+        // Two workers share a budget of 11: no unit takes more than 6.
+        assert!(matches!(drive(&mut journal, Some(11), 2), StoredRun::Paused { completed: 11, .. }));
+        let first = std::mem::take(&mut *units.lock());
+        assert_eq!(first.iter().map(Range::len).sum::<usize>(), 11, "{first:?}");
+        assert!(first.iter().all(|u| (1..=6).contains(&u.len())), "{first:?}");
+
+        // Resumed on one worker, each shard runs from its cursor in units
+        // that end at every 8th trial of the task, or at the shard's end;
+        // it checkpoints at the first of these and again at its seal.
+        let paused: Vec<usize> = journal.progress.shards.iter().map(|s| s.completed as usize).collect();
+        let entries_before = store::Journal::scan(&sc.dir).unwrap().entries.len();
+        let records = drive(&mut journal, None, 1).expect_complete();
+        assert_same_records(&run_campaign("victim", Victim::new, &g, &cfg).records, &records);
+        let (mut units_expected, mut cursors_expected) = (Vec::new(), Vec::new());
+        for (shard, &from) in paused.iter().enumerate() {
+            let range = journal.plan.range(shard);
+            let every_8th: Vec<usize> = (from..range.len()).step_by(8).skip(1).collect();
+            let ends: Vec<usize> = every_8th.iter().copied().chain([range.len()]).collect();
+            units_expected.extend([from].iter().chain(&ends).collect::<Vec<_>>().windows(2).map(|w| range.start + w[0]..range.start + w[1]));
+            cursors_expected.extend(every_8th.iter().chain([&range.len()]).map(|&c| (shard, c as u64)));
+        }
+        assert_eq!(std::mem::take(&mut *units.lock()), units_expected);
+        let cursors: Vec<(usize, u64)> = store::Journal::scan(&sc.dir).unwrap().entries[entries_before..]
+            .iter()
+            .filter_map(|e| match e {
+                JournalEntry::Checkpoint(c) => Some((c.shard, c.completed)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(cursors, cursors_expected);
     }
 
     // --- Planner journals (format 2) ----------------------------------------
@@ -1323,19 +1471,19 @@ mod tests {
 
         let one_shot = StoreConfig::new(tmp("planner-one-shot"));
         let mut journal = open_journal(&one_shot, meta.clone(), planner()).unwrap();
-        drive_shards(&mut journal, None, 2, &busy, |_shard| &run_real).unwrap().expect_complete();
+        drive_shards(&mut journal, None, 2, &busy, |_shard| one_by_one(&run_real)).unwrap().expect_complete();
 
         // Trial 6, the third of the second batch, hits a harness bug while
         // both workers run that batch.
         let mut sc = StoreConfig::new(tmp("planner-panic"));
         let mut journal = open_journal(&sc, meta.clone(), planner()).unwrap();
         let err = drive_shards(&mut journal, None, 2, &busy, |_shard| {
-            |trial| {
+            one_by_one(|trial| {
                 if trial == 6 {
                     panic!("injected harness bug at trial {trial}");
                 }
                 run_real(trial)
-            }
+            })
         })
         .unwrap_err();
         assert!(err.to_string().contains("shard 0: trial 6: injected harness bug"), "{err}");
@@ -1346,7 +1494,7 @@ mod tests {
 
         sc.resume = true;
         let mut journal = open_journal(&sc, meta, planner()).unwrap();
-        let records = drive_shards(&mut journal, None, 2, &busy, |_shard| &run_real).unwrap().expect_complete();
+        let records = drive_shards(&mut journal, None, 2, &busy, |_shard| one_by_one(&run_real)).unwrap().expect_complete();
         assert_eq!(records.iter().map(|r| r.trial).collect::<Vec<_>>(), (0..8).collect::<Vec<_>>());
         assert!(segments(&sc.dir) == segments(&one_shot.dir), "the resumed planner journal differs from the one-shot run");
     }

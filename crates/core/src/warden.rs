@@ -14,11 +14,15 @@
 //!   `execute_trial` code path as the in-process backend, and streams
 //!   [`TrialRecord`]s back over a length-prefixed frame protocol.
 //! * The parent-side [`Warden`] supervises one worker: it spawns it on
-//!   demand, imposes a **wall-clock** deadline per trial (complementing the
-//!   in-worker step-budget watchdog, which corrupted control flow can
-//!   evade), SIGKILLs the worker on expiry, and classifies worker death
-//!   from the exit status — death by signal becomes
-//!   [`DueKind::Signal`], a warden kill becomes [`DueKind::Killed`].
+//!   demand, sends it a *unit* of consecutive trials in one write and takes
+//!   each record as it arrives ([`Warden::run_unit`]), so the worker
+//!   computes the next trial while the parent journals the last. It imposes
+//!   a **wall-clock** deadline per trial, counted from the previous record's
+//!   arrival (complementing the in-worker step-budget watchdog, which
+//!   corrupted control flow can evade), SIGKILLs the worker on expiry, and
+//!   classifies worker death from the exit status — death by signal becomes
+//!   [`DueKind::Signal`], a warden kill becomes [`DueKind::Killed`]. A
+//!   death is charged to the unit's first trial without a record.
 //! * Failure policy: *victim-death* (signal / non-zero exit / wall-clock
 //!   kill) retries the trial in a fresh worker until
 //!   [`IsolateConfig::quarantine_after`] consecutive deaths **quarantine**
@@ -30,7 +34,8 @@
 //!   entropy) so a reproduced failure reproduces its recovery.
 //!
 //! Telemetry: `warden/spawned`, `warden/killed`, `warden/retries`,
-//! `warden/quarantined` counters, a `trial_wall` span per trial, and the
+//! `warden/quarantined` counters, a `trial_wall` span per trial (the wait
+//! for its verdict, retries included), and the
 //! worker's lifecycle as `warden.spawn` (spawn to `Hello`) and
 //! `warden.shutdown` (`Shutdown` sent to worker reaped) spans.
 //!
@@ -43,6 +48,7 @@
 use crate::record::{DueKind, TrialRecord};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::os::fd::{AsFd, OwnedFd};
 use std::os::unix::net::UnixStream;
 use std::os::unix::process::ExitStatusExt;
@@ -69,6 +75,12 @@ pub const MAX_FRAME: usize = 16 << 20;
 /// How often a worker ships its cumulative metrics while a trial runs, and
 /// at most how often after its records.
 const METRICS_EVERY: Duration = Duration::from_millis(200);
+
+/// At most this many trials of a unit are in flight to a worker. Their
+/// `Run` frames (about 30 bytes each) fit a socket buffer many times over,
+/// so the write that sends them never blocks; a write that did could wait
+/// forever on a worker blocked in turn on writing records nobody reads.
+const IN_FLIGHT: usize = 256;
 
 /// How long a freshly spawned worker gets to say `Hello`.
 const SPAWN_WAIT: Duration = Duration::from_secs(10);
@@ -238,9 +250,9 @@ pub fn read_frame_deadline<T: for<'de> Deserialize<'de>>(s: &mut UnixStream, dea
     parse_frame(&body)
 }
 
-/// [`read_frame`] with the socket's read timeout cleared: the worker side's
-/// read (the parent owns all deadlines). Also the monitor endpoint's
-/// framing (`carolfi::monitor`, `phi-top`).
+/// [`read_frame`] with the socket's read timeout cleared first: the blocking
+/// read of the monitor endpoint (`carolfi::monitor`, `phi-top`) and of the
+/// daemon's framing (`serve::proto`).
 pub fn read_frame_blocking<T: for<'de> Deserialize<'de>>(s: &mut UnixStream) -> std::io::Result<T> {
     s.set_read_timeout(None)?;
     read_frame(s)
@@ -363,6 +375,10 @@ struct WorkerConn {
     /// Hub source key: unique per spawned worker (pid alone could recycle),
     /// so a respawn accumulates on top of its predecessors' folded metrics.
     source: String,
+    /// Trials sent whose records have not arrived, in the order sent.
+    outstanding: usize,
+    /// When the wall clock of the first of them runs out.
+    deadline: Instant,
 }
 
 static WORKER_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -380,16 +396,50 @@ impl Warden {
         Warden { cfg, worker: None }
     }
 
-    /// Runs one trial to a final verdict, applying the full watchdog /
-    /// retry / quarantine policy. `Err` means infrastructure gave out — the
-    /// caller should fail its shard (the journal stays resumable).
+    /// Runs one trial to a final verdict: the one-trial case of
+    /// [`Warden::run_unit`].
     pub fn run_trial(&mut self, trial: usize) -> std::io::Result<IsolatedTrial> {
-        let _span = obs::span!("trial_wall");
+        let mut verdict = None;
+        self.run_unit(trial..trial + 1, |_, v| {
+            verdict = Some(v);
+            true
+        })?;
+        Ok(verdict.expect("a one-trial unit ends with its verdict"))
+    }
+
+    /// Runs the consecutive `trials` in order, handing each verdict to
+    /// `sink` as it arrives, until every trial has one or `sink` returns
+    /// `false`. The worker gets the `Run` frames of the unit's trials (up to
+    /// `IN_FLIGHT` at a time) in one write, so it computes the next trial
+    /// while `sink` takes the last. Each trial's wall clock runs from the previous
+    /// record's arrival (from the write, for the first trial a worker is
+    /// sent), and a worker death is charged to the first trial without a
+    /// record, under the full watchdog / retry / quarantine policy; the
+    /// unit's later trials go on on the respawned worker. A unit cut short
+    /// by `sink` retires its worker if it still owes records. `Err` means
+    /// infrastructure gave out — the caller should fail its shard (the
+    /// journal stays resumable).
+    pub fn run_unit(&mut self, trials: Range<usize>, mut sink: impl FnMut(usize, IsolatedTrial) -> bool) -> std::io::Result<()> {
+        for trial in trials.clone() {
+            let span = obs::span!("trial_wall");
+            let verdict = self.verdict(trial, trials.end)?;
+            drop(span);
+            if !sink(trial, verdict) {
+                self.retire_if_owing();
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// The verdict on `trial`, the first trial of a unit ending at `end`
+    /// without one, after the retry / quarantine policy ran.
+    fn verdict(&mut self, trial: usize, end: usize) -> std::io::Result<IsolatedTrial> {
         let mut deaths: Vec<String> = Vec::new();
         let mut infra = 0u32;
         let mut attempt = 0u32;
         loop {
-            match self.attempt_trial(trial) {
+            match self.attempt_trial(trial, end) {
                 Ok(record) => return Ok(IsolatedTrial::Completed(Box::new(record))),
                 Err(Death::Victim { kind, diag }) => {
                     deaths.push(diag);
@@ -422,8 +472,11 @@ impl Warden {
     }
 
     /// Asks the warden's worker to shut down cleanly (best effort; dropping
-    /// the warden kills whatever is left).
+    /// the warden kills whatever is left). A worker that still owes records
+    /// (a unit cut short by a harness panic) is killed instead: it would
+    /// compute them all before it read the request.
     pub fn shutdown(&mut self) {
+        self.retire_if_owing();
         if let Some(mut w) = self.worker.take() {
             let _span = obs::span!("warden.shutdown");
             let _ = write_frame(&mut w.stream, &Request::Shutdown);
@@ -448,20 +501,30 @@ impl Warden {
         obs::hub().fold(source, metrics.into_snapshot());
     }
 
-    /// One execution attempt: ensure a live worker, send `Run`, pump frames
-    /// until a record arrives or the wall clock runs out.
-    fn attempt_trial(&mut self, trial: usize) -> Result<TrialRecord, Death> {
+    /// One execution attempt: ensure a live worker; unless it has trials in
+    /// flight, send it the `Run` frames of `trial` and the unit's next
+    /// trials up to `end`, in one write; pump frames until the record of
+    /// `trial` arrives or its wall clock runs out.
+    fn attempt_trial(&mut self, trial: usize, end: usize) -> Result<TrialRecord, Death> {
         if self.worker.is_none() {
             self.spawn_worker().map_err(|e| Death::Infra(format!("spawn worker: {e}")))?;
         }
-        let deadline = Instant::now() + self.cfg.trial_wall;
         let w = self.worker.as_mut().expect("worker just ensured");
-        if let Err(e) = write_frame(&mut w.stream, &Request::Run { trial: trial as u64 }) {
-            return Err(self.reap(format!("trial {trial}: sending Run failed: {e}")));
+        if w.outstanding == 0 {
+            let window = trial..end.min(trial + IN_FLIGHT);
+            let mut frames = Vec::new();
+            let sent = window
+                .clone()
+                .try_for_each(|t| write_frame(&mut frames, &Request::Run { trial: t as u64 }))
+                .and_then(|()| w.stream.write_all(&frames));
+            if let Err(e) = sent {
+                return Err(self.reap(format!("trial {trial}: sending Run failed: {e}")));
+            }
+            (w.outstanding, w.deadline) = (window.len(), Instant::now() + self.cfg.trial_wall);
         }
         loop {
             let w = self.worker.as_mut().expect("worker alive while pumping frames");
-            match read_frame_deadline::<Reply>(&mut w.stream, deadline) {
+            match read_frame_deadline::<Reply>(&mut w.stream, w.deadline) {
                 Ok(Reply::Hello { .. }) => continue,
                 Ok(Reply::Metrics { metrics }) => {
                     let source = w.source.clone();
@@ -469,6 +532,8 @@ impl Warden {
                     continue;
                 }
                 Ok(Reply::Record { trial: got, payload }) => {
+                    // The next trial's wall clock starts at this arrival.
+                    (w.outstanding, w.deadline) = (w.outstanding - 1, Instant::now() + self.cfg.trial_wall);
                     if got != trial as u64 {
                         return Err(self.reap(format!("trial {trial}: worker answered trial {got}")));
                     }
@@ -528,11 +593,19 @@ impl Warden {
         }
         obs::incr("warden/spawned", 1);
         let source = format!("worker-{}-{}", child.id(), WORKER_SEQ.fetch_add(1, Ordering::Relaxed));
-        self.worker = Some(WorkerConn { child, stream, source });
+        self.worker = Some(WorkerConn { child, stream, source, outstanding: 0, deadline: Instant::now() });
         Ok(())
     }
 
-    /// SIGKILLs the current worker (wall-clock expiry).
+    /// Kills the worker if it still owes records, so that no unit cut short
+    /// leaves behind a worker computing trials nobody waits for.
+    fn retire_if_owing(&mut self) {
+        if self.worker.as_ref().is_some_and(|w| w.outstanding > 0) {
+            self.kill_worker();
+        }
+    }
+
+    /// SIGKILLs the current worker (wall-clock expiry, a retirement).
     fn kill_worker(&mut self) {
         if let Some(mut w) = self.worker.take() {
             let _ = w.child.kill();
@@ -666,9 +739,12 @@ pub fn serve(mut run_one: impl FnMut(usize) -> TrialRecord) -> std::io::Result<(
         })
     };
 
+    // The parent owns every deadline: the worker's reads wait for as long
+    // as it takes.
+    reader.set_read_timeout(None)?;
     let mut last_metrics = Instant::now();
     let result = loop {
-        let request: Request = match read_frame_blocking(&mut reader) {
+        let request: Request = match read_frame(&mut reader) {
             Ok(r) => r,
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break Ok(()),
             Err(e) => break Err(e),
@@ -730,20 +806,34 @@ mod tests {
 
     /// Worker entry for the self-exec tests: when spawned by a parent test
     /// (socket env set) it serves trials whose behavior is scripted by the
-    /// spec; as an ordinary test run it is a no-op.
+    /// spec; as an ordinary test run it is a no-op. A spec `<script>@<dir>`
+    /// also logs each trial it starts to `<dir>/ran`, one line each.
     #[test]
     fn warden_worker_entry() {
         let Some(spec) = worker_spec() else { return };
         if spec == "exit-before-hello" {
             std::process::exit(3);
         }
+        let (script, dir) = match spec.split_once('@') {
+            Some((script, dir)) => (script.to_string(), Some(PathBuf::from(dir))),
+            None => (spec, None),
+        };
         let result = serve(|trial| {
-            match (spec.as_str(), trial) {
+            if let Some(dir) = &dir {
+                let mut log = std::fs::OpenOptions::new().create(true).append(true).open(dir.join("ran")).unwrap();
+                writeln!(log, "{trial}").unwrap();
+            }
+            match (script.as_str(), trial) {
                 ("abort-on-5", 5) => std::process::abort(),
                 ("exit-on-4", 4) => std::process::exit(17),
-                ("hang-on-3", 3) => loop {
+                ("hang-on-3", 3) | ("slow-then-hang-on-5", 5) => loop {
                     std::thread::sleep(Duration::from_millis(20));
                 },
+                // Only the first execution of trial 5 aborts.
+                ("abort-once-on-5", 5) if std::fs::File::create_new(dir.as_ref().unwrap().join("aborted")).is_ok() => {
+                    std::process::abort()
+                }
+                ("slow-then-hang-on-5", ..5) => std::thread::sleep(SLOW),
                 _ => {}
             }
             mk_record(trial)
@@ -954,5 +1044,127 @@ mod tests {
             IsolatedTrial::Quarantined { diagnostic, .. } => panic!("trial 0 quarantined: {diagnostic}"),
         }
         w.shutdown();
+    }
+
+    // --- A death inside a unit --------------------------------------------
+    //
+    // Each test runs the unit [`UNIT`] on one warden; its middle trial 5
+    // misbehaves as the worker's script says. The warden counters are
+    // process-global, so each test runs in a copy of this test binary of
+    // its own ([`alone`]).
+
+    /// The unit of the death tests.
+    const UNIT: Range<usize> = 2..9;
+
+    /// How long each trial before the hanging one takes in the
+    /// `slow-then-hang-on-5` script: together they outlast one wall clock.
+    const SLOW: Duration = Duration::from_millis(150);
+
+    const ALONE_ENV: &str = "PHI_TEST_WARDEN_ALONE";
+
+    /// True in a copy of this test binary that runs the test `name` alone,
+    /// under a counting recorder of its own. In this process, runs that
+    /// copy, asserts that the test passed there, and returns false.
+    fn alone(name: &str) -> bool {
+        if std::env::var_os(ALONE_ENV).is_some() {
+            obs::install(Arc::new(obs::CounterRecorder::new()));
+            return true;
+        }
+        let out = Command::new(std::env::current_exe().expect("test binary path"))
+            .args([name, "--exact", "--test-threads=1", "--nocapture"])
+            .env(ALONE_ENV, "1")
+            .output()
+            .expect("run the test alone");
+        let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert!(out.status.success() && stdout.contains("1 passed"), "{name}, run alone:\n{stdout}{stderr}");
+        false
+    }
+
+    /// What one run of [`UNIT`] under `script` left behind.
+    struct UnitRun {
+        /// Each verdict, with its trial and when the sink took it.
+        verdicts: Vec<(usize, IsolatedTrial, Instant)>,
+        /// The trials the workers started, in the order they started them.
+        ran: Vec<usize>,
+        retries: u64,
+        quarantined: u64,
+        spawned: u64,
+    }
+
+    fn run_script(script: &str, trial_wall: Duration) -> UnitRun {
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/test-warden").join(script);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut cfg = iso(&format!("{script}@{}", dir.display()));
+        cfg.trial_wall = trial_wall;
+        let mut w = Warden::new(cfg);
+        let mut verdicts = Vec::new();
+        w.run_unit(UNIT, |trial, verdict| {
+            verdicts.push((trial, verdict, Instant::now()));
+            true
+        })
+        .unwrap();
+        w.shutdown();
+        let ran = std::fs::read_to_string(dir.join("ran")).unwrap().lines().map(|l| l.parse().unwrap()).collect();
+        let snap = obs::snapshot().expect("a counting recorder is installed");
+        let [retries, quarantined, spawned] = ["warden/retries", "warden/quarantined", "warden/spawned"].map(|c| snap.counter(c));
+        UnitRun { verdicts, ran, retries, quarantined, spawned }
+    }
+
+    /// Asserts that the unit's verdicts came in trial order and that every
+    /// trial but 5 completed with its in-process record, and returns the
+    /// verdict on trial 5.
+    fn middle_verdict(run: &UnitRun) -> &IsolatedTrial {
+        assert_eq!(run.verdicts.iter().map(|v| v.0).collect::<Vec<_>>(), UNIT.collect::<Vec<_>>());
+        for (trial, verdict, _) in &run.verdicts {
+            match verdict {
+                IsolatedTrial::Completed(rec) => assert_eq!(rec.encode().unwrap(), mk_record(*trial).encode().unwrap()),
+                IsolatedTrial::Quarantined { diagnostic, .. } => assert_eq!(*trial, 5, "trial {trial}: {diagnostic}"),
+            }
+        }
+        &run.verdicts[5 - UNIT.start].1
+    }
+
+    #[test]
+    fn a_middle_trial_that_aborts_once_is_retried_and_the_unit_goes_on() {
+        if !alone("warden::tests::a_middle_trial_that_aborts_once_is_retried_and_the_unit_goes_on") {
+            return;
+        }
+        let run = run_script("abort-once-on-5", Duration::from_secs(30));
+        assert!(matches!(middle_verdict(&run), IsolatedTrial::Completed(_)), "the retry completes trial 5");
+        assert_eq!(run.ran, [2, 3, 4, 5, 5, 6, 7, 8], "only trial 5 runs twice");
+        assert_eq!((run.retries, run.quarantined, run.spawned), (1, 0, 2));
+    }
+
+    #[test]
+    fn a_middle_trial_that_always_aborts_is_quarantined_and_the_unit_goes_on() {
+        if !alone("warden::tests::a_middle_trial_that_always_aborts_is_quarantined_and_the_unit_goes_on") {
+            return;
+        }
+        let run = run_script("abort-on-5", Duration::from_secs(30));
+        let IsolatedTrial::Quarantined { kind, diagnostic } = middle_verdict(&run) else { panic!("trial 5 completed") };
+        assert_eq!(*kind, DueKind::Signal { signo: 6 });
+        assert!(diagnostic.contains("trial 5 quarantined after 2 consecutive worker deaths"), "{diagnostic}");
+        assert_eq!(run.ran, [2, 3, 4, 5, 5, 6, 7, 8], "trial 5 runs quarantine_after times, the rest once");
+        assert_eq!((run.retries, run.quarantined, run.spawned), (1, 1, 3));
+    }
+
+    #[test]
+    fn a_middle_trial_that_hangs_is_killed_one_wall_clock_after_the_previous_record() {
+        if !alone("warden::tests::a_middle_trial_that_hangs_is_killed_one_wall_clock_after_the_previous_record") {
+            return;
+        }
+        // The slow trials before trial 5 outlast one wall clock together,
+        // but each of them finishes well inside its own.
+        let wall = Duration::from_millis(400);
+        let run = run_script("slow-then-hang-on-5", wall);
+        let IsolatedTrial::Quarantined { kind, .. } = middle_verdict(&run) else { panic!("trial 5 completed") };
+        assert_eq!(*kind, DueKind::Killed);
+        // Killed a wall clock after trial 4's record, retried on a fresh
+        // worker and killed a wall clock after that write.
+        let waited = run.verdicts[5 - UNIT.start].2 - run.verdicts[4 - UNIT.start].2;
+        assert!(waited >= 2 * wall, "trial 5's verdict came {waited:?} after trial 4's record");
+        assert_eq!(run.ran, [2, 3, 4, 5, 5, 6, 7, 8]);
+        assert_eq!((run.retries, run.quarantined, run.spawned), (1, 1, 3));
     }
 }

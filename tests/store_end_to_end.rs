@@ -316,7 +316,8 @@ fn planner_spec() -> ParsedSpec {
     validate_spec(spec).expect("a planner campaign runs isolated")
 }
 
-/// Warden worker: serves the planner campaign's trials (no-op in an
+/// Warden worker: serves the trials of the spec the warden hands it, the
+/// planner campaign's here and the budget test's below (no-op in an
 /// ordinary run).
 #[test]
 fn planner_worker_entry() {
@@ -343,6 +344,77 @@ fn a_planner_campaign_journals_the_same_bytes_on_the_warden_as_on_the_pool() {
     };
     let pooled = journal("planner-pool", Executor::Pool(&g));
     assert!(pooled == journal("planner-warden", Executor::Warden(&iso)), "the warden journaled other bytes than the pool");
+}
+
+// --- Budgets -----------------------------------------------------------------
+//
+// A fixed campaign's unit runs up to the task's next checkpoint and takes at
+// most a share of the budget left: a budget stays an exact cap on what one
+// drive journals, however the units fall.
+
+/// Budgets below, at and above one unit of the default cadence (64).
+const BUDGETS: [usize; 7] = [1, 7, 13, 63, 64, 65, 100];
+
+/// The fixed campaign of the budget test, as the spec its warden workers
+/// rebuild.
+fn budget_spec() -> ParsedSpec {
+    let spec = CampaignSpec {
+        kind: CampaignKind::Inject,
+        version: 1,
+        benchmark: Benchmark::Nw.label().into(),
+        trials: 120,
+        seed: 47,
+        size: "test".into(),
+        shards: 3,
+        isolate: true,
+        models: Vec::new(),
+        tolerance: 0.0,
+        plan: None,
+    };
+    validate_spec(spec).expect("a fixed campaign runs isolated")
+}
+
+#[test]
+fn every_budgeted_drive_journals_exactly_its_budget() {
+    let p = budget_spec();
+    let b = p.benchmark;
+    let g = golden(b, p.size);
+    let mut iso = p.isolate_config().unwrap();
+    iso.args = vec!["planner_worker_entry".into(), "--exact".into(), "--test-threads=1".into(), "--nocapture".into()];
+    let reference = record_lines(&run_campaign(b.label(), || build(b, p.size), &g, &p.campaign_config()).records);
+    let trials_on_disk = |dir: &Path| {
+        Journal::scan(dir).unwrap().entries.iter().filter(|e| matches!(e, JournalEntry::Trial { .. })).count()
+    };
+    // Advances one open campaign in drives of `budget` trials until it
+    // completes, checking what each drive left in the journal.
+    let drive = |executor: Executor<'_>, workers: usize, every: u64, budget: usize| {
+        let name = format!("budget-{}-{workers}w-every{every}-{budget}", if matches!(executor, Executor::Pool(_)) { "pool" } else { "warden" });
+        let cfg = CampaignConfig { workers, ..p.campaign_config() };
+        let kind = Injection::new(b.label(), &cfg);
+        let mut sc = StoreConfig::new(tmp(&name));
+        sc.shards = p.spec.shards;
+        sc.checkpoint_every = every;
+        let mut open = open_stored(&kind, || build(b, p.size), executor, &sc).unwrap();
+        let mut journaled = 0;
+        loop {
+            let before = journaled;
+            let run = open.advance(&kind, executor, Some(budget)).unwrap();
+            journaled = trials_on_disk(&sc.dir);
+            assert_eq!(journaled - before, budget.min(cfg.trials - before), "{name}: the drive after {before} trials");
+            match run {
+                StoredRun::Paused { completed, .. } => assert_eq!(completed as usize, journaled, "{name}"),
+                StoredRun::Complete(c) => return assert_eq!(record_lines(&c.records), reference, "{name}"),
+            }
+        }
+    };
+    for workers in [1, 2] {
+        for every in [8, 64] {
+            for budget in BUDGETS {
+                drive(Executor::Pool(&g), workers, every, budget);
+            }
+        }
+    }
+    drive(Executor::Warden(&iso), 2, 8, 13);
 }
 
 // --- SIGKILL + resume round trip for the process-isolated backend ----------
